@@ -375,7 +375,7 @@ class DiscreteSystem:
         return out
 
     def scalar_parts(self, k: int, mask: SubdomainMask | None = None):
-        key = (k, id(mask))
+        key = (k, None if mask is None else mask.inside.tobytes())
         if key not in self._scalar_cache:
             self._scalar_cache[key] = _assemble_scalar_values(
                 self.a_vals[k], self.b_vals[k], self.c_vals[k], self.grid, mask

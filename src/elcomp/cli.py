@@ -67,7 +67,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("problem", help="problem file")
     sub.add_argument("--tol-eig", type=float, default=TOL_EIG)
     sub.add_argument("--tol-cond", type=float, default=TOL_COND)
-    sub.add_argument("--max-iter", type=int, default=MAX_ITER)
+    sub.add_argument(
+        "--max-iter",
+        type=int,
+        default=MAX_ITER,
+        help="cap on the shifted linear solves of each eigen run",
+    )
     sub.add_argument(
         "--oracle-max-dof", type=int, default=oracle_mod.ORACLE_MAX_DOF
     )

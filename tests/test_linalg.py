@@ -21,6 +21,7 @@ from elcomp.linalg import (
     lu_factor,
     lu_solve,
     matvec,
+    noda_iteration,
     power_iteration,
     transpose,
 )
@@ -140,3 +141,48 @@ def test_enclosure_brackets_true_perron_root(d):
     true_rho = max(abs(np.linalg.eigvals(d)))
     lo, hi = res.cw
     assert lo - 1e-9 <= true_rho <= hi + 1e-9
+
+
+def test_noda_iteration_known_eigenpair():
+    # [[2,-1],[-1,3]] has principal eigenvalue (5 - sqrt 5) / 2
+    a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
+    res = noda_iteration(a, lambda lam: 1e-12 * (1.0 + abs(lam)), max_iter=20)
+    exact = (5.0 - np.sqrt(5.0)) / 2.0
+    assert res.rho == pytest.approx(exact, abs=1e-11)
+    lo, hi = res.cw
+    assert lo <= exact <= hi
+    assert res.vector.min() > 0.0 and res.vector.max() == 1.0
+    assert 1 <= res.iterations <= 10
+
+
+def test_noda_iteration_guards():
+    with pytest.raises(DimMismatch):
+        noda_iteration(sp.csr_matrix((2, 3)), lambda lam: 1e-9, max_iter=10)
+    a = sp.csr_matrix(np.array([[2.0, -1.0], [-3.0, 2.0]]))
+    with pytest.raises(NoConvergence) as info:
+        noda_iteration(a, lambda lam: 0.0, max_iter=1)
+    assert info.value.iterations == 1
+    assert info.value.width > 0.0
+
+
+@given(
+    arrays(float, (5, 5), elements=st.floats(min_value=0.01, max_value=4.0)),
+    arrays(float, (5,), elements=st.floats(min_value=-4.0, max_value=4.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_noda_agrees_with_power_reference(off, diag):
+    """On random irreducible Z-matrices the Noda eigenvalue lies in the power
+    iteration's enclosure and the reverse, up to the target widths."""
+    tol = 1e-8
+    a = np.diag(diag) - off * (1.0 - np.eye(5))
+    s = float(diag.max())
+    ref = power_iteration(sp.csr_matrix(s * np.eye(5) - a), tol=tol)
+    lam_ref = s - ref.rho
+    ref_lo, ref_hi = s - ref.cw[1], s - ref.cw[0]
+    res = noda_iteration(sp.csr_matrix(a), lambda lam: tol * (1.0 + abs(lam)), 50)
+    # each value is within its own target width of the true root, which lies
+    # in the other enclosure
+    pad = tol * (1.0 + abs(res.rho))
+    pad_ref = tol * (1.0 + abs(ref.rho))
+    assert ref_lo - pad <= res.rho <= ref_hi + pad
+    assert res.cw[0] - pad_ref <= lam_ref <= res.cw[1] + pad_ref

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from elcomp.errors import NotIrreducible, NotZMatrix, ValidationError
+from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
 from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.spectral import (
     component_eigen,
@@ -164,3 +164,34 @@ def test_subdomain_scan_monotone():
     masks, values = zip(*list(scan))
     assert values[0] == scan.full_value
     assert min(values) == scan.min_value
+
+
+@pytest.mark.parametrize("n", [128, 1024, 2048])
+def test_solve_count_does_not_grow_with_mesh(n):
+    grid = build_grid(1, (0.0,), (1.0,), (n,))
+    pair = cooperative_eigen(laplace_system(grid))
+    lo, hi = pair.cw
+    assert lo <= lap1d_eig(n) <= hi
+    assert pair.iterations <= 10
+
+
+def test_roundoff_floor_stops_at_once():
+    """At n=4096 the ratio floor (about 1.7e-8) lies above the target width
+    (about 1.1e-8); the iteration must give up within a few solves."""
+    grid = build_grid(1, (0.0,), (1.0,), (4096,))
+    with pytest.raises(NoConvergence) as info:
+        cooperative_eigen(laplace_system(grid))
+    assert info.value.iterations <= 10
+
+
+def test_scalar_cache_keyed_by_mask_content():
+    """Rebinding one name to new masks on one system must not reuse the
+    assembly of an earlier, garbage-collected mask."""
+    grid = build_grid(1, (0.0,), (1.0,), (32,))
+    spec = laplace_system(grid, c="100*x")
+    ds = spec.discretize()
+    for lo, hi in [(0.0, 0.5), (0.5, 1.0), (0.0, 0.25), (0.25, 1.0)]:
+        m = sub_rectangle_mask(grid, (lo,), (hi,))
+        value = cooperative_eigen(ds, mask=m).value
+        fresh = cooperative_eigen(spec.discretize(), mask=m).value
+        assert value == pytest.approx(fresh, rel=1e-12), (lo, hi)
