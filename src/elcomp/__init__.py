@@ -18,11 +18,8 @@ from .assembly import (
     ScalarOperatorSpec,
     SystemSpec,
     as_discrete,
-    assemble_scalar,
     assemble_system,
-    check_ellipticity,
     check_z_matrix,
-    split_coupling,
 )
 from .certify import (
     Counterexample,

@@ -128,20 +128,6 @@ class SystemSpec:
         return DiscreteSystem(grid, n, a_vals, b_vals, c_vals, m_vals, f_vals, g_vals)
 
 
-def split_coupling(m, grid: Grid):
-    """Pointwise split of the coupling matrix into nonnegative and
-    nonpositive parts; plus + minus reproduces m exactly."""
-    if isinstance(m, np.ndarray):
-        vals = m
-    else:
-        n = len(m)
-        vals = np.empty((n, n, grid.n_nodes))
-        for k in range(n):
-            for l in range(n):
-                vals[k, l] = sample_field(m[k][l], grid)
-    return np.maximum(vals, 0.0), np.minimum(vals, 0.0)
-
-
 def _sym_eig_range(a_node):
     """Eigenvalue range of the symmetrized dim x dim tensor at every node."""
     dim = a_node.shape[0]
@@ -154,16 +140,6 @@ def _sym_eig_range(a_node):
     half_tr = 0.5 * (p + r)
     disc = np.sqrt((0.5 * (p - r)) ** 2 + q**2)
     return half_tr - disc, half_tr + disc
-
-
-def check_ellipticity(op: ScalarOperatorSpec, grid: Grid):
-    """(lambda_min, lambda_max) over nodes; raises when positivity is lost."""
-    dim = grid.dim
-    a_vals = np.empty((dim, dim, grid.n_nodes))
-    for i in range(dim):
-        for j in range(dim):
-            a_vals[i, j] = sample_field(op.a[i][j], grid)
-    return check_ellipticity_values(a_vals, grid)
 
 
 def check_ellipticity_values(a_vals: np.ndarray, grid: Grid):
@@ -237,106 +213,61 @@ def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid, mask=None):
     upwind convection, centered cross-derivatives.  With a mask, equations
     are restricted to masked nodes and every eliminated neighbor takes
     homogeneous Dirichlet data (G stays empty).
+
+    Every row lists its stencil entries in the same order, diagonal last,
+    and exact zeros are dropped, so duplicate entries are summed in a fixed
+    order.
     """
-    dim = grid.dim
     h = grid.h
-    interior_pos = grid.interior_pos
-    boundary_pos = grid.boundary_pos
-    if mask is None:
-        target = grid.interior_ids
-        row_of = interior_pos
-    else:
-        target = grid.interior_ids[mask.inside]
+    target = grid.interior_ids
+    row_of = grid.interior_pos
+    if mask is not None:
+        target = target[mask.inside]
         row_of = np.full(grid.n_nodes, -1, dtype=np.int64)
         row_of[target] = np.arange(len(target))
     n_rows = len(target)
-    a_rows, a_cols, a_vals_out = [], [], []
-    g_rows, g_cols, g_vals_out = [], [], []
-
-    def add(row, node, coeff):
-        if coeff == 0.0:
-            return
-        r = int(row_of[node])
-        if r >= 0:
-            a_rows.append(row)
-            a_cols.append(r)
-            a_vals_out.append(coeff)
-        elif mask is None:
-            g_rows.append(row)
-            g_cols.append(int(boundary_pos[node]))
-            g_vals_out.append(coeff)
-        # masked assembly: eliminated neighbors carry zero Dirichlet data
-
-    for row, node in enumerate(int(p) for p in target):
-        idx = grid.node_multi(node)
-        diag = c_vals[node]
-        for d in range(dim):
-            up = list(idx)
-            up[d] += 1
-            dn = list(idx)
-            dn[d] -= 1
-            node_up = grid.node_id(up)
-            node_dn = grid.node_id(dn)
-            app = a_vals[d, d, node]
-            f_up = 0.5 * (app + a_vals[d, d, node_up])
-            f_dn = 0.5 * (app + a_vals[d, d, node_dn])
-            inv_h2 = 1.0 / (h[d] * h[d])
-            diag += (f_up + f_dn) * inv_h2
-            add(row, node_up, -f_up * inv_h2)
-            add(row, node_dn, -f_dn * inv_h2)
-            bv = b_vals[d, node]
-            bp = max(bv, 0.0)
-            bm = min(bv, 0.0)
-            diag += (bp - bm) / h[d]
-            add(row, node_dn, -bp / h[d])
-            add(row, node_up, bm / h[d])
-        if dim == 2:
-            # -D_d2(a_{d1 d2} D_d1 u), centered both ways, for d1 != d2
-            for d1, d2 in ((0, 1), (1, 0)):
-                scale = 1.0 / (4.0 * h[0] * h[1])
-                for s2 in (1, -1):
-                    nbr2 = list(idx)
-                    nbr2[d2] += s2
-                    a_here = a_vals[d1, d2, grid.node_id(nbr2)]
-                    if a_here == 0.0:
-                        continue
-                    for s1 in (1, -1):
-                        corner = list(nbr2)
-                        corner[d1] += s1
-                        add(row, grid.node_id(corner), -s1 * s2 * a_here * scale)
-        a_rows.append(row)
-        a_cols.append(row)
-        a_vals_out.append(diag)
-
-    A = linalg.from_coo(n_rows, n_rows, a_rows, a_cols, a_vals_out)
-    G = linalg.from_coo(n_rows, grid.n_boundary, g_rows, g_cols, g_vals_out)
+    stride = (1, grid.shape[0])
+    nodes, coeffs = [], []  # one column per stencil entry, in row order
+    diag = c_vals[target]
+    for d in range(grid.dim):
+        up = target + stride[d]
+        dn = target - stride[d]
+        app = a_vals[d, d, target]
+        f_up = 0.5 * (app + a_vals[d, d, up])
+        f_dn = 0.5 * (app + a_vals[d, d, dn])
+        inv_h2 = 1.0 / (h[d] * h[d])
+        diag = diag + (f_up + f_dn) * inv_h2
+        bv = b_vals[d, target]
+        bp = np.maximum(bv, 0.0)
+        bm = np.minimum(bv, 0.0)
+        diag = diag + (bp - bm) / h[d]
+        nodes += [up, dn, dn, up]
+        coeffs += [-f_up * inv_h2, -f_dn * inv_h2, -bp / h[d], bm / h[d]]
+    if grid.dim == 2:
+        # -D_d2(a_{d1 d2} D_d1 u), centered both ways, for d1 != d2
+        scale = 1.0 / (4.0 * h[0] * h[1])
+        for d1, d2 in ((0, 1), (1, 0)):
+            for s2 in (1, -1):
+                nbr2 = target + s2 * stride[d2]
+                a_here = a_vals[d1, d2, nbr2]
+                for s1 in (1, -1):
+                    nodes.append(nbr2 + s1 * stride[d1])
+                    coeffs.append(-s1 * s2 * a_here * scale)
+    nodes.append(target)
+    coeffs.append(diag)
+    node = np.stack(nodes, axis=1)
+    coeff = np.stack(coeffs, axis=1)
+    col = row_of[node]
+    row = np.broadcast_to(np.arange(n_rows)[:, None], node.shape)
+    nonzero = coeff != 0.0
+    nonzero[:, -1] = True  # the diagonal closes every row of A, zero or not
+    in_a = nonzero & (col >= 0)
+    A = linalg.from_coo(n_rows, n_rows, row[in_a], col[in_a], coeff[in_a])
+    in_g = nonzero & (col < 0) & (mask is None)
+    G = linalg.from_coo(
+        n_rows, grid.n_boundary, row[in_g], grid.boundary_pos[node[in_g]], coeff[in_g]
+    )
     return A, G
-
-
-def assemble_scalar(
-    op: ScalarOperatorSpec,
-    grid: Grid,
-    mask: SubdomainMask | None = None,
-    require_elliptic: bool = True,
-):
-    """(A, G) for one scalar operator given as expressions."""
-    op.validate(grid)
-    dim = grid.dim
-    a_vals = np.empty((dim, dim, grid.n_nodes))
-    for i in range(dim):
-        for j in range(dim):
-            a_vals[i, j] = sample_field(op.a[i][j], grid)
-    try:
-        check_ellipticity_values(a_vals, grid)
-    except NonEllipticCoefficient:
-        if require_elliptic:
-            raise
-        warnings.warn("assembling a non-elliptic operator on request", stacklevel=2)
-    b_vals = np.empty((dim, grid.n_nodes))
-    for i in range(dim):
-        b_vals[i] = sample_field(op.b[i], grid)
-    c_vals = sample_field(op.c, grid)
-    return _assemble_scalar_values(a_vals, b_vals, c_vals, grid, mask)
 
 
 @dataclass

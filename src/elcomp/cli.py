@@ -9,14 +9,12 @@ JSON is stable across runs except for the timings block.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import oracle as oracle_mod
 from .assembly import as_discrete
@@ -154,16 +152,6 @@ def _quasi_spec(spec, command):
     return spec
 
 
-def _gauged_copy(asys, sigma):
-    d_int = sp.diags(np.repeat(np.asarray(sigma, dtype=float), asys.n_int))
-    d_bnd = sp.diags(
-        np.repeat(np.asarray(sigma, dtype=float), asys.grid.n_boundary)
-    )
-    return dataclasses.replace(
-        asys, A=(d_int @ asys.A @ d_int).tocsr(), G=(d_int @ asys.G @ d_bnd).tocsr()
-    )
-
-
 def _cmd_certify(args, spec):
     spec = _linear_spec(spec, "certify")
     verdict = certify(
@@ -216,9 +204,9 @@ def _cmd_oracle(args, spec):
         if sigma is None:
             raise StructureUnsupported(f"no sign gauge: {reason}")
     if args.probe is not None:
-        target = _gauged_copy(asys, sigma) if sigma else asys
-        report = oracle_mod.random_probe(target, args.probe, seed=args.seed)
-        report.gauge = sigma
+        report = oracle_mod.random_probe(
+            asys, args.probe, seed=args.seed, gauge=sigma
+        )
     else:
         report = oracle_mod.inverse_positivity(
             asys, gauge=sigma, max_dof=args.oracle_max_dof

@@ -14,7 +14,6 @@ caller at validation time, not by the parser.  The function set is closed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,71 +270,74 @@ def expr_to_str(e: Expr) -> str:
 
 # ----------------------------------------------------------------- evaluator
 
-_UNARY_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "tanh": math.tanh,
+_FUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "tanh": np.tanh,
+    "min": np.minimum,
+    "max": np.maximum,
 }
 
+_BINOPS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
 
-def _as_env(point) -> dict:
-    if isinstance(point, dict):
-        return point
-    names = ("x", "y")
-    return {names[i]: float(v) for i, v in enumerate(point)}
+_COORDS = ("x", "y")
 
 
-def _eval(e: Expr, env: dict) -> float:
+def _eval(e: Expr, env: dict, bad: np.ndarray):
+    """Value of e over the node arrays in env; sets bad wherever this value
+    or any value computed on the way to it is not finite."""
     if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
+        out = e.value
+    elif isinstance(e, Var):
         try:
-            return env[e.name]
+            out = env[e.name]
         except KeyError:
             raise EvalDomainError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Call):
-        if e.name == "min":
-            return min(_eval(e.args[0], env), _eval(e.args[1], env))
-        if e.name == "max":
-            return max(_eval(e.args[0], env), _eval(e.args[1], env))
-        a = _eval(e.args[0], env)
-        try:
-            return _UNARY_FUNCS[e.name](a)
-        except (ValueError, OverflowError):
-            raise EvalDomainError(f"{e.name}({a!r}) is out of domain") from None
-    a = _eval(e.left, env)
-    b = _eval(e.right, env)
-    op = e.op
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        return a / b
-    try:
-        r = math.pow(a, b)
-    except (ValueError, OverflowError):
-        raise EvalDomainError(f"{a!r}^{b!r} is out of domain") from None
-    return r
+    elif isinstance(e, Neg):
+        out = -_eval(e.arg, env, bad)
+    elif isinstance(e, Call):
+        out = _FUNCS[e.name](*(_eval(a, env, bad) for a in e.args))
+    else:
+        out = _BINOPS[e.op](_eval(e.left, env, bad), _eval(e.right, env, bad))
+    bad |= ~np.isfinite(out)
+    return out
+
+
+def evaluate(e: Expr, env: dict, n: int):
+    """(values, bad) of e at n nodes whose variables are the arrays in env.
+
+    bad flags every node where a value anywhere in the evaluation is
+    non-finite, so min(1, 1 / x) is flagged where x = 0.
+    """
+    bad = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        out = _eval(e, env, bad)
+    vals = np.empty(n)
+    vals[...] = out
+    return vals, bad
 
 
 def eval_expr(e: Expr, point) -> float:
     """Evaluate at a point (tuple of coordinates, or a name->value mapping)."""
-    env = _as_env(point)
-    v = _eval(e, env)
-    if not math.isfinite(v):
-        raise EvalDomainError("non-finite result", point=tuple(env.values()))
-    return v
+    if not isinstance(point, dict):
+        point = dict(zip(_COORDS, point))
+    env = {name: np.array([float(v)]) for name, v in point.items()}
+    vals, bad = evaluate(e, env, 1)
+    if bad[0]:
+        raise EvalDomainError(
+            f"non-finite value in {expr_to_str(e)}", point=tuple(point.values())
+        )
+    return float(vals[0])
 
 
 def variables_of(e: Expr) -> frozenset:
@@ -364,20 +366,16 @@ def validate_variables(e: Expr, allowed, context="expression") -> None:
 def sample_field(e: Expr, grid):
     """Evaluate at every grid node in canonical order; returns a float array.
 
-    Evaluation is pointwise (no vectorized shortcut) so sampled values are
-    bitwise identical to eval_expr at each node.
+    Raises EvalDomainError at the first node, in canonical order, where the
+    value or an intermediate value is non-finite.
     """
-    vals = np.empty(grid.n_nodes, dtype=float)
-    names = ("x", "y")
-    for node in range(grid.n_nodes):
-        coords = grid.node_coord(node)
-        env = {names[d]: coords[d] for d in range(grid.dim)}
-        try:
-            vals[node] = _eval(e, env)
-        except EvalDomainError as err:
-            raise EvalDomainError(str(err), point=coords) from None
-        if not math.isfinite(vals[node]):
-            raise EvalDomainError("non-finite coefficient value", point=coords)
+    env = {name: grid.coords[:, d] for d, name in enumerate(_COORDS[: grid.dim])}
+    vals, bad = evaluate(e, env, grid.n_nodes)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise EvalDomainError(
+            f"non-finite value in {expr_to_str(e)}", point=grid.node_coord(node)
+        )
     return vals
 
 

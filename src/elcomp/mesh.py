@@ -69,10 +69,10 @@ class Grid:
     @cached_property
     def coords(self) -> np.ndarray:
         """(n_nodes, dim) coordinates in canonical node order."""
-        out = np.empty((self.n_nodes, self.dim))
-        for node in range(self.n_nodes):
-            out[node] = self.node_coord(node)
-        return out
+        idx = np.indices(self.shape[::-1]).reshape(self.dim, -1)[::-1]
+        return np.stack(
+            [self.lo[d] + idx[d] * self.h[d] for d in range(self.dim)], axis=1
+        )
 
     @cached_property
     def is_interior(self) -> np.ndarray:
@@ -157,30 +157,13 @@ def sub_rectangle_mask(grid: Grid, lo0, hi0) -> SubdomainMask:
 
 
 def connected(mask: SubdomainMask) -> bool:
-    """True when the masked nodes form one lattice-connected component."""
-    grid = mask.grid
-    inside = mask.inside
-    total = int(inside.sum())
-    if total == 0:
-        return False
-    first = int(np.flatnonzero(inside)[0])
-    seen = np.zeros(grid.n_interior, dtype=bool)
-    seen[first] = True
-    queue = [first]
-    interior_pos = grid.interior_pos
-    interior_ids = grid.interior_ids
-    while queue:
-        p = queue.pop()
-        node = int(interior_ids[p])
-        idx = grid.node_multi(node)
-        for d in range(grid.dim):
-            for step in (-1, 1):
-                nb = list(idx)
-                nb[d] += step
-                if nb[d] <= 0 or nb[d] >= grid.n[d]:
-                    continue
-                q = int(interior_pos[grid.node_id(nb)])
-                if inside[q] and not seen[q]:
-                    seen[q] = True
-                    queue.append(q)
-    return int(seen.sum()) == total
+    """True when the masked nodes form one lattice-connected component.
+
+    Nodes are neighbours along an axis only; diagonal contact does not join.
+    """
+    # imported here: scipy.ndimage adds about 0.1 s and 5 MB to every CLI
+    # start, and no command calls this
+    from scipy import ndimage
+
+    lattice = mask.inside.reshape([nd - 1 for nd in mask.grid.n][::-1])
+    return ndimage.label(lattice)[1] == 1

@@ -50,15 +50,19 @@ class OracleReport:
         }
 
 
-def _gauge_signs(gauge, asys: AssembledSystem):
+def _conjugate(asys: AssembledSystem, gauge):
+    """(sigma, D A D, D G D_b): species sign flips applied to A and G."""
+    if gauge is None:
+        return None, asys.A, asys.G
     sigma = tuple(int(s) for s in gauge)
     if len(sigma) != asys.n_species or any(s not in (-1, 1) for s in sigma):
         raise ValidationError(
             f"gauge must be {asys.n_species} entries of +-1, got {gauge!r}"
         )
-    d_int = np.repeat(np.asarray(sigma, dtype=float), asys.n_int)
-    d_bnd = np.repeat(np.asarray(sigma, dtype=float), asys.grid.n_boundary)
-    return sigma, d_int, d_bnd
+    signs = np.asarray(sigma, dtype=float)
+    d = sp.diags(np.repeat(signs, asys.n_int), format="csr")
+    d_bnd = sp.diags(np.repeat(signs, asys.grid.n_boundary), format="csr")
+    return sigma, (d @ asys.A @ d).tocsr(), (d @ asys.G @ d_bnd).tocsr()
 
 
 def inverse_positivity(
@@ -73,15 +77,7 @@ def inverse_positivity(
     the cone order that turns constant-sign competitive coupling cooperative.
     """
     dof = asys.A.shape[0]
-    if gauge is not None:
-        sigma, d_int, d_bnd = _gauge_signs(gauge, asys)
-        d = sp.diags(d_int, format="csr")
-        a = (d @ asys.A @ d).tocsr()
-        g_mat = sp.diags(d_int) @ asys.G @ sp.diags(d_bnd)
-    else:
-        sigma = None
-        a = asys.A
-        g_mat = asys.G
+    sigma, a, g_mat = _conjugate(asys, gauge)
     inv = dense_inverse(a, max_dof)
     scale = float(np.abs(inv).max())
     min_entry = float(inv.min())
@@ -140,20 +136,25 @@ def verify_subsolution(asys: AssembledSystem, u, g_data=None, tol_res: float = T
 
 
 def random_probe(
-    asys: AssembledSystem, trials: int, seed: int = 0, tol_op: float = TOL_OP
+    asys: AssembledSystem,
+    trials: int,
+    seed: int = 0,
+    tol_op: float = TOL_OP,
+    gauge=None,
 ) -> OracleReport:
     """Falsification-only probe: solve against random nonnegative sparse RHS.
 
     A clean pass never upgrades to a definitive inverse-positivity claim;
-    the report is marked sampled.
+    the report is marked sampled.  With a gauge the probe runs on D A D.
     """
     dof = asys.A.shape[0]
+    sigma, a, _ = _conjugate(asys, gauge)
     report = OracleReport(
-        True, None, None, None, None, dof, sampled=True, trials=int(trials)
+        True, None, None, None, None, dof, sigma, sampled=True, trials=int(trials)
     )
     if trials <= 0:
         return report
-    lu = LuFactor(asys.A)
+    lu = LuFactor(a)
     rng = np.random.default_rng(seed)
     nnz = max(1, dof // 20)
     worst = 0.0

@@ -22,10 +22,10 @@ from .errors import EvalDomainError, NonEllipticLinearization, ValidationError
 from .expressions import (
     BinOp,
     Expr,
-    Neg,
     Num,
     Var,
     const,
+    evaluate,
     validate_variables,
 )
 from .fields import BlockField
@@ -37,50 +37,12 @@ FD_STEP = 1e-6
 
 _COORDS = {1: ("x",), 2: ("x", "y")}
 
-_NP_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "tanh": np.tanh,
-    "min": np.minimum,
-    "max": np.maximum,
-}
-
-
-def _eval_np(e: Expr, env: dict):
-    """Vectorized expression evaluation over node arrays."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -_eval_np(e.arg, env)
-    if isinstance(e, BinOp):
-        left = _eval_np(e.left, env)
-        right = _eval_np(e.right, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
-    return _NP_FUNCS[e.name](*(_eval_np(a, env) for a in e.args))
-
 
 def _eval_checked(e: Expr, env: dict, context: str) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        out = np.asarray(_eval_np(e, env), dtype=float)
-    if out.ndim == 0:
-        out = np.full(len(env["x"]), float(out))
-    if not np.isfinite(out).all():
+    vals, bad = evaluate(e, env, len(env["x"]))
+    if bad.any():
         raise EvalDomainError(f"{context}: non-finite value along the segment")
-    return out
+    return vals
 
 
 def _fd_partial(e: Expr, env: dict, var: str, context: str) -> np.ndarray:

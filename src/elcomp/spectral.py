@@ -130,21 +130,12 @@ def component_eigen(
 
 @dataclass
 class ScanResult:
-    """Subdomain eigenvalues; behaves like the underlying (mask, value) list."""
+    """Subdomain eigenvalues: entries are (mask, value), full domain first."""
 
     entries: list
     min_value: float
     full_value: float
     monotone_ok: bool
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
 
 def _dyadic_masks(grid, depth: int) -> list:

@@ -1,6 +1,6 @@
 """Small builders shared by the test modules."""
 
-from elcomp.assembly import ScalarOperatorSpec, SystemSpec
+from elcomp.assembly import ScalarOperatorSpec, SystemSpec, as_discrete
 from elcomp.expressions import const, parse_expr
 
 
@@ -36,3 +36,8 @@ def laplace_system(grid, c=0.0, m=None, n_species=1, f=None, g=None):
     """n_species uncoupled copies of -Laplace + c, plus optional coupling."""
     ops = tuple(op_of(grid.dim, c=c) for _ in range(n_species))
     return system_of(grid, ops, m=m, f=f, g=g)
+
+
+def scalar_parts_of(op, grid, mask=None):
+    """(A, G) of one scalar operator, sampled and assembled as a system."""
+    return as_discrete(system_of(grid, (op,))).scalar_parts(0, mask)

@@ -3,31 +3,28 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elcomp.assembly import (
-    ScalarOperatorSpec,
-    assemble_scalar,
+    DiscreteSystem,
     assemble_system,
     as_discrete,
-    check_ellipticity,
     check_z_matrix,
-    split_coupling,
 )
 from elcomp.errors import NonEllipticCoefficient, ValidationError
 from elcomp.expressions import parse_expr
 from elcomp.linalg import dense_inverse
-from elcomp.mesh import build_grid, sub_rectangle_mask
+from elcomp.mesh import SubdomainMask, build_grid, sub_rectangle_mask
 
-from helpers import laplace_system, op_of, system_of
+from helpers import laplace_system, op_of, scalar_parts_of, system_of
 
 
 def test_1d_laplacian_stencil_exact():
     # h = 1/4, constant diffusion: rows are (-16, 32, -16)
     grid = build_grid(1, (0.0,), (1.0,), (4,))
-    A, G = assemble_scalar(op_of(1), grid)
+    A, G = scalar_parts_of(op_of(1), grid)
     expected = 16.0 * np.array(
         [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
     )
@@ -42,7 +39,7 @@ def test_1d_green_function_inverse():
     """Inverse of the discrete Laplacian is the exact lattice Green function
     h * min(x, y) * (1 - max(x, y))."""
     grid = build_grid(1, (0.0,), (1.0,), (8,))
-    A, _ = assemble_scalar(op_of(1), grid)
+    A, _ = scalar_parts_of(op_of(1), grid)
     inv = dense_inverse(A)
     x = grid.coords[grid.interior_ids, 0]
     h = grid.h[0]
@@ -53,7 +50,7 @@ def test_1d_green_function_inverse():
 def test_variable_diffusion_face_averages():
     # a(x) = 1 + x sampled at nodes; faces take arithmetic means
     grid = build_grid(1, (0.0,), (1.0,), (4,))
-    A, G = assemble_scalar(op_of(1, a="1 + x"), grid)
+    A, G = scalar_parts_of(op_of(1, a="1 + x"), grid)
     h2 = 16.0
     a_nodes = 1.0 + np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     faces = 0.5 * (a_nodes[:-1] + a_nodes[1:])
@@ -66,7 +63,7 @@ def test_variable_diffusion_face_averages():
 def test_constant_function_annihilated():
     """A @ 1 + G @ 1 recovers the reaction coefficient exactly."""
     grid = build_grid(2, 0.0, 1.0, 5)
-    A, G = assemble_scalar(op_of(2, a="1 + x * y", b=("y", "-x"), c="3"), grid)
+    A, G = scalar_parts_of(op_of(2, a="1 + x * y", b=("y", "-x"), c="3"), grid)
     ones_i = np.ones(A.shape[1])
     ones_b = np.ones(G.shape[1])
     assert np.allclose(A @ ones_i + G @ ones_b, 3.0, atol=1e-11)
@@ -76,7 +73,7 @@ def test_upwind_convection_exact_on_linear():
     # first-order upwind differentiates linear functions exactly
     grid = build_grid(1, (0.0,), (1.0,), (8,))
     for b in (2.5, -2.5):
-        A, G = assemble_scalar(op_of(1, b=(b,)), grid)
+        A, G = scalar_parts_of(op_of(1, b=(b,)), grid)
         u = grid.coords[:, 0]
         lhs = A @ u[grid.interior_ids] + G @ u[grid.boundary_ids]
         assert np.allclose(lhs, b, atol=1e-12)
@@ -84,7 +81,7 @@ def test_upwind_convection_exact_on_linear():
 
 def test_upwind_keeps_z_sign_pattern():
     grid = build_grid(1, (0.0,), (1.0,), (8,))
-    A, _ = assemble_scalar(op_of(1, b=("100 * (x - 0.5)",)), grid)
+    A, _ = scalar_parts_of(op_of(1, b=("100 * (x - 0.5)",)), grid)
     off = A.toarray().copy()
     np.fill_diagonal(off, 0.0)
     assert off.max() <= 0.0
@@ -96,7 +93,7 @@ def test_2d_cross_term_exact_on_xy():
     q = 0.3
     grid = build_grid(2, 0.0, 1.0, 6)
     a = (("1", str(q)), (str(q), "1"))
-    A, G = assemble_scalar(op_of(2, a=a, c="1"), grid)
+    A, G = scalar_parts_of(op_of(2, a=a, c="1"), grid)
     u = grid.coords[:, 0] * grid.coords[:, 1]
     lhs = A @ u[grid.interior_ids] + G @ u[grid.boundary_ids]
     expected = -2.0 * q + u[grid.interior_ids]
@@ -105,28 +102,32 @@ def test_2d_cross_term_exact_on_xy():
 
 def test_2d_laplacian_quadratic_exact():
     grid = build_grid(2, 0.0, 1.0, 5)
-    A, G = assemble_scalar(op_of(2), grid)
+    A, G = scalar_parts_of(op_of(2), grid)
     coords = grid.coords
     u = coords[:, 0] * (1.0 - coords[:, 0]) + coords[:, 1] * (1.0 - coords[:, 1])
     lhs = A @ u[grid.interior_ids] + G @ u[grid.boundary_ids]
     assert np.allclose(lhs, 4.0, atol=1e-10)
 
 
+def ellipticity_of(op, grid):
+    return as_discrete(system_of(grid, (op,))).check_ellipticity()[0]
+
+
 def test_ellipticity_range_and_rejection():
     grid = build_grid(1, (0.0,), (1.0,), (4,))
-    lo, hi = check_ellipticity(op_of(1, a="1 + x"), grid)
+    lo, hi = ellipticity_of(op_of(1, a="1 + x"), grid)
     assert lo == 1.0 and hi == 2.0
     grid2 = build_grid(2, 0.0, 1.0, 4)
     bad = op_of(2, a=(("1", "1.5"), ("1.5", "1")))
     with pytest.raises(NonEllipticCoefficient):
-        check_ellipticity(bad, grid2)
+        ellipticity_of(bad, grid2)
 
 
 def test_asymmetric_tensor_warns():
     grid = build_grid(2, 0.0, 1.0, 4)
     op = op_of(2, a=(("1", "0.2"), ("0.1", "1")))
     with pytest.warns(UserWarning, match="asymmetry"):
-        check_ellipticity(op, grid)
+        ellipticity_of(op, grid)
 
 
 def test_check_z_matrix_reports_worst_entry():
@@ -161,7 +162,7 @@ def test_system_block_layout():
     assert np.allclose(np.diag(A[:n_int, n_int:]), x_int)
     assert np.allclose(np.diag(A[n_int:, :n_int]), -1.0)
     # scalar blocks agree with the standalone scalar assembly
-    A_scal, _ = assemble_scalar(op_of(1), grid)
+    A_scal, _ = scalar_parts_of(op_of(1), grid)
     assert np.allclose(A[:n_int, :n_int], A_scal.toarray())
     assert not asys.z_matrix
     assert asys.offdiag_max == pytest.approx(0.75)  # max of x on interior
@@ -192,6 +193,40 @@ def test_masked_assembly_restricts_and_zeroes_boundary():
         [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
     )
     assert np.array_equal(asys.A.toarray(), expected)
+
+
+@st.composite
+def _masked_operator(draw):
+    """One species with random diffusion (cross terms in 2D), convection and
+    reaction on a small grid, plus a random nonempty mask."""
+    dim = draw(st.sampled_from((1, 2)))
+    grid = build_grid(dim, 0.0, 1.0, draw(st.integers(3, 7 if dim == 2 else 12)))
+    nn = grid.n_nodes
+    coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    a = draw(arrays(float, (1, dim, dim, nn), elements=coeff))
+    for d in range(dim):
+        a[0, d, d] = np.abs(a[0, d, d]) + 0.5
+    b = draw(arrays(float, (1, dim, nn), elements=coeff))
+    c = draw(arrays(float, (1, nn), elements=coeff))
+    inside = draw(arrays(bool, grid.n_interior))
+    assume(inside.any())
+    zeros = np.zeros((1, nn))
+    ds = DiscreteSystem(grid, 1, a, b, c, zeros[None], zeros, zeros)
+    return ds, SubdomainMask(grid, inside)
+
+
+@given(_masked_operator())
+@settings(max_examples=60, deadline=None)
+def test_masked_assembly_is_restriction(case):
+    """Masked rows equal the full operator restricted to the mask's rows and
+    columns; eliminated neighbours carry zero data, so G is empty."""
+    ds, mask = case
+    A_full, _ = ds.scalar_parts(0)
+    A, G = ds.scalar_parts(0, mask)
+    ix = np.flatnonzero(mask.inside)
+    assert np.array_equal(A.toarray(), A_full[ix][:, ix].toarray())
+    assert G.shape == (len(ix), ds.grid.n_boundary)
+    assert G.nnz == 0
 
 
 def test_boundary_data_vector_layout():
@@ -258,7 +293,12 @@ def test_spec_validation_rejects_bad_shapes():
 )
 @settings(max_examples=80, deadline=None)
 def test_split_coupling_is_exact_partition(vals):
-    plus, minus = split_coupling(vals, None)
+    grid = build_grid(1, (0.0,), (1.0,), (4,))
+    zeros = np.zeros((2, grid.n_nodes))
+    ds = DiscreteSystem(
+        grid, 2, np.ones((2, 1, 1, 5)), zeros[:, None], zeros, vals, zeros, zeros
+    )
+    plus, minus = ds.m_plus, ds.m_minus
     assert (plus >= 0.0).all()
     assert (minus <= 0.0).all()
     assert np.array_equal(plus + minus, vals)

@@ -190,6 +190,22 @@ def test_oracle_probe_mode(tmp_path):
     assert payload["oracle"]["inverse_positive"] is True
 
 
+def test_oracle_gauged_probe(tmp_path):
+    problem = write(tmp_path, "comp.prob", data_text("competitive17.prob"))
+    code, payload = report(
+        tmp_path, "oracle", problem, "--gauge", "--probe", "25", "--seed", "7"
+    )
+    assert code == 0
+    assert payload["gauge"] == [1, -1]
+    oracle = payload["oracle"]
+    assert oracle["gauge"] == [1, -1]
+    assert oracle["sampled"] is True
+    assert oracle["trials"] == 25
+    assert oracle["inverse_positive"] is True
+    assert oracle["min_entry"] == 0.0
+    assert oracle["witness"] is None
+
+
 def test_solve_builtin_and_field_output(tmp_path):
     problem = write(tmp_path, "coop.prob", COOP)
     out_field = tmp_path / "u.field"

@@ -87,8 +87,17 @@ def test_sample_field_matches_pointwise_eval():
 
 def test_sample_field_reports_bad_node():
     grid = build_grid(1, (0.0,), (1.0,), (4,))
-    with pytest.raises(EvalDomainError):
+    with pytest.raises(EvalDomainError) as info:
         sample_field(parse_expr("log(x - 0.5)"), grid)
+    assert info.value.point == (0.0,)
+    # the result is finite everywhere; only the intermediate 1 / x is not
+    with pytest.raises(EvalDomainError) as info:
+        sample_field(parse_expr("min(1, 1 / x)"), grid)
+    assert info.value.point == (0.0,)
+    grid2 = build_grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
+    with pytest.raises(EvalDomainError) as info:
+        sample_field(parse_expr("max(0, 1 / (x - 0.5)) + y"), grid2)
+    assert info.value.point == (0.5, 0.0)
 
 
 _atoms = st.one_of(

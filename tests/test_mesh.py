@@ -5,6 +5,7 @@ import pytest
 
 from elcomp.errors import BadGridSpec, EmptySubdomain
 from elcomp.mesh import (
+    SubdomainMask,
     build_grid,
     connected,
     full_mask,
@@ -88,6 +89,12 @@ def test_disconnected_mask_detected():
     m = sub_rectangle_mask(g, (0.0,), (1.0,))
     inside = m.inside.copy()
     inside[4] = False  # cut the 1d chain in two
-    from elcomp.mesh import SubdomainMask
-
     assert not connected(SubdomainMask(g, inside))
+    # 2D: two blocks that touch only at a corner are not lattice neighbours
+    g2 = build_grid(2, 0.0, 1.0, 5)  # 4 x 4 interior nodes
+    block = np.zeros((4, 4), dtype=bool)  # numpy order: y, x
+    block[:2, :2] = True
+    block[2:, 2:] = True
+    assert not connected(SubdomainMask(g2, block.reshape(-1)))
+    block[1, 2] = True  # an axis neighbour of both blocks joins them
+    assert connected(SubdomainMask(g2, block.reshape(-1)))

@@ -160,8 +160,8 @@ def test_subdomain_scan_monotone():
     assert scan.monotone_ok
     assert scan.full_value == pytest.approx(lap1d_eig(32), abs=1e-7)
     assert scan.min_value == scan.full_value
-    assert len(scan) >= 3
-    masks, values = zip(*list(scan))
+    assert len(scan.entries) >= 3
+    masks, values = zip(*scan.entries)
     assert values[0] == scan.full_value
     assert min(values) == scan.min_value
 
