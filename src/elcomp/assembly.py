@@ -16,14 +16,12 @@ import scipy.sparse as sp
 
 from . import linalg
 from .errors import NonEllipticCoefficient, ValidationError
-from .expressions import Expr, const, sample_field, validate_variables
+from .expressions import COORDS, Expr, const, sample_field, validate_variables
 from .mesh import Grid, SubdomainMask
 
 Z_RTOL = 1e-14
 COUPLING_NONZERO = 1e-12
 ASYMMETRY_WARN = 1e-10
-
-_COORD_VARS = {1: {"x"}, 2: {"x", "y"}}
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class ScalarOperatorSpec:
         return spec
 
     def validate(self, grid: Grid) -> None:
-        allowed = _COORD_VARS[grid.dim]
+        allowed = set(COORDS[: grid.dim])
         for i, row in enumerate(self.a):
             for j, e in enumerate(row):
                 validate_variables(e, allowed, f"a{i + 1}{j + 1}")
@@ -93,7 +91,7 @@ class SystemSpec:
             raise ValidationError(f"coupling matrix must be {n}x{n}")
         if len(self.f) != n or len(self.g) != n:
             raise ValidationError("f and g need one expression per species")
-        allowed = _COORD_VARS[self.grid.dim]
+        allowed = set(COORDS[: self.grid.dim])
         for k, op in enumerate(self.ops):
             op.validate(self.grid)
         for k, row in enumerate(self.m):
@@ -287,6 +285,8 @@ class DiscreteSystem:
     f_vals: np.ndarray  # (N, n_nodes)
     g_vals: np.ndarray  # (N, n_nodes)
     _scalar_cache: dict = field(default_factory=dict, repr=False)
+    # eigenpairs by operator content (spectral); species subsets share it
+    _eigen_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def m_plus(self) -> np.ndarray:
@@ -295,9 +295,6 @@ class DiscreteSystem:
     @property
     def m_minus(self) -> np.ndarray:
         return np.minimum(self.m_vals, 0.0)
-
-    def interior_values(self, node_values: np.ndarray) -> np.ndarray:
-        return node_values[..., self.grid.interior_ids]
 
     def check_ellipticity(self):
         out = []
@@ -339,6 +336,7 @@ class DiscreteSystem:
             self.m_vals[np.ix_(ix, ix)],
             self.f_vals[ix],
             self.g_vals[ix],
+            _eigen_cache=self._eigen_cache,
         )
 
     def assemble(
@@ -381,23 +379,13 @@ class DiscreteSystem:
 
     def minus_edges(self) -> list:
         """adjacency: edge l -> k iff m_kl has a nonpositive part somewhere."""
-        ids = self.grid.interior_ids
+        neg = self.m_vals[:, :, self.grid.interior_ids].min(axis=2) < -COUPLING_NONZERO
         n = self.n_species
-        adj = [[] for _ in range(n)]
-        for l in range(n):
-            for k in range(n):
-                if k != l and float(self.m_vals[k, l][ids].min()) < -COUPLING_NONZERO:
-                    adj[l].append(k)
-        return adj
+        return [[k for k in range(n) if k != l and neg[k, l]] for l in range(n)]
 
     def plus_offdiag_pattern(self) -> np.ndarray:
-        ids = self.grid.interior_ids
-        n = self.n_species
-        pat = np.zeros((n, n), dtype=bool)
-        for k in range(n):
-            for l in range(n):
-                if k != l:
-                    pat[k, l] = float(self.m_vals[k, l][ids].max()) > COUPLING_NONZERO
+        pat = self.m_vals[:, :, self.grid.interior_ids].max(axis=2) > COUPLING_NONZERO
+        np.fill_diagonal(pat, False)
         return pat
 
     def plus_diag_nonzero(self, j: int) -> bool:

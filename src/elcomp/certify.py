@@ -21,7 +21,7 @@ from .errors import (
     NotZMatrix,
     SingularMatrix,
     StructureUnsupported,
-    TooLarge,
+    ValidationError,
 )
 from .fields import BlockField, block_from_solution
 from .graphs import adjacency_scc, topo_order
@@ -29,10 +29,10 @@ from .linalg import inf_norm, lu_solve
 from .spectral import (
     MAX_ITER,
     TOL_EIG,
+    _memo_eigenpair,
     block_eigen,
     component_eigen,
     cooperative_eigen,
-    principal_eigenpair,
 )
 
 TOL_COND = 1e-8
@@ -59,16 +59,28 @@ class StructureClass:
         }
 
 
-def _minus_sccs(ds):
-    """SCCs of the cooperative digraph plus a cross-edge flag."""
+@dataclass(frozen=True)
+class _Species:
+    """Cooperative digraph of the species, 0-based: edge l -> k iff m_kl has
+    a negative part.  blocks are its SCCs sorted by first species."""
+
+    adj: list
+    blocks: list
+    cross: bool  # some edge joins two blocks
+    order: list | None  # topological order, None on cycles
+
+    @property
+    def irreducible(self) -> bool:
+        return len(self.adj) >= 2 and len(self.blocks) == 1
+
+
+def _species_structure(ds) -> _Species:
+    n = ds.n_species
     adj = ds.minus_edges()
-    comps = adjacency_scc(ds.n_species, adj)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    cross = any(comp_of[v] != comp_of[w] for v in range(ds.n_species) for w in adj[v])
-    return adj, comps, cross
+    blocks = sorted(adjacency_scc(n, adj), key=lambda c: c[0])
+    block_of = {v: b for b, block in enumerate(blocks) for v in block}
+    cross = any(block_of[v] != block_of[w] for v in range(n) for w in adj[v])
+    return _Species(adj, blocks, cross, topo_order(n, adj))
 
 
 def classify_structure(spec) -> StructureClass:
@@ -80,22 +92,17 @@ def classify_structure(spec) -> StructureClass:
     reserved for reducible systems with no competitive off-diagonal part.
     """
     ds = as_discrete(spec)
-    n = ds.n_species
-    adj, comps, cross = _minus_sccs(ds)
-    has_edges = any(adj[v] for v in range(n))
-    if n >= 2 and len(comps) == 1:
+    st = _species_structure(ds)
+    if st.irreducible:
         return StructureClass("IrreducibleCooperativePart")
     if not ds.plus_offdiag_pattern().any():
         return StructureClass("Cooperative")
-    if not has_edges:
+    if not any(st.adj):
         return StructureClass("DiagonalMinus")
-    order = topo_order(n, adj)
-    if order is not None:
-        return StructureClass("TriangularMinus", order=tuple(v + 1 for v in order))
-    if not cross:
-        blocks = tuple(
-            tuple(v + 1 for v in comp) for comp in sorted(comps, key=lambda c: c[0])
-        )
+    if st.order is not None:
+        return StructureClass("TriangularMinus", order=tuple(v + 1 for v in st.order))
+    if not st.cross:
+        blocks = tuple(tuple(v + 1 for v in block) for block in st.blocks)
         return StructureClass("BlockDiagonalMinus", blocks=blocks)
     return StructureClass("General")
 
@@ -203,48 +210,44 @@ def _record_eigen(verdict: Verdict, key: str, pair) -> None:
 # ------------------------------------------------------------ conditions
 
 
-def _plus_interior(ds) -> np.ndarray:
-    return ds.m_plus[:, :, ds.grid.interior_ids]
-
-
-def _column_margins(lams, mp_int) -> np.ndarray:
-    """col[j, x] = lam_j + sum_k m_kj_plus(x) over interior nodes."""
+def _margins(ds, lams, tol_cond):
+    """Per-species tolerances, m_plus on interior nodes, and the margins
+    diag[j, x] = lam_j + m_jj_plus(x), col[j, x] = lam_j + sum_k m_kj_plus(x)."""
     n = len(lams)
-    return np.array([lams[j] + mp_int[:, j, :].sum(axis=0) for j in range(n)])
+    mp = ds.m_plus[:, :, ds.grid.interior_ids]
+    tols = [tol_cond * (1.0 + abs(lams[j])) for j in range(n)]
+    diag = np.array([lams[j] + mp[j, j] for j in range(n)])
+    col = np.array([lams[j] + mp[:, j, :].sum(axis=0) for j in range(n)])
+    return tols, mp, diag, col
 
 
-def _diag_margins(lams, mp_int) -> np.ndarray:
-    n = len(lams)
-    return np.array([lams[j] + mp_int[j, j] for j in range(n)])
+def _common_point(col, tols):
+    """Best common witness node where every column margin exceeds its tol.
 
-
-def _common_point(col, tols, slack=()):
-    """Best common witness node for the column conditions.
-
-    Species in slack only need margin >= -tol there; the rest need > +tol.
     Returns (ok, node position, reported margin = min_j raw value there).
     """
-    n = col.shape[0]
-    adj = np.empty_like(col)
-    for j in range(n):
-        off = tols[j] if j not in slack else -tols[j]
-        adj[j] = col[j] - off
-    score = adj.min(axis=0)
+    score = (col - np.asarray(tols)[:, None]).min(axis=0)
     pos = int(np.argmax(score))
     return bool(score[pos] > 0.0), pos, float(col[:, pos].min())
 
 
-def _verify_nonneg_image(asys_full, w_int, tol_res: float):
-    """Counterexample gate: w >= 0, max w = 1, (A w)_i <= tol_res * |A|."""
-    w = np.asarray(w_int, dtype=float)
+def _counterexample(ds, block, pair, j, which, tol_res: float = TOL_RES):
+    """Counterexample from the block's right eigenfunction, zero on the
+    other species and scaled to max 1.  Verified when w >= 0 and
+    (A w)_i <= tol_res * |A| for the fully coupled A."""
+    a = ds.assemble("full").A
+    w = np.zeros((ds.n_species, ds.grid.n_interior))
+    w[block] = pair.right.reshape(len(block), -1)
+    w = w.ravel()
     wmax = float(w.max())
     if wmax <= 0.0:
-        return False, float("inf"), w
-    w = w / wmax
-    r = asys_full.A @ w
-    residual_max = float(r.max())
-    ok = float(w.min()) >= 0.0 and residual_max <= tol_res * inf_norm(asys_full.A)
-    return ok, residual_max, w
+        ok, residual = False, float("inf")
+    else:
+        w = w / wmax
+        residual = float((a @ w).max())
+        ok = float(w.min()) >= 0.0 and residual <= tol_res * inf_norm(a)
+    fld = block_from_solution(ds.grid, ds.n_species, w, None)
+    return Counterexample(fld, ok, residual, j, which)
 
 
 # -------------------------------------------------------------- theorem 1
@@ -274,7 +277,7 @@ def check_thm1(
             position=asys.worst_offdiag,
             value=asys.offdiag_max,
         )
-    pair = principal_eigenpair(asys.A, tol_eig, max_iter)
+    pair = _memo_eigenpair(ds, asys.A, tol_eig, max_iter)
     lam = pair.value
     tol = tol_cond * (1.0 + abs(lam))
     verdict = Verdict("Inconclusive", theorem="Theorem 1", mode=mode)
@@ -283,15 +286,8 @@ def check_thm1(
     if lam > tol:
         verdict.kind = "HoldsThm1"
     elif lam < -tol:
-        ok, residual, w = _verify_nonneg_image(asys, pair.right, TOL_RES)
-        cex = Counterexample(
-            block_from_solution(ds.grid, ds.n_species, w, None),
-            ok,
-            residual,
-            None,
-            "thm7",
-        )
-        if ok:
+        cex = _counterexample(ds, list(range(ds.n_species)), pair, None, "thm7")
+        if cex.verified:
             verdict.kind = "FailsThm7"
             verdict.counterexample = cex
             verdict.notes.append(
@@ -301,14 +297,62 @@ def check_thm1(
         else:
             verdict.notes.append(
                 f"eigenfunction counterexample failed verification "
-                f"(residual {residual:.3e})"
+                f"(residual {cex.residual_max:.3e})"
             )
     else:
         verdict.notes.append("principal eigenvalue within tolerance of zero")
     return verdict
 
 
-# -------------------------------------------------------------- theorem 3
+# ---------------------------------------------------------- theorems 3, 4
+
+
+def _block_margins(ds, verdict, blocks, keys, holds, tol_eig, tol_cond, max_iter):
+    """Margin conditions of Theorems 3 and 4, every species taking the
+    principal eigenpair of its block (recorded under keys[b]).
+
+    basic: lam_j + m_jj_plus >= -tol pointwise, and one common witness node
+    where every column margin lam_j + sum_k m_kj_plus is > tol.  sharp:
+    lam_j w_j + sum_k m_kj_plus w_k > tol along the left eigenvectors w.
+    """
+    n = ds.n_species
+    lams = [0.0] * n
+    lefts = [None] * n
+    for block, key in zip(blocks, keys):
+        pair = block_eigen(ds, block, tol_eig, max_iter)
+        _record_eigen(verdict, key, pair)
+        left = pair.left.reshape(len(block), -1)
+        for bi, k in enumerate(block):
+            lams[k] = pair.value
+            lefts[k] = left[bi]
+    tols, mp, diag, col = _margins(ds, lams, tol_cond)
+    ok_common, pos, margin = _common_point(col, tols)
+    verdict.margins["pointwise_diag"] = float(diag.min())
+    verdict.margins["common_point"] = margin
+    verdict.x0 = ds.grid.node_coord(int(ds.grid.interior_ids[pos]))
+    if verdict.mode == "sharp":
+        w = np.array(lefts)
+        sharp = np.array(
+            [
+                lams[j] * w[j] + np.einsum("kx,kx->x", mp[:, j, :], w)
+                for j in range(n)
+            ]
+        )
+        verdict.margins["sharp"] = float(sharp.min())
+        if all(float(sharp[j].min()) > tols[j] for j in range(n)):
+            verdict.kind = holds
+        else:
+            verdict.notes.append("sharp pointwise condition has nonpositive margin")
+        return verdict
+    ok_diag = all(float(diag[j].min()) >= -tols[j] for j in range(n))
+    if ok_common and ok_diag:
+        verdict.kind = holds
+    else:
+        if not ok_diag:
+            verdict.notes.append("pointwise diagonal condition fails")
+        if not ok_common:
+            verdict.notes.append("no common witness point with strict column margins")
+    return verdict
 
 
 def check_thm3(
@@ -318,58 +362,16 @@ def check_thm3(
     tol_cond: float = TOL_COND,
     max_iter: int = MAX_ITER,
 ) -> Verdict:
-    """Irreducible cooperative part: common-point and pointwise margins."""
+    """Irreducible cooperative part: the block margins with one block that
+    holds every species, recorded under system."""
     ds = as_discrete(spec)
-    n = ds.n_species
-    adj = ds.minus_edges()
-    if n >= 2 and len(adjacency_scc(n, adj)) != 1:
+    if len(_species_structure(ds).blocks) != 1:
         raise StructureUnsupported("cooperative part is not fully coupled")
-    pair = cooperative_eigen(ds, tol_eig, max_iter)
-    lam = pair.value
-    tol = tol_cond * (1.0 + abs(lam))
-    mp = _plus_interior(ds)
-    lams = [lam] * n
-    diag = _diag_margins(lams, mp)
-    col = _column_margins(lams, mp)
-    ok8 = bool(diag.min() >= -tol)
-    ok7, pos, margin7 = _common_point(col, [tol] * n)
     verdict = Verdict("Inconclusive", theorem="Theorem 3", mode=mode)
-    _record_eigen(verdict, "system", pair)
-    verdict.margins["pointwise_diag"] = float(diag.min())
-    verdict.margins["common_point"] = margin7
-    verdict.x0 = ds.grid.node_coord(int(ds.grid.interior_ids[pos]))
-    if mode == "sharp":
-        w = pair.left.reshape(n, -1)
-        sharp = np.array(
-            [lam * w[j] + np.einsum("kx,kx->x", mp[:, j, :], w) for j in range(n)]
-        )
-        verdict.margins["sharp"] = float(sharp.min())
-        if bool((sharp.min(axis=1) > tol).all()):
-            verdict.kind = "HoldsThm3"
-        else:
-            verdict.notes.append("sharp pointwise condition has nonpositive margin")
-        return verdict
-    if ok7 and ok8:
-        verdict.kind = "HoldsThm3"
-    else:
-        if not ok8:
-            verdict.notes.append("pointwise diagonal condition fails")
-        if not ok7:
-            verdict.notes.append("no common witness point with strict column margins")
-    return verdict
-
-
-# -------------------------------------------------------------- theorem 4
-
-
-def _thm4_blocks(ds):
-    adj, comps, cross = _minus_sccs(ds)
-    if cross:
-        raise StructureUnsupported(
-            "cooperative part couples across blocks; per-component "
-            "certificate does not apply"
-        )
-    return sorted(comps, key=lambda c: c[0])
+    everyone = [list(range(ds.n_species))]
+    return _block_margins(
+        ds, verdict, everyone, ["system"], "HoldsThm3", tol_eig, tol_cond, max_iter
+    )
 
 
 def check_thm4(
@@ -381,55 +383,24 @@ def check_thm4(
 ) -> Verdict:
     """Per-component (or per-block) variant of the margin conditions."""
     ds = as_discrete(spec)
-    n = ds.n_species
-    blocks = _thm4_blocks(ds)
+    st = _species_structure(ds)
+    if st.cross:
+        raise StructureUnsupported(
+            "cooperative part couples across blocks; per-component "
+            "certificate does not apply"
+        )
+    blocks = st.blocks
+    keys = [
+        f"j={b[0] + 1}" if len(b) == 1 else "block=" + ",".join(str(k + 1) for k in b)
+        for b in blocks
+    ]
     verdict = Verdict("Inconclusive", theorem="Theorem 4", mode=mode)
-    lams = [0.0] * n
-    lefts = [None] * n
-    for comp in blocks:
-        pair = block_eigen(ds, comp, tol_eig, max_iter)
-        left = pair.left.reshape(len(comp), -1)
-        for bi, k in enumerate(comp):
-            lams[k] = pair.value
-            lefts[k] = left[bi]
-        key = f"j={comp[0] + 1}" if len(comp) == 1 else (
-            "block=" + ",".join(str(k + 1) for k in comp)
-        )
-        _record_eigen(verdict, key, pair)
-        if len(comp) > 1:
-            for k in comp:
-                verdict.lambdas[f"j={k + 1}"] = pair.value
-                verdict.cws[f"j={k + 1}"] = tuple(pair.cw)
-    tols = [tol_cond * (1.0 + abs(lams[j])) for j in range(n)]
-    mp = _plus_interior(ds)
-    diag = _diag_margins(lams, mp)
-    col = _column_margins(lams, mp)
-    ok12 = all(float(diag[j].min()) >= -tols[j] for j in range(n))
-    ok11, pos, margin11 = _common_point(col, tols)
-    verdict.margins["pointwise_diag"] = float(diag.min())
-    verdict.margins["common_point"] = margin11
-    verdict.x0 = ds.grid.node_coord(int(ds.grid.interior_ids[pos]))
-    if mode == "sharp":
-        w = np.array(lefts)
-        sharp = np.array(
-            [
-                lams[j] * w[j] + np.einsum("kx,kx->x", mp[:, j, :], w)
-                for j in range(n)
-            ]
-        )
-        verdict.margins["sharp"] = float(sharp.min())
-        if all(float(sharp[j].min()) > tols[j] for j in range(n)):
-            verdict.kind = "HoldsThm4"
-        else:
-            verdict.notes.append("sharp pointwise condition has nonpositive margin")
-        return verdict
-    if ok11 and ok12:
-        verdict.kind = "HoldsThm4"
-    else:
-        if not ok12:
-            verdict.notes.append("pointwise diagonal condition fails")
-        if not ok11:
-            verdict.notes.append("no common witness point with strict column margins")
+    _block_margins(ds, verdict, blocks, keys, "HoldsThm4", tol_eig, tol_cond, max_iter)
+    for block, key in zip(blocks, keys):
+        if len(block) > 1:
+            for k in block:
+                verdict.lambdas[f"j={k + 1}"] = verdict.lambdas[key]
+                verdict.cws[f"j={k + 1}"] = verdict.cws[key]
     return verdict
 
 
@@ -452,8 +423,7 @@ def check_thm5(
     """
     ds = as_discrete(spec)
     n = ds.n_species
-    adj = ds.minus_edges()
-    order0 = topo_order(n, adj)
+    order0 = _species_structure(ds).order
     if order0 is None:
         raise StructureUnsupported("cooperative part is not triangular")
     if n < 2:
@@ -468,12 +438,9 @@ def check_thm5(
     lams = [p.value for p in pairs]
     for j, p in enumerate(pairs):
         _record_eigen(verdict, f"j={j + 1}", p)
-    tols = [tol_cond * (1.0 + abs(lams[j])) for j in range(n)]
+    tols, _, diag, col = _margins(ds, lams, tol_cond)
     first = order0[0]
     strict = [j for j in order0[1:]]
-    mp = _plus_interior(ds)
-    diag = _diag_margins(lams, mp)
-    col = _column_margins(lams, mp)
     s16 = diag.min(axis=1)
     try:
         eps, pos = _thm5_epsilon(s16, col, tols, first, strict)
@@ -565,24 +532,20 @@ def build_counterexample(
     max_iter: int = MAX_ITER,
     tol_res: float = TOL_RES,
 ):
-    """Candidate failure field: species-j eigenfunction (reducible case) or
-    the full cooperative eigenfunction (irreducible case), verified against
-    the fully coupled matrix."""
+    """Candidate failure field: species-j eigenfunction (thm6, reducible
+    case) or the full cooperative eigenfunction (thm7, irreducible case),
+    verified against the fully coupled matrix.  Returns (field, verified,
+    residual)."""
     ds = as_discrete(spec)
-    asys_full = ds.assemble("full")
-    n_int = ds.grid.n_interior
     if which == "thm6":
-        pair = component_eigen(ds, j, tol_eig, max_iter)
-        w_int = np.zeros(ds.n_species * n_int)
-        w_int[(j - 1) * n_int : j * n_int] = pair.right
+        block, pair = [j - 1], component_eigen(ds, j, tol_eig, max_iter)
     elif which == "thm7":
+        block = list(range(ds.n_species))
         pair = cooperative_eigen(ds, tol_eig, max_iter)
-        w_int = pair.right
     else:
-        raise ValueError(f"unknown counterexample family {which!r}")
-    ok, residual, w = _verify_nonneg_image(asys_full, w_int, tol_res)
-    fld = block_from_solution(ds.grid, ds.n_species, w, None)
-    return fld, ok, residual
+        raise ValidationError(f"unknown counterexample family {which!r}")
+    cex = _counterexample(ds, block, pair, j, which, tol_res)
+    return cex.w, cex.verified, cex.residual_max
 
 
 def check_failure(
@@ -594,69 +557,49 @@ def check_failure(
 ) -> Verdict | None:
     """Refutation scan; emits a verdict only for a verified counterexample.
 
-    Candidates that fail numeric verification are logged into diagnostics
-    and produce no verdict.
+    A candidate is a species j and the block whose principal eigenfunction
+    refutes once lam + m_jj_plus < 0 everywhere.  Theorem 7 (irreducible
+    cooperative part without competitive off-diagonal support): the whole
+    system, for each j with no positive diagonal coupling elsewhere.
+    Theorem 6 (reducible): species j alone, for each j with no positive
+    coupling in its row or column.  Candidates that fail numeric
+    verification are logged into diagnostics and produce no verdict.
     """
     ds = as_discrete(spec)
     n = ds.n_species
     ids = ds.grid.interior_ids
-    adj = ds.minus_edges()
     plus_pat = ds.plus_offdiag_pattern()
-    strongly = n >= 2 and len(adjacency_scc(n, adj)) == 1
     notes = diagnostics if diagnostics is not None else []
-    if strongly:
-        if plus_pat.any():
-            return None  # competitive off-diagonal support blocks this family
+    if _species_structure(ds).irreducible:
+        kind, theorem, which = "FailsThm7", "Theorem 7", "thm7"
         candidates = [
-            j
+            (j, list(range(n)))
             for j in range(n)
-            if all(not ds.plus_diag_nonzero(k) for k in range(n) if k != j)
+            if not plus_pat.any()
+            and all(not ds.plus_diag_nonzero(k) for k in range(n) if k != j)
         ]
-        if not candidates:
-            return None
-        pair = cooperative_eigen(ds, tol_eig, max_iter)
+    else:
+        kind, theorem, which = "FailsThm6", "Theorem 6", "thm6"
+        candidates = [
+            (j, [j])
+            for j in range(n)
+            if not (plus_pat[:, j].any() or plus_pat[j, :].any())
+        ]
+    for j, block in candidates:
+        pair = block_eigen(ds, block, tol_eig, max_iter)
         lam = pair.value
-        tol = tol_cond * (1.0 + abs(lam))
-        for j in candidates:
-            worst = float((lam + ds.m_plus[j, j][ids]).max())
-            if worst >= -tol:
-                continue
-            fld, ok, residual = build_counterexample(
-                ds, j + 1, "thm7", tol_eig, max_iter
-            )
-            cex = Counterexample(fld, ok, residual, j + 1, "thm7")
-            if not ok:
-                notes.append(
-                    f"FailureCandidate j={j + 1} (thm7) failed verification "
-                    f"(residual {residual:.3e})"
-                )
-                continue
-            verdict = Verdict("FailsThm7", theorem="Theorem 7", j=j + 1)
-            _record_eigen(verdict, "system", pair)
-            verdict.margins["pointwise"] = worst
-            verdict.counterexample = cex
-            return verdict
-        return None
-    # reducible cooperative part
-    for j in range(n):
-        if plus_pat[:, j].any() or plus_pat[j, :].any():
-            continue
-        pair = component_eigen(ds, j + 1, tol_eig, max_iter)
-        lam = pair.value
-        tol = tol_cond * (1.0 + abs(lam))
         worst = float((lam + ds.m_plus[j, j][ids]).max())
-        if worst >= -tol:
+        if worst >= -tol_cond * (1.0 + abs(lam)):
             continue
-        fld, ok, residual = build_counterexample(ds, j + 1, "thm6", tol_eig, max_iter)
-        cex = Counterexample(fld, ok, residual, j + 1, "thm6")
-        if not ok:
+        cex = _counterexample(ds, block, pair, j + 1, which)
+        if not cex.verified:
             notes.append(
-                f"FailureCandidate j={j + 1} (thm6) failed verification "
-                f"(residual {residual:.3e})"
+                f"FailureCandidate j={j + 1} ({which}) failed verification "
+                f"(residual {cex.residual_max:.3e})"
             )
             continue
-        verdict = Verdict("FailsThm6", theorem="Theorem 6", j=j + 1)
-        _record_eigen(verdict, f"j={j + 1}", pair)
+        verdict = Verdict(kind, theorem=theorem, j=j + 1)
+        _record_eigen(verdict, "system" if which == "thm7" else f"j={j + 1}", pair)
         verdict.margins["pointwise"] = worst
         verdict.counterexample = cex
         return verdict
@@ -677,7 +620,7 @@ def find_gauge(spec):
     n = ds.n_species
     ids = ds.grid.interior_ids
     thresh = 1e-12
-    parity = {}  # (i, j) i<j -> required sigma_i * sigma_j
+    neighbors = [[] for _ in range(n)]  # (w, required sigma_v * sigma_w)
     for i in range(n):
         for j in range(i + 1, n):
             need = None
@@ -698,11 +641,8 @@ def find_gauge(spec):
                         "have opposite signs"
                     )
             if need is not None:
-                parity[(i, j)] = need
-    neighbors = [[] for _ in range(n)]
-    for (i, j), need in parity.items():
-        neighbors[i].append((j, need))
-        neighbors[j].append((i, need))
+                neighbors[i].append((j, need))
+                neighbors[j].append((i, need))
     sigma = [0] * n
     for root in range(n):
         if sigma[root]:
@@ -761,10 +701,8 @@ def certify(
         elif kind == "TriangularMinus":
             verdict = check_thm5(ds, mode, **args)
         elif kind == "Cooperative":
-            adj = ds.minus_edges()
-            if topo_order(ds.n_species, adj) is not None and any(
-                adj[v] for v in range(ds.n_species)
-            ):
+            st = _species_structure(ds)
+            if st.order is not None and any(st.adj):
                 verdict = check_thm5(ds, mode, **args)
             else:
                 try:

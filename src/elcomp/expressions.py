@@ -290,7 +290,7 @@ _BINOPS = {
     "^": np.power,
 }
 
-_COORDS = ("x", "y")
+COORDS = ("x", "y")  # coordinate names; a dim-D grid uses the first dim
 
 
 def _eval(e: Expr, env: dict, bad: np.ndarray):
@@ -330,7 +330,7 @@ def evaluate(e: Expr, env: dict, n: int):
 def eval_expr(e: Expr, point) -> float:
     """Evaluate at a point (tuple of coordinates, or a name->value mapping)."""
     if not isinstance(point, dict):
-        point = dict(zip(_COORDS, point))
+        point = dict(zip(COORDS, point))
     env = {name: np.array([float(v)]) for name, v in point.items()}
     vals, bad = evaluate(e, env, 1)
     if bad[0]:
@@ -369,7 +369,7 @@ def sample_field(e: Expr, grid):
     Raises EvalDomainError at the first node, in canonical order, where the
     value or an intermediate value is non-finite.
     """
-    env = {name: grid.coords[:, d] for d, name in enumerate(_COORDS[: grid.dim])}
+    env = {name: grid.coords[:, d] for d, name in enumerate(COORDS[: grid.dim])}
     vals, bad = evaluate(e, env, grid.n_nodes)
     if bad.any():
         node = int(np.argmax(bad))

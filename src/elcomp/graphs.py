@@ -1,8 +1,15 @@
-"""Digraph helpers: Tarjan strongly connected components, topological order."""
+"""Digraph helpers: strongly connected components, topological order.
+
+The dof graph of a sparse matrix goes to scipy's csgraph; the small species
+digraphs use the iterative Tarjan below.
+"""
 
 from __future__ import annotations
 
 import heapq
+
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 def tarjan_scc(n: int, succ) -> list:
@@ -62,18 +69,17 @@ def tarjan_scc(n: int, succ) -> list:
 
 
 def csr_strongly_connected(a) -> bool:
-    """True when the digraph of a square CSR matrix is strongly connected."""
+    """True when the digraph of a square sparse matrix is strongly connected.
+
+    Explicit zeros are not edges.
+    """
     n = a.shape[0]
     if n == 0:
         return False
-    mat = a.copy()
+    mat = sp.csr_matrix(a, copy=True)
     mat.eliminate_zeros()
-    indptr, indices = mat.indptr, mat.indices
-
-    def succ(v):
-        return indices[indptr[v] : indptr[v + 1]]
-
-    return len(tarjan_scc(n, succ)) == 1
+    n_comp, _ = connected_components(mat, directed=True, connection="strong")
+    return n_comp == 1
 
 
 def adjacency_scc(n: int, adj) -> list:

@@ -20,6 +20,7 @@ from .assembly import DiscreteSystem, SystemSpec, _sym_eig_range
 from .certify import Verdict, certify
 from .errors import EvalDomainError, NonEllipticLinearization, ValidationError
 from .expressions import (
+    COORDS,
     BinOp,
     Expr,
     Num,
@@ -34,8 +35,6 @@ from .oracle import ORACLE_MAX_DOF
 
 GAUSS_POINTS = 5
 FD_STEP = 1e-6
-
-_COORDS = {1: ("x",), 2: ("x", "y")}
 
 
 def _eval_checked(e: Expr, env: dict, context: str) -> np.ndarray:
@@ -56,6 +55,14 @@ def _fd_partial(e: Expr, env: dict, var: str, context: str) -> np.ndarray:
     return (_eval_checked(e, hi, context) - _eval_checked(e, lo, context)) / (
         2.0 * step
     )
+
+
+def _partial(qs, key: str, e: Expr, env: dict, var: str, context: str):
+    """The closed-form partial qs.partials[key] if given, else a central
+    difference of e in var."""
+    if key in qs.partials:
+        return _eval_checked(qs.partials[key], env, key)
+    return _fd_partial(e, env, var, context)
 
 
 # ----------------------------------------------------------------- spec
@@ -88,7 +95,7 @@ class QuasiSpec:
             raise ValidationError("need at least one species")
         if len(self.F) != n or len(self.f) != n or len(self.g) != n:
             raise ValidationError("flux, F, f, g need one entry per species")
-        coords = set(_COORDS[dim])
+        coords = set(COORDS[:dim])
         p_vars = {f"p{i + 1}" for i in range(dim)}
         flux_vars = coords | {"u"} | p_vars
         reac_vars = coords | {f"u{k + 1}" for k in range(n)} | p_vars
@@ -245,7 +252,7 @@ def linearize(qs: QuasiSpec, u, v) -> LinearizedSystem:
     s_pts = 0.5 * (xs + 1.0)
     s_wts = 0.5 * ws
     coord_env = {
-        name: grid.coords[:, d].copy() for d, name in enumerate(_COORDS[dim])
+        name: grid.coords[:, d].copy() for d, name in enumerate(COORDS[:dim])
     }
     B = np.zeros((n, dim, dim, grid.n_nodes))
     B0 = np.zeros((n, dim, grid.n_nodes))
@@ -264,17 +271,11 @@ def linearize(qs: QuasiSpec, u, v) -> LinearizedSystem:
                 name = f"flux{l + 1}_{i + 1}"
                 for j in range(dim):
                     key = f"dflux{l + 1}_{i + 1}_dp{j + 1}"
-                    if key in qs.partials:
-                        val = _eval_checked(qs.partials[key], env, key)
-                    else:
-                        val = _fd_partial(qs.flux[l][i], env, f"p{j + 1}", name)
+                    val = _partial(qs, key, qs.flux[l][i], env, f"p{j + 1}", name)
                     ds_tensor[i, j] = val
                     B[l, i, j] += w * val
                 key = f"dflux{l + 1}_{i + 1}_du"
-                if key in qs.partials:
-                    B0[l, i] += w * _eval_checked(qs.partials[key], env, key)
-                else:
-                    B0[l, i] += w * _fd_partial(qs.flux[l][i], env, "u", name)
+                B0[l, i] += w * _partial(qs, key, qs.flux[l][i], env, "u", name)
             lo, _ = _sym_eig_range(ds_tensor)
             if float(lo.min()) <= 0.0:
                 node = int(np.argmin(lo))
@@ -289,17 +290,11 @@ def linearize(qs: QuasiSpec, u, v) -> LinearizedSystem:
             for i in range(dim):
                 env_r[f"p{i + 1}"] = grads[l, i]
             for k in range(n):
-                key = f"dF{l + 1}_du{k + 1}"
-                if key in qs.partials:
-                    E[l, k] += w * _eval_checked(qs.partials[key], env_r, key)
-                else:
-                    E[l, k] += w * _fd_partial(qs.F[l], env_r, f"u{k + 1}", f"F{l + 1}")
+                key, var = f"dF{l + 1}_du{k + 1}", f"u{k + 1}"
+                E[l, k] += w * _partial(qs, key, qs.F[l], env_r, var, f"F{l + 1}")
             for i in range(dim):
-                key = f"dF{l + 1}_dp{i + 1}"
-                if key in qs.partials:
-                    H[l, i] += w * _eval_checked(qs.partials[key], env_r, key)
-                else:
-                    H[l, i] += w * _fd_partial(qs.F[l], env_r, f"p{i + 1}", f"F{l + 1}")
+                key, var = f"dF{l + 1}_dp{i + 1}", f"p{i + 1}"
+                H[l, i] += w * _partial(qs, key, qs.F[l], env_r, var, f"F{l + 1}")
     return LinearizedSystem(grid, n, B, B0, E, H)
 
 

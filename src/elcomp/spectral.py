@@ -9,6 +9,8 @@ not grow with the mesh.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +83,24 @@ def principal_eigenpair(
     )
 
 
+def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int) -> EigenPair:
+    """principal_eigenpair(a), solved once per operator content on ds.
+
+    The memo lives on the system (shared with its species subsets), so
+    nothing outlives the run; cached vectors are read-only.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    for part in (repr(a.shape).encode(), a.indptr, a.indices, a.data):
+        digest.update(part)
+    key = (digest.hexdigest(), tol_eig, max_iter)
+    if key not in ds._eigen_cache:
+        pair = principal_eigenpair(a, tol_eig, max_iter)
+        pair.right.setflags(write=False)
+        pair.left.setflags(write=False)
+        ds._eigen_cache[key] = pair
+    return ds._eigen_cache[key]
+
+
 def cooperative_eigen(
     spec,
     tol_eig: float = TOL_EIG,
@@ -97,7 +117,7 @@ def cooperative_eigen(
             position=asys.worst_offdiag,
             value=asys.offdiag_max,
         )
-    return principal_eigenpair(asys.A, tol_eig, max_iter)
+    return _memo_eigenpair(ds, asys.A, tol_eig, max_iter)
 
 
 def block_eigen(
@@ -112,7 +132,9 @@ def block_eigen(
     species are 0-based here (internal block helper).
     """
     ds = as_discrete(spec)
-    return cooperative_eigen(ds.species_subset(species), tol_eig, max_iter, mask)
+    if list(species) != list(range(ds.n_species)):
+        ds = ds.species_subset(species)
+    return cooperative_eigen(ds, tol_eig, max_iter, mask)
 
 
 def component_eigen(
@@ -155,15 +177,8 @@ def _dyadic_masks(grid, depth: int) -> list:
                     (grid.lo[d] + i * length / steps, grid.lo[d] + k * length / steps)
                 )
         axis_pairs.append(pairs)
-    if grid.dim == 1:
-        boxes = [((p[0],), (p[1],)) for p in axis_pairs[0]]
-    else:
-        boxes = [
-            ((px[0], py[0]), (px[1], py[1]))
-            for px in axis_pairs[0]
-            for py in axis_pairs[1]
-        ]
-    for lo0, hi0 in boxes:
+    for box in itertools.product(*axis_pairs):  # one (lo, hi) pair per axis
+        lo0, hi0 = zip(*box)
         try:
             mask = sub_rectangle_mask(grid, lo0, hi0)
         except EmptySubdomain:

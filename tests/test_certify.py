@@ -26,6 +26,7 @@ from elcomp.errors import (
     NonEllipticCoefficient,
     NotZMatrix,
     StructureUnsupported,
+    ValidationError,
 )
 from elcomp.mesh import build_grid
 from elcomp.oracle import inverse_positivity
@@ -382,7 +383,7 @@ def test_build_counterexample_families():
     assert ok
     assert residual <= 1e-8
     assert fld.interior[0].max() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         build_counterexample(spec, 1, "thm9")
 
 

@@ -89,3 +89,36 @@ def test_scc_partition_and_edge_direction(args):
             comp_of[v] = i
     for u, v in edges:
         assert comp_of[u] >= comp_of[v]
+
+
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.sampled_from([1.0, -2.5, 0.0]),
+                ),
+                max_size=3 * n,
+            ),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_csr_strongly_connected_matches_tarjan(args):
+    """The library answer on the dof graph equals the Tarjan reference;
+    explicit zeros (value 0.0) are not edges."""
+    n, edges = args
+    rows = [u for u, _, _ in edges]
+    cols = [v for _, v, _ in edges]
+    vals = [x for _, _, x in edges]
+    a = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    a.sum_duplicates()
+    adj = [[] for _ in range(n)]
+    for u in range(n):
+        for ix in range(a.indptr[u], a.indptr[u + 1]):
+            if a.data[ix] != 0.0:
+                adj[u].append(int(a.indices[ix]))
+    assert csr_strongly_connected(a) == (len(tarjan_scc(n, lambda v: adj[v])) == 1)

@@ -1,14 +1,19 @@
 """Principal eigenvalues against closed forms for the discrete Laplacian."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from elcomp import spectral
+from elcomp.certify import certify
 from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
 from elcomp.mesh import build_grid, sub_rectangle_mask
+from elcomp.problems import load_problem
 from elcomp.spectral import (
+    block_eigen,
     component_eigen,
     cooperative_eigen,
     principal_eigenpair,
@@ -195,3 +200,47 @@ def test_scalar_cache_keyed_by_mask_content():
         value = cooperative_eigen(ds, mask=m).value
         fresh = cooperative_eigen(spec.discretize(), mask=m).value
         assert value == pytest.approx(fresh, rel=1e-12), (lo, hi)
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = spectral.principal_eigenpair
+
+    def counting(a, *args):
+        calls.append(a.shape)
+        return solve(a, *args)
+
+    monkeypatch.setattr(spectral, "principal_eigenpair", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure", "lap1d"],
+)
+def test_certify_solves_each_operator_once(name, monkeypatch):
+    """Every bundled linear problem has one distinct eigen operator: the
+    failure scan, the counterexample and the certificate route share it."""
+    calls = _count_solves(monkeypatch)
+    certify(load_problem(DATA / f"{name}.prob"))
+    assert len(calls) == 1, calls
+
+
+def test_eigen_memo_is_per_system_and_read_only(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    grid = build_grid(1, (0.0,), (1.0,), (16,))
+    spec = laplace_system(grid, n_species=2)
+    ds = spec.discretize()
+    first = component_eigen(ds, 1)
+    # species 2 has the same operator; subsets look up in the parent's memo
+    assert block_eigen(ds, [1]) is first
+    assert component_eigen(ds, 2) is first
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        first.right[0] = 0.0
+    component_eigen(ds, 1, tol_eig=1e-7)  # another tolerance is another solve
+    component_eigen(spec.discretize(), 1)  # a new system starts empty
+    assert len(calls) == 3
