@@ -202,6 +202,8 @@ class AssembledSystem:
     n_species: int
     n_int: int
     mask: SubdomainMask | None = None
+    # oracle scans of A^{-1} by content of A and G (oracle.inverse_positivity)
+    _oracle_cache: dict = field(default_factory=dict, repr=False)
 
 
 def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid, mask=None):
@@ -285,6 +287,8 @@ class DiscreteSystem:
     f_vals: np.ndarray  # (N, n_nodes)
     g_vals: np.ndarray  # (N, n_nodes)
     _scalar_cache: dict = field(default_factory=dict, repr=False)
+    # full-domain AssembledSystem per coupling mode (assembled)
+    _assembly_cache: dict = field(default_factory=dict, repr=False)
     # eigenpairs by operator content (spectral); species subsets share it
     _eigen_cache: dict = field(default_factory=dict, repr=False)
 
@@ -325,8 +329,17 @@ class DiscreteSystem:
         return coupling
 
     def species_subset(self, species) -> "DiscreteSystem":
-        """Restriction to a subset of species (0-based indices, kept order)."""
+        """Restriction to a subset of species (0-based indices, kept order).
+
+        The subset starts with the stencils already assembled here.
+        """
         ix = np.asarray(species, dtype=int)
+        new_index = {int(k): i for i, k in enumerate(ix)}
+        scalar = {
+            (new_index[k], mask): parts
+            for (k, mask), parts in self._scalar_cache.items()
+            if k in new_index
+        }
         return DiscreteSystem(
             self.grid,
             len(ix),
@@ -336,8 +349,22 @@ class DiscreteSystem:
             self.m_vals[np.ix_(ix, ix)],
             self.f_vals[ix],
             self.g_vals[ix],
+            _scalar_cache=scalar,
             _eigen_cache=self._eigen_cache,
         )
+
+    def assembled(self, coupling="full", mask: SubdomainMask | None = None):
+        """assemble(coupling, mask), built once per string coupling mode on
+        the full domain.
+
+        The stages of a run share that AssembledSystem, and with it the
+        oracle scan kept on it, so it must not be modified.
+        """
+        if mask is not None or not isinstance(coupling, str):
+            return self.assemble(coupling, mask)
+        if coupling not in self._assembly_cache:
+            self._assembly_cache[coupling] = self.assemble(coupling)
+        return self._assembly_cache[coupling]
 
     def assemble(
         self, coupling="full", mask: SubdomainMask | None = None

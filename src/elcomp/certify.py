@@ -235,7 +235,7 @@ def _counterexample(ds, block, pair, j, which, tol_res: float = TOL_RES):
     """Counterexample from the block's right eigenfunction, zero on the
     other species and scaled to max 1.  Verified when w >= 0 and
     (A w)_i <= tol_res * |A| for the fully coupled A."""
-    a = ds.assemble("full").A
+    a = ds.assembled("full").A
     w = np.zeros((ds.n_species, ds.grid.n_interior))
     w[block] = pair.right.reshape(len(block), -1)
     w = w.ravel()
@@ -270,7 +270,7 @@ def check_thm1(
         raise StructureUnsupported(
             "cooperative certificate needs nonpositive off-diagonal coupling"
         )
-    asys = ds.assemble("full")
+    asys = ds.assembled("full")
     if not asys.z_matrix:
         raise NotZMatrix(
             f"assembled system has positive off-diagonal {asys.offdiag_max:.6g}",
@@ -677,7 +677,7 @@ def certify(
     route, gauge and oracle attachments."""
     ds = as_discrete(spec)
     ds.check_ellipticity()
-    coop = ds.assemble("cooperative")
+    coop = ds.assembled("cooperative")
     if not coop.z_matrix:
         raise NotZMatrix(
             "cooperative part is not a Z-matrix (cross-derivative stencil "
@@ -722,7 +722,7 @@ def certify(
     verdict.gauge = sigma
     verdict.gauge_reason = reason
     if with_oracle:
-        asys_full = ds.assemble("full")
+        asys_full = ds.assembled("full")
         dof = asys_full.A.shape[0]
         if dof <= oracle_max_dof:
             try:

@@ -9,6 +9,7 @@ enclosures.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,15 @@ def from_coo(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_matrix:
     a.sum_duplicates()
     a.sort_indices()
     return a
+
+
+def content_key(*mats) -> str:
+    """Digest of sparse matrices' CSR content: shape, indptr, indices, data."""
+    digest = hashlib.blake2b(digest_size=16)
+    for a in mats:
+        for part in (repr(a.shape).encode(), a.indptr, a.indices, a.data):
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def matvec(a: sp.spmatrix, x: np.ndarray) -> np.ndarray:

@@ -3,8 +3,27 @@
 The discrete comparison principle is defined as: A nonsingular, inverse of
 A entrywise nonnegative, and -A^{-1} G entrywise nonnegative.  Equivalently
 A u <= 0 in the interior plus boundary data <= 0 force u <= 0.  The oracle
-decides this by direct dense inversion (decisive, size-capped) or by seeded
+decides this from the explicit inverse (decisive, size-capped) or by seeded
 random probing (falsification only).
+
+The inverse is streamed, never held.  inverse_positivity factorizes A once
+and solves against the identity BLOCK columns at a time.  Each block leaves
+only the min and max of every species block (k, l) of A^{-1}, each with its
+first row-major position, and its share of the sparse product A^{-1} G.
+Memory is the LU factors, one n x BLOCK block, and the columns of A^{-1} G
+whose rows are still being solved: O(n * BLOCK + n * n_boundary) at most.
+
+A gauge sigma flips signs in that same scan.  With D = diag(sigma),
+(D A D)^{-1} = D A^{-1} D holds bit for bit in floating point: partial
+pivoting picks pivots by magnitude, so D A D gets the same pivots as A,
+and a +-1 factor commutes with every rounding.  Block (k, l) of the gauged
+inverse is sigma_k sigma_l times that of A^{-1}, so where the signs differ
+its minimum is -max.  random_probe solves (D A D) u = f the same way, as
+u = D A^{-1} (D f).
+
+A column solved within a block can differ in the last bit from the same
+column of one solve against the whole identity: the BLAS kernels behind
+the sparse triangular solves are chosen by the number of right-hand sides.
 """
 
 from __future__ import annotations
@@ -12,16 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import AssembledSystem
-from .errors import DimMismatch, ValidationError
+from .errors import DimMismatch, TooLarge, ValidationError
 from .fields import BlockField
-from .linalg import LuFactor, dense_inverse, lu_solve
+from .linalg import LuFactor, content_key, lu_solve
 
 TOL_OP = 1e-9
 TOL_RES = 1e-8
 ORACLE_MAX_DOF = 2500
+BLOCK = 64  # columns of A^{-1} per solve in the streamed scan
 
 
 @dataclass
@@ -50,19 +69,81 @@ class OracleReport:
         }
 
 
-def _conjugate(asys: AssembledSystem, gauge):
-    """(sigma, D A D, D G D_b): species sign flips applied to A and G."""
+def _signs(asys: AssembledSystem, gauge):
+    """(sigma, per-species signs) of a validated gauge; (None, all +1) without."""
     if gauge is None:
-        return None, asys.A, asys.G
+        return None, np.ones(asys.n_species)
     sigma = tuple(int(s) for s in gauge)
     if len(sigma) != asys.n_species or any(s not in (-1, 1) for s in sigma):
         raise ValidationError(
             f"gauge must be {asys.n_species} entries of +-1, got {gauge!r}"
         )
-    signs = np.asarray(sigma, dtype=float)
-    d = sp.diags(np.repeat(signs, asys.n_int), format="csr")
-    d_bnd = sp.diags(np.repeat(signs, asys.grid.n_boundary), format="csr")
-    return sigma, (d @ asys.A @ d).tocsr(), (d @ asys.G @ d_bnd).tocsr()
+    return sigma, np.asarray(sigma, dtype=float)
+
+
+def _inverse_columns(lu: LuFactor, c0: int, c1: int) -> np.ndarray:
+    """Columns c0..c1-1 of A^{-1}: one solve against that slice of the identity."""
+    rhs = np.zeros((lu.n, c1 - c0))
+    rhs[np.arange(c0, c1), np.arange(c1 - c0)] = 1.0
+    return lu.solve(rhs)
+
+
+def _block_minima(x: np.ndarray, c0: int, n_int: int, n_species: int):
+    """((k, l, s), (min, first (i, j))) of s * block (k, l) within columns
+    c0.. of A^{-1} held in x, for both signs s."""
+    c1 = c0 + x.shape[1]
+    for l in range(c0 // n_int, (c1 - 1) // n_int + 1):
+        j0, j1 = max(c0, l * n_int), min(c1, (l + 1) * n_int)
+        for k in range(n_species):
+            part = x[k * n_int : (k + 1) * n_int, j0 - c0 : j1 - c0]
+            for s, pos in ((1, np.argmin(part)), (-1, np.argmax(part))):
+                r, c = divmod(int(pos), part.shape[1])
+                yield (k, l, s), (s * float(part[r, c]), (k * n_int + r, j0 + c))
+
+
+def _scan_inverse(asys: AssembledSystem):
+    """Gauge-free extremes (inv, bnd) of A^{-1} and -(A^{-1} G), per species
+    block, from one LU of A and BLOCK columns of A^{-1} at a time.
+
+    inv[k, l, s] is (min of s * block (k, l) of A^{-1}, its first row-major
+    position (i, j)) for s = 1 and -1.  bnd[k, l, s] is the min of s * block
+    (k, l) of -(A^{-1} G), whose column blocks are the species' boundary
+    values; it is empty when G is.
+
+    Column j of A^{-1} G sums G[r, j] A^{-1}[:, r] over the few rows r that
+    boundary value j enters.  Its partial sum is kept from the first block
+    that holds such an r to the last, then folded into bnd and dropped.
+    """
+    a, g = asys.A, asys.G
+    n, n_int, ns = a.shape[0], asys.n_int, asys.n_species
+    n_bnd = asys.grid.n_boundary
+    lu = LuFactor(a)
+    inv, bnd = {}, {}
+    last_row = np.full(g.shape[1], -1)
+    np.maximum.at(last_row, g.indices, np.repeat(np.arange(n), np.diff(g.indptr)))
+    # boundary column -> partial sum of its column of A^{-1} G; a boundary
+    # value that enters no equation has a zero column from the start
+    open_cols = {}
+    if g.nnz:
+        open_cols = {j: np.zeros(n) for j in np.flatnonzero(last_row < 0)}
+    for c0 in range(0, n, BLOCK):
+        c1 = min(c0 + BLOCK, n)
+        x = _inverse_columns(lu, c0, c1)
+        for key, cand in _block_minima(x, c0, n_int, ns):
+            inv[key] = min(inv.get(key, cand), cand)
+        if g.nnz:
+            g_rows = g[c0:c1]
+            cols = np.unique(g_rows.indices)
+            for j, v in zip(cols, g_rows[:, cols].T @ x.T):
+                open_cols[j] = open_cols.get(j, 0.0) + v
+        del x  # so that the next solve does not hold two blocks
+        for j in [j for j in open_cols if last_row[j] < c1]:
+            col = -open_cols.pop(j).reshape(ns, n_int)
+            l = j // n_bnd
+            for k in range(ns):
+                for s, m in ((1, float(col[k].min())), (-1, -float(col[k].max()))):
+                    bnd[k, l, s] = min(bnd.get((k, l, s), m), m)
+    return inv, bnd
 
 
 def inverse_positivity(
@@ -71,23 +152,28 @@ def inverse_positivity(
     max_dof: int = ORACLE_MAX_DOF,
     tol_op: float = TOL_OP,
 ) -> OracleReport:
-    """Decide inverse-positivity of (D A D) by dense inversion.
+    """Decide inverse-positivity of (D A D) from the streamed scan of A^{-1}.
 
     With a gauge sigma, D flips the sign of whole species blocks, realizing
     the cone order that turns constant-sign competitive coupling cooperative.
+    The scan is kept on asys by the content of A and G, so all gauges share
+    one factorization and one pass over A^{-1}.  The witness is the first
+    minimal entry in row-major order.
     """
-    dof = asys.A.shape[0]
-    sigma, a, g_mat = _conjugate(asys, gauge)
-    inv = dense_inverse(a, max_dof)
-    scale = float(np.abs(inv).max())
-    min_entry = float(inv.min())
-    witness = tuple(int(i) for i in np.unravel_index(int(np.argmin(inv)), inv.shape))
+    dof, ns = asys.A.shape[0], asys.n_species
+    sigma, signs = _signs(asys, gauge)
+    if dof > max_dof:
+        raise TooLarge(f"dense inverse of {dof} dof exceeds budget {max_dof}")
+    key = content_key(asys.A, asys.G)
+    if key not in asys._oracle_cache:
+        asys._oracle_cache[key] = _scan_inverse(asys)
+    inv, bnd = asys._oracle_cache[key]
+    pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
+    min_entry, witness = min(inv[p] for p in pairs)
+    # the unflipped and the flipped minima together hold -max |entry|
+    scale = -min(v for v, _ in inv.values())
     inverse_positive = min_entry >= -tol_op * scale
-    if asys.G.nnz:
-        bnd = -(inv @ g_mat.toarray())
-        min_boundary = float(bnd.min())
-    else:
-        min_boundary = 0.0
+    min_boundary = min(bnd[p] for p in pairs) if bnd else 0.0
     boundary_monotone = min_boundary >= -tol_op * scale
     return OracleReport(
         inverse_positive,
@@ -145,16 +231,18 @@ def random_probe(
     """Falsification-only probe: solve against random nonnegative sparse RHS.
 
     A clean pass never upgrades to a definitive inverse-positivity claim;
-    the report is marked sampled.  With a gauge the probe runs on D A D.
+    the report is marked sampled.  With a gauge the probe runs on D A D,
+    through the factorization of A.
     """
     dof = asys.A.shape[0]
-    sigma, a, _ = _conjugate(asys, gauge)
+    sigma, signs = _signs(asys, gauge)
+    d = np.repeat(signs, asys.n_int)
     report = OracleReport(
         True, None, None, None, None, dof, sigma, sampled=True, trials=int(trials)
     )
     if trials <= 0:
         return report
-    lu = LuFactor(a)
+    lu = LuFactor(asys.A)
     rng = np.random.default_rng(seed)
     nnz = max(1, dof // 20)
     worst = 0.0
@@ -163,7 +251,7 @@ def random_probe(
         f = np.zeros(dof)
         pos = rng.choice(dof, size=nnz, replace=False)
         f[pos] = 1.0 - rng.random(nnz)  # values in (0, 1]
-        u = lu.solve(f)
+        u = d * lu.solve(d * f)  # (D A D)^{-1} f
         floor = -tol_op * (1.0 + float(np.abs(u).max()))
         m = float(u.min())
         if m < worst:

@@ -9,7 +9,6 @@ not grow with the mesh.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -89,10 +88,7 @@ def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int) -> EigenPair:
     The memo lives on the system (shared with its species subsets), so
     nothing outlives the run; cached vectors are read-only.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    for part in (repr(a.shape).encode(), a.indptr, a.indices, a.data):
-        digest.update(part)
-    key = (digest.hexdigest(), tol_eig, max_iter)
+    key = (linalg.content_key(a), tol_eig, max_iter)
     if key not in ds._eigen_cache:
         pair = principal_eigenpair(a, tol_eig, max_iter)
         pair.right.setflags(write=False)
@@ -109,7 +105,7 @@ def cooperative_eigen(
 ) -> EigenPair:
     """Principal eigenpair of the cooperative part L + M_minus."""
     ds = as_discrete(spec)
-    asys = ds.assemble("cooperative", mask)
+    asys = ds.assembled("cooperative", mask)
     if not asys.z_matrix:
         raise NotZMatrix(
             f"cooperative part has positive off-diagonal {asys.offdiag_max:.6g} "

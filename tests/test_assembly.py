@@ -1,5 +1,7 @@
 """Finite-difference assembly against hand-built stencils and exact solutions."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,16 +9,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from elcomp import assembly
 from elcomp.assembly import (
     DiscreteSystem,
     assemble_system,
     as_discrete,
     check_z_matrix,
 )
+from elcomp.certify import certify
 from elcomp.errors import NonEllipticCoefficient, ValidationError
 from elcomp.expressions import parse_expr
 from elcomp.linalg import dense_inverse
 from elcomp.mesh import SubdomainMask, build_grid, sub_rectangle_mask
+from elcomp.problems import load_problem
 
 from helpers import laplace_system, op_of, scalar_parts_of, system_of
 
@@ -303,3 +308,39 @@ def test_split_coupling_is_exact_partition(vals):
     assert (minus <= 0.0).all()
     assert np.array_equal(plus + minus, vals)
     assert np.array_equal(np.where(vals > 0, vals, 0.0), plus)
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
+
+
+@pytest.mark.parametrize(
+    "name", ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure"]
+)
+def test_certify_assembles_each_stencil_once(name, monkeypatch):
+    """Species subsets start with the parent's stencils, so a two-species
+    certify assembles two scalar stencils whatever route it takes."""
+    calls = []
+    build = assembly._assemble_scalar_values
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_assemble_scalar_values", counting)
+    certify(load_problem(DATA / f"{name}.prob"), with_oracle=True)
+    assert len(calls) == 2
+
+
+def test_assembled_is_kept_per_mode_on_the_full_domain():
+    grid = build_grid(1, (0.0,), (1.0,), (8,))
+    ds = laplace_system(grid, n_species=2, m=[["0", "0.5"], ["-1", "0"]]).discretize()
+    full = ds.assembled("full")
+    assert ds.assembled("full") is full
+    assert ds.assembled("cooperative") is ds.assembled("cooperative")
+    assert ds.assembled("cooperative") is not full
+    assert ds.assemble("full") is not full  # assemble always builds
+    mask = sub_rectangle_mask(grid, (0.0,), (0.5,))
+    assert ds.assembled("full", mask) is not ds.assembled("full", mask)
+    sub = ds.species_subset([1])
+    assert sub.scalar_parts(0) is ds.scalar_parts(1)
+    assert sub.assembled("full") is not full

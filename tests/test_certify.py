@@ -6,10 +6,12 @@ constant couplings shift margins by exactly the coupling size.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from elcomp import linalg, oracle
 from elcomp.certify import (
     Verdict,
     build_counterexample,
@@ -25,11 +27,13 @@ from elcomp.certify import (
 from elcomp.errors import (
     NonEllipticCoefficient,
     NotZMatrix,
+    SingularMatrix,
     StructureUnsupported,
     ValidationError,
 )
 from elcomp.mesh import build_grid
 from elcomp.oracle import inverse_positivity
+from elcomp.problems import load_problem
 
 from helpers import laplace_system, op_of, system_of
 
@@ -467,6 +471,43 @@ def test_certify_routes_competitive_to_thm4_with_gauged_oracle():
     # as found (for this competitive pair it has negative inverse entries)
     assert v.oracle_gauged.inverse_positive
     assert not v.oracle.inverse_positive
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
+
+
+def test_certify_factorizes_the_full_operator_once(monkeypatch):
+    """The plain and the gauged oracle share one LU of the full operator:
+    D A D, the gauged one, is not factorized."""
+    ds = load_problem(DATA / "competitive17.prob").discretize()
+    full = abs(ds.assemble("full").A)
+    factorized = []
+    init = linalg.LuFactor.__init__
+
+    def counting(self, a):
+        if a.shape == full.shape and (abs(a) != full).nnz == 0:
+            factorized.append(a.shape)
+        init(self, a)
+
+    monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+    v = certify(ds, with_oracle=True)
+    assert v.gauge == (1, -1)
+    assert len(factorized) == 1
+    fresh = load_problem(DATA / "competitive17.prob").discretize().assemble("full")
+    assert v.oracle_gauged == inverse_positivity(fresh, gauge=v.gauge)
+    assert v.oracle == inverse_positivity(fresh)
+
+
+def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):
+    def singular(a):
+        raise SingularMatrix("pivot 0")
+
+    monkeypatch.setattr(oracle, "LuFactor", singular)
+    v = certify(load_problem(DATA / "competitive17.prob"), with_oracle=True)
+    assert v.kind == "HoldsThm4"
+    assert v.oracle is None and v.oracle_gauged is None
+    assert "oracle: system matrix is singular" in v.notes
+    assert "oracle: gauged system matrix is singular" in v.notes
 
 
 def test_certify_routes_triangular_to_thm5():

@@ -1,13 +1,22 @@
 """Inverse-positivity ground truth on small assembled systems."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from elcomp.assembly import assemble_system
-from elcomp.errors import DimMismatch, TooLarge, ValidationError
+from elcomp import oracle
+from elcomp.assembly import DiscreteSystem, assemble_system
+from elcomp.errors import DimMismatch, SingularMatrix, TooLarge, ValidationError
 from elcomp.fields import block_from_exprs, block_from_solution
+from elcomp.linalg import dense_inverse
 from elcomp.mesh import build_grid
 from elcomp.oracle import (
+    TOL_OP,
     inverse_positivity,
     random_probe,
     solve_system,
@@ -152,3 +161,153 @@ def test_oracle_report_json_shape():
     }
     assert d["inverse_positive"] is True
     assert isinstance(d["witness"], list)
+
+
+def _reference(asys, gauge):
+    """The oracle's decision as one dense inverse of D A D and a dense
+    product with D G D_b: (min_entry, witness, inverse_positive,
+    min_boundary_entry, boundary_monotone)."""
+    signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
+    d = sp.diags(np.repeat(signs, asys.n_int))
+    d_bnd = sp.diags(np.repeat(signs, asys.grid.n_boundary))
+    inv = dense_inverse((d @ asys.A @ d).tocsr(), max_dof=10**6)
+    scale = float(np.abs(inv).max())
+    min_entry = float(inv.min())
+    witness = tuple(int(i) for i in np.unravel_index(int(np.argmin(inv)), inv.shape))
+    if asys.G.nnz:
+        min_boundary = float((-(inv @ (d @ asys.G @ d_bnd).toarray())).min())
+    else:
+        min_boundary = 0.0
+    return (
+        min_entry,
+        witness,
+        min_entry >= -TOL_OP * scale,
+        min_boundary,
+        min_boundary >= -TOL_OP * scale,
+    )
+
+
+_B = oracle.BLOCK
+# (species, interior nodes) in 1D with dof just below, at and just above
+# one and two blocks
+_BLOCK_EDGES = [
+    (ns, dof // ns)
+    for dof in (_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1)
+    for ns in (1, 2, 3)
+    if dof % ns == 0
+]
+
+
+@st.composite
+def _oracle_case(draw, cross=False):
+    """A random 1-3 species system and gauge.  Random reaction and coupling
+    signs give Z and non-Z matrices, with inverses of either sign; some
+    off-diagonal coupling blocks are zero.  Without cross diffusion every
+    boundary value enters one equation, so the dense and the streamed
+    boundary products round alike; with it (2D only) a boundary value
+    enters up to three."""
+    if not cross and draw(st.booleans()):
+        ns, n_int = draw(st.sampled_from(_BLOCK_EDGES))
+        grid = build_grid(1, 0.0, 1.0, n_int + 1)
+    else:
+        ns = draw(st.integers(1, 3))
+        cells = (draw(st.integers(3, 8)), draw(st.integers(3, 8)))
+        grid = build_grid(2, 0.0, 1.0, cells)
+    dim, nn = grid.dim, grid.n_nodes
+    coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    a = np.zeros((ns, dim, dim, nn))
+    for d in range(dim):
+        a[:, d, d] = np.abs(draw(arrays(float, (ns, nn), elements=coeff))) + 0.5
+    if cross:
+        a[:, 0, 1] = a[:, 1, 0] = 0.1 * draw(arrays(float, (ns, nn), elements=coeff))
+    b = draw(arrays(float, (ns, dim, nn), elements=coeff))
+    c = draw(arrays(float, (ns, nn), elements=coeff)) + draw(st.floats(0.0, 30.0))
+    m = draw(arrays(float, (ns, ns, nn), elements=coeff))
+    m[~draw(arrays(bool, (ns, ns)))] = 0.0
+    zeros = np.zeros((ns, nn))
+    ds = DiscreteSystem(grid, ns, a, b, c, m, zeros, zeros)
+    gauge = draw(st.none() | st.tuples(*[st.sampled_from((1, -1))] * ns))
+    return ds.assemble("full"), gauge
+
+
+@given(_oracle_case())
+@settings(max_examples=80, deadline=None)
+def test_streamed_oracle_matches_dense_inverse(case):
+    """The block scan of A^{-1} gives the dense inverse's answer exactly,
+    for any gauge, in any order of gauged and plain calls."""
+    asys, gauge = case
+    for g in (None, gauge):  # the second call reads the kept scan
+        try:
+            expect = _reference(asys, g)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                inverse_positivity(asys, gauge=g)
+            continue
+        rep = inverse_positivity(asys, gauge=g)
+        got = (
+            rep.min_entry,
+            rep.witness,
+            rep.inverse_positive,
+            rep.min_boundary_entry,
+            rep.boundary_monotone,
+        )
+        assert got == expect
+
+
+@given(_oracle_case(cross=True))
+@settings(max_examples=40, deadline=None)
+def test_streamed_boundary_sums_span_blocks(case):
+    """With blocks of 8 columns, the rows a boundary value enters fall in
+    different blocks, and its column of A^{-1} G is summed across them.
+    The dense product adds those terms in BLAS order, so the boundary
+    minimum agrees to rounding only."""
+    asys, gauge = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "BLOCK", 8)
+        try:
+            expect = _reference(asys, gauge)
+        except SingularMatrix:
+            return
+        rep = inverse_positivity(asys, gauge=gauge)
+    assert (rep.min_entry, rep.witness, rep.inverse_positive) == expect[:3]
+    assert rep.min_boundary_entry == pytest.approx(expect[3], rel=1e-12, abs=1e-15)
+    assert rep.boundary_monotone == expect[4]
+
+
+def test_oracle_scan_kept_by_content(monkeypatch):
+    """One factorization serves every gauge on one system; changed matrix
+    content is scanned again."""
+    grid = build_grid(1, (0.0,), (1.0,), (16,))
+    asys = _pair(grid, [["0", "0.5"], ["0.5", "0"]])
+    factorized = []
+    lu_factor = oracle.LuFactor
+
+    def counting(a):
+        factorized.append(a.shape)
+        return lu_factor(a)
+
+    monkeypatch.setattr(oracle, "LuFactor", counting)
+    plain = inverse_positivity(asys)
+    gauged = inverse_positivity(asys, gauge=(1, -1))
+    assert inverse_positivity(asys) == plain
+    assert len(factorized) == 1
+    assert gauged.inverse_positive and not plain.inverse_positive
+    asys.A.data *= 2.0
+    assert inverse_positivity(asys).min_entry == pytest.approx(plain.min_entry / 2)
+    assert len(factorized) == 2
+
+
+def test_oracle_memory_stays_below_a_quarter_inverse():
+    """The scan holds a few column blocks, never the n x n inverse."""
+    grid = build_grid(2, (0.0, 0.0), (1.0, 1.0), (33, 33))
+    asys = _pair(grid, [["0", "-1"], ["-0.5", "0"]])
+    n = asys.A.shape[0]
+    assert n == 2048
+    tracemalloc.start()
+    try:
+        rep = inverse_positivity(asys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.inverse_positive and rep.boundary_monotone
+    assert peak < n * n * 8 / 4
