@@ -68,11 +68,8 @@ from .linalg import (
     dense_inverse,
     from_coo,
     inf_norm,
-    lu_factor,
     lu_solve,
-    matvec,
     power_iteration,
-    transpose,
 )
 from .mesh import (
     Grid,

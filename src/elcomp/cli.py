@@ -1,9 +1,11 @@
 """Command-line interface: problem files in, verdicts and reports out.
 
-Every command accepts --json PATH to dump a machine-readable report; the
-JSON is stable across runs except for the timings block.  Exit codes:
-0 a verdict or report was produced, 2 input error, 3 numerical failure,
-4 unsupported structure.
+Every command takes a problem file and --json PATH to dump a machine-readable
+report; the JSON is stable across runs except for the timings block.  Other
+flags come in groups, and a command takes only the groups it reads.  Exit
+codes: 0 a verdict or report was produced; otherwise the failing error's
+`exit_code` (2 input error, unreadable files included, 3 numerical failure,
+4 unsupported structure).
 """
 
 from __future__ import annotations
@@ -19,67 +21,42 @@ import numpy as np
 from . import oracle as oracle_mod
 from .assembly import as_discrete
 from .certify import TOL_COND, certify, check_failure, classify_structure, find_gauge
-from .errors import (
-    BadGridSpec,
-    DimMismatch,
-    EmptySubdomain,
-    EvalDomainError,
-    NoConvergence,
-    NonEllipticCoefficient,
-    NonEllipticLinearization,
-    NotIrreducible,
-    NotNonnegative,
-    NotZMatrix,
-    ParseError,
-    SingularMatrix,
-    StructureUnsupported,
-    TooLarge,
-    ValidationError,
-)
+from .errors import ElcompError, StructureUnsupported
 from .fields import block_from_solution, load_block, save_fields
 from .problems import load_problem
 from .quasilinear import QuasiSpec, check_thm8, linearize
 from .spectral import MAX_ITER, TOL_EIG, component_eigen, cooperative_eigen
 
-INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    EvalDomainError,
-    BadGridSpec,
-    EmptySubdomain,
-    DimMismatch,
-    TooLarge,
-    OSError,
-)
-NUMERICAL_ERRORS = (NoConvergence, SingularMatrix, NotNonnegative)
-STRUCTURE_ERRORS = (
-    StructureUnsupported,
-    NotZMatrix,
-    NotIrreducible,
-    NonEllipticCoefficient,
-    NonEllipticLinearization,
-)
 
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, built from the flag groups it reads."""
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("problem", help="problem file")
-    sub.add_argument("--tol-eig", type=float, default=TOL_EIG)
-    sub.add_argument("--tol-cond", type=float, default=TOL_COND)
-    sub.add_argument(
+    def group():
+        return argparse.ArgumentParser(add_help=False)
+
+    common = group()
+    common.add_argument("problem", help="problem file")
+    common.add_argument("--json", metavar="PATH", help="write a JSON report")
+    eigen = group()
+    eigen.add_argument("--tol-eig", type=float, default=TOL_EIG)
+    eigen.add_argument(
         "--max-iter",
         type=int,
         default=MAX_ITER,
         help="cap on the shifted linear solves of each eigen run",
     )
-    sub.add_argument(
+    condition = group()
+    condition.add_argument("--tol-cond", type=float, default=TOL_COND)
+    oracle = group()
+    oracle.add_argument(
         "--oracle-max-dof", type=int, default=oracle_mod.ORACLE_MAX_DOF
     )
-    sub.add_argument("--mode", choices=("basic", "sharp"), default="basic")
-    sub.add_argument("--json", metavar="PATH", help="write a JSON report")
-    sub.add_argument("--seed", type=int, default=0)
+    mode = group()
+    mode.add_argument("--mode", choices=("basic", "sharp"), default="basic")
+    pair = group()
+    pair.add_argument("--sub", required=True, metavar="FILE")
+    pair.add_argument("--super", dest="sup", required=True, metavar="FILE")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elcomp",
         description="comparison-principle certificates for weakly coupled "
@@ -87,45 +64,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("certify", help="run the full certificate pipeline")
-    _add_common(sub)
+    def command(name, text, *groups):
+        return commands.add_parser(name, help=text, parents=[common, *groups])
+
+    sub = command(
+        "certify", "run the full certificate pipeline", eigen, condition, oracle, mode
+    )
     sub.add_argument("--no-oracle", action="store_true")
 
-    sub = commands.add_parser("eigen", help="principal eigenvalue with enclosure")
-    _add_common(sub)
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--component", type=int, metavar="J")
-    group.add_argument("--cooperative", action="store_true")
+    sub = command("eigen", "principal eigenvalue with enclosure", eigen)
+    choice = sub.add_mutually_exclusive_group()
+    choice.add_argument("--component", type=int, metavar="J")
+    choice.add_argument("--cooperative", action="store_true")
 
-    sub = commands.add_parser("oracle", help="discrete inverse-positivity check")
-    _add_common(sub)
+    sub = command("oracle", "discrete inverse-positivity check", oracle)
     sub.add_argument("--gauge", action="store_true", help="apply the sign gauge")
     sub.add_argument("--probe", type=int, metavar="T", help="random probing only")
+    sub.add_argument("--seed", type=int, default=0, help="seed of --probe")
 
-    sub = commands.add_parser("solve", help="solve the fully coupled system")
-    _add_common(sub)
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rhs-from-file", metavar="FILE")
-    group.add_argument("--builtin", action="store_true", help="use the problem data")
+    sub = command("solve", "solve the fully coupled system")
+    rhs = sub.add_mutually_exclusive_group(required=True)
+    rhs.add_argument("--rhs-from-file", metavar="FILE")
+    rhs.add_argument("--builtin", action="store_true", help="use the problem data")
     sub.add_argument("--out", default="solution.field")
 
-    sub = commands.add_parser("counterexample", help="search failure certificates")
-    _add_common(sub)
+    sub = command("counterexample", "search failure certificates", eigen, condition)
     sub.add_argument("--out", help="write the counterexample field here")
 
-    sub = commands.add_parser("gauge", help="species sign gauge, if one exists")
-    _add_common(sub)
-
-    sub = commands.add_parser("linearize", help="frozen coefficients for a pair")
-    _add_common(sub)
-    sub.add_argument("--sub", required=True, metavar="FILE")
-    sub.add_argument("--super", dest="sup", required=True, metavar="FILE")
-
-    sub = commands.add_parser("thm8", help="quasilinear comparison for a pair")
-    _add_common(sub)
-    sub.add_argument("--sub", required=True, metavar="FILE")
-    sub.add_argument("--super", dest="sup", required=True, metavar="FILE")
-
+    command("gauge", "species sign gauge, if one exists")
+    command("linearize", "frozen coefficients for a pair", pair)
+    thm8_groups = (pair, eigen, condition, oracle, mode)
+    command("thm8", "quasilinear comparison for a pair", *thm8_groups)
     return parser
 
 
@@ -196,7 +165,7 @@ def _cmd_eigen(args, spec):
 
 def _cmd_oracle(args, spec):
     ds = as_discrete(_linear_spec(spec, "oracle"))
-    asys = ds.assemble("full")
+    asys = ds.assembled("full")
     sigma = None
     reason = None
     if args.gauge:
@@ -225,7 +194,7 @@ def _cmd_oracle(args, spec):
 
 def _cmd_solve(args, spec):
     ds = as_discrete(_linear_spec(spec, "solve"))
-    asys = ds.assemble("full")
+    asys = ds.assembled("full")
     if args.rhs_from_file:
         rhs_field = load_block(args.rhs_from_file, ds.grid, ds.n_species)
         rhs = rhs_field.interior.reshape(-1)
@@ -363,6 +332,7 @@ def main(argv=None) -> int:
         "errors": [],
     }
     exit_code = 0
+    error = None
     try:
         paths = [args.problem]
         if getattr(args, "sub", None):
@@ -372,21 +342,13 @@ def main(argv=None) -> int:
         payload["input_digest"] = _digest(paths)
         spec = load_problem(args.problem)
         payload.update(_COMMANDS[args.command](args, spec))
-    except INPUT_ERRORS as err:
-        exit_code = 2
-        payload["errors"].append({"type": type(err).__name__, "message": str(err)})
-    except NUMERICAL_ERRORS as err:
-        exit_code = 3
-        payload["errors"].append({"type": type(err).__name__, "message": str(err)})
-    except STRUCTURE_ERRORS as err:
-        exit_code = 4
-        payload["errors"].append({"type": type(err).__name__, "message": str(err)})
-    if payload["errors"]:
-        print(
-            f"error: {payload['errors'][0]['type']}: "
-            f"{payload['errors'][0]['message']}",
-            file=sys.stderr,
-        )
+    except ElcompError as err:
+        error, exit_code = err, err.exit_code
+    except OSError as err:
+        error, exit_code = err, 2
+    if error is not None:
+        payload["errors"].append({"type": type(error).__name__, "message": str(error)})
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
     payload["timings"] = {"total_s": time.perf_counter() - started}
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

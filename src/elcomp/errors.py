@@ -1,10 +1,16 @@
-"""Exception hierarchy shared by every module."""
+"""Exception hierarchy shared by every module.
+
+Each class carries the command-line exit code of its kind in `exit_code`:
+2 input error, 3 numerical failure, 4 unsupported structure.
+"""
 
 from __future__ import annotations
 
 
 class ElcompError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; only subclasses are raised."""
+
+    exit_code = 1
 
 
 class ParseError(ElcompError):
@@ -13,6 +19,8 @@ class ParseError(ElcompError):
     Carries the byte offset into the source and the set of token kinds
     that would have been accepted at that point.
     """
+
+    exit_code = 2
 
     def __init__(self, message, offset=None, expected=(), line=None):
         self.message = message
@@ -33,6 +41,8 @@ class ParseError(ElcompError):
 class EvalDomainError(ElcompError):
     """Expression evaluation left the real domain (log/sqrt/pow) or blew up."""
 
+    exit_code = 2
+
     def __init__(self, message, point=None):
         self.point = point
         if point is not None:
@@ -43,33 +53,49 @@ class EvalDomainError(ElcompError):
 class ValidationError(ElcompError):
     """Structurally valid input with inconsistent content."""
 
+    exit_code = 2
+
 
 class BadGridSpec(ElcompError):
     """Grid axes are degenerate, too coarse, or dimensionally wrong."""
+
+    exit_code = 2
 
 
 class EmptySubdomain(ElcompError):
     """A sub-rectangle contains no interior grid node."""
 
+    exit_code = 2
+
 
 class DimMismatch(ElcompError):
     """Operand shapes do not line up."""
+
+    exit_code = 2
 
 
 class SingularMatrix(ElcompError):
     """LU met a pivot below the singularity threshold."""
 
+    exit_code = 3
+
 
 class TooLarge(ElcompError):
     """Dense work refused above the degree-of-freedom budget."""
+
+    exit_code = 2
 
 
 class NotNonnegative(ElcompError):
     """Power iteration needs an entrywise nonnegative matrix."""
 
+    exit_code = 3
+
 
 class NoConvergence(ElcompError):
     """Iteration budget exhausted before the enclosure got tight."""
+
+    exit_code = 3
 
     def __init__(self, message, iterations=None, width=None):
         self.iterations = iterations
@@ -80,13 +106,19 @@ class NoConvergence(ElcompError):
 class NonEllipticCoefficient(ElcompError):
     """Sampled diffusion tensor lost positivity somewhere."""
 
+    exit_code = 4
+
 
 class NonEllipticLinearization(ElcompError):
     """Flux derivative lost positivity along the linearization segment."""
 
+    exit_code = 4
+
 
 class NotZMatrix(ElcompError):
     """Assembled matrix has a positive off-diagonal entry."""
+
+    exit_code = 4
 
     def __init__(self, message, position=None, value=None):
         self.position = position
@@ -97,10 +129,16 @@ class NotZMatrix(ElcompError):
 class NotIrreducible(ElcompError):
     """Matrix digraph is not strongly connected."""
 
+    exit_code = 4
+
 
 class StructureUnsupported(ElcompError):
     """Coupling structure outside the requested certificate family."""
 
+    exit_code = 4
+
 
 class InfeasibleEpsilon(ElcompError):
     """No positive slack is available for the triangular construction."""
+
+    exit_code = 3

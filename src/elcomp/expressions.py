@@ -80,21 +80,21 @@ def _tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and src[i + 1].isdecimal()):
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             if j < n and src[j] == ".":
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j].isdecimal():
                     j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
+                if k < n and src[k].isdecimal():
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and src[j].isdecimal():
                         j += 1
             tokens.append(("number", src[i:j], i))
             i = j

@@ -122,10 +122,22 @@ def _parse_header(tokens, lineno):
     return name, build_grid(dim, lo, hi, n)
 
 
+def read_text(path) -> str:
+    """A UTF-8 input file's text; other bytes are a ParseError at their offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(
+            f"not UTF-8 text: {err.reason}", offset=err.start, line=line
+        ) from None
+
+
 def load_fields(path, grid: Grid | None = None) -> list:
     """Parse every field block in the file; grid, if given, must match."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = read_text(path).splitlines()
     fields = []
     current = None  # (name, grid, values list, header lineno)
     for lineno, line in enumerate(raw, start=1):

@@ -49,19 +49,6 @@ def content_key(*mats) -> str:
     return digest.hexdigest()
 
 
-def matvec(a: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[1],):
-        raise DimMismatch(f"matvec: matrix is {a.shape}, vector is {x.shape}")
-    return a @ x
-
-
-def transpose(a: sp.spmatrix) -> sp.csr_matrix:
-    at = a.T.tocsr()
-    at.sort_indices()
-    return at
-
-
 def inf_norm(a: sp.spmatrix) -> float:
     if a.nnz == 0:
         return 0.0
@@ -73,7 +60,7 @@ class LuFactor:
 
     def __init__(self, a: sp.spmatrix):
         if a.shape[0] != a.shape[1]:
-            raise DimMismatch(f"lu_factor needs a square matrix, got {a.shape}")
+            raise DimMismatch(f"LU needs a square matrix, got {a.shape}")
         self.n = a.shape[0]
         self.norm = inf_norm(a)
         try:
@@ -91,10 +78,6 @@ class LuFactor:
         if b.shape[0] != self.n:
             raise DimMismatch(f"solve: matrix is {self.n}x{self.n}, rhs is {b.shape}")
         return self._lu.solve(b)
-
-
-def lu_factor(a: sp.spmatrix) -> LuFactor:
-    return LuFactor(a)
 
 
 def lu_solve(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:

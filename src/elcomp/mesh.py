@@ -115,6 +115,8 @@ def build_grid(dim: int, lo, hi, n) -> Grid:
     hi = _as_tuple(hi, dim, float)
     n = _as_tuple(n, dim, int)
     for d in range(dim):
+        if not (np.isfinite(lo[d]) and np.isfinite(hi[d])):
+            raise BadGridSpec(f"axis {d}: bounds must be finite ({lo[d]} .. {hi[d]})")
         if not hi[d] > lo[d]:
             raise BadGridSpec(f"axis {d}: hi must exceed lo ({lo[d]} .. {hi[d]})")
         if n[d] < 3:

@@ -1,6 +1,7 @@
 """Line-oriented problem files.
 
-Sections in square brackets, `key = value` lines, `#` comments:
+Sections in square brackets, `key = value` lines, `#` comments to the end
+of a line:
 
     [domain]            dim, lo, hi, n (one value per axis)
     [species k]         a11..a22, b1, b2, c, f, g (expressions, defaults:
@@ -20,6 +21,7 @@ import re
 from .assembly import ScalarOperatorSpec, SystemSpec
 from .errors import ParseError, ValidationError
 from .expressions import const, parse_expr
+from .fields import read_text
 from .mesh import build_grid
 from .quasilinear import QuasiSpec
 
@@ -40,8 +42,8 @@ def _split_sections(lines):
     sections = []
     current = None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if line.startswith("["):
             m = _SECTION_RE.match(line)
@@ -217,10 +219,12 @@ def parse_problem(text: str):
     grid = _build_domain(by_name["domain"])
     if not species:
         raise ValidationError("problem file needs at least [species 1]")
-    n = max(species)
-    missing = [k for k in range(1, n + 1) if k not in species]
+    n = len(species)
+    missing = sorted(set(range(1, n + 1)) - set(species))
     if missing:
-        raise ValidationError(f"species sections must be contiguous; missing {missing}")
+        raise ValidationError(
+            f"species sections must be numbered 1..{n}; missing {missing}"
+        )
     quasi = "quasilinear" in by_name
     ops, fs, gs = [], [], []
     for k in range(1, n + 1):
@@ -256,5 +260,4 @@ def parse_problem(text: str):
 
 def load_problem(path):
     """Parse a problem file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+    return parse_problem(read_text(path))

@@ -73,7 +73,9 @@ def principal_eigenpair(
     if (a != a.T).nnz == 0:
         left, left_solves = right.vector, 0
     else:
-        run = linalg.noda_iteration(linalg.transpose(a), width, max_iter)
+        at = a.T.tocsr()
+        at.sort_indices()
+        run = linalg.noda_iteration(at, width, max_iter)
         left, left_solves = run.vector, run.iterations
     lam = right.rho
     residual = float(np.abs(a @ right.vector - lam * right.vector).max())

@@ -2,15 +2,21 @@
 
 import json
 import math
+import re
 import textwrap
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from elcomp import cli
 from elcomp.cli import main, run
+from elcomp.errors import ElcompError
 from elcomp.fields import load_block, load_fields
 from elcomp.mesh import build_grid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 COOP = """
     [domain]
@@ -357,3 +363,147 @@ def test_report_determinism(tmp_path):
 def test_run_helper(tmp_path):
     problem = write(tmp_path, "coop.prob", COOP)
     assert run("gauge", [problem]) == 0
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["\u00b3".encode(), "\u00b3".encode("latin-1")],
+    ids=["superscript-digit", "not-utf8"],
+)
+def test_exit_code_2_on_bad_characters(tmp_path, value):
+    problem = tmp_path / "bad.prob"
+    head = "[domain]\ndim = 1\nlo = 0\nhi = 1\nn = 8\n[species 1]\nc = 2 + "
+    problem.write_bytes(head.encode() + value + b"\n")
+    code, payload = report(tmp_path, "certify", str(problem))
+    assert code == 2
+    assert payload["errors"][0]["type"] == "ParseError"
+
+
+# the documented exit code of every error class; InfeasibleEpsilon never
+# reaches the CLI (check_thm5 catches it) and counts as numerical
+EXIT_CODES = {
+    "ParseError": 2,
+    "ValidationError": 2,
+    "EvalDomainError": 2,
+    "BadGridSpec": 2,
+    "EmptySubdomain": 2,
+    "DimMismatch": 2,
+    "TooLarge": 2,
+    "NoConvergence": 3,
+    "SingularMatrix": 3,
+    "NotNonnegative": 3,
+    "InfeasibleEpsilon": 3,
+    "StructureUnsupported": 4,
+    "NotZMatrix": 4,
+    "NotIrreducible": 4,
+    "NonEllipticCoefficient": 4,
+    "NonEllipticLinearization": 4,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys):
+    problem = write(tmp_path, "coop.prob", COOP)
+    classes = list(_subclasses(ElcompError))
+    assert sorted(c.__name__ for c in classes) == sorted(EXIT_CODES)
+    for cls in classes:
+        err = cls("injected")
+
+        def fail(path, err=err):
+            raise err
+
+        monkeypatch.setattr(cli, "load_problem", fail)
+        code, payload = report(tmp_path, "gauge", problem)
+        assert code == EXIT_CODES[cls.__name__], cls.__name__
+        assert payload["errors"] == [{"type": cls.__name__, "message": str(err)}]
+        assert f"error: {cls.__name__}: {err}" in capsys.readouterr().err
+
+
+def test_readme_lists_every_error_class_under_its_code():
+    rows = {
+        int(code): row
+        for code, row in re.findall(
+            r"^\| `(\d)` \w+ \|(.*)$", (ROOT / "README.md").read_text(), re.M
+        )
+    }
+    for name, code in EXIT_CODES.items():
+        assert f"`{name}`" in rows[code], name
+
+
+# the flags each command reads, besides the problem file and --json
+READS = {
+    "certify": ["--tol-eig", "--max-iter", "--tol-cond", "--oracle-max-dof", "--mode",
+                "--no-oracle"],
+    "eigen": ["--tol-eig", "--max-iter", "--component", "--cooperative"],
+    "oracle": ["--oracle-max-dof", "--gauge", "--probe", "--seed"],
+    "solve": ["--rhs-from-file", "--builtin", "--out"],
+    "counterexample": ["--tol-eig", "--max-iter", "--tol-cond", "--out"],
+    "gauge": [],
+    "linearize": ["--sub", "--super"],
+    "thm8": ["--sub", "--super", "--tol-eig", "--max-iter", "--tol-cond",
+             "--oracle-max-dof", "--mode"],
+}
+
+
+def test_help_lists_only_the_flags_read(capsys):
+    settable = 0
+    for command, flags in READS.items():
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert shown == {"--help", "--json", *flags}, command
+        settable += len(shown) - 1
+    assert settable == 38
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--builtin", "--mode", "sharp"],
+        ["gauge", "--tol-eig", "1"],
+        ["certify", "--seed", "1"],
+    ],
+)
+def test_unread_flags_are_rejected(tmp_path, argv, capsys):
+    problem = write(tmp_path, "coop.prob", COOP)
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], problem, *argv[1:]])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flags_used_by_tests_and_benchmark_parse():
+    parser = cli.build_parser()
+    invocations = [
+        ["certify", "p", "--mode", "sharp", "--no-oracle", "--tol-eig", "1e-9",
+         "--tol-cond", "1e-9", "--max-iter", "9", "--oracle-max-dof", "9"],
+        ["eigen", "p", "--max-iter", "2", "--component", "1"],
+        ["eigen", "p", "--cooperative", "--tol-eig", "1e-9"],
+        ["oracle", "p", "--gauge", "--probe", "25", "--seed", "7"],
+        ["oracle", "p", "--oracle-max-dof", "9"],
+        ["solve", "p", "--builtin", "--out", "u.field", "--json", "r.json"],
+        ["solve", "p", "--rhs-from-file", "f.field", "--out", "u.field"],
+        ["counterexample", "p", "--out", "w.field", "--tol-eig", "1e-9",
+         "--tol-cond", "1e-9", "--max-iter", "9"],
+        ["gauge", "p", "--json", "r.json"],
+        ["linearize", "p", "--sub", "a", "--super", "b"],
+        ["thm8", "p", "--sub", "a", "--sup", "b", "--mode", "sharp",
+         "--oracle-max-dof", "9", "--tol-eig", "1e-9", "--tol-cond", "1e-9",
+         "--max-iter", "9"],
+    ]
+    for argv in invocations:
+        parser.parse_args(argv)
+    sources = [*(ROOT / "tests").glob("*.py"), ROOT / "perfbench" / "workloads.py"]
+    used = set()
+    for path in sources:
+        used |= set(re.findall(r"\"(--[a-z][a-z-]*)\"", path.read_text()))
+    accepted = {flag for flags in READS.values() for flag in flags}
+    accepted |= {"--help", "--json", "--sup"}
+    assert used <= accepted
+    assert {"--builtin", "--sub", "--super", "--out"} <= used

@@ -58,6 +58,18 @@ def test_parse_errors_carry_offset():
         parse_expr("min(x)")  # arity
 
 
+def test_non_decimal_digits_are_parse_errors():
+    # str.isdigit() is true for superscripts, which float() rejects
+    with pytest.raises(ParseError) as info:
+        parse_expr("2 + \u00b3")
+    assert info.value.offset == 4
+    assert info.value.message == "unexpected '\u00b3'"
+    with pytest.raises(ParseError) as info:
+        parse_expr("2\u00b2")
+    assert info.value.offset == 1
+    assert parse_expr("1.5e-3 + .5") == parse_expr("0.0015 + 0.5")
+
+
 def test_eval_domain_errors():
     with pytest.raises(EvalDomainError):
         eval_expr(parse_expr("log(x)"), {"x": 0.0})

@@ -74,6 +74,16 @@ def test_malformed_inputs(tmp_path):
         load_fields(path)
 
 
+def test_load_fields_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.field"
+    header = b"# field u1 grid 1 4 0.0 1.0\n"
+    path.write_bytes(header + b"0.0\n\xff\n")
+    with pytest.raises(ParseError) as info:
+        load_fields(path)
+    assert info.value.offset == len(header) + 4
+    assert info.value.line == 3
+
+
 def test_comments_between_blocks_ignored(tmp_path):
     grid = build_grid(1, (0.0,), (1.0,), (4,))
     path = tmp_path / "c.field"

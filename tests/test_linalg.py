@@ -15,15 +15,13 @@ from elcomp.errors import (
     TooLarge,
 )
 from elcomp.linalg import (
+    LuFactor,
     dense_inverse,
     from_coo,
     inf_norm,
-    lu_factor,
     lu_solve,
-    matvec,
     noda_iteration,
     power_iteration,
-    transpose,
 )
 
 
@@ -33,18 +31,6 @@ def test_from_coo_sums_duplicates():
     assert d[0, 1] == 5.0
     assert d[1, 0] == -1.0
     assert a.has_sorted_indices
-
-
-def test_matvec_and_transpose_match_numpy():
-    rng = np.random.default_rng(7)
-    d = rng.normal(size=(6, 4))
-    d[np.abs(d) < 0.8] = 0.0
-    a = sp.csr_matrix(d)
-    x = rng.normal(size=4)
-    assert np.allclose(matvec(a, x), d @ x)
-    assert np.array_equal(transpose(a).toarray(), d.T)
-    with pytest.raises(DimMismatch):
-        matvec(a, np.ones(5))
 
 
 def test_inf_norm():
@@ -64,11 +50,11 @@ def test_lu_solve_matches_numpy():
 def test_lu_rejects_singular():
     d = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrix):
-        lu_factor(sp.csr_matrix(d))
+        LuFactor(sp.csr_matrix(d))
 
 
 def test_lu_solve_shape_check():
-    lu = lu_factor(sp.identity(3, format="csr"))
+    lu = LuFactor(sp.identity(3, format="csr"))
     with pytest.raises(DimMismatch):
         lu.solve(np.ones(4))
 

@@ -62,6 +62,16 @@ def test_bad_grids_rejected():
         build_grid(2, (0.0,), (1.0, 1.0), (4, 4))
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0)]
+)
+def test_non_finite_bounds_rejected(lo, hi):
+    with pytest.raises(BadGridSpec):
+        build_grid(1, (lo,), (hi,), (4,))
+    with pytest.raises(BadGridSpec):
+        build_grid(2, (0.0, lo), (1.0, hi), (4, 4))
+
+
 def test_sub_rectangle_strict_interior():
     g = build_grid(1, (0.0,), (1.0,), (8,))
     m = sub_rectangle_mask(g, (0.25,), (0.75,))

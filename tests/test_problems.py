@@ -1,6 +1,8 @@
 """Problem-file parsing: defaults, diagnostics, and both system kinds."""
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -89,8 +91,8 @@ def test_comments_and_blank_lines_ignored():
         hi = 1
         n = 4
 
-        [species 1]
-        c = 1
+        [species 1]  # header comment
+        c = 1        # trailing comment
         """
     )
     assert eval_expr(spec.ops[0].c, (0.0,)) == 1.0
@@ -165,6 +167,16 @@ def test_species_contiguity_and_keys():
         prob(MINIMAL.replace("[species 1]", "[species 1]\nb2 = 1"))  # dim 1
     with pytest.raises(ValidationError):
         prob(MINIMAL.replace("[species 1]", "[species 1]\nq = 1"))
+
+
+def test_species_indices_are_not_enumerated():
+    # a gap check that walks 1..max(index) would loop a billion times here
+    with pytest.raises(ValidationError) as info:
+        prob(MINIMAL.replace("[species 1]", "[species 1000000000]"))
+    assert "missing [1]" in str(info.value)
+    with pytest.raises(ValidationError) as info:
+        prob(MINIMAL + "[species 0]\n")
+    assert "missing [2]" in str(info.value)
 
 
 def test_coupling_index_validation():
@@ -271,3 +283,28 @@ def test_load_problem_from_path(tmp_path):
     p.write_text(textwrap.dedent(MINIMAL))
     spec = load_problem(p)
     assert spec.n_species == 1
+
+
+def test_load_problem_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin1.prob"
+    p.write_bytes(textwrap.dedent(MINIMAL).encode() + "c = \xb3\n".encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        load_problem(p)
+    assert info.value.offset == len(textwrap.dedent(MINIMAL)) + 4
+    assert info.value.line == 9
+    assert "not UTF-8" in str(info.value)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_problem_examples_parse():
+    """Both ini blocks of the README, trailing comments included."""
+    full, quasi = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    spec = parse_problem(full)
+    assert isinstance(spec, SystemSpec)
+    assert spec.grid.n == (24, 24)
+    assert eval_expr(spec.ops[0].a[0][0], (2.0, 0.0)) == 3.0
+    assert eval_expr(spec.m[1][0], (0.0, 0.0)) == 0.5
+    head = "[domain]\ndim = 1\nlo = 0\nhi = 1\nn = 8\n[species 1]\n[species 2]\n"
+    assert isinstance(parse_problem(head + quasi), QuasiSpec)

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from elcomp import spectral
 from elcomp.certify import certify
 from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
+from elcomp.linalg import noda_iteration
 from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.problems import load_problem
 from elcomp.spectral import (
@@ -107,6 +108,18 @@ def test_left_eigenvector_is_adjoint_root():
     A = assemble_system(asys, coupling="cooperative").A
     r = A.T @ pair.left - pair.value * pair.left
     assert np.abs(r).max() <= 1e-6
+
+
+def test_left_vector_is_noda_on_the_canonical_transpose():
+    d = np.array([[3.0, -2.0, 0.0], [-0.5, 2.0, -1.0], [-1.0, 0.0, 4.0]])
+    pair = principal_eigenpair(sp.csr_matrix(d), tol_eig=1e-10)
+
+    def width(lam):
+        return 1e-10 * (1.0 + abs(lam))
+
+    ref = noda_iteration(sp.csr_matrix(d.T), width, spectral.MAX_ITER)
+    assert np.array_equal(pair.left, ref.vector)
+    assert pair.iterations > ref.iterations > 0
 
 
 def test_positive_offdiag_rejected():
