@@ -43,14 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iter",
         type=int,
         default=MAX_ITER,
-        help="cap on the shifted linear solves of each eigen run",
+        help="cap on the LU factorizations of each eigen run",
     )
     condition = group()
     condition.add_argument("--tol-cond", type=float, default=TOL_COND)
+
+    def oracle_budget(container):
+        container.add_argument(
+            "--oracle-max-dof", type=int, default=oracle_mod.ORACLE_MAX_DOF
+        )
+
     oracle = group()
-    oracle.add_argument(
-        "--oracle-max-dof", type=int, default=oracle_mod.ORACLE_MAX_DOF
-    )
+    oracle_budget(oracle)
     mode = group()
     mode.add_argument("--mode", choices=("basic", "sharp"), default="basic")
     pair = group()
@@ -77,9 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     choice.add_argument("--component", type=int, metavar="J")
     choice.add_argument("--cooperative", action="store_true")
 
-    sub = command("oracle", "discrete inverse-positivity check", oracle)
+    sub = command("oracle", "discrete inverse-positivity check")
     sub.add_argument("--gauge", action="store_true", help="apply the sign gauge")
-    sub.add_argument("--probe", type=int, metavar="T", help="random probing only")
+    # the dof budget bounds the dense scan, which probing does not run
+    decision = sub.add_mutually_exclusive_group()
+    oracle_budget(decision)
+    decision.add_argument("--probe", type=int, metavar="T", help="random probing only")
     sub.add_argument("--seed", type=int, default=0, help="seed of --probe")
 
     sub = command("solve", "solve the fully coupled system")

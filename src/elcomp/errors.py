@@ -16,8 +16,9 @@ class ElcompError(Exception):
 class ParseError(ElcompError):
     """Bad expression or problem-file syntax.
 
-    Carries the byte offset into the source and the set of token kinds
-    that would have been accepted at that point.
+    Carries the offset into the source (for a problem-file value, the
+    column in its file line) and the set of token kinds that would have
+    been accepted at that point.
     """
 
     exit_code = 2

@@ -1,8 +1,11 @@
 """Sparse kernels: CSR utilities, LU solves, dense inversion, eigen iterations.
 
-Storage and factorization lean on scipy (CSR + SuperLU); the certified
-eigenvalue machinery is implemented here: Noda's shifted inverse iteration
-for irreducible Z-matrices, and the shifted power iteration for nonnegative
+Storage and factorization lean on scipy (CSR + SuperLU).  Every LU orders
+its columns by minimum degree on A + A^T; that ordering depends only on the
+sparsity pattern, so a sign-flipped D A D shares A's ordering and pivots.
+The certified eigenvalue machinery is implemented here: Noda's shifted
+inverse iteration for irreducible Z-matrices, one factorization per shift
+for both eigenvectors, and the shifted power iteration for nonnegative
 matrices that serves as its reference.  Both carry Collatz-Wielandt
 enclosures.
 """
@@ -56,7 +59,15 @@ def inf_norm(a: sp.spmatrix) -> float:
 
 
 class LuFactor:
-    """LU with partial pivoting by magnitude; rejects near-singular pivots."""
+    """LU with partial pivoting by magnitude; rejects near-singular pivots.
+
+    Columns are ordered by minimum degree on the pattern of A + A^T, which
+    suits the structurally symmetric stencils and fills far less than the
+    default COLAMD ordering on A^T A.  The ordering depends only on the
+    sparsity pattern and the pivots only on magnitudes, so D A D, for D a
+    diagonal of +-1, gets A's ordering and pivots, and its factors are A's
+    with signs flipped.
+    """
 
     def __init__(self, a: sp.spmatrix):
         if a.shape[0] != a.shape[1]:
@@ -64,7 +75,7 @@ class LuFactor:
         self.n = a.shape[0]
         self.norm = inf_norm(a)
         try:
-            self._lu = spla.splu(a.tocsc())
+            self._lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as err:
             raise SingularMatrix(f"factorization failed: {err}") from None
         pivots = np.abs(self._lu.U.diagonal())
@@ -73,11 +84,12 @@ class LuFactor:
                 f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * |A|"
             )
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """x with A x = b, or A^T x = b when transposed."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise DimMismatch(f"solve: matrix is {self.n}x{self.n}, rhs is {b.shape}")
-        return self._lu.solve(b)
+        return self._lu.solve(b, trans="T" if transposed else "N")
 
 
 def lu_solve(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -100,6 +112,7 @@ class PowerResult:
     cw: tuple
     iterations: int
     history: list | None = None
+    left: PowerResult | None = None
 
     def __iter__(self):
         # unpacks as (rho, vector, cw)
@@ -166,7 +179,57 @@ def power_iteration(
     return _collatz_power(b, lambda rho: tol * (1.0 + abs(rho)), max_iter, collect_history)
 
 
-def noda_iteration(a: sp.spmatrix, width_target, max_iter: int) -> PowerResult:
+class _NodaIterate:
+    """One Noda iterate x of b (A, or A^T for the left vector) with its
+    Collatz-Wielandt enclosure [lo, hi] and the widths it went through."""
+
+    def __init__(self, b: sp.csr_matrix, transposed: bool):
+        self.b, self.transposed = b, transposed
+        self.abs_b = abs(b)
+        nnz = int(b.getnnz(axis=1).max(initial=0))
+        self.rounding = np.finfo(float).eps * max(nnz, 1)
+        self.x = np.ones(b.shape[0])
+        self.lo, self.hi, self.lam = -np.inf, np.inf, 0.0
+        self.widths = []
+        self.solves = 0
+        self.result = None
+
+    def enclose(self, width_target) -> bool:
+        """Intersect the ratios (b x)/x into [lo, hi]; True while still open."""
+        bx = self.b @ self.x
+        ratios = bx / self.x
+        self.lo = max(self.lo, float(ratios.min()))
+        self.hi = min(self.hi, float(ratios.max()))
+        self.lam = min(max(float(self.x @ bx) / float(self.x @ self.x), self.lo), self.hi)
+        width = self.hi - self.lo
+        if width <= width_target(self.lam):
+            self.result = PowerResult(self.lam, self.x, (self.lo, self.hi), self.solves)
+            return False
+        self.widths.append(width)
+        return True
+
+    def stalled(self) -> float | None:
+        """The rounding level of the ratios when the width has stopped
+        shrinking near it, else None."""
+        floor = self.rounding * float((self.abs_b @ self.x / self.x).max())
+        w = self.widths
+        if len(w) >= 3 and w[-1] > 0.5 * w[-3] and w[-1] <= FLOOR_FACTOR * floor:
+            return floor
+        return None
+
+    def fail(self, reason: str, factorizations: int) -> NoConvergence:
+        side = "left " if self.transposed else ""
+        width = self.widths[-1]
+        return NoConvergence(
+            f"{side}enclosure width {width:.3e} {reason}",
+            iterations=factorizations,
+            width=width,
+        )
+
+
+def noda_iteration(
+    a: sp.spmatrix, width_target, max_iter: int, left: bool = False
+) -> PowerResult:
     """Principal eigenpair of an irreducible Z-matrix by Noda iteration.
 
     From x = 1, each step intersects the Collatz-Wielandt ratios (Ax)/x into
@@ -175,17 +238,27 @@ def noda_iteration(a: sp.spmatrix, width_target, max_iter: int) -> PowerResult:
     shifted matrix a nonsingular M-matrix, so y stays positive, and mu
     converges to lambda superlinearly (T. Noda, Numer. Math. 17 (1971)
     382-386).  The result's rho is lambda, the Rayleigh quotient clamped into
-    the enclosure; iterations counts shifted solves, capped by max_iter.
+    the enclosure; iterations counts LU factorizations, capped by max_iter.
 
     Noda's own shift mu = lo often reaches lambda to the last bits one step
     before hi closes in, making A - mu*I singular to working precision, so
     mu is held one target width below lo; (lambda - mu) / gap stays tiny.
 
+    With left=True a left iterate runs on A^T alongside and is returned as
+    the result's left (a PowerResult counting its own solves).  It shares
+    each step's factorization of A - mu*I, at the right iterate's shift,
+    and is solved through the transposed factor; mu < lambda keeps it
+    positive as well.  It keeps its own enclosure and stops when that meets
+    the width target.  If it is still open when the right iterate is done,
+    it goes on with its own shifts, so the right iterate's shifts, enclosure
+    and vector are those of a run without it.
+
     The ratios carry a rounding error of about k*eps*(|A|x)/x (k = largest
     row nnz).  Within FLOOR_FACTOR of that level the width stops shrinking,
-    so the loop gives up as soon as it has not halved over two steps there;
-    far above it, early steps may shrink more slowly and go on.  It also
-    gives up when y loses positivity or the shift is numerically singular.
+    so the loop gives up as soon as an iterate's width has not halved over
+    two steps there; far above it, early steps may shrink more slowly and
+    go on.  It also gives up when a solve loses positivity or the shift is
+    numerically singular.
 
     width_target(lam_estimate) -> admissible enclosure width.
     """
@@ -193,43 +266,36 @@ def noda_iteration(a: sp.spmatrix, width_target, max_iter: int) -> PowerResult:
     if a.shape[0] != a.shape[1]:
         raise DimMismatch(f"Noda iteration needs a square matrix, got {a.shape}")
     eye = sp.identity(n, format="csr")
-    abs_a = abs(a)
-    rounding = np.finfo(float).eps * max(int(a.getnnz(axis=1).max(initial=0)), 1)
-    x = np.ones(n)
-    lo, hi = -np.inf, np.inf
-    widths = []
-    solves = 0
+    iterates = [_NodaIterate(a, False)]
+    if left:
+        at = a.T.tocsr()
+        at.sort_indices()
+        iterates.append(_NodaIterate(at, True))
+    factorizations = 0
     while True:
-        ax = a @ x
-        ratios = ax / x
-        lo = max(lo, float(ratios.min()))
-        hi = min(hi, float(ratios.max()))
-        lam = min(max(float(x @ ax) / float(x @ x), lo), hi)
-        width = hi - lo
-        if width <= width_target(lam):
-            return PowerResult(lam, x, (lo, hi), solves)
-        widths.append(width)
-        floor = rounding * float((abs_a @ x / x).max())
-        if solves >= max_iter:
-            reason = f"after {max_iter} shifted solves"
-        elif (
-            len(widths) >= 3
-            and width > 0.5 * widths[-3]
-            and width <= FLOOR_FACTOR * floor
-        ):
-            reason = f"stalled near the rounding level {floor:.3e}"
-        else:
-            solves += 1
-            mu = lo - width_target(lam)
-            try:
-                y = LuFactor(a - mu * eye).solve(x)
-            except SingularMatrix:
-                reason = f"singular shift {mu!r}"
-            else:
-                if float(y.min()) > 0.0:
-                    x = y / float(y.max())
-                    continue
-                reason = "shifted solve left the positive cone"
-        raise NoConvergence(
-            f"enclosure width {width:.3e} {reason}", iterations=solves, width=width
-        )
+        active = [it for it in iterates if it.result is None and it.enclose(width_target)]
+        if not active:
+            right = iterates[0].result
+            right.iterations = factorizations
+            right.left = iterates[1].result if left else None
+            return right
+        for it in active:
+            if factorizations >= max_iter:
+                raise it.fail(f"after {max_iter} factorizations", factorizations)
+            floor = it.stalled()
+            if floor is not None:
+                raise it.fail(f"stalled near the rounding level {floor:.3e}", factorizations)
+        factorizations += 1
+        lead = active[0]
+        mu = lead.lo - width_target(lead.lam)
+        try:
+            lu = LuFactor(a - mu * eye)
+        except SingularMatrix:
+            raise lead.fail(f"singular shift {mu!r}", factorizations) from None
+        for it in active:
+            y = lu.solve(it.x, transposed=it.transposed)
+            if not float(y.min()) > 0.0:
+                raise it.fail("shifted solve left the positive cone", factorizations)
+            it.x = y / float(y.max())
+            it.solves += 1
+        del lu  # so that the next shift's factorization does not hold two

@@ -14,12 +14,13 @@ Memory is the LU factors, one n x BLOCK block, and the columns of A^{-1} G
 whose rows are still being solved: O(n * BLOCK + n * n_boundary) at most.
 
 A gauge sigma flips signs in that same scan.  With D = diag(sigma),
-(D A D)^{-1} = D A^{-1} D holds bit for bit in floating point: partial
-pivoting picks pivots by magnitude, so D A D gets the same pivots as A,
-and a +-1 factor commutes with every rounding.  Block (k, l) of the gauged
-inverse is sigma_k sigma_l times that of A^{-1}, so where the signs differ
-its minimum is -max.  random_probe solves (D A D) u = f the same way, as
-u = D A^{-1} (D f).
+(D A D)^{-1} = D A^{-1} D holds bit for bit in floating point: the LU's
+fill-reducing column ordering depends only on the sparsity pattern, which
+D A D shares with A, and partial pivoting picks pivots by magnitude, so
+D A D gets A's ordering and pivots, and a +-1 factor commutes with every
+rounding.  Block (k, l) of the gauged inverse is sigma_k sigma_l times
+that of A^{-1}, so where the signs differ its minimum is -max.
+random_probe solves (D A D) u = f the same way, as u = D A^{-1} (D f).
 
 A column solved within a block can differ in the last bit from the same
 column of one solve against the whole identity: the BLAS kernels behind
@@ -232,16 +233,17 @@ def random_probe(
 
     A clean pass never upgrades to a definitive inverse-positivity claim;
     the report is marked sampled.  With a gauge the probe runs on D A D,
-    through the factorization of A.
+    through the factorization of A.  At least one trial is required: no
+    trials would be no evidence.
     """
     dof = asys.A.shape[0]
     sigma, signs = _signs(asys, gauge)
+    if trials < 1:
+        raise ValidationError(f"random probe needs at least 1 trial, got {trials}")
     d = np.repeat(signs, asys.n_int)
     report = OracleReport(
         True, None, None, None, None, dof, sigma, sampled=True, trials=int(trials)
     )
-    if trials <= 0:
-        return report
     lu = LuFactor(asys.A)
     rng = np.random.default_rng(seed)
     nnz = max(1, dof // 20)

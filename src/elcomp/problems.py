@@ -17,6 +17,7 @@ With a [quasilinear] section the species sections may only carry data
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .assembly import ScalarOperatorSpec, SystemSpec
 from .errors import ParseError, ValidationError
@@ -37,12 +38,21 @@ _PARTIAL_RES = (
 )
 
 
+class _Value(NamedTuple):
+    """A key's value text, its file line and the column where it starts."""
+
+    text: str
+    line: int
+    column: int
+
+
 def _split_sections(lines):
-    """[(name, index, lineno, {key: (value, lineno)})] in file order."""
+    """[(name, index, lineno, {key: _Value})] in file order."""
     sections = []
     current = None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.startswith("["):
@@ -65,46 +75,54 @@ def _split_sections(lines):
             raise ParseError("key line before any section header", line=lineno)
         if "=" not in line:
             raise ParseError(f"expected key = value, got {line!r}", line=lineno)
-        key, _, value = line.partition("=")
+        key, _, rest = code.partition("=")
         key = key.strip()
-        value = value.strip()
+        value = rest.strip()
         if not key or not value:
             raise ParseError(f"expected key = value, got {line!r}", line=lineno)
         if key in current[3]:
             raise ParseError(f"duplicate key {key!r} in section", line=lineno)
-        current[3][key] = (value, lineno)
+        column = len(code) - len(rest.lstrip())
+        current[3][key] = _Value(value, lineno, column)
     return sections
 
 
-def _expr(value: str, lineno: int, key: str):
+def _expr(value: _Value, key: str):
+    """The expression of a value; a syntax error's offset is its column in
+    the file line."""
     try:
-        return parse_expr(value)
+        return parse_expr(value.text)
     except ParseError as err:
+        offset = None if err.offset is None else value.column + err.offset
         raise ParseError(
-            f"{key}: {err.message}", offset=err.offset, expected=err.expected,
-            line=lineno,
+            f"{key}: {err.message}", offset=offset, expected=err.expected,
+            line=value.line,
         ) from err
 
 
-def _floats(value: str, lineno: int, key: str, count: int):
-    parts = value.replace(",", " ").split()
+def _floats(value: _Value, key: str, count: int):
+    parts = value.text.replace(",", " ").split()
     try:
         out = tuple(float(p) for p in parts)
     except ValueError:
-        raise ParseError(f"{key}: expected numbers, got {value!r}", line=lineno)
+        raise ParseError(
+            f"{key}: expected numbers, got {value.text!r}", line=value.line
+        )
     if len(out) != count:
-        raise ParseError(f"{key}: expected {count} value(s)", line=lineno)
+        raise ParseError(f"{key}: expected {count} value(s)", line=value.line)
     return out
 
 
-def _ints(value: str, lineno: int, key: str, count: int):
-    parts = value.replace(",", " ").split()
+def _ints(value: _Value, key: str, count: int):
+    parts = value.text.replace(",", " ").split()
     try:
         out = tuple(int(p) for p in parts)
     except ValueError:
-        raise ParseError(f"{key}: expected integers, got {value!r}", line=lineno)
+        raise ParseError(
+            f"{key}: expected integers, got {value.text!r}", line=value.line
+        )
     if len(out) != count:
-        raise ParseError(f"{key}: expected {count} value(s)", line=lineno)
+        raise ParseError(f"{key}: expected {count} value(s)", line=value.line)
     return out
 
 
@@ -112,13 +130,12 @@ def _build_domain(keys):
     for required in ("dim", "lo", "hi", "n"):
         if required not in keys:
             raise ValidationError(f"[domain] is missing {required!r}")
-    value, lineno = keys["dim"]
-    dim = _ints(value, lineno, "dim", 1)[0]
+    dim = _ints(keys["dim"], "dim", 1)[0]
     if dim not in (1, 2):
         raise ValidationError(f"dim must be 1 or 2, got {dim}")
-    lo = _floats(*keys["lo"], key="lo", count=dim)
-    hi = _floats(*keys["hi"], key="hi", count=dim)
-    n = _ints(*keys["n"], key="n", count=dim)
+    lo = _floats(keys["lo"], "lo", dim)
+    hi = _floats(keys["hi"], "hi", dim)
+    n = _ints(keys["n"], "n", dim)
     unknown = set(keys) - {"dim", "lo", "hi", "n"}
     if unknown:
         raise ValidationError(f"[domain] has unknown key(s) {sorted(unknown)}")
@@ -140,23 +157,23 @@ def _species_operator(keys, dim: int, k: int):
     ]
     for key, (i, j) in a_keys.items():
         if key in keys:
-            a[i][j] = _expr(*keys[key], key=key)
+            a[i][j] = _expr(keys[key], key)
     b = [const(0.0)] * dim
     for key, i in b_keys.items():
         if key in keys:
-            b[i] = _expr(*keys[key], key=key)
-    c = _expr(*keys["c"], key="c") if "c" in keys else const(0.0)
+            b[i] = _expr(keys[key], key)
+    c = _expr(keys["c"], "c") if "c" in keys else const(0.0)
     op = ScalarOperatorSpec(
         tuple(tuple(row) for row in a), tuple(b), c
     )
-    f = _expr(*keys["f"], key="f") if "f" in keys else const(0.0)
-    g = _expr(*keys["g"], key="g") if "g" in keys else const(0.0)
+    f = _expr(keys["f"], "f") if "f" in keys else const(0.0)
+    g = _expr(keys["g"], "g") if "g" in keys else const(0.0)
     return op, f, g
 
 
 def _parse_coupling(keys, n: int):
     m = [[const(0.0)] * n for _ in range(n)]
-    for key, (value, lineno) in keys.items():
+    for key, value in keys.items():
         match = _COUPLING_RE.match(key)
         if not match:
             raise ValidationError(f"[coupling] has unknown key {key!r}")
@@ -166,7 +183,7 @@ def _parse_coupling(keys, n: int):
             raise ValidationError(
                 f"coupling {key} references species outside 1..{n}"
             )
-        m[k - 1][l - 1] = _expr(value, lineno, key)
+        m[k - 1][l - 1] = _expr(value, key)
     return tuple(tuple(row) for row in m)
 
 
@@ -174,23 +191,23 @@ def _parse_quasilinear(keys, n: int, dim: int):
     flux = [[None] * dim for _ in range(n)]
     reactions = [None] * n
     partials = {}
-    for key, (value, lineno) in keys.items():
+    for key, value in keys.items():
         match = _FLUX_RE.match(key)
         if match:
             k, i = int(match.group(1)), int(match.group(2))
             if not (1 <= k <= n and 1 <= i <= dim):
                 raise ValidationError(f"{key} outside species 1..{n}, dim {dim}")
-            flux[k - 1][i - 1] = _expr(value, lineno, key)
+            flux[k - 1][i - 1] = _expr(value, key)
             continue
         match = _REACTION_RE.match(key)
         if match:
             k = int(match.group(1))
             if not 1 <= k <= n:
                 raise ValidationError(f"{key} references species outside 1..{n}")
-            reactions[k - 1] = _expr(value, lineno, key)
+            reactions[k - 1] = _expr(value, key)
             continue
         if any(rx.match(key) for rx in _PARTIAL_RES):
-            partials[key] = _expr(value, lineno, key)
+            partials[key] = _expr(value, key)
             continue
         raise ValidationError(f"[quasilinear] has unknown key {key!r}")
     for k in range(n):

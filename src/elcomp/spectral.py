@@ -3,8 +3,8 @@
 The principal eigenvalue lambda of an irreducible Z-matrix A is its
 eigenvalue of smallest real part, with a positive eigenvector.  Noda's
 shifted inverse iteration (linalg.noda_iteration) runs on A itself and
-carries a Collatz-Wielandt enclosure of lambda along; its solve count does
-not grow with the mesh.
+carries a Collatz-Wielandt enclosure of lambda along; its factorization
+count does not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .graphs import csr_strongly_connected
 from .mesh import SubdomainMask, full_mask, sub_rectangle_mask
 
 TOL_EIG = 1e-9
-MAX_ITER = 100  # shifted solves per Noda run; a run needs 4-10
+MAX_ITER = 100  # LU factorizations per Noda run; a run needs 4-10
 
 
 @dataclass
@@ -30,9 +30,10 @@ class EigenPair:
     """Principal eigenvalue with positive right/left eigenvectors.
 
     value lies in the closed interval cw; right and left are normalized to
-    unit max and strictly positive on the unknowns.  iterations counts
-    shifted linear solves over both the right and the left run; a symmetric
-    matrix skips the left run and reuses the right vector.
+    unit max and strictly positive on the unknowns.  iterations counts the
+    LU factorizations of the run: each shift is factorized once and solves
+    for both vectors.  A symmetric matrix has no left iterate and reuses the
+    right vector.
     """
 
     value: float
@@ -69,19 +70,12 @@ def principal_eigenpair(
     def width(lam):
         return tol_eig * (1.0 + abs(lam))
 
-    right = linalg.noda_iteration(a, width, max_iter)
-    if (a != a.T).nnz == 0:
-        left, left_solves = right.vector, 0
-    else:
-        at = a.T.tocsr()
-        at.sort_indices()
-        run = linalg.noda_iteration(at, width, max_iter)
-        left, left_solves = run.vector, run.iterations
-    lam = right.rho
-    residual = float(np.abs(a @ right.vector - lam * right.vector).max())
-    return EigenPair(
-        lam, right.vector, left, right.cw, right.iterations + left_solves, residual
-    )
+    symmetric = (a != a.T).nnz == 0
+    run = linalg.noda_iteration(a, width, max_iter, left=not symmetric)
+    left = run.vector if symmetric else run.left.vector
+    lam = run.rho
+    residual = float(np.abs(a @ run.vector - lam * run.vector).max())
+    return EigenPair(lam, run.vector, left, run.cw, run.iterations, residual)
 
 
 def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int) -> EigenPair:

@@ -41,3 +41,14 @@ def laplace_system(grid, c=0.0, m=None, n_species=1, f=None, g=None):
 def scalar_parts_of(op, grid, mask=None):
     """(A, G) of one scalar operator, sampled and assembled as a system."""
     return as_discrete(system_of(grid, (op,))).scalar_parts(0, mask)
+
+
+def convection_pair_text(n):
+    """Problem text of a 2D cooperative pair on n^2 cells whose convection
+    and unequal coupling make its operator nonsymmetric."""
+    return (
+        f"[domain]\ndim = 2\nlo = 0 0\nhi = 1 1\nn = {n} {n}\n"
+        "[species 1]\na11 = 1 + x\nb1 = 3\nc = 1\n"
+        "[species 2]\nb2 = -2\nc = 1\n"
+        "[coupling]\nm12 = -1\nm21 = -0.5\n"
+    )

@@ -196,6 +196,18 @@ def test_oracle_probe_mode(tmp_path):
     assert payload["oracle"]["inverse_positive"] is True
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_oracle_probe_without_trials_is_an_input_error(tmp_path, trials):
+    """No trials are no evidence: not an inverse-positive report."""
+    problem = data_text("cooperative_pair.prob")
+    code, payload = report(
+        tmp_path, "oracle", write(tmp_path, "coop.prob", problem), "--probe", trials
+    )
+    assert code == 2
+    assert payload["errors"][0]["type"] == "ValidationError"
+    assert "oracle" not in payload
+
+
 def test_oracle_gauged_probe(tmp_path):
     problem = write(tmp_path, "comp.prob", data_text("competitive17.prob"))
     code, payload = report(
@@ -468,6 +480,7 @@ def test_help_lists_only_the_flags_read(capsys):
         ["solve", "--builtin", "--mode", "sharp"],
         ["gauge", "--tol-eig", "1"],
         ["certify", "--seed", "1"],
+        ["oracle", "--probe", "5", "--oracle-max-dof", "1"],
     ],
 )
 def test_unread_flags_are_rejected(tmp_path, argv, capsys):
@@ -475,7 +488,9 @@ def test_unread_flags_are_rejected(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as info:
         main([argv[0], problem, *argv[1:]])
     assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # probing runs no dense scan, so it takes no dense-scan budget
+    expected = "not allowed with" if "--probe" in argv else "unrecognized arguments"
+    assert expected in capsys.readouterr().err
 
 
 def test_flags_used_by_tests_and_benchmark_parse():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -23,6 +24,9 @@ from elcomp.linalg import (
     noda_iteration,
     power_iteration,
 )
+from elcomp.problems import parse_problem
+
+from helpers import convection_pair_text
 
 
 def test_from_coo_sums_duplicates():
@@ -45,6 +49,25 @@ def test_lu_solve_matches_numpy():
     b = rng.normal(size=12)
     x = lu_solve(sp.csr_matrix(d), b)
     assert np.allclose(x, np.linalg.solve(d, b), rtol=1e-12, atol=1e-12)
+
+
+def test_lu_transposed_solve_matches_numpy():
+    rng = np.random.default_rng(12)
+    d = rng.normal(size=(12, 12)) + 12 * np.eye(12)
+    b = rng.normal(size=12)
+    x = LuFactor(sp.csr_matrix(d)).solve(b, transposed=True)
+    assert np.allclose(x, np.linalg.solve(d.T, b), rtol=1e-12, atol=1e-12)
+
+
+def test_lu_ordering_fills_less_than_colamd():
+    """Minimum degree on A + A^T against splu's default COLAMD on a 2D
+    two-species operator with convection and unequal coupling."""
+    a = parse_problem(convection_pair_text(48)).discretize().assembled("full").A
+    assert a.shape == (2 * 47 * 47,) * 2
+    ordered = LuFactor(a)._lu
+    colamd = spla.splu(a.tocsc())
+    fill = ordered.L.nnz + ordered.U.nnz
+    assert fill <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
 
 def test_lu_rejects_singular():
@@ -172,3 +195,31 @@ def test_noda_agrees_with_power_reference(off, diag):
     pad_ref = tol * (1.0 + abs(ref.rho))
     assert ref_lo - pad <= res.rho <= ref_hi + pad
     assert res.cw[0] - pad_ref <= lam_ref <= res.cw[1] + pad_ref
+
+
+@given(
+    arrays(float, (5, 5), elements=st.floats(min_value=0.01, max_value=4.0)),
+    arrays(float, (5,), elements=st.floats(min_value=-4.0, max_value=4.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_noda_left_iterate_leaves_the_right_run_alone(off, diag):
+    """On random irreducible Z-matrices the left iterate, solved through the
+    right run's factorizations, encloses the same eigenvalue on A^T, and the
+    right run is bitwise the one without it."""
+    a = sp.csr_matrix(np.diag(diag) - off * (1.0 - np.eye(5)))
+
+    def target(lam):
+        return 1e-8 * (1.0 + abs(lam))
+
+    both = noda_iteration(a, target, 50, left=True)
+    alone = noda_iteration(a, target, 50)
+    assert both.cw == alone.cw and both.rho == alone.rho
+    assert np.array_equal(both.vector, alone.vector)
+    left = both.left
+    assert left.cw[1] - left.cw[0] <= target(left.rho)
+    assert left.vector.min() > 0.0
+    ratios = (a.T @ left.vector) / left.vector
+    assert left.cw[0] >= ratios.min() and left.cw[1] <= ratios.max()
+    # both enclosures hold the principal eigenvalue
+    assert max(both.cw[0], left.cw[0]) <= min(both.cw[1], left.cw[1])
+    assert alone.iterations <= both.iterations == max(alone.iterations, left.iterations)

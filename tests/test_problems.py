@@ -295,6 +295,15 @@ def test_load_problem_rejects_non_utf8(tmp_path):
     assert "not UTF-8" in str(info.value)
 
 
+@pytest.mark.parametrize("line, offset", [("c = ³", 4), ("  c=1 + ³  # cube", 8)])
+def test_expression_error_offset_is_the_column_in_the_line(line, offset):
+    text = "[domain]\ndim = 1\nlo = 0\nhi = 1\nn = 8\n[species 1]\n" + line + "\n"
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert (info.value.line, info.value.offset) == (7, offset)
+    assert f"(line 7, offset {offset})" in str(info.value)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

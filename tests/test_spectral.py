@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from elcomp import spectral
+from elcomp import linalg, spectral
 from elcomp.certify import certify
 from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
 from elcomp.linalg import noda_iteration
 from elcomp.mesh import build_grid, sub_rectangle_mask
-from elcomp.problems import load_problem
+from elcomp.problems import load_problem, parse_problem
 from elcomp.spectral import (
     block_eigen,
     component_eigen,
@@ -21,7 +21,7 @@ from elcomp.spectral import (
     subdomain_scan,
 )
 
-from helpers import laplace_system, op_of, system_of
+from helpers import convection_pair_text, laplace_system, op_of, system_of
 
 
 def lap1d_eig(n, length=1.0):
@@ -110,16 +110,55 @@ def test_left_eigenvector_is_adjoint_root():
     assert np.abs(r).max() <= 1e-6
 
 
-def test_left_vector_is_noda_on_the_canonical_transpose():
-    d = np.array([[3.0, -2.0, 0.0], [-0.5, 2.0, -1.0], [-1.0, 0.0, 4.0]])
-    pair = principal_eigenpair(sp.csr_matrix(d), tol_eig=1e-10)
+NONSYMMETRIC = {
+    "dense3": lambda: sp.csr_matrix(
+        np.array([[3.0, -2.0, 0.0], [-0.5, 2.0, -1.0], [-1.0, 0.0, 4.0]])
+    ),
+    # x = 1 is the right eigenvector: the right iterate is done before any
+    # factorization and the left one goes on with its own shifts
+    "constant-row-sums": lambda: sp.csr_matrix(
+        np.array([[2.0, -1.0, 0.0], [0.0, 2.0, -1.0], [-0.5, -0.5, 2.0]])
+    ),
+    "convection-pair-32": lambda: parse_problem(convection_pair_text(32))
+    .discretize()
+    .assembled("cooperative")
+    .A,
+}
 
-    def width(lam):
-        return 1e-10 * (1.0 + abs(lam))
 
-    ref = noda_iteration(sp.csr_matrix(d.T), width, spectral.MAX_ITER)
-    assert np.array_equal(pair.left, ref.vector)
-    assert pair.iterations > ref.iterations > 0
+@pytest.mark.parametrize("name", list(NONSYMMETRIC))
+def test_left_vector_shares_the_right_factorizations(name, monkeypatch):
+    """One LU per shift serves both vectors; the right run is the one a
+    right-only Noda run gives, and the left vector carries its own
+    Collatz-Wielandt enclosure on A^T."""
+    a = NONSYMMETRIC[name]()
+    assert (a != a.T).nnz > 0
+    factorized = []
+    init = linalg.LuFactor.__init__
+
+    def counting(self, m):
+        factorized.append(m.shape)
+        init(self, m)
+
+    monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+    tol = 1e-10
+    pair = principal_eigenpair(a, tol_eig=tol)
+    assert len(factorized) == pair.iterations > 0
+
+    def target(lam):
+        return tol * (1.0 + abs(lam))
+
+    right = noda_iteration(a, target, spectral.MAX_ITER)
+    left = noda_iteration(a, target, spectral.MAX_ITER, left=True).left
+    # the left iterate adds factorizations only once the right one is done
+    assert pair.iterations == max(right.iterations, left.iterations)
+    assert pair.cw == right.cw and pair.value == right.rho
+    assert np.array_equal(pair.right, right.vector)
+    width = target(pair.value)
+    ratios = (a.T @ pair.left) / pair.left
+    assert pair.left.min() > 0.0 and pair.left.max() == 1.0
+    assert ratios.max() - ratios.min() <= width
+    assert ratios.min() - width <= pair.value <= ratios.max() + width
 
 
 def test_positive_offdiag_rejected():
