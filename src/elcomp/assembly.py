@@ -200,19 +200,15 @@ class AssembledSystem:
     worst_offdiag: tuple | None
     grid: Grid
     n_species: int
-    n_int: int
-    mask: SubdomainMask | None = None
     # oracle scans of A^{-1} by content of A and G (oracle.inverse_positivity)
     _oracle_cache: dict = field(default_factory=dict, repr=False)
 
 
-def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid, mask=None):
+def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid):
     """CSR (A, G) for one scalar operator from node-sampled coefficients.
 
     Conservative fluxes with arithmetic-mean face coefficients, first-order
-    upwind convection, centered cross-derivatives.  With a mask, equations
-    are restricted to masked nodes and every eliminated neighbor takes
-    homogeneous Dirichlet data (G stays empty).
+    upwind convection, centered cross-derivatives.
 
     Every row lists its stencil entries in the same order, diagonal last,
     and exact zeros are dropped, so duplicate entries are summed in a fixed
@@ -220,11 +216,6 @@ def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid, mask=None):
     """
     h = grid.h
     target = grid.interior_ids
-    row_of = grid.interior_pos
-    if mask is not None:
-        target = target[mask.inside]
-        row_of = np.full(grid.n_nodes, -1, dtype=np.int64)
-        row_of[target] = np.arange(len(target))
     n_rows = len(target)
     stride = (1, grid.shape[0])
     nodes, coeffs = [], []  # one column per stencil entry, in row order
@@ -257,17 +248,24 @@ def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid, mask=None):
     coeffs.append(diag)
     node = np.stack(nodes, axis=1)
     coeff = np.stack(coeffs, axis=1)
-    col = row_of[node]
+    col = grid.interior_pos[node]
     row = np.broadcast_to(np.arange(n_rows)[:, None], node.shape)
     nonzero = coeff != 0.0
     nonzero[:, -1] = True  # the diagonal closes every row of A, zero or not
     in_a = nonzero & (col >= 0)
     A = linalg.from_coo(n_rows, n_rows, row[in_a], col[in_a], coeff[in_a])
-    in_g = nonzero & (col < 0) & (mask is None)
+    in_g = nonzero & (col < 0)
     G = linalg.from_coo(
         n_rows, grid.n_boundary, row[in_g], grid.boundary_pos[node[in_g]], coeff[in_g]
     )
     return A, G
+
+
+def _coupling_mode(coupling) -> str:
+    """coupling if it names a mode; anything else, arrays too, is invalid."""
+    if isinstance(coupling, str) and coupling in ("full", "cooperative"):
+        return coupling
+    raise ValidationError(f"unknown coupling mode {coupling!r}")
 
 
 @dataclass
@@ -289,7 +287,7 @@ class DiscreteSystem:
     _scalar_cache: dict = field(default_factory=dict, repr=False)
     # full-domain AssembledSystem per coupling mode (assembled)
     _assembly_cache: dict = field(default_factory=dict, repr=False)
-    # eigenpairs by operator content (spectral); species subsets share it
+    # eigenpairs by operator content (spectral)
     _eigen_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -306,81 +304,50 @@ class DiscreteSystem:
             out.append(check_ellipticity_values(self.a_vals[k], self.grid))
         return out
 
-    def scalar_parts(self, k: int, mask: SubdomainMask | None = None):
-        key = (k, None if mask is None else mask.inside.tobytes())
-        if key not in self._scalar_cache:
-            self._scalar_cache[key] = _assemble_scalar_values(
-                self.a_vals[k], self.b_vals[k], self.c_vals[k], self.grid, mask
+    def scalar_parts(self, k: int):
+        """(A, G) of species k's scalar operator (0-based), built once."""
+        if k not in self._scalar_cache:
+            self._scalar_cache[k] = _assemble_scalar_values(
+                self.a_vals[k], self.b_vals[k], self.c_vals[k], self.grid
             )
-        return self._scalar_cache[key]
+        return self._scalar_cache[k]
 
     def coupling_values(self, coupling) -> np.ndarray:
-        if isinstance(coupling, str):
-            if coupling == "full":
-                return self.m_vals
-            if coupling == "cooperative":
-                return self.m_minus
-            raise ValidationError(f"unknown coupling mode {coupling!r}")
-        coupling = np.asarray(coupling, dtype=float)
-        if coupling.shape != self.m_vals.shape:
-            raise ValidationError(
-                f"custom coupling must have shape {self.m_vals.shape}"
-            )
-        return coupling
+        """m_vals ("full") or m_minus ("cooperative")."""
+        return self.m_vals if _coupling_mode(coupling) == "full" else self.m_minus
 
-    def species_subset(self, species) -> "DiscreteSystem":
-        """Restriction to a subset of species (0-based indices, kept order).
-
-        The subset starts with the stencils already assembled here.
-        """
-        ix = np.asarray(species, dtype=int)
-        new_index = {int(k): i for i, k in enumerate(ix)}
-        scalar = {
-            (new_index[k], mask): parts
-            for (k, mask), parts in self._scalar_cache.items()
-            if k in new_index
-        }
-        return DiscreteSystem(
-            self.grid,
-            len(ix),
-            self.a_vals[ix],
-            self.b_vals[ix],
-            self.c_vals[ix],
-            self.m_vals[np.ix_(ix, ix)],
-            self.f_vals[ix],
-            self.g_vals[ix],
-            _scalar_cache=scalar,
-            _eigen_cache=self._eigen_cache,
-        )
-
-    def assembled(self, coupling="full", mask: SubdomainMask | None = None):
-        """assemble(coupling, mask), built once per string coupling mode on
-        the full domain.
+    def assembled(self, coupling="full") -> AssembledSystem:
+        """assemble(coupling), built once per coupling mode.
 
         The stages of a run share that AssembledSystem, and with it the
         oracle scan kept on it, so it must not be modified.
         """
-        if mask is not None or not isinstance(coupling, str):
-            return self.assemble(coupling, mask)
-        if coupling not in self._assembly_cache:
+        if _coupling_mode(coupling) not in self._assembly_cache:
             self._assembly_cache[coupling] = self.assemble(coupling)
         return self._assembly_cache[coupling]
 
-    def assemble(
-        self, coupling="full", mask: SubdomainMask | None = None
-    ) -> AssembledSystem:
+    def block(self, coupling, species, mask: SubdomainMask | None = None):
+        """Principal submatrix of assembled(coupling).A on the given species
+        (0-based) at the masked interior nodes, species-major.
+
+        Zero Dirichlet data on the unknowns left out deletes their rows and
+        columns, so this is the operator of the species block on the
+        subdomain.
+        """
+        n_int = self.grid.n_interior
+        nodes = np.arange(n_int) if mask is None else np.flatnonzero(mask.inside)
+        ix = (np.asarray(species, dtype=np.int64)[:, None] * n_int + nodes).ravel()
+        return self.assembled(coupling).A[ix][:, ix]
+
+    def assemble(self, coupling="full") -> AssembledSystem:
         grid = self.grid
         n = self.n_species
         m_sel = self.coupling_values(coupling)
-        if mask is None:
-            target = grid.interior_ids
-        else:
-            target = grid.interior_ids[mask.inside]
-        n_int = len(target)
+        target = grid.interior_ids
         blocks_a = [[None] * n for _ in range(n)]
         blocks_g = [[None] * n for _ in range(n)]
         for k in range(n):
-            A_k, G_k = self.scalar_parts(k, mask)
+            A_k, G_k = self.scalar_parts(k)
             for l in range(n):
                 coupl = sp.diags(m_sel[k, l][target], format="csr")
                 if l == k:
@@ -393,13 +360,10 @@ class DiscreteSystem:
         G = sp.bmat(blocks_g, format="csr")
         G.sort_indices()
         f_vec = self.f_vals[:, target].reshape(-1)
-        if mask is None:
-            g_vec = self.g_vals[:, grid.boundary_ids].reshape(-1)
-        else:
-            g_vec = np.zeros(n * grid.n_boundary)
-        is_z, worst_pos, _, offdiag_max = check_z_matrix(A, n, n_int)
+        g_vec = self.g_vals[:, grid.boundary_ids].reshape(-1)
+        is_z, worst_pos, _, offdiag_max = check_z_matrix(A, n, grid.n_interior)
         return AssembledSystem(
-            A, G, f_vec, g_vec, is_z, offdiag_max, worst_pos, grid, n, n_int, mask
+            A, G, f_vec, g_vec, is_z, offdiag_max, worst_pos, grid, n
         )
 
     # ---------------------------------------------------- species structure
@@ -420,12 +384,9 @@ class DiscreteSystem:
         return float(self.m_vals[j, j][ids].max()) > COUPLING_NONZERO
 
 
-def assemble_system(
-    spec, coupling="full", mask: SubdomainMask | None = None
-) -> AssembledSystem:
+def assemble_system(spec, coupling="full") -> AssembledSystem:
     """Block assembly of a SystemSpec or DiscreteSystem."""
-    ds = as_discrete(spec)
-    return ds.assemble(coupling, mask)
+    return as_discrete(spec).assemble(coupling)
 
 
 def as_discrete(spec) -> DiscreteSystem:

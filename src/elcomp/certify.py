@@ -512,8 +512,8 @@ def _thm5_chain(ds, lams, eps, order0, pairs):
             wt[j] = pairs[j].right
             fallback = True
             continue
-        asys = ds.species_subset([j]).assemble("cooperative")
-        shifted = (asys.A - (lams[j] - eps) * sp.identity(asys.A.shape[0])).tocsr()
+        a = ds.block("cooperative", [j])
+        shifted = (a - (lams[j] - eps) * sp.identity(a.shape[0])).tocsr()
         w = lu_solve(shifted, rhs)
         if float(w.min()) <= 0.0:
             return None

@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     decision = sub.add_mutually_exclusive_group()
     oracle_budget(decision)
     decision.add_argument("--probe", type=int, metavar="T", help="random probing only")
-    sub.add_argument("--seed", type=int, default=0, help="seed of --probe")
+    sub.add_argument("--seed", type=int, help="seed of --probe (default 0)")
 
     sub = command("solve", "solve the fully coupled system")
     rhs = sub.add_mutually_exclusive_group(required=True)
@@ -181,7 +181,7 @@ def _cmd_oracle(args, spec):
             raise StructureUnsupported(f"no sign gauge: {reason}")
     if args.probe is not None:
         report = oracle_mod.random_probe(
-            asys, args.probe, seed=args.seed, gauge=sigma
+            asys, args.probe, seed=args.seed or 0, gauge=sigma
         )
     else:
         report = oracle_mod.inverse_positivity(
@@ -330,7 +330,10 @@ def run(command: str, flags) -> int:
 def main(argv=None) -> int:
     from . import __version__
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.probe is None:
+        parser.error("argument --seed: only allowed with --probe, which reads it")
     started = time.perf_counter()
     payload = {
         "command": args.command,

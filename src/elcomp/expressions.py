@@ -379,9 +379,5 @@ def sample_field(e: Expr, grid):
     return vals
 
 
-ZERO = Num(0.0)
-ONE = Num(1.0)
-
-
 def const(v: float) -> Expr:
     return Num(float(v))

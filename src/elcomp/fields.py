@@ -55,19 +55,15 @@ def block_from_exprs(grid: Grid, exprs) -> BlockField:
 
 
 def block_from_solution(
-    grid: Grid, n_species: int, u_int: np.ndarray, g_vec: np.ndarray, mask=None
+    grid: Grid, n_species: int, u_int: np.ndarray, g_vec: np.ndarray
 ) -> BlockField:
-    """Embed an interior solution vector and boundary data into a full field.
-
-    With a mask, nodes outside the mask get value 0 (their Dirichlet data).
-    """
+    """Embed an interior solution vector and boundary data (zero when g_vec
+    is None) into a full field."""
     values = np.zeros((n_species, grid.n_nodes))
-    if mask is None:
-        target = grid.interior_ids
-    else:
-        target = grid.interior_ids[mask.inside]
-    values[:, target] = np.asarray(u_int, dtype=float).reshape(n_species, len(target))
-    if mask is None and g_vec is not None:
+    values[:, grid.interior_ids] = np.asarray(u_int, dtype=float).reshape(
+        n_species, grid.n_interior
+    )
+    if g_vec is not None:
         values[:, grid.boundary_ids] = np.asarray(g_vec, dtype=float).reshape(
             n_species, grid.n_boundary
         )

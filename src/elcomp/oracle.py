@@ -116,7 +116,7 @@ def _scan_inverse(asys: AssembledSystem):
     that holds such an r to the last, then folded into bnd and dropped.
     """
     a, g = asys.A, asys.G
-    n, n_int, ns = a.shape[0], asys.n_int, asys.n_species
+    n, n_int, ns = a.shape[0], asys.grid.n_interior, asys.n_species
     n_bnd = asys.grid.n_boundary
     lu = LuFactor(a)
     inv, bnd = {}, {}
@@ -197,10 +197,7 @@ def verify_subsolution(asys: AssembledSystem, u, g_data=None, tol_res: float = T
     if isinstance(u, BlockField):
         if u.grid != asys.grid or u.n_species != asys.n_species:
             raise DimMismatch("field does not match the assembled system")
-        if asys.mask is None:
-            u_int = u.interior.reshape(-1)
-        else:
-            u_int = u.interior[:, asys.mask.inside].reshape(-1)
+        u_int = u.interior.reshape(-1)
         if g_data is None:
             g_data = u.boundary.reshape(-1)
     else:
@@ -240,7 +237,7 @@ def random_probe(
     sigma, signs = _signs(asys, gauge)
     if trials < 1:
         raise ValidationError(f"random probe needs at least 1 trial, got {trials}")
-    d = np.repeat(signs, asys.n_int)
+    d = np.repeat(signs, asys.grid.n_interior)
     report = OracleReport(
         True, None, None, None, None, dof, sigma, sampled=True, trials=int(trials)
     )

@@ -81,8 +81,8 @@ def principal_eigenpair(
 def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int) -> EigenPair:
     """principal_eigenpair(a), solved once per operator content on ds.
 
-    The memo lives on the system (shared with its species subsets), so
-    nothing outlives the run; cached vectors are read-only.
+    The memo lives on the system, so nothing outlives the run; cached
+    vectors are read-only.
     """
     key = (linalg.content_key(a), tol_eig, max_iter)
     if key not in ds._eigen_cache:
@@ -93,6 +93,28 @@ def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int) -> EigenPair:
     return ds._eigen_cache[key]
 
 
+def block_eigen(
+    spec,
+    species,
+    tol_eig: float = TOL_EIG,
+    max_iter: int = MAX_ITER,
+    mask: SubdomainMask | None = None,
+) -> EigenPair:
+    """Principal eigenpair of the cooperative part restricted to a species
+    block (0-based species) and a subdomain: a principal submatrix of the
+    full-domain cooperative operator (DiscreteSystem.block)."""
+    ds = as_discrete(spec)
+    a = ds.block("cooperative", species, mask)
+    is_z, pos, worst, _ = check_z_matrix(a, n_int=a.shape[0] // len(species))
+    if not is_z:
+        raise NotZMatrix(
+            f"cooperative part has positive off-diagonal {worst:.6g} at {pos}",
+            position=pos,
+            value=worst,
+        )
+    return _memo_eigenpair(ds, a, tol_eig, max_iter)
+
+
 def cooperative_eigen(
     spec,
     tol_eig: float = TOL_EIG,
@@ -101,32 +123,7 @@ def cooperative_eigen(
 ) -> EigenPair:
     """Principal eigenpair of the cooperative part L + M_minus."""
     ds = as_discrete(spec)
-    asys = ds.assembled("cooperative", mask)
-    if not asys.z_matrix:
-        raise NotZMatrix(
-            f"cooperative part has positive off-diagonal {asys.offdiag_max:.6g} "
-            f"at {asys.worst_offdiag}",
-            position=asys.worst_offdiag,
-            value=asys.offdiag_max,
-        )
-    return _memo_eigenpair(ds, asys.A, tol_eig, max_iter)
-
-
-def block_eigen(
-    spec,
-    species,
-    tol_eig: float = TOL_EIG,
-    max_iter: int = MAX_ITER,
-    mask: SubdomainMask | None = None,
-) -> EigenPair:
-    """Cooperative eigenpair of the system restricted to a species subset.
-
-    species are 0-based here (internal block helper).
-    """
-    ds = as_discrete(spec)
-    if list(species) != list(range(ds.n_species)):
-        ds = ds.species_subset(species)
-    return cooperative_eigen(ds, tol_eig, max_iter, mask)
+    return block_eigen(ds, range(ds.n_species), tol_eig, max_iter, mask)
 
 
 def component_eigen(
@@ -138,8 +135,7 @@ def component_eigen(
 ) -> EigenPair:
     """Principal eigenpair of the scalar block L_j + m_jj_minus (j 1-based)."""
     ds = as_discrete(spec)
-    k = _species_index(j, ds.n_species)
-    return block_eigen(ds, [k], tol_eig, max_iter, mask)
+    return block_eigen(ds, [_species_index(j, ds.n_species)], tol_eig, max_iter, mask)
 
 
 @dataclass

@@ -38,9 +38,9 @@ def laplace_system(grid, c=0.0, m=None, n_species=1, f=None, g=None):
     return system_of(grid, ops, m=m, f=f, g=g)
 
 
-def scalar_parts_of(op, grid, mask=None):
+def scalar_parts_of(op, grid):
     """(A, G) of one scalar operator, sampled and assembled as a system."""
-    return as_discrete(system_of(grid, (op,))).scalar_parts(0, mask)
+    return as_discrete(system_of(grid, (op,))).scalar_parts(0)
 
 
 def convection_pair_text(n):

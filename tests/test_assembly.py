@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,8 +19,8 @@ from elcomp.assembly import (
 from elcomp.certify import certify
 from elcomp.errors import NonEllipticCoefficient, ValidationError
 from elcomp.expressions import parse_expr
-from elcomp.linalg import dense_inverse
-from elcomp.mesh import SubdomainMask, build_grid, sub_rectangle_mask
+from elcomp.linalg import content_key, dense_inverse
+from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.problems import load_problem
 
 from helpers import laplace_system, op_of, scalar_parts_of, system_of
@@ -187,51 +187,88 @@ def test_cooperative_coupling_drops_positive_part():
 def test_masked_assembly_restricts_and_zeroes_boundary():
     grid = build_grid(1, (0.0,), (1.0,), (8,))
     mask = sub_rectangle_mask(grid, (0.25,), (0.75,))
-    spec = laplace_system(grid, f=[1.0])
-    asys = assemble_system(spec, mask=mask)
-    assert asys.n_int == 3
-    assert asys.A.shape == (3, 3)
-    assert asys.G.nnz == 0
-    assert np.allclose(asys.g_vec, 0.0)
-    # same tridiagonal stencil as an unmasked grid of the same spacing
+    ds = as_discrete(laplace_system(grid, f=[1.0]))
+    # same tridiagonal stencil as an unmasked grid of the same spacing: the
+    # cut-off neighbours carry zero data and drop out
     expected = 64.0 * np.array(
         [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
     )
-    assert np.array_equal(asys.A.toarray(), expected)
+    assert np.array_equal(ds.block("full", [0], mask).toarray(), expected)
 
 
 @st.composite
-def _masked_operator(draw):
-    """One species with random diffusion (cross terms in 2D), convection and
-    reaction on a small grid, plus a random nonempty mask."""
+def _integer_grid_system(draw):
+    """Up to three species with random diffusion (cross terms in 2D),
+    convection, reaction and coupling, about a third of them exact zeros, on
+    a grid of unit spacing, so that every sub-rectangle with integer corners
+    has the same, exact h."""
     dim = draw(st.sampled_from((1, 2)))
-    grid = build_grid(dim, 0.0, 1.0, draw(st.integers(3, 7 if dim == 2 else 12)))
-    nn = grid.n_nodes
-    coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-    a = draw(arrays(float, (1, dim, dim, nn), elements=coeff))
+    cells = tuple(draw(st.integers(3, 7 if dim == 2 else 12)) for _ in range(dim))
+    n = draw(st.integers(1, 3))
+    grid = build_grid(dim, 0.0, cells, cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(*shape):
+        v = rng.uniform(-2.0, 2.0, (*shape, grid.n_nodes))
+        return np.where(rng.random(v.shape) < 0.35, 0.0, v)
+
+    a = values(n, dim, dim)
     for d in range(dim):
-        a[0, d, d] = np.abs(a[0, d, d]) + 0.5
-    b = draw(arrays(float, (1, dim, nn), elements=coeff))
-    c = draw(arrays(float, (1, nn), elements=coeff))
-    inside = draw(arrays(bool, grid.n_interior))
-    assume(inside.any())
-    zeros = np.zeros((1, nn))
-    ds = DiscreteSystem(grid, 1, a, b, c, zeros[None], zeros, zeros)
-    return ds, SubdomainMask(grid, inside)
+        a[:, d, d] = np.abs(a[:, d, d]) + 0.5
+    ds = DiscreteSystem(
+        grid, n, a, values(n, dim), values(n), values(n, n), values(n), values(n)
+    )
+    return ds, draw(st.sampled_from(("full", "cooperative")))
 
 
-@given(_masked_operator())
+@given(_integer_grid_system(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_masked_assembly_is_restriction(case):
-    """Masked rows equal the full operator restricted to the mask's rows and
-    columns; eliminated neighbours carry zero data, so G is empty."""
-    ds, mask = case
-    A_full, _ = ds.scalar_parts(0)
-    A, G = ds.scalar_parts(0, mask)
-    ix = np.flatnonzero(mask.inside)
-    assert np.array_equal(A.toarray(), A_full[ix][:, ix].toarray())
-    assert G.shape == (len(ix), ds.grid.n_boundary)
-    assert G.nnz == 0
+def test_masked_assembly_is_restriction(case, data):
+    """The block on a rectangular mask is, bit for bit, the operator
+    assembled on the sub-grid the mask cuts out, from the same node values."""
+    ds, coupling = case
+    grid = ds.grid
+    lo, hi = [], []
+    for cells in grid.n:
+        i0 = data.draw(st.integers(0, cells - 3))
+        lo.append(i0)
+        hi.append(data.draw(st.integers(i0 + 3, cells)))
+    mask = sub_rectangle_mask(grid, lo, hi)
+    sub_grid = build_grid(grid.dim, lo, hi, np.subtract(hi, lo))
+    on_sub = np.all((grid.coords >= lo) & (grid.coords <= hi), axis=1)
+    nodes = np.flatnonzero(on_sub)  # canonical order, as on the sub-grid
+    sub = DiscreteSystem(
+        sub_grid,
+        ds.n_species,
+        *(v[..., nodes] for v in (ds.a_vals, ds.b_vals, ds.c_vals, ds.m_vals,
+                                  ds.f_vals, ds.g_vals)),
+    )
+    block = ds.block(coupling, range(ds.n_species), mask)
+    assert content_key(block) == content_key(sub.assemble(coupling).A)
+
+
+@given(_integer_grid_system(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_species_block_is_restriction(case, data):
+    """The block of a species subset is, bit for bit, the operator of a
+    system built from those species' coefficient arrays alone."""
+    ds, coupling = case
+    species = data.draw(
+        st.lists(st.integers(0, ds.n_species - 1), min_size=1, unique=True).map(sorted)
+    )
+    ix = np.array(species)
+    sub = DiscreteSystem(
+        ds.grid,
+        len(ix),
+        ds.a_vals[ix],
+        ds.b_vals[ix],
+        ds.c_vals[ix],
+        ds.m_vals[np.ix_(ix, ix)],
+        ds.f_vals[ix],
+        ds.g_vals[ix],
+    )
+    block = ds.block(coupling, species)
+    assert content_key(block) == content_key(sub.assemble(coupling).A)
 
 
 def test_boundary_data_vector_layout():
@@ -254,28 +291,33 @@ def test_species_structure_queries():
     pat = ds.plus_offdiag_pattern()
     assert pat[1, 2] and pat.sum() == 1
     assert not ds.plus_diag_nonzero(0)
-    sub = ds.species_subset([1, 2])
-    assert sub.n_species == 2
-    assert float(sub.m_vals[0, 1].max()) == 0.5
+    # species 2 and 3 keep their coupling in their block
+    block = ds.block("full", [1, 2]).toarray()
+    n_int = grid.n_interior
+    assert np.array_equal(np.diag(block[:n_int, n_int:]), np.full(n_int, 0.5))
 
 
-def test_species_subset_keeps_operators():
+def test_species_block_keeps_operators():
     grid = build_grid(1, (0.0,), (1.0,), (4,))
     ops = (op_of(1, c=1.0), op_of(1, c=7.0))
-    spec = system_of(grid, ops)
-    ds = as_discrete(spec).species_subset([1])
-    asys = ds.assemble()
+    ds = as_discrete(system_of(grid, ops))
     # diagonal picks up c = 7
-    assert asys.A.toarray()[0, 0] == pytest.approx(32.0 + 7.0)
+    assert ds.block("full", [1]).toarray()[0, 0] == pytest.approx(32.0 + 7.0)
 
 
 def test_coupling_values_validation():
+    """Only the two mode names select a coupling; an array of the coupling's
+    own shape is no mode either, and is not compared elementwise."""
     grid = build_grid(1, (0.0,), (1.0,), (4,))
-    ds = as_discrete(laplace_system(grid))
-    with pytest.raises(ValidationError):
-        ds.coupling_values("weird")
-    with pytest.raises(ValidationError):
-        ds.coupling_values(np.zeros((2, 2, 3)))
+    ds = as_discrete(laplace_system(grid, n_species=2))
+    for coupling in ("weird", ds.m_vals.copy(), None):
+        with pytest.raises(ValidationError) as info:
+            ds.coupling_values(coupling)
+        assert info.value.exit_code == 2
+        for build in (ds.assemble, ds.assembled, lambda c: ds.block(c, [0])):
+            with pytest.raises(ValidationError):
+                build(coupling)
+    assert ds._assembly_cache == {}
 
 
 def test_spec_validation_rejects_bad_shapes():
@@ -317,8 +359,9 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
     "name", ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure"]
 )
 def test_certify_assembles_each_stencil_once(name, monkeypatch):
-    """Species subsets start with the parent's stencils, so a two-species
-    certify assembles two scalar stencils whatever route it takes."""
+    """Every restricted operator is a slice of the full-domain assembly, so
+    a two-species certify assembles two scalar stencils whatever route it
+    takes."""
     calls = []
     build = assembly._assemble_scalar_values
 
@@ -331,6 +374,23 @@ def test_certify_assembles_each_stencil_once(name, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure", "lap1d"],
+)
+def test_certify_assembles_once_per_coupling_mode(name, monkeypatch):
+    modes = []
+    build = DiscreteSystem.assemble
+
+    def counting(self, coupling="full"):
+        modes.append(coupling)
+        return build(self, coupling)
+
+    monkeypatch.setattr(DiscreteSystem, "assemble", counting)
+    certify(load_problem(DATA / f"{name}.prob"), with_oracle=True)
+    assert sorted(modes) == ["cooperative", "full"]
+
+
 def test_assembled_is_kept_per_mode_on_the_full_domain():
     grid = build_grid(1, (0.0,), (1.0,), (8,))
     ds = laplace_system(grid, n_species=2, m=[["0", "0.5"], ["-1", "0"]]).discretize()
@@ -339,8 +399,11 @@ def test_assembled_is_kept_per_mode_on_the_full_domain():
     assert ds.assembled("cooperative") is ds.assembled("cooperative")
     assert ds.assembled("cooperative") is not full
     assert ds.assemble("full") is not full  # assemble always builds
+    # blocks are slices: they neither assemble nor touch the shared matrix
+    key = content_key(full.A)
     mask = sub_rectangle_mask(grid, (0.0,), (0.5,))
-    assert ds.assembled("full", mask) is not ds.assembled("full", mask)
-    sub = ds.species_subset([1])
-    assert sub.scalar_parts(0) is ds.scalar_parts(1)
-    assert sub.assembled("full") is not full
+    ds.block("full", [1], mask).data[:] = 0.0
+    assert ds.block("full", [1], mask).nnz > 0
+    assert content_key(full.A) == key
+    assert sorted(ds._assembly_cache) == ["cooperative", "full"]
+    assert sorted(ds._scalar_cache) == [0, 1]

@@ -481,6 +481,7 @@ def test_help_lists_only_the_flags_read(capsys):
         ["gauge", "--tol-eig", "1"],
         ["certify", "--seed", "1"],
         ["oracle", "--probe", "5", "--oracle-max-dof", "1"],
+        ["oracle", "--seed", "5"],
     ],
 )
 def test_unread_flags_are_rejected(tmp_path, argv, capsys):
@@ -488,8 +489,14 @@ def test_unread_flags_are_rejected(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as info:
         main([argv[0], problem, *argv[1:]])
     assert info.value.code == 2
-    # probing runs no dense scan, so it takes no dense-scan budget
-    expected = "not allowed with" if "--probe" in argv else "unrecognized arguments"
+    if "--probe" in argv:
+        # probing runs no dense scan, so it takes no dense-scan budget
+        expected = "not allowed with"
+    elif argv[0] == "oracle":
+        # the seed is read only by probing
+        expected = "--seed: only allowed with --probe"
+    else:
+        expected = "unrecognized arguments"
     assert expected in capsys.readouterr().err
 
 

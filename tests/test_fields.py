@@ -14,7 +14,7 @@ from elcomp.fields import (
     load_fields,
     save_fields,
 )
-from elcomp.mesh import build_grid, sub_rectangle_mask
+from elcomp.mesh import build_grid
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
@@ -107,17 +107,10 @@ def test_block_from_solution_full():
     assert np.array_equal(block.interior[0], [1.0, 2.0, 3.0])
     assert np.array_equal(block.boundary[1], [-10.0, -20.0])
     assert block.component(0)[1] == 1.0
-
-
-def test_block_from_solution_masked_pads_zero():
-    grid = build_grid(1, (0.0,), (1.0,), (8,))
-    mask = sub_rectangle_mask(grid, (0.25,), (0.75,))
-    u = np.array([5.0, 6.0, 7.0])
-    block = block_from_solution(grid, 1, u, None, mask=mask)
-    vals = block.values[0]
-    assert np.array_equal(vals[[3, 4, 5]], u)
-    rest = np.delete(vals, [3, 4, 5])
-    assert np.array_equal(rest, np.zeros(len(rest)))
+    # without boundary data the boundary nodes are zero
+    block = block_from_solution(grid, 2, u_int, None)
+    assert np.array_equal(block.interior, u_int.reshape(2, 3))
+    assert np.array_equal(block.boundary, np.zeros((2, 2)))
 
 
 def test_save_rejects_wrong_length(tmp_path):

@@ -168,7 +168,7 @@ def _reference(asys, gauge):
     product with D G D_b: (min_entry, witness, inverse_positive,
     min_boundary_entry, boundary_monotone)."""
     signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
-    d = sp.diags(np.repeat(signs, asys.n_int))
+    d = sp.diags(np.repeat(signs, asys.grid.n_interior))
     d_bnd = sp.diags(np.repeat(signs, asys.grid.n_boundary))
     inv = dense_inverse((d @ asys.A @ d).tocsr(), max_dof=10**6)
     scale = float(np.abs(inv).max())

@@ -1,5 +1,6 @@
 """Principal eigenvalues against closed forms for the discrete Laplacian."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from elcomp import linalg, spectral
+from elcomp import assembly, linalg, spectral
 from elcomp.certify import certify
 from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
 from elcomp.linalg import noda_iteration
@@ -175,8 +176,7 @@ def test_positive_offdiag_rejected():
     with pytest.raises(NotIrreducible):
         cooperative_eigen(spec)
     # a single species block is fine
-    pair = cooperative_eigen(spec.discretize().species_subset([0]))
-    assert pair.value > 0.0
+    assert component_eigen(spec, 1).value > 0.0
 
 
 def test_not_irreducible_rejected():
@@ -243,7 +243,7 @@ def test_roundoff_floor_stops_at_once():
 
 def test_scalar_cache_keyed_by_mask_content():
     """Rebinding one name to new masks on one system must not reuse the
-    assembly of an earlier, garbage-collected mask."""
+    operator or eigenpair of an earlier, garbage-collected mask."""
     grid = build_grid(1, (0.0,), (1.0,), (32,))
     spec = laplace_system(grid, c="100*x")
     ds = spec.discretize()
@@ -252,6 +252,34 @@ def test_scalar_cache_keyed_by_mask_content():
         value = cooperative_eigen(ds, mask=m).value
         fresh = cooperative_eigen(spec.discretize(), mask=m).value
         assert value == pytest.approx(fresh, rel=1e-12), (lo, hi)
+
+
+def test_subdomain_scan_builds_each_stencil_once(monkeypatch):
+    """Every subdomain is a slice of the one full-domain assembly, so a
+    two-species scan builds two stencils.  Each value is the eigenvalue of
+    the system posed on its sub-rectangle, whose dyadic nodes take the same
+    coefficient values."""
+    calls = []
+    build = assembly._assemble_scalar_values
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(assembly, "_assemble_scalar_values", counting)
+    spec = parse_problem(convection_pair_text(16))
+    ds = spec.discretize()
+    scan = subdomain_scan(ds, 2)
+    assert len(calls) == 2
+    assert sorted(ds._scalar_cache) == [0, 1]
+    assert len(scan.entries) == 100
+    grid = spec.grid
+    for mask, value in scan.entries:
+        pts = grid.coords[grid.interior_ids[mask.inside]]
+        lo, hi = pts.min(axis=0) - grid.h, pts.max(axis=0) + grid.h
+        cells = np.rint((hi - lo) / grid.h).astype(int)
+        sub = dataclasses.replace(spec, grid=build_grid(2, lo, hi, cells))
+        assert cooperative_eigen(sub).value == value
 
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
@@ -287,7 +315,7 @@ def test_eigen_memo_is_per_system_and_read_only(monkeypatch):
     spec = laplace_system(grid, n_species=2)
     ds = spec.discretize()
     first = component_eigen(ds, 1)
-    # species 2 has the same operator; subsets look up in the parent's memo
+    # species 2 has the same operator; every block looks up in the system's memo
     assert block_eigen(ds, [1]) is first
     assert component_eigen(ds, 2) is first
     assert len(calls) == 1
