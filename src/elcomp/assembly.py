@@ -161,7 +161,7 @@ def check_ellipticity_values(a_vals: np.ndarray, grid: Grid):
     return lam_min, lam_max
 
 
-def check_z_matrix(a: sp.spmatrix, n_species: int = 1, n_int: int | None = None):
+def check_z_matrix(a: sp.spmatrix, n_int: int | None = None):
     """(is_z, worst_position, worst_value, offdiag_max) for positive off-diagonals.
 
     worst_position is (row, col); with n_int given it becomes
@@ -361,7 +361,7 @@ class DiscreteSystem:
         G.sort_indices()
         f_vec = self.f_vals[:, target].reshape(-1)
         g_vec = self.g_vals[:, grid.boundary_ids].reshape(-1)
-        is_z, worst_pos, _, offdiag_max = check_z_matrix(A, n, grid.n_interior)
+        is_z, worst_pos, _, offdiag_max = check_z_matrix(A, grid.n_interior)
         return AssembledSystem(
             A, G, f_vec, g_vec, is_z, offdiag_max, worst_pos, grid, n
         )

@@ -203,6 +203,7 @@ def _record_eigen(verdict: Verdict, key: str, pair) -> None:
         "value": pair.value,
         "cw": list(pair.cw),
         "iterations": pair.iterations,
+        "solves": pair.solves,
         "residual": pair.residual,
     }
 

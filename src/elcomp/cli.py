@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iter",
         type=int,
         default=MAX_ITER,
-        help="cap on the LU factorizations of each eigen run",
+        help="cap on the LU factorizations of each eigen run (the solves "
+        "with a kept factorization are not counted)",
     )
     condition = group()
     condition.add_argument("--tol-cond", type=float, default=TOL_COND)
@@ -159,12 +160,16 @@ def _cmd_eigen(args, spec):
         which = "cooperative system"
     print(f"lambda ({which}): {pair.value!r}")
     print(f"enclosure: [{pair.cw[0]!r}, {pair.cw[1]!r}]")
-    print(f"iterations: {pair.iterations}  residual: {pair.residual:.3e}")
+    print(
+        f"iterations: {pair.iterations}  solves: {pair.solves}"
+        f"  residual: {pair.residual:.3e}"
+    )
     return {
         "lambda": pair.value,
         "cw": list(pair.cw),
         "component": args.component,
         "iterations": pair.iterations,
+        "solves": pair.solves,
         "residual": pair.residual,
         "dof": len(pair.right),
     }

@@ -4,8 +4,9 @@ Storage and factorization lean on scipy (CSR + SuperLU).  Every LU orders
 its columns by minimum degree on A + A^T; that ordering depends only on the
 sparsity pattern, so a sign-flipped D A D shares A's ordering and pivots.
 The certified eigenvalue machinery is implemented here: Noda's shifted
-inverse iteration for irreducible Z-matrices, one factorization per shift
-for both eigenvectors, and the shifted power iteration for nonnegative
+inverse iteration for irreducible Z-matrices, which keeps a shift's
+factorization while its solves keep halving the enclosure and serves both
+eigenvectors from it, and the shifted power iteration for nonnegative
 matrices that serves as its reference.  Both carry Collatz-Wielandt
 enclosures.
 """
@@ -31,6 +32,9 @@ PIVOT_RTOL = 1e-14
 # Noda iteration: widths within this factor of the ratios' rounding level
 # count as the roundoff floor
 FLOOR_FACTOR = 100.0
+# Noda iteration: a shift's LU is kept while each solve with it cuts the lead
+# iterate's enclosure width to at most this fraction
+REUSE_FACTOR = 0.5
 
 
 def from_coo(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_matrix:
@@ -113,6 +117,7 @@ class PowerResult:
     iterations: int
     history: list | None = None
     left: PowerResult | None = None
+    solves: int = 0
 
     def __iter__(self):
         # unpacks as (rho, vector, cw)
@@ -194,8 +199,10 @@ class _NodaIterate:
         self.solves = 0
         self.result = None
 
-    def enclose(self, width_target) -> bool:
-        """Intersect the ratios (b x)/x into [lo, hi]; True while still open."""
+    def enclose(self, width_target, factorizations: int) -> bool:
+        """Intersect the ratios (b x)/x into [lo, hi]; True while still open.
+        A closed iterate's result counts the run's factorizations so far
+        and its own solves."""
         bx = self.b @ self.x
         ratios = bx / self.x
         self.lo = max(self.lo, float(ratios.min()))
@@ -203,19 +210,27 @@ class _NodaIterate:
         self.lam = min(max(float(self.x @ bx) / float(self.x @ self.x), self.lo), self.hi)
         width = self.hi - self.lo
         if width <= width_target(self.lam):
-            self.result = PowerResult(self.lam, self.x, (self.lo, self.hi), self.solves)
+            self.result = PowerResult(
+                self.lam, self.x, (self.lo, self.hi), factorizations, solves=self.solves
+            )
             return False
         self.widths.append(width)
         return True
 
+    def halved(self) -> bool:
+        """Whether the last solve cut the width to REUSE_FACTOR of the one
+        before it."""
+        w = self.widths
+        return len(w) >= 2 and w[-1] <= REUSE_FACTOR * w[-2]
+
     def stalled(self) -> float | None:
         """The rounding level of the ratios when the width has stopped
         shrinking near it, else None."""
-        floor = self.rounding * float((self.abs_b @ self.x / self.x).max())
         w = self.widths
-        if len(w) >= 3 and w[-1] > 0.5 * w[-3] and w[-1] <= FLOOR_FACTOR * floor:
-            return floor
-        return None
+        if len(w) < 3 or w[-1] <= 0.5 * w[-3]:
+            return None  # still shrinking: the level, a matvec, is not needed
+        floor = self.rounding * float((self.abs_b @ self.x / self.x).max())
+        return floor if w[-1] <= FLOOR_FACTOR * floor else None
 
     def fail(self, reason: str, factorizations: int) -> NoConvergence:
         side = "left " if self.transposed else ""
@@ -235,23 +250,40 @@ def noda_iteration(
     From x = 1, each step intersects the Collatz-Wielandt ratios (Ax)/x into
     the running enclosure [lo, hi] of the principal eigenvalue lambda, then
     solves (A - mu*I) y = x and sets x = y / max y.  mu < lambda keeps the
-    shifted matrix a nonsingular M-matrix, so y stays positive, and mu
-    converges to lambda superlinearly (T. Noda, Numer. Math. 17 (1971)
-    382-386).  The result's rho is lambda, the Rayleigh quotient clamped into
-    the enclosure; iterations counts LU factorizations, capped by max_iter.
+    shifted matrix a nonsingular M-matrix, so y stays positive, and Noda's
+    shifts mu = lo converge to lambda superlinearly (T. Noda, Numer. Math. 17
+    (1971) 382-386).  The result's rho is lambda, the Rayleigh quotient
+    clamped into the enclosure.
+
+    A shift's LU is kept, and solved with again, as long as the last solve
+    with it cut the lead iterate's width to at most REUSE_FACTOR of the
+    width before; when a step falls short, A - mu*I is factorized again at
+    the current Noda shift (in the spirit of Jia, Lin and Liu's inexact Noda
+    iteration, Numer. Math. 130 (2015) 645-679).  At a fixed mu the width
+    contracts like (lambda - mu) / (lambda_2 - mu), a ratio of eigenvalue
+    gaps that does not grow with the mesh, so the factorization count does
+    not either.  iterations counts the LU factorizations and is capped by
+    max_iter; solves counts the solves with them.  The solves stay bounded
+    too: each solve on a kept LU follows one that halved the lead's width,
+    widths never grow, and an iterate is open only above the target, so
+    beyond one step per factorization there are at most
+    log2(first width / target) such steps per leading iterate.
 
     Noda's own shift mu = lo often reaches lambda to the last bits one step
     before hi closes in, making A - mu*I singular to working precision, so
     mu is held one target width below lo; (lambda - mu) / gap stays tiny.
 
     With left=True a left iterate runs on A^T alongside and is returned as
-    the result's left (a PowerResult counting its own solves).  It shares
-    each step's factorization of A - mu*I, at the right iterate's shift,
-    and is solved through the transposed factor; mu < lambda keeps it
-    positive as well.  It keeps its own enclosure and stops when that meets
-    the width target.  If it is still open when the right iterate is done,
-    it goes on with its own shifts, so the right iterate's shifts, enclosure
-    and vector are those of a run without it.
+    the result's left: a PowerResult counting its own solves and the run's
+    factorizations when it closed.  It is solved through the transposed
+    factor of whichever LU is current, so mu < lambda keeps it positive as
+    well, and keeps its own enclosure, stopping when that meets the width
+    target.  The lead iterate, the right one while it is open, alone
+    decides when to factorize and at which shift; once the right iterate is
+    done an open left one leads itself.  The right iterate's shifts,
+    enclosure and vector are therefore those of a run without it, and the
+    result's iterations and solves count the whole run's factorizations
+    and the right iterate's solves.
 
     The ratios carry a rounding error of about k*eps*(|A|x)/x (k = largest
     row nnz).  Within FLOOR_FACTOR of that level the width stops shrinking,
@@ -272,30 +304,37 @@ def noda_iteration(
         at.sort_indices()
         iterates.append(_NodaIterate(at, True))
     factorizations = 0
+    lu = None
     while True:
-        active = [it for it in iterates if it.result is None and it.enclose(width_target)]
+        active = [
+            it
+            for it in iterates
+            if it.result is None and it.enclose(width_target, factorizations)
+        ]
         if not active:
             right = iterates[0].result
             right.iterations = factorizations
             right.left = iterates[1].result if left else None
             return right
+        lead = active[0]
+        refactor = lu is None or not lead.halved()
+        if refactor and factorizations >= max_iter:
+            raise lead.fail(f"after {max_iter} factorizations", factorizations)
         for it in active:
-            if factorizations >= max_iter:
-                raise it.fail(f"after {max_iter} factorizations", factorizations)
             floor = it.stalled()
             if floor is not None:
                 raise it.fail(f"stalled near the rounding level {floor:.3e}", factorizations)
-        factorizations += 1
-        lead = active[0]
-        mu = lead.lo - width_target(lead.lam)
-        try:
-            lu = LuFactor(a - mu * eye)
-        except SingularMatrix:
-            raise lead.fail(f"singular shift {mu!r}", factorizations) from None
+        if refactor:
+            lu = None  # so that the next shift's factorization does not hold two
+            factorizations += 1
+            mu = lead.lo - width_target(lead.lam)
+            try:
+                lu = LuFactor(a - mu * eye)
+            except SingularMatrix:
+                raise lead.fail(f"singular shift {mu!r}", factorizations) from None
         for it in active:
             y = lu.solve(it.x, transposed=it.transposed)
             if not float(y.min()) > 0.0:
                 raise it.fail("shifted solve left the positive cone", factorizations)
             it.x = y / float(y.max())
             it.solves += 1
-        del lu  # so that the next shift's factorization does not hold two

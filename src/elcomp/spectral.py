@@ -3,8 +3,9 @@
 The principal eigenvalue lambda of an irreducible Z-matrix A is its
 eigenvalue of smallest real part, with a positive eigenvector.  Noda's
 shifted inverse iteration (linalg.noda_iteration) runs on A itself and
-carries a Collatz-Wielandt enclosure of lambda along; its factorization
-count does not grow with the mesh.
+carries a Collatz-Wielandt enclosure of lambda along.  It keeps a shift's
+factorization while the solves with it halve the enclosure width, and its
+factorization count does not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .graphs import csr_strongly_connected
 from .mesh import SubdomainMask, full_mask, sub_rectangle_mask
 
 TOL_EIG = 1e-9
-MAX_ITER = 100  # LU factorizations per Noda run; a run needs 4-10
+MAX_ITER = 100  # LU factorizations per Noda run; a run needs 1-3
 
 
 @dataclass
@@ -31,9 +32,10 @@ class EigenPair:
 
     value lies in the closed interval cw; right and left are normalized to
     unit max and strictly positive on the unknowns.  iterations counts the
-    LU factorizations of the run: each shift is factorized once and solves
-    for both vectors.  A symmetric matrix has no left iterate and reuses the
-    right vector.
+    LU factorizations of the run, each kept for as long as its solves halve
+    the enclosure width and shared by both vectors; solves counts the
+    solves with them, right and left together.  A symmetric matrix has no
+    left iterate and reuses the right vector.
     """
 
     value: float
@@ -42,6 +44,7 @@ class EigenPair:
     cw: tuple
     iterations: int
     residual: float
+    solves: int
 
 
 def _species_index(j: int, n: int) -> int:
@@ -72,10 +75,16 @@ def principal_eigenpair(
 
     symmetric = (a != a.T).nnz == 0
     run = linalg.noda_iteration(a, width, max_iter, left=not symmetric)
-    left = run.vector if symmetric else run.left.vector
-    lam = run.rho
-    residual = float(np.abs(a @ run.vector - lam * run.vector).max())
-    return EigenPair(lam, run.vector, left, run.cw, run.iterations, residual)
+    x = run.vector
+    left = x if symmetric else run.left.vector
+    solves = run.solves if symmetric else run.solves + run.left.solves
+    # the two-sided Rayleigh quotient errs by the product of the two vectors'
+    # errors, where the one-sided one (run.rho, the same for symmetric A)
+    # errs by the right vector's
+    ax = a @ x
+    lam = min(max(float(left @ ax) / float(left @ x), run.cw[0]), run.cw[1])
+    residual = float(np.abs(ax - lam * x).max())
+    return EigenPair(lam, x, left, run.cw, run.iterations, residual, solves)
 
 
 def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int) -> EigenPair:
@@ -105,7 +114,7 @@ def block_eigen(
     full-domain cooperative operator (DiscreteSystem.block)."""
     ds = as_discrete(spec)
     a = ds.block("cooperative", species, mask)
-    is_z, pos, worst, _ = check_z_matrix(a, n_int=a.shape[0] // len(species))
+    is_z, pos, worst, _ = check_z_matrix(a, a.shape[0] // len(species))
     if not is_z:
         raise NotZMatrix(
             f"cooperative part has positive off-diagonal {worst:.6g} at {pos}",

@@ -52,3 +52,14 @@ def convection_pair_text(n):
         "[species 2]\nb2 = -2\nc = 1\n"
         "[coupling]\nm12 = -1\nm21 = -0.5\n"
     )
+
+
+def coop_pair_text(n, m=-1.0):
+    """Problem text of a 2D cooperative pair on n^2 cells, species 1 with
+    a11 = 1 + x and both coupled by m."""
+    return (
+        f"[domain]\ndim = 2\nlo = 0 0\nhi = 1 1\nn = {n} {n}\n"
+        "[species 1]\na11 = 1 + x\nf = 1\n"
+        "[species 2]\nf = 1\n"
+        f"[coupling]\nm12 = {m!r}\nm21 = {m!r}\n"
+    )

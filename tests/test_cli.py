@@ -36,6 +36,25 @@ COOP = """
     m21 = -1
 """
 
+# the species differ, and the weak coupling leaves the second eigenvalue
+# close to the first
+WEAK = """
+    [domain]
+    dim = 1
+    lo = 0
+    hi = 1
+    n = 16
+
+    [species 1]
+    a11 = 1 + x
+
+    [species 2]
+
+    [coupling]
+    m12 = -1e-4
+    m21 = -1e-4
+"""
+
 COMPETITIVE = """
     [domain]
     dim = 1
@@ -138,10 +157,15 @@ def test_exit_code_2_on_parse_error(tmp_path):
 
 
 def test_exit_code_3_on_no_convergence(tmp_path):
-    problem = write(tmp_path, "coop.prob", COOP)
-    code, payload = report(tmp_path, "eigen", problem, "--max-iter", "2")
+    """The weakly coupled pair needs a second factorization, which
+    --max-iter 1 does not allow."""
+    problem = write(tmp_path, "weak.prob", WEAK)
+    code, payload = report(tmp_path, "eigen", problem)
+    assert code == 0 and payload["iterations"] > 1
+    code, payload = report(tmp_path, "eigen", problem, "--max-iter", "1")
     assert code == 3
     assert payload["errors"][0]["type"] == "NoConvergence"
+    assert "after 1 factorizations" in payload["errors"][0]["message"]
 
 
 def test_exit_code_4_on_structure_errors(tmp_path):
@@ -157,7 +181,7 @@ def test_exit_code_4_on_structure_errors(tmp_path):
     assert payload["errors"][0]["type"] == "StructureUnsupported"
 
 
-def test_eigen_closed_form(tmp_path):
+def test_eigen_closed_form(tmp_path, capsys):
     problem = write(
         tmp_path,
         "lap.prob",
@@ -179,6 +203,9 @@ def test_eigen_closed_form(tmp_path):
     assert payload["cw"][0] <= payload["lambda"] <= payload["cw"][1]
     assert payload["component"] == 1
     assert payload["dof"] == 127
+    assert 1 <= payload["iterations"] <= payload["solves"]
+    counts = f"iterations: {payload['iterations']}  solves: {payload['solves']}"
+    assert counts in capsys.readouterr().out
 
 
 def test_eigen_flag_exclusivity(tmp_path):

@@ -1,5 +1,10 @@
 """Sparse kernels against dense numpy references."""
 
+import contextlib
+import itertools
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -223,3 +228,87 @@ def test_noda_left_iterate_leaves_the_right_run_alone(off, diag):
     # both enclosures hold the principal eigenvalue
     assert max(both.cw[0], left.cw[0]) <= min(both.cw[1], left.cw[1])
     assert alone.iterations <= both.iterations == max(alone.iterations, left.iterations)
+
+
+@contextlib.contextmanager
+def recorded_solves():
+    """Log each LuFactor.solve as (factorization serial, transposed, rhs)."""
+    log, serials = [], itertools.count()
+    init, solve = LuFactor.__init__, LuFactor.solve
+
+    def numbered(self, a):
+        init(self, a)
+        self.serial = next(serials)
+
+    def logged(self, b, transposed=False):
+        log.append((self.serial, transposed, np.array(b)))
+        return solve(self, b, transposed)
+
+    with mock.patch.object(LuFactor, "__init__", numbered):
+        with mock.patch.object(LuFactor, "solve", logged):
+            yield log
+
+
+def running_widths(b, xs):
+    """Collatz-Wielandt widths of the running enclosure after each iterate."""
+    lo, hi, widths = -np.inf, np.inf, []
+    for x in xs:
+        ratios = (b @ x) / x
+        lo, hi = max(lo, float(ratios.min())), min(hi, float(ratios.max()))
+        widths.append(hi - lo)
+    return widths
+
+
+@given(
+    arrays(float, (5, 5), elements=st.floats(min_value=0.01, max_value=4.0)),
+    arrays(float, (5,), elements=st.floats(min_value=-4.0, max_value=4.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
+    """On random irreducible Z-matrices: both enclosures bracket the dense
+    principal eigenvalue; an LU is solved with again only after the lead
+    iterate's last solve with it halved that iterate's width (the right
+    iterate leads while open, then the left); and left=True leaves the
+    right run equal to a right-only run."""
+    d = np.diag(diag) - off * (1.0 - np.eye(5))
+    a = sp.csr_matrix(d)
+    at = a.T.tocsr()
+    at.sort_indices()
+
+    def target(lam):
+        return 1e-8 * (1.0 + abs(lam))
+
+    with recorded_solves() as log:
+        alone = noda_iteration(a, target, 50)
+    serials = [s for s, _, _ in log]
+    assert alone.solves == len(log) and alone.iterations == len(set(serials))
+    kept = sum(s == prev for s, prev in zip(serials[1:], serials))
+    if kept:
+        # each kept solve follows a halving one, and widths never grow
+        widths = running_widths(a, [x for _, _, x in log])
+        assert kept <= math.log2(widths[0] / widths[-1])
+
+    with recorded_solves() as log:
+        both = noda_iteration(a, target, 50, left=True)
+    left = both.left
+    assert both.cw == alone.cw and both.rho == alone.rho
+    assert np.array_equal(both.vector, alone.vector) and both.solves == alone.solves
+    assert both.iterations == max(alone.iterations, left.iterations)
+    runs = {t: [(s, x) for s, tt, x in log if tt == t] for t in (False, True)}
+    assert len(runs[False]) == both.solves and len(runs[True]) == left.solves
+    widths = {
+        False: running_widths(a, [x for _, x in runs[False]]),
+        True: running_widths(at, [x for _, x in runs[True]]),
+    }
+    # step k solves the right iterate while it is open, then the left one;
+    # the first of them leads and all share the step's LU
+    for k in range(1, max(len(runs[False]), len(runs[True]))):
+        lead = k >= len(runs[False])
+        if runs[lead][k][0] == runs[k - 1 >= len(runs[False])][k - 1][0]:
+            assert widths[lead][k] <= 0.5 * widths[lead][k - 1], k
+
+    lam = float(np.linalg.eigvals(d).real.min())
+    pad = 1e-12 * (1.0 + abs(lam))
+    for res in (both, left):
+        assert res.cw[0] - pad <= lam <= res.cw[1] + pad
+        assert res.cw[1] - res.cw[0] <= target(res.rho)

@@ -22,7 +22,13 @@ from elcomp.spectral import (
     subdomain_scan,
 )
 
-from helpers import convection_pair_text, laplace_system, op_of, system_of
+from helpers import (
+    convection_pair_text,
+    coop_pair_text,
+    laplace_system,
+    op_of,
+    system_of,
+)
 
 
 def lap1d_eig(n, length=1.0):
@@ -129,9 +135,10 @@ NONSYMMETRIC = {
 
 @pytest.mark.parametrize("name", list(NONSYMMETRIC))
 def test_left_vector_shares_the_right_factorizations(name, monkeypatch):
-    """One LU per shift serves both vectors; the right run is the one a
-    right-only Noda run gives, and the left vector carries its own
-    Collatz-Wielandt enclosure on A^T."""
+    """The run's LUs serve both vectors; the right run is the one a
+    right-only Noda run gives, the value is the two-sided Rayleigh quotient
+    in its enclosure, and the left vector carries its own Collatz-Wielandt
+    enclosure on A^T."""
     a = NONSYMMETRIC[name]()
     assert (a != a.T).nnz > 0
     factorized = []
@@ -153,8 +160,11 @@ def test_left_vector_shares_the_right_factorizations(name, monkeypatch):
     left = noda_iteration(a, target, spectral.MAX_ITER, left=True).left
     # the left iterate adds factorizations only once the right one is done
     assert pair.iterations == max(right.iterations, left.iterations)
-    assert pair.cw == right.cw and pair.value == right.rho
-    assert np.array_equal(pair.right, right.vector)
+    assert pair.solves == right.solves + left.solves
+    assert right.iterations <= right.solves and left.iterations <= left.solves
+    assert pair.cw == right.cw and np.array_equal(pair.right, right.vector)
+    quotient = float(pair.left @ (a @ pair.right)) / float(pair.left @ pair.right)
+    assert pair.value == min(max(quotient, pair.cw[0]), pair.cw[1])
     width = target(pair.value)
     ratios = (a.T @ pair.left) / pair.left
     assert pair.left.min() > 0.0 and pair.left.max() == 1.0
@@ -230,6 +240,31 @@ def test_solve_count_does_not_grow_with_mesh(n):
     lo, hi = pair.cw
     assert lo <= lap1d_eig(n) <= hi
     assert pair.iterations <= 10
+
+
+def test_factorization_count_does_not_grow_with_mesh():
+    """At a kept shift the width contracts by a ratio of eigenvalue gaps,
+    which the mesh does not change; so does the factorization count."""
+    counts = {}
+    for n in (32, 64, 128):
+        pair = cooperative_eigen(parse_problem(coop_pair_text(n)).discretize())
+        lo, hi = pair.cw
+        assert lo <= pair.value <= hi
+        counts[n] = (pair.iterations, pair.solves)
+    assert len({lus for lus, _ in counts.values()}) == 1, counts
+    assert counts[128][0] <= 2, counts
+
+
+def test_weakly_coupled_pair_converges():
+    """m = -1e-4 leaves the second eigenvalue close to the first, so a kept
+    shift contracts slowly and the loop has to factorize again."""
+    ds = parse_problem(coop_pair_text(16, m=-1e-4)).discretize()
+    pair = cooperative_eigen(ds)
+    lo, hi = pair.cw
+    assert lo <= pair.value <= hi
+    exact = float(np.linalg.eigvals(ds.assembled("cooperative").A.toarray()).real.min())
+    assert lo <= exact <= hi
+    assert pair.iterations >= 2
 
 
 def test_roundoff_floor_stops_at_once():
