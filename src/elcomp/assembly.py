@@ -4,6 +4,11 @@ Unknowns are interior node values, species-major: global index
 k * n_int + i for species k and interior position i.  Dirichlet data is
 eliminated into a boundary map G so that the discrete equations read
 A u + G g = f.
+
+The coupled A and G are each built as one CSR, straight from the arrays of
+the species' scalar parts; exact zeros are left out, except that every row
+of A stores its diagonal entry, even one that sums to 0.0.  Species blocks
+and subdomain operators are principal submatrices of that one assembly.
 """
 
 from __future__ import annotations
@@ -161,30 +166,37 @@ def check_ellipticity_values(a_vals: np.ndarray, grid: Grid):
     return lam_min, lam_max
 
 
+def _largest_offdiag(a: sp.spmatrix):
+    """(value, (row, col)) of the first largest off-diagonal stored entry
+    in storage order, or None without off-diagonal entries."""
+    rows, cols, vals = linalg.stored_entries(a)
+    off = rows != cols
+    if not off.any():
+        return None
+    k = int(np.argmax(vals[off]))  # the gather is freed before the next one
+    k = np.flatnonzero(off)[k]
+    return float(vals[k]), (int(rows[k]), int(cols[k]))
+
+
 def check_z_matrix(a: sp.spmatrix, n_int: int | None = None):
     """(is_z, worst_position, worst_value, offdiag_max) for positive off-diagonals.
 
     worst_position is (row, col); with n_int given it becomes
     ((species, interior_pos), (species, interior_pos)).
     """
-    coo = a.tocoo()
-    off = coo.row != coo.col
-    if not off.any():
+    found = _largest_offdiag(a)
+    if found is None:
         return True, None, 0.0, 0.0
-    vals = coo.data[off]
-    rows = coo.row[off]
-    cols = coo.col[off]
-    k = int(np.argmax(vals))
-    worst = float(vals[k])
+    worst, pos = found
     offdiag_max = max(worst, 0.0)
-    pos = (int(rows[k]), int(cols[k]))
     if n_int:
         pos = (
             (pos[0] // n_int + 1, pos[0] % n_int),
             (pos[1] // n_int + 1, pos[1] % n_int),
         )
-    tol = Z_RTOL * max(linalg.inf_norm(a), 1e-300)
-    return worst <= tol, pos, worst, offdiag_max
+    # the tolerance is positive, so only a positive worst entry needs |A|
+    is_z = worst <= 0.0 or worst <= Z_RTOL * max(linalg.inf_norm(a), 1e-300)
+    return is_z, pos, worst, offdiag_max
 
 
 @dataclass
@@ -212,7 +224,8 @@ def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid):
 
     Every row lists its stencil entries in the same order, diagonal last,
     and exact zeros are dropped, so duplicate entries are summed in a fixed
-    order.
+    order.  A stores every diagonal entry, zero or not, and no other zero:
+    off-diagonal duplicates that cancel to 0.0 are dropped after summing.
     """
     h = grid.h
     target = grid.interior_ids
@@ -254,11 +267,66 @@ def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid):
     nonzero[:, -1] = True  # the diagonal closes every row of A, zero or not
     in_a = nonzero & (col >= 0)
     A = linalg.from_coo(n_rows, n_rows, row[in_a], col[in_a], coeff[in_a])
+    zero = A.data == 0.0
+    if zero.any():
+        rows = linalg.row_ids(A)
+        keep = ~zero | (A.indices == rows)
+        A = linalg.from_coo(n_rows, n_rows, rows[keep], A.indices[keep], A.data[keep])
     in_g = nonzero & (col < 0)
     G = linalg.from_coo(
         n_rows, grid.n_boundary, row[in_g], grid.boundary_pos[node[in_g]], coeff[in_g]
     )
     return A, G
+
+
+def _coupled_operator(blocks, m) -> sp.csr_matrix:
+    """The coupled A from the species' A_k and the coupling values m[k, l]
+    at the interior nodes, as one CSR.
+
+    Row i of species k holds, in column order, m_kl(x_i) for l < k, the row
+    of A_k with m_kk(x_i) added to its diagonal, then m_kl(x_i) for l > k,
+    so every entry is written straight into place, with no sort.  Zero
+    couplings are left out.  Each A_k stores one diagonal entry per row and
+    no other zero (_assemble_scalar_values), so every row of A stores its
+    diagonal entry, even one that sums to 0.0, and nothing else that is 0.0.
+    """
+    n, _, n_int = m.shape
+    cross = m != 0.0
+    cross[np.diag_indices(n)] = False  # m_kk goes onto A_k's diagonal
+    counts = cross.sum(axis=1)  # entries of each row of A, species-major
+    for k, A_k in enumerate(blocks):
+        counts[k] += np.diff(A_k.indptr)
+    indptr = np.zeros(n * n_int + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    nnz = int(indptr[-1])
+    index = np.int32 if max(nnz, n * n_int) <= np.iinfo(np.int32).max else np.int64
+    indptr = indptr.astype(index)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    for k, A_k in enumerate(blocks):
+        lo, hi = indptr[k * n_int], indptr[(k + 1) * n_int]
+        seg_indices, seg_data = indices[lo:hi], data[lo:hi]
+        # where each row's entries start, and A_k's part of it
+        row_start = indptr[k * n_int : (k + 1) * n_int] - lo
+        own_start = row_start + cross[k, :k].sum(axis=0)
+        coupled = np.zeros(hi - lo, dtype=bool)
+        for l in range(n):
+            i = np.flatnonzero(cross[k, l])
+            # after the couplings to species before l, and after A_k if l > k
+            pos = row_start[i] + cross[k, :l][:, i].sum(axis=0)
+            if l > k:
+                pos += A_k.indptr[i + 1] - A_k.indptr[i]
+            seg_indices[pos] = (l - k) * n_int + i  # shifted with the rest below
+            seg_data[pos] = m[k, l, i]
+            coupled[pos] = True
+        # A_k's entries, in order, fill the slots the couplings leave
+        free = ~coupled
+        seg_indices[free] = A_k.indices
+        seg_indices += k * n_int
+        seg_data[free] = A_k.data
+        diag = np.flatnonzero(A_k.indices == linalg.row_ids(A_k))
+        seg_data[own_start + diag - A_k.indptr[:-1]] += m[k, k]
+    return sp.csr_matrix((data, indices, indptr), shape=(n * n_int,) * 2)
 
 
 def _coupling_mode(coupling) -> str:
@@ -337,28 +405,34 @@ class DiscreteSystem:
         n_int = self.grid.n_interior
         nodes = np.arange(n_int) if mask is None else np.flatnonzero(mask.inside)
         ix = (np.asarray(species, dtype=np.int64)[:, None] * n_int + nodes).ravel()
-        return self.assembled(coupling).A[ix][:, ix]
+        return linalg.principal_submatrix(self.assembled(coupling).A, ix)
 
     def assemble(self, coupling="full") -> AssembledSystem:
+        """A and G of the coupled system, each built as one CSR from the
+        arrays of the species' scalar parts.
+
+        A is _coupled_operator's: every row stores its diagonal entry, even
+        one that sums to 0.0, so the Noda shift (linalg.shifted) subtracts
+        from it in place.  G is the block diagonal of the G_k.
+        """
         grid = self.grid
-        n = self.n_species
-        m_sel = self.coupling_values(coupling)
+        n, n_int = self.n_species, grid.n_interior
         target = grid.interior_ids
-        blocks_a = [[None] * n for _ in range(n)]
-        blocks_g = [[None] * n for _ in range(n)]
-        for k in range(n):
-            A_k, G_k = self.scalar_parts(k)
-            for l in range(n):
-                coupl = sp.diags(m_sel[k, l][target], format="csr")
-                if l == k:
-                    blocks_a[k][l] = A_k + coupl
-                else:
-                    blocks_a[k][l] = coupl
-                blocks_g[k][l] = G_k if l == k else None
-        A = sp.bmat(blocks_a, format="csr")
-        A.sort_indices()
-        G = sp.bmat(blocks_g, format="csr")
-        G.sort_indices()
+        parts = [self.scalar_parts(k) for k in range(n)]
+        A = _coupled_operator(
+            [A_k for A_k, _ in parts], self.coupling_values(coupling)[:, :, target]
+        )
+        gs = [G_k for _, G_k in parts]
+        n_b = grid.n_boundary
+        first = np.cumsum([0] + [G_k.nnz for G_k in gs])
+        G = sp.csr_matrix(
+            (
+                np.concatenate([G_k.data for G_k in gs]),
+                np.concatenate([G_k.indices + k * n_b for k, G_k in enumerate(gs)]),
+                np.concatenate([[0]] + [G_k.indptr[1:] + first[k] for k, G_k in enumerate(gs)]),
+            ),
+            shape=(n * n_int, n * n_b),
+        )
         f_vec = self.f_vals[:, target].reshape(-1)
         g_vec = self.g_vals[:, grid.boundary_ids].reshape(-1)
         is_z, worst_pos, _, offdiag_max = check_z_matrix(A, grid.n_interior)

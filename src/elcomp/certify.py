@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import oracle as oracle_mod
 from .assembly import as_discrete
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .fields import BlockField, block_from_solution
 from .graphs import adjacency_scc, topo_order
-from .linalg import inf_norm, lu_solve
+from .linalg import inf_norm, lu_solve, shifted
 from .spectral import (
     MAX_ITER,
     TOL_EIG,
@@ -513,9 +512,7 @@ def _thm5_chain(ds, lams, eps, order0, pairs):
             wt[j] = pairs[j].right
             fallback = True
             continue
-        a = ds.block("cooperative", [j])
-        shifted = (a - (lams[j] - eps) * sp.identity(a.shape[0])).tocsr()
-        w = lu_solve(shifted, rhs)
+        w = lu_solve(shifted(ds.block("cooperative", [j]), lams[j] - eps), rhs)
         if float(w.min()) <= 0.0:
             return None
         wt[j] = w

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import heapq
 
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 
@@ -71,13 +70,15 @@ def tarjan_scc(n: int, succ) -> list:
 def csr_strongly_connected(a) -> bool:
     """True when the digraph of a square sparse matrix is strongly connected.
 
-    Explicit zeros are not edges.
+    Explicit zeros are not edges; a is copied only to drop them.
     """
     n = a.shape[0]
     if n == 0:
         return False
-    mat = sp.csr_matrix(a, copy=True)
-    mat.eliminate_zeros()
+    mat = a.tocsr()
+    if not mat.data.all():
+        mat = mat.copy()
+        mat.eliminate_zeros()
     n_comp, _ = connected_components(mat, directed=True, connection="strong")
     return n_comp == 1
 

@@ -1,6 +1,11 @@
 """Sparse kernels: CSR utilities, LU solves, dense inversion, eigen iterations.
 
-Storage and factorization lean on scipy (CSR + SuperLU).  Every LU orders
+Storage and factorization lean on scipy (CSR + SuperLU).  The bookkeeping
+between them (row norms, the stored-entry scan, principal submatrices,
+diagonal shifts, entrywise equality) reads and writes the CSR arrays
+indptr, indices and data directly, without building intermediate sparse
+matrices (T. A. Davis, Direct Methods for Sparse Linear Systems, SIAM
+2006, ch. 2).  Every LU orders
 its columns by minimum degree on A + A^T; that ordering depends only on the
 sparsity pattern, so a sign-flipped D A D shares A's ordering and pivots.
 The certified eigenvalue machinery is implemented here: Noda's shifted
@@ -56,10 +61,118 @@ def content_key(*mats) -> str:
     return digest.hexdigest()
 
 
+def row_ids(a: sp.csr_matrix) -> np.ndarray:
+    """Row of every stored entry of a CSR matrix (column, for CSC), in
+    storage order."""
+    ids = np.arange(len(a.indptr) - 1, dtype=a.indices.dtype)
+    return np.repeat(ids, np.diff(a.indptr))
+
+
+def stored_entries(a: sp.spmatrix):
+    """(rows, cols, values) of a's stored entries in storage order, as
+    a.tocoo() lists them; CSR and CSC are read off their arrays."""
+    if a.format == "csr":
+        return row_ids(a), a.indices, a.data
+    if a.format == "csc":
+        return a.indices, row_ids(a), a.data
+    coo = a.tocoo()
+    return coo.row, coo.col, coo.data
+
+
 def inf_norm(a: sp.spmatrix) -> float:
+    """max_i sum_j |a_ij| over the stored entries, without building |A|.
+
+    Rows are summed as np.abs(a).sum(axis=1) sums them, so the result is
+    that formula's bit for bit: np.add.reduceat over each CSR row, and one
+    pass in storage order (scipy's matvec with ones) for other formats.
+    """
     if a.nnz == 0:
         return 0.0
-    return float(np.abs(a).sum(axis=1).max())
+    if a.format == "csr":
+        nonempty = np.flatnonzero(np.diff(a.indptr))
+        sums = np.add.reduceat(np.abs(a.data), a.indptr[nonempty])
+    else:
+        rows, _, vals = stored_entries(a)
+        sums = np.bincount(rows, weights=np.abs(vals), minlength=a.shape[0])
+    return float(sums.max())
+
+
+def principal_submatrix(a: sp.csr_matrix, ix) -> sp.csr_matrix:
+    """a[ix][:, ix] for a CSR matrix and distinct indices ix.
+
+    One gather over the kept rows: each keeps its entries in stored order
+    (sorted ones stay sorted for increasing ix), explicit zeros included.
+    """
+    ix = np.asarray(ix, dtype=np.intp)
+    new = np.full(a.shape[0], -1, dtype=np.intp)
+    new[ix] = np.arange(ix.size)
+    starts = a.indptr[ix]
+    lens = a.indptr[ix + 1] - starts
+    # positions in a of the kept rows' entries, row after row
+    src = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    src += np.arange(src.size)
+    cols = new[a.indices[src]]
+    keep = cols >= 0
+    indptr = np.zeros(ix.size + 1, dtype=np.intp)
+    rows = np.repeat(np.arange(ix.size), lens)[keep]
+    np.cumsum(np.bincount(rows, minlength=ix.size), out=indptr[1:])
+    return sp.csr_matrix(
+        (a.data[src[keep]], cols[keep], indptr), shape=(ix.size, ix.size)
+    )
+
+
+def shifted(a: sp.spmatrix, s: float) -> sp.csr_matrix:
+    """A - s*I: a canonical CSR copy of a with s taken off its stored diagonal.
+
+    Assembled operators store every diagonal entry (DiscreteSystem.assemble),
+    so for them this only subtracts; a row of another matrix that stores
+    none first gets an explicit zero there.
+    """
+    out = sp.csr_matrix(a, dtype=float, copy=True)
+    out.sum_duplicates()
+    n = out.shape[0]
+    rows = row_ids(out)
+    on_diag = out.indices == rows
+    if np.count_nonzero(on_diag) < n:
+        missing = np.setdiff1d(np.arange(n), rows[on_diag])
+        out = from_coo(
+            n,
+            n,
+            np.concatenate([rows, missing]),
+            np.concatenate([out.indices, missing]),
+            np.concatenate([out.data, np.zeros(missing.size)]),
+        )
+        rows = row_ids(out)
+        on_diag = out.indices == rows
+    out.data[on_diag] -= s
+    return out
+
+
+def _canonical(a: sp.spmatrix) -> sp.csr_matrix:
+    """a as CSR with sorted, summed indices; a copy only when a is not."""
+    a = a.tocsr()
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    return a
+
+
+def same_nonzeros(a: sp.spmatrix, b: sp.spmatrix) -> bool:
+    """Whether a and b, of one shape, agree entrywise: (a != b).nnz == 0.
+
+    Explicit zeros are no entries, and NaN equals nothing.  Read off the
+    canonical CSR arrays, where equal matrices list their nonzero entries in
+    the same order.
+    """
+    a, b = _canonical(a), _canonical(b)
+    keep_a, keep_b = a.data != 0.0, b.data != 0.0
+    counts_a = np.cumsum(np.concatenate([[0], keep_a]))[a.indptr]
+    counts_b = np.cumsum(np.concatenate([[0], keep_b]))[b.indptr]
+    return (
+        np.array_equal(counts_a, counts_b)
+        and np.array_equal(a.indices[keep_a], b.indices[keep_b])
+        and np.array_equal(a.data[keep_a], b.data[keep_b])
+    )
 
 
 class LuFactor:
@@ -140,7 +253,7 @@ def _collatz_power(b: sp.spmatrix, width_target, max_iter: int, collect_history=
     if b.nnz and float(b.data.min()) < 0.0:
         raise NotNonnegative("matrix has a negative entry")
     t = max(inf_norm(b), 1.0)
-    bt = (b + t * sp.identity(n, format="csr")).tocsr()
+    bt = shifted(b, -t)
     v = np.ones(n)
     lo, hi = -np.inf, np.inf
     history = [] if collect_history else None
@@ -190,7 +303,7 @@ class _NodaIterate:
 
     def __init__(self, b: sp.csr_matrix, transposed: bool):
         self.b, self.transposed = b, transposed
-        self.abs_b = abs(b)
+        self.abs_b = None  # |b|, built when the rounding level is first needed
         nnz = int(b.getnnz(axis=1).max(initial=0))
         self.rounding = np.finfo(float).eps * max(nnz, 1)
         self.x = np.ones(b.shape[0])
@@ -229,6 +342,8 @@ class _NodaIterate:
         w = self.widths
         if len(w) < 3 or w[-1] <= 0.5 * w[-3]:
             return None  # still shrinking: the level, a matvec, is not needed
+        if self.abs_b is None:
+            self.abs_b = abs(self.b)
         floor = self.rounding * float((self.abs_b @ self.x / self.x).max())
         return floor if w[-1] <= FLOOR_FACTOR * floor else None
 
@@ -243,7 +358,7 @@ class _NodaIterate:
 
 
 def noda_iteration(
-    a: sp.spmatrix, width_target, max_iter: int, left: bool = False
+    a: sp.spmatrix, width_target, max_iter: int, left: sp.csr_matrix | None = None
 ) -> PowerResult:
     """Principal eigenpair of an irreducible Z-matrix by Noda iteration.
 
@@ -273,12 +388,15 @@ def noda_iteration(
     before hi closes in, making A - mu*I singular to working precision, so
     mu is held one target width below lo; (lambda - mu) / gap stays tiny.
 
-    With left=True a left iterate runs on A^T alongside and is returned as
-    the result's left: a PowerResult counting its own solves and the run's
-    factorizations when it closed.  It is solved through the transposed
-    factor of whichever LU is current, so mu < lambda keeps it positive as
-    well, and keeps its own enclosure, stopping when that meets the width
-    target.  The lead iterate, the right one while it is open, alone
+    Each shift's A - mu*I is a copy of A with mu taken off its stored
+    diagonal (shifted).
+
+    Given left = A^T as CSR, a left iterate runs on it alongside and is
+    returned as the result's left: a PowerResult counting its own solves
+    and the run's factorizations when it closed.  It is solved through the
+    transposed factor of whichever LU is current, so mu < lambda keeps it
+    positive as well, and keeps its own enclosure, stopping when that meets
+    the width target.  The lead iterate, the right one while it is open, alone
     decides when to factorize and at which shift; once the right iterate is
     done an open left one leads itself.  The right iterate's shifts,
     enclosure and vector are therefore those of a run without it, and the
@@ -294,15 +412,11 @@ def noda_iteration(
 
     width_target(lam_estimate) -> admissible enclosure width.
     """
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise DimMismatch(f"Noda iteration needs a square matrix, got {a.shape}")
-    eye = sp.identity(n, format="csr")
     iterates = [_NodaIterate(a, False)]
-    if left:
-        at = a.T.tocsr()
-        at.sort_indices()
-        iterates.append(_NodaIterate(at, True))
+    if left is not None:
+        iterates.append(_NodaIterate(left, True))
     factorizations = 0
     lu = None
     while True:
@@ -314,7 +428,7 @@ def noda_iteration(
         if not active:
             right = iterates[0].result
             right.iterations = factorizations
-            right.left = iterates[1].result if left else None
+            right.left = iterates[1].result if left is not None else None
             return right
         lead = active[0]
         refactor = lu is None or not lead.halved()
@@ -329,7 +443,7 @@ def noda_iteration(
             factorizations += 1
             mu = lead.lo - width_target(lead.lam)
             try:
-                lu = LuFactor(a - mu * eye)
+                lu = LuFactor(shifted(a, mu))
             except SingularMatrix:
                 raise lead.fail(f"singular shift {mu!r}", factorizations) from None
         for it in active:

@@ -73,8 +73,9 @@ def principal_eigenpair(
     def width(lam):
         return tol_eig * (1.0 + abs(lam))
 
-    symmetric = (a != a.T).nnz == 0
-    run = linalg.noda_iteration(a, width, max_iter, left=not symmetric)
+    at = a.T.tocsr()
+    symmetric = linalg.same_nonzeros(a, at)
+    run = linalg.noda_iteration(a, width, max_iter, left=None if symmetric else at)
     x = run.vector
     left = x if symmetric else run.left.vector
     solves = run.solves if symmetric else run.solves + run.left.solves

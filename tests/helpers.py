@@ -1,5 +1,7 @@
 """Small builders shared by the test modules."""
 
+import scipy.sparse as sp
+
 from elcomp.assembly import ScalarOperatorSpec, SystemSpec, as_discrete
 from elcomp.expressions import const, parse_expr
 
@@ -63,3 +65,25 @@ def coop_pair_text(n, m=-1.0):
         "[species 2]\nf = 1\n"
         f"[coupling]\nm12 = {m!r}\nm21 = {m!r}\n"
     )
+
+
+def reference_assembly(ds, coupling):
+    """(A, G) of ds by the block route: one sparse diagonal per coupling
+    m_kl, added to A_k on the diagonal blocks, then sp.bmat.  The CSR sum
+    drops every entry that comes out 0.0, a diagonal one included."""
+    n = ds.n_species
+    target = ds.grid.interior_ids
+    m_sel = ds.coupling_values(coupling)
+    blocks_a = [[None] * n for _ in range(n)]
+    blocks_g = [[None] * n for _ in range(n)]
+    for k in range(n):
+        A_k, G_k = ds.scalar_parts(k)
+        for l in range(n):
+            coupl = sp.diags(m_sel[k, l][target], format="csr")
+            blocks_a[k][l] = A_k + coupl if l == k else coupl
+        blocks_g[k][k] = G_k
+    A = sp.bmat(blocks_a, format="csr")
+    A.sort_indices()
+    G = sp.bmat(blocks_g, format="csr")
+    G.sort_indices()
+    return A, G

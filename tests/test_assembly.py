@@ -19,11 +19,17 @@ from elcomp.assembly import (
 from elcomp.certify import certify
 from elcomp.errors import NonEllipticCoefficient, ValidationError
 from elcomp.expressions import parse_expr
-from elcomp.linalg import content_key, dense_inverse
+from elcomp.linalg import content_key, dense_inverse, shifted
 from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.problems import load_problem
 
-from helpers import laplace_system, op_of, scalar_parts_of, system_of
+from helpers import (
+    laplace_system,
+    op_of,
+    reference_assembly,
+    scalar_parts_of,
+    system_of,
+)
 
 
 def test_1d_laplacian_stencil_exact():
@@ -269,6 +275,52 @@ def test_species_block_is_restriction(case, data):
     )
     block = ds.block(coupling, species)
     assert content_key(block) == content_key(sub.assemble(coupling).A)
+
+
+@given(_integer_grid_system())
+@settings(max_examples=60, deadline=None)
+def test_assembly_equals_the_block_reference(case):
+    """The one-CSR build gives, bit for bit, the A and G of the sp.diags +
+    sp.bmat route, cross diffusion, convection and zero couplings included."""
+    ds, coupling = case
+    asys = ds.assemble(coupling)
+    A, G = reference_assembly(ds, coupling)
+    assert content_key(asys.A) == content_key(A)
+    assert content_key(asys.G) == content_key(G)
+
+
+def test_a_diagonal_that_sums_to_zero_stays_stored():
+    """Every row of A stores its diagonal entry; the block route drops one
+    that sums to exactly 0.0 and is otherwise the same matrix.  A - s*I is
+    then the same on both."""
+    grid = build_grid(1, (0.0,), (1.0,), (4,))  # h = 1/4: Laplacian diagonal 32
+    ds = laplace_system(grid, n_species=2, m=[["-32", "-1"], ["-1", "0"]]).discretize()
+    A = ds.assemble("full").A
+    ref, _ = reference_assembly(ds, "full")
+    assert A.nnz == ref.nnz + 3
+    assert np.array_equal(A.toarray(), ref.toarray())
+    for r in range(3):
+        row = A.indices[A.indptr[r] : A.indptr[r + 1]]
+        assert r in row and A[r, r] == 0.0
+    assert content_key(shifted(A, 2.5)) == content_key(ref - 2.5 * sp.identity(6, format="csr"))
+
+
+def test_cancelling_cross_terms_leave_no_zero_in_the_stencil():
+    """With a12 = -a21 the two cross-derivative terms at each corner cancel
+    to 0.0: the scalar part drops them (its diagonal aside), while G keeps
+    its explicit zeros, as the block route does."""
+    grid = build_grid(2, 0.0, 1.0, 4)
+    twisted = op_of(2, a=(("1", "1"), ("-1", "1")))
+    ds = system_of(grid, (twisted, op_of(2)), m=[["0", "-0.5"], ["-1", "0"]]).discretize()
+    A_1, G_1 = ds.scalar_parts(0)
+    assert not (A_1.data == 0.0).any() and (G_1.data == 0.0).any()
+    # what is left is the five-point pattern of the Laplacian
+    assert A_1.nnz == ds.scalar_parts(1)[0].nnz
+    for coupling in ("full", "cooperative"):
+        asys = ds.assemble(coupling)
+        A, G = reference_assembly(ds, coupling)
+        assert content_key(asys.A) == content_key(A)
+        assert content_key(asys.G) == content_key(G)
 
 
 def test_boundary_data_vector_layout():

@@ -10,6 +10,7 @@ import json
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
 
 from elcomp.cli import main
 
@@ -57,6 +58,22 @@ def test_certify_matches_golden(name, tmp_path):
         ["certify", str(DATA / f"{name}.prob")],
         tmp_path,
     )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure", "lap1d"],
+)
+def test_certify_builds_no_block_or_identity_matrices(name, tmp_path, monkeypatch):
+    """Assembly, slicing and shifts work on the CSR arrays: certify gives
+    the golden report with sp.bmat, sp.diags and sp.identity unavailable."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse constructor called on the certify path")
+
+    for constructor in ("bmat", "diags", "identity"):
+        monkeypatch.setattr(sp, constructor, refuse)
+    _check(f"{name}.certify.json", ["certify", str(DATA / f"{name}.prob")], tmp_path)
 
 
 def test_thm8_matches_golden(tmp_path):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from scipy.sparse.csgraph import connected_components
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from elcomp.assembly import Z_RTOL, check_z_matrix
 from elcomp.errors import (
     DimMismatch,
     NoConvergence,
@@ -20,14 +22,19 @@ from elcomp.errors import (
     SingularMatrix,
     TooLarge,
 )
+from elcomp.graphs import csr_strongly_connected
 from elcomp.linalg import (
     LuFactor,
+    content_key,
     dense_inverse,
     from_coo,
     inf_norm,
     lu_solve,
     noda_iteration,
     power_iteration,
+    principal_submatrix,
+    same_nonzeros,
+    shifted,
 )
 from elcomp.problems import parse_problem
 
@@ -46,6 +53,96 @@ def test_inf_norm():
     a = sp.csr_matrix(np.array([[1.0, -4.0], [0.5, 0.0]]))
     assert inf_norm(a) == 5.0
     assert inf_norm(sp.csr_matrix((3, 3))) == 0.0
+
+
+@st.composite
+def stored_matrices(draw):
+    """A CSR, CSC or COO matrix whose entries are stored in a random order
+    (unsorted indices), with empty rows, explicit zeros and tied values;
+    square ones are symmetric in value about half the time, with some
+    explicit zeros mirrored by no entry at all."""
+    n_rows = draw(st.integers(0, 10))
+    n_cols = n_rows if draw(st.booleans()) else draw(st.integers(0, 12))
+    value = st.sampled_from([0.0, 1.0, -2.5, 0.5, 3.0]) | st.floats(-10.0, 10.0)
+    entries = {}
+    if n_rows and n_cols:
+        cell = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+        for rc in draw(st.lists(cell, unique=True, max_size=40)):
+            entries[rc] = draw(value)
+    if n_rows == n_cols and draw(st.booleans()):
+        for (r, c), v in list(entries.items()):
+            mirror = entries.get((c, r), 0.0)
+            if v != 0.0 or mirror != 0.0:
+                entries[(r, c)] = entries[(c, r)] = v if v != 0.0 else mirror
+    order = draw(st.permutations(list(entries)))
+    rows = np.array([r for r, _ in order], dtype=np.int32)
+    cols = np.array([c for _, c in order], dtype=np.int32)
+    vals = np.array([entries[rc] for rc in order], dtype=float)
+    shape = (n_rows, n_cols)
+    fmt = draw(st.sampled_from(("csr", "csc", "coo")))
+    if fmt == "coo":
+        return sp.coo_matrix((vals, (rows, cols)), shape=shape)
+    major, minor = (rows, cols) if fmt == "csr" else (cols, rows)
+    by_major = np.argsort(major, kind="stable")  # keeps the random minor order
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(major, minlength=shape[fmt == "csc"]))])
+    build = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+    return build((vals[by_major], minor[by_major], indptr.astype(np.int32)), shape=shape)
+
+
+def _z_scan_reference(a, n_int=None):
+    """check_z_matrix as a scan of a.tocoo(), with the norm of |A|."""
+    coo = a.tocoo()
+    off = coo.row != coo.col
+    if not off.any():
+        return True, None, 0.0, 0.0
+    vals, rows, cols = coo.data[off], coo.row[off], coo.col[off]
+    k = int(np.argmax(vals))
+    worst = float(vals[k])
+    pos = (int(rows[k]), int(cols[k]))
+    if n_int:
+        pos = ((pos[0] // n_int + 1, pos[0] % n_int), (pos[1] // n_int + 1, pos[1] % n_int))
+    norm = float(np.abs(a).sum(axis=1).max())
+    return worst <= Z_RTOL * max(norm, 1e-300), pos, worst, max(worst, 0.0)
+
+
+def _bits(z):
+    is_z, pos, worst, offmax = z
+    return is_z, pos, worst.hex(), offmax.hex()
+
+
+@given(stored_matrices(), st.data())
+@example(sp.csr_matrix((0, 0)), None)
+@example(sp.csr_matrix(np.array([[2.0]])), None)
+# a row longer than 8 entries, where pairwise and running sums differ
+@example(sp.csr_matrix(np.array([[1e16] + [1.0] * 15])), None)
+@example(sp.csc_matrix(np.array([[1e16] + [1.0] * 15])), None)
+@example(sp.csr_matrix((np.zeros(1), np.zeros(1, dtype=np.int32), np.array([0, 1])), shape=(1, 1)), None)
+@settings(max_examples=300, deadline=None)
+def test_array_helpers_equal_the_matrix_formulas(a, data):
+    """inf_norm, the Z scan, the symmetry test, strong connectivity,
+    principal submatrices and the diagonal shift, read off the stored
+    arrays, equal the formulas that build sparse matrices, bit for bit."""
+    norm = 0.0 if a.nnz == 0 else float(np.abs(a).sum(axis=1).max())
+    assert inf_norm(a).hex() == norm.hex()
+    for n_int in (None, 3):
+        assert _bits(check_z_matrix(a, n_int)) == _bits(_z_scan_reference(a, n_int))
+    n = a.shape[0]
+    if n != a.shape[1]:
+        return
+    assert same_nonzeros(a, a.T) == ((a != a.T).nnz == 0)
+    mat = sp.csr_matrix(a, copy=True)
+    mat.eliminate_zeros()
+    reference = n > 0 and connected_components(mat, directed=True, connection="strong")[0] == 1
+    assert csr_strongly_connected(a) == reference
+    if data is None:
+        return
+    ix = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True, max_size=n)))
+    csr = a.tocsr()
+    assert content_key(principal_submatrix(csr, ix)) == content_key(csr[ix][:, ix])
+    s = data.draw(st.floats(-5.0, 5.0))
+    out = shifted(a, s)
+    assert np.array_equal(out.toarray(), a.toarray() - s * np.eye(n))
+    assert np.count_nonzero(out.indices == np.repeat(np.arange(n), np.diff(out.indptr))) == n
 
 
 def test_lu_solve_matches_numpy():
@@ -216,7 +313,7 @@ def test_noda_left_iterate_leaves_the_right_run_alone(off, diag):
     def target(lam):
         return 1e-8 * (1.0 + abs(lam))
 
-    both = noda_iteration(a, target, 50, left=True)
+    both = noda_iteration(a, target, 50, left=a.T.tocsr())
     alone = noda_iteration(a, target, 50)
     assert both.cw == alone.cw and both.rho == alone.rho
     assert np.array_equal(both.vector, alone.vector)
@@ -268,12 +365,11 @@ def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
     """On random irreducible Z-matrices: both enclosures bracket the dense
     principal eigenvalue; an LU is solved with again only after the lead
     iterate's last solve with it halved that iterate's width (the right
-    iterate leads while open, then the left); and left=True leaves the
+    iterate leads while open, then the left); and left=A^T leaves the
     right run equal to a right-only run."""
     d = np.diag(diag) - off * (1.0 - np.eye(5))
     a = sp.csr_matrix(d)
     at = a.T.tocsr()
-    at.sort_indices()
 
     def target(lam):
         return 1e-8 * (1.0 + abs(lam))
@@ -289,7 +385,7 @@ def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
         assert kept <= math.log2(widths[0] / widths[-1])
 
     with recorded_solves() as log:
-        both = noda_iteration(a, target, 50, left=True)
+        both = noda_iteration(a, target, 50, left=at)
     left = both.left
     assert both.cw == alone.cw and both.rho == alone.rho
     assert np.array_equal(both.vector, alone.vector) and both.solves == alone.solves

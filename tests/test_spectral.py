@@ -157,7 +157,7 @@ def test_left_vector_shares_the_right_factorizations(name, monkeypatch):
         return tol * (1.0 + abs(lam))
 
     right = noda_iteration(a, target, spectral.MAX_ITER)
-    left = noda_iteration(a, target, spectral.MAX_ITER, left=True).left
+    left = noda_iteration(a, target, spectral.MAX_ITER, left=a.T.tocsr()).left
     # the left iterate adds factorizations only once the right one is done
     assert pair.iterations == max(right.iterations, left.iterations)
     assert pair.solves == right.solves + left.solves
