@@ -5,10 +5,12 @@ k * n_int + i for species k and interior position i.  Dirichlet data is
 eliminated into a boundary map G so that the discrete equations read
 A u + G g = f.
 
-The coupled A and G are each built as one CSR, straight from the arrays of
-the species' scalar parts; exact zeros are left out, except that every row
-of A stores its diagonal entry, even one that sums to 0.0.  Species blocks
-and subdomain operators are principal submatrices of that one assembly.
+Each species' scalar parts A_k and G_k are written row by row in column
+order, and the coupled A and G are each built as one CSR straight from
+their arrays; exact zeros are left out, except that every row of A stores
+its diagonal entry, even one that sums to 0.0.  Species blocks and
+subdomain operators are principal submatrices of that one assembly, and
+the two coupling modes share it when they give the same A.
 """
 
 from __future__ import annotations
@@ -222,61 +224,68 @@ def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid):
     Conservative fluxes with arithmetic-mean face coefficients, first-order
     upwind convection, centered cross-derivatives.
 
-    Every row lists its stencil entries in the same order, diagonal last,
-    and exact zeros are dropped, so duplicate entries are summed in a fixed
-    order.  A stores every diagonal entry, zero or not, and no other zero:
-    off-diagonal duplicates that cancel to 0.0 are dropped after summing.
+    The stencil slots are grouped by node offset, and the offsets taken in
+    increasing order, which is column order in A and in G both, so every
+    row is written straight into place.  An offset holds at most two slots
+    (a diffusion and a convection term, or two cross terms), so their sum
+    does not depend on the order.  Exact-zero slots count as absent: an
+    entry is stored where some slot is nonzero.  A also drops off-diagonal
+    entries whose slots cancel to 0.0 and stores every diagonal entry, zero
+    or not; G keeps its explicit zeros.
     """
     h = grid.h
     target = grid.interior_ids
     n_rows = len(target)
     stride = (1, grid.shape[0])
-    nodes, coeffs = [], []  # one column per stencil entry, in row order
+    slots = {}  # node offset -> the stencil coefficients there
     diag = c_vals[target]
     for d in range(grid.dim):
-        up = target + stride[d]
-        dn = target - stride[d]
         app = a_vals[d, d, target]
-        f_up = 0.5 * (app + a_vals[d, d, up])
-        f_dn = 0.5 * (app + a_vals[d, d, dn])
+        f_up = 0.5 * (app + a_vals[d, d, target + stride[d]])
+        f_dn = 0.5 * (app + a_vals[d, d, target - stride[d]])
         inv_h2 = 1.0 / (h[d] * h[d])
         diag = diag + (f_up + f_dn) * inv_h2
         bv = b_vals[d, target]
         bp = np.maximum(bv, 0.0)
         bm = np.minimum(bv, 0.0)
         diag = diag + (bp - bm) / h[d]
-        nodes += [up, dn, dn, up]
-        coeffs += [-f_up * inv_h2, -f_dn * inv_h2, -bp / h[d], bm / h[d]]
+        slots[stride[d]] = [-f_up * inv_h2, bm / h[d]]
+        slots[-stride[d]] = [-f_dn * inv_h2, -bp / h[d]]
     if grid.dim == 2:
         # -D_d2(a_{d1 d2} D_d1 u), centered both ways, for d1 != d2
         scale = 1.0 / (4.0 * h[0] * h[1])
         for d1, d2 in ((0, 1), (1, 0)):
             for s2 in (1, -1):
-                nbr2 = target + s2 * stride[d2]
-                a_here = a_vals[d1, d2, nbr2]
+                a_here = a_vals[d1, d2, target + s2 * stride[d2]]
                 for s1 in (1, -1):
-                    nodes.append(nbr2 + s1 * stride[d1])
-                    coeffs.append(-s1 * s2 * a_here * scale)
-    nodes.append(target)
-    coeffs.append(diag)
-    node = np.stack(nodes, axis=1)
-    coeff = np.stack(coeffs, axis=1)
+                    offset = s1 * stride[d1] + s2 * stride[d2]
+                    slots.setdefault(offset, []).append(-s1 * s2 * a_here * scale)
+    slots[0] = [diag]
+    offsets = sorted(slots)
+    vals = np.empty((n_rows, len(offsets)))
+    present = np.empty(vals.shape, dtype=bool)
+    for i, offset in enumerate(offsets):
+        parts = slots[offset]
+        # with one slot at 0.0, the sum is the other slot exactly
+        vals[:, i] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+        present[:, i] = np.logical_or.reduce([p != 0.0 for p in parts])
+    node = target[:, None] + np.asarray(offsets)
     col = grid.interior_pos[node]
-    row = np.broadcast_to(np.arange(n_rows)[:, None], node.shape)
-    nonzero = coeff != 0.0
-    nonzero[:, -1] = True  # the diagonal closes every row of A, zero or not
-    in_a = nonzero & (col >= 0)
-    A = linalg.from_coo(n_rows, n_rows, row[in_a], col[in_a], coeff[in_a])
-    zero = A.data == 0.0
-    if zero.any():
-        rows = linalg.row_ids(A)
-        keep = ~zero | (A.indices == rows)
-        A = linalg.from_coo(n_rows, n_rows, rows[keep], A.indices[keep], A.data[keep])
-    in_g = nonzero & (col < 0)
-    G = linalg.from_coo(
-        n_rows, grid.n_boundary, row[in_g], grid.boundary_pos[node[in_g]], coeff[in_g]
-    )
+    inside = col >= 0
+    in_a = inside & (vals != 0.0)
+    in_a[:, offsets.index(0)] = True  # the diagonal, zero or not
+    A = _rows_to_csr(in_a, col, vals, grid.n_interior)
+    G = _rows_to_csr(~inside & present, grid.boundary_pos[node], vals, grid.n_boundary)
     return A, G
+
+
+def _rows_to_csr(keep, cols, vals, n_cols: int) -> sp.csr_matrix:
+    """CSR of the kept (row, slot) entries, each row's slots in order."""
+    indptr = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix(
+        (vals[keep], cols[keep], indptr), shape=(keep.shape[0], n_cols)
+    )
 
 
 def _coupled_operator(blocks, m) -> sp.csr_matrix:
@@ -385,14 +394,23 @@ class DiscreteSystem:
         return self.m_vals if _coupling_mode(coupling) == "full" else self.m_minus
 
     def assembled(self, coupling="full") -> AssembledSystem:
-        """assemble(coupling), built once per coupling mode.
+        """assemble(coupling), built once per distinct operator.
 
-        The stages of a run share that AssembledSystem, and with it the
-        oracle scan kept on it, so it must not be modified.
+        Where m has no positive value at an interior node (m_kk included;
+        boundary nodes never enter A), m_minus drops nothing that A holds,
+        so the "cooperative" system is the "full" one, and the same
+        AssembledSystem is returned for both.  The stages of a run share
+        it, and with it the oracle scan kept on it, so it must not be
+        modified.
         """
-        if _coupling_mode(coupling) not in self._assembly_cache:
-            self._assembly_cache[coupling] = self.assemble(coupling)
-        return self._assembly_cache[coupling]
+        mode = _coupling_mode(coupling)
+        if mode not in self._assembly_cache:
+            m = self.m_vals[:, :, self.grid.interior_ids]
+            if mode == "cooperative" and not (m > 0.0).any():
+                self._assembly_cache[mode] = self.assembled("full")
+            else:
+                self._assembly_cache[mode] = self.assemble(mode)
+        return self._assembly_cache[mode]
 
     def block(self, coupling, species, mask: SubdomainMask | None = None):
         """Principal submatrix of assembled(coupling).A on the given species

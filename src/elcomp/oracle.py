@@ -9,9 +9,11 @@ random probing (falsification only).
 The inverse is streamed, never held.  inverse_positivity factorizes A once
 and solves against the identity BLOCK columns at a time.  Each block leaves
 only the min and max of every species block (k, l) of A^{-1}, each with its
-first row-major position, and its share of the sparse product A^{-1} G.
-Memory is the LU factors, one n x BLOCK block, and the columns of A^{-1} G
-whose rows are still being solved: O(n * BLOCK + n * n_boundary) at most.
+first row-major position, and its share of the product A^{-1} G.  That
+share is taken from G's CSR arrays and folded into the columns of A^{-1} G
+whose rows are still being solved, with array operations and no sparse
+matrix per block.  Memory is the LU factors, one n x BLOCK block, and those
+open columns: O(n * BLOCK + n * n_boundary) at most.
 
 A gauge sigma flips signs in that same scan.  With D = diag(sigma),
 (D A D)^{-1} = D A^{-1} D holds bit for bit in floating point: the LU's
@@ -36,7 +38,7 @@ import numpy as np
 from .assembly import AssembledSystem
 from .errors import DimMismatch, TooLarge, ValidationError
 from .fields import BlockField
-from .linalg import LuFactor, content_key, lu_solve
+from .linalg import LuFactor, content_key, lu_solve, row_ids
 
 TOL_OP = 1e-9
 TOL_RES = 1e-8
@@ -112,39 +114,77 @@ def _scan_inverse(asys: AssembledSystem):
     values; it is empty when G is.
 
     Column j of A^{-1} G sums G[r, j] A^{-1}[:, r] over the few rows r that
-    boundary value j enters.  Its partial sum is kept from the first block
-    that holds such an r to the last, then folded into bnd and dropped.
+    boundary value j enters.  Each block's entries of G are read off G's
+    CSR arrays.  A column's terms in the block are summed in increasing r
+    onto 0.0, as the sparse product G[c0:c1].T @ x.T sums them, and that
+    share is added to the column's running sum.  The sum is kept from the
+    first block that holds such an r to the last, then folded into bnd and
+    dropped, so only those open columns are held.
     """
     a, g = asys.A, asys.G
     n, n_int, ns = a.shape[0], asys.grid.n_interior, asys.n_species
     n_bnd = asys.grid.n_boundary
     lu = LuFactor(a)
     inv, bnd = {}, {}
+    rows = row_ids(g)
     last_row = np.full(g.shape[1], -1)
-    np.maximum.at(last_row, g.indices, np.repeat(np.arange(n), np.diff(g.indptr)))
-    # boundary column -> partial sum of its column of A^{-1} G; a boundary
+    np.maximum.at(last_row, g.indices, rows)
+    # open boundary columns, ascending, and their running sums; a boundary
     # value that enters no equation has a zero column from the start
-    open_cols = {}
-    if g.nnz:
-        open_cols = {j: np.zeros(n) for j in np.flatnonzero(last_row < 0)}
+    open_ids = np.flatnonzero(last_row < 0) if g.nnz else np.empty(0, dtype=np.intp)
+    sums = np.zeros((n, open_ids.size))
     for c0 in range(0, n, BLOCK):
         c1 = min(c0 + BLOCK, n)
         x = _inverse_columns(lu, c0, c1)
         for key, cand in _block_minima(x, c0, n_int, ns):
             inv[key] = min(inv.get(key, cand), cand)
-        if g.nnz:
-            g_rows = g[c0:c1]
-            cols = np.unique(g_rows.indices)
-            for j, v in zip(cols, g_rows[:, cols].T @ x.T):
-                open_cols[j] = open_cols.get(j, 0.0) + v
+        lo, hi = g.indptr[c0], g.indptr[c1]
+        if hi > lo:
+            open_ids, sums = _fold_block(
+                open_ids, sums, x, rows[lo:hi] - c0, g.indices[lo:hi], g.data[lo:hi]
+            )
         del x  # so that the next solve does not hold two blocks
-        for j in [j for j in open_cols if last_row[j] < c1]:
-            col = -open_cols.pop(j).reshape(ns, n_int)
-            l = j // n_bnd
-            for k in range(ns):
-                for s, m in ((1, float(col[k].min())), (-1, -float(col[k].max()))):
-                    bnd[k, l, s] = min(bnd.get((k, l, s), m), m)
+        done = last_row[open_ids] < c1
+        if done.any():
+            _fold_boundary(bnd, sums[:, done], open_ids[done], ns, n_int, n_bnd)
+            open_ids, sums = open_ids[~done], sums[:, ~done]
     return inv, bnd
+
+
+def _fold_block(open_ids, sums, x, rows, cols, vals):
+    """The open columns of A^{-1} G, ascending, and their running sums, with
+    the terms vals * x[:, rows] of G's entries (rows, cols) in one block
+    added.  The entries come in CSR order, so a column's terms are met in
+    increasing row.  They are summed onto 0.0, the k-th term of every
+    column in one step, and that share is added to the running sum."""
+    ids, at = np.unique(np.concatenate([open_ids, cols]), return_inverse=True)
+    at_open, at = at[: open_ids.size], at[open_ids.size :]
+    # earlier entries of the same column; a stable sort keeps CSR order
+    order = np.argsort(cols, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(cols.size) - np.searchsorted(cols[order], cols[order])
+    share = np.zeros((x.shape[0], ids.size))
+    terms = x[:, rows] * vals
+    for k in range(int(rank.max()) + 1):
+        kth = rank == k  # at most one term per column
+        share[:, at[kth]] += terms[:, kth]
+    share[:, at_open] += sums
+    return ids, share
+
+
+def _fold_boundary(bnd, sums, ids, ns: int, n_int: int, n_bnd: int) -> None:
+    """Fold the finished columns ids (ascending) of A^{-1} G, held in sums,
+    into bnd: the min of s * -(A^{-1} G) per species block (k, l) and sign
+    s.  Ascending ids list each species' boundary columns together."""
+    parts = sums.reshape(ns, n_int, ids.size)
+    species = ids // n_bnd
+    first = np.flatnonzero(np.diff(species, prepend=-1))
+    top = np.maximum.reduceat(parts.max(axis=1), first, axis=1)
+    bottom = np.minimum.reduceat(parts.min(axis=1), first, axis=1)
+    for i, l in enumerate(species[first].tolist()):
+        for k in range(ns):
+            for s, m in ((1, -float(top[k, i])), (-1, float(bottom[k, i]))):
+                bnd[k, l, s] = min(bnd.get((k, l, s), m), m)
 
 
 def inverse_positivity(

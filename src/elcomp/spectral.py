@@ -112,17 +112,23 @@ def block_eigen(
 ) -> EigenPair:
     """Principal eigenpair of the cooperative part restricted to a species
     block (0-based species) and a subdomain: a principal submatrix of the
-    full-domain cooperative operator (DiscreteSystem.block)."""
+    full-domain cooperative operator (DiscreteSystem.block).
+
+    The Z gate is principal_eigenpair's one scan; its (row, col) position
+    is reported here as ((species, interior_pos), (species, interior_pos)).
+    """
     ds = as_discrete(spec)
     a = ds.block("cooperative", species, mask)
-    is_z, pos, worst, _ = check_z_matrix(a, a.shape[0] // len(species))
-    if not is_z:
+    try:
+        return _memo_eigenpair(ds, a, tol_eig, max_iter)
+    except NotZMatrix as err:
+        n_int = a.shape[0] // len(species)
+        pos = tuple((r // n_int + 1, r % n_int) for r in err.position)
         raise NotZMatrix(
-            f"cooperative part has positive off-diagonal {worst:.6g} at {pos}",
+            f"cooperative part has positive off-diagonal {err.value:.6g} at {pos}",
             position=pos,
-            value=worst,
-        )
-    return _memo_eigenpair(ds, a, tol_eig, max_iter)
+            value=err.value,
+        ) from None
 
 
 def cooperative_eigen(

@@ -27,6 +27,7 @@ from helpers import (
     laplace_system,
     op_of,
     reference_assembly,
+    reference_scalar_parts,
     scalar_parts_of,
     system_of,
 )
@@ -323,6 +324,103 @@ def test_cancelling_cross_terms_leave_no_zero_in_the_stencil():
         assert content_key(asys.G) == content_key(G)
 
 
+@st.composite
+def _stencil_case(draw):
+    """Node values for one scalar operator on a small 1D or 2D grid of
+    dyadic spacing: exact zeros of both signs, convection of both signs
+    and, in 2D, cross diffusion.  Half the draws take values from a few
+    dyadic numbers, so that stencil slots sum to exactly 0.0 (cross terms
+    with a12 = -a21, or diffusion against convection) inside and on the
+    boundary; every grid this small has rows next to the boundary on every
+    side."""
+    dim = draw(st.sampled_from((1, 2)))
+    grid = build_grid(dim, 0.0, 1.0, tuple(draw(st.sampled_from((4, 8))) for _ in range(dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    few = draw(st.booleans())
+
+    def values(*shape):
+        shape = (*shape, grid.n_nodes)
+        if few:
+            return rng.choice([-4.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 4.0], shape)
+        v = rng.uniform(-2.0, 2.0, shape)
+        pick = rng.random(shape)
+        v[pick < 0.2] = 0.0
+        v[pick > 0.85] = -0.0
+        return v
+
+    a = values(dim, dim)
+    if dim == 2 and draw(st.booleans()):
+        a[1, 0] = -a[0, 1]
+    return a, values(dim), values(), grid
+
+
+@given(_stencil_case())
+@settings(max_examples=80, deadline=None)
+def test_scalar_parts_equal_the_coo_reference(case):
+    """Stencils written row by row in column order give, bit for bit, the
+    A_k and G_k of the triplet route that sums duplicates in a sort."""
+    a, b, c, grid = case
+    A, G = assembly._assemble_scalar_values(a, b, c, grid)
+    A_ref, G_ref = reference_scalar_parts(a, b, c, grid)
+    assert content_key(A) == content_key(A_ref)
+    assert content_key(G) == content_key(G_ref)
+
+
+@st.composite
+def _coupling_sign_case(draw):
+    """A 1-3 species system whose couplings are nonpositive (-0.0 among
+    them) except where a draw puts a positive value: nowhere, at one
+    interior node off or on the diagonal, or only on boundary nodes."""
+    dim = draw(st.sampled_from((1, 2)))
+    grid = build_grid(dim, 0.0, 1.0, tuple(draw(st.integers(3, 5)) for _ in range(dim)))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nn = grid.n_nodes
+    m = rng.choice([-1.5, -0.25, -0.0, 0.0], size=(n, n, nn))
+    k, l = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    where = draw(st.sampled_from(("nowhere", "interior", "diagonal", "boundary")))
+    if where == "interior":
+        m[k, l, rng.choice(grid.interior_ids)] = 0.5
+    elif where == "diagonal":
+        m[k, k, rng.choice(grid.interior_ids)] = 0.5
+    elif where == "boundary":
+        m[k, l, rng.choice(grid.boundary_ids)] = 0.5
+    a = np.zeros((n, dim, dim, nn))
+    for d in range(dim):
+        a[:, d, d] = rng.uniform(0.5, 2.0, (n, nn))
+    ds = DiscreteSystem(
+        grid,
+        n,
+        a,
+        rng.uniform(-1.0, 1.0, (n, dim, nn)),
+        rng.uniform(-1.0, 1.0, (n, nn)),
+        m,
+        np.zeros((n, nn)),
+        np.zeros((n, nn)),
+    )
+    return ds, draw(st.permutations(["full", "cooperative"]))
+
+
+@given(_coupling_sign_case())
+@settings(max_examples=60, deadline=None)
+def test_modes_share_one_assembly_exactly_without_positive_coupling(case):
+    """assembled("cooperative") is assembled("full") exactly when no interior
+    value of m is positive, whichever mode is asked for first, and each mode
+    is bit for bit a fresh assembly of that mode."""
+    ds, order = case
+    built = {mode: ds.assembled(mode) for mode in order}
+    positive = (ds.m_vals[:, :, ds.grid.interior_ids] > 0.0).any()
+    assert (built["cooperative"] is built["full"]) == (not positive)
+    for mode, asys in built.items():
+        fresh = ds.assemble(mode)
+        assert content_key(asys.A, asys.G) == content_key(fresh.A, fresh.G)
+        assert (asys.z_matrix, asys.offdiag_max, asys.worst_offdiag) == (
+            fresh.z_matrix,
+            fresh.offdiag_max,
+            fresh.worst_offdiag,
+        )
+
+
 def test_boundary_data_vector_layout():
     grid = build_grid(1, (0.0,), (1.0,), (4,))
     spec = laplace_system(grid, n_species=2, g=["x", "2"], f=["1", "0"])
@@ -426,11 +524,20 @@ def test_certify_assembles_each_stencil_once(name, monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure", "lap1d"],
-)
+# modes each bundled problem assembles: without a positive coupling the
+# cooperative system is the full one
+_ASSEMBLED_MODES = {
+    "cooperative_pair": ["full"],
+    "competitive17": ["cooperative", "full"],
+    "predator_prey": ["cooperative", "full"],
+    "thm6_failure": ["full"],
+    "lap1d": ["full"],
+}
+
+
+@pytest.mark.parametrize("name", list(_ASSEMBLED_MODES))
 def test_certify_assembles_once_per_coupling_mode(name, monkeypatch):
+    """One assembly per distinct operator."""
     modes = []
     build = DiscreteSystem.assemble
 
@@ -440,7 +547,7 @@ def test_certify_assembles_once_per_coupling_mode(name, monkeypatch):
 
     monkeypatch.setattr(DiscreteSystem, "assemble", counting)
     certify(load_problem(DATA / f"{name}.prob"), with_oracle=True)
-    assert sorted(modes) == ["cooperative", "full"]
+    assert sorted(modes) == _ASSEMBLED_MODES[name]
 
 
 def test_assembled_is_kept_per_mode_on_the_full_domain():

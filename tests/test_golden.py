@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import scipy.sparse as sp
 
+from elcomp import linalg
 from elcomp.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -66,13 +67,15 @@ def test_certify_matches_golden(name, tmp_path):
 )
 def test_certify_builds_no_block_or_identity_matrices(name, tmp_path, monkeypatch):
     """Assembly, slicing and shifts work on the CSR arrays: certify gives
-    the golden report with sp.bmat, sp.diags and sp.identity unavailable."""
+    the golden report with sp.bmat, sp.diags, sp.identity and the triplet
+    builder linalg.from_coo unavailable."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("sparse constructor called on the certify path")
 
     for constructor in ("bmat", "diags", "identity"):
         monkeypatch.setattr(sp, constructor, refuse)
+    monkeypatch.setattr(linalg, "from_coo", refuse)
     _check(f"{name}.certify.json", ["certify", str(DATA / f"{name}.prob")], tmp_path)
 
 

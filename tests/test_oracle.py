@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._base as sparse_base
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,7 +14,7 @@ from elcomp import oracle
 from elcomp.assembly import DiscreteSystem, assemble_system
 from elcomp.errors import DimMismatch, SingularMatrix, TooLarge, ValidationError
 from elcomp.fields import block_from_exprs, block_from_solution
-from elcomp.linalg import dense_inverse
+from elcomp.linalg import dense_inverse, row_ids
 from elcomp.mesh import build_grid
 from elcomp.oracle import (
     TOL_OP,
@@ -24,7 +25,7 @@ from elcomp.oracle import (
 )
 from elcomp.expressions import parse_expr
 
-from helpers import laplace_system
+from helpers import laplace_system, reference_boundary_scan
 
 
 def _pair(grid, m):
@@ -274,6 +275,57 @@ def test_streamed_boundary_sums_span_blocks(case):
     assert rep.boundary_monotone == expect[4]
 
 
+@given(_oracle_case(cross=True), st.sampled_from((3, 8, 64)))
+@settings(max_examples=40, deadline=None)
+def test_boundary_fold_equals_the_sparse_product(case, block):
+    """Folding each block's share of A^{-1} G from G's arrays gives, bit for
+    bit, the extremes of the sparse-product route, whose column sums add
+    each block's terms in increasing row onto 0.0 before the running sum."""
+    asys, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "BLOCK", block)
+        try:
+            expect = reference_boundary_scan(asys, block)
+        except SingularMatrix:
+            return
+        _, bnd = oracle._scan_inverse(asys)
+    assert {key: repr(v) for key, v in bnd.items()} == {
+        key: repr(v) for key, v in expect.items()
+    }
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9))
+@settings(max_examples=40, deadline=None)
+def test_block_fold_sums_like_the_sparse_product(seed, block):
+    """The running column sums of A^{-1} G, folded block by block from G's
+    arrays, equal bit for bit those of the sparse product G[c0:c1].T @ x.T
+    added block by block, for columns with several rows in one block and
+    across blocks."""
+    rng = np.random.default_rng(seed)
+    n = 24
+    dense = np.where(rng.random((n, 10)) < 0.3, rng.uniform(-2.0, 2.0, (n, 10)), 0.0)
+    g = sp.csr_matrix(dense)
+    inverse = rng.uniform(-1.0, 1.0, (n, n))
+    rows = row_ids(g)
+    open_ids, sums = np.empty(0, dtype=np.intp), np.zeros((n, 0))
+    expect = {}
+    for c0 in range(0, n, block):
+        c1 = min(c0 + block, n)
+        x = inverse[:, c0:c1].copy()
+        lo, hi = g.indptr[c0], g.indptr[c1]
+        if hi > lo:
+            open_ids, sums = oracle._fold_block(
+                open_ids, sums, x, rows[lo:hi] - c0, g.indices[lo:hi], g.data[lo:hi]
+            )
+        g_rows = g[c0:c1]
+        cols = np.unique(g_rows.indices)
+        for j, v in zip(cols, g_rows[:, cols].T @ x.T):
+            expect[j] = expect.get(j, 0.0) + v
+    assert open_ids.tolist() == sorted(expect)
+    for i, j in enumerate(open_ids):
+        assert sums[:, i].tobytes() == expect[j].tobytes()
+
+
 def test_oracle_scan_kept_by_content(monkeypatch):
     """One factorization serves every gauge on one system; changed matrix
     content is scanned again."""
@@ -311,3 +363,30 @@ def test_oracle_memory_stays_below_a_quarter_inverse():
         tracemalloc.stop()
     assert rep.inverse_positive and rep.boundary_monotone
     assert peak < n * n * 8 / 4
+
+
+def test_scan_builds_no_sparse_matrix_per_block():
+    """The scan reads G's CSR arrays: a 1D system of 2 column blocks, one
+    of 16 and a 2D pair of 17 build the same number of scipy sparse
+    matrices, all of them for the one factorization."""
+    built = []
+    init = sparse_base._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    systems = [
+        _pair(build_grid(2, 0.0, 1.0, 24), [["0", "-1"], ["-0.5", "0"]]),
+        *(assemble_system(laplace_system(build_grid(1, 0.0, 1.0, n))) for n in (128, 1024)),
+    ]
+    counts = []
+    for asys in systems:
+        assert asys.G.nnz
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_base._spbase, "__init__", counting)
+            oracle._scan_inverse(asys)
+        counts.append(len(built))
+        built.clear()
+    assert [asys.A.shape[0] for asys in systems] == [1058, 127, 1023]
+    assert counts[0] == counts[1] == counts[2], counts

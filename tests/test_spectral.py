@@ -359,3 +359,34 @@ def test_eigen_memo_is_per_system_and_read_only(monkeypatch):
     component_eigen(ds, 1, tol_eig=1e-7)  # another tolerance is another solve
     component_eigen(spec.discretize(), 1)  # a new system starts empty
     assert len(calls) == 3
+
+
+def test_block_eigen_scans_each_block_once(monkeypatch):
+    """principal_eigenpair's Z scan is the block's only one, and a memo hit
+    scans nothing; a non-Z block still reports (species, position) pairs
+    within the block."""
+    scans = []
+    scan = spectral.check_z_matrix
+
+    def counting(a, *args):
+        scans.append(a.shape)
+        return scan(a, *args)
+
+    monkeypatch.setattr(spectral, "check_z_matrix", counting)
+    grid = build_grid(2, 0.0, 1.0, 6)
+    twisted = op_of(2, a=(("1", "0.9"), ("0.9", "1")))
+    ds = system_of(grid, (op_of(2), twisted), m=[["0", "-1"], ["-1", "0"]]).discretize()
+    block_eigen(ds, [0])
+    assert len(scans) == 1
+    block_eigen(ds, [0])
+    assert len(scans) == 1
+    for species in ([1], [0, 1]):
+        a = ds.block("cooperative", species)
+        _, pos, worst, _ = scan(a, grid.n_interior)
+        with pytest.raises(NotZMatrix) as info:
+            block_eigen(ds, species)
+        assert (info.value.position, info.value.value) == (pos, worst)
+        assert pos[0][0] == len(species)  # the twisted species comes last
+        assert str(info.value) == (
+            f"cooperative part has positive off-diagonal {worst:.6g} at {pos}"
+        )
