@@ -31,7 +31,6 @@ from .spectral import (
     _memo_eigenpair,
     block_eigen,
     component_eigen,
-    cooperative_eigen,
 )
 
 TOL_COND = 1e-8
@@ -231,10 +230,10 @@ def _common_point(col, tols):
     return bool(score[pos] > 0.0), pos, float(col[:, pos].min())
 
 
-def _counterexample(ds, block, pair, j, which, tol_res: float = TOL_RES):
+def _counterexample(ds, block, pair, j, which):
     """Counterexample from the block's right eigenfunction, zero on the
     other species and scaled to max 1.  Verified when w >= 0 and
-    (A w)_i <= tol_res * |A| for the fully coupled A."""
+    (A w)_i <= TOL_RES * |A| for the fully coupled A."""
     a = ds.assembled("full").A
     w = np.zeros((ds.n_species, ds.grid.n_interior))
     w[block] = pair.right.reshape(len(block), -1)
@@ -245,9 +244,16 @@ def _counterexample(ds, block, pair, j, which, tol_res: float = TOL_RES):
     else:
         w = w / wmax
         residual = float((a @ w).max())
-        ok = float(w.min()) >= 0.0 and residual <= tol_res * inf_norm(a)
+        ok = float(w.min()) >= 0.0 and residual <= TOL_RES * inf_norm(a)
     fld = block_from_solution(ds.grid, ds.n_species, w, None)
     return Counterexample(fld, ok, residual, j, which)
+
+
+def _margin_mode(mode) -> str:
+    """mode if it names a margin condition; anything else is invalid."""
+    if isinstance(mode, str) and mode in ("basic", "sharp"):
+        return mode
+    raise ValidationError(f"unknown mode {mode!r}")
 
 
 # -------------------------------------------------------------- theorem 1
@@ -265,6 +271,7 @@ def check_thm1(
     The full coupling (including any nonnegative diagonal part) is folded
     into the operator; competitive off-diagonal entries are out of scope.
     """
+    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     if ds.plus_offdiag_pattern().any():
         raise StructureUnsupported(
@@ -364,6 +371,7 @@ def check_thm3(
 ) -> Verdict:
     """Irreducible cooperative part: the block margins with one block that
     holds every species, recorded under system."""
+    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     if len(_species_structure(ds).blocks) != 1:
         raise StructureUnsupported("cooperative part is not fully coupled")
@@ -382,6 +390,7 @@ def check_thm4(
     max_iter: int = MAX_ITER,
 ) -> Verdict:
     """Per-component (or per-block) variant of the margin conditions."""
+    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     st = _species_structure(ds)
     if st.cross:
@@ -421,6 +430,7 @@ def check_thm5(
     equation is uncoupled in the cooperative part); later species need
     strict margins, and epsilon is half the smallest strict slack.
     """
+    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     n = ds.n_species
     order0 = _species_structure(ds).order
@@ -520,30 +530,6 @@ def _thm5_chain(ds, lams, eps, order0, pairs):
 
 
 # ------------------------------------------------------- failure theorems
-
-
-def build_counterexample(
-    spec,
-    j: int,
-    which: str,
-    tol_eig: float = TOL_EIG,
-    max_iter: int = MAX_ITER,
-    tol_res: float = TOL_RES,
-):
-    """Candidate failure field: species-j eigenfunction (thm6, reducible
-    case) or the full cooperative eigenfunction (thm7, irreducible case),
-    verified against the fully coupled matrix.  Returns (field, verified,
-    residual)."""
-    ds = as_discrete(spec)
-    if which == "thm6":
-        block, pair = [j - 1], component_eigen(ds, j, tol_eig, max_iter)
-    elif which == "thm7":
-        block = list(range(ds.n_species))
-        pair = cooperative_eigen(ds, tol_eig, max_iter)
-    else:
-        raise ValidationError(f"unknown counterexample family {which!r}")
-    cex = _counterexample(ds, block, pair, j, which, tol_res)
-    return cex.w, cex.verified, cex.residual_max
 
 
 def check_failure(
@@ -673,6 +659,7 @@ def certify(
 ) -> Verdict:
     """Full pipeline: gates, classification, refutation scan, certificate
     route, gauge and oracle attachments."""
+    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     ds.check_ellipticity()
     coop = ds.assembled("cooperative")

@@ -327,11 +327,6 @@ _COMMANDS = {
 }
 
 
-def run(command: str, flags) -> int:
-    """Programmatic entry point mirroring the console script."""
-    return main([command, *flags])
-
-
 def main(argv=None) -> int:
     from . import __version__
 

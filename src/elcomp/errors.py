@@ -87,12 +87,6 @@ class TooLarge(ElcompError):
     exit_code = 2
 
 
-class NotNonnegative(ElcompError):
-    """Power iteration needs an entrywise nonnegative matrix."""
-
-    exit_code = 3
-
-
 class NoConvergence(ElcompError):
     """Iteration budget exhausted before the enclosure got tight."""
 

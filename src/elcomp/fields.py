@@ -45,9 +45,6 @@ class BlockField:
     def boundary(self) -> np.ndarray:
         return self.values[:, self.grid.boundary_ids]
 
-    def component(self, k: int) -> np.ndarray:
-        return self.values[k]
-
 
 def block_from_exprs(grid: Grid, exprs) -> BlockField:
     vals = np.stack([sample_field(e, grid) for e in exprs])
@@ -176,12 +173,12 @@ def _finish_block(current) -> SampledField:
     return SampledField(grid, name, np.asarray(values))
 
 
-def load_block(path, grid: Grid, n_species: int, prefix: str = "u") -> BlockField:
+def load_block(path, grid: Grid, n_species: int) -> BlockField:
     """Load fields named u1..uN (in any order) into a BlockField."""
     fields = {f.name: f for f in load_fields(path, grid)}
     values = np.empty((n_species, grid.n_nodes))
     for k in range(n_species):
-        name = f"{prefix}{k + 1}"
+        name = f"u{k + 1}"
         if name not in fields:
             raise ValidationError(f"file lacks field {name!r}")
         values[k] = fields[name].values

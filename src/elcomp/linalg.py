@@ -1,4 +1,4 @@
-"""Sparse kernels: CSR utilities, LU solves, dense inversion, eigen iterations.
+"""Sparse kernels: CSR utilities, LU solves, dense inversion, Noda iteration.
 
 Storage and factorization lean on scipy (CSR + SuperLU).  The bookkeeping
 between them (row norms, the stored-entry scan, principal submatrices,
@@ -10,10 +10,8 @@ its columns by minimum degree on A + A^T; that ordering depends only on the
 sparsity pattern, so a sign-flipped D A D shares A's ordering and pivots.
 The certified eigenvalue machinery is implemented here: Noda's shifted
 inverse iteration for irreducible Z-matrices, which keeps a shift's
-factorization while its solves keep halving the enclosure and serves both
-eigenvectors from it, and the shifted power iteration for nonnegative
-matrices that serves as its reference.  Both carry Collatz-Wielandt
-enclosures.
+factorization while its solves keep halving the enclosure, serves both
+eigenvectors from it, and carries a Collatz-Wielandt enclosure.
 """
 
 from __future__ import annotations
@@ -25,13 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    DimMismatch,
-    NoConvergence,
-    NotNonnegative,
-    SingularMatrix,
-    TooLarge,
-)
+from .errors import DimMismatch, NoConvergence, SingularMatrix, TooLarge
 
 PIVOT_RTOL = 1e-14
 # Noda iteration: widths within this factor of the ratios' rounding level
@@ -223,78 +215,17 @@ def dense_inverse(a: sp.spmatrix, max_dof: int = 2500) -> np.ndarray:
 
 
 @dataclass
-class PowerResult:
+class NodaResult:
+    """A Noda run: rho in the enclosure cw, its positive vector (unit max),
+    the run's LU factorizations and this iterate's solves, and the left
+    iterate's result when one ran alongside."""
+
     rho: float
     vector: np.ndarray
     cw: tuple
     iterations: int
-    history: list | None = None
-    left: PowerResult | None = None
-    solves: int = 0
-
-    def __iter__(self):
-        # unpacks as (rho, vector, cw)
-        return iter((self.rho, self.vector, self.cw))
-
-
-def _collatz_power(b: sp.spmatrix, width_target, max_iter: int, collect_history=False):
-    """Shared Perron-root loop with certified Collatz-Wielandt enclosures.
-
-    Iterates with b + t*I (t = max row sum) so the iteration is primitive and
-    the negative tail of the shifted spectrum cannot stall convergence; the
-    ratio bounds for b itself are recovered exactly by subtracting t.
-    Enclosures are intersected across iterates, so widths never increase.
-
-    width_target(rho_estimate) -> admissible enclosure width.
-    """
-    n = b.shape[0]
-    if b.shape[0] != b.shape[1]:
-        raise DimMismatch(f"power iteration needs a square matrix, got {b.shape}")
-    if b.nnz and float(b.data.min()) < 0.0:
-        raise NotNonnegative("matrix has a negative entry")
-    t = max(inf_norm(b), 1.0)
-    bt = shifted(b, -t)
-    v = np.ones(n)
-    lo, hi = -np.inf, np.inf
-    history = [] if collect_history else None
-    last_width = np.inf
-    for it in range(1, max_iter + 1):
-        w = bt @ v
-        ratios = w / v - t
-        lo = max(lo, float(ratios.min()))
-        hi = min(hi, float(ratios.max()))
-        bv = w - t * v
-        rho = float(v @ bv) / float(v @ v)
-        rho = min(max(rho, lo), hi)
-        width = hi - lo
-        if history is not None:
-            history.append((lo, hi))
-        if width <= width_target(rho):
-            return PowerResult(rho, v.copy(), (lo, hi), it, history)
-        mx = float(w.max())
-        if mx <= 0.0:
-            raise NotNonnegative("iteration left the positive cone")
-        v = w / mx
-        last_width = width
-    raise NoConvergence(
-        f"enclosure width {last_width:.3e} after {max_iter} iterations",
-        iterations=max_iter,
-        width=last_width,
-    )
-
-
-def power_iteration(
-    b: sp.spmatrix,
-    tol: float = 1e-9,
-    max_iter: int = 200000,
-    collect_history: bool = False,
-) -> PowerResult:
-    """Perron root of a nonnegative irreducible matrix with enclosure.
-
-    Deterministic all-ones start.  Converged when the Collatz-Wielandt
-    enclosure width drops to tol * (1 + rho).
-    """
-    return _collatz_power(b, lambda rho: tol * (1.0 + abs(rho)), max_iter, collect_history)
+    solves: int
+    left: NodaResult | None = None
 
 
 class _NodaIterate:
@@ -323,8 +254,8 @@ class _NodaIterate:
         self.lam = min(max(float(self.x @ bx) / float(self.x @ self.x), self.lo), self.hi)
         width = self.hi - self.lo
         if width <= width_target(self.lam):
-            self.result = PowerResult(
-                self.lam, self.x, (self.lo, self.hi), factorizations, solves=self.solves
+            self.result = NodaResult(
+                self.lam, self.x, (self.lo, self.hi), factorizations, self.solves
             )
             return False
         self.widths.append(width)
@@ -359,7 +290,7 @@ class _NodaIterate:
 
 def noda_iteration(
     a: sp.spmatrix, width_target, max_iter: int, left: sp.csr_matrix | None = None
-) -> PowerResult:
+) -> NodaResult:
     """Principal eigenpair of an irreducible Z-matrix by Noda iteration.
 
     From x = 1, each step intersects the Collatz-Wielandt ratios (Ax)/x into
@@ -392,7 +323,7 @@ def noda_iteration(
     diagonal (shifted).
 
     Given left = A^T as CSR, a left iterate runs on it alongside and is
-    returned as the result's left: a PowerResult counting its own solves
+    returned as the result's left: a NodaResult counting its own solves
     and the run's factorizations when it closed.  It is solved through the
     transposed factor of whichever LU is current, so mu < lambda keeps it
     positive as well, and keeps its own enclosure, stopping when that meets

@@ -52,11 +52,6 @@ class Grid:
     def n_boundary(self) -> int:
         return self.n_nodes - self.n_interior
 
-    def node_id(self, idx) -> int:
-        if self.dim == 1:
-            return int(idx[0])
-        return int(idx[0] + self.shape[0] * idx[1])
-
     def node_multi(self, node: int) -> tuple:
         if self.dim == 1:
             return (node,)
@@ -131,13 +126,6 @@ class SubdomainMask:
     grid: Grid
     inside: np.ndarray
 
-    def count(self) -> int:
-        return int(self.inside.sum())
-
-
-def full_mask(grid: Grid) -> SubdomainMask:
-    return SubdomainMask(grid, np.ones(grid.n_interior, dtype=bool))
-
 
 def sub_rectangle_mask(grid: Grid, lo0, hi0) -> SubdomainMask:
     """Mask of interior nodes strictly inside the sub-rectangle."""
@@ -157,15 +145,3 @@ def sub_rectangle_mask(grid: Grid, lo0, hi0) -> SubdomainMask:
         raise EmptySubdomain(f"no interior node strictly inside {lo0} x {hi0}")
     return SubdomainMask(grid, inside)
 
-
-def connected(mask: SubdomainMask) -> bool:
-    """True when the masked nodes form one lattice-connected component.
-
-    Nodes are neighbours along an axis only; diagonal contact does not join.
-    """
-    # imported here: scipy.ndimage adds about 0.1 s and 5 MB to every CLI
-    # start, and no command calls this
-    from scipy import ndimage
-
-    lattice = mask.inside.reshape([nd - 1 for nd in mask.grid.n][::-1])
-    return ndimage.label(lattice)[1] == 1

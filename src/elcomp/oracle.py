@@ -37,11 +37,9 @@ import numpy as np
 
 from .assembly import AssembledSystem
 from .errors import DimMismatch, TooLarge, ValidationError
-from .fields import BlockField
 from .linalg import LuFactor, content_key, lu_solve, row_ids
 
 TOL_OP = 1e-9
-TOL_RES = 1e-8
 ORACLE_MAX_DOF = 2500
 BLOCK = 64  # columns of A^{-1} per solve in the streamed scan
 
@@ -191,7 +189,6 @@ def inverse_positivity(
     asys: AssembledSystem,
     gauge=None,
     max_dof: int = ORACLE_MAX_DOF,
-    tol_op: float = TOL_OP,
 ) -> OracleReport:
     """Decide inverse-positivity of (D A D) from the streamed scan of A^{-1}.
 
@@ -213,9 +210,9 @@ def inverse_positivity(
     min_entry, witness = min(inv[p] for p in pairs)
     # the unflipped and the flipped minima together hold -max |entry|
     scale = -min(v for v, _ in inv.values())
-    inverse_positive = min_entry >= -tol_op * scale
+    inverse_positive = min_entry >= -TOL_OP * scale
     min_boundary = min(bnd[p] for p in pairs) if bnd else 0.0
-    boundary_monotone = min_boundary >= -tol_op * scale
+    boundary_monotone = min_boundary >= -TOL_OP * scale
     return OracleReport(
         inverse_positive,
         min_entry,
@@ -227,43 +224,10 @@ def inverse_positivity(
     )
 
 
-def verify_subsolution(asys: AssembledSystem, u, g_data=None, tol_res: float = TOL_RES):
-    """Check A u + G g <= f componentwise.
-
-    u is a BlockField or the flat interior unknown vector; g defaults to the
-    field's boundary values (or the assembled data).  Returns the decision
-    and the largest signed residual component.
-    """
-    if isinstance(u, BlockField):
-        if u.grid != asys.grid or u.n_species != asys.n_species:
-            raise DimMismatch("field does not match the assembled system")
-        u_int = u.interior.reshape(-1)
-        if g_data is None:
-            g_data = u.boundary.reshape(-1)
-    else:
-        u_int = np.asarray(u, dtype=float)
-    if g_data is None:
-        g_data = asys.g_vec
-    g_data = np.asarray(g_data, dtype=float)
-    if u_int.shape != (asys.A.shape[0],):
-        raise DimMismatch(
-            f"u has {u_int.shape}, system has {asys.A.shape[0]} unknowns"
-        )
-    if g_data.shape != (asys.G.shape[1],):
-        raise DimMismatch(
-            f"g has {g_data.shape}, system has {asys.G.shape[1]} boundary values"
-        )
-    r = asys.A @ u_int + asys.G @ g_data - asys.f_vec
-    max_residual = float(r.max())
-    f_norm = float(np.abs(asys.f_vec).max()) if asys.f_vec.size else 0.0
-    return max_residual <= tol_res * (1.0 + f_norm), max_residual
-
-
 def random_probe(
     asys: AssembledSystem,
     trials: int,
     seed: int = 0,
-    tol_op: float = TOL_OP,
     gauge=None,
 ) -> OracleReport:
     """Falsification-only probe: solve against random nonnegative sparse RHS.
@@ -291,7 +255,7 @@ def random_probe(
         pos = rng.choice(dof, size=nnz, replace=False)
         f[pos] = 1.0 - rng.random(nnz)  # values in (0, 1]
         u = d * lu.solve(d * f)  # (D A D)^{-1} f
-        floor = -tol_op * (1.0 + float(np.abs(u).max()))
+        floor = -TOL_OP * (1.0 + float(np.abs(u).max()))
         m = float(u.min())
         if m < worst:
             worst = m

@@ -10,7 +10,6 @@ factorization count does not grow with the mesh.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,9 @@ import scipy.sparse as sp
 
 from . import linalg
 from .assembly import as_discrete, check_z_matrix
-from .errors import EmptySubdomain, NotIrreducible, NotZMatrix, ValidationError
+from .errors import NotIrreducible, NotZMatrix, ValidationError
 from .graphs import csr_strongly_connected
-from .mesh import SubdomainMask, full_mask, sub_rectangle_mask
+from .mesh import SubdomainMask
 
 TOL_EIG = 1e-9
 MAX_ITER = 100  # LU factorizations per Noda run; a run needs 1-3
@@ -152,62 +151,3 @@ def component_eigen(
     """Principal eigenpair of the scalar block L_j + m_jj_minus (j 1-based)."""
     ds = as_discrete(spec)
     return block_eigen(ds, [_species_index(j, ds.n_species)], tol_eig, max_iter, mask)
-
-
-@dataclass
-class ScanResult:
-    """Subdomain eigenvalues: entries are (mask, value), full domain first."""
-
-    entries: list
-    min_value: float
-    full_value: float
-    monotone_ok: bool
-
-
-def _dyadic_masks(grid, depth: int) -> list:
-    """Deduplicated sub-rectangle masks with dyadic endpoints, full domain first."""
-    masks = [full_mask(grid)]
-    seen = {masks[0].inside.tobytes()}
-    if depth <= 0:
-        return masks
-    steps = 2**depth
-    axis_pairs = []
-    for d in range(grid.dim):
-        length = grid.hi[d] - grid.lo[d]
-        pairs = []
-        for i in range(steps):
-            for k in range(i + 1, steps + 1):
-                pairs.append(
-                    (grid.lo[d] + i * length / steps, grid.lo[d] + k * length / steps)
-                )
-        axis_pairs.append(pairs)
-    for box in itertools.product(*axis_pairs):  # one (lo, hi) pair per axis
-        lo0, hi0 = zip(*box)
-        try:
-            mask = sub_rectangle_mask(grid, lo0, hi0)
-        except EmptySubdomain:
-            continue
-        key = mask.inside.tobytes()
-        if key not in seen:
-            seen.add(key)
-            masks.append(mask)
-    return masks
-
-
-def subdomain_scan(
-    spec, depth: int, tol_eig: float = TOL_EIG, max_iter: int = MAX_ITER
-) -> ScanResult:
-    """Cooperative eigenvalues over dyadic sub-rectangles.
-
-    Checks the domain-monotonicity expectation: the minimum over the scan
-    should be attained on the full domain (up to the enclosure tolerance).
-    """
-    ds = as_discrete(spec)
-    masks = _dyadic_masks(ds.grid, depth)
-
-    values = [cooperative_eigen(ds, tol_eig, max_iter, m).value for m in masks]
-    entries = list(zip(masks, values))
-    full_value = values[0]
-    min_value = min(values)
-    monotone_ok = min_value >= full_value - tol_eig * (1.0 + abs(full_value))
-    return ScanResult(entries, min_value, full_value, monotone_ok)

@@ -14,7 +14,6 @@ import pytest
 from elcomp import linalg, oracle
 from elcomp.certify import (
     Verdict,
-    build_counterexample,
     certify,
     check_failure,
     check_thm1,
@@ -31,9 +30,11 @@ from elcomp.errors import (
     StructureUnsupported,
     ValidationError,
 )
+from elcomp.fields import load_block
 from elcomp.mesh import build_grid
 from elcomp.oracle import inverse_positivity
 from elcomp.problems import load_problem
+from elcomp.quasilinear import check_thm8
 
 from helpers import laplace_system, op_of, system_of
 
@@ -380,17 +381,6 @@ def test_failure_none_when_stable():
     assert check_failure(spec) is None
 
 
-def test_build_counterexample_families():
-    m = [["-2", "0"], ["-1", "0"]]
-    spec = laplace_system(grid1(24, PI), n_species=2, m=m)
-    fld, ok, residual = build_counterexample(spec, 1, "thm6")
-    assert ok
-    assert residual <= 1e-8
-    assert fld.interior[0].max() == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        build_counterexample(spec, 1, "thm9")
-
-
 # ------------------------------------------------------------------ gauge
 
 
@@ -496,6 +486,24 @@ def test_certify_factorizes_the_full_operator_once(monkeypatch):
     fresh = load_problem(DATA / "competitive17.prob").discretize().assemble("full")
     assert v.oracle_gauged == inverse_positivity(fresh, gauge=v.gauge)
     assert v.oracle == inverse_positivity(fresh)
+
+
+@pytest.mark.parametrize("mode", ["Sharp", "basic ", "", None])
+def test_unknown_mode_rejected(mode):
+    """certify, each margin route and Theorem 8 take mode basic or sharp
+    only; any other is an input error, never a silent basic run."""
+    spec = load_problem(DATA / "competitive17.prob")
+    for route in (certify, check_thm1, check_thm3, check_thm4, check_thm5):
+        with pytest.raises(ValidationError, match="unknown mode"):
+            route(spec, mode=mode)
+    qs = load_problem(DATA / "quasilinear_demo.prob")
+    sub, sup = (
+        load_block(DATA / f"quasilinear_demo_{side}.field", qs.grid, qs.n_species)
+        for side in ("sub", "super")
+    )
+    with pytest.raises(ValidationError, match="unknown mode") as info:
+        check_thm8(qs, sub, sup, mode=mode)
+    assert info.value.exit_code == 2
 
 
 def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from elcomp import cli
-from elcomp.cli import main, run
+from elcomp.cli import main
 from elcomp.errors import ElcompError
 from elcomp.fields import load_block, load_fields
 from elcomp.mesh import build_grid
@@ -399,11 +399,6 @@ def test_report_determinism(tmp_path):
     assert a == b
 
 
-def test_run_helper(tmp_path):
-    problem = write(tmp_path, "coop.prob", COOP)
-    assert run("gauge", [problem]) == 0
-
-
 @pytest.mark.parametrize(
     "value",
     ["\u00b3".encode(), "\u00b3".encode("latin-1")],
@@ -430,7 +425,6 @@ EXIT_CODES = {
     "TooLarge": 2,
     "NoConvergence": 3,
     "SingularMatrix": 3,
-    "NotNonnegative": 3,
     "InfeasibleEpsilon": 3,
     "StructureUnsupported": 4,
     "NotZMatrix": 4,

@@ -106,7 +106,7 @@ def test_block_from_solution_full():
     assert np.array_equal(block.values[1], [-10.0, 10.0, 20.0, 30.0, -20.0])
     assert np.array_equal(block.interior[0], [1.0, 2.0, 3.0])
     assert np.array_equal(block.boundary[1], [-10.0, -20.0])
-    assert block.component(0)[1] == 1.0
+    assert block.values[0][1] == 1.0
     # without boundary data the boundary nodes are zero
     block = block_from_solution(grid, 2, u_int, None)
     assert np.array_equal(block.interior, u_int.reshape(2, 3))

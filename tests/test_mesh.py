@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from elcomp.errors import BadGridSpec, EmptySubdomain
-from elcomp.mesh import (
-    SubdomainMask,
-    build_grid,
-    connected,
-    full_mask,
-    sub_rectangle_mask,
-)
+from elcomp.mesh import build_grid, sub_rectangle_mask
 
 
 def test_1d_counts_and_spacing():
@@ -31,7 +25,6 @@ def test_2d_canonical_order_x_fastest():
     assert g.n_interior == 9
     # node 7 = (x index 2, y index 1)
     assert g.node_multi(7) == (2, 1)
-    assert g.node_id((2, 1)) == 7
     assert g.node_coord(7) == (0.5, 0.5)
     # interior ids are full rows of the inner 3x3 block
     assert list(g.interior_ids) == [6, 7, 8, 11, 12, 13, 16, 17, 18]
@@ -78,7 +71,7 @@ def test_sub_rectangle_strict_interior():
     # nodes strictly inside (0.25, 0.75): x = 0.375, 0.5, 0.625
     picked = g.coords[g.interior_ids[m.inside], 0]
     assert list(picked) == [0.375, 0.5, 0.625]
-    assert m.count() == 3
+    assert int(m.inside.sum()) == 3
 
 
 def test_sub_rectangle_errors():
@@ -88,23 +81,3 @@ def test_sub_rectangle_errors():
     with pytest.raises(EmptySubdomain):
         sub_rectangle_mask(g, (0.26,), (0.37,))
 
-
-def test_full_mask_connected():
-    g = build_grid(2, 0.0, 1.0, 6)
-    assert connected(full_mask(g))
-
-
-def test_disconnected_mask_detected():
-    g = build_grid(1, (0.0,), (1.0,), (10,))
-    m = sub_rectangle_mask(g, (0.0,), (1.0,))
-    inside = m.inside.copy()
-    inside[4] = False  # cut the 1d chain in two
-    assert not connected(SubdomainMask(g, inside))
-    # 2D: two blocks that touch only at a corner are not lattice neighbours
-    g2 = build_grid(2, 0.0, 1.0, 5)  # 4 x 4 interior nodes
-    block = np.zeros((4, 4), dtype=bool)  # numpy order: y, x
-    block[:2, :2] = True
-    block[2:, 2:] = True
-    assert not connected(SubdomainMask(g2, block.reshape(-1)))
-    block[1, 2] = True  # an axis neighbour of both blocks joins them
-    assert connected(SubdomainMask(g2, block.reshape(-1)))

@@ -12,8 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from elcomp import oracle
 from elcomp.assembly import DiscreteSystem, assemble_system
-from elcomp.errors import DimMismatch, SingularMatrix, TooLarge, ValidationError
-from elcomp.fields import block_from_exprs, block_from_solution
+from elcomp.errors import SingularMatrix, TooLarge, ValidationError
 from elcomp.linalg import dense_inverse, row_ids
 from elcomp.mesh import build_grid
 from elcomp.oracle import (
@@ -21,7 +20,6 @@ from elcomp.oracle import (
     inverse_positivity,
     random_probe,
     solve_system,
-    verify_subsolution,
 )
 from elcomp.expressions import parse_expr
 
@@ -85,35 +83,6 @@ def test_dof_budget_enforced():
     asys = assemble_system(laplace_system(grid))
     with pytest.raises(TooLarge):
         inverse_positivity(asys, max_dof=32)
-
-
-def test_verify_subsolution_block_field():
-    grid = build_grid(1, (0.0,), (1.0,), (16,))
-    spec = laplace_system(grid, f=[1.0])
-    asys = assemble_system(spec)
-    u = solve_system(asys)
-    block = block_from_solution(grid, 1, u, asys.g_vec)
-    ok, res = verify_subsolution(asys, block)
-    assert ok
-    assert abs(res) <= 1e-10
-    # bumping the peak turns it into a strict supersolution violation
-    bumped = block.values.copy()
-    bumped[0, 8] += 0.1
-    from elcomp.fields import BlockField
-
-    ok2, res2 = verify_subsolution(asys, BlockField(grid, bumped))
-    assert not ok2
-    assert res2 > 1.0
-
-
-def test_verify_subsolution_flat_vector():
-    grid = build_grid(1, (0.0,), (1.0,), (8,))
-    asys = assemble_system(laplace_system(grid, f=[1.0]))
-    u = solve_system(asys)
-    ok, _ = verify_subsolution(asys, u)
-    assert ok
-    with pytest.raises(DimMismatch):
-        verify_subsolution(asys, u[:-1])
 
 
 def test_solve_system_reproduces_manufactured_solution():

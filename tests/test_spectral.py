@@ -19,7 +19,6 @@ from elcomp.spectral import (
     component_eigen,
     cooperative_eigen,
     principal_eigenpair,
-    subdomain_scan,
 )
 
 from helpers import (
@@ -222,15 +221,21 @@ def test_subdomain_monotonicity_quarter_domain():
 
 
 def test_subdomain_scan_monotone():
+    """Over the full interval and its dyadic halves and quarters, the full
+    domain has the smallest eigenvalue, the closed form."""
     grid = build_grid(1, (0.0,), (1.0,), (32,))
-    scan = subdomain_scan(laplace_system(grid), depth=1)
-    assert scan.monotone_ok
-    assert scan.full_value == pytest.approx(lap1d_eig(32), abs=1e-7)
-    assert scan.min_value == scan.full_value
-    assert len(scan.entries) >= 3
-    masks, values = zip(*scan.entries)
-    assert values[0] == scan.full_value
-    assert min(values) == scan.min_value
+    spec = laplace_system(grid)
+    full = cooperative_eigen(spec).value
+    assert full == pytest.approx(lap1d_eig(32), abs=1e-7)
+    ends = [i / 4 for i in range(5)]
+    values = [
+        cooperative_eigen(spec, mask=sub_rectangle_mask(grid, (lo,), (hi,))).value
+        for lo in ends
+        for hi in ends
+        if hi > lo
+    ]
+    assert len(values) == 10
+    assert min(values) == full
 
 
 @pytest.mark.parametrize("n", [128, 1024, 2048])
@@ -291,9 +296,9 @@ def test_scalar_cache_keyed_by_mask_content():
 
 def test_subdomain_scan_builds_each_stencil_once(monkeypatch):
     """Every subdomain is a slice of the one full-domain assembly, so a
-    two-species scan builds two stencils.  Each value is the eigenvalue of
-    the system posed on its sub-rectangle, whose dyadic nodes take the same
-    coefficient values."""
+    two-species scan over the dyadic sub-rectangles builds two stencils.
+    Each value is the eigenvalue of the system posed on its sub-rectangle,
+    whose dyadic nodes take the same coefficient values."""
     calls = []
     build = assembly._assemble_scalar_values
 
@@ -304,12 +309,16 @@ def test_subdomain_scan_builds_each_stencil_once(monkeypatch):
     monkeypatch.setattr(assembly, "_assemble_scalar_values", counting)
     spec = parse_problem(convection_pair_text(16))
     ds = spec.discretize()
-    scan = subdomain_scan(ds, 2)
+    grid = spec.grid
+    ends = [i / 4 for i in range(5)]
+    spans = [(lo, hi) for lo in ends for hi in ends if hi > lo]
+    boxes = [(lo, hi) for lo in spans for hi in spans]
+    masks = [sub_rectangle_mask(grid, *zip(*box)) for box in boxes]
+    values = [cooperative_eigen(ds, mask=mask).value for mask in masks]
     assert len(calls) == 2
     assert sorted(ds._scalar_cache) == [0, 1]
-    assert len(scan.entries) == 100
-    grid = spec.grid
-    for mask, value in scan.entries:
+    assert len(values) == 100
+    for mask, value in zip(masks, values):
         pts = grid.coords[grid.interior_ids[mask.inside]]
         lo, hi = pts.min(axis=0) - grid.h, pts.max(axis=0) + grid.h
         cells = np.rint((hi - lo) / grid.h).astype(int)
