@@ -11,6 +11,7 @@ codes: 0 a verdict or report was produced; otherwise the failing error's
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -18,6 +19,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from . import oracle as oracle_mod
 from .assembly import as_discrete
 from .certify import TOL_COND, certify, check_failure, classify_structure, find_gauge
@@ -28,8 +30,13 @@ from .quasilinear import QuasiSpec, check_thm8, linearize
 from .spectral import MAX_ITER, TOL_EIG, component_eigen, cooperative_eigen
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, built from the flag groups it reads."""
+    """One subparser per command, built from the flag groups it reads.
+
+    Built once per process, on the first call, and shared by every later
+    call and by `main`: callers must not modify the parser it returns.
+    """
 
     def group():
         return argparse.ArgumentParser(add_help=False)
@@ -328,8 +335,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    from . import __version__
-
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is not None and args.probe is None:

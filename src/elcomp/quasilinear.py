@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import DiscreteSystem, SystemSpec, _sym_eig_range
-from .certify import Verdict, certify
+from .certify import Verdict, _margin_mode, certify
 from .errors import EvalDomainError, NonEllipticLinearization, ValidationError
 from .expressions import (
     COORDS,
@@ -313,6 +313,7 @@ def check_thm8(
     linear system says nothing about the quasilinear pair, so it is
     reported as Inconclusive with the linear verdict in the notes.
     """
+    mode = _margin_mode(mode)
     lin = linearize(qs, u, v)
     ds = lin.to_discrete()
     verdict = certify(

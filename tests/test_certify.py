@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elcomp import linalg, oracle
+from elcomp import linalg, oracle, quasilinear
 from elcomp.certify import (
     Verdict,
     certify,
@@ -489,9 +489,10 @@ def test_certify_factorizes_the_full_operator_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["Sharp", "basic ", "", None])
-def test_unknown_mode_rejected(mode):
+def test_unknown_mode_rejected(mode, monkeypatch):
     """certify, each margin route and Theorem 8 take mode basic or sharp
-    only; any other is an input error, never a silent basic run."""
+    only; any other is an input error, never a silent basic run, and
+    Theorem 8 rejects it before the pair is linearized."""
     spec = load_problem(DATA / "competitive17.prob")
     for route in (certify, check_thm1, check_thm3, check_thm4, check_thm5):
         with pytest.raises(ValidationError, match="unknown mode"):
@@ -501,6 +502,11 @@ def test_unknown_mode_rejected(mode):
         load_block(DATA / f"quasilinear_demo_{side}.field", qs.grid, qs.n_species)
         for side in ("sub", "super")
     )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linearize ran before the mode check")
+
+    monkeypatch.setattr(quasilinear, "linearize", refuse)
     with pytest.raises(ValidationError, match="unknown mode") as info:
         check_thm8(qs, sub, sup, mode=mode)
     assert info.value.exit_code == 2

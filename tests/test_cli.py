@@ -1,5 +1,6 @@
 """Command line interface: exit codes, reports, file round trips."""
 
+import argparse
 import json
 import math
 import re
@@ -15,6 +16,8 @@ from elcomp.cli import main
 from elcomp.errors import ElcompError
 from elcomp.fields import load_block, load_fields
 from elcomp.mesh import build_grid
+
+from test_golden import DATA, _check
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -550,3 +553,48 @@ def test_flags_used_by_tests_and_benchmark_parse():
     accepted |= {"--help", "--json", "--sup"}
     assert used <= accepted
     assert {"--builtin", "--sub", "--super", "--out"} <= used
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    """After the first call, main builds no argparse parser: not for another
+    command, --help, a usage error or --seed without --probe."""
+    problem = write(tmp_path, "coop.prob", COOP)
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["gauge", problem]) == 0
+    built.clear()
+    assert main(["certify", problem, "--no-oracle"]) == 0
+    assert main(["eigen", problem, "--component", "1"]) == 0
+    assert main(["oracle", problem, "--probe", "3", "--seed", "2"]) == 0
+    for argv, code in [
+        (["certify", "--help"], 0),
+        (["gauge", problem, "--tol-eig", "1"], 2),
+        (["oracle", problem, "--seed", "2"], 2),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code, argv
+    assert main(["gauge", problem]) == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """Flags of one call do not carry over to the next."""
+    lap1d = str(DATA / "lap1d.prob")
+    code = main(["certify", lap1d, "--mode", "sharp", "--no-oracle",
+                 "--tol-eig", "1e-6", "--max-iter", "5"])
+    assert code == 0
+    _check("lap1d.certify.json", ["certify", lap1d], tmp_path)
+    problem = write(tmp_path, "coop.prob", COOP)
+    assert main(["oracle", problem, "--probe", "3", "--seed", "2"]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", problem, "--seed", "2"])
+    assert info.value.code == 2
+    assert "--seed: only allowed with --probe" in capsys.readouterr().err
