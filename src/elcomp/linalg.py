@@ -5,9 +5,11 @@ between them (row norms, the stored-entry scan, principal submatrices,
 diagonal shifts, entrywise equality) reads and writes the CSR arrays
 indptr, indices and data directly, without building intermediate sparse
 matrices (T. A. Davis, Direct Methods for Sparse Linear Systems, SIAM
-2006, ch. 2).  Every LU orders
-its columns by minimum degree on A + A^T; that ordering depends only on the
-sparsity pattern, so a sign-flipped D A D shares A's ordering and pivots.
+2006, ch. 2).  An LU orders its columns by minimum degree on A + A^T
+unless it is given an order; that ordering depends only on the sparsity
+pattern, so a sign-flipped D A D shares A's ordering and pivots.  The one
+given order, from lu_order, is nested dissection of a 2D grid's interior
+nodes, for the 9-point stencils of cross diffusion (Davis, ch. 7).
 The certified eigenvalue machinery is implemented here: Noda's shifted
 inverse iteration for irreducible Z-matrices, which keeps a shift's
 factorization while its solves keep halving the enclosure, serves both
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DimMismatch, NoConvergence, SingularMatrix, TooLarge
+from .errors import DimMismatch, NoConvergence, SingularMatrix, TooLarge, ValidationError
 
 PIVOT_RTOL = 1e-14
 # Noda iteration: widths within this factor of the ratios' rounding level
@@ -113,29 +115,34 @@ def principal_submatrix(a: sp.csr_matrix, ix) -> sp.csr_matrix:
     )
 
 
-def shifted(a: sp.spmatrix, s: float) -> sp.csr_matrix:
-    """A - s*I: a canonical CSR copy of a with s taken off its stored diagonal.
+def shifted(a: sp.spmatrix, s: float) -> sp.spmatrix:
+    """A - s*I: a canonical copy of a, CSC for a CSC a and CSR otherwise,
+    with s taken off its stored diagonal.
 
     Assembled operators store every diagonal entry (DiscreteSystem.assemble),
     so for them this only subtracts; a row of another matrix that stores
     none first gets an explicit zero there.
     """
-    out = sp.csr_matrix(a, dtype=float, copy=True)
+    fmt = sp.csc_matrix if a.format == "csc" else sp.csr_matrix
+    out = fmt(a, dtype=float, copy=True)
     out.sum_duplicates()
     n = out.shape[0]
-    rows = row_ids(out)
-    on_diag = out.indices == rows
+    ids = row_ids(out)
+    on_diag = out.indices == ids
     if np.count_nonzero(on_diag) < n:
-        missing = np.setdiff1d(np.arange(n), rows[on_diag])
-        out = from_coo(
-            n,
-            n,
-            np.concatenate([rows, missing]),
-            np.concatenate([out.indices, missing]),
-            np.concatenate([out.data, np.zeros(missing.size)]),
+        missing = np.setdiff1d(np.arange(n), ids[on_diag])
+        rows, cols, vals = stored_entries(out)
+        out = fmt(
+            from_coo(
+                n,
+                n,
+                np.concatenate([rows, missing]),
+                np.concatenate([cols, missing]),
+                np.concatenate([vals, np.zeros(missing.size)]),
+            )
         )
-        rows = row_ids(out)
-        on_diag = out.indices == rows
+        ids = row_ids(out)
+        on_diag = out.indices == ids
     out.data[on_diag] -= s
     return out
 
@@ -167,24 +174,141 @@ def same_nonzeros(a: sp.spmatrix, b: sp.spmatrix) -> bool:
     )
 
 
+def nested_dissection(shape) -> np.ndarray:
+    """The nodes of an mx x my box, numbered x fastest, in nested dissection
+    order (A. George, SIAM J. Numer. Anal. 10 (1973) 345-363).
+
+    A box whose longer side has 3 nodes or more is split by the line of
+    nodes across the middle of that side (a column when the box is at
+    least as wide as it is tall): the nodes left of it, then those right
+    of it, then the line.  No stencil reaching only the 8 neighbours of a
+    node couples the two halves, so eliminating them first confines their
+    fill to themselves and the line.  Smaller boxes, and the nodes of each
+    line, keep the canonical order.  Every box of one depth is split at
+    once, with array operations: a box is (x0, y0, w, h, start), start
+    being its first position in the order.
+    """
+    mx, my = shape
+    pos = np.empty(mx * my, dtype=np.intp)  # each node's position in the order
+    x0, y0, w, h, start = (np.array([v], dtype=np.intp) for v in (0, 0, mx, my, 0))
+    while x0.size:
+        leaf = np.maximum(w, h) < 3
+        cut = ~leaf
+        x0c, y0c, wc, hc, sc = x0[cut], y0[cut], w[cut], h[cut], start[cut]
+        across_x = wc >= hc  # the separator is a column
+        half = np.where(across_x, wc // 2, hc // 2)
+        w1, h1 = np.where(across_x, half, wc), np.where(across_x, hc, half)
+        w2 = np.where(across_x, wc - half - 1, wc)
+        h2 = np.where(across_x, hc, hc - half - 1)
+        sep_x = np.where(across_x, x0c + half, x0c)
+        sep_y = np.where(across_x, y0c, y0c + half)
+        a1, a2 = w1 * h1, w2 * h2
+        _place(
+            pos,
+            mx,
+            np.concatenate([x0[leaf], sep_x]),
+            np.concatenate([y0[leaf], sep_y]),
+            np.concatenate([w[leaf], np.where(across_x, 1, wc)]),
+            np.concatenate([h[leaf], np.where(across_x, hc, 1)]),
+            np.concatenate([start[leaf], sc + a1 + a2]),
+        )
+        x0 = np.concatenate([x0c, np.where(across_x, sep_x + 1, x0c)])
+        y0 = np.concatenate([y0c, np.where(across_x, y0c, sep_y + 1)])
+        w, h = np.concatenate([w1, w2]), np.concatenate([h1, h2])
+        start = np.concatenate([sc, sc + a1])
+    order = np.empty_like(pos)
+    order[pos] = np.arange(pos.size)
+    return order
+
+
+def _place(pos, mx: int, x0, y0, w, h, start) -> None:
+    """Give the nodes of each rectangle (x0, y0, w, h) the positions
+    start, start + 1, ... in canonical order."""
+    area = w * h
+    box = np.repeat(np.arange(area.size), area)
+    r = np.arange(int(area.sum())) - np.repeat(np.cumsum(area) - area, area)
+    wb = w[box]
+    pos[(y0[box] + r // wb) * mx + x0[box] + r % wb] = start[box] + r
+
+
+def lu_order(grid, a: sp.spmatrix) -> np.ndarray | None:
+    """The column order LuFactor(a, order=) takes for an operator a on the
+    interior nodes of grid, or None for minimum degree.
+
+    Nested dissection of the interior nodes, each node's species kept
+    adjacent, when grid is 2D and a stores an entry between diagonal
+    neighbours: cross diffusion makes the stencil 9-point, which minimum
+    degree orders poorly.  On a 5-point stencil nested dissection fills
+    more than minimum degree and is no faster, so 1D operators, 5-point
+    ones and those whose cross terms cancel get None.
+    """
+    if grid.dim != 2:
+        return None
+    mx, my = grid.n[0] - 1, grid.n[1] - 1
+    n_int = mx * my
+    if n_int == 0 or a.shape[0] % n_int:
+        return None
+    a = a.tocsr()
+    node = np.arange(a.shape[0], dtype=a.indices.dtype) % n_int
+    x, y = node % mx, node // mx
+    per_row = np.diff(a.indptr)
+    dx = x[a.indices] - np.repeat(x, per_row)
+    dy = y[a.indices] - np.repeat(y, per_row)
+    if not ((dx * dx == 1) & (dy * dy == 1)).any():
+        return None
+    order = nested_dissection((mx, my))
+    return (order[:, None] + n_int * np.arange(a.shape[0] // n_int)).ravel()
+
+
+def _permuted_csc(a: sp.spmatrix, order) -> sp.csc_matrix:
+    """a[order][:, order] as a canonical CSC, for a permutation order.
+
+    a's columns are renumbered on its CSR arrays, sharing its data, and
+    the CSR to CSC conversion then writes the one copy, whose row indices
+    are renumbered and sorted in place.
+    """
+    a = a.tocsr()
+    n = a.shape[0]
+    if np.shape(order) != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValidationError(f"column order is not a permutation of {n} columns")
+    new = np.empty(n, dtype=a.indices.dtype)
+    new[order] = np.arange(n, dtype=new.dtype)
+    out = sp.csr_matrix((a.data, new[a.indices], a.indptr), shape=a.shape).tocsc()
+    np.take(new, out.indices, out=out.indices)
+    out.has_sorted_indices = False
+    out.sort_indices()
+    return out
+
+
 class LuFactor:
     """LU with partial pivoting by magnitude; rejects near-singular pivots.
 
-    Columns are ordered by minimum degree on the pattern of A + A^T, which
-    suits the structurally symmetric stencils and fills far less than the
-    default COLAMD ordering on A^T A.  The ordering depends only on the
-    sparsity pattern and the pivots only on magnitudes, so D A D, for D a
-    diagonal of +-1, gets A's ordering and pivots, and its factors are A's
-    with signs flipped.
+    Without an order, columns are ordered by minimum degree on the pattern
+    of A + A^T, which suits the structurally symmetric stencils and fills
+    far less than the default COLAMD ordering on A^T A.  The ordering
+    depends only on the sparsity pattern and the pivots only on
+    magnitudes, so D A D, for D a diagonal of +-1, gets A's ordering and
+    pivots, and its factors are A's with signs flipped.
+
+    With an order (lu_order), the factorized matrix is A[order][:, order],
+    in its natural column order, and right-hand sides and solutions are
+    mapped through the order.  SuperLU gets the one copy of a made here:
+    the permuted CSC of a CSR a, or, without an order, the CSC of a CSR a,
+    or a CSC a itself.
     """
 
-    def __init__(self, a: sp.spmatrix):
+    def __init__(self, a: sp.spmatrix, order=None):
         if a.shape[0] != a.shape[1]:
             raise DimMismatch(f"LU needs a square matrix, got {a.shape}")
         self.n = a.shape[0]
         self.norm = inf_norm(a)
+        self.order = None if order is None else np.asarray(order, dtype=np.intp)
+        if self.order is None:
+            a, spec = a.tocsc(), "MMD_AT_PLUS_A"
+        else:
+            a, spec = _permuted_csc(a, self.order), "NATURAL"
         try:
-            self._lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._lu = spla.splu(a, permc_spec=spec)
         except RuntimeError as err:
             raise SingularMatrix(f"factorization failed: {err}") from None
         pivots = np.abs(self._lu.U.diagonal())
@@ -198,11 +322,16 @@ class LuFactor:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise DimMismatch(f"solve: matrix is {self.n}x{self.n}, rhs is {b.shape}")
-        return self._lu.solve(b, trans="T" if transposed else "N")
+        trans = "T" if transposed else "N"
+        if self.order is None:
+            return self._lu.solve(b, trans=trans)
+        x = np.empty_like(b)
+        x[self.order] = self._lu.solve(b[self.order], trans=trans)
+        return x
 
 
-def lu_solve(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    return LuFactor(a).solve(b)
+def lu_solve(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
+    return LuFactor(a, order).solve(b)
 
 
 def dense_inverse(a: sp.spmatrix, max_dof: int = 2500) -> np.ndarray:
@@ -319,8 +448,10 @@ def noda_iteration(
     before hi closes in, making A - mu*I singular to working precision, so
     mu is held one target width below lo; (lambda - mu) / gap stays tiny.
 
-    Each shift's A - mu*I is a copy of A with mu taken off its stored
-    diagonal (shifted).
+    Each shift's A - mu*I is a CSC copy of A with mu taken off its stored
+    diagonal (shifted), which LuFactor factorizes as it is.  It is made
+    from A's CSC arrays, taken once per run: those of left, when given,
+    and otherwise a CSC copy of A.
 
     Given left = A^T as CSR, a left iterate runs on it alongside and is
     returned as the result's left: a NodaResult counting its own solves
@@ -348,6 +479,7 @@ def noda_iteration(
     iterates = [_NodaIterate(a, False)]
     if left is not None:
         iterates.append(_NodaIterate(left, True))
+    csc = left.T if left is not None else a.tocsc()
     factorizations = 0
     lu = None
     while True:
@@ -374,7 +506,7 @@ def noda_iteration(
             factorizations += 1
             mu = lead.lo - width_target(lead.lam)
             try:
-                lu = LuFactor(shifted(a, mu))
+                lu = LuFactor(shifted(csc, mu))
             except SingularMatrix:
                 raise lead.fail(f"singular shift {mu!r}", factorizations) from None
         for it in active:

@@ -62,6 +62,25 @@ def convection_pair_text(n):
     )
 
 
+def system_text(shape, species, coupling=None):
+    """Problem text on the unit box with shape cells per axis (1D for one
+    entry); species and coupling map coefficient keys (a11, a12, b1, c, f,
+    m12, ...) to expression strings."""
+    dim = len(shape)
+    lines = [
+        "[domain]",
+        f"dim = {dim}",
+        "lo = " + " ".join(["0"] * dim),
+        "hi = " + " ".join(["1"] * dim),
+        "n = " + " ".join(str(n) for n in shape),
+    ]
+    for k, keys in enumerate(species, 1):
+        lines += [f"[species {k}]"] + [f"{key} = {val}" for key, val in keys.items()]
+    if coupling:
+        lines += ["[coupling]"] + [f"{key} = {val}" for key, val in coupling.items()]
+    return "\n".join(lines) + "\n"
+
+
 def coop_pair_text(n, m=-1.0):
     """Problem text of a 2D cooperative pair on n^2 cells, species 1 with
     a11 = 1 + x and both coupled by m."""

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elcomp.assembly import Z_RTOL, check_z_matrix
-from elcomp.errors import DimMismatch, NoConvergence, SingularMatrix, TooLarge
+from elcomp.errors import (
+    DimMismatch,
+    NoConvergence,
+    SingularMatrix,
+    TooLarge,
+    ValidationError,
+)
 from elcomp.graphs import csr_strongly_connected
 from elcomp.linalg import (
     LuFactor,
@@ -23,7 +29,9 @@ from elcomp.linalg import (
     dense_inverse,
     from_coo,
     inf_norm,
+    lu_order,
     lu_solve,
+    nested_dissection,
     noda_iteration,
     principal_submatrix,
     same_nonzeros,
@@ -31,7 +39,7 @@ from elcomp.linalg import (
 )
 from elcomp.problems import parse_problem
 
-from helpers import convection_pair_text, power_iteration
+from helpers import convection_pair_text, power_iteration, system_text
 
 
 def test_from_coo_sums_duplicates():
@@ -134,6 +142,7 @@ def test_array_helpers_equal_the_matrix_formulas(a, data):
     assert content_key(principal_submatrix(csr, ix)) == content_key(csr[ix][:, ix])
     s = data.draw(st.floats(-5.0, 5.0))
     out = shifted(a, s)
+    assert out.format == ("csc" if a.format == "csc" else "csr")
     assert np.array_equal(out.toarray(), a.toarray() - s * np.eye(n))
     assert np.count_nonzero(out.indices == np.repeat(np.arange(n), np.diff(out.indptr))) == n
 
@@ -142,16 +151,18 @@ def test_lu_solve_matches_numpy():
     rng = np.random.default_rng(11)
     d = rng.normal(size=(12, 12)) + 12 * np.eye(12)
     b = rng.normal(size=12)
-    x = lu_solve(sp.csr_matrix(d), b)
-    assert np.allclose(x, np.linalg.solve(d, b), rtol=1e-12, atol=1e-12)
+    for order in (None, rng.permutation(12)):
+        x = lu_solve(sp.csr_matrix(d), b, order)
+        assert np.allclose(x, np.linalg.solve(d, b), rtol=1e-12, atol=1e-12)
 
 
 def test_lu_transposed_solve_matches_numpy():
     rng = np.random.default_rng(12)
     d = rng.normal(size=(12, 12)) + 12 * np.eye(12)
     b = rng.normal(size=12)
-    x = LuFactor(sp.csr_matrix(d)).solve(b, transposed=True)
-    assert np.allclose(x, np.linalg.solve(d.T, b), rtol=1e-12, atol=1e-12)
+    for order in (None, rng.permutation(12)):
+        x = LuFactor(sp.csr_matrix(d), order).solve(b, transposed=True)
+        assert np.allclose(x, np.linalg.solve(d.T, b), rtol=1e-12, atol=1e-12)
 
 
 def test_lu_ordering_fills_less_than_colamd():
@@ -167,8 +178,113 @@ def test_lu_ordering_fills_less_than_colamd():
 
 def test_lu_rejects_singular():
     d = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrix):
-        LuFactor(sp.csr_matrix(d))
+    for order in (None, [1, 0]):
+        with pytest.raises(SingularMatrix):
+            LuFactor(sp.csr_matrix(d), order)
+
+
+def test_lu_order_must_be_a_permutation():
+    a = sp.identity(3, format="csr")
+    for order in ([0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1]):
+        with pytest.raises(ValidationError, match="not a permutation"):
+            LuFactor(a, order)
+
+
+def _dissect(x0, y0, w, h, mx, splits):
+    """The nodes of a box in nested dissection order, recursively; each
+    split box's two halves are appended to splits."""
+    if max(w, h) < 3:
+        return [(y0 + j) * mx + x0 + i for j in range(h) for i in range(w)]
+    if w >= h:
+        k = w // 2
+        first = _dissect(x0, y0, k, h, mx, splits)
+        second = _dissect(x0 + k + 1, y0, w - k - 1, h, mx, splits)
+        line = [(y0 + j) * mx + x0 + k for j in range(h)]
+    else:
+        k = h // 2
+        first = _dissect(x0, y0, w, k, mx, splits)
+        second = _dissect(x0, y0 + k + 1, w, h - k - 1, mx, splits)
+        line = [(y0 + k) * mx + x0 + i for i in range(w)]
+    splits.append((first, second))
+    return first + second + line
+
+
+def _nine_point_pair(shape):
+    """The assembled 2-species system with cross diffusion on shape cells."""
+    keys = {"a11": "1 + x", "a12": "0.1", "a21": "0.2", "c": "1"}
+    text = system_text(
+        shape,
+        [{**keys, "b1": "3"}, {**keys, "b2": "-2"}],
+        {"m12": "-1", "m21": "-0.5"},
+    )
+    return parse_problem(text).discretize().assembled("full")
+
+
+@given(st.integers(2, 24), st.integers(2, 24))
+@example(2, 2)
+@example(2, 9)
+@example(9, 2)
+@example(3, 2)
+@settings(max_examples=40, deadline=None)
+def test_nested_dissection_splits_every_box(mx, my):
+    """The order is a permutation, the recursive dissection's, and no
+    entry of a 9-point operator joins the two halves of any split box;
+    lu_order interleaves the species node by node."""
+    order = nested_dissection((mx, my))
+    splits = []
+    assert order.tolist() == _dissect(0, 0, mx, my, mx, splits)
+    assert sorted(order.tolist()) == list(range(mx * my))
+    asys = _nine_point_pair((mx + 1, my + 1))
+    n_int = mx * my
+    rows, cols = asys.A.nonzero()
+    nodes = sp.csr_matrix(
+        (np.ones(rows.size), (rows % n_int, cols % n_int)), shape=(n_int, n_int)
+    )
+    for first, second in splits:
+        assert nodes[first][:, second].nnz == 0
+        assert nodes[second][:, first].nnz == 0
+    perm = lu_order(asys.grid, asys.A)
+    assert perm.tolist() == [k * n_int + i for i in order.tolist() for k in (0, 1)]
+
+
+def test_nested_dissection_fills_less_than_minimum_degree():
+    """On a 2-species 9-point operator on 48^2 cells, nested dissection
+    under the natural order fills less than minimum degree on A + A^T."""
+    asys = _nine_point_pair((48, 48))
+    order = lu_order(asys.grid, asys.A)
+    nd = LuFactor(asys.A, order)._lu
+    mmd = LuFactor(asys.A)._lu
+    assert nd.L.nnz + nd.U.nnz < mmd.L.nnz + mmd.U.nnz
+
+
+def test_one_copy_of_the_operator_per_factorization(monkeypatch):
+    """splu gets a CSC matrix as it is; shifted keeps CSC, so each Noda
+    shift is one CSC copy made from left's arrays, and the factors equal
+    those of the CSR route bit for bit."""
+    a = parse_problem(convection_pair_text(16)).discretize().assembled("full").A
+    at = a.T.tocsr()
+    handed = []
+    splu = spla.splu
+
+    def spy(m, **kwargs):
+        handed.append(m)
+        return splu(m, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    csc = shifted(at.T, 2.5)
+    assert csc.format == "csc"
+    via_csc = LuFactor(csc)._lu
+    assert handed[-1] is csc
+    via_csr = LuFactor(shifted(a, 2.5))._lu
+    for name in ("perm_r", "perm_c"):
+        assert np.array_equal(getattr(via_csc, name), getattr(via_csr, name))
+    for name in ("L", "U"):
+        m1, m2 = getattr(via_csc, name), getattr(via_csr, name)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(m1, part).tobytes() == getattr(m2, part).tobytes()
+    handed.clear()
+    noda_iteration(a, lambda lam: 1e-10 * (1.0 + abs(lam)), 20, left=at)
+    assert handed and all(m.format == "csc" for m in handed)
 
 
 def test_lu_solve_shape_check():

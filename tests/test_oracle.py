@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse._base as sparse_base
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,7 +14,9 @@ from hypothesis.extra.numpy import arrays
 from elcomp import oracle
 from elcomp.assembly import DiscreteSystem, assemble_system
 from elcomp.errors import SingularMatrix, TooLarge, ValidationError
-from elcomp.linalg import dense_inverse, row_ids
+from elcomp.cli import main
+from elcomp.fields import block_from_solution, save_fields
+from elcomp.linalg import dense_inverse, inf_norm, lu_order, lu_solve, row_ids
 from elcomp.mesh import build_grid
 from elcomp.oracle import (
     TOL_OP,
@@ -22,8 +25,9 @@ from elcomp.oracle import (
     solve_system,
 )
 from elcomp.expressions import parse_expr
+from elcomp.problems import load_problem, parse_problem
 
-from helpers import laplace_system, reference_boundary_scan
+from helpers import laplace_system, reference_boundary_scan, system_text
 
 
 def _pair(grid, m):
@@ -83,6 +87,94 @@ def test_dof_budget_enforced():
     asys = assemble_system(laplace_system(grid))
     with pytest.raises(TooLarge):
         inverse_positivity(asys, max_dof=32)
+
+
+@st.composite
+def nine_point_systems(draw):
+    """Problem text of a 2D system of 1-3 species on up to 14 x 14 cells
+    with cross diffusion that does not cancel, convection, and couplings
+    of either sign."""
+
+    def num(lo, hi):
+        return repr(round(draw(st.floats(lo, hi)), 3))
+
+    n_species = draw(st.integers(1, 3))
+    shape = (draw(st.integers(3, 14)), draw(st.integers(3, 14)))
+    species = []
+    for _ in range(n_species):
+        a12 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 0.3))
+        a21 = a12 * draw(st.floats(0.2, 1.0))  # same sign: the terms do not cancel
+        species.append(
+            {
+                "a11": f"1 + {num(0.0, 0.5)}*x",
+                "a22": f"1 + {num(0.0, 0.5)}*y",
+                "a12": repr(round(a12, 3)),
+                "a21": repr(round(a21, 3)),
+                "b1": num(-3.0, 3.0),
+                "b2": f"{num(-3.0, 3.0)}*x",
+                "c": num(1.0, 3.0),
+                "f": f"1 + {num(0.0, 1.0)}*x*y",
+                "g": f"{num(0.0, 0.5)}*(x - y)",
+            }
+        )
+    coupling = {
+        f"m{k}{l}": num(-0.5, 0.5)
+        for k in range(1, n_species + 1)
+        for l in range(1, n_species + 1)
+        if k != l
+    }
+    return system_text(shape, species, coupling)
+
+
+@given(nine_point_systems())
+@settings(max_examples=25, deadline=None)
+def test_solve_nested_dissection_matches_minimum_degree(text):
+    """A 9-point system is solved on the nested dissection order; the
+    solution meets the benchmark's residual bound and agrees with a
+    minimum-degree solve to 1e-12 relative."""
+    asys = parse_problem(text).discretize().assembled("full")
+    assert lu_order(asys.grid, asys.A) is not None
+    u = solve_system(asys)
+    f, g = asys.f_vec, asys.g_vec
+    residual = float(np.abs(asys.A @ u + asys.G @ g - f).max())
+    scale = (
+        inf_norm(asys.A) * float(np.abs(u).max())
+        + inf_norm(asys.G) * float(np.abs(g).max())
+        + float(np.abs(f).max())
+    )
+    assert residual <= 1e-9 * scale
+    reference = lu_solve(asys.A, f - asys.G @ g)
+    assert float(np.abs(u - reference).max()) <= 1e-12 * float(np.abs(reference).max())
+
+
+@pytest.mark.parametrize(
+    "shape, keys",
+    [
+        ((40,), {}),
+        ((24, 20), {"b1": "2"}),
+        ((24, 20), {"a12": "0.2", "a21": "-0.2"}),  # cross terms cancel: 5-point
+    ],
+    ids=["1d", "5-point", "cancelling"],
+)
+def test_solve_keeps_minimum_degree_off_nine_point_stencils(tmp_path, shape, keys):
+    """1D, 5-point and cancelling-cross-term systems get no order, and
+    `solve` writes the field of a plain minimum-degree SuperLU solve,
+    byte for byte."""
+    species = [
+        {"a11": "1 + x", "c": "1", "f": "1 + x", "g": "x", **keys},
+        {"c": "2", "f": "1", **keys},
+    ]
+    path = tmp_path / "p.prob"
+    path.write_text(system_text(shape, species, {"m12": "-0.5", "m21": "0.3"}))
+    asys = load_problem(path).discretize().assembled("full")
+    assert lu_order(asys.grid, asys.A) is None
+    out = tmp_path / "u.field"
+    assert main(["solve", str(path), "--builtin", "--out", str(out), "--json", str(tmp_path / "r.json")]) == 0
+    lu = spla.splu(asys.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    u = lu.solve(asys.f_vec - asys.G @ asys.g_vec)
+    expect = tmp_path / "expect.field"
+    save_fields(expect, block_from_solution(asys.grid, asys.n_species, u, asys.g_vec))
+    assert out.read_bytes() == expect.read_bytes()
 
 
 def test_solve_system_reproduces_manufactured_solution():
