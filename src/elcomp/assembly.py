@@ -15,6 +15,7 @@ the two coupling modes share it when they give the same A.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import NonEllipticCoefficient, ValidationError
 from .expressions import COORDS, Expr, const, sample_field, validate_variables
+from .graphs import tarjan_scc, topo_order
 from .mesh import Grid, SubdomainMask
 
 Z_RTOL = 1e-14
@@ -345,6 +347,47 @@ def _coupling_mode(coupling) -> str:
     raise ValidationError(f"unknown coupling mode {coupling!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class SignPattern:
+    """Where the coupling m has a positive and a negative part, and the
+    cooperative digraph of the species that follows; species are 0-based.
+
+    plus[k, l] (minus[k, l]) says m_kl > COUPLING_NONZERO (< -COUPLING_NONZERO)
+    at some interior node.  The digraph has an edge l -> k iff minus[k, l]
+    and k != l.  blocks are its strongly connected components sorted by
+    first species, cross says some edge joins two blocks, and order is the
+    topological order (smallest species first), None on cycles.
+    """
+
+    plus: np.ndarray  # (N, N) bool
+    minus: np.ndarray  # (N, N) bool
+    edges: list  # edges[l]: the species k with an edge l -> k
+    blocks: list
+    cross: bool
+    order: list | None
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> SignPattern:
+        """The pattern of m sampled at the interior nodes, shape (N, N, n_int)."""
+        n = m.shape[0]
+        plus = m.max(axis=2) > COUPLING_NONZERO
+        minus = m.min(axis=2) < -COUPLING_NONZERO
+        edges = [[k for k in range(n) if k != l and minus[k, l]] for l in range(n)]
+        blocks = sorted(tarjan_scc(n, edges.__getitem__), key=lambda c: c[0])
+        cross = any(w not in b for b in blocks for v in b for w in edges[v])
+        return cls(plus, minus, edges, blocks, cross, topo_order(n, edges))
+
+    @property
+    def plus_offdiag(self) -> np.ndarray:
+        """plus without its diagonal: the competitive couplings."""
+        return self.plus & ~np.eye(len(self.plus), dtype=bool)
+
+    @property
+    def irreducible(self) -> bool:
+        """The cooperative digraph of several species is strongly connected."""
+        return len(self.edges) >= 2 and len(self.blocks) == 1
+
+
 @dataclass
 class DiscreteSystem:
     """Node-sampled coefficients of a system; the assembly workhorse.
@@ -458,22 +501,10 @@ class DiscreteSystem:
             A, G, f_vec, g_vec, is_z, offdiag_max, worst_pos, grid, n
         )
 
-    # ---------------------------------------------------- species structure
-
-    def minus_edges(self) -> list:
-        """adjacency: edge l -> k iff m_kl has a nonpositive part somewhere."""
-        neg = self.m_vals[:, :, self.grid.interior_ids].min(axis=2) < -COUPLING_NONZERO
-        n = self.n_species
-        return [[k for k in range(n) if k != l and neg[k, l]] for l in range(n)]
-
-    def plus_offdiag_pattern(self) -> np.ndarray:
-        pat = self.m_vals[:, :, self.grid.interior_ids].max(axis=2) > COUPLING_NONZERO
-        np.fill_diagonal(pat, False)
-        return pat
-
-    def plus_diag_nonzero(self, j: int) -> bool:
-        ids = self.grid.interior_ids
-        return float(self.m_vals[j, j][ids].max()) > COUPLING_NONZERO
+    @functools.cached_property
+    def signs(self) -> SignPattern:
+        """The coupling's sign pattern on the interior nodes, built once."""
+        return SignPattern.of(self.m_vals[:, :, self.grid.interior_ids])
 
 
 def assemble_system(spec, coupling="full") -> AssembledSystem:

@@ -1,5 +1,12 @@
 """Coupling-structure classification and comparison-principle verdicts.
 
+The structure class, each check's guard, the refutation candidates, the
+gauge and certify's route all read one record built once per system, the
+sign pattern DiscreteSystem.signs.  The route is one rule on its
+cooperative digraph: strongly connected over N >= 2 species, Theorem 1
+(Theorem 3 if some off-diagonal coupling is positive); acyclic with an
+edge, Theorem 5; no edge between blocks, Theorem 4; else Inconclusive.
+
 A verdict either certifies the comparison principle through one of the
 sufficient conditions (positive cooperative eigenvalue, common-point and
 pointwise competitive-part margins, per-component or triangular variants),
@@ -23,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .fields import BlockField, block_from_solution
-from .graphs import adjacency_scc, topo_order
 from .linalg import inf_norm, lu_solve, shifted
 from .spectral import (
     MAX_ITER,
@@ -35,6 +41,11 @@ from .spectral import (
 
 TOL_COND = 1e-8
 TOL_RES = 1e-8
+ACROSS_BLOCKS = (
+    "cooperative part couples across blocks; per-component certificate "
+    "does not apply"
+)
+GENERAL = "general coupling structure: no applicable sufficient condition"
 
 
 # ------------------------------------------------------------- structure
@@ -57,30 +68,6 @@ class StructureClass:
         }
 
 
-@dataclass(frozen=True)
-class _Species:
-    """Cooperative digraph of the species, 0-based: edge l -> k iff m_kl has
-    a negative part.  blocks are its SCCs sorted by first species."""
-
-    adj: list
-    blocks: list
-    cross: bool  # some edge joins two blocks
-    order: list | None  # topological order, None on cycles
-
-    @property
-    def irreducible(self) -> bool:
-        return len(self.adj) >= 2 and len(self.blocks) == 1
-
-
-def _species_structure(ds) -> _Species:
-    n = ds.n_species
-    adj = ds.minus_edges()
-    blocks = sorted(adjacency_scc(n, adj), key=lambda c: c[0])
-    block_of = {v: b for b, block in enumerate(blocks) for v in block}
-    cross = any(block_of[v] != block_of[w] for v in range(n) for w in adj[v])
-    return _Species(adj, blocks, cross, topo_order(n, adj))
-
-
 def classify_structure(spec) -> StructureClass:
     """Label by the sampled sign pattern of the coupling matrix.
 
@@ -89,18 +76,18 @@ def classify_structure(spec) -> StructureClass:
     IrreducibleCooperativePart (its certificate route), and Cooperative is
     reserved for reducible systems with no competitive off-diagonal part.
     """
-    ds = as_discrete(spec)
-    st = _species_structure(ds)
-    if st.irreducible:
+    signs = as_discrete(spec).signs
+    if signs.irreducible:
         return StructureClass("IrreducibleCooperativePart")
-    if not ds.plus_offdiag_pattern().any():
+    if not signs.plus_offdiag.any():
         return StructureClass("Cooperative")
-    if not any(st.adj):
+    if not any(signs.edges):
         return StructureClass("DiagonalMinus")
-    if st.order is not None:
-        return StructureClass("TriangularMinus", order=tuple(v + 1 for v in st.order))
-    if not st.cross:
-        blocks = tuple(tuple(v + 1 for v in block) for block in st.blocks)
+    if signs.order is not None:
+        order = tuple(v + 1 for v in signs.order)
+        return StructureClass("TriangularMinus", order=order)
+    if not signs.cross:
+        blocks = tuple(tuple(v + 1 for v in block) for block in signs.blocks)
         return StructureClass("BlockDiagonalMinus", blocks=blocks)
     return StructureClass("General")
 
@@ -273,7 +260,7 @@ def check_thm1(
     """
     mode = _margin_mode(mode)
     ds = as_discrete(spec)
-    if ds.plus_offdiag_pattern().any():
+    if ds.signs.plus_offdiag.any():
         raise StructureUnsupported(
             "cooperative certificate needs nonpositive off-diagonal coupling"
         )
@@ -373,7 +360,7 @@ def check_thm3(
     holds every species, recorded under system."""
     mode = _margin_mode(mode)
     ds = as_discrete(spec)
-    if len(_species_structure(ds).blocks) != 1:
+    if len(ds.signs.blocks) != 1:
         raise StructureUnsupported("cooperative part is not fully coupled")
     verdict = Verdict("Inconclusive", theorem="Theorem 3", mode=mode)
     everyone = [list(range(ds.n_species))]
@@ -392,13 +379,9 @@ def check_thm4(
     """Per-component (or per-block) variant of the margin conditions."""
     mode = _margin_mode(mode)
     ds = as_discrete(spec)
-    st = _species_structure(ds)
-    if st.cross:
-        raise StructureUnsupported(
-            "cooperative part couples across blocks; per-component "
-            "certificate does not apply"
-        )
-    blocks = st.blocks
+    blocks = ds.signs.blocks
+    if ds.signs.cross:
+        raise StructureUnsupported(ACROSS_BLOCKS)
     keys = [
         f"j={b[0] + 1}" if len(b) == 1 else "block=" + ",".join(str(k + 1) for k in b)
         for b in blocks
@@ -433,17 +416,13 @@ def check_thm5(
     mode = _margin_mode(mode)
     ds = as_discrete(spec)
     n = ds.n_species
-    order0 = _species_structure(ds).order
+    order0 = ds.signs.order
     if order0 is None:
         raise StructureUnsupported("cooperative part is not triangular")
     if n < 2:
         raise StructureUnsupported("triangular certificate needs several species")
-    verdict = Verdict(
-        "Inconclusive", theorem="Theorem 5", mode=mode
-    )
-    verdict.structure = StructureClass(
-        "TriangularMinus", order=tuple(v + 1 for v in order0)
-    )
+    verdict = Verdict("Inconclusive", theorem="Theorem 5", mode=mode)
+    verdict.structure = classify_structure(ds)
     pairs = [component_eigen(ds, j + 1, tol_eig, max_iter) for j in range(n)]
     lams = [p.value for p in pairs]
     for j, p in enumerate(pairs):
@@ -552,22 +531,23 @@ def check_failure(
     ds = as_discrete(spec)
     n = ds.n_species
     ids = ds.grid.interior_ids
-    plus_pat = ds.plus_offdiag_pattern()
+    signs = ds.signs
+    competes = signs.plus_offdiag
     notes = diagnostics if diagnostics is not None else []
-    if _species_structure(ds).irreducible:
+    if signs.irreducible:
         kind, theorem, which = "FailsThm7", "Theorem 7", "thm7"
         candidates = [
             (j, list(range(n)))
             for j in range(n)
-            if not plus_pat.any()
-            and all(not ds.plus_diag_nonzero(k) for k in range(n) if k != j)
+            if not competes.any()
+            and not any(signs.plus[k, k] for k in range(n) if k != j)
         ]
     else:
         kind, theorem, which = "FailsThm6", "Theorem 6", "thm6"
         candidates = [
             (j, [j])
             for j in range(n)
-            if not (plus_pat[:, j].any() or plus_pat[j, :].any())
+            if not (competes[:, j].any() or competes[j, :].any())
         ]
     for j, block in candidates:
         pair = block_eigen(ds, block, tol_eig, max_iter)
@@ -602,16 +582,13 @@ def find_gauge(spec):
     """
     ds = as_discrete(spec)
     n = ds.n_species
-    ids = ds.grid.interior_ids
-    thresh = 1e-12
+    signs = ds.signs
     neighbors = [[] for _ in range(n)]  # (w, required sigma_v * sigma_w)
     for i in range(n):
         for j in range(i + 1, n):
             need = None
             for k, l in ((i, j), (j, i)):
-                vals = ds.m_vals[k, l][ids]
-                has_pos = float(vals.max()) > thresh
-                has_neg = float(vals.min()) < -thresh
+                has_pos, has_neg = signs.plus[k, l], signs.minus[k, l]
                 if has_pos and has_neg:
                     return None, f"MixedSign: m{k + 1}{l + 1} changes sign"
                 if not (has_pos or has_neg):
@@ -648,6 +625,18 @@ def find_gauge(spec):
 # ---------------------------------------------------------------- certify
 
 
+def _route(signs):
+    """The check of the certificate the sign pattern selects, or None when
+    no sufficient condition applies."""
+    if signs.irreducible:
+        return check_thm3 if signs.plus_offdiag.any() else check_thm1
+    if signs.order is not None and any(signs.edges):
+        return check_thm5
+    if not signs.cross:
+        return check_thm4
+    return None
+
+
 def certify(
     spec,
     mode: str = "basic",
@@ -674,31 +663,15 @@ def certify(
     notes: list = []
     verdict = check_failure(ds, tol_eig, tol_cond, max_iter, diagnostics=notes)
     if verdict is None:
-        kind = structure.kind
-        args = dict(tol_eig=tol_eig, tol_cond=tol_cond, max_iter=max_iter)
-        if kind == "IrreducibleCooperativePart":
-            if ds.plus_offdiag_pattern().any():
-                verdict = check_thm3(ds, mode, **args)
-            else:
-                verdict = check_thm1(ds, mode, **args)
-        elif kind in ("DiagonalMinus", "BlockDiagonalMinus"):
-            verdict = check_thm4(ds, mode, **args)
-        elif kind == "TriangularMinus":
-            verdict = check_thm5(ds, mode, **args)
-        elif kind == "Cooperative":
-            st = _species_structure(ds)
-            if st.order is not None and any(st.adj):
-                verdict = check_thm5(ds, mode, **args)
-            else:
-                try:
-                    verdict = check_thm4(ds, mode, **args)
-                except StructureUnsupported as err:
-                    verdict = Verdict("Inconclusive", mode=mode)
-                    verdict.notes.append(str(err))
+        route = _route(ds.signs)
+        if route is not None:
+            verdict = route(
+                ds, mode, tol_eig=tol_eig, tol_cond=tol_cond, max_iter=max_iter
+            )
         else:
             verdict = Verdict("Inconclusive", mode=mode)
             verdict.notes.append(
-                "general coupling structure: no applicable sufficient condition"
+                GENERAL if structure.kind == "General" else ACROSS_BLOCKS
             )
     verdict.mode = mode
     verdict.structure = structure

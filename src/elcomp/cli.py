@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -28,6 +29,27 @@ from .fields import block_from_solution, load_block, save_fields
 from .problems import load_problem
 from .quasilinear import QuasiSpec, check_thm8, linearize
 from .spectral import MAX_ITER, TOL_EIG, component_eigen, cooperative_eigen
+
+
+def _number(kind, ok, rule):
+    """argparse type: kind(text), a usage error unless ok(value).  It takes
+    kind's name, which argparse quotes for unparsable text ("invalid float
+    value")."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+# the limits of --tol-eig, --tol-cond and --max-iter, for every command
+_tol_eig = _number(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+_tol_cond = _number(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
+_max_iter = _number(int, lambda v: v >= 1, ">= 1")
 
 
 @functools.cache
@@ -45,16 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("problem", help="problem file")
     common.add_argument("--json", metavar="PATH", help="write a JSON report")
     eigen = group()
-    eigen.add_argument("--tol-eig", type=float, default=TOL_EIG)
+    eigen.add_argument("--tol-eig", type=_tol_eig, default=TOL_EIG)
     eigen.add_argument(
         "--max-iter",
-        type=int,
+        type=_max_iter,
         default=MAX_ITER,
         help="cap on the LU factorizations of each eigen run (the solves "
         "with a kept factorization are not counted)",
     )
     condition = group()
-    condition.add_argument("--tol-cond", type=float, default=TOL_COND)
+    condition.add_argument("--tol-cond", type=_tol_cond, default=TOL_COND)
 
     def oracle_budget(container):
         container.add_argument(

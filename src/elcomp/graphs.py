@@ -83,11 +83,6 @@ def csr_strongly_connected(a) -> bool:
     return n_comp == 1
 
 
-def adjacency_scc(n: int, adj) -> list:
-    """tarjan_scc over an adjacency-list digraph (adj[v] = successor list)."""
-    return tarjan_scc(n, lambda v: adj[v])
-
-
 def topo_order(n: int, adj) -> list | None:
     """Deterministic topological order (smallest vertex first), None on cycles."""
     indeg = [0] * n

@@ -436,11 +436,16 @@ def test_species_structure_queries():
         grid, n_species=3, m=[["0", "-1", "0"], ["0", "0", "0.5"], ["0", "0", "0"]]
     )
     ds = as_discrete(spec)
+    signs = ds.signs
     # m[0][1] < 0: edge species 2 -> species 1 in 0-based form 1 -> 0
-    assert ds.minus_edges() == [[], [0], []]
-    pat = ds.plus_offdiag_pattern()
+    assert signs.edges == [[], [0], []]
+    assert signs.minus[0, 1] and signs.minus.sum() == 1
+    pat = signs.plus_offdiag
     assert pat[1, 2] and pat.sum() == 1
-    assert not ds.plus_diag_nonzero(0)
+    assert not signs.plus[0, 0]
+    assert signs.blocks == [[0], [1], [2]] and signs.cross
+    assert signs.order == [1, 0, 2] and not signs.irreducible
+    assert ds.signs is signs
     # species 2 and 3 keep their coupling in their block
     block = ds.block("full", [1, 2]).toarray()
     n_int = grid.n_interior

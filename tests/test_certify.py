@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elcomp import linalg, oracle, quasilinear
+import elcomp.certify as certify_mod
+from elcomp import assembly, linalg, oracle, quasilinear
 from elcomp.certify import (
+    StructureClass,
     Verdict,
     certify,
     check_failure,
@@ -306,6 +308,18 @@ def test_thm5_uncoupled_tail_falls_back_to_eigenfunction():
     assert v.wtilde.interior.min() > 0.0
 
 
+def test_thm5_labels_its_structure_by_classification():
+    # a triangular cooperative digraph with no competitive coupling is the
+    # Cooperative class, not TriangularMinus
+    spec = laplace_system(grid1(16), n_species=2, m=[["0", "-1"], ["0", "0"]])
+    v = check_thm5(spec)
+    assert v.kind == "HoldsThm5"
+    assert v.structure == classify_structure(spec)
+    assert v.structure.kind == "Cooperative"
+    pp = laplace_system(grid1(16), n_species=2, m=[["0", "0.5"], ["-0.5", "0"]])
+    assert check_thm5(pp).structure == StructureClass("TriangularMinus", order=(1, 2))
+
+
 def test_thm5_requires_triangular():
     spec = laplace_system(grid1(8), n_species=2, m=[["0", "-1"], ["-1", "0"]])
     with pytest.raises(StructureUnsupported):
@@ -486,6 +500,40 @@ def test_certify_factorizes_the_full_operator_once(monkeypatch):
     fresh = load_problem(DATA / "competitive17.prob").discretize().assemble("full")
     assert v.oracle_gauged == inverse_positivity(fresh, gauge=v.gauge)
     assert v.oracle == inverse_positivity(fresh)
+
+
+@pytest.mark.parametrize(
+    "name,route",
+    [
+        ("cooperative_pair", "check_thm1"),
+        ("competitive17", "check_thm4"),
+        ("predator_prey", "check_thm5"),
+        ("thm6_failure", None),
+    ],
+)
+def test_sign_pattern_is_built_once_per_run(name, route, monkeypatch):
+    """classify_structure, the refutation scan, the route and the gauge all
+    read the one sign pattern of the discretized system."""
+    built, called = [], []
+    init = assembly.SignPattern.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(assembly.SignPattern, "__init__", counting)
+    readers = ["classify_structure", "check_failure", "find_gauge"]
+    for reader in readers + ([route] if route else []):
+        real = getattr(certify_mod, reader)
+
+        def spy(*args, _real=real, _name=reader, **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(certify_mod, reader, spy)
+    certify(load_problem(DATA / f"{name}.prob"), with_oracle=False)
+    assert set(called) == set(readers + ([route] if route else []))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("mode", ["Sharp", "basic ", "", None])

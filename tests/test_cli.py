@@ -524,6 +524,45 @@ def test_unread_flags_are_rejected(tmp_path, argv, capsys):
     assert expected in capsys.readouterr().err
 
 
+OUT_OF_RANGE = {
+    "--tol-eig": ["nan", "inf", "-inf", "0", "-1e-3"],
+    "--tol-cond": ["nan", "inf", "-1"],
+    "--max-iter": ["0", "-3"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        (command, flag, value)
+        for command in ("certify", "eigen", "counterexample", "thm8")
+        for flag, values in OUT_OF_RANGE.items()
+        if flag in READS[command]
+        for value in values
+    ],
+)
+def test_out_of_range_numbers_are_rejected(command, flag, value, capsys):
+    """A non-finite or out-of-range tolerance or iteration cap is an input
+    error (exit 2) on every command that reads it, never a verdict on it."""
+    if command == "thm8":
+        demo = [str(DATA / f"quasilinear_demo{part}") for part in
+                (".prob", "_sub.field", "_super.field")]
+        argv = ["thm8", demo[0], "--sub", demo[1], "--super", demo[2]]
+    else:
+        argv = [command, str(DATA / "competitive17.prob")]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, f"{flag}={value}"])
+    assert info.value.code == 2
+    assert f"argument {flag}: '{value}' is not" in capsys.readouterr().err
+
+
+def test_range_limits_are_inclusive_where_stated():
+    args = cli.build_parser().parse_args(
+        ["certify", "p", "--tol-cond", "0", "--max-iter", "1", "--tol-eig", "1e-300"]
+    )
+    assert (args.tol_cond, args.max_iter, args.tol_eig) == (0.0, 1, 1e-300)
+
+
 def test_flags_used_by_tests_and_benchmark_parse():
     parser = cli.build_parser()
     invocations = [

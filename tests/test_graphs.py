@@ -5,30 +5,49 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elcomp.graphs import adjacency_scc, csr_strongly_connected, tarjan_scc, topo_order
+from elcomp.assembly import SignPattern
+from elcomp.graphs import csr_strongly_connected, tarjan_scc, topo_order
+
+
+def signs_of(n, adj):
+    """The sign pattern whose cooperative digraph is adj (adj[v] = successor
+    list): m_kl = -1 on 3 nodes for each edge l -> k, and 0 elsewhere."""
+    m = np.zeros((n, n, 3))
+    for v, succ in enumerate(adj):
+        for w in succ:
+            m[w, v] = -1.0
+    return SignPattern.of(m)
 
 
 def test_single_cycle_is_one_component():
-    adj = [[1], [2], [0]]
-    comps = adjacency_scc(3, adj)
-    assert comps == [[0, 1, 2]]
+    signs = signs_of(3, [[1], [2], [0]])
+    assert signs.blocks == [[0, 1, 2]]
+    assert signs.irreducible and not signs.cross and signs.order is None
 
 
 def test_two_components_reverse_topological():
-    # 0 -> 1 <-> 2; component {1,2} must come before {0}
+    # 0 -> 1 <-> 2; Tarjan returns component {1,2} before {0}
     adj = [[1], [2], [1]]
-    comps = adjacency_scc(3, adj)
-    assert comps == [[1, 2], [0]]
+    assert tarjan_scc(3, adj.__getitem__) == [[1, 2], [0]]
+    # the record sorts its blocks by first species; the edge 0 -> 1 crosses
+    signs = signs_of(3, adj)
+    assert signs.blocks == [[0], [1, 2]]
+    assert signs.cross and not signs.irreducible and signs.order is None
 
 
 def test_isolated_vertices():
-    comps = adjacency_scc(3, [[], [], []])
-    assert sorted(comps) == [[0], [1], [2]]
+    signs = signs_of(3, [[], [], []])
+    assert signs.blocks == [[0], [1], [2]]
+    assert not signs.cross and not signs.irreducible and signs.order == [0, 1, 2]
 
 
 def test_self_loop_component():
-    comps = adjacency_scc(2, [[0], []])
+    comps = tarjan_scc(2, [[0], []].__getitem__)
     assert [0] in comps and [1] in comps
+    # a negative m_kk is no edge of the cooperative digraph
+    signs = signs_of(2, [[0], []])
+    assert signs.minus[0, 0] and signs.edges == [[], []]
+    assert signs.blocks == [[0], [1]]
 
 
 def test_csr_strong_connectivity():
@@ -46,7 +65,9 @@ def test_topo_order_smallest_first():
     # both 0 and 2 are sources; deterministic order picks 0 first
     adj = [[1], [], [1]]
     assert topo_order(3, adj) == [0, 2, 1]
+    assert signs_of(3, adj).order == [0, 2, 1]
     assert topo_order(2, [[1], [0]]) is None
+    assert signs_of(2, [[1], [0]]).order is None
 
 
 def test_topo_order_respects_edges():
