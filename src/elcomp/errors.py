@@ -76,7 +76,9 @@ class DimMismatch(ElcompError):
 
 
 class SingularMatrix(ElcompError):
-    """LU met a pivot below the singularity threshold."""
+    """A matrix is singular to working precision: its LU met an exactly
+    zero pivot, or a solve with it gave a non-finite or too large result
+    (linalg.LuFactor.solve)."""
 
     exit_code = 3
 

@@ -90,7 +90,7 @@ def save_fields(path, fields) -> None:
                 f"{fld.grid.n_nodes} nodes"
             )
         lines.append(_header_line(fld.name, fld.grid))
-        lines.extend(repr(float(v)) for v in fld.values)
+        lines.extend(map(repr, np.asarray(fld.values, dtype=float).tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -27,7 +27,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimMismatch, NoConvergence, SingularMatrix, TooLarge, ValidationError
 
-PIVOT_RTOL = 1e-14
+# LuFactor.solve: A is singular when |A| max|x| > max|b| / SINGULAR_RTOL
+SINGULAR_RTOL = 1e-14
 # Noda iteration: widths within this factor of the ratios' rounding level
 # count as the roundoff floor
 FLOOR_FACTOR = 100.0
@@ -281,7 +282,13 @@ def _permuted_csc(a: sp.spmatrix, order) -> sp.csc_matrix:
 
 
 class LuFactor:
-    """LU with partial pivoting by magnitude; rejects near-singular pivots.
+    """LU with partial pivoting by magnitude; an exactly zero pivot or a
+    solve that shows A singular to working precision raises SingularMatrix.
+
+    L and U are never read: that makes scipy build and keep CSC copies of
+    both.  A solve shows singularity instead, through |A| max|x| / max|b|
+    (inf-norms), a computed lower bound on cond(A) (N. J. Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 15).
 
     Without an order, columns are ordered by minimum degree on the pattern
     of A + A^T, which suits the structurally symmetric stencils and fills
@@ -311,22 +318,30 @@ class LuFactor:
             self._lu = spla.splu(a, permc_spec=spec)
         except RuntimeError as err:
             raise SingularMatrix(f"factorization failed: {err}") from None
-        pivots = np.abs(self._lu.U.diagonal())
-        if pivots.size and float(pivots.min()) < PIVOT_RTOL * max(self.norm, 1e-300):
-            raise SingularMatrix(
-                f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * |A|"
-            )
 
     def solve(self, b: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """x with A x = b, or A^T x = b when transposed."""
+        """x with A x = b, or A^T x = b when transposed; SingularMatrix when
+        x is not finite or |A| max|x| > max|b| / SINGULAR_RTOL.  The maxima
+        run over all columns of b, so a block of unit vectors raises exactly
+        when one of them would.
+        """
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise DimMismatch(f"solve: matrix is {self.n}x{self.n}, rhs is {b.shape}")
         trans = "T" if transposed else "N"
         if self.order is None:
-            return self._lu.solve(b, trans=trans)
-        x = np.empty_like(b)
-        x[self.order] = self._lu.solve(b[self.order], trans=trans)
+            x = self._lu.solve(b, trans=trans)
+        else:
+            x = np.empty_like(b)
+            x[self.order] = self._lu.solve(b[self.order], trans=trans)
+        # max and min make no temporary, as abs would, and carry a NaN along
+        size = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0))) * self.norm
+        bound = max(float(b.max(initial=0.0)), -float(b.min(initial=0.0))) / SINGULAR_RTOL
+        if not size <= bound or size == np.inf:  # the second catches inf x for inf b
+            raise SingularMatrix(
+                f"solve: |A| max|x| = {size:.3e} above max|b| / {SINGULAR_RTOL:.0e}"
+                f" = {bound:.3e}"
+            )
         return x
 
 
@@ -510,7 +525,10 @@ def noda_iteration(
             except SingularMatrix:
                 raise lead.fail(f"singular shift {mu!r}", factorizations) from None
         for it in active:
-            y = lu.solve(it.x, transposed=it.transposed)
+            try:
+                y = lu.solve(it.x, transposed=it.transposed)
+            except SingularMatrix:
+                raise it.fail(f"singular shift {mu!r}", factorizations) from None
             if not float(y.min()) > 0.0:
                 raise it.fail("shifted solve left the positive cone", factorizations)
             it.x = y / float(y.max())

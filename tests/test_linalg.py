@@ -22,6 +22,7 @@ from elcomp.errors import (
     TooLarge,
     ValidationError,
 )
+from elcomp import linalg, oracle
 from elcomp.graphs import csr_strongly_connected
 from elcomp.linalg import (
     LuFactor,
@@ -34,6 +35,7 @@ from elcomp.linalg import (
     nested_dissection,
     noda_iteration,
     principal_submatrix,
+    row_ids,
     same_nonzeros,
     shifted,
 )
@@ -285,6 +287,98 @@ def test_one_copy_of_the_operator_per_factorization(monkeypatch):
     handed.clear()
     noda_iteration(a, lambda lam: 1e-10 * (1.0 + abs(lam)), 20, left=at)
     assert handed and all(m.format == "csc" for m in handed)
+
+
+class _FactorsHidden:
+    """A SuperLU object whose L and U may not be read."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            raise AssertionError(f"SuperLU.{name} was read")
+        return getattr(self._lu, name)
+
+
+def test_no_factorization_reads_l_or_u(monkeypatch):
+    """Reading L or U makes scipy build and keep CSC copies of both, so no
+    LU of the solve, eigen or oracle paths may read them."""
+    splu = spla.splu
+    made = []
+
+    def hidden(a, **kwargs):
+        made.append(_FactorsHidden(splu(a, **kwargs)))
+        return made[-1]
+
+    monkeypatch.setattr(linalg.spla, "splu", hidden)
+    asys = _nine_point_pair((12, 12))
+    a, rhs = asys.A, np.ones(asys.A.shape[0])
+    for order in (None, lu_order(asys.grid, a)):
+        assert order is None or order.size == a.shape[0]
+        lu = LuFactor(a, order)
+        assert np.allclose(a @ lu.solve(rhs), rhs)
+        assert np.allclose(a.T @ lu.solve(rhs, transposed=True), rhs)
+    # the 9-point pattern with every coupling made cooperative: an
+    # irreducible nonsymmetric Z-matrix, so a left iterate runs alongside
+    z = a.copy()
+    off = z.indices != row_ids(z)
+    z.data[off] = -np.abs(z.data[off])
+    run = noda_iteration(z, lambda lam: 1e-9 * (1.0 + abs(lam)), 20, left=z.T.tocsr())
+    assert run.left is not None and run.left.vector.min() > 0.0
+    oracle.inverse_positivity(asys)
+    oracle.random_probe(asys, trials=3)
+    u = oracle.solve_system(asys)
+    assert np.allclose(a @ u, asys.f_vec - asys.G @ asys.g_vec)
+    assert len(made) >= 6
+
+
+@pytest.mark.parametrize("order", [None, [1, 0]])
+def test_solves_show_singularity(order):
+    """A pivot of 1.1e-15 is no exact zero, so the LU is made; every solve
+    whose bound |A| max|x| / max|b| passes 1e14 raises, transposed or not."""
+    near = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+    lu = LuFactor(near, order)
+    for transposed in (False, True):
+        with pytest.raises(SingularMatrix, match="above max"):
+            lu.solve(np.array([1.0, 0.0]), transposed=transposed)
+    with pytest.raises(SingularMatrix):
+        lu_solve(near, np.array([1.0, 0.0]), order)
+    with pytest.raises(SingularMatrix):
+        lu.solve(np.array([np.nan, 1.0]))
+    with pytest.raises(SingularMatrix):  # a large x of one sign counts
+        lu_solve(sp.csr_matrix(np.diag([1.0, 1e-20])), np.array([0.0, -1.0]), order)
+    # a condition near 4e13 stays below the bound
+    far = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]))
+    x = lu_solve(far, np.array([1.0, 0.0]), order)
+    assert np.allclose(np.abs(x), 1.0008e13, rtol=1e-4)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_solves_accept_scaled_matrices(scale):
+    """The bound is relative: a well-conditioned matrix solves at any scale."""
+    rng = np.random.default_rng(13)
+    d = (rng.normal(size=(12, 12)) + 12 * np.eye(12)) * scale
+    b = rng.normal(size=12)
+    for order in (None, rng.permutation(12)):
+        lu = LuFactor(sp.csr_matrix(d), order)
+        assert np.allclose(lu.solve(b), np.linalg.solve(d, b), rtol=1e-12, atol=0.0)
+        assert np.allclose(
+            lu.solve(b, transposed=True), np.linalg.solve(d.T, b), rtol=1e-12, atol=0.0
+        )
+
+
+def test_noda_reports_a_singular_solve(monkeypatch):
+    """A SingularMatrix from a shift's solve ends the run as NoConvergence."""
+
+    def singular(self, b, transposed=False):
+        raise SingularMatrix("solve: |A| max|x| = inf")
+
+    monkeypatch.setattr(LuFactor, "solve", singular)
+    a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
+    with pytest.raises(NoConvergence, match="singular shift") as info:
+        noda_iteration(a, lambda lam: 1e-12 * (1.0 + abs(lam)), max_iter=20)
+    assert info.value.iterations == 1
 
 
 def test_lu_solve_shape_check():
