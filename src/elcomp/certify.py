@@ -501,7 +501,11 @@ def _thm5_chain(ds, lams, eps, order0, pairs):
             wt[j] = pairs[j].right
             fallback = True
             continue
-        w = lu_solve(shifted(ds.block("cooperative", [j]), lams[j] - eps), rhs)
+        # a CSC block makes shifted's copy the one LuFactor hands to SuperLU,
+        # and the only one alive while it factorizes
+        w = lu_solve(
+            shifted(ds.block("cooperative", [j]).tocsc(), lams[j] - eps), rhs
+        )
         if float(w.min()) <= 0.0:
             return None
         wt[j] = w

@@ -261,7 +261,7 @@ def lu_order(grid, a: sp.spmatrix) -> np.ndarray | None:
     return (order[:, None] + n_int * np.arange(a.shape[0] // n_int)).ravel()
 
 
-def _permuted_csc(a: sp.spmatrix, order) -> sp.csc_matrix:
+def permuted_csc(a: sp.spmatrix, order) -> sp.csc_matrix:
     """a[order][:, order] as a canonical CSC, for a permutation order.
 
     a's columns are renumbered on its CSR arrays, sharing its data, and
@@ -313,7 +313,7 @@ class LuFactor:
         if self.order is None:
             a, spec = a.tocsc(), "MMD_AT_PLUS_A"
         else:
-            a, spec = _permuted_csc(a, self.order), "NATURAL"
+            a, spec = permuted_csc(a, self.order), "NATURAL"
         try:
             self._lu = spla.splu(a, permc_spec=spec)
         except RuntimeError as err:

@@ -6,14 +6,54 @@ A u <= 0 in the interior plus boundary data <= 0 force u <= 0.  The oracle
 decides this from the explicit inverse (decisive, size-capped) or by seeded
 random probing (falsification only).
 
-The inverse is streamed, never held.  inverse_positivity factorizes A once
-and solves against the identity BLOCK columns at a time.  Each block leaves
-only the min and max of every species block (k, l) of A^{-1}, each with its
-first row-major position, and its share of the product A^{-1} G.  That
-share is taken from G's CSR arrays and folded into the columns of A^{-1} G
-whose rows are still being solved, with array operations and no sparse
-matrix per block.  Memory is the LU factors, one n x BLOCK block, and those
-open columns: O(n * BLOCK + n * n_boundary) at most.
+The inverse is streamed, never held.  A scan leaves only the min and max
+of every species block (k, l) of A^{-1}, each with its first row-major
+position, and the same extremes of -(A^{-1} G).  inverse_positivity keeps
+the scan on the system by content, and every gauge reads it.  A 2D grid
+whose lines hold SLAB_MIN_WIDTH unknowns or more takes the slab scan; a 1D
+grid, a narrower 2D one, and a 2D grid whose guard trips, the LU scan.
+
+The LU scan (_scan_inverse) factorizes A once with SuperLU and solves
+against the identity BLOCK columns at a time.  Each block's share of
+A^{-1} G is taken from G's CSR arrays and folded into the columns of
+A^{-1} G whose rows are still being solved, with array operations and no
+sparse matrix per block.  Memory is the LU factors, one n x BLOCK block,
+and those open columns: O(n * BLOCK + n * n_boundary) at most.  1D grids
+keep it: one line of a 1D grid is a dense inverse, and lines of one node
+make the recursion scalar work.  So do 2D grids with narrow lines: the
+slab scan makes about lines^2 / 2 small products and folds each line's row
+in Python, and below about 12 unknowns per line that costs more than the
+LU scan's solves (up to 10x more on 2 nodes per line); from 16 it cost
+less on every grid measured.
+
+The slab scan (_scan_slabs) numbers the dofs by grid line, lines cutting
+across the longer axis and the species of a line together, so that A is
+block tridiagonal with m x m blocks, m = species x nodes per line.  The
+line Schur complements S_p = A_pp - A_{p,p-1} S_{p-1}^{-1} A_{p-1,p} are
+inverted by LAPACK's LU with partial pivoting.  With Q_q = -A_{q+1,q}
+S_q^{-1} and R_p = -S_p^{-1} A_{p,p+1}, the block rows of A^{-1} follow
+from the last line up (G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)
+707-728): G_pp = S_p^{-1} + R_p G_{p+1,p+1} Q_p, right of the diagonal row
+p is R_p times row p+1, and left of it G_{p,q} = G_{p,q+1} Q_q.  That is
+about 2 m n^2 flops in dense m x m products, against SuperLU's triangular
+solves at scalar speed.  Each finished row is folded into the extremes,
+and its product with G into those of -(A^{-1} G).  Memory is the Q stack,
+two rows (this one and the one below) and one row's boundary product:
+O(n m + m n_boundary).  The blocks are read off one line-numbered CSC copy
+of A, with no sparse matrix per line.
+
+The guard follows J. W. Demmel, N. J. Higham and R. S. Schreiber (Numer.
+Linear Algebra Appl. 2 (1995) 173-190): with the diagonal blocks inverted
+explicitly, the block LU factors L U = A + dA have, to first order,
+|dA| <= c u kappa (|A| + |L||U|), kappa = max_p kappa(S_p) (inf-norms, u the
+unit roundoff), so the rows of A^{-1} carry at most phi = kappa (1 + |L||U|
+/ |A|) times the relative error c u kappa(A) of a stable LU.  Both read
+against TOL_OP, which leaves log10(TOL_OP / u) = 6.6 decimal digits above
+the rounding; phi may take half of them, so the scan is used only while
+phi <= SLAB_PHI_MAX = sqrt(TOL_OP / u) = 3.0e3, and kappa(A), which the LU
+scan pays too, keeps the other half.  A singular S_p, or |A| max|A^{-1}|
+above 1 / SINGULAR_RTOL, where LuFactor's solves call A singular, also
+sends the scan to the LU path, so a singular A still raises SingularMatrix.
 
 A gauge sigma flips signs in that same scan.  With D = diag(sigma),
 (D A D)^{-1} = D A^{-1} D holds bit for bit in floating point: the LU's
@@ -27,6 +67,8 @@ random_probe solves (D A D) u = f the same way, as u = D A^{-1} (D f).
 A column solved within a block can differ in the last bit from the same
 column of one solve against the whole identity: the BLAS kernels behind
 the sparse triangular solves are chosen by the number of right-hand sides.
+The slab scan's entries differ from the LU scan's by rounding, so a
+witness can move to a mirror entry of equal value to the last bits.
 """
 
 from __future__ import annotations
@@ -34,14 +76,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .assembly import AssembledSystem
 from .errors import DimMismatch, TooLarge, ValidationError
-from .linalg import LuFactor, content_key, lu_order, lu_solve, row_ids
+from .linalg import (
+    SINGULAR_RTOL,
+    LuFactor,
+    content_key,
+    inf_norm,
+    lu_order,
+    lu_solve,
+    permuted_csc,
+    row_ids,
+)
 
 TOL_OP = 1e-9
 ORACLE_MAX_DOF = 2500
 BLOCK = 64  # columns of A^{-1} per solve in the streamed scan
+# unknowns per grid line from which a 2D grid takes the slab scan; on
+# narrower lines its per-line Python work outweighs the dense products
+SLAB_MIN_WIDTH = 16
+# the slab scan's guard on phi = max_p kappa(S_p) (1 + |L||U| / |A|): half of
+# the decimal digits between the unit roundoff and TOL_OP (module docstring)
+SLAB_PHI_MAX = float(np.sqrt(TOL_OP / (np.finfo(float).eps / 2)))
 
 
 @dataclass
@@ -185,6 +243,170 @@ def _fold_boundary(bnd, sums, ids, ns: int, n_int: int, n_bnd: int) -> None:
                 bnd[k, l, s] = min(bnd.get((k, l, s), m), m)
 
 
+def _line_order(grid, n_species: int):
+    """(perm, lines, per_line) of a 2D grid: perm[t] is the dof at position
+    t when dofs are numbered by grid line, lines cutting across the longer
+    axis, the species of one line together and each species' nodes in
+    increasing node order."""
+    mx, my = grid.n[0] - 1, grid.n[1] - 1
+    node = np.arange(mx * my).reshape(my, mx)
+    lines = node.T if mx >= my else node  # one grid line per row
+    offsets = grid.n_interior * np.arange(n_species)[:, None]
+    return (lines[:, None, :] + offsets).ravel(), lines.shape[0], lines.shape[1]
+
+
+def _line_blocks(csc, p: int, m: int) -> np.ndarray:
+    """Dense (A_{p-1,p}, A_pp, A_{p+1,p}) of the line-numbered A, read off the
+    CSC arrays of its m columns of line p."""
+    lo, hi = csc.indptr[p * m], csc.indptr[(p + 1) * m]
+    rows = csc.indices[lo:hi]
+    cols = np.repeat(np.arange(m), np.diff(csc.indptr[p * m : (p + 1) * m + 1]))
+    out = np.zeros((3, m, m))
+    out[rows // m - p + 1, rows % m, cols] = csc.data[lo:hi]
+    return out
+
+
+def _inverse(s: np.ndarray) -> np.ndarray | None:
+    """s^{-1} by LAPACK's LU with partial pivoting; None when a pivot is 0."""
+    lu, piv, info = lapack.dgetrf(s)
+    if info == 0:
+        x, info = lapack.dgetri(lu, piv)
+    return x if info == 0 else None
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).sum(axis=1)
+
+
+def _line_schur(csc, n_lines: int, m: int, a_norm: float):
+    """The stack Q_q = -A_{q+1,q} S_q^{-1}, q < n_lines - 1, of the line
+    Schur complements S_p = A_pp + Q_{p-1} A_{p-1,p}, or None when some S_p
+    is singular or phi = max_p kappa(S_p) (1 + |L||U| / |A|) exceeds
+    SLAB_PHI_MAX (inf-norms; L and U the block LU factors)."""
+    q = np.empty((n_lines - 1, m, m))
+    kappa, l_norm, u_norm = 0.0, 1.0, 0.0
+    blocks = _line_blocks(csc, 0, m)
+    s = blocks[1]
+    for p in range(n_lines):
+        x = _inverse(s)
+        if x is None:
+            return None
+        s_rows = _row_sums(s)
+        kappa = max(kappa, float(s_rows.max() * _row_sums(x).max()))
+        if p + 1 == n_lines:
+            u_norm = max(u_norm, float(s_rows.max()))
+            break
+        below = _line_blocks(csc, p + 1, m)
+        np.matmul(blocks[2], x, out=q[p])
+        np.negative(q[p], out=q[p])
+        l_norm = max(l_norm, 1.0 + float(_row_sums(q[p]).max()))
+        u_norm = max(u_norm, float((s_rows + _row_sums(below[0])).max()))
+        s = below[1] + q[p] @ below[0]
+        blocks = below
+    phi = kappa * (1.0 + l_norm * u_norm / a_norm)
+    return q if phi <= SLAB_PHI_MAX else None  # a NaN phi fails too
+
+
+def _scan_slabs(asys: AssembledSystem):
+    """The extremes (inv, bnd) of _scan_inverse for a 2D grid, one block row
+    of A^{-1} per grid line, or None when the guard sends the scan to
+    _scan_inverse: a line Schur complement that is singular or too far
+    from a stable LU (_line_schur), or |A| max|A^{-1}| above
+    1 / SINGULAR_RTOL, where LuFactor would call A singular.
+
+    Rows are built from the last line up.  With R_p = -S_p^{-1} A_{p,p+1},
+    row p at and right of its diagonal block is R_p times row p+1 there,
+    plus S_p^{-1} on the diagonal block; left of it, G_{p,q} = G_{p,q+1} Q_q.
+    S_p^{-1} is formed again from Q_{p-1}, so that only the Q stack is held.
+    """
+    a, g = asys.A, asys.G
+    ns, n = asys.n_species, a.shape[0]
+    perm, n_lines, per_line = _line_order(asys.grid, ns)
+    m = ns * per_line
+    csc = permuted_csc(a, perm)
+    if np.abs(csc.indices // m - row_ids(csc) // m).max(initial=0) > 1:
+        return None  # not block tridiagonal over lines
+    a_norm = inf_norm(a)
+    q = _line_schur(csc, n_lines, m, a_norm)
+    if q is None:
+        return None
+    gp_t = g[perm].T  # a block row of A^{-1} G is (gp_t @ row.T).T
+    row, below = np.empty((m, n), order="F"), np.empty((m, n), order="F")
+    inv, bnd = {}, {}
+    for p in range(n_lines - 1, -1, -1):
+        blocks = _line_blocks(csc, p, m)
+        x = _inverse(blocks[1] if p == 0 else blocks[1] + q[p - 1] @ blocks[0])
+        c0 = p * m
+        if p == n_lines - 1:
+            row[:, c0:] = x
+        else:
+            r = x @ right  # right = A_{p,p+1}
+            np.negative(r, out=r)
+            np.matmul(r, below[:, c0:], out=row[:, c0:])
+            row[:, c0 : c0 + m] += x
+        for c in range(p - 1, -1, -1):  # G_{p,c} = G_{p,c+1} Q_c
+            left = row[:, (c + 1) * m : (c + 2) * m]
+            np.matmul(left, q[c], out=row[:, c * m : (c + 1) * m])
+        right = blocks[0]
+        if not _fold_row(inv, row.T, p, perm, ns, per_line):
+            return None
+        if g.nnz:
+            _fold_boundary_row(bnd, gp_t @ row.T, ns, per_line)
+        row, below = below, row
+    scale = -min(v for v, _ in inv.values())
+    return (inv, bnd) if a_norm * scale <= 1.0 / SINGULAR_RTOL else None
+
+
+def _fold_row(inv, t: np.ndarray, p: int, perm, ns: int, per_line: int) -> bool:
+    """Fold block row p of the line-numbered A^{-1}, held transposed in t,
+    into inv as _scan_inverse keys it; False when an entry is not finite.
+
+    The row's extremes per species block come from the elementwise
+    extremes over its column lines.  A position is sought only where the
+    block's extreme ties or beats the best so far; among ties, the first in
+    the row-major order of A^{-1} wins.  Within line p and species k that
+    order's row grows with the position along the line, and node 0 of
+    species l is its first column.
+    """
+    m = ns * per_line
+    lines = t.shape[0] // m
+    cols = t.reshape(lines, ns, per_line, m)  # [line, l, node, row of line p]
+    flat = t.reshape(lines, m * m)
+    lo = np.minimum.reduce(flat, axis=0).reshape(ns, per_line, ns, per_line)
+    hi = np.maximum.reduce(flat, axis=0).reshape(ns, per_line, ns, per_line)
+    lo, hi = lo.min(axis=(1, 3)), hi.max(axis=(1, 3))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        return False
+    for l in range(ns):
+        for k in range(ns):
+            for s, v in ((1, float(lo[l, k])), (-1, float(hi[l, k]))):
+                best = inv.get((k, l, s))
+                if best is not None and s * v > best[0]:
+                    continue
+                part = cols[:, l, :, k * per_line : (k + 1) * per_line]
+                if part[0, 0, 0] == v:
+                    y, at = 0, np.zeros(1, dtype=np.intp)
+                else:
+                    y = int(np.argmax((part == v).any(axis=(0, 1))))
+                    at = np.flatnonzero(part[:, :, y] == v)
+                i = perm[p * m + k * per_line + y]
+                j = perm[(at // per_line) * m + l * per_line + at % per_line].min()
+                cand = (s * v, (int(i), int(j)))
+                inv[k, l, s] = cand if best is None else min(best, cand)
+    return True
+
+
+def _fold_boundary_row(bnd, prod: np.ndarray, ns: int, per_line: int) -> None:
+    """Fold the rows of one grid line of A^{-1} G, held transposed in prod,
+    into bnd as _fold_boundary does."""
+    parts = prod.reshape(ns, -1, ns, per_line)  # [l, boundary value, k, node]
+    top, bottom = parts.max(axis=(1, 3)), parts.min(axis=(1, 3))
+    for l in range(ns):
+        for k in range(ns):
+            for s, v in ((1, -float(top[l, k])), (-1, float(bottom[l, k]))):
+                bnd[k, l, s] = min(bnd.get((k, l, s), v), v)
+
+
 def inverse_positivity(
     asys: AssembledSystem,
     gauge=None,
@@ -204,7 +426,10 @@ def inverse_positivity(
         raise TooLarge(f"dense inverse of {dof} dof exceeds budget {max_dof}")
     key = content_key(asys.A, asys.G)
     if key not in asys._oracle_cache:
-        asys._oracle_cache[key] = _scan_inverse(asys)
+        grid = asys.grid
+        wide = grid.dim == 2 and ns * (min(grid.n) - 1) >= SLAB_MIN_WIDTH
+        scan = _scan_slabs(asys) if wide else None
+        asys._oracle_cache[key] = scan if scan is not None else _scan_inverse(asys)
     inv, bnd = asys._oracle_cache[key]
     pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
     min_entry, witness = min(inv[p] for p in pairs)

@@ -54,14 +54,18 @@ def _species_index(j: int, n: int) -> int:
 
 
 def principal_eigenpair(
-    a: sp.spmatrix, tol_eig: float = TOL_EIG, max_iter: int = MAX_ITER
+    a: sp.spmatrix,
+    tol_eig: float = TOL_EIG,
+    max_iter: int = MAX_ITER,
+    z_scan: tuple | None = None,
 ) -> EigenPair:
     """Eigenvalue of smallest real part of an irreducible Z-matrix.
 
     The Z-matrix and irreducibility gates are what keep the Noda iterates
-    strictly positive.
+    strictly positive.  z_scan is check_z_matrix(a)'s result when a's
+    content has been scanned already; without it, a is scanned here.
     """
-    is_z, pos, worst, _ = check_z_matrix(a)
+    is_z, pos, worst, _ = check_z_matrix(a) if z_scan is None else z_scan
     if not is_z:
         raise NotZMatrix(
             f"off-diagonal entry {worst:.6g} at {pos}", position=pos, value=worst
@@ -87,7 +91,7 @@ def principal_eigenpair(
     return EigenPair(lam, x, left, run.cw, run.iterations, residual, solves)
 
 
-def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int) -> EigenPair:
+def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int, z_scan=None) -> EigenPair:
     """principal_eigenpair(a), solved once per operator content on ds.
 
     The memo lives on the system, so nothing outlives the run; cached
@@ -95,7 +99,7 @@ def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int) -> EigenPair:
     """
     key = (linalg.content_key(a), tol_eig, max_iter)
     if key not in ds._eigen_cache:
-        pair = principal_eigenpair(a, tol_eig, max_iter)
+        pair = principal_eigenpair(a, tol_eig, max_iter, z_scan)
         pair.right.setflags(write=False)
         pair.left.setflags(write=False)
         ds._eigen_cache[key] = pair
@@ -115,11 +119,21 @@ def block_eigen(
 
     The Z gate is principal_eigenpair's one scan; its (row, col) position
     is reported here as ((species, interior_pos), (species, interior_pos)).
+    Every species on the whole domain is the cooperative operator itself,
+    which assemble has scanned: its result is passed on, not taken again.
     """
     ds = as_discrete(spec)
-    a = ds.block("cooperative", species, mask)
+    if mask is None and list(species) == list(range(ds.n_species)):
+        coop = ds.assembled("cooperative")
+        a, pos = coop.A, coop.worst_offdiag
+        if pos is not None:  # back to (row, col) of A
+            pos = tuple((k - 1) * ds.grid.n_interior + i for k, i in pos)
+        # offdiag_max is the worst entry whenever A is not Z
+        z_scan = (coop.z_matrix, pos, coop.offdiag_max, coop.offdiag_max)
+    else:
+        a, z_scan = ds.block("cooperative", species, mask), None
     try:
-        return _memo_eigenpair(ds, a, tol_eig, max_iter)
+        return _memo_eigenpair(ds, a, tol_eig, max_iter, z_scan)
     except NotZMatrix as err:
         n_int = a.shape[0] // len(species)
         pos = tuple((r // n_int + 1, r % n_int) for r in err.position)

@@ -290,6 +290,34 @@ def test_thm5_predator_prey_construction():
     assert np.allclose(w2, 0.5 / v.epsilon * w1, rtol=1e-5)
 
 
+def test_thm5_chain_hands_splu_the_shifted_block(monkeypatch):
+    """The chain's solve gives shifted the cooperative block as CSC, so
+    SuperLU factorizes the copy shifted makes, and no other; the chain is
+    bit for bit the one solved from a CSR block."""
+    ds = load_problem(DATA / "predator_prey.prob").discretize()
+    shift, splu = certify_mod.shifted, linalg.spla.splu
+    made, factorized = [], []
+
+    def spy_shift(a, s):
+        made.append(shift(a, s))
+        return made[-1]
+
+    def spy_splu(a, **kwargs):
+        factorized.append(a)
+        return splu(a, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(certify_mod, "shifted", spy_shift)
+        mp.setattr(linalg.spla, "splu", spy_splu)
+        v = check_thm5(ds)
+    assert v.kind == "HoldsThm5"
+    assert len(made) == 1 and made[0].format == "csc"
+    assert sum(a is made[0] for a in factorized) == 1
+    monkeypatch.setattr(certify_mod, "shifted", lambda a, s: shift(a.tocsr(), s))
+    from_csr = check_thm5(load_problem(DATA / "predator_prey.prob").discretize())
+    assert np.array_equal(v.wtilde.values, from_csr.wtilde.values)
+
+
 def test_thm5_infeasible_when_strict_species_negative():
     ops = (op_of(1, c=0.0), op_of(1, c=-30.0))
     spec = system_of(grid1(16), ops, m=[["0", "0.5"], ["-0.5", "0"]])
@@ -481,22 +509,30 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
 
 
 def test_certify_factorizes_the_full_operator_once(monkeypatch):
-    """The plain and the gauged oracle share one LU of the full operator:
-    D A D, the gauged one, is not factorized."""
+    """The plain and the gauged oracle share one scan of the full operator,
+    on this 2D grid the slab scan's one block LU over grid lines: neither A
+    nor D A D, the gauged one, gets a sparse LU or a scan of its own."""
     ds = load_problem(DATA / "competitive17.prob").discretize()
     full = abs(ds.assemble("full").A)
-    factorized = []
+    factorized, scanned = [], []
     init = linalg.LuFactor.__init__
+    scan = oracle._scan_slabs
 
     def counting(self, a):
         if a.shape == full.shape and (abs(a) != full).nnz == 0:
             factorized.append(a.shape)
         init(self, a)
 
+    def counting_scan(asys):
+        scanned.append((abs(asys.A) != full).nnz)
+        return scan(asys)
+
     monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+    monkeypatch.setattr(oracle, "_scan_slabs", counting_scan)
     v = certify(ds, with_oracle=True)
     assert v.gauge == (1, -1)
-    assert len(factorized) == 1
+    assert scanned == [0]
+    assert factorized == []
     fresh = load_problem(DATA / "competitive17.prob").discretize().assemble("full")
     assert v.oracle_gauged == inverse_positivity(fresh, gauge=v.gauge)
     assert v.oracle == inverse_positivity(fresh)
@@ -565,6 +601,8 @@ def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):
         raise SingularMatrix("pivot 0")
 
     monkeypatch.setattr(oracle, "LuFactor", singular)
+    # the slab scan's guard trips on a singular A and hands it to the LU scan
+    monkeypatch.setattr(oracle, "_scan_slabs", lambda asys: None)
     v = certify(load_problem(DATA / "competitive17.prob"), with_oracle=True)
     assert v.kind == "HoldsThm4"
     assert v.oracle is None and v.oracle_gauged is None

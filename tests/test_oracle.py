@@ -1,13 +1,14 @@
 """Inverse-positivity ground truth on small assembled systems."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse._base as sparse_base
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -225,21 +226,27 @@ def test_oracle_report_json_shape():
     assert isinstance(d["witness"], list)
 
 
-def _reference(asys, gauge):
-    """The oracle's decision as one dense inverse of D A D and a dense
-    product with D G D_b: (min_entry, witness, inverse_positive,
-    min_boundary_entry, boundary_monotone)."""
+def _gauged_dense(asys, gauge):
+    """(D A^{-1} D, -(D A^{-1} D)(D G D_b) or None when G is empty), from one
+    dense inverse of D A D."""
     signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
     d = sp.diags(np.repeat(signs, asys.grid.n_interior))
     d_bnd = sp.diags(np.repeat(signs, asys.grid.n_boundary))
     inv = dense_inverse((d @ asys.A @ d).tocsr(), max_dof=10**6)
+    if not asys.G.nnz:
+        return inv, None
+    return inv, -(inv @ (d @ asys.G @ d_bnd).toarray())
+
+
+def _reference(asys, gauge):
+    """The oracle's decision as one dense inverse of D A D and a dense
+    product with D G D_b: (min_entry, witness, inverse_positive,
+    min_boundary_entry, boundary_monotone)."""
+    inv, bnd = _gauged_dense(asys, gauge)
     scale = float(np.abs(inv).max())
     min_entry = float(inv.min())
     witness = tuple(int(i) for i in np.unravel_index(int(np.argmin(inv)), inv.shape))
-    if asys.G.nnz:
-        min_boundary = float((-(inv @ (d @ asys.G @ d_bnd).toarray())).min())
-    else:
-        min_boundary = 0.0
+    min_boundary = 0.0 if bnd is None else float(bnd.min())
     return (
         min_entry,
         witness,
@@ -247,6 +254,60 @@ def _reference(asys, gauge):
         min_boundary,
         min_boundary >= -TOL_OP * scale,
     )
+
+
+def _decision(rep):
+    return (
+        rep.min_entry,
+        rep.witness,
+        rep.inverse_positive,
+        rep.min_boundary_entry,
+        rep.boundary_monotone,
+    )
+
+
+# The slab scan's entries of A^{-1} lie within ROUNDING * u * kappa_inf(A) *
+# max|A^{-1}| of the dense inverse's (u the unit roundoff).  Over 4,500
+# random 2D systems like _oracle_case's, the largest gap was 1.2 of these
+# units, the dense inverse's own rounding included.
+ROUNDING = 16
+
+
+def _rounding_bounds(asys):
+    """(bound on an entry of A^{-1}, bound on an entry of A^{-1} G): the
+    second adds up the first over G's largest column, |G|_1."""
+    inv = dense_inverse(asys.A, max_dof=10**6)
+    kappa = inf_norm(asys.A) * float(np.abs(inv).sum(axis=1).max())
+    bound = ROUNDING * np.finfo(float).eps / 2 * kappa * float(np.abs(inv).max())
+    return bound, bound * inf_norm(asys.G.T)
+
+
+def _lu_report(asys, gauge):
+    """inverse_positivity of a copy of asys, without kept scans, through
+    the LU scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_scan_slabs", lambda asys: None)
+        return inverse_positivity(replace(asys, _oracle_cache={}), gauge=gauge)
+
+
+def _assert_within_rounding(asys, gauge, rep):
+    """A 2D report against the dense inverse of D A D: the minimum lies
+    within the rounding bound of the dense minimum, so does the dense value
+    at the witness, and the decisions are the dense ones except where the
+    dense margin to -TOL_OP * scale is itself within the bound."""
+    bound, bound_bnd = _rounding_bounds(asys)
+    inv, bnd = _gauged_dense(asys, gauge)
+    scale = float(np.abs(inv).max())
+    assert abs(rep.min_entry - float(inv.min())) <= bound
+    assert abs(float(inv[rep.witness]) - float(inv.min())) <= bound
+    margin = float(inv.min()) + TOL_OP * scale
+    if abs(margin) > bound * (1 + TOL_OP):
+        assert rep.inverse_positive == (margin >= 0.0)
+    min_bnd = 0.0 if bnd is None else float(bnd.min())
+    assert abs(rep.min_boundary_entry - min_bnd) <= bound_bnd
+    margin = min_bnd + TOL_OP * scale
+    if abs(margin) > bound_bnd + TOL_OP * bound:
+        assert rep.boundary_monotone == (margin >= 0.0)
 
 
 _B = oracle.BLOCK
@@ -261,14 +322,14 @@ _BLOCK_EDGES = [
 
 
 @st.composite
-def _oracle_case(draw, cross=False):
-    """A random 1-3 species system and gauge.  Random reaction and coupling
-    signs give Z and non-Z matrices, with inverses of either sign; some
-    off-diagonal coupling blocks are zero.  Without cross diffusion every
-    boundary value enters one equation, so the dense and the streamed
-    boundary products round alike; with it (2D only) a boundary value
-    enters up to three."""
-    if not cross and draw(st.booleans()):
+def _oracle_case(draw, cross=False, two_d=False):
+    """A random 1-3 species system and gauge, on a 2D grid with either axis
+    longer when cross or two_d.  Random reaction and coupling signs give Z
+    and non-Z matrices, with inverses of either sign; some off-diagonal
+    coupling blocks are zero.  Without cross diffusion every boundary value
+    enters one equation, so the dense and the streamed boundary products
+    round alike; with it (2D only) a boundary value enters up to three."""
+    if not (cross or two_d) and draw(st.booleans()):
         ns, n_int = draw(st.sampled_from(_BLOCK_EDGES))
         grid = build_grid(1, 0.0, 1.0, n_int + 1)
     else:
@@ -295,8 +356,10 @@ def _oracle_case(draw, cross=False):
 @given(_oracle_case())
 @settings(max_examples=80, deadline=None)
 def test_streamed_oracle_matches_dense_inverse(case):
-    """The block scan of A^{-1} gives the dense inverse's answer exactly,
-    for any gauge, in any order of gauged and plain calls."""
+    """On a 1D grid the block scan of A^{-1} gives the dense inverse's
+    answer exactly, for any gauge, in any order of gauged and plain calls.
+    On a 2D grid the slab scan's answer lies within the rounding bound
+    (_assert_within_rounding), and the LU scan still gives the exact one."""
     asys, gauge = case
     for g in (None, gauge):  # the second call reads the kept scan
         try:
@@ -306,34 +369,144 @@ def test_streamed_oracle_matches_dense_inverse(case):
                 inverse_positivity(asys, gauge=g)
             continue
         rep = inverse_positivity(asys, gauge=g)
-        got = (
-            rep.min_entry,
-            rep.witness,
-            rep.inverse_positive,
-            rep.min_boundary_entry,
-            rep.boundary_monotone,
-        )
-        assert got == expect
+        if asys.grid.dim == 1:
+            assert _decision(rep) == expect
+            continue
+        _assert_within_rounding(asys, g, rep)
+        assert _decision(_lu_report(asys, g)) == expect
 
 
 @given(_oracle_case(cross=True))
 @settings(max_examples=40, deadline=None)
 def test_streamed_boundary_sums_span_blocks(case):
     """With blocks of 8 columns, the rows a boundary value enters fall in
-    different blocks, and its column of A^{-1} G is summed across them.
-    The dense product adds those terms in BLAS order, so the boundary
-    minimum agrees to rounding only."""
+    different blocks, and the LU scan sums its column of A^{-1} G across
+    them.  The dense product adds those terms in BLAS order, so the
+    boundary minimum agrees to rounding only.  The slab scan, which these
+    2D grids take by default, is within the rounding bound
+    (_assert_within_rounding)."""
     asys, gauge = case
+    try:
+        expect = _reference(asys, gauge)
+    except SingularMatrix:
+        return
+    _assert_within_rounding(asys, gauge, inverse_positivity(asys, gauge=gauge))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "BLOCK", 8)
-        try:
-            expect = _reference(asys, gauge)
-        except SingularMatrix:
-            return
-        rep = inverse_positivity(asys, gauge=gauge)
+        rep = _lu_report(asys, gauge)
     assert (rep.min_entry, rep.witness, rep.inverse_positive) == expect[:3]
     assert rep.min_boundary_entry == pytest.approx(expect[3], rel=1e-12, abs=1e-15)
     assert rep.boundary_monotone == expect[4]
+
+
+@given(st.booleans().flatmap(lambda cross: _oracle_case(cross=cross, two_d=True)))
+@settings(max_examples=80, deadline=None)
+def test_slab_scan_matches_dense_inverse(case):
+    """Every extreme the slab scan keeps lies within the rounding bound of
+    the dense inverse's, and so does the dense value at its position, which
+    lies in its block; in a block of exact zeros (a zero coupling block
+    makes some) that position is the block's first.  That covers every
+    gauge, whose extremes are these with signs.  Each boundary extreme lies
+    within the bound for A^{-1} G.  The draws are 2D grids with either axis
+    longer, 5- and 9-point stencils, convection, and couplings of either
+    sign."""
+    asys, _ = case
+    try:
+        inv = dense_inverse(asys.A, max_dof=10**6)
+    except SingularMatrix:
+        return
+    scan = oracle._scan_slabs(asys)
+    assume(scan is not None)
+    extremes, bnd = scan
+    bound, bound_bnd = _rounding_bounds(asys)
+    n_int, n_bnd = asys.grid.n_interior, asys.grid.n_boundary
+    prod = -(inv @ asys.G.toarray())
+    for (k, l, s), (v, (i, j)) in extremes.items():
+        block = s * inv[k * n_int : (k + 1) * n_int, l * n_int : (l + 1) * n_int]
+        assert abs(v - float(block.min())) <= bound
+        assert (i // n_int, j // n_int) == (k, l)
+        assert abs(s * float(inv[i, j]) - v) <= bound
+        if not block.any():
+            assert (i, j) == (k * n_int, l * n_int)
+    assert set(bnd) == (set(extremes) if asys.G.nnz else set())
+    for (k, l, s), v in bnd.items():
+        block = s * prod[k * n_int : (k + 1) * n_int, l * n_bnd : (l + 1) * n_bnd]
+        assert abs(v - float(block.min())) <= bound_bnd
+
+
+def _strip_singular():
+    """The 20^2 scalar Laplacian with c = -4 h^-2 (sin^2(pi h / 2) +
+    sin^2(pi / 22)): the Dirichlet problem on its first 10 grid lines alone
+    has eigenvalue 0, so S_10 is singular, while A is not (kappa_inf 792)."""
+    h = 1.0 / 20
+    c = -4.0 / h**2 * (np.sin(np.pi * h / 2) ** 2 + np.sin(np.pi / 22) ** 2)
+    return assemble_system(laplace_system(build_grid(2, 0.0, 1.0, 20), c=c))
+
+
+def test_slab_guard_takes_the_lu_scan_on_a_singular_strip(monkeypatch):
+    """Unguarded, the recursion through the singular S_10 is off by more
+    than max|A^{-1}|.  The guard sends the scan to the LU path, whose
+    report inverse_positivity then gives."""
+    asys = _strip_singular()
+    inv = dense_inverse(asys.A)
+    scale = float(np.abs(inv).max())
+    assert oracle._scan_slabs(asys) is None
+    rep = inverse_positivity(asys)
+    assert list(asys._oracle_cache.values()) == [oracle._scan_inverse(asys)]
+    assert not rep.inverse_positive
+    assert abs(rep.min_entry - float(inv.min())) <= 1e-12 * scale
+    monkeypatch.setattr(oracle, "SLAB_PHI_MAX", np.inf)
+    unguarded, _ = oracle._scan_slabs(asys)
+    assert max(abs(v - s * float(inv[ij])) for (_, _, s), (v, ij) in unguarded.items()) > scale
+
+
+@pytest.mark.parametrize("cells", [(12, 12), (16, 7), (7, 16)])
+def test_singular_two_d_system_raises(cells, monkeypatch):
+    """c at minus the least eigenvalue of the discrete Laplacian leaves A
+    singular to working precision: the slab scan's guard trips, and the LU
+    scan raises SingularMatrix as the dense inverse does.  Without the
+    Schur complements' bound, |A| max|A^{-1}| > 1 / SINGULAR_RTOL trips it
+    too."""
+    h = 1.0 / np.asarray(cells)
+    c = -4.0 * float((np.sin(np.pi * h / 2) ** 2 / h**2).sum())
+    asys = assemble_system(laplace_system(build_grid(2, 0.0, 1.0, cells), c=c))
+    with pytest.raises(SingularMatrix):
+        dense_inverse(asys.A)
+    assert oracle._scan_slabs(asys) is None
+    with pytest.raises(SingularMatrix):
+        inverse_positivity(asys)
+    monkeypatch.setattr(oracle, "SLAB_PHI_MAX", np.inf)
+    assert oracle._scan_slabs(asys) is None
+
+
+@pytest.mark.parametrize(
+    "cells, n_species, slabs",
+    [((40, 3), 1, False), ((60, 8), 1, False), ((60, 8), 3, True), ((20, 20), 1, True)],
+)
+def test_narrow_two_d_grids_take_the_lu_scan(cells, n_species, slabs, monkeypatch):
+    """A 2D grid takes the slab scan only when its lines hold SLAB_MIN_WIDTH
+    unknowns or more, species included."""
+    tried = []
+    scan = oracle._scan_slabs
+    monkeypatch.setattr(oracle, "_scan_slabs", lambda asys: tried.append(1) or scan(asys))
+    grid = build_grid(2, 0.0, 1.0, cells)
+    rep = inverse_positivity(assemble_system(laplace_system(grid, n_species=n_species)))
+    assert rep.inverse_positive
+    assert bool(tried) == slabs
+
+
+@pytest.mark.parametrize("cells, lines", [((4, 9), 8), ((9, 4), 8), ((6, 6), 5)])
+def test_slab_lines_cut_across_the_longer_axis(cells, lines):
+    """The slab scan's lines run along the shorter axis, so there are as
+    many as the longer axis has interior nodes; each lists its species in
+    turn, each species' nodes in increasing order."""
+    grid = build_grid(2, 0.0, 1.0, cells)
+    perm, n_lines, per_line = oracle._line_order(grid, 2)
+    assert (n_lines, per_line) == (lines, grid.n_interior // lines)
+    assert np.array_equal(np.sort(perm), np.arange(2 * grid.n_interior))
+    by_line = perm.reshape(n_lines, 2, per_line)
+    assert (by_line // grid.n_interior == np.arange(2)[:, None]).all()
+    assert (np.diff(by_line, axis=2) > 0).all()
 
 
 @given(_oracle_case(cross=True), st.sampled_from((3, 8, 64)))
@@ -427,9 +600,11 @@ def test_oracle_memory_stays_below_a_quarter_inverse():
 
 
 def test_scan_builds_no_sparse_matrix_per_block():
-    """The scan reads G's CSR arrays: a 1D system of 2 column blocks, one
-    of 16 and a 2D pair of 17 build the same number of scipy sparse
-    matrices, all of them for the one factorization."""
+    """The LU scan reads G's CSR arrays: a 1D system of 2 column blocks,
+    one of 16 and a 2D pair of 17 build the same number of scipy sparse
+    matrices, all of them for the one factorization.  The slab scan reads
+    A's blocks off one line-numbered copy: 2D systems of 8 to 23 lines and
+    1 to 3 species build the same number as each other."""
     built = []
     init = sparse_base._spbase.__init__
 
@@ -437,17 +612,30 @@ def test_scan_builds_no_sparse_matrix_per_block():
         built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
+    def counts(scan, systems):
+        out = []
+        for asys in systems:
+            assert asys.G.nnz
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sparse_base._spbase, "__init__", counting)
+                assert scan(asys) is not None
+            out.append(len(built))
+            built.clear()
+        return out
+
     systems = [
         _pair(build_grid(2, 0.0, 1.0, 24), [["0", "-1"], ["-0.5", "0"]]),
         *(assemble_system(laplace_system(build_grid(1, 0.0, 1.0, n))) for n in (128, 1024)),
     ]
-    counts = []
-    for asys in systems:
-        assert asys.G.nnz
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sparse_base._spbase, "__init__", counting)
-            oracle._scan_inverse(asys)
-        counts.append(len(built))
-        built.clear()
+    lu = counts(oracle._scan_inverse, systems)
     assert [asys.A.shape[0] for asys in systems] == [1058, 127, 1023]
-    assert counts[0] == counts[1] == counts[2], counts
+    assert lu[0] == lu[1] == lu[2], lu
+    slabs = counts(
+        oracle._scan_slabs,
+        [
+            systems[0],
+            _pair(build_grid(2, 0.0, 1.0, (4, 9)), [["0", "-1"], ["-0.5", "0"]]),
+            assemble_system(laplace_system(build_grid(2, 0.0, 1.0, (12, 20)), n_species=3)),
+        ],
+    )
+    assert slabs[0] == slabs[1] == slabs[2], slabs

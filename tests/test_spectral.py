@@ -370,6 +370,23 @@ def test_eigen_memo_is_per_system_and_read_only(monkeypatch):
     assert len(calls) == 3
 
 
+def test_certify_scans_each_operator_content_once(monkeypatch):
+    """lap1d's one species block is its whole A: the eigen solve reuses the
+    Z scan assemble took of that content instead of scanning it again."""
+    scans = []
+    for module in (assembly, spectral):
+        scan = module.check_z_matrix
+
+        def counting(a, *args, _scan=scan):
+            scans.append(linalg.content_key(a))
+            return _scan(a, *args)
+
+        monkeypatch.setattr(module, "check_z_matrix", counting)
+    v = certify(load_problem(DATA / "lap1d.prob"))
+    assert v.kind.startswith("Holds")
+    assert len(scans) == len(set(scans)) == 1
+
+
 def test_block_eigen_scans_each_block_once(monkeypatch):
     """principal_eigenpair's Z scan is the block's only one, and a memo hit
     scans nothing; a non-Z block still reports (species, position) pairs
