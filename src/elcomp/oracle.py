@@ -30,15 +30,18 @@ The slab scan (_scan_slabs) numbers the dofs by grid line, lines cutting
 across the longer axis and the species of a line together, so that A is
 block tridiagonal with m x m blocks, m = species x nodes per line.  The
 line Schur complements S_p = A_pp - A_{p,p-1} S_{p-1}^{-1} A_{p-1,p} are
-inverted by LAPACK's LU with partial pivoting.  With Q_q = -A_{q+1,q}
-S_q^{-1} and R_p = -S_p^{-1} A_{p,p+1}, the block rows of A^{-1} follow
-from the last line up (G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)
-707-728): G_pp = S_p^{-1} + R_p G_{p+1,p+1} Q_p, right of the diagonal row
-p is R_p times row p+1, and left of it G_{p,q} = G_{p,q+1} Q_q.  That is
-about 2 m n^2 flops in dense m x m products, against SuperLU's triangular
-solves at scalar speed.  Each finished row is folded into the extremes,
-and its product with G into those of -(A^{-1} G).  Memory is the Q stack,
-two rows (this one and the one below) and one row's boundary product:
+inverted by LAPACK's LU with partial pivoting, once each, in the pass that
+also takes the guard's norms.  With Q_q = -A_{q+1,q} S_q^{-1} and R_p =
+-S_p^{-1} A_{p,p+1}, the block rows of A^{-1} follow from the last line up
+(G. Meurant, SIAM J. Matrix Anal. Appl. 13 (1992) 707-728): G_pp =
+S_p^{-1} + R_p G_{p+1,p+1} Q_p, right of the diagonal row p is R_p times
+row p+1, and left of it G_{p,q} = G_{p,q+1} Q_q.  That is about 2 m n^2
+flops in dense m x m products, against SuperLU's triangular solves at
+scalar speed.  Each finished row is reduced over its lines, and the
+extremes' first positions are sought among the entries that the reduced
+row marks.  Its product with G updates running per-species extremes of
+-(A^{-1} G), written out once.  Memory is the Q and S^{-1} stacks, two
+rows (this one and the one below) and one row's boundary product:
 O(n m + m n_boundary).  The blocks are read off one line-numbered CSC copy
 of A, with no sparse matrix per line.
 
@@ -54,6 +57,8 @@ phi <= SLAB_PHI_MAX = sqrt(TOL_OP / u) = 3.0e3, and kappa(A), which the LU
 scan pays too, keeps the other half.  A singular S_p, or |A| max|A^{-1}|
 above 1 / SINGULAR_RTOL, where LuFactor's solves call A singular, also
 sends the scan to the LU path, so a singular A still raises SingularMatrix.
+Each hand-off to the LU scan, a 2D grid's narrow lines included, is
+logged at DEBUG on the elcomp.oracle logger with its reason.
 
 A gauge sigma flips signs in that same scan.  With D = diag(sigma),
 (D A D)^{-1} = D A^{-1} D holds bit for bit in floating point: the LU's
@@ -73,6 +78,7 @@ witness can move to a mirror entry of equal value to the last bits.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +96,8 @@ from .linalg import (
     permuted_csc,
     row_ids,
 )
+
+logger = logging.getLogger(__name__)
 
 TOL_OP = 1e-9
 ORACLE_MAX_DOF = 2500
@@ -255,15 +263,24 @@ def _line_order(grid, n_species: int):
     return (lines[:, None, :] + offsets).ravel(), lines.shape[0], lines.shape[1]
 
 
-def _line_blocks(csc, p: int, m: int) -> np.ndarray:
-    """Dense (A_{p-1,p}, A_pp, A_{p+1,p}) of the line-numbered A, read off the
-    CSC arrays of its m columns of line p."""
-    lo, hi = csc.indptr[p * m], csc.indptr[(p + 1) * m]
-    rows = csc.indices[lo:hi]
-    cols = np.repeat(np.arange(m), np.diff(csc.indptr[p * m : (p + 1) * m + 1]))
-    out = np.zeros((3, m, m))
-    out[rows // m - p + 1, rows % m, cols] = csc.data[lo:hi]
-    return out
+def _line_blocks(csc, m: int):
+    """The reader p -> dense (A_{p-1,p}, A_pp, A_{p+1,p}) of the line-numbered
+    A held in csc, or None when A is not block tridiagonal over lines of m
+    unknowns.  Each stored entry's place among its line's three blocks is
+    found once, so a read scatters the CSC arrays of line p's m columns."""
+    cols = row_ids(csc)  # the column of each entry
+    offset = csc.indices // m - cols // m + 1  # 0, 1, 2: above, on, below
+    if offset.size and not 0 <= offset.min() <= offset.max() <= 2:
+        return None
+    at = (offset * m + csc.indices % m) * m + cols % m
+    ends = csc.indptr[::m]
+
+    def read(p: int) -> np.ndarray:
+        out = np.zeros(3 * m * m)
+        out[at[ends[p] : ends[p + 1]]] = csc.data[ends[p] : ends[p + 1]]
+        return out.reshape(3, m, m)
+
+    return read
 
 
 def _inverse(s: np.ndarray) -> np.ndarray | None:
@@ -278,64 +295,81 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.abs(x).sum(axis=1)
 
 
-def _line_schur(csc, n_lines: int, m: int, a_norm: float):
-    """The stack Q_q = -A_{q+1,q} S_q^{-1}, q < n_lines - 1, of the line
-    Schur complements S_p = A_pp + Q_{p-1} A_{p-1,p}, or None when some S_p
-    is singular or phi = max_p kappa(S_p) (1 + |L||U| / |A|) exceeds
-    SLAB_PHI_MAX (inf-norms; L and U the block LU factors)."""
+def _hand_off(reason: str, *args) -> None:
+    """Log at DEBUG why the slab scan hands the scan to _scan_inverse."""
+    logger.debug("slab scan handed to the LU scan: " + reason, *args)
+
+
+def _line_schur(line_blocks, n_lines: int, m: int, a_norm: float):
+    """(q, x): the stacks Q_q = -A_{q+1,q} S_q^{-1}, q < n_lines - 1, and
+    x_p = S_p^{-1} of the line Schur complements S_p = A_pp + Q_{p-1}
+    A_{p-1,p}, each S_p inverted once; None when some S_p is singular or
+    phi = max_p kappa(S_p) (1 + |L||U| / |A|) exceeds SLAB_PHI_MAX
+    (inf-norms; L and U the block LU factors)."""
     q = np.empty((n_lines - 1, m, m))
+    x = []
     kappa, l_norm, u_norm = 0.0, 1.0, 0.0
-    blocks = _line_blocks(csc, 0, m)
+    blocks = line_blocks(0)
     s = blocks[1]
     for p in range(n_lines):
-        x = _inverse(s)
-        if x is None:
-            return None
+        s_inv = _inverse(s)
+        if s_inv is None:
+            return _hand_off("S_%d is singular", p)
+        x.append(s_inv)
         s_rows = _row_sums(s)
-        kappa = max(kappa, float(s_rows.max() * _row_sums(x).max()))
+        kappa = max(kappa, float(s_rows.max() * _row_sums(s_inv).max()))
         if p + 1 == n_lines:
             u_norm = max(u_norm, float(s_rows.max()))
             break
-        below = _line_blocks(csc, p + 1, m)
-        np.matmul(blocks[2], x, out=q[p])
+        below = line_blocks(p + 1)
+        np.matmul(blocks[2], s_inv, out=q[p])
         np.negative(q[p], out=q[p])
         l_norm = max(l_norm, 1.0 + float(_row_sums(q[p]).max()))
         u_norm = max(u_norm, float((s_rows + _row_sums(below[0])).max()))
         s = below[1] + q[p] @ below[0]
         blocks = below
     phi = kappa * (1.0 + l_norm * u_norm / a_norm)
-    return q if phi <= SLAB_PHI_MAX else None  # a NaN phi fails too
+    if phi <= SLAB_PHI_MAX:
+        return q, x
+    # a NaN phi fails too
+    return _hand_off("phi %.3g exceeds SLAB_PHI_MAX %.3g", phi, SLAB_PHI_MAX)
 
 
 def _scan_slabs(asys: AssembledSystem):
     """The extremes (inv, bnd) of _scan_inverse for a 2D grid, one block row
     of A^{-1} per grid line, or None when the guard sends the scan to
     _scan_inverse: a line Schur complement that is singular or too far
-    from a stable LU (_line_schur), or |A| max|A^{-1}| above
-    1 / SINGULAR_RTOL, where LuFactor would call A singular.
+    from a stable LU (_line_schur), a row that is not finite, or |A|
+    max|A^{-1}| above 1 / SINGULAR_RTOL, where LuFactor would call A
+    singular.  Each hand-off is logged at DEBUG with its reason.
 
     Rows are built from the last line up.  With R_p = -S_p^{-1} A_{p,p+1},
     row p at and right of its diagonal block is R_p times row p+1 there,
     plus S_p^{-1} on the diagonal block; left of it, G_{p,q} = G_{p,q+1} Q_q.
-    S_p^{-1} is formed again from Q_{p-1}, so that only the Q stack is held.
+    S_p^{-1} is read off the stack _line_schur kept.  The boundary extremes
+    are kept as running per-species maxima and minima of each row's product
+    with G, and written to bnd once.
     """
     a, g = asys.A, asys.G
     ns, n = asys.n_species, a.shape[0]
     perm, n_lines, per_line = _line_order(asys.grid, ns)
     m = ns * per_line
-    csc = permuted_csc(a, perm)
-    if np.abs(csc.indices // m - row_ids(csc) // m).max(initial=0) > 1:
-        return None  # not block tridiagonal over lines
+    line_blocks = _line_blocks(permuted_csc(a, perm), m)
+    if line_blocks is None:
+        return _hand_off("A is not block tridiagonal")
     a_norm = inf_norm(a)
-    q = _line_schur(csc, n_lines, m, a_norm)
-    if q is None:
+    stacks = _line_schur(line_blocks, n_lines, m, a_norm)
+    if stacks is None:
         return None
+    q, s_inv = stacks
     gp_t = g[perm].T  # a block row of A^{-1} G is (gp_t @ row.T).T
     row, below = np.empty((m, n), order="F"), np.empty((m, n), order="F")
-    inv, bnd = {}, {}
+    # running extremes of A^{-1} G over its columns of species l, per row
+    # of line-numbered A^{-1}: [l, k * per_line + node]
+    top, bottom = np.full((ns, m), -np.inf), np.full((ns, m), np.inf)
+    inv = {}
     for p in range(n_lines - 1, -1, -1):
-        blocks = _line_blocks(csc, p, m)
-        x = _inverse(blocks[1] if p == 0 else blocks[1] + q[p - 1] @ blocks[0])
+        x = s_inv.pop()  # S_p^{-1}, dropped after this row
         c0 = p * m
         if p == n_lines - 1:
             row[:, c0:] = x
@@ -347,26 +381,42 @@ def _scan_slabs(asys: AssembledSystem):
         for c in range(p - 1, -1, -1):  # G_{p,c} = G_{p,c+1} Q_c
             left = row[:, (c + 1) * m : (c + 2) * m]
             np.matmul(left, q[c], out=row[:, c * m : (c + 1) * m])
-        right = blocks[0]
+        right = line_blocks(p)[0]
         if not _fold_row(inv, row.T, p, perm, ns, per_line):
-            return None
+            return _hand_off("row %d is not finite", p)
         if g.nnz:
-            _fold_boundary_row(bnd, gp_t @ row.T, ns, per_line)
+            prod = (gp_t @ row.T).reshape(ns, -1, m)  # [l, boundary value, row]
+            np.maximum(top, prod.max(axis=1), out=top)
+            np.minimum(bottom, prod.min(axis=1), out=bottom)
+            del prod  # so that the next row's fold does not hold it
         row, below = below, row
-    scale = -min(v for v, _ in inv.values())
-    return (inv, bnd) if a_norm * scale <= 1.0 / SINGULAR_RTOL else None
+    scale, limit = -min(v for v, _ in inv.values()), 1.0 / SINGULAR_RTOL
+    if a_norm * scale > limit:
+        return _hand_off("|A| max|A^{-1}| %.3g exceeds %.3g", a_norm * scale, limit)
+    bnd = {}
+    if g.nnz:
+        top = top.reshape(ns, ns, per_line).max(axis=2)
+        bottom = bottom.reshape(ns, ns, per_line).min(axis=2)
+        for l in range(ns):
+            for k in range(ns):
+                bnd[k, l, 1] = -float(top[l, k])
+                bnd[k, l, -1] = float(bottom[l, k])
+    return inv, bnd
 
 
 def _fold_row(inv, t: np.ndarray, p: int, perm, ns: int, per_line: int) -> bool:
     """Fold block row p of the line-numbered A^{-1}, held transposed in t,
     into inv as _scan_inverse keys it; False when an entry is not finite.
 
-    The row's extremes per species block come from the elementwise
-    extremes over its column lines.  A position is sought only where the
-    block's extreme ties or beats the best so far; among ties, the first in
-    the row-major order of A^{-1} wins.  Within line p and species k that
-    order's row grows with the position along the line, and node 0 of
-    species l is its first column.
+    The row is reduced over its column lines to elementwise extremes, one
+    per (column node, row node) pair, and those give each species block's
+    extremes.  A position is sought only where the block's extreme ties or
+    beats the best so far, and only among the pairs whose reduced extreme
+    equals it: on the first row node that has one, their entries on every
+    line are compared.  Among ties, the first in the row-major order of
+    A^{-1} wins.  Within line p and species k that order's row grows with
+    the position along the line, and node 0 of line 0 of species l is its
+    first column, which settles a block of exact zeros at once.
     """
     m = ns * per_line
     lines = t.shape[0] // m
@@ -374,37 +424,29 @@ def _fold_row(inv, t: np.ndarray, p: int, perm, ns: int, per_line: int) -> bool:
     flat = t.reshape(lines, m * m)
     lo = np.minimum.reduce(flat, axis=0).reshape(ns, per_line, ns, per_line)
     hi = np.maximum.reduce(flat, axis=0).reshape(ns, per_line, ns, per_line)
-    lo, hi = lo.min(axis=(1, 3)), hi.max(axis=(1, 3))
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+    lo_kl, hi_kl = lo.min(axis=(1, 3)), hi.max(axis=(1, 3))
+    if not (np.isfinite(lo_kl).all() and np.isfinite(hi_kl).all()):
         return False
     for l in range(ns):
         for k in range(ns):
-            for s, v in ((1, float(lo[l, k])), (-1, float(hi[l, k]))):
+            for s, red, ext in ((1, lo, lo_kl), (-1, hi, hi_kl)):
+                v = float(ext[l, k])
                 best = inv.get((k, l, s))
                 if best is not None and s * v > best[0]:
                     continue
-                part = cols[:, l, :, k * per_line : (k + 1) * per_line]
-                if part[0, 0, 0] == v:
-                    y, at = 0, np.zeros(1, dtype=np.intp)
+                if cols[0, l, 0, k * per_line] == v:
+                    y, c = 0, l * per_line  # node 0 of line 0
                 else:
-                    y = int(np.argmax((part == v).any(axis=(0, 1))))
-                    at = np.flatnonzero(part[:, :, y] == v)
+                    hit = red[l, :, k, :] == v  # [column node, row node]
+                    y = int(np.argmax(hit.any(axis=0)))
+                    nodes = np.flatnonzero(hit[:, y])
+                    at_line, at = np.nonzero(cols[:, l, nodes, k * per_line + y] == v)
+                    c = at_line * m + l * per_line + nodes[at]
                 i = perm[p * m + k * per_line + y]
-                j = perm[(at // per_line) * m + l * per_line + at % per_line].min()
+                j = np.min(perm[c])
                 cand = (s * v, (int(i), int(j)))
                 inv[k, l, s] = cand if best is None else min(best, cand)
     return True
-
-
-def _fold_boundary_row(bnd, prod: np.ndarray, ns: int, per_line: int) -> None:
-    """Fold the rows of one grid line of A^{-1} G, held transposed in prod,
-    into bnd as _fold_boundary does."""
-    parts = prod.reshape(ns, -1, ns, per_line)  # [l, boundary value, k, node]
-    top, bottom = parts.max(axis=(1, 3)), parts.min(axis=(1, 3))
-    for l in range(ns):
-        for k in range(ns):
-            for s, v in ((1, -float(top[l, k])), (-1, float(bottom[l, k]))):
-                bnd[k, l, s] = min(bnd.get((k, l, s), v), v)
 
 
 def inverse_positivity(
@@ -427,7 +469,12 @@ def inverse_positivity(
     key = content_key(asys.A, asys.G)
     if key not in asys._oracle_cache:
         grid = asys.grid
-        wide = grid.dim == 2 and ns * (min(grid.n) - 1) >= SLAB_MIN_WIDTH
+        width = ns * (min(grid.n) - 1)  # unknowns per line on a 2D grid
+        wide = grid.dim == 2 and width >= SLAB_MIN_WIDTH
+        if grid.dim == 2 and not wide:
+            _hand_off(
+                "lines hold %d unknowns, below SLAB_MIN_WIDTH %d", width, SLAB_MIN_WIDTH
+            )
         scan = _scan_slabs(asys) if wide else None
         asys._oracle_cache[key] = scan if scan is not None else _scan_inverse(asys)
     inv, bnd = asys._oracle_cache[key]

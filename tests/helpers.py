@@ -199,6 +199,24 @@ def reference_boundary_scan(asys, block):
     return bnd
 
 
+def reference_row_fold(inv, t, p, perm, ns, per_line):
+    """oracle._fold_row by brute force: every entry of block row p of the
+    line-numbered A^{-1}, held transposed in t, is mapped through perm to
+    its position (i, j) in A^{-1}, and inv[k, l, s] becomes the least
+    (s * value, (i, j)) over the entries of block (k, l) and the old one:
+    the first row-major position among the extremes."""
+    m = ns * per_line
+    n_int = t.shape[0] // ns
+    for c, col in enumerate(t):
+        j = int(perm[c])
+        for r, value in enumerate(col):
+            i = int(perm[p * m + r])
+            for s in (1, -1):
+                key = (i // n_int, j // n_int, s)
+                cand = (s * float(value), (i, j))
+                inv[key] = min(inv.get(key, cand), cand)
+
+
 @dataclass
 class PowerResult:
     rho: float

@@ -1,5 +1,6 @@
 """Inverse-positivity ground truth on small assembled systems."""
 
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -28,7 +29,12 @@ from elcomp.oracle import (
 from elcomp.expressions import parse_expr
 from elcomp.problems import load_problem, parse_problem
 
-from helpers import laplace_system, reference_boundary_scan, system_text
+from helpers import (
+    laplace_system,
+    reference_boundary_scan,
+    reference_row_fold,
+    system_text,
+)
 
 
 def _pair(grid, m):
@@ -443,14 +449,29 @@ def _strip_singular():
     return assemble_system(laplace_system(build_grid(2, 0.0, 1.0, 20), c=c))
 
 
-def test_slab_guard_takes_the_lu_scan_on_a_singular_strip(monkeypatch):
+def _hand_offs(caplog):
+    """The reasons logged for handing the slab scan to the LU scan."""
+    prefix = "slab scan handed to the LU scan: "
+    return [
+        r.getMessage()[len(prefix) :]
+        for r in caplog.records
+        if r.name == "elcomp.oracle" and r.getMessage().startswith(prefix)
+    ]
+
+
+def test_slab_guard_takes_the_lu_scan_on_a_singular_strip(monkeypatch, caplog):
     """Unguarded, the recursion through the singular S_10 is off by more
     than max|A^{-1}|.  The guard sends the scan to the LU path, whose
-    report inverse_positivity then gives."""
+    report inverse_positivity then gives; the hand-off is logged with
+    phi's value."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     asys = _strip_singular()
     inv = dense_inverse(asys.A)
     scale = float(np.abs(inv).max())
     assert oracle._scan_slabs(asys) is None
+    (reason,) = _hand_offs(caplog)
+    assert reason.startswith("phi ") and reason.endswith("exceeds SLAB_PHI_MAX 3e+03")
+    assert float(reason.split()[1]) > oracle.SLAB_PHI_MAX
     rep = inverse_positivity(asys)
     assert list(asys._oracle_cache.values()) == [oracle._scan_inverse(asys)]
     assert not rep.inverse_positive
@@ -461,31 +482,61 @@ def test_slab_guard_takes_the_lu_scan_on_a_singular_strip(monkeypatch):
 
 
 @pytest.mark.parametrize("cells", [(12, 12), (16, 7), (7, 16)])
-def test_singular_two_d_system_raises(cells, monkeypatch):
+def test_singular_two_d_system_raises(cells, monkeypatch, caplog):
     """c at minus the least eigenvalue of the discrete Laplacian leaves A
     singular to working precision: the slab scan's guard trips, and the LU
     scan raises SingularMatrix as the dense inverse does.  Without the
     Schur complements' bound, |A| max|A^{-1}| > 1 / SINGULAR_RTOL trips it
-    too."""
+    too.  Each hand-off is logged with its reason."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     h = 1.0 / np.asarray(cells)
     c = -4.0 * float((np.sin(np.pi * h / 2) ** 2 / h**2).sum())
     asys = assemble_system(laplace_system(build_grid(2, 0.0, 1.0, cells), c=c))
     with pytest.raises(SingularMatrix):
         dense_inverse(asys.A)
     assert oracle._scan_slabs(asys) is None
+    (reason,) = _hand_offs(caplog)
+    assert reason.startswith("phi ")
     with pytest.raises(SingularMatrix):
         inverse_positivity(asys)
+    caplog.clear()
     monkeypatch.setattr(oracle, "SLAB_PHI_MAX", np.inf)
     assert oracle._scan_slabs(asys) is None
+    (reason,) = _hand_offs(caplog)
+    assert reason.startswith("|A| max|A^{-1}| ") and reason.endswith("exceeds 1e+14")
+
+
+def test_slab_scan_logs_a_singular_line_and_a_wide_coupling(caplog):
+    """A zero row in the first line leaves S_0 singular; an entry that
+    couples lines 0 and 3 leaves A not block tridiagonal.  Either hands the
+    scan to the LU path and logs why, and the LU scan then decides."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    asys = assemble_system(laplace_system(build_grid(2, 0.0, 1.0, (6, 18))))
+    perm, _, per_line = oracle._line_order(asys.grid, 1)
+    a = asys.A.tolil()
+    a[perm[0], :] = 0.0
+    singular = replace(asys, A=a.tocsr(), _oracle_cache={})
+    assert oracle._scan_slabs(singular) is None
+    assert _hand_offs(caplog) == ["S_0 is singular"]
+    with pytest.raises(SingularMatrix):
+        inverse_positivity(singular)
+    caplog.clear()
+    a = asys.A.tolil()
+    a[perm[0], perm[3 * per_line]] = -1.0
+    wide = replace(asys, A=a.tocsr(), _oracle_cache={})
+    assert oracle._scan_slabs(wide) is None
+    assert _hand_offs(caplog) == ["A is not block tridiagonal"]
+    assert inverse_positivity(wide).inverse_positive
 
 
 @pytest.mark.parametrize(
     "cells, n_species, slabs",
     [((40, 3), 1, False), ((60, 8), 1, False), ((60, 8), 3, True), ((20, 20), 1, True)],
 )
-def test_narrow_two_d_grids_take_the_lu_scan(cells, n_species, slabs, monkeypatch):
+def test_narrow_two_d_grids_take_the_lu_scan(cells, n_species, slabs, monkeypatch, caplog):
     """A 2D grid takes the slab scan only when its lines hold SLAB_MIN_WIDTH
-    unknowns or more, species included."""
+    unknowns or more, species included; a narrower one logs its width."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     tried = []
     scan = oracle._scan_slabs
     monkeypatch.setattr(oracle, "_scan_slabs", lambda asys: tried.append(1) or scan(asys))
@@ -493,6 +544,71 @@ def test_narrow_two_d_grids_take_the_lu_scan(cells, n_species, slabs, monkeypatc
     rep = inverse_positivity(assemble_system(laplace_system(grid, n_species=n_species)))
     assert rep.inverse_positive
     assert bool(tried) == slabs
+    width = n_species * (min(cells) - 1)
+    expect = [] if slabs else [f"lines hold {width} unknowns, below SLAB_MIN_WIDTH 16"]
+    assert _hand_offs(caplog) == expect
+
+
+@pytest.mark.parametrize(
+    "asys",
+    [
+        _pair(build_grid(2, 0.0, 1.0, (12, 9)), [["0", "-1"], ["-0.5", "0"]]),
+        assemble_system(
+            laplace_system(
+                build_grid(2, 0.0, 1.0, (7, 10)),
+                n_species=3,
+                m=[["0", "-1", "0"], ["0", "0", "-0.5"], ["-0.5", "0", "0"]],
+            )
+        ),
+    ],
+    ids=["pair", "three"],
+)
+def test_slab_scan_inverts_each_line_once(asys, monkeypatch):
+    """Each line Schur complement S_p is inverted once: the recursion reads
+    S_p^{-1} off the stack that the guard's pass kept."""
+    calls = []
+    inverse = oracle._inverse
+    monkeypatch.setattr(oracle, "_inverse", lambda s: calls.append(1) or inverse(s))
+    assert oracle._scan_slabs(asys) is not None
+    _, n_lines, _ = oracle._line_order(asys.grid, asys.n_species)
+    assert len(calls) == n_lines
+
+
+@st.composite
+def _slab_rows(draw):
+    """The line order of a small 2D grid for 1-3 species, and a few block
+    rows of a line-numbered A^{-1}, each held transposed as the slab scan
+    folds it.  The entries are drawn mostly from a few values, so extremes
+    repeat across lines, nodes and species; some species blocks (the same
+    in every row) are exact zeros."""
+    ns = draw(st.integers(1, 3))
+    cells = (draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+    perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, cells), ns)
+    m = ns * per_line
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(-4.0, 4.0)
+    zero = np.argwhere(draw(arrays(bool, (ns, ns))))  # (l, k) of zero blocks
+    rows = []
+    for p in draw(st.lists(st.integers(0, n_lines - 1), min_size=1, max_size=4)):
+        t = draw(arrays(float, (n_lines * m, m), elements=values))
+        blocks = t.reshape(n_lines, ns, per_line, ns, per_line)  # [line, l, node, k, y]
+        for l, k in zero:
+            blocks[:, l, :, k, :] = 0.0
+        rows.append((t, p))
+    return perm, ns, per_line, rows
+
+
+@given(_slab_rows())
+@settings(max_examples=80, deadline=None)
+def test_row_fold_matches_a_brute_force_fold(case):
+    """Folding block rows one after another keeps, for every species block
+    and sign, the extreme and its first row-major position in A^{-1} that a
+    fold over every entry keeps, ties and blocks of exact zeros included."""
+    perm, ns, per_line, rows = case
+    inv, expect = {}, {}
+    for t, p in rows:
+        assert oracle._fold_row(inv, t, p, perm, ns, per_line)
+        reference_row_fold(expect, t, p, perm, ns, per_line)
+        assert inv == expect
 
 
 @pytest.mark.parametrize("cells, lines", [((4, 9), 8), ((9, 4), 8), ((6, 6), 5)])
