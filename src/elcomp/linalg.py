@@ -148,7 +148,7 @@ def shifted(a: sp.spmatrix, s: float) -> sp.spmatrix:
     return out
 
 
-def _canonical(a: sp.spmatrix) -> sp.csr_matrix:
+def canonical(a: sp.spmatrix) -> sp.csr_matrix:
     """a as CSR with sorted, summed indices; a copy only when a is not."""
     a = a.tocsr()
     if not a.has_canonical_format:
@@ -164,7 +164,7 @@ def same_nonzeros(a: sp.spmatrix, b: sp.spmatrix) -> bool:
     canonical CSR arrays, where equal matrices list their nonzero entries in
     the same order.
     """
-    a, b = _canonical(a), _canonical(b)
+    a, b = canonical(a), canonical(b)
     keep_a, keep_b = a.data != 0.0, b.data != 0.0
     counts_a = np.cumsum(np.concatenate([[0], keep_a]))[a.indptr]
     counts_b = np.cumsum(np.concatenate([[0], keep_b]))[b.indptr]

@@ -45,6 +45,33 @@ rows (this one and the one below) and one row's boundary product:
 O(n m + m n_boundary).  The blocks are read off one line-numbered CSC copy
 of A, with no sparse matrix per line.
 
+Half of those rows are redundant when A W is symmetric for constant
+species weights, W = diag(w_k I): self-adjoint species operators whose
+couplings m_kl and m_lk keep one ratio, the class of D. G. de Figueiredo
+and E. Mitidieri (SIAM J. Math. Anal. 17 (1986) 836-849).  Then A^{-1}_ij
+= A^{-1}_ji w_i / w_j, and the scan builds only each row's right part, at
+and right of its diagonal block: the left chain goes but for G_{p+1,p} =
+G_{p+1,p+1} Q_p, one m x m product per row, which row p needs.  Each right
+part is folded twice, for its own entries and, transposed and scaled by
+w_j / w_i, for those of the lower half; -A^{-1} G takes its extremes from
+the right part's boundary-adjacent columns and, mirrored, from line p's
+boundary-adjacent rows.  _mirror_weights decides once per scan, from A's
+stored values and G: every species block exactly symmetric, each coupling
+pair zero together or in one computed ratio fl(m_lk / m_kl) at every
+stored entry, weights that agree around cycles of species, and no
+boundary value in more than one equation (else column b of A^{-1} G would
+need columns of A^{-1} from several lines).  Every other system keeps the
+full rows.  The mirror stays within the scan's error bound: one computed
+ratio at every entry puts A within u |A| of a matrix A' with A' W exactly
+symmetric (weights that agree to ns eps add a few u more), and to first
+order |A'^{-1} - A^{-1}| <= u kappa(A) max|A^{-1}|, within the c u kappa(A)
+max|A^{-1}| that the recursion's own rounding carries; the scaling adds one
+rounding.  Where w_i = w_j an entry and its mirror tie exactly, and the
+first in row-major order is kept.  The mirror adds no O(n m) buffer: the
+right parts live in the same two rows, and what it keeps is the row's
+extremes over its lines right of line p (2 m^2 doubles) and the boundary
+extremes per boundary value and position along a line (O(m n_boundary)).
+
 The guard follows J. W. Demmel, N. J. Higham and R. S. Schreiber (Numer.
 Linear Algebra Appl. 2 (1995) 173-190): with the diagonal blocks inverted
 explicitly, the block LU factors L U = A + dA have, to first order,
@@ -89,6 +116,7 @@ from .errors import DimMismatch, TooLarge, ValidationError
 from .linalg import (
     SINGULAR_RTOL,
     LuFactor,
+    canonical,
     content_key,
     inf_norm,
     lu_order,
@@ -335,6 +363,91 @@ def _line_schur(line_blocks, n_lines: int, m: int, a_norm: float):
     return _hand_off("phi %.3g exceeds SLAB_PHI_MAX %.3g", phi, SLAB_PHI_MAX)
 
 
+def _mirror_weights(a, g, ns: int, n_int: int):
+    """(w, note): species weights w, one per species, with A W symmetric
+    for W = diag(w_k I), read off A's stored values, or None when the lower
+    half of A^{-1} is not to be mirrored.  note, for the scan's DEBUG
+    record, gives the weights or the first reason: a species block that is
+    not exactly symmetric, a coupling m_kl whose m_lk is missing or not in
+    one ratio to it at every stored entry, weights that disagree around a
+    cycle of species, or a boundary value that enters more than one
+    equation.
+
+    An entry (i, j) of coupling block (k, l) needs A_ji = rho_kl A_ij, with
+    rho_kl = w_l / w_k the same fl(A_ji / A_ij) at every entry; explicit
+    zeros are no entries, as in linalg.same_nonzeros.  The weights follow
+    from the ratios along the coupling graph, w = 1 on the first species of
+    each component.  They are products of at most ns - 1 ratios, so around
+    a cycle they must agree to ns eps.
+    """
+    n = a.shape[0]
+
+    def entries(b):  # (rows, columns, values) of b's nonzeros, row-major
+        b = canonical(b)
+        keep = b.data != 0.0
+        return row_ids(b)[keep], b.indices[keep], b.data[keep]
+
+    rows, cols, vals = entries(a)
+    t_rows, t_cols, t_vals = entries(a.T)  # t_vals at (i, j) is A_ji
+    key = rows.astype(np.int64) * n + cols
+    t_key = t_rows.astype(np.int64) * n + t_cols
+    if np.array_equal(key, t_key):  # A's nonzeros are symmetric
+        found, vals_t = np.ones(key.size, dtype=bool), t_vals
+    else:
+        at = np.minimum(np.searchsorted(t_key, key), t_key.size - 1)
+        found = t_key[at] == key
+        vals_t = np.where(found, t_vals[at], 0.0)  # A_ji, or 0.0 where none is stored
+    sk, sl = rows // n_int, cols // n_int
+
+    def full_rows(reason):
+        return None, "full rows, lower half not mirrored: " + reason
+
+    diag = sk == sl
+    bad = diag & (vals_t != vals)
+    if bad.any():
+        return full_rows(f"species block {int(sk[bad].min()) + 1} is not symmetric")
+    off = np.flatnonzero(~diag)  # the coupling entries
+    sk, sl, found = sk[off], sl[off], found[off]
+    if not found.all():  # the first pair k < l, m_kl before m_lk
+        missing = np.flatnonzero(~found)
+        order = (np.minimum(sk, sl) * ns + np.maximum(sk, sl)) * 2 + (sk > sl)
+        e = missing[np.argmin(order[missing])]
+        i, j = int(sk[e]) + 1, int(sl[e]) + 1
+        return full_rows(f"m_{i}{j} is present without m_{j}{i}")
+    upper = np.flatnonzero(sk < sl)
+    pair = sk[upper] * ns + sl[upper]
+    ratios = vals_t[off[upper]] / vals[off[upper]]  # m_lk / m_kl
+    first = np.zeros(ns * ns)
+    first[pair[::-1]] = ratios[::-1]  # each pair's first ratio
+    varies = ratios != first[pair]
+    if varies.any():
+        k, l = divmod(int(pair[varies].min()), ns)
+        return full_rows(f"m_{l + 1}{k + 1}/m_{k + 1}{l + 1} varies")
+    present = np.flatnonzero(np.bincount(pair, minlength=ns * ns))
+    rho = {divmod(int(q), ns): float(first[q]) for q in present}  # (k, l): w_l / w_k
+    w = np.full(ns, np.nan)
+    for root in range(ns):
+        if not np.isnan(w[root]):
+            continue
+        w[root], todo = 1.0, [root]
+        while todo:
+            here = todo.pop()
+            for (k, l), r in rho.items():
+                if here not in (k, l):
+                    continue
+                other, value = (l, w[k] * r) if here == k else (k, w[l] / r)
+                if np.isnan(w[other]):
+                    w[other] = value
+                    todo.append(other)
+                elif abs(value - w[other]) > ns * np.finfo(float).eps * abs(w[other]):
+                    return full_rows("the weights are inconsistent around a cycle")
+    entered = np.bincount(g.indices[g.data != 0.0], minlength=g.shape[1])
+    if entered.size and entered.max() > 1:
+        return full_rows("a boundary value enters more than one equation")
+    weights = ", ".join("%.6g" % v for v in w)
+    return w, f"lower half mirrored, species weights ({weights})"
+
+
 def _scan_slabs(asys: AssembledSystem):
     """The extremes (inv, bnd) of _scan_inverse for a 2D grid, one block row
     of A^{-1} per grid line, or None when the guard sends the scan to
@@ -346,9 +459,12 @@ def _scan_slabs(asys: AssembledSystem):
     Rows are built from the last line up.  With R_p = -S_p^{-1} A_{p,p+1},
     row p at and right of its diagonal block is R_p times row p+1 there,
     plus S_p^{-1} on the diagonal block; left of it, G_{p,q} = G_{p,q+1} Q_q.
-    S_p^{-1} is read off the stack _line_schur kept.  The boundary extremes
-    are kept as running per-species maxima and minima of each row's product
-    with G, and written to bnd once.
+    S_p^{-1} is read off the stack _line_schur kept.  When A W is symmetric
+    (_mirror_weights), only the right part of each row is built, G_{p+1,p}
+    = G_{p+1,p+1} Q_p being the one block left of a diagonal that it needs,
+    and _Extremes folds each right part for both halves of A^{-1}.  The
+    boundary extremes are kept as running maxima and minima of each row's
+    product with G (_Boundary), and written to bnd once.
     """
     a, g = asys.A, asys.G
     ns, n = asys.n_species, a.shape[0]
@@ -357,46 +473,49 @@ def _scan_slabs(asys: AssembledSystem):
     line_blocks = _line_blocks(permuted_csc(a, perm), m)
     if line_blocks is None:
         return _hand_off("A is not block tridiagonal")
+    # decided before the stacks are built, so that its arrays are gone
+    w, note = _mirror_weights(a, g, ns, asys.grid.n_interior)
+    ratio = None if w is None else w[:, None] / w  # [l, k] = w_l / w_k
     a_norm = inf_norm(a)
     stacks = _line_schur(line_blocks, n_lines, m, a_norm)
     if stacks is None:
         return None
+    logger.debug(note)
     q, s_inv = stacks
-    gp_t = g[perm].T  # a block row of A^{-1} G is (gp_t @ row.T).T
+    boundary = _Boundary(asys, perm, per_line, ratio) if g.nnz else None
     row, below = np.empty((m, n), order="F"), np.empty((m, n), order="F")
-    # running extremes of A^{-1} G over its columns of species l, per row
-    # of line-numbered A^{-1}: [l, k * per_line + node]
-    top, bottom = np.full((ns, m), -np.inf), np.full((ns, m), np.inf)
-    inv = {}
+    extremes = _Extremes(perm, ns, per_line, ratio)
     for p in range(n_lines - 1, -1, -1):
         x = s_inv.pop()  # S_p^{-1}, dropped after this row
         c0 = p * m
         if p == n_lines - 1:
             row[:, c0:] = x
         else:
+            if ratio is not None:  # G_{p+1,p} = G_{p+1,p+1} Q_p
+                diagonal = below[:, c0 + m : c0 + 2 * m]
+                np.matmul(diagonal, q[p], out=below[:, c0 : c0 + m])
             r = x @ right  # right = A_{p,p+1}
             np.negative(r, out=r)
             np.matmul(r, below[:, c0:], out=row[:, c0:])
             row[:, c0 : c0 + m] += x
-        for c in range(p - 1, -1, -1):  # G_{p,c} = G_{p,c+1} Q_c
-            left = row[:, (c + 1) * m : (c + 2) * m]
-            np.matmul(left, q[c], out=row[:, c * m : (c + 1) * m])
+        if ratio is None:
+            for c in range(p - 1, -1, -1):  # G_{p,c} = G_{p,c+1} Q_c
+                left = row[:, (c + 1) * m : (c + 2) * m]
+                np.matmul(left, q[c], out=row[:, c * m : (c + 1) * m])
         right = line_blocks(p)[0]
-        if not _fold_row(inv, row.T, p, perm, ns, per_line):
+        t = (row[:, c0:] if ratio is not None else row).T
+        if not extremes.fold(t, p):
             return _hand_off("row %d is not finite", p)
-        if g.nnz:
-            prod = (gp_t @ row.T).reshape(ns, -1, m)  # [l, boundary value, row]
-            np.maximum(top, prod.max(axis=1), out=top)
-            np.minimum(bottom, prod.min(axis=1), out=bottom)
-            del prod  # so that the next row's fold does not hold it
+        if boundary is not None:
+            boundary.fold(t, p, extremes.rest)
         row, below = below, row
+    inv = extremes.result()
     scale, limit = -min(v for v, _ in inv.values()), 1.0 / SINGULAR_RTOL
     if a_norm * scale > limit:
         return _hand_off("|A| max|A^{-1}| %.3g exceeds %.3g", a_norm * scale, limit)
     bnd = {}
-    if g.nnz:
-        top = top.reshape(ns, ns, per_line).max(axis=2)
-        bottom = bottom.reshape(ns, ns, per_line).min(axis=2)
+    if boundary is not None:
+        top, bottom = boundary.extremes()
         for l in range(ns):
             for k in range(ns):
                 bnd[k, l, 1] = -float(top[l, k])
@@ -404,49 +523,231 @@ def _scan_slabs(asys: AssembledSystem):
     return inv, bnd
 
 
-def _fold_row(inv, t: np.ndarray, p: int, perm, ns: int, per_line: int) -> bool:
-    """Fold block row p of the line-numbered A^{-1}, held transposed in t,
-    into inv as _scan_inverse keys it; False when an entry is not finite.
+class _Boundary:
+    """Running extremes of A^{-1} G over the block rows of the slab scan.
 
-    The row is reduced over its column lines to elementwise extremes, one
-    per (column node, row node) pair, and those give each species block's
-    extremes.  A position is sought only where the block's extreme ties or
-    beats the best so far, and only among the pairs whose reduced extreme
-    equals it: on the first row node that has one, their entries on every
-    line are compared.  Among ties, the first in the row-major order of
-    A^{-1} wins.  Within line p and species k that order's row grows with
-    the position along the line, and node 0 of line 0 of species l is its
-    first column, which settles a block of exact zeros at once.
+    On full rows, each row's product with G is reduced per species of the
+    boundary values.  On right parts (ratio given), every boundary value b
+    enters one equation r_b with one coefficient c_b, so column b of A^{-1}
+    G is c_b A^{-1}[:, r_b].  Row p's right part gives the rows of line p
+    at every r_b of lines p and on.  Mirrored, the rows right of line p at
+    the r_b of line p are A^{-1}_{i r} = A^{-1}_{r i} w_i / w_r, read off
+    the row's extremes over the lines right of line p (_Extremes.rest).
+    Both are kept as max and min per b and per position of i along its
+    line, and the factors w_i / w_r and c_b are applied once at the end:
+    x -> c x is monotone in floating point.  A boundary value that enters
+    no equation adds 0.0 to its species' extremes, as its zero column of
+    A^{-1} G does.
     """
-    m = ns * per_line
-    lines = t.shape[0] // m
-    cols = t.reshape(lines, ns, per_line, m)  # [line, l, node, row of line p]
-    flat = t.reshape(lines, m * m)
-    lo = np.minimum.reduce(flat, axis=0).reshape(ns, per_line, ns, per_line)
-    hi = np.maximum.reduce(flat, axis=0).reshape(ns, per_line, ns, per_line)
-    lo_kl, hi_kl = lo.min(axis=(1, 3)), hi.max(axis=(1, 3))
-    if not (np.isfinite(lo_kl).all() and np.isfinite(hi_kl).all()):
-        return False
-    for l in range(ns):
-        for k in range(ns):
-            for s, red, ext in ((1, lo, lo_kl), (-1, hi, hi_kl)):
-                v = float(ext[l, k])
-                best = inv.get((k, l, s))
-                if best is not None and s * v > best[0]:
-                    continue
-                if cols[0, l, 0, k * per_line] == v:
-                    y, c = 0, l * per_line  # node 0 of line 0
-                else:
-                    hit = red[l, :, k, :] == v  # [column node, row node]
-                    y = int(np.argmax(hit.any(axis=0)))
-                    nodes = np.flatnonzero(hit[:, y])
-                    at_line, at = np.nonzero(cols[:, l, nodes, k * per_line + y] == v)
-                    c = at_line * m + l * per_line + nodes[at]
-                i = perm[p * m + k * per_line + y]
-                j = np.min(perm[c])
-                cand = (s * v, (int(i), int(j)))
-                inv[k, l, s] = cand if best is None else min(best, cand)
-    return True
+
+    def __init__(self, asys, perm, per_line: int, ratio):
+        g, ns = asys.G, asys.n_species
+        m = ns * per_line
+        self.ns, self.per_line, self.ratio = ns, per_line, ratio
+        if ratio is None:
+            self.gp_t = g[perm].T  # a block row of A^{-1} G is (gp_t @ row.T).T
+            # [l, k * per_line + node]: over the columns of species l
+            self.hi, self.lo = np.full((ns, m), -np.inf), np.full((ns, m), np.inf)
+            return
+        n_bnd = asys.grid.n_boundary
+        at = np.empty_like(perm)
+        at[perm] = np.arange(perm.size)  # line-numbered row of each dof
+        keep = g.data != 0.0
+        rows = at[row_ids(g)[keep]]
+        order = np.argsort(rows, kind="stable")
+        self.rows, self.coeffs = rows[order], g.data[keep][order]
+        self.species = g.indices[keep][order] // n_bnd  # of the boundary value
+        unentered = np.bincount(g.indices[keep], minlength=g.shape[1]) == 0
+        self.empty = np.bincount(np.flatnonzero(unentered) // n_bnd, minlength=ns) > 0
+        # the b whose r_b lies in each line start at lines[p]
+        self.lines = np.searchsorted(self.rows, np.arange(0, perm.size + 1, m)).tolist()
+        # [b, position of i along its line]; mirrored for the r_b left of the
+        # last line, which have rows right of them
+        shape, mirrored = (self.rows.size, m), (self.lines[-2], m)
+        self.hi, self.lo = np.full(shape, -np.inf), np.full(shape, np.inf)
+        self.mirrored_hi, self.mirrored_lo = np.empty(mirrored), np.empty(mirrored)
+
+    def fold(self, t, p: int, rest) -> None:
+        """Fold block row p, held transposed in t as _Extremes folds it;
+        rest is _Extremes.rest after that fold."""
+        ns, per_line, hi, lo = self.ns, self.per_line, self.hi, self.lo
+        m = ns * per_line
+        if self.ratio is None:
+            prod = (self.gp_t @ t).reshape(ns, -1, m)  # [l, boundary value, row]
+            np.maximum(hi, prod.max(axis=1), out=hi)
+            np.minimum(lo, prod.min(axis=1), out=lo)
+            return
+        s, e = self.lines[p], self.lines[p + 1]
+        x = t[self.rows[s:] - p * m]  # rows of line p at every r_b of lines p and on
+        np.maximum(hi[s:], x, out=hi[s:])
+        np.minimum(lo[s:], x, out=lo[s:])
+        if e > s and rest is not None:  # mirrored: rows right of line p
+            at = self.rows[s:e] - p * m
+            self.mirrored_hi[s:e] = rest[1].reshape(m, m)[:, at].T
+            self.mirrored_lo[s:e] = rest[0].reshape(m, m)[:, at].T
+
+    def extremes(self):
+        """(top, bottom) [l, k]: the max and min of A^{-1} G over its rows
+        of species k and its columns of species l."""
+        ns, per_line = self.ns, self.per_line
+        if self.ratio is None:
+            top = self.hi.reshape(ns, ns, per_line).max(axis=2)
+            return top, self.lo.reshape(ns, ns, per_line).min(axis=2)
+        m, coeffs = ns * per_line, self.coeffs[:, None]
+        ends = (self.hi * coeffs, self.lo * coeffs)
+        hi, lo = np.maximum(*ends), np.minimum(*ends)
+        # [b, k * per_line + node] = c_b w_k / w_r for r = r_b
+        factor = np.repeat(self.ratio[:, self.rows % m // per_line].T, per_line, axis=1)
+        n = self.mirrored_hi.shape[0]
+        factor = factor[:n] * coeffs[:n]
+        ends = (self.mirrored_hi * factor, self.mirrored_lo * factor)
+        np.maximum(hi[:n], np.maximum(*ends), out=hi[:n])
+        np.minimum(lo[:n], np.minimum(*ends), out=lo[:n])
+        hi = hi.reshape(-1, ns, per_line).max(axis=2)  # [b, k]
+        lo = lo.reshape(-1, ns, per_line).min(axis=2)
+        top, bottom = np.full((ns, ns), -np.inf), np.full((ns, ns), np.inf)
+        for l in range(ns):
+            ours = self.species == l
+            if ours.any():
+                top[l], bottom[l] = hi[ours].max(axis=0), lo[ours].min(axis=0)
+            if self.empty[l]:
+                top[l], bottom[l] = np.maximum(top[l], 0.0), np.minimum(bottom[l], 0.0)
+        # + 0.0 turns -0.0 into 0.0, as the sums of the product with G do
+        return top + 0.0, bottom + 0.0
+
+
+class _Extremes:
+    """The min and max of every species block (k, l) of A^{-1}, each with
+    its first row-major position, keyed in inv as _scan_inverse keys them,
+    folded from the slab scan's block rows.
+
+    fold(t, p) takes block row p of the line-numbered A^{-1}, held
+    transposed in t from its first column line on: all of them, or line p
+    when ratio is given.  With ratio[l, k] = w_l / w_k, the entries of t
+    right of line p are folded a second time, transposed: A^{-1}_ji =
+    A^{-1}_ij w_j / w_i.
+
+    A row is reduced over its column lines to elementwise extremes, one per
+    (column node, row node) pair, and those give each block's extremes;
+    x -> x w_l / w_k is monotone in floating point, so the scaled extremes
+    are those of the scaled entries.  Positions are sought one row late:
+    a row's candidates wait until the next row is folded, and only those
+    that row does not beat are sought, while t is still held.  In the half
+    scan a block's minimum falls on almost every row, so almost every
+    search is saved.  A search compares only the entries whose reduced
+    extreme equals the block's, on every line.  Among ties the first
+    position in the row-major order of A^{-1} wins.  Within line p and
+    species k that order's row grows with the position along the line, and
+    node 0 of t's first line of species l is its first column; transposed,
+    node 0 of line p + 1 is the first row.  Either settles a block of exact
+    zeros at once.
+    """
+
+    def __init__(self, perm, ns: int, per_line: int, ratio):
+        self.perm, self.ns, self.per_line, self.ratio = perm, ns, per_line, ratio
+        self.inv = {}
+        # the least s * entry so far per key [k, l, 0 for s = 1, 1 for s = -1]
+        self.bound = np.full((ns, ns, 2), np.inf)
+        self.waiting = None  # the last row's candidates, not yet sought
+        # the last row's elementwise (min, max) over its lines right of line
+        # p, [l, column node, k, row node]; None without a mirror
+        self.rest = None
+
+    def fold(self, t: np.ndarray, p: int) -> bool:
+        """Fold block row p, held transposed in t, which must stay unchanged
+        until the next fold or result; False when an entry is not finite."""
+        ns, per_line = self.ns, self.per_line
+        m = ns * per_line
+        flat = t.reshape(-1, m * m)
+        shape = (ns, per_line, ns, per_line)  # [l, column node, k, row node]
+        rest = self.rest = None
+        if self.ratio is not None and flat.shape[0] > 1:  # right of line p
+            rest = self.rest = tuple(
+                f.reduce(flat[1:]).reshape(shape) for f in (np.minimum, np.maximum)
+            )
+            lo = np.minimum(rest[0], flat[0].reshape(shape))
+            hi = np.maximum(rest[1], flat[0].reshape(shape))
+        else:
+            lo, hi = (f.reduce(flat).reshape(shape) for f in (np.minimum, np.maximum))
+        sv = np.full((2, ns, ns, 2), np.inf)  # s * extreme [direct or mirrored, key]
+        # over the nodes along the line, then within each species (faster
+        # than one reduction over both)
+        sv[0, ..., 0] = lo.min(axis=1).min(axis=2).T
+        sv[0, ..., 1] = -hi.max(axis=1).max(axis=2).T
+        if rest is not None:
+            ends = (
+                rest[0].min(axis=1).min(axis=2) * self.ratio,
+                rest[1].max(axis=1).max(axis=2) * self.ratio,
+            )
+            sv[1, ..., 0], sv[1, ..., 1] = np.minimum(*ends), -np.maximum(*ends)
+        if not np.isfinite(sv[: 1 if rest is None else 2]).all():
+            return False
+        bound = np.minimum(self.bound, sv.min(axis=0))
+        self._seek(bound)
+        self.bound = bound
+        self.waiting = (t, p, lo, hi, rest, sv)
+        return True
+
+    def result(self) -> dict:
+        """inv, with the last row's positions sought."""
+        self._seek(self.bound)
+        return self.inv
+
+    def _seek(self, bound) -> None:
+        """Seek the positions of the waiting candidates still at the bound,
+        which no later row has beaten."""
+        if self.waiting is None:
+            return
+        t, p, lo, hi, rest, sv = self.waiting
+        self.waiting = None
+        for mirrored, a, b, si in zip(*np.nonzero(sv == bound)):
+            least = float(sv[mirrored, a, b, si])  # s times the extreme
+            a, b, s = int(a), int(b), 1 - 2 * int(si)
+            if mirrored:
+                pos = self._seek_mirrored(t, p, rest, a, b, s, s * least)
+            else:
+                pos = self._seek_direct(t, p, lo if s == 1 else hi, a, b, s * least)
+            key, cand = (a, b, s), (least, pos)
+            best = self.inv.get(key)
+            self.inv[key] = cand if best is None else min(best, cand)
+
+    def _seek_direct(self, t, p: int, red, k: int, l: int, v: float):
+        """First (i, j) of block (k, l) in row p where A^{-1} equals v; red
+        the row's reduced extremes that v is one of."""
+        ns, per_line, perm = self.ns, self.per_line, self.perm
+        m = ns * per_line
+        lines = t.shape[0] // m
+        first = perm.size // m - lines  # the column line of t's first
+        cols = t.reshape(lines, ns, per_line, m)  # [line, l, node, row of line p]
+        i = p * m + k * per_line  # node 0 of line p
+        if cols[0, l, 0, k * per_line] == v:  # node 0 of the first line
+            return int(perm[i]), int(perm[first * m + l * per_line])
+        hit = red[l, :, k, :] == v  # [column node, row node]
+        y = int(np.argmax(hit.any(axis=0)))
+        nodes = np.flatnonzero(hit[:, y])
+        at_line, at = np.nonzero(cols[:, l, nodes, k * per_line + y] == v)
+        c = (first + at_line) * m + l * per_line + nodes[at]
+        return int(perm[i + y]), int(perm[c].min())
+
+    def _seek_mirrored(self, t, p: int, rest, l: int, k: int, s: int, v: float):
+        """First (i, j) of block (l, k) where the transposed entries of row
+        p right of line p, scaled by ratio[l, k], equal v; rest their
+        reduced (min, max) before scaling."""
+        ns, per_line, perm = self.ns, self.per_line, self.perm
+        m = ns * per_line
+        cols = t.reshape(-1, ns, per_line, m)  # [line from p, l, node, row of line p]
+        r = self.ratio[l, k]
+        j = p * m + k * per_line  # node 0 of line p
+        if cols[1, l, 0, k * per_line] * r == v:  # node 0 of line p + 1
+            return int(perm[(p + 1) * m + l * per_line]), int(perm[j])
+        ends = (rest[0][l, :, k, :] * r, rest[1][l, :, k, :] * r)
+        red = np.minimum(*ends) if s == 1 else np.maximum(*ends)
+        nodes, ys = np.nonzero(red == v)  # [column node, row node]
+        line, at = np.nonzero(cols[1:, l, nodes, k * per_line + ys] * r == v)
+        i = perm[(p + 1 + line) * m + l * per_line + nodes[at]]
+        j = perm[j + ys[at]]
+        pick = np.lexsort((j, i))[0]
+        return int(i[pick]), int(j[pick])
 
 
 def inverse_positivity(

@@ -121,17 +121,21 @@ def block_eigen(
     is reported here as ((species, interior_pos), (species, interior_pos)).
     Every species on the whole domain is the cooperative operator itself,
     which assemble has scanned: its result is passed on, not taken again.
+    A cooperative operator with no positive off-diagonal entry has none in
+    any principal submatrix either, so its blocks are passed on as Z
+    unscanned.
     """
     ds = as_discrete(spec)
+    coop = ds.assembled("cooperative")
     if mask is None and list(species) == list(range(ds.n_species)):
-        coop = ds.assembled("cooperative")
         a, pos = coop.A, coop.worst_offdiag
         if pos is not None:  # back to (row, col) of A
             pos = tuple((k - 1) * ds.grid.n_interior + i for k, i in pos)
         # offdiag_max is the worst entry whenever A is not Z
         z_scan = (coop.z_matrix, pos, coop.offdiag_max, coop.offdiag_max)
     else:
-        a, z_scan = ds.block("cooperative", species, mask), None
+        a = ds.block("cooperative", species, mask)
+        z_scan = (True, None, 0.0, 0.0) if coop.offdiag_max == 0.0 else None
     try:
         return _memo_eigenpair(ds, a, tol_eig, max_iter, z_scan)
     except NotZMatrix as err:

@@ -199,22 +199,30 @@ def reference_boundary_scan(asys, block):
     return bnd
 
 
-def reference_row_fold(inv, t, p, perm, ns, per_line):
-    """oracle._fold_row by brute force: every entry of block row p of the
-    line-numbered A^{-1}, held transposed in t, is mapped through perm to
-    its position (i, j) in A^{-1}, and inv[k, l, s] becomes the least
-    (s * value, (i, j)) over the entries of block (k, l) and the old one:
-    the first row-major position among the extremes."""
+def reference_row_fold(inv, t, p, perm, ns, per_line, ratio=None):
+    """oracle._Extremes.fold by brute force: every entry of block row p of
+    the line-numbered A^{-1}, held transposed in t from its first column
+    line on, is mapped through perm to its position (i, j) in A^{-1}, and
+    inv[k, l, s] becomes the least (s * value, (i, j)) over the entries of
+    block (k, l) and the old one: the first row-major position among the
+    extremes.  With ratio, t starts at line p, and each entry right of line
+    p also stands, times ratio[l, k], at the transposed position (j, i) in
+    block (l, k)."""
     m = ns * per_line
-    n_int = t.shape[0] // ns
+    n_int = perm.size // ns
+    first = perm.size - t.shape[0]  # the column of t's first row
     for c, col in enumerate(t):
-        j = int(perm[c])
+        j = int(perm[first + c])
         for r, value in enumerate(col):
             i = int(perm[p * m + r])
-            for s in (1, -1):
-                key = (i // n_int, j // n_int, s)
-                cand = (s * float(value), (i, j))
-                inv[key] = min(inv.get(key, cand), cand)
+            entries = [(i, j, value)]
+            if ratio is not None and c >= m:
+                entries.append((j, i, value * ratio[j // n_int, i // n_int]))
+            for row, column, v in entries:
+                for s in (1, -1):
+                    key = (row // n_int, column // n_int, s)
+                    cand = (s * float(v), (row, column))
+                    inv[key] = min(inv.get(key, cand), cand)
 
 
 @dataclass

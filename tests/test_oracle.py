@@ -3,6 +3,7 @@
 import logging
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,13 +329,17 @@ _BLOCK_EDGES = [
 
 
 @st.composite
-def _oracle_case(draw, cross=False, two_d=False):
+def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
     """A random 1-3 species system and gauge, on a 2D grid with either axis
     longer when cross or two_d.  Random reaction and coupling signs give Z
     and non-Z matrices, with inverses of either sign; some off-diagonal
     coupling blocks are zero.  Without cross diffusion every boundary value
     enters one equation, so the dense and the streamed boundary products
-    round alike; with it (2D only) a boundary value enters up to three."""
+    round alike; with it (2D only) a boundary value enters up to three.
+    A symmetric draw has no convection and m_lk = m_kl w_l / w_k for
+    species weights w of either sign, powers of 2 so that the ratio is
+    exact: A W is symmetric for W = diag(w_k I) when there is no cross
+    diffusion, and the slab scan mirrors the lower half of A^{-1}."""
     if not (cross or two_d) and draw(st.booleans()):
         ns, n_int = draw(st.sampled_from(_BLOCK_EDGES))
         grid = build_grid(1, 0.0, 1.0, n_int + 1)
@@ -352,20 +357,29 @@ def _oracle_case(draw, cross=False, two_d=False):
     b = draw(arrays(float, (ns, dim, nn), elements=coeff))
     c = draw(arrays(float, (ns, nn), elements=coeff)) + draw(st.floats(0.0, 30.0))
     m = draw(arrays(float, (ns, ns, nn), elements=coeff))
-    m[~draw(arrays(bool, (ns, ns)))] = 0.0
+    coupled = draw(arrays(bool, (ns, ns)))
+    if symmetric:
+        b[:] = 0.0
+        weights = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, -0.25])
+        w = np.array(draw(st.lists(weights, min_size=ns, max_size=ns)))
+        upper = np.triu(np.ones((ns, ns), dtype=bool), 1)
+        m = np.where(upper[..., None], m, m.transpose(1, 0, 2) * (w[:, None] / w)[..., None])
+        coupled &= coupled.T
+    m[~coupled] = 0.0
     zeros = np.zeros((ns, nn))
     ds = DiscreteSystem(grid, ns, a, b, c, m, zeros, zeros)
     gauge = draw(st.none() | st.tuples(*[st.sampled_from((1, -1))] * ns))
     return ds.assemble("full"), gauge
 
 
-@given(_oracle_case())
+@given(st.booleans().flatmap(lambda symmetric: _oracle_case(symmetric=symmetric)))
 @settings(max_examples=80, deadline=None)
 def test_streamed_oracle_matches_dense_inverse(case):
     """On a 1D grid the block scan of A^{-1} gives the dense inverse's
     answer exactly, for any gauge, in any order of gauged and plain calls.
     On a 2D grid the slab scan's answer lies within the rounding bound
-    (_assert_within_rounding), and the LU scan still gives the exact one."""
+    (_assert_within_rounding), with the lower half mirrored or not, and the
+    LU scan still gives the exact one."""
     asys, gauge = case
     for g in (None, gauge):  # the second call reads the kept scan
         try:
@@ -405,8 +419,14 @@ def test_streamed_boundary_sums_span_blocks(case):
     assert rep.boundary_monotone == expect[4]
 
 
-@given(st.booleans().flatmap(lambda cross: _oracle_case(cross=cross, two_d=True)))
-@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.booleans(), st.booleans()).flatmap(
+        lambda flavour: st.tuples(
+            st.just(flavour), _oracle_case(flavour[0], two_d=True, symmetric=flavour[1])
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
 def test_slab_scan_matches_dense_inverse(case):
     """Every extreme the slab scan keeps lies within the rounding bound of
     the dense inverse's, and so does the dense value at its position, which
@@ -415,12 +435,15 @@ def test_slab_scan_matches_dense_inverse(case):
     gauge, whose extremes are these with signs.  Each boundary extreme lies
     within the bound for A^{-1} G.  The draws are 2D grids with either axis
     longer, 5- and 9-point stencils, convection, and couplings of either
-    sign."""
-    asys, _ = case
+    sign; the symmetric 5-point ones mirror the lower half of A^{-1}."""
+    (cross, symmetric), (asys, _) = case
     try:
         inv = dense_inverse(asys.A, max_dof=10**6)
     except SingularMatrix:
         return
+    if symmetric and not cross:
+        w, _ = oracle._mirror_weights(asys.A, asys.G, asys.n_species, asys.grid.n_interior)
+        assert w is not None
     scan = oracle._scan_slabs(asys)
     assume(scan is not None)
     extremes, bnd = scan
@@ -574,41 +597,122 @@ def test_slab_scan_inverts_each_line_once(asys, monkeypatch):
     assert len(calls) == n_lines
 
 
+def _text_system(species, coupling, shape=(18, 16)):
+    return parse_problem(system_text(shape, species, coupling)).discretize().assembled("full")
+
+
+_COOP_PAIR = load_problem(
+    Path(oracle.__file__).parent / "data" / "cooperative_pair.prob"
+).discretize().assembled("full")
+
+
+@pytest.mark.parametrize(
+    "asys, mirrored",
+    [
+        (_COOP_PAIR, True),
+        (_text_system([{"a11": "1 + x", "c": "1"}, {"a22": "1 + y"}], {"m12": "0.5", "m21": "-0.3"}), True),
+        (_text_system([{"a11": "1 + x"}, {"c": "2"}], {"m21": "-1.5"}), False),
+    ],
+    ids=["cooperative_pair", "predator-prey", "one-way"],
+)
+def test_mirrored_scan_makes_no_left_chain_products(asys, mirrored, monkeypatch):
+    """Left of its diagonal, a mirrored scan builds only G_{p+1,p} = G_{p+1,
+    p+1} Q_p, one product with Q per row below the first; a one-way
+    coupling leaves A W unsymmetric, and every G_{p,q} = G_{p,q+1} Q_q of
+    the full rows is built."""
+    stacks, products = [], []
+    line_schur, matmul = oracle._line_schur, np.matmul
+
+    def keeping(*args):
+        stacks.append(line_schur(*args))
+        return stacks[-1]
+
+    def counting(x, y, *args, **kwargs):
+        if stacks and y.base is stacks[0][0]:  # a block of the Q stack
+            products.append(1)
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_line_schur", keeping)
+    monkeypatch.setattr(np, "matmul", counting)
+    assert oracle._scan_slabs(asys) is not None
+    _, n_lines, _ = oracle._line_order(asys.grid, asys.n_species)
+    assert len(products) == (n_lines - 1 if mirrored else n_lines * (n_lines - 1) // 2)
+
+
+_FULL = "full rows, lower half not mirrored: "
+
+
+@pytest.mark.parametrize(
+    "species, coupling, record",
+    [
+        ([{"c": "1"}, {"c": "2"}], {"m12": "-1", "m21": "-1"}, "lower half mirrored, species weights (1, 1)"),
+        ([{"a11": "1 + x"}, {}], {"m12": "0.5", "m21": "-0.25"}, "lower half mirrored, species weights (1, -0.5)"),
+        ([{"c": "1"}, {"b1": "2"}], {"m12": "-1", "m21": "-1"}, _FULL + "species block 2 is not symmetric"),
+        ([{}, {}], {"m12": "-1", "m21": "-1 - x"}, _FULL + "m_21/m_12 varies"),
+        ([{}, {}], {"m21": "-1"}, _FULL + "m_21 is present without m_12"),
+        (
+            [{"c": "4"}] * 3,
+            {"m12": "-1", "m21": "-1", "m23": "-1", "m32": "-1", "m13": "-1", "m31": "-2"},
+            _FULL + "the weights are inconsistent around a cycle",
+        ),
+        (
+            [{"a12": "0.1", "a21": "0.1"}] * 2,
+            {"m12": "-1", "m21": "-1"},
+            _FULL + "a boundary value enters more than one equation",
+        ),
+    ],
+    ids=["equal", "weighted", "convection", "varying", "one-way", "cycle", "nine-point"],
+)
+def test_slab_scan_logs_which_lower_half_it_builds(species, coupling, record, caplog):
+    """Each slab scan logs one DEBUG record: the species weights it mirrors
+    the lower half of A^{-1} with, or the first reason it builds full rows."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    assert oracle._scan_slabs(_text_system(species, coupling)) is not None
+    assert [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"] == [record]
+
+
 @st.composite
 def _slab_rows(draw):
-    """The line order of a small 2D grid for 1-3 species, and a few block
-    rows of a line-numbered A^{-1}, each held transposed as the slab scan
-    folds it.  The entries are drawn mostly from a few values, so extremes
-    repeat across lines, nodes and species; some species blocks (the same
+    """The line order of a small 2D grid for 1-3 species, species weights or
+    none, and a few block rows of a line-numbered A^{-1}, each held
+    transposed as the slab scan folds it: whole, or from its diagonal line
+    on when there are weights.  The entries are drawn mostly from a few
+    values, so extremes repeat across lines, nodes and species, and across
+    the mirror where the weights are equal; some species blocks (the same
     in every row) are exact zeros."""
     ns = draw(st.integers(1, 3))
     cells = (draw(st.integers(3, 6)), draw(st.integers(3, 6)))
     perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, cells), ns)
     m = ns * per_line
+    weights = draw(st.none() | st.lists(st.sampled_from([1.0, -1.0, 2.0, -0.5, 0.3]),
+                                        min_size=ns, max_size=ns))
+    ratio = None if weights is None else np.divide.outer(weights, weights)
     values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(-4.0, 4.0)
     zero = np.argwhere(draw(arrays(bool, (ns, ns))))  # (l, k) of zero blocks
     rows = []
     for p in draw(st.lists(st.integers(0, n_lines - 1), min_size=1, max_size=4)):
-        t = draw(arrays(float, (n_lines * m, m), elements=values))
-        blocks = t.reshape(n_lines, ns, per_line, ns, per_line)  # [line, l, node, k, y]
+        lines = n_lines if ratio is None else n_lines - p
+        t = draw(arrays(float, (lines * m, m), elements=values))
+        blocks = t.reshape(lines, ns, per_line, ns, per_line)  # [line, l, node, k, y]
         for l, k in zero:
             blocks[:, l, :, k, :] = 0.0
         rows.append((t, p))
-    return perm, ns, per_line, rows
+    return perm, ns, per_line, ratio, rows
 
 
 @given(_slab_rows())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_row_fold_matches_a_brute_force_fold(case):
     """Folding block rows one after another keeps, for every species block
     and sign, the extreme and its first row-major position in A^{-1} that a
-    fold over every entry keeps, ties and blocks of exact zeros included."""
-    perm, ns, per_line, rows = case
-    inv, expect = {}, {}
+    fold over every entry keeps, ties and blocks of exact zeros included;
+    with weights, the mirrored entries right of each diagonal line too."""
+    perm, ns, per_line, ratio, rows = case
+    extremes, expect = oracle._Extremes(perm, ns, per_line, ratio), {}
     for t, p in rows:
-        assert oracle._fold_row(inv, t, p, perm, ns, per_line)
-        reference_row_fold(expect, t, p, perm, ns, per_line)
-        assert inv == expect
+        assert extremes.fold(t, p)
+        reference_row_fold(expect, t, p, perm, ns, per_line, ratio)
+    assert extremes.result() == expect
 
 
 @pytest.mark.parametrize("cells, lines", [((4, 9), 8), ((9, 4), 8), ((6, 6), 5)])

@@ -416,3 +416,53 @@ def test_block_eigen_scans_each_block_once(monkeypatch):
         assert str(info.value) == (
             f"cooperative part has positive off-diagonal {worst:.6g} at {pos}"
         )
+
+
+def _counting_z_scans(monkeypatch):
+    """The matrices spectral's Z gate scans, from here on."""
+    scans = []
+    scan = spectral.check_z_matrix
+
+    def counting(a, *args):
+        scans.append(a.shape)
+        return scan(a, *args)
+
+    monkeypatch.setattr(spectral, "check_z_matrix", counting)
+    return scans
+
+
+def test_blocks_of_a_z_operator_take_no_z_scan(monkeypatch):
+    """A cooperative operator with no positive off-diagonal entry has none
+    in any principal submatrix: its species and subdomain blocks reach the
+    eigen solve as Z with no scan, and give the eigenpair of a scanned
+    solve."""
+    grid = build_grid(2, 0.0, 1.0, 8)
+    ds = laplace_system(grid, n_species=2, m=[["0", "-1"], ["-0.5", "0"]]).discretize()
+    assert ds.assembled("cooperative").offdiag_max == 0.0
+    mask = sub_rectangle_mask(grid, (0.0, 0.25), (0.75, 1.0))
+    blocks = [([0], None), ([1], None), ([0, 1], mask), ([1], mask)]
+    expect = [
+        principal_eigenpair(a, z_scan=assembly.check_z_matrix(a))
+        for a in (ds.block("cooperative", species, m) for species, m in blocks)
+    ]
+    scans = _counting_z_scans(monkeypatch)
+    for (species, m), pair in zip(blocks, expect):
+        got = block_eigen(ds, species, mask=m)
+        assert (got.value, got.cw) == (pair.value, pair.cw)
+        assert np.array_equal(got.right, pair.right)
+    assert scans == []
+
+
+def test_a_tiny_positive_offdiag_still_scans_each_block(monkeypatch):
+    """One positive off-diagonal entry, below Z_RTOL of |A|, makes the
+    cooperative operator's offdiag_max positive: each block is scanned, and
+    the scan's tolerance still lets it through as Z."""
+    grid = build_grid(2, 0.0, 1.0, 8)
+    twisted = op_of(2, a=(("1", "1e-18 * x * y"), ("1e-18 * x * y", "1")))
+    ds = system_of(grid, (op_of(2), twisted), m=[["0", "-1"], ["-1", "0"]]).discretize()
+    coop = ds.assembled("cooperative")
+    assert 0.0 < coop.offdiag_max <= assembly.Z_RTOL * linalg.inf_norm(coop.A)
+    scans = _counting_z_scans(monkeypatch)
+    assert block_eigen(ds, [1]).value > 0.0
+    assert block_eigen(ds, [0]).value > 0.0
+    assert len(scans) == 2
