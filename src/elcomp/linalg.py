@@ -13,7 +13,9 @@ nodes, for the 9-point stencils of cross diffusion (Davis, ch. 7).
 The certified eigenvalue machinery is implemented here: Noda's shifted
 inverse iteration for irreducible Z-matrices, which keeps a shift's
 factorization while its solves keep halving the enclosure, serves both
-eigenvectors from it, and carries a Collatz-Wielandt enclosure.
+eigenvectors from it, and carries a Collatz-Wielandt enclosure.  Given a
+start vector, a run first checks that vector's enclosure, widened by its
+rounding bound, and ends there, with no LU, when it is narrow enough.
 """
 
 from __future__ import annotations
@@ -379,13 +381,37 @@ class _NodaIterate:
     def __init__(self, b: sp.csr_matrix, transposed: bool):
         self.b, self.transposed = b, transposed
         self.abs_b = None  # |b|, built when the rounding level is first needed
-        nnz = int(b.getnnz(axis=1).max(initial=0))
-        self.rounding = np.finfo(float).eps * max(nnz, 1)
+        self.nnz = int(b.getnnz(axis=1).max(initial=0))  # largest row nnz
+        self.rounding = np.finfo(float).eps * max(self.nnz, 1)
         self.x = np.ones(b.shape[0])
         self.lo, self.hi, self.lam = -np.inf, np.inf, 0.0
         self.widths = []
         self.solves = 0
         self.result = None
+
+    def closed_at(self, start: np.ndarray, width_target) -> NodaResult | None:
+        """The iterate's result at start, with no factorization and no
+        solve, when the ratios (b x)/x of x = start, widened by their
+        rounding bound delta, meet the width target; else None.
+
+        fl(b x) errs by at most gamma_k (|b| |x|) for k terms a row and the
+        division by u |ratio|, u the unit roundoff (N. J. Higham, Accuracy
+        and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.5),
+        so delta = max_i [gamma_(k+1) (|b| |x|)_i / x_i + u |ratio_i|], one
+        more rounding in gamma covering that of |b| |x| itself, and the
+        enclosure's ends are rounded outward.
+        """
+        bx = self.b @ start
+        ratios = bx / start
+        u = np.finfo(float).eps / 2
+        gamma = (self.nnz + 1) * u / (1.0 - (self.nnz + 1) * u)
+        delta = float((gamma * (abs(self.b) @ start) / start + u * np.abs(ratios)).max())
+        lo = float(np.nextafter(float(ratios.min()) - delta, -np.inf))
+        hi = float(np.nextafter(float(ratios.max()) + delta, np.inf))
+        lam = min(max(float(start @ bx) / float(start @ start), lo), hi)
+        if not hi - lo <= width_target(lam):  # a NaN width fails too
+            return None
+        return NodaResult(lam, start, (lo, hi), 0, 0)
 
     def enclose(self, width_target, factorizations: int) -> bool:
         """Intersect the ratios (b x)/x into [lo, hi]; True while still open.
@@ -433,7 +459,11 @@ class _NodaIterate:
 
 
 def noda_iteration(
-    a: sp.spmatrix, width_target, max_iter: int, left: sp.csr_matrix | None = None
+    a: sp.spmatrix,
+    width_target,
+    max_iter: int,
+    left: sp.csr_matrix | None = None,
+    start: np.ndarray | None = None,
 ) -> NodaResult:
     """Principal eigenpair of an irreducible Z-matrix by Noda iteration.
 
@@ -487,13 +517,42 @@ def noda_iteration(
     go on.  It also gives up when a solve loses positivity or the shift is
     numerically singular.
 
-    width_target(lam_estimate) -> admissible enclosure width.
+    Given a positive start, a candidate eigenvector, every iterate first
+    checks it before any factorization: its ratios widened by their
+    rounding bound (_NodaIterate.closed_at) are a Collatz-Wielandt enclosure
+    of lambda as rigorous as the matvec's error bound.  When that enclosure
+    meets the width target for every iterate, the run returns start with
+    it, iterations = solves = 0.  Otherwise the run goes on from x = 1
+    exactly as without start.  Only this check is widened: the iterated
+    enclosures are not, since the widening alone would keep the n = 2048
+    1D Laplacian above its target.
+
+    width_target(lam_estimate) -> admissible enclosure width, finite and
+    >= 0; max_iter >= 1.  Either outside its range is a ValidationError.
     """
     if a.shape[0] != a.shape[1]:
         raise DimMismatch(f"Noda iteration needs a square matrix, got {a.shape}")
+    if not max_iter >= 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
+
+    def target(lam: float) -> float:
+        width = width_target(lam)
+        if not 0.0 <= width < np.inf:
+            raise ValidationError(f"width target {width!r} at {lam!r} is not finite and >= 0")
+        return width
+
     iterates = [_NodaIterate(a, False)]
     if left is not None:
         iterates.append(_NodaIterate(left, True))
+    if start is not None:
+        closed = []
+        for it in iterates:
+            closed.append(it.closed_at(start, target))
+            if closed[-1] is None:
+                break
+        else:
+            closed[0].left = closed[1] if left is not None else None
+            return closed[0]
     csc = left.T if left is not None else a.tocsc()
     factorizations = 0
     lu = None
@@ -501,7 +560,7 @@ def noda_iteration(
         active = [
             it
             for it in iterates
-            if it.result is None and it.enclose(width_target, factorizations)
+            if it.result is None and it.enclose(target, factorizations)
         ]
         if not active:
             right = iterates[0].result
@@ -519,7 +578,7 @@ def noda_iteration(
         if refactor:
             lu = None  # so that the next shift's factorization does not hold two
             factorizations += 1
-            mu = lead.lo - width_target(lead.lam)
+            mu = lead.lo - target(lead.lam)
             try:
                 lu = LuFactor(shifted(csc, mu))
             except SingularMatrix:

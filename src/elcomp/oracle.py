@@ -292,23 +292,32 @@ def _line_order(grid, n_species: int):
 
 
 def _line_blocks(csc, m: int):
-    """The reader p -> dense (A_{p-1,p}, A_pp, A_{p+1,p}) of the line-numbered
-    A held in csc, or None when A is not block tridiagonal over lines of m
-    unknowns.  Each stored entry's place among its line's three blocks is
-    found once, so a read scatters the CSC arrays of line p's m columns."""
+    """The readers p -> dense (A_{p-1,p}, A_pp, A_{p+1,p}) and p -> dense
+    A_{p-1,p} alone of the line-numbered A held in csc, or None when A is
+    not block tridiagonal over lines of m unknowns.  Each stored entry's
+    place among its line's three blocks is found once, so a read scatters
+    the CSC arrays of line p's m columns, or of their entries above."""
     cols = row_ids(csc)  # the column of each entry
     offset = csc.indices // m - cols // m + 1  # 0, 1, 2: above, on, below
     if offset.size and not 0 <= offset.min() <= offset.max() <= 2:
         return None
     at = (offset * m + csc.indices % m) * m + cols % m
     ends = csc.indptr[::m]
+    above = np.flatnonzero(offset == 0)
+    above_ends = np.searchsorted(above, ends)
 
     def read(p: int) -> np.ndarray:
         out = np.zeros(3 * m * m)
         out[at[ends[p] : ends[p + 1]]] = csc.data[ends[p] : ends[p + 1]]
         return out.reshape(3, m, m)
 
-    return read
+    def read_above(p: int) -> np.ndarray:
+        ix = above[above_ends[p] : above_ends[p + 1]]
+        out = np.zeros(m * m)
+        out[at[ix]] = csc.data[ix]
+        return out.reshape(m, m)
+
+    return read, read_above
 
 
 def _inverse(s: np.ndarray) -> np.ndarray | None:
@@ -470,9 +479,10 @@ def _scan_slabs(asys: AssembledSystem):
     ns, n = asys.n_species, a.shape[0]
     perm, n_lines, per_line = _line_order(asys.grid, ns)
     m = ns * per_line
-    line_blocks = _line_blocks(permuted_csc(a, perm), m)
-    if line_blocks is None:
+    readers = _line_blocks(permuted_csc(a, perm), m)
+    if readers is None:
         return _hand_off("A is not block tridiagonal")
+    line_blocks, block_above = readers
     # decided before the stacks are built, so that its arrays are gone
     w, note = _mirror_weights(a, g, ns, asys.grid.n_interior)
     ratio = None if w is None else w[:, None] / w  # [l, k] = w_l / w_k
@@ -502,7 +512,7 @@ def _scan_slabs(asys: AssembledSystem):
             for c in range(p - 1, -1, -1):  # G_{p,c} = G_{p,c+1} Q_c
                 left = row[:, (c + 1) * m : (c + 2) * m]
                 np.matmul(left, q[c], out=row[:, c * m : (c + 1) * m])
-        right = line_blocks(p)[0]
+        right = block_above(p)
         t = (row[:, c0:] if ratio is not None else row).T
         if not extremes.fold(t, p):
             return _hand_off("row %d is not finite", p)

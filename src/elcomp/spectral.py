@@ -6,6 +6,17 @@ shifted inverse iteration (linalg.noda_iteration) runs on A itself and
 carries a Collatz-Wielandt enclosure of lambda along.  It keeps a shift's
 factorization while the solves with it halve the enclosure width, and its
 factorization count does not grow with the mesh.
+
+A block on the whole grid first offers Noda the grid's discrete sine,
+prod_d sin(pi i_d / n_d) on every species of the block (grid_sine).  On a
+box it is the exact principal eigenvector of the Dirichlet difference
+Laplacian (R. J. LeVeque, Finite Difference Methods for Ordinary and
+Partial Differential Equations, SIAM 2007, sec. 2.10), and so of every
+block with constant coefficients, no convection or cross diffusion, and
+species that the coupling treats alike.  Noda checks it before its first
+LU: when its Collatz-Wielandt ratios, widened by their rounding bound,
+meet the width target, the run ends with no LU and no solve; otherwise it
+runs as it would without the sine.  Subdomain blocks take no sine.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from .graphs import csr_strongly_connected
 from .mesh import SubdomainMask
 
 TOL_EIG = 1e-9
-MAX_ITER = 100  # LU factorizations per Noda run; a run needs 1-3
+MAX_ITER = 100  # LU factorizations per Noda run; a run needs 0-3
 
 
 @dataclass
@@ -33,8 +44,9 @@ class EigenPair:
     unit max and strictly positive on the unknowns.  iterations counts the
     LU factorizations of the run, each kept for as long as its solves halve
     the enclosure width and shared by both vectors; solves counts the
-    solves with them, right and left together.  A symmetric matrix has no
-    left iterate and reuses the right vector.
+    solves with them, right and left together.  Both are 0 when the start
+    vector closed the run, and right and left are then that vector.  A
+    symmetric matrix has no left iterate and reuses the right vector.
     """
 
     value: float
@@ -53,17 +65,35 @@ def _species_index(j: int, n: int) -> int:
     return j - 1
 
 
+def grid_sine(grid, copies: int) -> np.ndarray:
+    """prod_d sin(pi i_d / n_d) at grid's interior nodes in canonical order,
+    scaled to unit max, once per species of a block of copies species.
+
+    Each factor is taken as sin(pi min(i, n - i) / n), so that the nodes
+    near the far end do not carry the rounding of an argument near pi.
+    """
+    factors = []
+    for n in grid.n:
+        i = np.arange(1, n)
+        factors.append(np.sin(np.pi * np.minimum(i, n - i) / n))
+    x = factors[0] if grid.dim == 1 else np.outer(factors[1], factors[0]).ravel()
+    return np.tile(x / x.max(), copies)
+
+
 def principal_eigenpair(
     a: sp.spmatrix,
     tol_eig: float = TOL_EIG,
     max_iter: int = MAX_ITER,
     z_scan: tuple | None = None,
+    start: np.ndarray | None = None,
 ) -> EigenPair:
     """Eigenvalue of smallest real part of an irreducible Z-matrix.
 
     The Z-matrix and irreducibility gates are what keep the Noda iterates
     strictly positive.  z_scan is check_z_matrix(a)'s result when a's
     content has been scanned already; without it, a is scanned here.
+    start, a positive candidate eigenvector, is checked before the first
+    LU (linalg.noda_iteration).
     """
     is_z, pos, worst, _ = check_z_matrix(a) if z_scan is None else z_scan
     if not is_z:
@@ -78,7 +108,9 @@ def principal_eigenpair(
 
     at = a.T.tocsr()
     symmetric = linalg.same_nonzeros(a, at)
-    run = linalg.noda_iteration(a, width, max_iter, left=None if symmetric else at)
+    run = linalg.noda_iteration(
+        a, width, max_iter, left=None if symmetric else at, start=start
+    )
     x = run.vector
     left = x if symmetric else run.left.vector
     solves = run.solves if symmetric else run.solves + run.left.solves
@@ -91,15 +123,20 @@ def principal_eigenpair(
     return EigenPair(lam, x, left, run.cw, run.iterations, residual, solves)
 
 
-def _memo_eigenpair(ds, a, tol_eig: float, max_iter: int, z_scan=None) -> EigenPair:
+def _memo_eigenpair(
+    ds, a, tol_eig: float, max_iter: int, z_scan=None, whole_grid: bool = True
+) -> EigenPair:
     """principal_eigenpair(a), solved once per operator content on ds.
 
-    The memo lives on the system, so nothing outlives the run; cached
-    vectors are read-only.
+    A block on the whole grid (whole_grid) starts from grid_sine; a
+    subdomain block takes no start.  The memo lives on the system, so
+    nothing outlives the run; cached vectors are read-only.
     """
-    key = (linalg.content_key(a), tol_eig, max_iter)
+    key = (linalg.content_key(a), tol_eig, max_iter, whole_grid)
     if key not in ds._eigen_cache:
-        pair = principal_eigenpair(a, tol_eig, max_iter, z_scan)
+        n_int = ds.grid.n_interior
+        start = grid_sine(ds.grid, a.shape[0] // n_int) if whole_grid else None
+        pair = principal_eigenpair(a, tol_eig, max_iter, z_scan, start)
         pair.right.setflags(write=False)
         pair.left.setflags(write=False)
         ds._eigen_cache[key] = pair
@@ -123,7 +160,8 @@ def block_eigen(
     which assemble has scanned: its result is passed on, not taken again.
     A cooperative operator with no positive off-diagonal entry has none in
     any principal submatrix either, so its blocks are passed on as Z
-    unscanned.
+    unscanned.  A block on the whole grid, with no mask or one that keeps
+    every node, starts from grid_sine; a block on a subdomain takes no start.
     """
     ds = as_discrete(spec)
     coop = ds.assembled("cooperative")
@@ -137,7 +175,8 @@ def block_eigen(
         a = ds.block("cooperative", species, mask)
         z_scan = (True, None, 0.0, 0.0) if coop.offdiag_max == 0.0 else None
     try:
-        return _memo_eigenpair(ds, a, tol_eig, max_iter, z_scan)
+        whole_grid = mask is None or bool(mask.inside.all())
+        return _memo_eigenpair(ds, a, tol_eig, max_iter, z_scan, whole_grid)
     except NotZMatrix as err:
         n_int = a.shape[0] // len(species)
         pos = tuple((r // n_int + 1, r % n_int) for r in err.position)

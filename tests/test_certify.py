@@ -763,3 +763,13 @@ def test_counterexample_json():
     assert d["w_min"] >= 0.0
     assert d["w_max"] == pytest.approx(1.0)
     assert d["residual_max"] <= 0.0
+
+
+def test_certify_rejects_bad_settings():
+    """The library takes no tolerance the CLI would refuse: tol_eig = inf
+    used to certify competitive17 on a lambda of 10.15, and max_iter = 0
+    used to end in NoConvergence."""
+    problem = load_problem(DATA / "competitive17.prob")
+    for kwargs in ({"tol_eig": math.inf}, {"tol_eig": math.nan}, {"max_iter": 0}):
+        with pytest.raises(ValidationError):
+            certify(problem, with_oracle=False, **kwargs)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elcomp import cli
+from elcomp import cli, linalg
 from elcomp.cli import main
 from elcomp.errors import ElcompError
 from elcomp.fields import load_block, load_fields
@@ -184,7 +184,17 @@ def test_exit_code_4_on_structure_errors(tmp_path):
     assert payload["errors"][0]["type"] == "StructureUnsupported"
 
 
-def test_eigen_closed_form(tmp_path, capsys):
+def test_eigen_closed_form(tmp_path, capsys, monkeypatch):
+    """The grid's discrete sine is the Laplacian's eigenvector: the run
+    closes on it before any LU, and the closed form lies in cw."""
+    factorized = []
+    init = linalg.LuFactor.__init__
+
+    def counting(self, *args, **kwargs):
+        factorized.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
     problem = write(
         tmp_path,
         "lap.prob",
@@ -204,9 +214,11 @@ def test_eigen_closed_form(tmp_path, capsys):
     exact = 4.0 / (h * h) * math.sin(math.pi * h / 2.0) ** 2
     assert payload["lambda"] == pytest.approx(exact, abs=1e-8)
     assert payload["cw"][0] <= payload["lambda"] <= payload["cw"][1]
+    assert payload["cw"][0] <= exact <= payload["cw"][1]
     assert payload["component"] == 1
     assert payload["dof"] == 127
-    assert 1 <= payload["iterations"] <= payload["solves"]
+    assert payload["iterations"] == payload["solves"] == 0
+    assert factorized == []
     counts = f"iterations: {payload['iterations']}  solves: {payload['solves']}"
     assert counts in capsys.readouterr().out
 

@@ -479,6 +479,49 @@ def test_noda_iteration_guards():
     assert info.value.width > 0.0
 
 
+@pytest.mark.parametrize(
+    "max_iter, target",
+    [(0, 1e-9), (-1, 1e-9), (10, math.inf), (10, math.nan), (10, -1e-9)],
+)
+def test_noda_iteration_rejects_bad_settings(max_iter, target):
+    """max_iter below 1, or a width target that is not finite or is
+    negative, is a ValidationError before any LU, with or without a start."""
+    a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
+    for start in (None, np.ones(2)):
+        with pytest.raises(ValidationError):
+            noda_iteration(a, lambda lam: target * (1.0 + abs(lam)), max_iter, start=start)
+
+
+def test_noda_start_closes_only_when_every_iterate_does():
+    """On a matrix with constant row sums, x = 1 is the right eigenvector
+    but not the left one: the right iterate would close at the start, the
+    left would not, so the run goes on from ones as without a start.  The
+    transpose has constant column sums, so only its left iterate closes.
+    With both closed, the run returns the start and no LU."""
+    a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [0.0, 2.0, -1.0], [-0.5, -0.5, 2.0]]))
+
+    def target(lam):
+        return 1e-10 * (1.0 + abs(lam))
+
+    ones = np.ones(3)
+    for b in (a, a.T.tocsr()):
+        plain = noda_iteration(b, target, 20, left=b.T.tocsr())
+        started = noda_iteration(b, target, 20, left=b.T.tocsr(), start=ones)
+        assert plain.iterations >= 1
+        assert (started.rho, started.cw, started.iterations, started.solves) == (
+            plain.rho,
+            plain.cw,
+            plain.iterations,
+            plain.solves,
+        )
+        assert np.array_equal(started.vector, plain.vector)
+        assert started.left.cw == plain.left.cw
+    right = noda_iteration(a, target, 20, start=ones)
+    assert (right.iterations, right.solves, right.left) == (0, 0, None)
+    assert right.vector is ones and right.cw[0] <= 1.0 <= right.cw[1]
+    assert right.cw[1] - right.cw[0] > 0.0
+
+
 @given(
     arrays(float, (5, 5), elements=st.floats(min_value=0.01, max_value=4.0)),
     arrays(float, (5,), elements=st.floats(min_value=-4.0, max_value=4.0)),

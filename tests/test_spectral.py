@@ -435,20 +435,23 @@ def test_blocks_of_a_z_operator_take_no_z_scan(monkeypatch):
     """A cooperative operator with no positive off-diagonal entry has none
     in any principal submatrix: its species and subdomain blocks reach the
     eigen solve as Z with no scan, and give the eigenpair of a scanned
-    solve."""
+    solve from the same start (the grid's sine on the whole grid, none on a
+    subdomain)."""
     grid = build_grid(2, 0.0, 1.0, 8)
     ds = laplace_system(grid, n_species=2, m=[["0", "-1"], ["-0.5", "0"]]).discretize()
     assert ds.assembled("cooperative").offdiag_max == 0.0
     mask = sub_rectangle_mask(grid, (0.0, 0.25), (0.75, 1.0))
     blocks = [([0], None), ([1], None), ([0, 1], mask), ([1], mask)]
-    expect = [
-        principal_eigenpair(a, z_scan=assembly.check_z_matrix(a))
-        for a in (ds.block("cooperative", species, m) for species, m in blocks)
-    ]
+    expect = []
+    for species, m in blocks:
+        a = ds.block("cooperative", species, m)
+        start = None if m is not None else spectral.grid_sine(grid, len(species))
+        expect.append(principal_eigenpair(a, z_scan=assembly.check_z_matrix(a), start=start))
     scans = _counting_z_scans(monkeypatch)
     for (species, m), pair in zip(blocks, expect):
         got = block_eigen(ds, species, mask=m)
         assert (got.value, got.cw) == (pair.value, pair.cw)
+        assert (got.iterations, got.solves) == (pair.iterations, pair.solves)
         assert np.array_equal(got.right, pair.right)
     assert scans == []
 
@@ -466,3 +469,165 @@ def test_a_tiny_positive_offdiag_still_scans_each_block(monkeypatch):
     assert block_eigen(ds, [1]).value > 0.0
     assert block_eigen(ds, [0]).value > 0.0
     assert len(scans) == 2
+
+
+def _lap_eig(n, side=1.0):
+    """Smallest eigenvalue of the 3-point -d^2/dx^2 on n cells of a side."""
+    h = side / n
+    return 4.0 / (h * h) * math.sin(math.pi * h / (2.0 * side)) ** 2
+
+
+def _rounding_bound(a, x):
+    """delta of the start check: the ratios' rounding bound
+    max_i [gamma_(k+1) (|A| x)_i / x_i + u |ratio_i|], k the largest row nnz."""
+    u = np.finfo(float).eps / 2
+    k = int(a.getnnz(axis=1).max()) + 1
+    ratios = (a @ x) / x
+    return float(((k * u / (1 - k * u)) * (abs(a) @ x) / x + u * np.abs(ratios)).max())
+
+
+def _counting_lus(monkeypatch):
+    factorized = []
+    init = linalg.LuFactor.__init__
+
+    def counting(self, *args, **kwargs):
+        factorized.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+    return factorized
+
+
+# (grid, coupling, closed-form principal eigenvalue); the coupling's rows
+# all sum to the same s, so (1, ..., 1) x sine is the eigenvector and
+# lambda is the Laplacian's plus s
+CLOSED_FORMS = {
+    "1d-16": (lambda: build_grid(1, (0.0,), (1.0,), (16,)), None, _lap_eig(16)),
+    "1d-128": (lambda: build_grid(1, (0.0,), (1.0,), (128,)), None, _lap_eig(128)),
+    "1d-1024": (lambda: build_grid(1, (0.0,), (1.0,), (1024,)), None, _lap_eig(1024)),
+    "2d-32": (lambda: build_grid(2, 0.0, 1.0, 32), None, 2.0 * _lap_eig(32)),
+    "2d-24x40-side-pi": (
+        lambda: build_grid(2, 0.0, math.pi, (24, 40)),
+        None,
+        _lap_eig(24, math.pi) + _lap_eig(40, math.pi),
+    ),
+    "symmetric-3-species": (
+        lambda: build_grid(2, 0.0, 1.0, 12),
+        [["0", "-1", "-0.5"], ["-1", "0", "-0.5"], ["-0.5", "-0.5", "-0.5"]],
+        2.0 * _lap_eig(12) - 1.5,
+    ),
+    # nonsymmetric: the left iterate checks the sine on A^T and closes too
+    "cyclic-3-species": (
+        lambda: build_grid(1, (0.0,), (1.0,), (64,)),
+        [["0", "-1", "0"], ["0", "0", "-1"], ["-1", "0", "0"]],
+        _lap_eig(64) - 1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_closed_form_runs_close_before_any_lu(name, monkeypatch):
+    """A constant-coefficient block on the whole grid closes on the grid's
+    sine with no LU and no solve.  Its enclosure is the sine's ratios
+    widened by their rounding bound delta, holds the closed-form discrete
+    eigenvalue, and is at least 2 delta and at most the target wide."""
+    make_grid, m, exact = CLOSED_FORMS[name]
+    grid = make_grid()
+    n_species = 1 if m is None else len(m)
+    ds = laplace_system(grid, n_species=n_species, m=m).discretize()
+    factorized = _counting_lus(monkeypatch)
+    pair = cooperative_eigen(ds)
+    assert pair.iterations == pair.solves == 0
+    assert factorized == []
+    a = ds.assembled("cooperative").A
+    x = spectral.grid_sine(grid, n_species)
+    assert np.array_equal(pair.right, x) and np.array_equal(pair.left, x)
+    lo, hi = pair.cw
+    assert lo <= exact <= hi
+    assert lo <= pair.value <= hi
+    ratios = (a @ x) / x
+    delta = _rounding_bound(a, x)
+    assert lo <= float(ratios.min()) - delta and float(ratios.max()) + delta <= hi
+    assert 2.0 * delta <= hi - lo <= spectral.TOL_EIG * (1.0 + abs(pair.value))
+    if name == "cyclic-3-species":
+        assert (a != a.T).nnz > 0
+        at_ratios = (a.T @ x) / x
+        assert lo <= float(at_ratios.min()) and float(at_ratios.max()) <= hi
+
+
+def test_grid_sine_is_the_discrete_eigenvector():
+    """On each axis, sin(pi i / n) solves the 3-point eigenproblem; the
+    product over the axes is canonical (x fastest), unit max and tiled
+    per species."""
+    grid = build_grid(2, 0.0, 1.0, (6, 4))
+    x = spectral.grid_sine(grid, 2)
+    pts = grid.coords[grid.interior_ids]
+    expected = np.sin(math.pi * pts[:, 0]) * np.sin(math.pi * pts[:, 1])
+    expected = expected / expected.max()
+    assert x.shape == (2 * grid.n_interior,)
+    assert np.allclose(x, np.tile(expected, 2), rtol=1e-14, atol=0.0)
+    assert x.max() == 1.0 and x.min() > 0.0
+
+
+VARIABLE = {
+    "coop-pair": lambda: parse_problem(coop_pair_text(16)).discretize(),
+    "convection-pair": lambda: parse_problem(convection_pair_text(16)).discretize(),
+}
+
+
+@pytest.mark.parametrize("name", list(VARIABLE))
+def test_variable_coefficients_iterate_as_without_the_start(name):
+    """The sine is no eigenvector of a variable-coefficient block: its
+    check fails, and the run is, bit for bit, the one without a start."""
+    ds = VARIABLE[name]()
+    a = ds.assembled("cooperative").A
+    with_start = principal_eigenpair(a, start=spectral.grid_sine(ds.grid, ds.n_species))
+    without = principal_eigenpair(a)
+    assert with_start.iterations >= 1
+    for got, want in ((with_start, without), (cooperative_eigen(ds), without)):
+        assert (got.value, got.cw, got.iterations, got.solves, got.residual) == (
+            want.value,
+            want.cw,
+            want.iterations,
+            want.solves,
+            want.residual,
+        )
+        assert np.array_equal(got.right, want.right)
+        assert np.array_equal(got.left, want.left)
+
+
+def test_subdomain_blocks_take_no_start(monkeypatch):
+    """Only a block on the whole grid (no mask, or one that keeps every
+    node) is offered the sine; a sub-rectangle's block iterates from ones."""
+    starts = []
+    solve = spectral.principal_eigenpair
+
+    def recording(a, *args):
+        starts.append(args[3] if len(args) > 3 else None)
+        return solve(a, *args)
+
+    monkeypatch.setattr(spectral, "principal_eigenpair", recording)
+    grid = build_grid(1, (0.0,), (1.0,), (32,))
+    ds = laplace_system(grid).discretize()
+    half = cooperative_eigen(ds, mask=sub_rectangle_mask(grid, (0.0,), (0.5,)))
+    assert starts == [None] and half.iterations >= 1
+    whole = cooperative_eigen(ds, mask=sub_rectangle_mask(grid, (0.0,), (1.0,)))
+    assert np.array_equal(starts[1], spectral.grid_sine(grid, 1))
+    assert whole.iterations == 0
+    assert cooperative_eigen(ds) is whole  # the same block, from the memo
+    assert len(starts) == 2
+
+
+def test_start_above_the_target_at_n2048_iterates():
+    """At n = 2048 the sine's rounding bound alone is wider than the
+    target, so the run iterates from ones; the closed form lies in cw."""
+    grid = build_grid(1, (0.0,), (1.0,), (2048,))
+    ds = laplace_system(grid).discretize()
+    a = ds.assembled("cooperative").A
+    pair = cooperative_eigen(ds)
+    assert pair.iterations >= 1
+    assert pair.cw[0] <= _lap_eig(2048) <= pair.cw[1]
+    x = spectral.grid_sine(grid, 1)
+    assert 2.0 * _rounding_bound(a, x) > spectral.TOL_EIG * (1.0 + _lap_eig(2048))
+    plain = principal_eigenpair(a)
+    assert (pair.value, pair.cw, pair.solves) == (plain.value, plain.cw, plain.solves)
