@@ -27,19 +27,12 @@ from .errors import (
     NotZMatrix,
     SingularMatrix,
     StructureUnsupported,
-    ValidationError,
 )
 from .fields import BlockField, block_from_solution
 from .linalg import inf_norm, lu_solve, shifted
-from .spectral import (
-    MAX_ITER,
-    TOL_EIG,
-    _memo_eigenpair,
-    block_eigen,
-    component_eigen,
-)
+from .settings import DEFAULT, Settings
+from .spectral import _memo_eigenpair, block_eigen, component_eigen
 
-TOL_COND = 1e-8
 TOL_RES = 1e-8
 ACROSS_BLOCKS = (
     "cooperative part couples across blocks; per-component certificate "
@@ -196,12 +189,12 @@ def _record_eigen(verdict: Verdict, key: str, pair) -> None:
 # ------------------------------------------------------------ conditions
 
 
-def _margins(ds, lams, tol_cond):
+def _margins(ds, lams, settings: Settings = DEFAULT):
     """Per-species tolerances, m_plus on interior nodes, and the margins
     diag[j, x] = lam_j + m_jj_plus(x), col[j, x] = lam_j + sum_k m_kj_plus(x)."""
     n = len(lams)
     mp = ds.m_plus[:, :, ds.grid.interior_ids]
-    tols = [tol_cond * (1.0 + abs(lams[j])) for j in range(n)]
+    tols = [settings.tol_cond * (1.0 + abs(lams[j])) for j in range(n)]
     diag = np.array([lams[j] + mp[j, j] for j in range(n)])
     col = np.array([lams[j] + mp[:, j, :].sum(axis=0) for j in range(n)])
     return tols, mp, diag, col
@@ -236,29 +229,15 @@ def _counterexample(ds, block, pair, j, which):
     return Counterexample(fld, ok, residual, j, which)
 
 
-def _margin_mode(mode) -> str:
-    """mode if it names a margin condition; anything else is invalid."""
-    if isinstance(mode, str) and mode in ("basic", "sharp"):
-        return mode
-    raise ValidationError(f"unknown mode {mode!r}")
-
-
 # -------------------------------------------------------------- theorem 1
 
 
-def check_thm1(
-    spec,
-    mode: str = "basic",
-    tol_eig: float = TOL_EIG,
-    tol_cond: float = TOL_COND,
-    max_iter: int = MAX_ITER,
-) -> Verdict:
+def check_thm1(spec, settings: Settings = DEFAULT) -> Verdict:
     """Cooperative certificate: sign of the principal eigenvalue decides.
 
     The full coupling (including any nonnegative diagonal part) is folded
     into the operator; competitive off-diagonal entries are out of scope.
     """
-    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     if ds.signs.plus_offdiag.any():
         raise StructureUnsupported(
@@ -271,10 +250,10 @@ def check_thm1(
             position=asys.worst_offdiag,
             value=asys.offdiag_max,
         )
-    pair = _memo_eigenpair(ds, asys.A, tol_eig, max_iter)
+    pair = _memo_eigenpair(ds, asys.A, settings)
     lam = pair.value
-    tol = tol_cond * (1.0 + abs(lam))
-    verdict = Verdict("Inconclusive", theorem="Theorem 1", mode=mode)
+    tol = settings.tol_cond * (1.0 + abs(lam))
+    verdict = Verdict("Inconclusive", theorem="Theorem 1", mode=settings.mode)
     _record_eigen(verdict, "system", pair)
     verdict.margins["lambda"] = lam
     if lam > tol:
@@ -301,7 +280,7 @@ def check_thm1(
 # ---------------------------------------------------------- theorems 3, 4
 
 
-def _block_margins(ds, verdict, blocks, keys, holds, tol_eig, tol_cond, max_iter):
+def _block_margins(ds, verdict, blocks, keys, holds, settings: Settings = DEFAULT):
     """Margin conditions of Theorems 3 and 4, every species taking the
     principal eigenpair of its block (recorded under keys[b]).
 
@@ -313,18 +292,18 @@ def _block_margins(ds, verdict, blocks, keys, holds, tol_eig, tol_cond, max_iter
     lams = [0.0] * n
     lefts = [None] * n
     for block, key in zip(blocks, keys):
-        pair = block_eigen(ds, block, tol_eig, max_iter)
+        pair = block_eigen(ds, block, settings)
         _record_eigen(verdict, key, pair)
         left = pair.left.reshape(len(block), -1)
         for bi, k in enumerate(block):
             lams[k] = pair.value
             lefts[k] = left[bi]
-    tols, mp, diag, col = _margins(ds, lams, tol_cond)
+    tols, mp, diag, col = _margins(ds, lams, settings)
     ok_common, pos, margin = _common_point(col, tols)
     verdict.margins["pointwise_diag"] = float(diag.min())
     verdict.margins["common_point"] = margin
     verdict.x0 = ds.grid.node_coord(int(ds.grid.interior_ids[pos]))
-    if verdict.mode == "sharp":
+    if settings.mode == "sharp":
         w = np.array(lefts)
         sharp = np.array(
             [
@@ -349,35 +328,19 @@ def _block_margins(ds, verdict, blocks, keys, holds, tol_eig, tol_cond, max_iter
     return verdict
 
 
-def check_thm3(
-    spec,
-    mode: str = "basic",
-    tol_eig: float = TOL_EIG,
-    tol_cond: float = TOL_COND,
-    max_iter: int = MAX_ITER,
-) -> Verdict:
+def check_thm3(spec, settings: Settings = DEFAULT) -> Verdict:
     """Irreducible cooperative part: the block margins with one block that
     holds every species, recorded under system."""
-    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     if len(ds.signs.blocks) != 1:
         raise StructureUnsupported("cooperative part is not fully coupled")
-    verdict = Verdict("Inconclusive", theorem="Theorem 3", mode=mode)
+    verdict = Verdict("Inconclusive", theorem="Theorem 3", mode=settings.mode)
     everyone = [list(range(ds.n_species))]
-    return _block_margins(
-        ds, verdict, everyone, ["system"], "HoldsThm3", tol_eig, tol_cond, max_iter
-    )
+    return _block_margins(ds, verdict, everyone, ["system"], "HoldsThm3", settings)
 
 
-def check_thm4(
-    spec,
-    mode: str = "basic",
-    tol_eig: float = TOL_EIG,
-    tol_cond: float = TOL_COND,
-    max_iter: int = MAX_ITER,
-) -> Verdict:
+def check_thm4(spec, settings: Settings = DEFAULT) -> Verdict:
     """Per-component (or per-block) variant of the margin conditions."""
-    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     blocks = ds.signs.blocks
     if ds.signs.cross:
@@ -386,8 +349,8 @@ def check_thm4(
         f"j={b[0] + 1}" if len(b) == 1 else "block=" + ",".join(str(k + 1) for k in b)
         for b in blocks
     ]
-    verdict = Verdict("Inconclusive", theorem="Theorem 4", mode=mode)
-    _block_margins(ds, verdict, blocks, keys, "HoldsThm4", tol_eig, tol_cond, max_iter)
+    verdict = Verdict("Inconclusive", theorem="Theorem 4", mode=settings.mode)
+    _block_margins(ds, verdict, blocks, keys, "HoldsThm4", settings)
     for block, key in zip(blocks, keys):
         if len(block) > 1:
             for k in block:
@@ -399,13 +362,7 @@ def check_thm4(
 # -------------------------------------------------------------- theorem 5
 
 
-def check_thm5(
-    spec,
-    mode: str = "basic",
-    tol_eig: float = TOL_EIG,
-    tol_cond: float = TOL_COND,
-    max_iter: int = MAX_ITER,
-) -> Verdict:
+def check_thm5(spec, settings: Settings = DEFAULT) -> Verdict:
     """Triangular cooperative part: epsilon-shifted margins plus the
     constructive positive chain.
 
@@ -413,7 +370,6 @@ def check_thm5(
     equation is uncoupled in the cooperative part); later species need
     strict margins, and epsilon is half the smallest strict slack.
     """
-    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     n = ds.n_species
     order0 = ds.signs.order
@@ -421,13 +377,13 @@ def check_thm5(
         raise StructureUnsupported("cooperative part is not triangular")
     if n < 2:
         raise StructureUnsupported("triangular certificate needs several species")
-    verdict = Verdict("Inconclusive", theorem="Theorem 5", mode=mode)
+    verdict = Verdict("Inconclusive", theorem="Theorem 5", mode=settings.mode)
     verdict.structure = classify_structure(ds)
-    pairs = [component_eigen(ds, j + 1, tol_eig, max_iter) for j in range(n)]
+    pairs = [component_eigen(ds, j + 1, settings) for j in range(n)]
     lams = [p.value for p in pairs]
     for j, p in enumerate(pairs):
         _record_eigen(verdict, f"j={j + 1}", p)
-    tols, _, diag, col = _margins(ds, lams, tol_cond)
+    tols, _, diag, col = _margins(ds, lams, settings)
     first = order0[0]
     strict = [j for j in order0[1:]]
     s16 = diag.min(axis=1)
@@ -516,11 +472,7 @@ def _thm5_chain(ds, lams, eps, order0, pairs):
 
 
 def check_failure(
-    spec,
-    tol_eig: float = TOL_EIG,
-    tol_cond: float = TOL_COND,
-    max_iter: int = MAX_ITER,
-    diagnostics: list | None = None,
+    spec, settings: Settings = DEFAULT, diagnostics: list | None = None
 ) -> Verdict | None:
     """Refutation scan; emits a verdict only for a verified counterexample.
 
@@ -554,10 +506,10 @@ def check_failure(
             if not (competes[:, j].any() or competes[j, :].any())
         ]
     for j, block in candidates:
-        pair = block_eigen(ds, block, tol_eig, max_iter)
+        pair = block_eigen(ds, block, settings)
         lam = pair.value
         worst = float((lam + ds.m_plus[j, j][ids]).max())
-        if worst >= -tol_cond * (1.0 + abs(lam)):
+        if worst >= -settings.tol_cond * (1.0 + abs(lam)):
             continue
         cex = _counterexample(ds, block, pair, j + 1, which)
         if not cex.verified:
@@ -641,18 +593,9 @@ def _route(signs):
     return None
 
 
-def certify(
-    spec,
-    mode: str = "basic",
-    with_oracle: bool = True,
-    oracle_max_dof: int = oracle_mod.ORACLE_MAX_DOF,
-    tol_eig: float = TOL_EIG,
-    tol_cond: float = TOL_COND,
-    max_iter: int = MAX_ITER,
-) -> Verdict:
+def certify(spec, settings: Settings = DEFAULT) -> Verdict:
     """Full pipeline: gates, classification, refutation scan, certificate
     route, gauge and oracle attachments."""
-    mode = _margin_mode(mode)
     ds = as_discrete(spec)
     ds.check_ellipticity()
     coop = ds.assembled("cooperative")
@@ -665,43 +608,39 @@ def certify(
         )
     structure = classify_structure(ds)
     notes: list = []
-    verdict = check_failure(ds, tol_eig, tol_cond, max_iter, diagnostics=notes)
+    verdict = check_failure(ds, settings, diagnostics=notes)
     if verdict is None:
         route = _route(ds.signs)
         if route is not None:
-            verdict = route(
-                ds, mode, tol_eig=tol_eig, tol_cond=tol_cond, max_iter=max_iter
-            )
+            verdict = route(ds, settings)
         else:
-            verdict = Verdict("Inconclusive", mode=mode)
+            verdict = Verdict("Inconclusive", mode=settings.mode)
             verdict.notes.append(
                 GENERAL if structure.kind == "General" else ACROSS_BLOCKS
             )
-    verdict.mode = mode
+    verdict.mode = settings.mode
     verdict.structure = structure
     verdict.notes.extend(notes)
     sigma, reason = find_gauge(ds)
     verdict.gauge = sigma
     verdict.gauge_reason = reason
-    if with_oracle:
+    if settings.with_oracle:
         asys_full = ds.assembled("full")
-        dof = asys_full.A.shape[0]
-        if dof <= oracle_max_dof:
+        dof, max_dof = asys_full.A.shape[0], settings.oracle_max_dof
+        if dof <= max_dof:
             try:
                 verdict.oracle = oracle_mod.inverse_positivity(
-                    asys_full, max_dof=oracle_max_dof
+                    asys_full, max_dof=max_dof
                 )
             except SingularMatrix:
                 verdict.notes.append("oracle: system matrix is singular")
             if sigma is not None and any(s < 0 for s in sigma):
                 try:
                     verdict.oracle_gauged = oracle_mod.inverse_positivity(
-                        asys_full, gauge=sigma, max_dof=oracle_max_dof
+                        asys_full, gauge=sigma, max_dof=max_dof
                     )
                 except SingularMatrix:
                     verdict.notes.append("oracle: gauged system matrix is singular")
         else:
-            verdict.notes.append(
-                f"oracle skipped: {dof} dof exceeds budget {oracle_max_dof}"
-            )
+            verdict.notes.append(f"oracle skipped: {dof} dof exceeds budget {max_dof}")
     return verdict

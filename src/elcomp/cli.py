@@ -11,10 +11,10 @@ codes: 0 a verdict or report was produced; otherwise the failing error's
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 
@@ -23,33 +23,38 @@ import numpy as np
 from . import __version__
 from . import oracle as oracle_mod
 from .assembly import as_discrete
-from .certify import TOL_COND, certify, check_failure, classify_structure, find_gauge
-from .errors import ElcompError, StructureUnsupported
+from .certify import certify, check_failure, classify_structure, find_gauge
+from .errors import ElcompError, StructureUnsupported, ValidationError
 from .fields import block_from_solution, load_block, save_fields
 from .problems import load_problem
 from .quasilinear import QuasiSpec, check_thm8, linearize
-from .spectral import MAX_ITER, TOL_EIG, component_eigen, cooperative_eigen
+from .settings import DEFAULT, MODES, Settings
+from .spectral import component_eigen, cooperative_eigen
 
 
-def _number(kind, ok, rule):
-    """argparse type: kind(text), a usage error unless ok(value).  It takes
-    kind's name, which argparse quotes for unparsable text ("invalid float
-    value")."""
+def _setting(name, kind):
+    """argparse type of the setting name: kind(text), a usage error with
+    Settings' reason when Settings refuses it ("argument --tol-eig: '0' is
+    not finite and > 0").  It takes kind's name, which argparse quotes for
+    unparsable text ("invalid float value")."""
 
     def parse(text):
         value = kind(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        try:
+            Settings(**{name: value})
+        except ValidationError as err:
+            reason = str(err).removeprefix(f"{name}={value!r} ")
+            raise argparse.ArgumentTypeError(f"{text!r} {reason}") from None
         return value
 
     parse.__name__ = kind.__name__
     return parse
 
 
-# the limits of --tol-eig, --tol-cond and --max-iter, for every command
-_tol_eig = _number(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
-_tol_cond = _number(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
-_max_iter = _number(int, lambda v: v >= 1, ">= 1")
+def _settings(args) -> Settings:
+    """The run settings of the flags a command reads; the rest default."""
+    names = [f.name for f in dataclasses.fields(Settings)]
+    return Settings(**{name: getattr(args, name) for name in names if name in args})
 
 
 @functools.cache
@@ -67,26 +72,32 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("problem", help="problem file")
     common.add_argument("--json", metavar="PATH", help="write a JSON report")
     eigen = group()
-    eigen.add_argument("--tol-eig", type=_tol_eig, default=TOL_EIG)
+    eigen.add_argument(
+        "--tol-eig", type=_setting("tol_eig", float), default=DEFAULT.tol_eig
+    )
     eigen.add_argument(
         "--max-iter",
-        type=_max_iter,
-        default=MAX_ITER,
+        type=_setting("max_iter", int),
+        default=DEFAULT.max_iter,
         help="cap on the LU factorizations of each eigen run (the solves "
         "with a kept factorization are not counted)",
     )
     condition = group()
-    condition.add_argument("--tol-cond", type=_tol_cond, default=TOL_COND)
+    condition.add_argument(
+        "--tol-cond", type=_setting("tol_cond", float), default=DEFAULT.tol_cond
+    )
 
     def oracle_budget(container):
         container.add_argument(
-            "--oracle-max-dof", type=int, default=oracle_mod.ORACLE_MAX_DOF
+            "--oracle-max-dof",
+            type=_setting("oracle_max_dof", int),
+            default=DEFAULT.oracle_max_dof,
         )
 
     oracle = group()
     oracle_budget(oracle)
     mode = group()
-    mode.add_argument("--mode", choices=("basic", "sharp"), default="basic")
+    mode.add_argument("--mode", choices=MODES, default=DEFAULT.mode)
     pair = group()
     pair.add_argument("--sub", required=True, metavar="FILE")
     pair.add_argument("--super", dest="sup", required=True, metavar="FILE")
@@ -104,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command(
         "certify", "run the full certificate pipeline", eigen, condition, oracle, mode
     )
-    sub.add_argument("--no-oracle", action="store_true")
+    sub.add_argument("--no-oracle", dest="with_oracle", action="store_false")
 
     sub = command("eigen", "principal eigenvalue with enclosure", eigen)
     choice = sub.add_mutually_exclusive_group()
@@ -160,15 +171,7 @@ def _quasi_spec(spec, command):
 
 def _cmd_certify(args, spec):
     spec = _linear_spec(spec, "certify")
-    verdict = certify(
-        spec,
-        mode=args.mode,
-        with_oracle=not args.no_oracle,
-        oracle_max_dof=args.oracle_max_dof,
-        tol_eig=args.tol_eig,
-        tol_cond=args.tol_cond,
-        max_iter=args.max_iter,
-    )
+    verdict = certify(spec, _settings(args))
     print(f"verdict: {verdict.kind}")
     if verdict.theorem:
         print(f"theorem: {verdict.theorem}")
@@ -182,10 +185,10 @@ def _cmd_certify(args, spec):
 def _cmd_eigen(args, spec):
     ds = as_discrete(_linear_spec(spec, "eigen"))
     if args.component is not None:
-        pair = component_eigen(ds, args.component, args.tol_eig, args.max_iter)
+        pair = component_eigen(ds, args.component, _settings(args))
         which = f"component {args.component}"
     else:
-        pair = cooperative_eigen(ds, args.tol_eig, args.max_iter)
+        pair = cooperative_eigen(ds, _settings(args))
         which = "cooperative system"
     print(f"lambda ({which}): {pair.value!r}")
     print(f"enclosure: [{pair.cw[0]!r}, {pair.cw[1]!r}]")
@@ -262,9 +265,7 @@ def _cmd_solve(args, spec):
 def _cmd_counterexample(args, spec):
     ds = as_discrete(_linear_spec(spec, "counterexample"))
     notes: list = []
-    verdict = check_failure(
-        ds, args.tol_eig, args.tol_cond, args.max_iter, diagnostics=notes
-    )
+    verdict = check_failure(ds, _settings(args), diagnostics=notes)
     if verdict is None:
         print("no verified failure certificate")
         return {
@@ -328,16 +329,7 @@ def _cmd_linearize(args, spec):
 def _cmd_thm8(args, spec):
     qs = _quasi_spec(spec, "thm8")
     u, v = _load_pair(args, qs)
-    verdict = check_thm8(
-        qs,
-        u,
-        v,
-        mode=args.mode,
-        oracle_max_dof=args.oracle_max_dof,
-        tol_eig=args.tol_eig,
-        tol_cond=args.tol_cond,
-        max_iter=args.max_iter,
-    )
+    verdict = check_thm8(qs, u, v, _settings(args))
     print(f"verdict: {verdict.kind}")
     if verdict.theorem:
         print(f"theorem: {verdict.theorem}")

@@ -124,11 +124,11 @@ from .linalg import (
     permuted_csc,
     row_ids,
 )
+from .settings import ORACLE_MAX_DOF
 
 logger = logging.getLogger(__name__)
 
 TOL_OP = 1e-9
-ORACLE_MAX_DOF = 2500
 BLOCK = 64  # columns of A^{-1} per solve in the streamed scan
 # unknowns per grid line from which a 2D grid takes the slab scan; on
 # narrower lines its per-line Python work outweighs the dense products

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import DiscreteSystem, SystemSpec, _sym_eig_range
-from .certify import Verdict, _margin_mode, certify
+from .certify import Verdict, certify
 from .errors import EvalDomainError, NonEllipticLinearization, ValidationError
 from .expressions import (
     COORDS,
@@ -31,7 +31,7 @@ from .expressions import (
 )
 from .fields import BlockField
 from .mesh import Grid
-from .oracle import ORACLE_MAX_DOF
+from .settings import DEFAULT, Settings
 
 GAUSS_POINTS = 5
 FD_STEP = 1e-6
@@ -298,27 +298,14 @@ def linearize(qs: QuasiSpec, u, v) -> LinearizedSystem:
     return LinearizedSystem(grid, n, B, B0, E, H)
 
 
-def check_thm8(
-    qs: QuasiSpec,
-    u,
-    v,
-    mode: str = "basic",
-    with_oracle: bool = True,
-    oracle_max_dof: int = ORACLE_MAX_DOF,
-    **tols,
-) -> Verdict:
+def check_thm8(qs: QuasiSpec, u, v, settings: Settings = DEFAULT) -> Verdict:
     """Comparison certificate for a pair of fields via the linearization.
 
     Only positive certificates transfer: a failure verdict on the frozen
     linear system says nothing about the quasilinear pair, so it is
     reported as Inconclusive with the linear verdict in the notes.
     """
-    mode = _margin_mode(mode)
-    lin = linearize(qs, u, v)
-    ds = lin.to_discrete()
-    verdict = certify(
-        ds, mode=mode, with_oracle=with_oracle, oracle_max_dof=oracle_max_dof, **tols
-    )
+    verdict = certify(linearize(qs, u, v).to_discrete(), settings)
     if verdict.kind.startswith("Holds"):
         verdict.theorem = f"Theorem 8 (via {verdict.theorem})"
         verdict.notes.append(

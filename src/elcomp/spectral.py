@@ -31,9 +31,7 @@ from .assembly import as_discrete, check_z_matrix
 from .errors import NotIrreducible, NotZMatrix, ValidationError
 from .graphs import csr_strongly_connected
 from .mesh import SubdomainMask
-
-TOL_EIG = 1e-9
-MAX_ITER = 100  # LU factorizations per Noda run; a run needs 0-3
+from .settings import DEFAULT, Settings
 
 
 @dataclass
@@ -82,8 +80,7 @@ def grid_sine(grid, copies: int) -> np.ndarray:
 
 def principal_eigenpair(
     a: sp.spmatrix,
-    tol_eig: float = TOL_EIG,
-    max_iter: int = MAX_ITER,
+    settings: Settings = DEFAULT,
     z_scan: tuple | None = None,
     start: np.ndarray | None = None,
 ) -> EigenPair:
@@ -93,7 +90,7 @@ def principal_eigenpair(
     strictly positive.  z_scan is check_z_matrix(a)'s result when a's
     content has been scanned already; without it, a is scanned here.
     start, a positive candidate eigenvector, is checked before the first
-    LU (linalg.noda_iteration).
+    LU (linalg.noda_iteration).  settings gives tol_eig and max_iter.
     """
     is_z, pos, worst, _ = check_z_matrix(a) if z_scan is None else z_scan
     if not is_z:
@@ -104,12 +101,12 @@ def principal_eigenpair(
         raise NotIrreducible("matrix digraph is not strongly connected")
 
     def width(lam):
-        return tol_eig * (1.0 + abs(lam))
+        return settings.tol_eig * (1.0 + abs(lam))
 
     at = a.T.tocsr()
     symmetric = linalg.same_nonzeros(a, at)
     run = linalg.noda_iteration(
-        a, width, max_iter, left=None if symmetric else at, start=start
+        a, width, settings.max_iter, left=None if symmetric else at, start=start
     )
     x = run.vector
     left = x if symmetric else run.left.vector
@@ -124,19 +121,20 @@ def principal_eigenpair(
 
 
 def _memo_eigenpair(
-    ds, a, tol_eig: float, max_iter: int, z_scan=None, whole_grid: bool = True
+    ds, a, settings: Settings = DEFAULT, z_scan=None, whole_grid: bool = True
 ) -> EigenPair:
     """principal_eigenpair(a), solved once per operator content on ds.
 
     A block on the whole grid (whole_grid) starts from grid_sine; a
     subdomain block takes no start.  The memo lives on the system, so
-    nothing outlives the run; cached vectors are read-only.
+    nothing outlives the run; cached vectors are read-only.  It keys on the
+    two settings a solve reads, so runs that differ in any other share it.
     """
-    key = (linalg.content_key(a), tol_eig, max_iter, whole_grid)
+    key = (linalg.content_key(a), settings.tol_eig, settings.max_iter, whole_grid)
     if key not in ds._eigen_cache:
         n_int = ds.grid.n_interior
         start = grid_sine(ds.grid, a.shape[0] // n_int) if whole_grid else None
-        pair = principal_eigenpair(a, tol_eig, max_iter, z_scan, start)
+        pair = principal_eigenpair(a, settings, z_scan, start)
         pair.right.setflags(write=False)
         pair.left.setflags(write=False)
         ds._eigen_cache[key] = pair
@@ -144,11 +142,7 @@ def _memo_eigenpair(
 
 
 def block_eigen(
-    spec,
-    species,
-    tol_eig: float = TOL_EIG,
-    max_iter: int = MAX_ITER,
-    mask: SubdomainMask | None = None,
+    spec, species, settings: Settings = DEFAULT, mask: SubdomainMask | None = None
 ) -> EigenPair:
     """Principal eigenpair of the cooperative part restricted to a species
     block (0-based species) and a subdomain: a principal submatrix of the
@@ -176,7 +170,7 @@ def block_eigen(
         z_scan = (True, None, 0.0, 0.0) if coop.offdiag_max == 0.0 else None
     try:
         whole_grid = mask is None or bool(mask.inside.all())
-        return _memo_eigenpair(ds, a, tol_eig, max_iter, z_scan, whole_grid)
+        return _memo_eigenpair(ds, a, settings, z_scan, whole_grid)
     except NotZMatrix as err:
         n_int = a.shape[0] // len(species)
         pos = tuple((r // n_int + 1, r % n_int) for r in err.position)
@@ -188,23 +182,16 @@ def block_eigen(
 
 
 def cooperative_eigen(
-    spec,
-    tol_eig: float = TOL_EIG,
-    max_iter: int = MAX_ITER,
-    mask: SubdomainMask | None = None,
+    spec, settings: Settings = DEFAULT, mask: SubdomainMask | None = None
 ) -> EigenPair:
     """Principal eigenpair of the cooperative part L + M_minus."""
     ds = as_discrete(spec)
-    return block_eigen(ds, range(ds.n_species), tol_eig, max_iter, mask)
+    return block_eigen(ds, range(ds.n_species), settings, mask)
 
 
 def component_eigen(
-    spec,
-    j: int,
-    tol_eig: float = TOL_EIG,
-    max_iter: int = MAX_ITER,
-    mask: SubdomainMask | None = None,
+    spec, j: int, settings: Settings = DEFAULT, mask: SubdomainMask | None = None
 ) -> EigenPair:
     """Principal eigenpair of the scalar block L_j + m_jj_minus (j 1-based)."""
     ds = as_discrete(spec)
-    return block_eigen(ds, [_species_index(j, ds.n_species)], tol_eig, max_iter, mask)
+    return block_eigen(ds, [_species_index(j, ds.n_species)], settings, mask)

@@ -18,6 +18,7 @@ from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.oracle import inverse_positivity
 from elcomp.problems import parse_problem
 from elcomp.quasilinear import check_thm8, from_linear_system, linearize
+from elcomp.settings import Settings
 from elcomp.spectral import cooperative_eigen
 
 from helpers import laplace_system, op_of, system_of
@@ -199,8 +200,8 @@ def test_acceptance_8_quasilinear_reduction():
         float(np.abs(ds.m_vals - ds0.m_vals).max()),  # c = 0 here
     )
     assert coeff_err <= 1e-12
-    direct = certify(spec, with_oracle=False)
-    via = check_thm8(qs, zero, zero, with_oracle=False)
+    direct = certify(spec, Settings(with_oracle=False))
+    via = check_thm8(qs, zero, zero, Settings(with_oracle=False))
     assert direct.kind == via.kind == "HoldsThm1"
     # (b) segment-averaged Jacobians match hand integrals on the
     # nonlinear demo: flux = (1 + u^2) p, F1 = u1 u2

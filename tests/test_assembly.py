@@ -525,7 +525,7 @@ def test_certify_assembles_each_stencil_once(name, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(assembly, "_assemble_scalar_values", counting)
-    certify(load_problem(DATA / f"{name}.prob"), with_oracle=True)
+    certify(load_problem(DATA / f"{name}.prob"))
     assert len(calls) == 2
 
 
@@ -551,7 +551,7 @@ def test_certify_assembles_once_per_coupling_mode(name, monkeypatch):
         return build(self, coupling)
 
     monkeypatch.setattr(DiscreteSystem, "assemble", counting)
-    certify(load_problem(DATA / f"{name}.prob"), with_oracle=True)
+    certify(load_problem(DATA / f"{name}.prob"))
     assert sorted(modes) == _ASSEMBLED_MODES[name]
 
 

@@ -5,6 +5,8 @@ Laplacian has smallest eigenvalue 4/h^2 sin^2(h/2), eigenvector sin(x);
 constant couplings shift margins by exactly the coupling size.
 """
 
+import dataclasses
+import inspect
 import math
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from elcomp.mesh import build_grid
 from elcomp.oracle import inverse_positivity
 from elcomp.problems import load_problem
 from elcomp.quasilinear import check_thm8
+from elcomp.settings import DEFAULT, Settings
 
 from helpers import laplace_system, op_of, system_of
 
@@ -138,7 +141,7 @@ def test_thm1_near_zero_inconclusive():
     # c tuned so lambda sits inside the conclusion tolerance
     lam = lap_eig(16)
     spec = laplace_system(grid1(16), c=-lam)
-    v = check_thm1(spec, tol_cond=1e-4)
+    v = check_thm1(spec, Settings(tol_cond=1e-4))
     assert v.kind == "Inconclusive"
     assert any("within tolerance" in note for note in v.notes)
 
@@ -163,7 +166,7 @@ def test_thm3_basic_margins_exact():
 
 def test_thm3_sharp_certifies_where_basic_fails():
     spec = laplace_system(grid1(48, PI), n_species=3, m=RING)
-    v = check_thm3(spec, mode="sharp")
+    v = check_thm3(spec, Settings(mode="sharp"))
     lam = lap_eig(48, PI) - 1.1
     h = PI / 48
     assert v.kind == "HoldsThm3"
@@ -193,7 +196,7 @@ def test_thm3_requires_irreducible_minus():
 def test_thm3_sharp_rejects_when_truly_negative():
     m = [["0", "0.1", "-2.5"], ["-2.5", "0", "0.1"], ["0.1", "-2.5", "0"]]
     spec = laplace_system(grid1(32, PI), n_species=3, m=m)
-    v = check_thm3(spec, mode="sharp")
+    v = check_thm3(spec, Settings(mode="sharp"))
     assert v.kind == "Inconclusive"
     assert v.margins["sharp"] < 0.0
 
@@ -248,7 +251,7 @@ def test_thm4_sharp_outperforms_basic():
     grid = grid1(32, PI)
     spec = laplace_system(grid, c=-1.2, n_species=2, m=[["0", "0.5"], ["0.5", "0"]])
     basic = check_thm4(spec)
-    sharp = check_thm4(spec, mode="sharp")
+    sharp = check_thm4(spec, Settings(mode="sharp"))
     lam = lap_eig(32, PI) - 1.2
     assert lam < 0.0
     assert basic.kind == "Inconclusive"
@@ -486,7 +489,7 @@ def test_certify_routes_cooperative_pair_to_thm1():
 
 def test_certify_routes_ring_to_thm3():
     spec = laplace_system(grid1(32, PI), n_species=3, m=RING)
-    v = certify(spec, mode="sharp")
+    v = certify(spec, Settings(mode="sharp"))
     assert v.theorem == "Theorem 3"
     assert v.mode == "sharp"
 
@@ -529,7 +532,7 @@ def test_certify_factorizes_the_full_operator_once(monkeypatch):
 
     monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
     monkeypatch.setattr(oracle, "_scan_slabs", counting_scan)
-    v = certify(ds, with_oracle=True)
+    v = certify(ds)
     assert v.gauge == (1, -1)
     assert scanned == [0]
     assert factorized == []
@@ -567,20 +570,19 @@ def test_sign_pattern_is_built_once_per_run(name, route, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(certify_mod, reader, spy)
-    certify(load_problem(DATA / f"{name}.prob"), with_oracle=False)
+    certify(load_problem(DATA / f"{name}.prob"), Settings(with_oracle=False))
     assert set(called) == set(readers + ([route] if route else []))
     assert len(built) == 1
 
 
 @pytest.mark.parametrize("mode", ["Sharp", "basic ", "", None])
 def test_unknown_mode_rejected(mode, monkeypatch):
-    """certify, each margin route and Theorem 8 take mode basic or sharp
-    only; any other is an input error, never a silent basic run, and
-    Theorem 8 rejects it before the pair is linearized."""
-    spec = load_problem(DATA / "competitive17.prob")
-    for route in (certify, check_thm1, check_thm3, check_thm4, check_thm5):
-        with pytest.raises(ValidationError, match="unknown mode"):
-            route(spec, mode=mode)
+    """Settings takes mode basic or sharp only; any other is an input error
+    where the settings are built, never a silent basic run.  certify, each
+    margin route and Theorem 8 take no mode of their own, so Theorem 8
+    rejects a bad one before the pair is linearized."""
+    for route in (certify, check_thm1, check_thm3, check_thm4, check_thm5, check_thm8):
+        assert "mode" not in inspect.signature(route).parameters
     qs = load_problem(DATA / "quasilinear_demo.prob")
     sub, sup = (
         load_block(DATA / f"quasilinear_demo_{side}.field", qs.grid, qs.n_species)
@@ -591,8 +593,8 @@ def test_unknown_mode_rejected(mode, monkeypatch):
         raise AssertionError("linearize ran before the mode check")
 
     monkeypatch.setattr(quasilinear, "linearize", refuse)
-    with pytest.raises(ValidationError, match="unknown mode") as info:
-        check_thm8(qs, sub, sup, mode=mode)
+    with pytest.raises(ValidationError, match="mode") as info:
+        check_thm8(qs, sub, sup, Settings(mode=mode))
     assert info.value.exit_code == 2
 
 
@@ -603,7 +605,7 @@ def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):
     monkeypatch.setattr(oracle, "LuFactor", singular)
     # the slab scan's guard trips on a singular A and hands it to the LU scan
     monkeypatch.setattr(oracle, "_scan_slabs", lambda asys: None)
-    v = certify(load_problem(DATA / "competitive17.prob"), with_oracle=True)
+    v = certify(load_problem(DATA / "competitive17.prob"))
     assert v.kind == "HoldsThm4"
     assert v.oracle is None and v.oracle_gauged is None
     assert "oracle: system matrix is singular" in v.notes
@@ -658,7 +660,7 @@ def test_certify_general_structure_inconclusive():
 
 def test_certify_oracle_budget_note():
     spec = laplace_system(grid1(64), n_species=2, m=[["0", "-1"], ["-1", "0"]])
-    v = certify(spec, oracle_max_dof=50)
+    v = certify(spec, Settings(oracle_max_dof=50))
     assert v.oracle is None
     assert any("oracle skipped" in note for note in v.notes)
 
@@ -772,4 +774,37 @@ def test_certify_rejects_bad_settings():
     problem = load_problem(DATA / "competitive17.prob")
     for kwargs in ({"tol_eig": math.inf}, {"tol_eig": math.nan}, {"max_iter": 0}):
         with pytest.raises(ValidationError):
-            certify(problem, with_oracle=False, **kwargs)
+            certify(problem, Settings(with_oracle=False, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol_cond", math.nan),
+        ("tol_cond", -1),
+        ("tol_eig", math.inf),
+        ("tol_eig", 0),
+        ("max_iter", 0),
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("mode", "Sharp"),
+        ("oracle_max_dof", -5),
+    ],
+)
+def test_settings_reject_out_of_range(field, value):
+    """A setting outside its limits is an input error that names it, not a
+    verdict: tol_cond = nan or -1 used to give Inconclusive on competitive17
+    with a note that blamed the diagonal condition, max_iter = 2.5 let
+    check_thm4 decide, and oracle_max_dof = -5 skipped the oracle."""
+    with pytest.raises(ValidationError, match=field) as info:
+        Settings(**{field: value})
+    assert info.value.exit_code == 2
+
+
+def test_settings_are_frozen_keyword_only_and_hashable():
+    assert Settings() == DEFAULT and hash(Settings()) == hash(DEFAULT)
+    assert len({DEFAULT, Settings(mode="sharp"), Settings(mode="sharp")}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DEFAULT.tol_cond = -1.0
+    with pytest.raises(TypeError):
+        Settings("sharp")

@@ -540,6 +540,7 @@ OUT_OF_RANGE = {
     "--tol-eig": ["nan", "inf", "-inf", "0", "-1e-3"],
     "--tol-cond": ["nan", "inf", "-1"],
     "--max-iter": ["0", "-3"],
+    "--oracle-max-dof": ["-5"],
 }
 
 
@@ -547,15 +548,16 @@ OUT_OF_RANGE = {
     "command,flag,value",
     [
         (command, flag, value)
-        for command in ("certify", "eigen", "counterexample", "thm8")
+        for command in ("certify", "eigen", "oracle", "counterexample", "thm8")
         for flag, values in OUT_OF_RANGE.items()
         if flag in READS[command]
         for value in values
     ],
 )
 def test_out_of_range_numbers_are_rejected(command, flag, value, capsys):
-    """A non-finite or out-of-range tolerance or iteration cap is an input
-    error (exit 2) on every command that reads it, never a verdict on it."""
+    """A non-finite or out-of-range tolerance, iteration cap or oracle dof
+    budget is an input error (exit 2) on every command that reads it, never
+    a verdict on it."""
     if command == "thm8":
         demo = [str(DATA / f"quasilinear_demo{part}") for part in
                 (".prob", "_sub.field", "_super.field")]
@@ -570,9 +572,11 @@ def test_out_of_range_numbers_are_rejected(command, flag, value, capsys):
 
 def test_range_limits_are_inclusive_where_stated():
     args = cli.build_parser().parse_args(
-        ["certify", "p", "--tol-cond", "0", "--max-iter", "1", "--tol-eig", "1e-300"]
+        ["certify", "p", "--tol-cond", "0", "--max-iter", "1", "--tol-eig", "1e-300",
+         "--oracle-max-dof", "0"]
     )
-    assert (args.tol_cond, args.max_iter, args.tol_eig) == (0.0, 1, 1e-300)
+    limits = (args.tol_cond, args.max_iter, args.tol_eig, args.oracle_max_dof)
+    assert limits == (0.0, 1, 1e-300, 0)
 
 
 def test_flags_used_by_tests_and_benchmark_parse():

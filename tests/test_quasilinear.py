@@ -21,6 +21,7 @@ from elcomp.quasilinear import (
     from_linear_system,
     linearize,
 )
+from elcomp.settings import Settings
 
 from helpers import laplace_system, op_of, system_of
 
@@ -256,7 +257,7 @@ def test_thm8_inconclusive_linear_system_stays_inconclusive():
     spec = laplace_system(grid, n_species=3, m=m)
     qs = from_linear_system(spec)
     zero = const_fields(grid, [0.0, 0.0, 0.0])
-    v = check_thm8(qs, zero, zero, with_oracle=False)
+    v = check_thm8(qs, zero, zero, Settings(with_oracle=False))
     assert v.kind == "Inconclusive"
     assert v.theorem == "Theorem 8"
 
@@ -268,10 +269,10 @@ def test_thm8_certificate_matches_linear_route():
     spec = laplace_system(grid, n_species=2, m=[["0", "0.5"], ["-0.5", "0"]])
     from elcomp.certify import certify
 
-    direct = certify(spec, with_oracle=False)
+    direct = certify(spec, Settings(with_oracle=False))
     qs = from_linear_system(spec)
     zero = const_fields(grid, [0.0, 0.0])
-    via = check_thm8(qs, zero, zero, with_oracle=False)
+    via = check_thm8(qs, zero, zero, Settings(with_oracle=False))
     assert direct.kind == via.kind == "HoldsThm5"
     for key in direct.lambdas:
         assert via.lambdas[key] == pytest.approx(direct.lambdas[key], abs=1e-8)

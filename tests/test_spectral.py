@@ -14,6 +14,7 @@ from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationE
 from elcomp.linalg import noda_iteration
 from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.problems import load_problem, parse_problem
+from elcomp.settings import MAX_ITER, TOL_EIG, Settings
 from elcomp.spectral import (
     block_eigen,
     component_eigen,
@@ -38,7 +39,7 @@ def lap1d_eig(n, length=1.0):
 
 def test_1d_closed_form_n128():
     grid = build_grid(1, (0.0,), (1.0,), (128,))
-    pair = cooperative_eigen(laplace_system(grid), tol_eig=1e-9)
+    pair = cooperative_eigen(laplace_system(grid), Settings(tol_eig=1e-9))
     exact = lap1d_eig(128)
     assert exact == pytest.approx(9.869108962780114, rel=1e-12)
     assert pair.value == pytest.approx(exact, abs=1e-8)
@@ -62,15 +63,16 @@ def test_eigenvector_matches_sine_profile():
 
 def test_2d_closed_form():
     grid = build_grid(2, 0.0, 1.0, 16)
-    pair = cooperative_eigen(laplace_system(grid), tol_eig=1e-10)
+    pair = cooperative_eigen(laplace_system(grid), Settings(tol_eig=1e-10))
     assert pair.value == pytest.approx(2.0 * lap1d_eig(16), abs=1e-8)
 
 
 def test_shift_equivariance():
     """Adding a constant reaction shifts the eigenvalue by that constant."""
     grid = build_grid(1, (0.0,), (1.0,), (24,))
-    base = cooperative_eigen(laplace_system(grid), tol_eig=1e-10).value
-    shifted = cooperative_eigen(laplace_system(grid, c=-20.0), tol_eig=1e-10).value
+    fine = Settings(tol_eig=1e-10)
+    base = cooperative_eigen(laplace_system(grid), fine).value
+    shifted = cooperative_eigen(laplace_system(grid, c=-20.0), fine).value
     assert shifted == pytest.approx(base - 20.0, abs=1e-8)
     assert shifted < 0.0
 
@@ -81,7 +83,7 @@ def test_coupled_cooperative_pair_splits():
     grid = build_grid(1, (0.0,), (1.0,), (24,))
     q = 1.0
     spec = laplace_system(grid, n_species=2, m=[["0", "-1"], ["-1", "0"]])
-    pair = cooperative_eigen(spec, tol_eig=1e-10)
+    pair = cooperative_eigen(spec, Settings(tol_eig=1e-10))
     assert pair.value == pytest.approx(lap1d_eig(24) - q, abs=1e-8)
 
 
@@ -89,8 +91,8 @@ def test_component_eigen_uses_own_operator():
     grid = build_grid(1, (0.0,), (1.0,), (16,))
     ops = (op_of(1, c=0.0), op_of(1, c=5.0))
     spec = system_of(grid, ops, m=[["0", "-1"], ["-1", "0"]])
-    p1 = component_eigen(spec, 1, tol_eig=1e-10)
-    p2 = component_eigen(spec, 2, tol_eig=1e-10)
+    p1 = component_eigen(spec, 1, Settings(tol_eig=1e-10))
+    p2 = component_eigen(spec, 2, Settings(tol_eig=1e-10))
     assert p1.value == pytest.approx(lap1d_eig(16), abs=1e-8)
     assert p2.value == pytest.approx(lap1d_eig(16) + 5.0, abs=1e-8)
     with pytest.raises(ValidationError):
@@ -100,14 +102,14 @@ def test_component_eigen_uses_own_operator():
 def test_component_ignores_couplings_but_keeps_own_diag_minus():
     grid = build_grid(1, (0.0,), (1.0,), (16,))
     spec = laplace_system(grid, n_species=2, m=[["-2", "-1"], ["-1", "0"]])
-    p1 = component_eigen(spec, 1, tol_eig=1e-10)
+    p1 = component_eigen(spec, 1, Settings(tol_eig=1e-10))
     assert p1.value == pytest.approx(lap1d_eig(16) - 2.0, abs=1e-8)
 
 
 def test_left_eigenvector_is_adjoint_root():
     grid = build_grid(1, (0.0,), (1.0,), (16,))
     spec = laplace_system(grid, n_species=2, m=[["0", "-2"], ["-0.5", "0"]])
-    pair = cooperative_eigen(spec, tol_eig=1e-10)
+    pair = cooperative_eigen(spec, Settings(tol_eig=1e-10))
     asys = laplace_system(grid, n_species=2, m=[["0", "-2"], ["-0.5", "0"]])
     from elcomp.assembly import assemble_system
 
@@ -149,14 +151,14 @@ def test_left_vector_shares_the_right_factorizations(name, monkeypatch):
 
     monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
     tol = 1e-10
-    pair = principal_eigenpair(a, tol_eig=tol)
+    pair = principal_eigenpair(a, Settings(tol_eig=tol))
     assert len(factorized) == pair.iterations > 0
 
     def target(lam):
         return tol * (1.0 + abs(lam))
 
-    right = noda_iteration(a, target, spectral.MAX_ITER)
-    left = noda_iteration(a, target, spectral.MAX_ITER, left=a.T.tocsr()).left
+    right = noda_iteration(a, target, MAX_ITER)
+    left = noda_iteration(a, target, MAX_ITER, left=a.T.tocsr()).left
     # the left iterate adds factorizations only once the right one is done
     assert pair.iterations == max(right.iterations, left.iterations)
     assert pair.solves == right.solves + left.solves
@@ -203,7 +205,7 @@ def test_principal_eigenpair_z_gate():
 def test_small_explicit_matrix():
     # [[2,-1],[-1,2]] has eigenvalues 1 and 3; principal (smallest) is 1
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    pair = principal_eigenpair(a, tol_eig=1e-12)
+    pair = principal_eigenpair(a, Settings(tol_eig=1e-12))
     assert pair.value == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(pair.right / pair.right.max(), [1.0, 1.0], atol=1e-9)
 
@@ -365,7 +367,9 @@ def test_eigen_memo_is_per_system_and_read_only(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(ValueError):
         first.right[0] = 0.0
-    component_eigen(ds, 1, tol_eig=1e-7)  # another tolerance is another solve
+    # the memo keys on the two settings a solve reads, and on nothing else
+    assert component_eigen(ds, 1, Settings(mode="sharp", tol_cond=0.0)) is first
+    component_eigen(ds, 1, Settings(tol_eig=1e-7))  # another tolerance is another solve
     component_eigen(spec.discretize(), 1)  # a new system starts empty
     assert len(calls) == 3
 
@@ -548,7 +552,7 @@ def test_closed_form_runs_close_before_any_lu(name, monkeypatch):
     ratios = (a @ x) / x
     delta = _rounding_bound(a, x)
     assert lo <= float(ratios.min()) - delta and float(ratios.max()) + delta <= hi
-    assert 2.0 * delta <= hi - lo <= spectral.TOL_EIG * (1.0 + abs(pair.value))
+    assert 2.0 * delta <= hi - lo <= TOL_EIG * (1.0 + abs(pair.value))
     if name == "cyclic-3-species":
         assert (a != a.T).nnz > 0
         at_ratios = (a.T @ x) / x
@@ -603,7 +607,7 @@ def test_subdomain_blocks_take_no_start(monkeypatch):
     solve = spectral.principal_eigenpair
 
     def recording(a, *args):
-        starts.append(args[3] if len(args) > 3 else None)
+        starts.append(args[2] if len(args) > 2 else None)
         return solve(a, *args)
 
     monkeypatch.setattr(spectral, "principal_eigenpair", recording)
@@ -628,6 +632,6 @@ def test_start_above_the_target_at_n2048_iterates():
     assert pair.iterations >= 1
     assert pair.cw[0] <= _lap_eig(2048) <= pair.cw[1]
     x = spectral.grid_sine(grid, 1)
-    assert 2.0 * _rounding_bound(a, x) > spectral.TOL_EIG * (1.0 + _lap_eig(2048))
+    assert 2.0 * _rounding_bound(a, x) > TOL_EIG * (1.0 + _lap_eig(2048))
     plain = principal_eigenpair(a)
     assert (pair.value, pair.cw, pair.solves) == (plain.value, plain.cw, plain.solves)
