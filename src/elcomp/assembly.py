@@ -218,6 +218,16 @@ class AssembledSystem:
     n_species: int
     # oracle scans of A^{-1} by content of A and G (oracle.inverse_positivity)
     _oracle_cache: dict = field(default_factory=dict, repr=False)
+    _key: str | None = field(default=None, init=False, repr=False)
+
+    @property
+    def key(self) -> str:
+        """linalg.content_key(A, G), which keys the oracle scan and the eigen
+        memo: taken once while A and G are read-only (DiscreteSystem.assembled),
+        else on every read, so that a changed system gets a new key."""
+        if self._key is None or self.A.data.flags.writeable or self.G.data.flags.writeable:
+            self._key = linalg.content_key(self.A, self.G)
+        return self._key
 
 
 def _assemble_scalar_values(a_vals, b_vals, c_vals, grid: Grid):
@@ -409,6 +419,8 @@ class DiscreteSystem:
     _assembly_cache: dict = field(default_factory=dict, repr=False)
     # eigenpairs by operator content (spectral)
     _eigen_cache: dict = field(default_factory=dict, repr=False)
+    # cooperative blocks and their content keys (spectral.block_eigen)
+    _block_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def m_plus(self) -> np.ndarray:
@@ -443,8 +455,8 @@ class DiscreteSystem:
         boundary nodes never enter A), m_minus drops nothing that A holds,
         so the "cooperative" system is the "full" one, and the same
         AssembledSystem is returned for both.  The stages of a run share
-        it, and with it the oracle scan kept on it, so it must not be
-        modified.
+        it, and with it the oracle scan and the content key kept on it, so
+        its A and G are made read-only.
         """
         mode = _coupling_mode(coupling)
         if mode not in self._assembly_cache:
@@ -452,7 +464,10 @@ class DiscreteSystem:
             if mode == "cooperative" and not (m > 0.0).any():
                 self._assembly_cache[mode] = self.assembled("full")
             else:
-                self._assembly_cache[mode] = self.assemble(mode)
+                asys = self._assembly_cache[mode] = self.assemble(mode)
+                for m in (asys.A, asys.G):
+                    for part in (m.indptr, m.indices, m.data):
+                        part.setflags(write=False)
         return self._assembly_cache[mode]
 
     def block(self, coupling, species, mask: SubdomainMask | None = None):

@@ -27,6 +27,7 @@ from .errors import (
     NotZMatrix,
     SingularMatrix,
     StructureUnsupported,
+    TooLarge,
 )
 from .fields import BlockField, block_from_solution
 from .linalg import inf_norm, lu_solve, shifted
@@ -250,7 +251,7 @@ def check_thm1(spec, settings: Settings = DEFAULT) -> Verdict:
             position=asys.worst_offdiag,
             value=asys.offdiag_max,
         )
-    pair = _memo_eigenpair(ds, asys.A, settings)
+    pair = _memo_eigenpair(ds, asys.A, asys.key, settings)
     lam = pair.value
     tol = settings.tol_cond * (1.0 + abs(lam))
     verdict = Verdict("Inconclusive", theorem="Theorem 1", mode=settings.mode)
@@ -624,23 +625,19 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
     sigma, reason = find_gauge(ds)
     verdict.gauge = sigma
     verdict.gauge_reason = reason
-    if settings.with_oracle:
-        asys_full = ds.assembled("full")
-        dof, max_dof = asys_full.A.shape[0], settings.oracle_max_dof
-        if dof <= max_dof:
-            try:
-                verdict.oracle = oracle_mod.inverse_positivity(
-                    asys_full, max_dof=max_dof
-                )
-            except SingularMatrix:
-                verdict.notes.append("oracle: system matrix is singular")
-            if sigma is not None and any(s < 0 for s in sigma):
-                try:
-                    verdict.oracle_gauged = oracle_mod.inverse_positivity(
-                        asys_full, gauge=sigma, max_dof=max_dof
-                    )
-                except SingularMatrix:
-                    verdict.notes.append("oracle: gauged system matrix is singular")
-        else:
-            verdict.notes.append(f"oracle skipped: {dof} dof exceeds budget {max_dof}")
+    if not settings.with_oracle:
+        return verdict
+    asys = ds.assembled("full")
+    orders = [("oracle", None, "system")]
+    if sigma is not None and any(s < 0 for s in sigma):
+        orders.append(("oracle_gauged", sigma, "gauged system"))
+    for name, gauge, what in orders:
+        try:
+            setattr(verdict, name, oracle_mod.inverse_positivity(asys, gauge, settings))
+        except SingularMatrix:
+            verdict.notes.append(f"oracle: {what} matrix is singular")
+        except TooLarge:
+            dof, budget = asys.A.shape[0], settings.oracle_max_dof
+            verdict.notes.append(f"oracle skipped: {dof} dof exceeds budget {budget}")
+            break
     return verdict

@@ -221,9 +221,7 @@ def _cmd_oracle(args, spec):
             asys, args.probe, seed=args.seed or 0, gauge=sigma
         )
     else:
-        report = oracle_mod.inverse_positivity(
-            asys, gauge=sigma, max_dof=args.oracle_max_dof
-        )
+        report = oracle_mod.inverse_positivity(asys, gauge=sigma, settings=_settings(args))
     print(f"inverse_positive: {report.inverse_positive}")
     if report.min_entry is not None:
         print(f"min entry: {report.min_entry!r} at {report.witness}")

@@ -28,6 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimMismatch, NoConvergence, SingularMatrix, TooLarge, ValidationError
+from .settings import DEFAULT, Settings
 
 # LuFactor.solve: A is singular when |A| max|x| > max|b| / SINGULAR_RTOL
 SINGULAR_RTOL = 1e-14
@@ -351,13 +352,13 @@ def lu_solve(a: sp.spmatrix, b: np.ndarray, order=None) -> np.ndarray:
     return LuFactor(a, order).solve(b)
 
 
-def dense_inverse(a: sp.spmatrix, max_dof: int = 2500) -> np.ndarray:
-    """Full inverse by LU solves against unit vectors; refuses big systems."""
-    n = a.shape[0]
-    if n > max_dof:
-        raise TooLarge(f"dense inverse of {n} dof exceeds budget {max_dof}")
-    lu = LuFactor(a)
-    return lu.solve(np.eye(n))
+def dense_inverse(a: sp.spmatrix, settings: Settings = DEFAULT) -> np.ndarray:
+    """Full inverse by LU solves against unit vectors; TooLarge above
+    settings.oracle_max_dof unknowns."""
+    n, budget = a.shape[0], settings.oracle_max_dof
+    if n > budget:
+        raise TooLarge(f"dense inverse of {n} dof exceeds budget {budget}")
+    return LuFactor(a).solve(np.eye(n))
 
 
 @dataclass
@@ -378,8 +379,8 @@ class _NodaIterate:
     """One Noda iterate x of b (A, or A^T for the left vector) with its
     Collatz-Wielandt enclosure [lo, hi] and the widths it went through."""
 
-    def __init__(self, b: sp.csr_matrix, transposed: bool):
-        self.b, self.transposed = b, transposed
+    def __init__(self, b: sp.csr_matrix, transposed: bool, tol_eig: float):
+        self.b, self.transposed, self.tol_eig = b, transposed, tol_eig
         self.abs_b = None  # |b|, built when the rounding level is first needed
         self.nnz = int(b.getnnz(axis=1).max(initial=0))  # largest row nnz
         self.rounding = np.finfo(float).eps * max(self.nnz, 1)
@@ -389,7 +390,11 @@ class _NodaIterate:
         self.solves = 0
         self.result = None
 
-    def closed_at(self, start: np.ndarray, width_target) -> NodaResult | None:
+    def target(self, lam: float) -> float:
+        """The enclosure width at which the iterate closes near lam."""
+        return self.tol_eig * (1.0 + abs(lam))
+
+    def closed_at(self, start: np.ndarray) -> NodaResult | None:
         """The iterate's result at start, with no factorization and no
         solve, when the ratios (b x)/x of x = start, widened by their
         rounding bound delta, meet the width target; else None.
@@ -409,11 +414,11 @@ class _NodaIterate:
         lo = float(np.nextafter(float(ratios.min()) - delta, -np.inf))
         hi = float(np.nextafter(float(ratios.max()) + delta, np.inf))
         lam = min(max(float(start @ bx) / float(start @ start), lo), hi)
-        if not hi - lo <= width_target(lam):  # a NaN width fails too
+        if not hi - lo <= self.target(lam):  # a NaN width fails too
             return None
         return NodaResult(lam, start, (lo, hi), 0, 0)
 
-    def enclose(self, width_target, factorizations: int) -> bool:
+    def enclose(self, factorizations: int) -> bool:
         """Intersect the ratios (b x)/x into [lo, hi]; True while still open.
         A closed iterate's result counts the run's factorizations so far
         and its own solves."""
@@ -423,7 +428,7 @@ class _NodaIterate:
         self.hi = min(self.hi, float(ratios.max()))
         self.lam = min(max(float(self.x @ bx) / float(self.x @ self.x), self.lo), self.hi)
         width = self.hi - self.lo
-        if width <= width_target(self.lam):
+        if width <= self.target(self.lam):
             self.result = NodaResult(
                 self.lam, self.x, (self.lo, self.hi), factorizations, self.solves
             )
@@ -460,8 +465,7 @@ class _NodaIterate:
 
 def noda_iteration(
     a: sp.spmatrix,
-    width_target,
-    max_iter: int,
+    settings: Settings,
     left: sp.csr_matrix | None = None,
     start: np.ndarray | None = None,
 ) -> NodaResult:
@@ -483,10 +487,10 @@ def noda_iteration(
     contracts like (lambda - mu) / (lambda_2 - mu), a ratio of eigenvalue
     gaps that does not grow with the mesh, so the factorization count does
     not either.  iterations counts the LU factorizations and is capped by
-    max_iter; solves counts the solves with them.  The solves stay bounded
-    too: each solve on a kept LU follows one that halved the lead's width,
-    widths never grow, and an iterate is open only above the target, so
-    beyond one step per factorization there are at most
+    settings.max_iter; solves counts the solves with them.  The solves stay
+    bounded too: each solve on a kept LU follows one that halved the lead's
+    width, widths never grow, and an iterate is open only above the target,
+    so beyond one step per factorization there are at most
     log2(first width / target) such steps per leading iterate.
 
     Noda's own shift mu = lo often reaches lambda to the last bits one step
@@ -527,27 +531,17 @@ def noda_iteration(
     enclosures are not, since the widening alone would keep the n = 2048
     1D Laplacian above its target.
 
-    width_target(lam_estimate) -> admissible enclosure width, finite and
-    >= 0; max_iter >= 1.  Either outside its range is a ValidationError.
+    The width target is settings.tol_eig (1 + |lambda estimate|), as Settings documents.
     """
     if a.shape[0] != a.shape[1]:
         raise DimMismatch(f"Noda iteration needs a square matrix, got {a.shape}")
-    if not max_iter >= 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
-
-    def target(lam: float) -> float:
-        width = width_target(lam)
-        if not 0.0 <= width < np.inf:
-            raise ValidationError(f"width target {width!r} at {lam!r} is not finite and >= 0")
-        return width
-
-    iterates = [_NodaIterate(a, False)]
+    iterates = [_NodaIterate(a, False, settings.tol_eig)]
     if left is not None:
-        iterates.append(_NodaIterate(left, True))
+        iterates.append(_NodaIterate(left, True, settings.tol_eig))
     if start is not None:
         closed = []
         for it in iterates:
-            closed.append(it.closed_at(start, target))
+            closed.append(it.closed_at(start))
             if closed[-1] is None:
                 break
         else:
@@ -560,7 +554,7 @@ def noda_iteration(
         active = [
             it
             for it in iterates
-            if it.result is None and it.enclose(target, factorizations)
+            if it.result is None and it.enclose(factorizations)
         ]
         if not active:
             right = iterates[0].result
@@ -569,8 +563,8 @@ def noda_iteration(
             return right
         lead = active[0]
         refactor = lu is None or not lead.halved()
-        if refactor and factorizations >= max_iter:
-            raise lead.fail(f"after {max_iter} factorizations", factorizations)
+        if refactor and factorizations >= settings.max_iter:
+            raise lead.fail(f"after {settings.max_iter} factorizations", factorizations)
         for it in active:
             floor = it.stalled()
             if floor is not None:
@@ -578,7 +572,7 @@ def noda_iteration(
         if refactor:
             lu = None  # so that the next shift's factorization does not hold two
             factorizations += 1
-            mu = lead.lo - target(lead.lam)
+            mu = lead.lo - lead.target(lead.lam)
             try:
                 lu = LuFactor(shifted(csc, mu))
             except SingularMatrix:

@@ -117,14 +117,13 @@ from .linalg import (
     SINGULAR_RTOL,
     LuFactor,
     canonical,
-    content_key,
     inf_norm,
     lu_order,
     lu_solve,
     permuted_csc,
     row_ids,
 )
-from .settings import ORACLE_MAX_DOF
+from .settings import DEFAULT, Settings
 
 logger = logging.getLogger(__name__)
 
@@ -763,22 +762,22 @@ class _Extremes:
 def inverse_positivity(
     asys: AssembledSystem,
     gauge=None,
-    max_dof: int = ORACLE_MAX_DOF,
+    settings: Settings = DEFAULT,
 ) -> OracleReport:
     """Decide inverse-positivity of (D A D) from the streamed scan of A^{-1}.
 
     With a gauge sigma, D flips the sign of whole species blocks, realizing
     the cone order that turns constant-sign competitive coupling cooperative.
-    The scan is kept on asys by the content of A and G, so all gauges share
-    one factorization and one pass over A^{-1}.  The witness is the first
-    minimal entry in row-major order.
+    The scan is kept on asys by the content of A and G (asys.key), so all
+    gauges share one factorization and one pass over A^{-1}.  The witness is
+    the first minimal entry in row-major order.  Above settings.oracle_max_dof
+    unknowns a system is TooLarge, and is not scanned.
     """
     dof, ns = asys.A.shape[0], asys.n_species
     sigma, signs = _signs(asys, gauge)
-    if dof > max_dof:
-        raise TooLarge(f"dense inverse of {dof} dof exceeds budget {max_dof}")
-    key = content_key(asys.A, asys.G)
-    if key not in asys._oracle_cache:
+    if dof > settings.oracle_max_dof:
+        raise TooLarge(f"dense inverse of {dof} dof exceeds budget {settings.oracle_max_dof}")
+    if asys.key not in asys._oracle_cache:
         grid = asys.grid
         width = ns * (min(grid.n) - 1)  # unknowns per line on a 2D grid
         wide = grid.dim == 2 and width >= SLAB_MIN_WIDTH
@@ -787,8 +786,8 @@ def inverse_positivity(
                 "lines hold %d unknowns, below SLAB_MIN_WIDTH %d", width, SLAB_MIN_WIDTH
             )
         scan = _scan_slabs(asys) if wide else None
-        asys._oracle_cache[key] = scan if scan is not None else _scan_inverse(asys)
-    inv, bnd = asys._oracle_cache[key]
+        asys._oracle_cache[asys.key] = scan if scan is not None else _scan_inverse(asys)
+    inv, bnd = asys._oracle_cache[asys.key]
     pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
     min_entry, witness = min(inv[p] for p in pairs)
     # the unflipped and the flipped minima together hold -max |entry|

@@ -2,8 +2,8 @@
 
 A bad tolerance does not fail a margin check, it decides it: tol_cond = nan
 makes every comparison with tol_cond * (1 + |lambda|) false.  So the limits
-are checked where a Settings is built, and every check, eigen solve and the
-command line read them from there.
+are checked where a Settings is built, and every check, eigen solve, the
+oracle and the command line read them from there.
 """
 
 from __future__ import annotations

@@ -56,13 +56,6 @@ class EigenPair:
     solves: int
 
 
-def _species_index(j: int, n: int) -> int:
-    """1-based species index (as in reports) -> 0-based array index."""
-    if not 1 <= j <= n:
-        raise ValidationError(f"species index {j} outside 1..{n}")
-    return j - 1
-
-
 def grid_sine(grid, copies: int) -> np.ndarray:
     """prod_d sin(pi i_d / n_d) at grid's interior nodes in canonical order,
     scaled to unit max, once per species of a block of copies species.
@@ -100,14 +93,9 @@ def principal_eigenpair(
     if not csr_strongly_connected(a):
         raise NotIrreducible("matrix digraph is not strongly connected")
 
-    def width(lam):
-        return settings.tol_eig * (1.0 + abs(lam))
-
     at = a.T.tocsr()
     symmetric = linalg.same_nonzeros(a, at)
-    run = linalg.noda_iteration(
-        a, width, settings.max_iter, left=None if symmetric else at, start=start
-    )
+    run = linalg.noda_iteration(a, settings, None if symmetric else at, start)
     x = run.vector
     left = x if symmetric else run.left.vector
     solves = run.solves if symmetric else run.solves + run.left.solves
@@ -121,16 +109,17 @@ def principal_eigenpair(
 
 
 def _memo_eigenpair(
-    ds, a, settings: Settings = DEFAULT, z_scan=None, whole_grid: bool = True
+    ds, a, content: str, settings: Settings = DEFAULT, z_scan=None, whole_grid: bool = True
 ) -> EigenPair:
     """principal_eigenpair(a), solved once per operator content on ds.
 
-    A block on the whole grid (whole_grid) starts from grid_sine; a
-    subdomain block takes no start.  The memo lives on the system, so
-    nothing outlives the run; cached vectors are read-only.  It keys on the
-    two settings a solve reads, so runs that differ in any other share it.
+    content is a's content key, kept with the operator (block_eigen).  A
+    block on the whole grid (whole_grid) starts from grid_sine; a subdomain
+    block takes no start.  The memo lives on the system, so nothing outlives
+    the run; cached vectors are read-only.  It keys on the two settings a
+    solve reads, so runs that differ in any other share it.
     """
-    key = (linalg.content_key(a), settings.tol_eig, settings.max_iter, whole_grid)
+    key = (content, settings.tol_eig, settings.max_iter, whole_grid)
     if key not in ds._eigen_cache:
         n_int = ds.grid.n_interior
         start = grid_sine(ds.grid, a.shape[0] // n_int) if whole_grid else None
@@ -151,7 +140,8 @@ def block_eigen(
     The Z gate is principal_eigenpair's one scan; its (row, col) position
     is reported here as ((species, interior_pos), (species, interior_pos)).
     Every species on the whole domain is the cooperative operator itself,
-    which assemble has scanned: its result is passed on, not taken again.
+    which assemble has scanned, with its own content key: both are passed
+    on, not taken again.  Any other block is built and hashed once, and kept.
     A cooperative operator with no positive off-diagonal entry has none in
     any principal submatrix either, so its blocks are passed on as Z
     unscanned.  A block on the whole grid, with no mask or one that keeps
@@ -159,18 +149,22 @@ def block_eigen(
     """
     ds = as_discrete(spec)
     coop = ds.assembled("cooperative")
+    mask = None if mask is None or mask.inside.all() else mask
     if mask is None and list(species) == list(range(ds.n_species)):
-        a, pos = coop.A, coop.worst_offdiag
+        a, content, pos = coop.A, coop.key, coop.worst_offdiag
         if pos is not None:  # back to (row, col) of A
             pos = tuple((k - 1) * ds.grid.n_interior + i for k, i in pos)
         # offdiag_max is the worst entry whenever A is not Z
         z_scan = (coop.z_matrix, pos, coop.offdiag_max, coop.offdiag_max)
     else:
-        a = ds.block("cooperative", species, mask)
+        where = (tuple(species), None if mask is None else mask.inside.tobytes())
+        if where not in ds._block_cache:
+            a = ds.block("cooperative", species, mask)
+            ds._block_cache[where] = a, linalg.content_key(a)
+        a, content = ds._block_cache[where]
         z_scan = (True, None, 0.0, 0.0) if coop.offdiag_max == 0.0 else None
     try:
-        whole_grid = mask is None or bool(mask.inside.all())
-        return _memo_eigenpair(ds, a, settings, z_scan, whole_grid)
+        return _memo_eigenpair(ds, a, content, settings, z_scan, mask is None)
     except NotZMatrix as err:
         n_int = a.shape[0] // len(species)
         pos = tuple((r // n_int + 1, r % n_int) for r in err.position)
@@ -194,4 +188,6 @@ def component_eigen(
 ) -> EigenPair:
     """Principal eigenpair of the scalar block L_j + m_jj_minus (j 1-based)."""
     ds = as_discrete(spec)
-    return block_eigen(ds, [_species_index(j, ds.n_species)], settings, mask)
+    if not 1 <= j <= ds.n_species:
+        raise ValidationError(f"species index {j} outside 1..{ds.n_species}")
+    return block_eigen(ds, [j - 1], settings, mask)

@@ -40,6 +40,7 @@ from elcomp.linalg import (
     shifted,
 )
 from elcomp.problems import parse_problem
+from elcomp.settings import Settings
 
 from helpers import convection_pair_text, power_iteration, system_text
 
@@ -285,7 +286,7 @@ def test_one_copy_of_the_operator_per_factorization(monkeypatch):
         for part in ("indptr", "indices", "data"):
             assert getattr(m1, part).tobytes() == getattr(m2, part).tobytes()
     handed.clear()
-    noda_iteration(a, lambda lam: 1e-10 * (1.0 + abs(lam)), 20, left=at)
+    noda_iteration(a, Settings(tol_eig=1e-10, max_iter=20), left=at)
     assert handed and all(m.format == "csc" for m in handed)
 
 
@@ -324,7 +325,7 @@ def test_no_factorization_reads_l_or_u(monkeypatch):
     z = a.copy()
     off = z.indices != row_ids(z)
     z.data[off] = -np.abs(z.data[off])
-    run = noda_iteration(z, lambda lam: 1e-9 * (1.0 + abs(lam)), 20, left=z.T.tocsr())
+    run = noda_iteration(z, Settings(tol_eig=1e-9, max_iter=20), left=z.T.tocsr())
     assert run.left is not None and run.left.vector.min() > 0.0
     oracle.inverse_positivity(asys)
     oracle.random_probe(asys, trials=3)
@@ -377,7 +378,7 @@ def test_noda_reports_a_singular_solve(monkeypatch):
     monkeypatch.setattr(LuFactor, "solve", singular)
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
     with pytest.raises(NoConvergence, match="singular shift") as info:
-        noda_iteration(a, lambda lam: 1e-12 * (1.0 + abs(lam)), max_iter=20)
+        noda_iteration(a, Settings(tol_eig=1e-12, max_iter=20))
     assert info.value.iterations == 1
 
 
@@ -392,7 +393,7 @@ def test_dense_inverse_and_budget():
     inv = dense_inverse(sp.csr_matrix(d))
     assert np.allclose(inv, np.linalg.inv(d), atol=1e-14)
     with pytest.raises(TooLarge):
-        dense_inverse(sp.identity(10, format="csr"), max_dof=5)
+        dense_inverse(sp.identity(10, format="csr"), Settings(oracle_max_dof=5))
 
 
 def test_power_iteration_known_root():
@@ -460,7 +461,7 @@ def test_enclosure_brackets_true_perron_root(d):
 def test_noda_iteration_known_eigenpair():
     # [[2,-1],[-1,3]] has principal eigenvalue (5 - sqrt 5) / 2
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
-    res = noda_iteration(a, lambda lam: 1e-12 * (1.0 + abs(lam)), max_iter=20)
+    res = noda_iteration(a, Settings(tol_eig=1e-12, max_iter=20))
     exact = (5.0 - np.sqrt(5.0)) / 2.0
     assert res.rho == pytest.approx(exact, abs=1e-11)
     lo, hi = res.cw
@@ -471,25 +472,25 @@ def test_noda_iteration_known_eigenpair():
 
 def test_noda_iteration_guards():
     with pytest.raises(DimMismatch):
-        noda_iteration(sp.csr_matrix((2, 3)), lambda lam: 1e-9, max_iter=10)
+        noda_iteration(sp.csr_matrix((2, 3)), Settings(tol_eig=1e-9, max_iter=10))
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-3.0, 2.0]]))
+    # the smallest positive tol_eig: no enclosure of a nonzero width meets it
     with pytest.raises(NoConvergence) as info:
-        noda_iteration(a, lambda lam: 0.0, max_iter=1)
+        noda_iteration(a, Settings(tol_eig=math.ulp(0.0), max_iter=1))
     assert info.value.iterations == 1
     assert info.value.width > 0.0
 
 
 @pytest.mark.parametrize(
-    "max_iter, target",
+    "max_iter, tol_eig",
     [(0, 1e-9), (-1, 1e-9), (10, math.inf), (10, math.nan), (10, -1e-9)],
 )
-def test_noda_iteration_rejects_bad_settings(max_iter, target):
+def test_noda_iteration_rejects_bad_settings(max_iter, tol_eig):
     """max_iter below 1, or a width target that is not finite or is
-    negative, is a ValidationError before any LU, with or without a start."""
-    a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
-    for start in (None, np.ones(2)):
-        with pytest.raises(ValidationError):
-            noda_iteration(a, lambda lam: target * (1.0 + abs(lam)), max_iter, start=start)
+    negative, cannot reach a run: Settings refuses it, naming the field."""
+    field = "max_iter" if max_iter < 1 else "tol_eig"
+    with pytest.raises(ValidationError, match=field):
+        Settings(tol_eig=tol_eig, max_iter=max_iter)
 
 
 def test_noda_start_closes_only_when_every_iterate_does():
@@ -499,14 +500,11 @@ def test_noda_start_closes_only_when_every_iterate_does():
     transpose has constant column sums, so only its left iterate closes.
     With both closed, the run returns the start and no LU."""
     a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [0.0, 2.0, -1.0], [-0.5, -0.5, 2.0]]))
-
-    def target(lam):
-        return 1e-10 * (1.0 + abs(lam))
-
+    run = Settings(tol_eig=1e-10, max_iter=20)
     ones = np.ones(3)
     for b in (a, a.T.tocsr()):
-        plain = noda_iteration(b, target, 20, left=b.T.tocsr())
-        started = noda_iteration(b, target, 20, left=b.T.tocsr(), start=ones)
+        plain = noda_iteration(b, run, left=b.T.tocsr())
+        started = noda_iteration(b, run, left=b.T.tocsr(), start=ones)
         assert plain.iterations >= 1
         assert (started.rho, started.cw, started.iterations, started.solves) == (
             plain.rho,
@@ -516,7 +514,7 @@ def test_noda_start_closes_only_when_every_iterate_does():
         )
         assert np.array_equal(started.vector, plain.vector)
         assert started.left.cw == plain.left.cw
-    right = noda_iteration(a, target, 20, start=ones)
+    right = noda_iteration(a, run, start=ones)
     assert (right.iterations, right.solves, right.left) == (0, 0, None)
     assert right.vector is ones and right.cw[0] <= 1.0 <= right.cw[1]
     assert right.cw[1] - right.cw[0] > 0.0
@@ -536,7 +534,7 @@ def test_noda_agrees_with_power_reference(off, diag):
     ref = power_iteration(sp.csr_matrix(s * np.eye(5) - a), tol=tol)
     lam_ref = s - ref.rho
     ref_lo, ref_hi = s - ref.cw[1], s - ref.cw[0]
-    res = noda_iteration(sp.csr_matrix(a), lambda lam: tol * (1.0 + abs(lam)), 50)
+    res = noda_iteration(sp.csr_matrix(a), Settings(tol_eig=tol, max_iter=50))
     # each value is within its own target width of the true root, which lies
     # in the other enclosure
     pad = tol * (1.0 + abs(res.rho))
@@ -555,12 +553,13 @@ def test_noda_left_iterate_leaves_the_right_run_alone(off, diag):
     right run's factorizations, encloses the same eigenvalue on A^T, and the
     right run is bitwise the one without it."""
     a = sp.csr_matrix(np.diag(diag) - off * (1.0 - np.eye(5)))
+    run = Settings(tol_eig=1e-8, max_iter=50)
 
     def target(lam):
-        return 1e-8 * (1.0 + abs(lam))
+        return run.tol_eig * (1.0 + abs(lam))
 
-    both = noda_iteration(a, target, 50, left=a.T.tocsr())
-    alone = noda_iteration(a, target, 50)
+    both = noda_iteration(a, run, left=a.T.tocsr())
+    alone = noda_iteration(a, run)
     assert both.cw == alone.cw and both.rho == alone.rho
     assert np.array_equal(both.vector, alone.vector)
     left = both.left
@@ -616,12 +615,13 @@ def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
     d = np.diag(diag) - off * (1.0 - np.eye(5))
     a = sp.csr_matrix(d)
     at = a.T.tocsr()
+    run = Settings(tol_eig=1e-8, max_iter=50)
 
     def target(lam):
-        return 1e-8 * (1.0 + abs(lam))
+        return run.tol_eig * (1.0 + abs(lam))
 
     with recorded_solves() as log:
-        alone = noda_iteration(a, target, 50)
+        alone = noda_iteration(a, run)
     serials = [s for s, _, _ in log]
     assert alone.solves == len(log) and alone.iterations == len(set(serials))
     kept = sum(s == prev for s, prev in zip(serials[1:], serials))
@@ -631,7 +631,7 @@ def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
         assert kept <= math.log2(widths[0] / widths[-1])
 
     with recorded_solves() as log:
-        both = noda_iteration(a, target, 50, left=at)
+        both = noda_iteration(a, run, left=at)
     left = both.left
     assert both.cw == alone.cw and both.rho == alone.rho
     assert np.array_equal(both.vector, alone.vector) and both.solves == alone.solves

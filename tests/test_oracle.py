@@ -1,5 +1,6 @@
 """Inverse-positivity ground truth on small assembled systems."""
 
+import inspect
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -27,6 +28,7 @@ from elcomp.oracle import (
     random_probe,
     solve_system,
 )
+from elcomp.settings import Settings
 from elcomp.expressions import parse_expr
 from elcomp.problems import load_problem, parse_problem
 
@@ -94,7 +96,24 @@ def test_dof_budget_enforced():
     grid = build_grid(1, (0.0,), (1.0,), (64,))
     asys = assemble_system(laplace_system(grid))
     with pytest.raises(TooLarge):
-        inverse_positivity(asys, max_dof=32)
+        inverse_positivity(asys, settings=Settings(oracle_max_dof=32))
+
+
+def test_negative_budget_cannot_reach_the_oracle():
+    """The dof budget comes only from Settings, which refuses one below 0,
+    so no budget verdict is given on an invalid budget."""
+    grid = build_grid(1, (0.0,), (1.0,), (16,))
+    asys = assemble_system(laplace_system(grid))
+    for routine in (inverse_positivity, dense_inverse):
+        assert "max_dof" not in inspect.signature(routine).parameters
+    with pytest.raises(ValidationError, match="oracle_max_dof"):
+        inverse_positivity(asys, settings=Settings(oracle_max_dof=-5))
+    with pytest.raises(ValidationError, match="oracle_max_dof"):
+        dense_inverse(asys.A, Settings(oracle_max_dof=-5))
+    # a budget of exactly the dof runs
+    budget = Settings(oracle_max_dof=asys.A.shape[0])
+    assert inverse_positivity(asys, settings=budget).inverse_positive
+    assert dense_inverse(asys.A, budget).min() > 0.0
 
 
 @st.composite
@@ -239,7 +258,7 @@ def _gauged_dense(asys, gauge):
     signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
     d = sp.diags(np.repeat(signs, asys.grid.n_interior))
     d_bnd = sp.diags(np.repeat(signs, asys.grid.n_boundary))
-    inv = dense_inverse((d @ asys.A @ d).tocsr(), max_dof=10**6)
+    inv = dense_inverse((d @ asys.A @ d).tocsr(), Settings(oracle_max_dof=10**6))
     if not asys.G.nnz:
         return inv, None
     return inv, -(inv @ (d @ asys.G @ d_bnd).toarray())
@@ -283,7 +302,7 @@ ROUNDING = 16
 def _rounding_bounds(asys):
     """(bound on an entry of A^{-1}, bound on an entry of A^{-1} G): the
     second adds up the first over G's largest column, |G|_1."""
-    inv = dense_inverse(asys.A, max_dof=10**6)
+    inv = dense_inverse(asys.A, Settings(oracle_max_dof=10**6))
     kappa = inf_norm(asys.A) * float(np.abs(inv).sum(axis=1).max())
     bound = ROUNDING * np.finfo(float).eps / 2 * kappa * float(np.abs(inv).max())
     return bound, bound * inf_norm(asys.G.T)
@@ -438,7 +457,7 @@ def test_slab_scan_matches_dense_inverse(case):
     sign; the symmetric 5-point ones mirror the lower half of A^{-1}."""
     (cross, symmetric), (asys, _) = case
     try:
-        inv = dense_inverse(asys.A, max_dof=10**6)
+        inv = dense_inverse(asys.A, Settings(oracle_max_dof=10**6))
     except SingularMatrix:
         return
     if symmetric and not cross:

@@ -154,11 +154,9 @@ def test_left_vector_shares_the_right_factorizations(name, monkeypatch):
     pair = principal_eigenpair(a, Settings(tol_eig=tol))
     assert len(factorized) == pair.iterations > 0
 
-    def target(lam):
-        return tol * (1.0 + abs(lam))
-
-    right = noda_iteration(a, target, MAX_ITER)
-    left = noda_iteration(a, target, MAX_ITER, left=a.T.tocsr()).left
+    run = Settings(tol_eig=tol, max_iter=MAX_ITER)
+    right = noda_iteration(a, run)
+    left = noda_iteration(a, run, left=a.T.tocsr()).left
     # the left iterate adds factorizations only once the right one is done
     assert pair.iterations == max(right.iterations, left.iterations)
     assert pair.solves == right.solves + left.solves
@@ -166,7 +164,7 @@ def test_left_vector_shares_the_right_factorizations(name, monkeypatch):
     assert pair.cw == right.cw and np.array_equal(pair.right, right.vector)
     quotient = float(pair.left @ (a @ pair.right)) / float(pair.left @ pair.right)
     assert pair.value == min(max(quotient, pair.cw[0]), pair.cw[1])
-    width = target(pair.value)
+    width = tol * (1.0 + abs(pair.value))
     ratios = (a.T @ pair.left) / pair.left
     assert pair.left.min() > 0.0 and pair.left.max() == 1.0
     assert ratios.max() - ratios.min() <= width
@@ -389,6 +387,27 @@ def test_certify_scans_each_operator_content_once(monkeypatch):
     v = certify(load_problem(DATA / "lap1d.prob"))
     assert v.kind.startswith("Holds")
     assert len(scans) == len(set(scans)) == 1
+
+
+@pytest.mark.parametrize("name, keys", [("cooperative_pair", 1), ("competitive17", 3)])
+def test_certify_hashes_each_operator_once(monkeypatch, name, keys):
+    """A certify run hashes each operator it solves or scans once.
+    cooperative_pair's eigen solves and its oracle all read the key of its
+    one assembled system.  competitive17 hashes its two species blocks,
+    equal in content and so solved once, and its full system, whose key
+    the plain and the gauged oracle share."""
+    hashed = []
+    content_key = linalg.content_key
+
+    def counting(*mats):
+        hashed.append(tuple(id(a) for a in mats))
+        return content_key(*mats)
+
+    monkeypatch.setattr(linalg, "content_key", counting)
+    v = certify(load_problem(DATA / f"{name}.prob"))
+    assert v.oracle is not None
+    assert (v.oracle_gauged is not None) == (name == "competitive17")
+    assert len(hashed) == len(set(hashed)) == keys
 
 
 def test_block_eigen_scans_each_block_once(monkeypatch):
