@@ -419,7 +419,7 @@ class DiscreteSystem:
     _assembly_cache: dict = field(default_factory=dict, repr=False)
     # eigenpairs by operator content (spectral)
     _eigen_cache: dict = field(default_factory=dict, repr=False)
-    # cooperative blocks and their content keys (spectral.block_eigen)
+    # cooperative blocks and their content keys (cooperative_block)
     _block_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -482,6 +482,18 @@ class DiscreteSystem:
         nodes = np.arange(n_int) if mask is None else np.flatnonzero(mask.inside)
         ix = (np.asarray(species, dtype=np.int64)[:, None] * n_int + nodes).ravel()
         return linalg.principal_submatrix(self.assembled(coupling).A, ix)
+
+    def cooperative_block(self, species, mask: SubdomainMask | None = None):
+        """(block("cooperative", species, mask), its content key), built and
+        hashed once and kept read-only: the eigen solves and Theorem 5's
+        chain read the one copy."""
+        where = (tuple(species), None if mask is None else mask.inside.tobytes())
+        if where not in self._block_cache:
+            a = self.block("cooperative", species, mask)
+            for part in (a.indptr, a.indices, a.data):
+                part.setflags(write=False)
+            self._block_cache[where] = a, linalg.content_key(a)
+        return self._block_cache[where]
 
     def assemble(self, coupling="full") -> AssembledSystem:
         """A and G of the coupled system, each built as one CSR from the

@@ -458,11 +458,10 @@ def _thm5_chain(ds, lams, eps, order0, pairs):
             wt[j] = pairs[j].right
             fallback = True
             continue
-        # a CSC block makes shifted's copy the one LuFactor hands to SuperLU,
-        # and the only one alive while it factorizes
-        w = lu_solve(
-            shifted(ds.block("cooperative", [j]).tocsc(), lams[j] - eps), rhs
-        )
+        # the block component_eigen kept; a CSC copy of it makes shifted's
+        # copy the one LuFactor hands to SuperLU
+        a, _ = ds.cooperative_block([j])
+        w = lu_solve(shifted(a.tocsc(), lams[j] - eps), rhs)
         if float(w.min()) <= 0.0:
             return None
         wt[j] = w

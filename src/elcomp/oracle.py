@@ -14,12 +14,14 @@ whose lines hold SLAB_MIN_WIDTH unknowns or more takes the slab scan; a 1D
 grid, a narrower 2D one, and a 2D grid whose guard trips, the LU scan.
 
 The LU scan (_scan_inverse) factorizes A once with SuperLU and solves
-against the identity BLOCK columns at a time.  Each block's share of
-A^{-1} G is taken from G's CSR arrays and folded into the columns of
-A^{-1} G whose rows are still being solved, with array operations and no
-sparse matrix per block.  Memory is the LU factors, one n x BLOCK block,
-and those open columns: O(n * BLOCK + n * n_boundary) at most.  1D grids
-keep it: one line of a 1D grid is a dense inverse, and lines of one node
+against the identity, then against -G, BLOCK columns at a time.  The
+right-hand sides are scattered from CSC arrays, the identity's and those
+of one copy of G, with no sparse matrix per block, and each solved block
+is reduced to its extremes and dropped.  Memory is the LU factors and one n x BLOCK block: O(n * BLOCK).
+A column of -A^{-1} G solved against -G is as backward stable as one of
+A^{-1} solved against the identity (N. J. Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 14).  1D grids keep the
+LU scan: one line of a 1D grid is a dense inverse, and lines of one node
 make the recursion scalar work.  So do 2D grids with narrow lines: the
 slab scan makes about lines^2 / 2 small products and folds each line's row
 in Python, and below about 12 unknowns per line that costs more than the
@@ -81,9 +83,9 @@ unit roundoff), so the rows of A^{-1} carry at most phi = kappa (1 + |L||U|
 against TOL_OP, which leaves log10(TOL_OP / u) = 6.6 decimal digits above
 the rounding; phi may take half of them, so the scan is used only while
 phi <= SLAB_PHI_MAX = sqrt(TOL_OP / u) = 3.0e3, and kappa(A), which the LU
-scan pays too, keeps the other half.  A singular S_p, or |A| max|A^{-1}|
-above 1 / SINGULAR_RTOL, where LuFactor's solves call A singular, also
-sends the scan to the LU path, so a singular A still raises SingularMatrix.
+scan pays too, keeps the other half.  A singular S_p also sends the scan
+to the LU path.  |A| max|A^{-1}| above 1 / SINGULAR_RTOL, where LuFactor's
+solves call A singular, raises SingularMatrix from the slab scan itself.
 Each hand-off to the LU scan, a 2D grid's narrow lines included, is
 logged at DEBUG on the elcomp.oracle logger with its reason.
 
@@ -97,8 +99,8 @@ that of A^{-1}, so where the signs differ its minimum is -max.
 random_probe solves (D A D) u = f the same way, as u = D A^{-1} (D f).
 
 A column solved within a block can differ in the last bit from the same
-column of one solve against the whole identity: the BLAS kernels behind
-the sparse triangular solves are chosen by the number of right-hand sides.
+column of one solve against all the columns: the BLAS kernels behind the
+sparse triangular solves are chosen by the number of right-hand sides.
 The slab scan's entries differ from the LU scan's by rounding, so a
 witness can move to a mirror entry of equal value to the last bits.
 """
@@ -112,7 +114,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .assembly import AssembledSystem
-from .errors import DimMismatch, TooLarge, ValidationError
+from .errors import DimMismatch, SingularMatrix, TooLarge, ValidationError
 from .linalg import (
     SINGULAR_RTOL,
     LuFactor,
@@ -175,107 +177,55 @@ def _signs(asys: AssembledSystem, gauge):
     return sigma, np.asarray(sigma, dtype=float)
 
 
-def _inverse_columns(lu: LuFactor, c0: int, c1: int) -> np.ndarray:
-    """Columns c0..c1-1 of A^{-1}: one solve against that slice of the identity."""
-    rhs = np.zeros((lu.n, c1 - c0))
-    rhs[np.arange(c0, c1), np.arange(c1 - c0)] = 1.0
-    return lu.solve(rhs)
-
-
-def _block_minima(x: np.ndarray, c0: int, n_int: int, n_species: int):
-    """((k, l, s), (min, first (i, j))) of s * block (k, l) within columns
-    c0.. of A^{-1} held in x, for both signs s."""
-    c1 = c0 + x.shape[1]
-    for l in range(c0 // n_int, (c1 - 1) // n_int + 1):
-        j0, j1 = max(c0, l * n_int), min(c1, (l + 1) * n_int)
-        for k in range(n_species):
-            part = x[k * n_int : (k + 1) * n_int, j0 - c0 : j1 - c0]
-            for s, pos in ((1, np.argmin(part)), (-1, np.argmax(part))):
-                r, c = divmod(int(pos), part.shape[1])
-                yield (k, l, s), (s * float(part[r, c]), (k * n_int + r, j0 + c))
+def _block_minima(lu: LuFactor, b, width: int, n_int: int, n_species: int) -> dict:
+    """{(k, l, s): (min, first (i, j))} of s * block (k, l) of A^{-1} b, for
+    both signs s; block (k, l) holds the rows of species k and the width
+    columns of species l.  b is the (indptr, indices, data) arrays of a CSC
+    matrix; each solve takes BLOCK of its columns, scattered into a dense
+    right-hand side."""
+    indptr, indices, data = b
+    n_cols = indptr.size - 1
+    cols = np.repeat(np.arange(n_cols), np.diff(indptr))  # the column of each entry
+    out = {}
+    for c0 in range(0, n_cols, BLOCK):
+        c1 = min(c0 + BLOCK, n_cols)
+        rhs = np.zeros((lu.n, c1 - c0))
+        lo, hi = indptr[c0], indptr[c1]
+        rhs[indices[lo:hi], cols[lo:hi] - c0] = data[lo:hi]
+        x = lu.solve(rhs)
+        for l in range(c0 // width, (c1 - 1) // width + 1):
+            j0, j1 = max(c0, l * width), min(c1, (l + 1) * width)
+            for k in range(n_species):
+                part = x[k * n_int : (k + 1) * n_int, j0 - c0 : j1 - c0]
+                for s, pos in ((1, np.argmin(part)), (-1, np.argmax(part))):
+                    r, c = divmod(int(pos), part.shape[1])
+                    cand = (s * float(part[r, c]), (k * n_int + r, j0 + c))
+                    out[k, l, s] = min(out.get((k, l, s), cand), cand)
+        del rhs, x, part  # so that the next solve does not hold two blocks
+    return out
 
 
 def _scan_inverse(asys: AssembledSystem):
     """Gauge-free extremes (inv, bnd) of A^{-1} and -(A^{-1} G), per species
-    block, from one LU of A and BLOCK columns of A^{-1} at a time.
+    block, from one LU of A solved against BLOCK columns at a time.
 
     inv[k, l, s] is (min of s * block (k, l) of A^{-1}, its first row-major
     position (i, j)) for s = 1 and -1.  bnd[k, l, s] is the min of s * block
     (k, l) of -(A^{-1} G), whose column blocks are the species' boundary
-    values; it is empty when G is.
-
-    Column j of A^{-1} G sums G[r, j] A^{-1}[:, r] over the few rows r that
-    boundary value j enters.  Each block's entries of G are read off G's
-    CSR arrays.  A column's terms in the block are summed in increasing r
-    onto 0.0, as the sparse product G[c0:c1].T @ x.T sums them, and that
-    share is added to the column's running sum.  The sum is kept from the
-    first block that holds such an r to the last, then folded into bnd and
-    dropped, so only those open columns are held.
+    values; it is empty when G is.  The LU is solved against the identity,
+    then against -G, whose columns are read off one CSC copy of G.
     """
     a, g = asys.A, asys.G
     n, n_int, ns = a.shape[0], asys.grid.n_interior, asys.n_species
-    n_bnd = asys.grid.n_boundary
     lu = LuFactor(a)
-    inv, bnd = {}, {}
-    rows = row_ids(g)
-    last_row = np.full(g.shape[1], -1)
-    np.maximum.at(last_row, g.indices, rows)
-    # open boundary columns, ascending, and their running sums; a boundary
-    # value that enters no equation has a zero column from the start
-    open_ids = np.flatnonzero(last_row < 0) if g.nnz else np.empty(0, dtype=np.intp)
-    sums = np.zeros((n, open_ids.size))
-    for c0 in range(0, n, BLOCK):
-        c1 = min(c0 + BLOCK, n)
-        x = _inverse_columns(lu, c0, c1)
-        for key, cand in _block_minima(x, c0, n_int, ns):
-            inv[key] = min(inv.get(key, cand), cand)
-        lo, hi = g.indptr[c0], g.indptr[c1]
-        if hi > lo:
-            open_ids, sums = _fold_block(
-                open_ids, sums, x, rows[lo:hi] - c0, g.indices[lo:hi], g.data[lo:hi]
-            )
-        del x  # so that the next solve does not hold two blocks
-        done = last_row[open_ids] < c1
-        if done.any():
-            _fold_boundary(bnd, sums[:, done], open_ids[done], ns, n_int, n_bnd)
-            open_ids, sums = open_ids[~done], sums[:, ~done]
-    return inv, bnd
-
-
-def _fold_block(open_ids, sums, x, rows, cols, vals):
-    """The open columns of A^{-1} G, ascending, and their running sums, with
-    the terms vals * x[:, rows] of G's entries (rows, cols) in one block
-    added.  The entries come in CSR order, so a column's terms are met in
-    increasing row.  They are summed onto 0.0, the k-th term of every
-    column in one step, and that share is added to the running sum."""
-    ids, at = np.unique(np.concatenate([open_ids, cols]), return_inverse=True)
-    at_open, at = at[: open_ids.size], at[open_ids.size :]
-    # earlier entries of the same column; a stable sort keeps CSR order
-    order = np.argsort(cols, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(cols.size) - np.searchsorted(cols[order], cols[order])
-    share = np.zeros((x.shape[0], ids.size))
-    terms = x[:, rows] * vals
-    for k in range(int(rank.max()) + 1):
-        kth = rank == k  # at most one term per column
-        share[:, at[kth]] += terms[:, kth]
-    share[:, at_open] += sums
-    return ids, share
-
-
-def _fold_boundary(bnd, sums, ids, ns: int, n_int: int, n_bnd: int) -> None:
-    """Fold the finished columns ids (ascending) of A^{-1} G, held in sums,
-    into bnd: the min of s * -(A^{-1} G) per species block (k, l) and sign
-    s.  Ascending ids list each species' boundary columns together."""
-    parts = sums.reshape(ns, n_int, ids.size)
-    species = ids // n_bnd
-    first = np.flatnonzero(np.diff(species, prepend=-1))
-    top = np.maximum.reduceat(parts.max(axis=1), first, axis=1)
-    bottom = np.minimum.reduceat(parts.min(axis=1), first, axis=1)
-    for i, l in enumerate(species[first].tolist()):
-        for k in range(ns):
-            for s, m in ((1, -float(top[k, i])), (-1, float(bottom[k, i]))):
-                bnd[k, l, s] = min(bnd.get((k, l, s), m), m)
+    identity = (np.arange(n + 1), np.arange(n), np.ones(n))
+    inv = _block_minima(lu, identity, n_int, n_int, ns)
+    if not g.nnz:
+        return inv, {}
+    g = g.tocsc()
+    n_bnd = asys.grid.n_boundary
+    bnd = _block_minima(lu, (g.indptr, g.indices, -g.data), n_bnd, n_int, ns)
+    return inv, {key: v for key, (v, _) in bnd.items()}
 
 
 def _line_order(grid, n_species: int):
@@ -460,9 +410,10 @@ def _scan_slabs(asys: AssembledSystem):
     """The extremes (inv, bnd) of _scan_inverse for a 2D grid, one block row
     of A^{-1} per grid line, or None when the guard sends the scan to
     _scan_inverse: a line Schur complement that is singular or too far
-    from a stable LU (_line_schur), a row that is not finite, or |A|
-    max|A^{-1}| above 1 / SINGULAR_RTOL, where LuFactor would call A
-    singular.  Each hand-off is logged at DEBUG with its reason.
+    from a stable LU (_line_schur), or a row that is not finite.  Each
+    hand-off is logged at DEBUG with its reason.  |A| max|A^{-1}| above
+    1 / SINGULAR_RTOL, where LuFactor's solves would call A singular,
+    raises SingularMatrix.
 
     Rows are built from the last line up.  With R_p = -S_p^{-1} A_{p,p+1},
     row p at and right of its diagonal block is R_p times row p+1 there,
@@ -519,9 +470,11 @@ def _scan_slabs(asys: AssembledSystem):
             boundary.fold(t, p, extremes.rest)
         row, below = below, row
     inv = extremes.result()
-    scale, limit = -min(v for v, _ in inv.values()), 1.0 / SINGULAR_RTOL
-    if a_norm * scale > limit:
-        return _hand_off("|A| max|A^{-1}| %.3g exceeds %.3g", a_norm * scale, limit)
+    size = a_norm * -min(v for v, _ in inv.values())
+    if size > 1.0 / SINGULAR_RTOL:
+        raise SingularMatrix(
+            f"slab scan: |A| max|A^-1| = {size:.3e} above 1 / {SINGULAR_RTOL:.0e}"
+        )
     bnd = {}
     if boundary is not None:
         top, bottom = boundary.extremes()

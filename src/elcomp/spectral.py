@@ -141,7 +141,8 @@ def block_eigen(
     is reported here as ((species, interior_pos), (species, interior_pos)).
     Every species on the whole domain is the cooperative operator itself,
     which assemble has scanned, with its own content key: both are passed
-    on, not taken again.  Any other block is built and hashed once, and kept.
+    on, not taken again.  Any other block is built and hashed once, and kept
+    (DiscreteSystem.cooperative_block).
     A cooperative operator with no positive off-diagonal entry has none in
     any principal submatrix either, so its blocks are passed on as Z
     unscanned.  A block on the whole grid, with no mask or one that keeps
@@ -157,11 +158,7 @@ def block_eigen(
         # offdiag_max is the worst entry whenever A is not Z
         z_scan = (coop.z_matrix, pos, coop.offdiag_max, coop.offdiag_max)
     else:
-        where = (tuple(species), None if mask is None else mask.inside.tobytes())
-        if where not in ds._block_cache:
-            a = ds.block("cooperative", species, mask)
-            ds._block_cache[where] = a, linalg.content_key(a)
-        a, content = ds._block_cache[where]
+        a, content = ds.cooperative_block(species, mask)
         z_scan = (True, None, 0.0, 0.0) if coop.offdiag_max == 0.0 else None
     try:
         return _memo_eigenpair(ds, a, content, settings, z_scan, mask is None)

@@ -5,11 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from elcomp import oracle
 from elcomp.assembly import ScalarOperatorSpec, SystemSpec, as_discrete
 from elcomp.errors import DimMismatch, NoConvergence
 from elcomp.expressions import const, parse_expr
-from elcomp.linalg import LuFactor, from_coo, inf_norm, row_ids, shifted
+from elcomp.linalg import from_coo, inf_norm, row_ids, shifted
 
 
 def _expr(v):
@@ -169,34 +168,6 @@ def reference_scalar_parts(a_vals, b_vals, c_vals, grid):
         n_rows, grid.n_boundary, row[in_g], grid.boundary_pos[node[in_g]], coeff[in_g]
     )
     return A, G
-
-
-def reference_boundary_scan(asys, block):
-    """The bnd extremes of oracle._scan_inverse by the sparse-product route:
-    each column block's rows of G are sliced as a matrix, and the product
-    G[c0:c1][:, cols].T @ x.T is added to each column's running sum."""
-    a, g = asys.A, asys.G
-    n, n_int, ns = a.shape[0], asys.grid.n_interior, asys.n_species
-    n_bnd = asys.grid.n_boundary
-    lu = LuFactor(a)
-    bnd = {}
-    last_row = np.full(g.shape[1], -1)
-    np.maximum.at(last_row, g.indices, np.repeat(np.arange(n), np.diff(g.indptr)))
-    open_cols = {j: np.zeros(n) for j in np.flatnonzero(last_row < 0)}
-    for c0 in range(0, n, block):
-        c1 = min(c0 + block, n)
-        x = oracle._inverse_columns(lu, c0, c1)
-        g_rows = g[c0:c1]
-        cols = np.unique(g_rows.indices)
-        for j, v in zip(cols, g_rows[:, cols].T @ x.T):
-            open_cols[j] = open_cols.get(j, 0.0) + v
-        for j in [j for j in open_cols if last_row[j] < c1]:
-            col = -open_cols.pop(j).reshape(ns, n_int)
-            l = int(j // n_bnd)
-            for k in range(ns):
-                for s, m in ((1, float(col[k].min())), (-1, -float(col[k].max()))):
-                    bnd[k, l, s] = min(bnd.get((k, l, s), m), m)
-    return bnd
 
 
 def reference_row_fold(inv, t, p, perm, ns, per_line, ratio=None):

@@ -321,6 +321,25 @@ def test_thm5_chain_hands_splu_the_shifted_block(monkeypatch):
     assert np.array_equal(v.wtilde.values, from_csr.wtilde.values)
 
 
+def test_thm5_chain_reads_the_kept_species_blocks(monkeypatch):
+    """A triangular pair's certify gathers each species block once: the
+    chain's solve reads the block that component_eigen kept, read-only."""
+    gathers = []
+    gather = linalg.principal_submatrix
+    monkeypatch.setattr(
+        linalg, "principal_submatrix", lambda a, ix: gathers.append(1) or gather(a, ix)
+    )
+    ds = laplace_system(
+        grid1(48, PI), n_species=2, m=[["0", "0.5"], ["-0.5", "0"]]
+    ).discretize()
+    v = certify(ds)
+    assert v.kind == "HoldsThm5"
+    assert len(gathers) == 2
+    for j in range(2):
+        a, _ = ds.cooperative_block([j])
+        assert not a.data.flags.writeable
+
+
 def test_thm5_infeasible_when_strict_species_negative():
     ops = (op_of(1, c=0.0), op_of(1, c=-30.0))
     spec = system_of(grid1(16), ops, m=[["0", "0.5"], ["-0.5", "0"]])

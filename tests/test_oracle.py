@@ -20,7 +20,7 @@ from elcomp.assembly import DiscreteSystem, assemble_system
 from elcomp.errors import SingularMatrix, TooLarge, ValidationError
 from elcomp.cli import main
 from elcomp.fields import block_from_solution, save_fields
-from elcomp.linalg import dense_inverse, inf_norm, lu_order, lu_solve, row_ids
+from elcomp.linalg import LuFactor, dense_inverse, inf_norm, lu_order, lu_solve
 from elcomp.mesh import build_grid
 from elcomp.oracle import (
     TOL_OP,
@@ -34,7 +34,6 @@ from elcomp.problems import load_problem, parse_problem
 
 from helpers import (
     laplace_system,
-    reference_boundary_scan,
     reference_row_fold,
     system_text,
 )
@@ -391,14 +390,34 @@ def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
     return ds.assemble("full"), gauge
 
 
+def _assert_lu_decision(rep, expect):
+    """An LU scan's report against _reference: the entry, witness and
+    decisions exactly; the boundary minimum, which the scan solves for and
+    the dense product sums, to 1e-12 relative."""
+    got = _decision(rep)
+    assert got[:3] + got[4:] == expect[:3] + expect[4:]
+    assert got[3] == pytest.approx(expect[3], rel=1e-12, abs=1e-15)
+
+
+def _solved_boundary_min(asys, gauge):
+    """The least entry of -(D A D)^{-1} (D G D_b), from one solve of D A D
+    against all the columns of -(D G D_b)."""
+    signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
+    d = sp.diags(np.repeat(signs, asys.grid.n_interior))
+    d_bnd = sp.diags(np.repeat(signs, asys.grid.n_boundary))
+    lu = LuFactor((d @ asys.A @ d).tocsr())
+    return float(lu.solve(-(d @ asys.G @ d_bnd).toarray()).min())
+
+
 @given(st.booleans().flatmap(lambda symmetric: _oracle_case(symmetric=symmetric)))
 @settings(max_examples=80, deadline=None)
 def test_streamed_oracle_matches_dense_inverse(case):
-    """On a 1D grid the block scan of A^{-1} gives the dense inverse's
-    answer exactly, for any gauge, in any order of gauged and plain calls.
+    """The LU scan gives the dense inverse's entry, witness and decisions
+    exactly, for any gauge, in any order of gauged and plain calls, and
+    its boundary minimum to 1e-12 of the dense product's; on a 1D grid that
+    minimum is the one of one solve of D A D against -(D G D_b), exactly.
     On a 2D grid the slab scan's answer lies within the rounding bound
-    (_assert_within_rounding), with the lower half mirrored or not, and the
-    LU scan still gives the exact one."""
+    (_assert_within_rounding), with the lower half mirrored or not."""
     asys, gauge = case
     for g in (None, gauge):  # the second call reads the kept scan
         try:
@@ -409,21 +428,22 @@ def test_streamed_oracle_matches_dense_inverse(case):
             continue
         rep = inverse_positivity(asys, gauge=g)
         if asys.grid.dim == 1:
-            assert _decision(rep) == expect
+            _assert_lu_decision(rep, expect)
+            assert rep.min_boundary_entry == _solved_boundary_min(asys, g)
             continue
         _assert_within_rounding(asys, g, rep)
-        assert _decision(_lu_report(asys, g)) == expect
+        _assert_lu_decision(_lu_report(asys, g), expect)
 
 
 @given(_oracle_case(cross=True))
 @settings(max_examples=40, deadline=None)
 def test_streamed_boundary_sums_span_blocks(case):
-    """With blocks of 8 columns, the rows a boundary value enters fall in
-    different blocks, and the LU scan sums its column of A^{-1} G across
-    them.  The dense product adds those terms in BLAS order, so the
-    boundary minimum agrees to rounding only.  The slab scan, which these
-    2D grids take by default, is within the rounding bound
-    (_assert_within_rounding)."""
+    """With blocks of 8 columns, the LU scan solves against -G eight
+    boundary values at a time, each value's column whole, whichever rows
+    (up to three, with cross diffusion) it enters.  The dense product sums
+    those rows' columns of A^{-1} in BLAS order, so the boundary minimum
+    agrees to rounding only.  The slab scan, which these 2D grids take by
+    default, is within the rounding bound (_assert_within_rounding)."""
     asys, gauge = case
     try:
         expect = _reference(asys, gauge)
@@ -433,9 +453,7 @@ def test_streamed_boundary_sums_span_blocks(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "BLOCK", 8)
         rep = _lu_report(asys, gauge)
-    assert (rep.min_entry, rep.witness, rep.inverse_positive) == expect[:3]
-    assert rep.min_boundary_entry == pytest.approx(expect[3], rel=1e-12, abs=1e-15)
-    assert rep.boundary_monotone == expect[4]
+    _assert_lu_decision(rep, expect)
 
 
 @given(
@@ -526,10 +544,11 @@ def test_slab_guard_takes_the_lu_scan_on_a_singular_strip(monkeypatch, caplog):
 @pytest.mark.parametrize("cells", [(12, 12), (16, 7), (7, 16)])
 def test_singular_two_d_system_raises(cells, monkeypatch, caplog):
     """c at minus the least eigenvalue of the discrete Laplacian leaves A
-    singular to working precision: the slab scan's guard trips, and the LU
-    scan raises SingularMatrix as the dense inverse does.  Without the
-    Schur complements' bound, |A| max|A^{-1}| > 1 / SINGULAR_RTOL trips it
-    too.  Each hand-off is logged with its reason."""
+    singular to working precision: the slab scan's guard trips, which is
+    logged with its reason, and the LU scan raises SingularMatrix as the
+    dense inverse does.  Without the Schur complements' bound, the slab
+    scan raises SingularMatrix itself on |A| max|A^{-1}| > 1 / SINGULAR_RTOL,
+    and hands nothing off."""
     caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     h = 1.0 / np.asarray(cells)
     c = -4.0 * float((np.sin(np.pi * h / 2) ** 2 / h**2).sum())
@@ -543,9 +562,9 @@ def test_singular_two_d_system_raises(cells, monkeypatch, caplog):
         inverse_positivity(asys)
     caplog.clear()
     monkeypatch.setattr(oracle, "SLAB_PHI_MAX", np.inf)
-    assert oracle._scan_slabs(asys) is None
-    (reason,) = _hand_offs(caplog)
-    assert reason.startswith("|A| max|A^{-1}| ") and reason.endswith("exceeds 1e+14")
+    with pytest.raises(SingularMatrix, match=r"\|A\| max\|A\^-1\| = .* above 1 / 1e-14"):
+        oracle._scan_slabs(asys)
+    assert _hand_offs(caplog) == []
 
 
 def test_slab_scan_logs_a_singular_line_and_a_wide_coupling(caplog):
@@ -750,53 +769,49 @@ def test_slab_lines_cut_across_the_longer_axis(cells, lines):
 
 @given(_oracle_case(cross=True), st.sampled_from((3, 8, 64)))
 @settings(max_examples=40, deadline=None)
-def test_boundary_fold_equals_the_sparse_product(case, block):
-    """Folding each block's share of A^{-1} G from G's arrays gives, bit for
-    bit, the extremes of the sparse-product route, whose column sums add
-    each block's terms in increasing row onto 0.0 before the running sum."""
+def test_boundary_scan_equals_solves_against_minus_g(case, block):
+    """The LU scan's extremes of -(A^{-1} G) equal, bit for bit, those of
+    LuFactor(A).solve(-G) taken in the same groups of BLOCK columns, cross
+    diffusion included: the scan solves against -G's columns as they are,
+    whatever rows of A a boundary value enters."""
     asys, _ = case
+    n_int, n_bnd, ns = asys.grid.n_interior, asys.grid.n_boundary, asys.n_species
+    minus_g = -asys.G.toarray()
+    expect = {}
+    try:
+        lu = LuFactor(asys.A)
+        for c0 in range(0, minus_g.shape[1], block):
+            x = lu.solve(minus_g[:, c0 : c0 + block])
+            for c, col in enumerate(x.T, start=c0):
+                for k in range(ns):
+                    part = col[k * n_int : (k + 1) * n_int]
+                    for s, v in ((1, part.min()), (-1, -part.max())):
+                        key = (k, c // n_bnd, s)
+                        expect[key] = min(expect.get(key, float(v)), float(v))
+    except SingularMatrix:
+        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "BLOCK", block)
-        try:
-            expect = reference_boundary_scan(asys, block)
-        except SingularMatrix:
-            return
         _, bnd = oracle._scan_inverse(asys)
-    assert {key: repr(v) for key, v in bnd.items()} == {
-        key: repr(v) for key, v in expect.items()
+    # + 0.0 makes -0.0 and 0.0 one value, which the two orders may tie on
+    assert {key: repr(v + 0.0) for key, v in bnd.items()} == {
+        key: repr(v + 0.0) for key, v in expect.items()
     }
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 9))
-@settings(max_examples=40, deadline=None)
-def test_block_fold_sums_like_the_sparse_product(seed, block):
-    """The running column sums of A^{-1} G, folded block by block from G's
-    arrays, equal bit for bit those of the sparse product G[c0:c1].T @ x.T
-    added block by block, for columns with several rows in one block and
-    across blocks."""
-    rng = np.random.default_rng(seed)
-    n = 24
-    dense = np.where(rng.random((n, 10)) < 0.3, rng.uniform(-2.0, 2.0, (n, 10)), 0.0)
-    g = sp.csr_matrix(dense)
-    inverse = rng.uniform(-1.0, 1.0, (n, n))
-    rows = row_ids(g)
-    open_ids, sums = np.empty(0, dtype=np.intp), np.zeros((n, 0))
-    expect = {}
-    for c0 in range(0, n, block):
-        c1 = min(c0 + block, n)
-        x = inverse[:, c0:c1].copy()
-        lo, hi = g.indptr[c0], g.indptr[c1]
-        if hi > lo:
-            open_ids, sums = oracle._fold_block(
-                open_ids, sums, x, rows[lo:hi] - c0, g.indices[lo:hi], g.data[lo:hi]
-            )
-        g_rows = g[c0:c1]
-        cols = np.unique(g_rows.indices)
-        for j, v in zip(cols, g_rows[:, cols].T @ x.T):
-            expect[j] = expect.get(j, 0.0) + v
-    assert open_ids.tolist() == sorted(expect)
-    for i, j in enumerate(open_ids):
-        assert sums[:, i].tobytes() == expect[j].tobytes()
+@pytest.mark.parametrize("n", [8, 128, 1000])
+def test_lu_scan_reads_the_discrete_greens_function(n):
+    """For -u'' on (0, 1) with n cells, A^{-1} is the discrete Green's
+    function h x_i (1 - x_j), i <= j: its least entry is h^3, first at
+    (0, n - 2).  -A^{-1} G holds the harmonic extensions 1 - x and x of
+    the two boundary values, whose least entry is h.  Both are closed
+    forms, whatever order the scan sums in."""
+    h = 1.0 / n
+    rep = inverse_positivity(assemble_system(laplace_system(build_grid(1, 0.0, 1.0, n))))
+    assert rep.inverse_positive and rep.boundary_monotone
+    assert rep.min_entry == pytest.approx(h**3, rel=1e-12)
+    assert rep.witness == (0, n - 2)
+    assert rep.min_boundary_entry == pytest.approx(h, rel=1e-12)
 
 
 def test_oracle_scan_kept_by_content(monkeypatch):
@@ -839,9 +854,9 @@ def test_oracle_memory_stays_below_a_quarter_inverse():
 
 
 def test_scan_builds_no_sparse_matrix_per_block():
-    """The LU scan reads G's CSR arrays: a 1D system of 2 column blocks,
-    one of 16 and a 2D pair of 17 build the same number of scipy sparse
-    matrices, all of them for the one factorization.  The slab scan reads
+    """The LU scan reads its right-hand sides off CSC arrays, the
+    identity's and one copy of G's: a 1D system of 2 column blocks, one of
+    16 and a 2D pair of 17 build the same number of scipy sparse matrices.  The slab scan reads
     A's blocks off one line-numbered copy: 2D systems of 8 to 23 lines and
     1 to 3 species build the same number as each other."""
     built = []
