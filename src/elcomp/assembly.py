@@ -470,6 +470,13 @@ class DiscreteSystem:
                         part.setflags(write=False)
         return self._assembly_cache[mode]
 
+    def block_ids(self, species, mask: SubdomainMask | None = None) -> np.ndarray:
+        """The unknowns of the given species (0-based) at the masked interior
+        nodes, species-major: row r of block() is row block_ids()[r] of A."""
+        n_int = self.grid.n_interior
+        nodes = np.arange(n_int) if mask is None else np.flatnonzero(mask.inside)
+        return (np.asarray(species, dtype=np.int64)[:, None] * n_int + nodes).ravel()
+
     def block(self, coupling, species, mask: SubdomainMask | None = None):
         """Principal submatrix of assembled(coupling).A on the given species
         (0-based) at the masked interior nodes, species-major.
@@ -478,9 +485,7 @@ class DiscreteSystem:
         columns, so this is the operator of the species block on the
         subdomain.
         """
-        n_int = self.grid.n_interior
-        nodes = np.arange(n_int) if mask is None else np.flatnonzero(mask.inside)
-        ix = (np.asarray(species, dtype=np.int64)[:, None] * n_int + nodes).ravel()
+        ix = self.block_ids(species, mask)
         return linalg.principal_submatrix(self.assembled(coupling).A, ix)
 
     def cooperative_block(self, species, mask: SubdomainMask | None = None):

@@ -30,6 +30,7 @@ from .errors import (
     TooLarge,
 )
 from .fields import BlockField, block_from_solution
+from .graphs import potentials
 from .linalg import inf_norm, lu_solve, shifted
 from .settings import DEFAULT, Settings
 from .spectral import _memo_eigenpair, block_eigen, component_eigen
@@ -532,17 +533,17 @@ def check_failure(
 def find_gauge(spec):
     """Species sign vector turning every off-diagonal coupling nonpositive.
 
-    Returns (sigma, None) or (None, reason).  Built by parity 2-coloring:
-    a positive coupling between two species forces opposite signs, a
-    negative one forces equal signs.
+    Returns (sigma, None) or (None, reason).  A positive coupling between
+    two species requires sigma_k sigma_l = -1, a negative one +1, and sigma
+    follows from these products along the coupling graph, +1 on the first
+    species of each component (graphs.potentials, exact).
     """
     ds = as_discrete(spec)
     n = ds.n_species
     signs = ds.signs
-    neighbors = [[] for _ in range(n)]  # (w, required sigma_v * sigma_w)
+    need = {}  # (i, j): required sigma_i * sigma_j
     for i in range(n):
         for j in range(i + 1, n):
-            need = None
             for k, l in ((i, j), (j, i)):
                 has_pos, has_neg = signs.plus[k, l], signs.minus[k, l]
                 if has_pos and has_neg:
@@ -550,32 +551,15 @@ def find_gauge(spec):
                 if not (has_pos or has_neg):
                     continue
                 want = -1 if has_pos else 1
-                if need is None:
-                    need = want
-                elif need != want:
+                if need.setdefault((i, j), want) != want:
                     return None, (
                         f"InconsistentPair: m{i + 1}{j + 1} and m{j + 1}{i + 1} "
                         "have opposite signs"
                     )
-            if need is not None:
-                neighbors[i].append((j, need))
-                neighbors[j].append((i, need))
-    sigma = [0] * n
-    for root in range(n):
-        if sigma[root]:
-            continue
-        sigma[root] = 1
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w, need in neighbors[v]:
-                want = sigma[v] * need
-                if sigma[w] == 0:
-                    sigma[w] = want
-                    queue.append(w)
-                elif sigma[w] != want:
-                    return None, "ParityConflict: no consistent sign assignment"
-    return tuple(sigma), None
+    sigma = potentials(n, need, 0.0)
+    if sigma is None:
+        return None, "ParityConflict: no consistent sign assignment"
+    return tuple(int(s) for s in sigma), None
 
 
 # ---------------------------------------------------------------- certify

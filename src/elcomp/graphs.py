@@ -1,13 +1,16 @@
-"""Digraph helpers: strongly connected components, topological order.
+"""Graph helpers: strongly connected components, topological order, and
+potentials along the species coupling graph.
 
 The dof graph of a sparse matrix goes to scipy's csgraph; the small species
-digraphs use the iterative Tarjan below.
+digraphs use the iterative Tarjan below.  The sign gauge and the oracle's
+species weights share the one walk of potentials.
 """
 
 from __future__ import annotations
 
 import heapq
 
+import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 
@@ -100,3 +103,29 @@ def topo_order(n: int, adj) -> list | None:
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
     return order if len(order) == n else None
+
+
+def potentials(n: int, ratio: dict, rtol: float) -> np.ndarray | None:
+    """Vertex values w with w_l = w_k r on every edge (k, l) of ratio, w = 1
+    on the first vertex of each component, or None when two paths give a
+    vertex values more than rtol apart.  The walk is depth-first and scans
+    the edges in ratio's order, so each w is a product of ratios along one
+    path; every other edge at a reached vertex is checked against it.
+    """
+    w = np.full(n, np.nan)
+    for root in range(n):
+        if not np.isnan(w[root]):
+            continue
+        w[root], todo = 1.0, [root]
+        while todo:
+            here = todo.pop()
+            for (k, l), r in ratio.items():
+                if here not in (k, l):
+                    continue
+                other, value = (l, w[k] * r) if here == k else (k, w[l] / r)
+                if np.isnan(w[other]):
+                    w[other] = value
+                    todo.append(other)
+                elif abs(value - w[other]) > rtol * abs(w[other]):
+                    return None
+    return w

@@ -71,14 +71,8 @@ class Grid:
 
     @cached_property
     def is_interior(self) -> np.ndarray:
-        mask = np.ones(self.shape[::-1], dtype=bool)  # numpy index order: y, x
-        for d in range(self.dim):
-            axis = self.dim - 1 - d
-            sl = [slice(None)] * self.dim
-            sl[axis] = 0
-            mask[tuple(sl)] = False
-            sl[axis] = -1
-            mask[tuple(sl)] = False
+        mask = np.zeros(self.shape[::-1], dtype=bool)  # numpy index order: y, x
+        mask[(slice(1, -1),) * self.dim] = True
         return mask.reshape(-1)  # canonical order: x fastest
 
     @cached_property

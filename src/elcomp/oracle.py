@@ -115,6 +115,7 @@ from scipy.linalg import lapack
 
 from .assembly import AssembledSystem
 from .errors import DimMismatch, SingularMatrix, TooLarge, ValidationError
+from .graphs import potentials
 from .linalg import (
     SINGULAR_RTOL,
     LuFactor,
@@ -241,32 +242,24 @@ def _line_order(grid, n_species: int):
 
 
 def _line_blocks(csc, m: int):
-    """The readers p -> dense (A_{p-1,p}, A_pp, A_{p+1,p}) and p -> dense
-    A_{p-1,p} alone of the line-numbered A held in csc, or None when A is
-    not block tridiagonal over lines of m unknowns.  Each stored entry's
-    place among its line's three blocks is found once, so a read scatters
-    the CSC arrays of line p's m columns, or of their entries above."""
+    """The reader p -> dense (A_{p-1,p}, A_pp, A_{p+1,p}) of the
+    line-numbered A held in csc, or None when A is not block tridiagonal
+    over lines of m unknowns.  Each stored entry's place among its line's
+    three blocks is found once, so a read scatters the CSC arrays of line
+    p's m columns."""
     cols = row_ids(csc)  # the column of each entry
     offset = csc.indices // m - cols // m + 1  # 0, 1, 2: above, on, below
     if offset.size and not 0 <= offset.min() <= offset.max() <= 2:
         return None
     at = (offset * m + csc.indices % m) * m + cols % m
     ends = csc.indptr[::m]
-    above = np.flatnonzero(offset == 0)
-    above_ends = np.searchsorted(above, ends)
 
     def read(p: int) -> np.ndarray:
         out = np.zeros(3 * m * m)
         out[at[ends[p] : ends[p + 1]]] = csc.data[ends[p] : ends[p + 1]]
         return out.reshape(3, m, m)
 
-    def read_above(p: int) -> np.ndarray:
-        ix = above[above_ends[p] : above_ends[p + 1]]
-        out = np.zeros(m * m)
-        out[at[ix]] = csc.data[ix]
-        return out.reshape(m, m)
-
-    return read, read_above
+    return read
 
 
 def _inverse(s: np.ndarray) -> np.ndarray | None:
@@ -334,9 +327,9 @@ def _mirror_weights(a, g, ns: int, n_int: int):
     An entry (i, j) of coupling block (k, l) needs A_ji = rho_kl A_ij, with
     rho_kl = w_l / w_k the same fl(A_ji / A_ij) at every entry; explicit
     zeros are no entries, as in linalg.same_nonzeros.  The weights follow
-    from the ratios along the coupling graph, w = 1 on the first species of
-    each component.  They are products of at most ns - 1 ratios, so around
-    a cycle they must agree to ns eps.
+    from the ratios along the coupling graph (graphs.potentials), w = 1 on
+    the first species of each component.  They are products of at most
+    ns - 1 ratios, so around a cycle they must agree to ns eps.
     """
     n = a.shape[0]
 
@@ -383,22 +376,9 @@ def _mirror_weights(a, g, ns: int, n_int: int):
         return full_rows(f"m_{l + 1}{k + 1}/m_{k + 1}{l + 1} varies")
     present = np.flatnonzero(np.bincount(pair, minlength=ns * ns))
     rho = {divmod(int(q), ns): float(first[q]) for q in present}  # (k, l): w_l / w_k
-    w = np.full(ns, np.nan)
-    for root in range(ns):
-        if not np.isnan(w[root]):
-            continue
-        w[root], todo = 1.0, [root]
-        while todo:
-            here = todo.pop()
-            for (k, l), r in rho.items():
-                if here not in (k, l):
-                    continue
-                other, value = (l, w[k] * r) if here == k else (k, w[l] / r)
-                if np.isnan(w[other]):
-                    w[other] = value
-                    todo.append(other)
-                elif abs(value - w[other]) > ns * np.finfo(float).eps * abs(w[other]):
-                    return full_rows("the weights are inconsistent around a cycle")
+    w = potentials(ns, rho, ns * np.finfo(float).eps)
+    if w is None:
+        return full_rows("the weights are inconsistent around a cycle")
     entered = np.bincount(g.indices[g.data != 0.0], minlength=g.shape[1])
     if entered.size and entered.max() > 1:
         return full_rows("a boundary value enters more than one equation")
@@ -429,10 +409,9 @@ def _scan_slabs(asys: AssembledSystem):
     ns, n = asys.n_species, a.shape[0]
     perm, n_lines, per_line = _line_order(asys.grid, ns)
     m = ns * per_line
-    readers = _line_blocks(permuted_csc(a, perm), m)
-    if readers is None:
+    line_blocks = _line_blocks(permuted_csc(a, perm), m)
+    if line_blocks is None:
         return _hand_off("A is not block tridiagonal")
-    line_blocks, block_above = readers
     # decided before the stacks are built, so that its arrays are gone
     w, note = _mirror_weights(a, g, ns, asys.grid.n_interior)
     ratio = None if w is None else w[:, None] / w  # [l, k] = w_l / w_k
@@ -462,7 +441,7 @@ def _scan_slabs(asys: AssembledSystem):
             for c in range(p - 1, -1, -1):  # G_{p,c} = G_{p,c+1} Q_c
                 left = row[:, (c + 1) * m : (c + 2) * m]
                 np.matmul(left, q[c], out=row[:, c * m : (c + 1) * m])
-        right = block_above(p)
+        right = line_blocks(p)[0]
         t = (row[:, c0:] if ratio is not None else row).T
         if not extremes.fold(t, p):
             return _hand_off("row %d is not finite", p)
@@ -802,11 +781,10 @@ def random_probe(
     return report
 
 
-def solve_system(asys: AssembledSystem, rhs=None, g_data=None) -> np.ndarray:
+def solve_system(asys: AssembledSystem, rhs=None) -> np.ndarray:
     """Interior solution of A u = f - G g, on the LU ordered by lu_order:
     nested dissection for a 9-point 2D operator, minimum degree otherwise."""
     f = asys.f_vec if rhs is None else np.asarray(rhs, dtype=float)
-    g = asys.g_vec if g_data is None else np.asarray(g_data, dtype=float)
     if f.shape != (asys.A.shape[0],):
         raise DimMismatch(f"rhs has {f.shape}, system has {asys.A.shape[0]} unknowns")
-    return lu_solve(asys.A, f - asys.G @ g, lu_order(asys.grid, asys.A))
+    return lu_solve(asys.A, f - asys.G @ asys.g_vec, lu_order(asys.grid, asys.A))

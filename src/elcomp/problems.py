@@ -100,27 +100,14 @@ def _expr(value: _Value, key: str):
         ) from err
 
 
-def _floats(value: _Value, key: str, count: int):
+def _numbers(value: _Value, key: str, count: int, kind):
+    """count values of kind (int or float), split on commas and blanks."""
     parts = value.text.replace(",", " ").split()
     try:
-        out = tuple(float(p) for p in parts)
+        out = tuple(kind(p) for p in parts)
     except ValueError:
-        raise ParseError(
-            f"{key}: expected numbers, got {value.text!r}", line=value.line
-        )
-    if len(out) != count:
-        raise ParseError(f"{key}: expected {count} value(s)", line=value.line)
-    return out
-
-
-def _ints(value: _Value, key: str, count: int):
-    parts = value.text.replace(",", " ").split()
-    try:
-        out = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(
-            f"{key}: expected integers, got {value.text!r}", line=value.line
-        )
+        noun = "integers" if kind is int else "numbers"
+        raise ParseError(f"{key}: expected {noun}, got {value.text!r}", line=value.line)
     if len(out) != count:
         raise ParseError(f"{key}: expected {count} value(s)", line=value.line)
     return out
@@ -130,12 +117,12 @@ def _build_domain(keys):
     for required in ("dim", "lo", "hi", "n"):
         if required not in keys:
             raise ValidationError(f"[domain] is missing {required!r}")
-    dim = _ints(keys["dim"], "dim", 1)[0]
+    dim = _numbers(keys["dim"], "dim", 1, int)[0]
     if dim not in (1, 2):
         raise ValidationError(f"dim must be 1 or 2, got {dim}")
-    lo = _floats(keys["lo"], "lo", dim)
-    hi = _floats(keys["hi"], "hi", dim)
-    n = _ints(keys["n"], "n", dim)
+    lo = _numbers(keys["lo"], "lo", dim, float)
+    hi = _numbers(keys["hi"], "hi", dim, float)
+    n = _numbers(keys["n"], "n", dim, int)
     unknown = set(keys) - {"dim", "lo", "hi", "n"}
     if unknown:
         raise ValidationError(f"[domain] has unknown key(s) {sorted(unknown)}")
@@ -143,32 +130,20 @@ def _build_domain(keys):
 
 
 def _species_operator(keys, dim: int, k: int):
-    a_keys = {f"a{i + 1}{j + 1}": (i, j) for i in range(dim) for j in range(dim)}
-    b_keys = {f"b{i + 1}": i for i in range(dim)}
-    allowed = set(a_keys) | set(b_keys) | {"c", "f", "g"}
-    unknown = set(keys) - allowed
+    axes = range(1, dim + 1)
+    allowed = {f"a{i}{j}" for i in axes for j in axes} | {f"b{i}" for i in axes}
+    unknown = set(keys) - (allowed | {"c", "f", "g"})
     if unknown:
         raise ValidationError(
             f"[species {k}] has unknown key(s) {sorted(unknown)} for dim {dim}"
         )
-    a = [
-        [const(1.0) if i == j else const(0.0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    for key, (i, j) in a_keys.items():
-        if key in keys:
-            a[i][j] = _expr(keys[key], key)
-    b = [const(0.0)] * dim
-    for key, i in b_keys.items():
-        if key in keys:
-            b[i] = _expr(keys[key], key)
-    c = _expr(keys["c"], "c") if "c" in keys else const(0.0)
-    op = ScalarOperatorSpec(
-        tuple(tuple(row) for row in a), tuple(b), c
-    )
-    f = _expr(keys["f"], "f") if "f" in keys else const(0.0)
-    g = _expr(keys["g"], "g") if "g" in keys else const(0.0)
-    return op, f, g
+
+    def read(key, default=0.0):  # in the format's key order, which picks the first error
+        return _expr(keys[key], key) if key in keys else const(default)
+
+    a = tuple(tuple(read(f"a{i}{j}", float(i == j)) for j in axes) for i in axes)
+    op = ScalarOperatorSpec(a, tuple(read(f"b{i}") for i in axes), read("c"))
+    return op, read("f"), read("g")
 
 
 def _parse_coupling(keys, n: int):

@@ -138,7 +138,8 @@ def block_eigen(
     full-domain cooperative operator (DiscreteSystem.block).
 
     The Z gate is principal_eigenpair's one scan; its (row, col) position
-    is reported here as ((species, interior_pos), (species, interior_pos)).
+    is reported here as ((species, interior_pos), (species, interior_pos))
+    of the whole system, as the cooperative gate reports it (block_ids).
     Every species on the whole domain is the cooperative operator itself,
     which assemble has scanned, with its own content key: both are passed
     on, not taken again.  Any other block is built and hashed once, and kept
@@ -163,8 +164,9 @@ def block_eigen(
     try:
         return _memo_eigenpair(ds, a, content, settings, z_scan, mask is None)
     except NotZMatrix as err:
-        n_int = a.shape[0] // len(species)
-        pos = tuple((r // n_int + 1, r % n_int) for r in err.position)
+        n_int = ds.grid.n_interior
+        ids = ds.block_ids(species, mask)
+        pos = tuple((int(ids[r]) // n_int + 1, int(ids[r]) % n_int) for r in err.position)
         raise NotZMatrix(
             f"cooperative part has positive off-diagonal {err.value:.6g} at {pos}",
             position=pos,

@@ -7,11 +7,16 @@ constant couplings shift margins by exactly the coupling size.
 
 import dataclasses
 import inspect
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hyp_settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import elcomp.certify as certify_mod
 from elcomp import assembly, linalg, oracle, quasilinear
@@ -490,6 +495,65 @@ def test_gauge_untouched_species_defaults_positive():
     sigma, reason = find_gauge(spec)
     assert sigma == (1, -1, 1)
     assert reason is None
+
+
+SIGNS = {"-1": "-", "0": "0", "1": "+", "x - 0.5": "+-"}
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            # a sign-changing entry one time in ten, so that most draws
+            # pass the pair loop
+            st.lists(
+                st.sampled_from(["-1", "0", "1"] * 3 + ["x - 0.5"]),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@hyp_settings(max_examples=150, deadline=None)
+def test_gauge_matches_brute_force(m):
+    """On random sign patterns (couplings -1, 0, 1 or the sign-changing
+    x - 0.5; the diagonal is ignored): a returned sigma makes every
+    sigma_k sigma_l m_kl <= 0, +1 on the first species of each coupled
+    component; ParityConflict means no sigma in {+-1}^N does; MixedSign and
+    InconsistentPair name the first offending pair in pair order."""
+    n = len(m)
+    spec = laplace_system(grid1(8), n_species=n, m=m)
+    sigma, reason = find_gauge(spec)
+    first = None  # where the pair loop stops, in pair order
+    for i, j in itertools.combinations(range(n), 2):
+        kinds = [SIGNS[m[k][l]] for k, l in ((i, j), (j, i))]
+        if "+-" in kinds:
+            k, l = (i, j) if kinds[0] == "+-" else (j, i)
+            first = f"MixedSign: m{k + 1}{l + 1} changes sign"
+        elif {"+", "-"} <= set(kinds):
+            first = (
+                f"InconsistentPair: m{i + 1}{j + 1} and m{j + 1}{i + 1} "
+                "have opposite signs"
+            )
+        if first is not None:
+            assert (sigma, reason) == (None, first)
+            return
+    ds = assembly.as_discrete(spec)
+    vals = ds.coupling_values("full")[:, :, ds.grid.interior_ids]
+    vals[np.arange(n), np.arange(n)] = 0.0  # the diagonal is no coupling
+
+    def works(s):
+        return (np.outer(s, s)[:, :, None] * vals).max() <= 0.0
+
+    if sigma is None:
+        assert reason == "ParityConflict: no consistent sign assignment"
+        assert not any(works(s) for s in itertools.product((1, -1), repeat=n))
+        return
+    assert reason is None and works(sigma)
+    coupled = np.array([[float(m[i][j] != "0") for j in range(n)] for i in range(n)])
+    _, component = connected_components(coupled, directed=False)
+    assert all(sigma[list(component).index(c)] == 1 for c in component)
 
 
 # ---------------------------------------------------------------- certify

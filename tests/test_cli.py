@@ -17,6 +17,7 @@ from elcomp.errors import ElcompError
 from elcomp.fields import load_block, load_fields
 from elcomp.mesh import build_grid
 
+from helpers import system_text
 from test_golden import DATA, _check
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +183,20 @@ def test_exit_code_4_on_structure_errors(tmp_path):
     code, payload = report(tmp_path, "oracle", pred, "--gauge")
     assert code == 4
     assert payload["errors"][0]["type"] == "StructureUnsupported"
+
+
+def test_eigen_component_reports_z_position_as_certify_does(tmp_path, capsys):
+    """eigen --component 2 names the non-Z entry by its species in the
+    system, as certify's cooperative gate does, not by its place in the
+    one-species block."""
+    text = system_text((8, 8), [{}, {"a12": "0.9", "a21": "0.9"}])
+    twisted = write(tmp_path, "twisted.prob", text)
+    code, _ = report(tmp_path, "eigen", twisted, "--component", "2")
+    assert code == 4
+    assert "((2, 1), (2, 7))" in capsys.readouterr().err
+    code, payload = report(tmp_path, "certify", twisted)
+    assert code == 4
+    assert "((2, 1), (2, 7))" in payload["errors"][0]["message"]
 
 
 def test_eigen_closed_form(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Strongly connected components and topological order."""
+"""Strongly connected components, topological order and potentials."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elcomp.assembly import SignPattern
-from elcomp.graphs import csr_strongly_connected, tarjan_scc, topo_order
+from elcomp.graphs import csr_strongly_connected, potentials, tarjan_scc, topo_order
 
 
 def signs_of(n, adj):
@@ -143,3 +143,47 @@ def test_csr_strongly_connected_matches_tarjan(args):
             if a.data[ix] != 0.0:
                 adj[u].append(int(a.indices[ix]))
     assert csr_strongly_connected(a) == (len(tarjan_scc(n, lambda v: adj[v])) == 1)
+
+
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.floats(min_value=0.1, max_value=10.0) | st.floats(-10.0, -0.1),
+                min_size=n,
+                max_size=n,
+            ),
+            st.tuples(*[st.integers(0, v - 1) for v in range(1, n)]),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_potentials_recover_weights_on_a_connected_graph(args):
+    """Ratios w_l / w_k of nonzero weights on the edges of a random
+    connected graph (a random tree plus extra edges, each edge once, in
+    either direction and in any order) give back w / w[0]."""
+    w, parents, extra, rng = args
+    n = len(w)
+    edges = {frozenset(e) for e in enumerate(parents, 1)}
+    edges |= {frozenset(e) for e in extra if e[0] != e[1]}
+    pairs = [tuple(rng.sample(sorted(e), 2)) for e in sorted(edges, key=sorted)]
+    rng.shuffle(pairs)
+    ratio = {(k, l): w[l] / w[k] for k, l in pairs}
+    got = potentials(n, ratio, 1e-9)
+    assert got is not None
+    np.testing.assert_allclose(got, np.asarray(w) / w[0], rtol=1e-12)
+    assert got[0] == 1.0
+
+
+def test_potentials_cycle_tolerance():
+    """Around a cycle, values off by rtol are accepted and by more are not;
+    each component starts at 1 on its first vertex."""
+    rtol = 2.0**-10
+    ring = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0 + rtol}
+    assert potentials(3, ring, rtol).tolist() == [1.0, 1.0, 1.0 + rtol]
+    ring[0, 2] = 1.0 + 2 * rtol
+    assert potentials(3, ring, rtol) is None
+    assert potentials(3, {(0, 1): -1.0, (1, 2): -1.0, (0, 2): -1.0}, 0.0) is None
+    assert potentials(4, {(2, 3): -1.0}, 0.0).tolist() == [1.0, 1.0, 1.0, -1.0]

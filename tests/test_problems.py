@@ -159,6 +159,33 @@ def test_domain_validation():
         prob(MINIMAL.replace("n = 8", "n = 8\nshift = 1"))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("dim = 1", "dim = x", "dim: expected integers, got 'x'"),
+        ("lo = 0", "lo = 0 a", "lo: expected numbers, got '0 a'"),
+        ("n = 8", "n = 4 4", "n: expected 1 value(s)"),
+    ],
+)
+def test_domain_value_messages(old, new, message):
+    with pytest.raises(ParseError) as info:
+        prob(MINIMAL.replace(old, new))
+    assert info.value.message == message
+
+
+def test_first_bad_species_key_is_reported():
+    """Keys are read in the format's order (a11..a22, b1, b2, c, f, g), so
+    the first syntax error names a12 even when c is bad too."""
+    text = (
+        "[domain]\ndim = 2\nlo = 0 0\nhi = 1 1\nn = 4 4\n"
+        "[species 1]\nc = 1 +\na12 = (x\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert info.value.message.startswith("a12: ")
+    assert info.value.line == 8
+
+
 def test_species_contiguity_and_keys():
     with pytest.raises(ValidationError) as info:
         prob(MINIMAL.replace("[species 1]", "[species 2]"))

@@ -28,6 +28,7 @@ from helpers import (
     laplace_system,
     op_of,
     system_of,
+    system_text,
 )
 
 
@@ -413,7 +414,7 @@ def test_certify_hashes_each_operator_once(monkeypatch, name, keys):
 def test_block_eigen_scans_each_block_once(monkeypatch):
     """principal_eigenpair's Z scan is the block's only one, and a memo hit
     scans nothing; a non-Z block still reports (species, position) pairs
-    within the block."""
+    of the whole system, as the cooperative gate does."""
     scans = []
     scan = spectral.check_z_matrix
 
@@ -431,14 +432,26 @@ def test_block_eigen_scans_each_block_once(monkeypatch):
     assert len(scans) == 1
     for species in ([1], [0, 1]):
         a = ds.block("cooperative", species)
-        _, pos, worst, _ = scan(a, grid.n_interior)
+        _, _, worst, _ = scan(a)
+        pos = ds.assembled("cooperative").worst_offdiag
         with pytest.raises(NotZMatrix) as info:
             block_eigen(ds, species)
         assert (info.value.position, info.value.value) == (pos, worst)
-        assert pos[0][0] == len(species)  # the twisted species comes last
+        assert pos[0][0] == 2  # the twisted species, numbered in the system
         assert str(info.value) == (
             f"cooperative part has positive off-diagonal {worst:.6g} at {pos}"
         )
+
+
+def test_masked_block_reports_z_position_in_system_numbering():
+    """A non-Z block on a subdomain names the species in the system and the
+    node among the whole grid's interior nodes, not its place in the mask."""
+    text = system_text((8, 8), [{}, {"a12": "0.9", "a21": "0.9"}])
+    ds = parse_problem(text).discretize()
+    mask = sub_rectangle_mask(ds.grid, (0.3, 0.3), (0.9, 0.9))
+    with pytest.raises(NotZMatrix) as info:
+        component_eigen(ds, 2, mask=mask)
+    assert info.value.position == ((2, 17), (2, 23))
 
 
 def _counting_z_scans(monkeypatch):
