@@ -29,6 +29,7 @@ from .graphs import tarjan_scc, topo_order
 from .mesh import Grid, SubdomainMask
 
 Z_RTOL = 1e-14
+KNOWN_Z = (True, None, 0.0, 0.0)  # check_z_matrix's result for a known Z-matrix
 COUPLING_NONZERO = 1e-12
 ASYMMETRY_WARN = 1e-10
 
@@ -182,22 +183,19 @@ def _largest_offdiag(a: sp.spmatrix):
     return float(vals[k]), (int(rows[k]), int(cols[k]))
 
 
-def check_z_matrix(a: sp.spmatrix, n_int: int | None = None):
+def check_z_matrix(a: sp.spmatrix):
     """(is_z, worst_position, worst_value, offdiag_max) for positive off-diagonals.
 
-    worst_position is (row, col); with n_int given it becomes
-    ((species, interior_pos), (species, interior_pos)).
+    worst_position is the (row, col) of a; DiscreteSystem.species_position
+    names a row of a coupled system by species and node.  KNOWN_Z is the
+    result for a matrix with no off-diagonal entry, and what callers pass
+    on for an operator they know to be Z, in place of a scan.
     """
     found = _largest_offdiag(a)
     if found is None:
-        return True, None, 0.0, 0.0
+        return KNOWN_Z
     worst, pos = found
     offdiag_max = max(worst, 0.0)
-    if n_int:
-        pos = (
-            (pos[0] // n_int + 1, pos[0] % n_int),
-            (pos[1] // n_int + 1, pos[1] % n_int),
-        )
     # the tolerance is positive, so only a positive worst entry needs |A|
     is_z = worst <= 0.0 or worst <= Z_RTOL * max(linalg.inf_norm(a), 1e-300)
     return is_z, pos, worst, offdiag_max
@@ -477,6 +475,13 @@ class DiscreteSystem:
         nodes = np.arange(n_int) if mask is None else np.flatnonzero(mask.inside)
         return (np.asarray(species, dtype=np.int64)[:, None] * n_int + nodes).ravel()
 
+    def species_position(self, rows) -> tuple:
+        """(species, interior_pos) of each given row of the coupled A, the
+        species 1-based: the species-major layout that block_ids numbers,
+        as the Z gates report their positions."""
+        n_int = self.grid.n_interior
+        return tuple((int(r) // n_int + 1, int(r) % n_int) for r in rows)
+
     def block(self, coupling, species, mask: SubdomainMask | None = None):
         """Principal submatrix of assembled(coupling).A on the given species
         (0-based) at the masked interior nodes, species-major.
@@ -528,7 +533,8 @@ class DiscreteSystem:
         )
         f_vec = self.f_vals[:, target].reshape(-1)
         g_vec = self.g_vals[:, grid.boundary_ids].reshape(-1)
-        is_z, worst_pos, _, offdiag_max = check_z_matrix(A, grid.n_interior)
+        is_z, worst_pos, _, offdiag_max = check_z_matrix(A)
+        worst_pos = None if worst_pos is None else self.species_position(worst_pos)
         return AssembledSystem(
             A, G, f_vec, g_vec, is_z, offdiag_max, worst_pos, grid, n
         )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle as oracle_mod
-from .assembly import as_discrete
+from .assembly import KNOWN_Z, as_discrete
 from .errors import (
     InfeasibleEpsilon,
     NotZMatrix,
@@ -252,7 +252,7 @@ def check_thm1(spec, settings: Settings = DEFAULT) -> Verdict:
             position=asys.worst_offdiag,
             value=asys.offdiag_max,
         )
-    pair = _memo_eigenpair(ds, asys.A, asys.key, settings)
+    pair = _memo_eigenpair(ds, asys.A, asys.key, settings, KNOWN_Z)
     lam = pair.value
     tol = settings.tol_cond * (1.0 + abs(lam))
     verdict = Verdict("Inconclusive", theorem="Theorem 1", mode=settings.mode)

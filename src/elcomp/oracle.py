@@ -41,11 +41,11 @@ row p+1, and left of it G_{p,q} = G_{p,q+1} Q_q.  That is about 2 m n^2
 flops in dense m x m products, against SuperLU's triangular solves at
 scalar speed.  Each finished row is reduced over its lines, and the
 extremes' first positions are sought among the entries that the reduced
-row marks.  Its product with G updates running per-species extremes of
--(A^{-1} G), written out once.  Memory is the Q and S^{-1} stacks, two
-rows (this one and the one below) and one row's boundary product:
-O(n m + m n_boundary).  The blocks are read off one line-numbered CSC copy
-of A, with no sparse matrix per line.
+row marks.  Its product with G updates running extremes of -(A^{-1} G)
+per boundary value, reduced per species once.  Memory is the Q and S^{-1}
+stacks, two rows (this one and the one below) and one row's boundary
+product: O(n m + m n_boundary).  The blocks are read off one line-numbered
+CSC copy of A, with no sparse matrix per line.
 
 Half of those rows are redundant when A W is symmetric for constant
 species weights, W = diag(w_k I): self-adjoint species operators whose
@@ -465,58 +465,57 @@ def _scan_slabs(asys: AssembledSystem):
 
 
 class _Boundary:
-    """Running extremes of A^{-1} G over the block rows of the slab scan.
-
-    On full rows, each row's product with G is reduced per species of the
-    boundary values.  On right parts (ratio given), every boundary value b
-    enters one equation r_b with one coefficient c_b, so column b of A^{-1}
-    G is c_b A^{-1}[:, r_b].  Row p's right part gives the rows of line p
-    at every r_b of lines p and on.  Mirrored, the rows right of line p at
-    the r_b of line p are A^{-1}_{i r} = A^{-1}_{r i} w_i / w_r, read off
-    the row's extremes over the lines right of line p (_Extremes.rest).
-    Both are kept as max and min per b and per position of i along its
-    line, and the factors w_i / w_r and c_b are applied once at the end:
-    x -> c x is monotone in floating point.  A boundary value that enters
-    no equation adds 0.0 to its species' extremes, as its zero column of
-    A^{-1} G does.
+    """Running extremes of A^{-1} G over the block rows of the slab scan,
+    kept in one store in either mode: max and min per boundary value b and
+    per position of row i along its line.  On full rows, a row's product
+    with G gives them for every b.  On right parts (ratio given), every
+    boundary value b enters one equation r_b with one coefficient c_b, so
+    column b of A^{-1} G is c_b A^{-1}[:, r_b], and only the b that enter
+    an equation are kept.  Row p's right part gives the rows of line p at
+    every r_b of lines p and on.  Mirrored, the rows right of line p at the
+    r_b of line p are A^{-1}_{i r} = A^{-1}_{r i} w_i / w_r, read off the
+    row's extremes over the lines right of line p (_Extremes.rest), and
+    kept apart.  Only right parts take factors, w_i / w_r and c_b, applied
+    once at the end: x -> c x is monotone in floating point.  Then one
+    reduction per species of the boundary values serves both modes.  A
+    boundary value that enters no equation adds 0.0 to its species'
+    extremes, as its zero column of A^{-1} G does.
     """
 
     def __init__(self, asys, perm, per_line: int, ratio):
-        g, ns = asys.G, asys.n_species
+        g, ns, n_bnd = asys.G, asys.n_species, asys.grid.n_boundary
         m = ns * per_line
         self.ns, self.per_line, self.ratio = ns, per_line, ratio
+        keep = g.data != 0.0
+        unentered = np.bincount(g.indices[keep], minlength=g.shape[1]) == 0
+        self.empty = np.unique(np.flatnonzero(unentered) // n_bnd)  # their species
         if ratio is None:
             self.gp_t = g[perm].T  # a block row of A^{-1} G is (gp_t @ row.T).T
-            # [l, k * per_line + node]: over the columns of species l
-            self.hi, self.lo = np.full((ns, m), -np.inf), np.full((ns, m), np.inf)
-            return
-        n_bnd = asys.grid.n_boundary
-        at = np.empty_like(perm)
-        at[perm] = np.arange(perm.size)  # line-numbered row of each dof
-        keep = g.data != 0.0
-        rows = at[row_ids(g)[keep]]
-        order = np.argsort(rows, kind="stable")
-        self.rows, self.coeffs = rows[order], g.data[keep][order]
-        self.species = g.indices[keep][order] // n_bnd  # of the boundary value
-        unentered = np.bincount(g.indices[keep], minlength=g.shape[1]) == 0
-        self.empty = np.bincount(np.flatnonzero(unentered) // n_bnd, minlength=ns) > 0
-        # the b whose r_b lies in each line start at lines[p]
-        self.lines = np.searchsorted(self.rows, np.arange(0, perm.size + 1, m)).tolist()
-        # [b, position of i along its line]; mirrored for the r_b left of the
-        # last line, which have rows right of them
-        shape, mirrored = (self.rows.size, m), (self.lines[-2], m)
+            self.species = np.arange(g.shape[1]) // n_bnd  # of the boundary value
+        else:
+            at = np.empty_like(perm)
+            at[perm] = np.arange(perm.size)  # line-numbered row of each dof
+            rows = at[row_ids(g)[keep]]
+            order = np.argsort(rows, kind="stable")
+            self.rows, self.coeffs = rows[order], g.data[keep][order]
+            self.species = g.indices[keep][order] // n_bnd
+            # the b whose r_b lies in each line start at lines[p]
+            self.lines = np.searchsorted(self.rows, np.arange(0, perm.size + 1, m)).tolist()
+            # mirrored for the r_b left of the last line, which have rows right of them
+            mirrored = (self.lines[-2], m)
+            self.mirrored_hi, self.mirrored_lo = np.empty(mirrored), np.empty(mirrored)
+        # [b, position of i along its line]
+        shape = (self.species.size, m)
         self.hi, self.lo = np.full(shape, -np.inf), np.full(shape, np.inf)
-        self.mirrored_hi, self.mirrored_lo = np.empty(mirrored), np.empty(mirrored)
 
     def fold(self, t, p: int, rest) -> None:
         """Fold block row p, held transposed in t as _Extremes folds it;
         rest is _Extremes.rest after that fold."""
-        ns, per_line, hi, lo = self.ns, self.per_line, self.hi, self.lo
-        m = ns * per_line
+        hi, lo, m = self.hi, self.lo, self.ns * self.per_line
         if self.ratio is None:
-            prod = (self.gp_t @ t).reshape(ns, -1, m)  # [l, boundary value, row]
-            np.maximum(hi, prod.max(axis=1), out=hi)
-            np.minimum(lo, prod.min(axis=1), out=lo)
+            prod = self.gp_t @ t  # [boundary value, row]
+            np.maximum(hi, prod, out=hi)
+            np.minimum(lo, prod, out=lo)
             return
         s, e = self.lines[p], self.lines[p + 1]
         x = t[self.rows[s:] - p * m]  # rows of line p at every r_b of lines p and on
@@ -530,29 +529,23 @@ class _Boundary:
     def extremes(self):
         """(top, bottom) [l, k]: the max and min of A^{-1} G over its rows
         of species k and its columns of species l."""
-        ns, per_line = self.ns, self.per_line
-        if self.ratio is None:
-            top = self.hi.reshape(ns, ns, per_line).max(axis=2)
-            return top, self.lo.reshape(ns, ns, per_line).min(axis=2)
-        m, coeffs = ns * per_line, self.coeffs[:, None]
-        ends = (self.hi * coeffs, self.lo * coeffs)
-        hi, lo = np.maximum(*ends), np.minimum(*ends)
-        # [b, k * per_line + node] = c_b w_k / w_r for r = r_b
-        factor = np.repeat(self.ratio[:, self.rows % m // per_line].T, per_line, axis=1)
-        n = self.mirrored_hi.shape[0]
-        factor = factor[:n] * coeffs[:n]
-        ends = (self.mirrored_hi * factor, self.mirrored_lo * factor)
-        np.maximum(hi[:n], np.maximum(*ends), out=hi[:n])
-        np.minimum(lo[:n], np.minimum(*ends), out=lo[:n])
-        hi = hi.reshape(-1, ns, per_line).max(axis=2)  # [b, k]
-        lo = lo.reshape(-1, ns, per_line).min(axis=2)
+        ns, per_line, hi, lo = self.ns, self.per_line, self.hi, self.lo
+        if self.ratio is not None:
+            m, coeffs = ns * per_line, self.coeffs[:, None]
+            ends = (hi * coeffs, lo * coeffs)
+            hi, lo = np.maximum(*ends), np.minimum(*ends)
+            # [b, k * per_line + node] = c_b w_k / w_r for r = r_b
+            factor = np.repeat(self.ratio[:, self.rows % m // per_line].T, per_line, axis=1)
+            n = self.mirrored_hi.shape[0]
+            factor = factor[:n] * coeffs[:n]
+            ends = (self.mirrored_hi * factor, self.mirrored_lo * factor)
+            np.maximum(hi[:n], np.maximum(*ends), out=hi[:n])
+            np.minimum(lo[:n], np.minimum(*ends), out=lo[:n])
         top, bottom = np.full((ns, ns), -np.inf), np.full((ns, ns), np.inf)
-        for l in range(ns):
-            ours = self.species == l
-            if ours.any():
-                top[l], bottom[l] = hi[ours].max(axis=0), lo[ours].min(axis=0)
-            if self.empty[l]:
-                top[l], bottom[l] = np.maximum(top[l], 0.0), np.minimum(bottom[l], 0.0)
+        for f, out, x in ((np.maximum, top, hi), (np.minimum, bottom, lo)):
+            # over the nodes of each species k, then the b of each species l
+            f.at(out, self.species, f.reduce(x.reshape(-1, ns, per_line), axis=2))
+            f.at(out, self.empty, 0.0)
         # + 0.0 turns -0.0 into 0.0, as the sums of the product with G do
         return top + 0.0, bottom + 0.0
 
@@ -575,13 +568,14 @@ class _Extremes:
     a row's candidates wait until the next row is folded, and only those
     that row does not beat are sought, while t is still held.  In the half
     scan a block's minimum falls on almost every row, so almost every
-    search is saved.  A search compares only the entries whose reduced
-    extreme equals the block's, on every line.  Among ties the first
-    position in the row-major order of A^{-1} wins.  Within line p and
-    species k that order's row grows with the position along the line, and
-    node 0 of t's first line of species l is its first column; transposed,
-    node 0 of line p + 1 is the first row.  Either settles a block of exact
-    zeros at once.
+    search is saved.  One search serves both the direct and the mirrored
+    entries: it gathers the entries whose reduced extreme equals the
+    block's, on every line, scaled by the ratio when mirrored, maps them
+    through perm to positions (i, j) of A^{-1}, swapped when mirrored, and
+    takes the first in row-major order, which wins among ties.  Node 0 of
+    line p and node 0 of the first line searched (t's first, or line p + 1
+    when mirrored) make the first pair in either mode, and are checked
+    first: that settles a block of exact zeros at once.
     """
 
     def __init__(self, perm, ns: int, per_line: int, ratio):
@@ -644,51 +638,35 @@ class _Extremes:
         for mirrored, a, b, si in zip(*np.nonzero(sv == bound)):
             least = float(sv[mirrored, a, b, si])  # s times the extreme
             a, b, s = int(a), int(b), 1 - 2 * int(si)
-            if mirrored:
-                pos = self._seek_mirrored(t, p, rest, a, b, s, s * least)
-            else:
-                pos = self._seek_direct(t, p, lo if s == 1 else hi, a, b, s * least)
+            red = rest if mirrored else (lo, hi)
+            pos = self._seek_first(t, p, red, a, b, s, s * least, bool(mirrored))
             key, cand = (a, b, s), (least, pos)
             best = self.inv.get(key)
             self.inv[key] = cand if best is None else min(best, cand)
 
-    def _seek_direct(self, t, p: int, red, k: int, l: int, v: float):
-        """First (i, j) of block (k, l) in row p where A^{-1} equals v; red
-        the row's reduced extremes that v is one of."""
+    def _seek_first(self, t, p: int, red, a: int, b: int, s: int, v: float, mirrored: bool):
+        """First (i, j) of block (a, b) of A^{-1} where an entry that row p
+        gives equals v, a minimum for s = 1 and a maximum for s = -1: direct,
+        the entries of row p; mirrored, the transposed entries right of line
+        p, scaled by ratio[a, b].  red is the row's reduced (min, max) that
+        v is an extreme of, before scaling."""
         ns, per_line, perm = self.ns, self.per_line, self.perm
         m = ns * per_line
-        lines = t.shape[0] // m
-        first = perm.size // m - lines  # the column line of t's first
-        cols = t.reshape(lines, ns, per_line, m)  # [line, l, node, row of line p]
-        i = p * m + k * per_line  # node 0 of line p
-        if cols[0, l, 0, k * per_line] == v:  # node 0 of the first line
-            return int(perm[i]), int(perm[first * m + l * per_line])
-        hit = red[l, :, k, :] == v  # [column node, row node]
-        y = int(np.argmax(hit.any(axis=0)))
-        nodes = np.flatnonzero(hit[:, y])
-        at_line, at = np.nonzero(cols[:, l, nodes, k * per_line + y] == v)
-        c = (first + at_line) * m + l * per_line + nodes[at]
-        return int(perm[i + y]), int(perm[c].min())
-
-    def _seek_mirrored(self, t, p: int, rest, l: int, k: int, s: int, v: float):
-        """First (i, j) of block (l, k) where the transposed entries of row
-        p right of line p, scaled by ratio[l, k], equal v; rest their
-        reduced (min, max) before scaling."""
-        ns, per_line, perm = self.ns, self.per_line, self.perm
-        m = ns * per_line
-        cols = t.reshape(-1, ns, per_line, m)  # [line from p, l, node, row of line p]
-        r = self.ratio[l, k]
-        j = p * m + k * per_line  # node 0 of line p
-        if cols[1, l, 0, k * per_line] * r == v:  # node 0 of line p + 1
-            return int(perm[(p + 1) * m + l * per_line]), int(perm[j])
-        ends = (rest[0][l, :, k, :] * r, rest[1][l, :, k, :] * r)
-        red = np.minimum(*ends) if s == 1 else np.maximum(*ends)
-        nodes, ys = np.nonzero(red == v)  # [column node, row node]
-        line, at = np.nonzero(cols[1:, l, nodes, k * per_line + ys] * r == v)
-        i = perm[(p + 1 + line) * m + l * per_line + nodes[at]]
-        j = perm[j + ys[at]]
-        pick = np.lexsort((j, i))[0]
-        return int(i[pick]), int(j[pick])
+        u, w = (a, b) if mirrored else (b, a)  # species of t's lines, of line p
+        r = self.ratio[a, b] if mirrored else 1.0
+        first = int(mirrored)  # the first line of t searched: line p + 1 when mirrored
+        cols = t.reshape(-1, ns, per_line, m)  # [line, species, node, row of line p]
+        c0 = (perm.size // m - cols.shape[0] + first) * m + u * per_line  # its node 0
+        y0 = w * per_line  # node 0 of line p, as a row of it
+        if cols[first, u, 0, y0] * r == v:  # the first pair in either mode
+            i, j = int(perm[p * m + y0]), int(perm[c0])
+            return (j, i) if mirrored else (i, j)
+        # x -> r x is monotone, decreasing for r < 0
+        end = red[int((s == 1) != (r > 0))][u, :, w, :]
+        nodes, ys = np.nonzero(end * r == v)  # [node, node of line p]
+        line, at = np.nonzero(cols[first:, u, nodes, y0 + ys] * r == v)
+        i, j = perm[p * m + y0 + ys[at]].tolist(), perm[c0 + line * m + nodes[at]].tolist()
+        return min(zip(j, i) if mirrored else zip(i, j))  # the first in row-major order
 
 
 def inverse_positivity(

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .assembly import as_discrete, check_z_matrix
+from .assembly import KNOWN_Z, as_discrete, check_z_matrix
 from .errors import NotIrreducible, NotZMatrix, ValidationError
 from .graphs import csr_strongly_connected
 from .mesh import SubdomainMask
@@ -137,41 +137,39 @@ def block_eigen(
     block (0-based species) and a subdomain: a principal submatrix of the
     full-domain cooperative operator (DiscreteSystem.block).
 
-    The Z gate is principal_eigenpair's one scan; its (row, col) position
-    is reported here as ((species, interior_pos), (species, interior_pos))
-    of the whole system, as the cooperative gate reports it (block_ids).
     Every species on the whole domain is the cooperative operator itself,
-    which assemble has scanned, with its own content key: both are passed
-    on, not taken again.  Any other block is built and hashed once, and kept
-    (DiscreteSystem.cooperative_block).
-    A cooperative operator with no positive off-diagonal entry has none in
-    any principal submatrix either, so its blocks are passed on as Z
-    unscanned.  A block on the whole grid, with no mask or one that keeps
-    every node, starts from grid_sine; a block on a subdomain takes no start.
+    which assemble has scanned and keyed: one that is not Z raises
+    NotZMatrix with the entry the cooperative gate reports, and a Z one is
+    passed on as KNOWN_Z with its key, neither taken again.  Any other
+    block is built and hashed once, and kept
+    (DiscreteSystem.cooperative_block).  A cooperative operator with no
+    positive off-diagonal entry has none in any principal submatrix
+    either, so its blocks are passed on as KNOWN_Z unscanned.  Otherwise
+    the block's one Z gate is principal_eigenpair's scan, and its (row,
+    col) is reported as ((species, interior_pos), (species, interior_pos))
+    of the whole system (DiscreteSystem.species_position of the block's
+    block_ids).  A block on the whole grid, with no mask or one that keeps
+    every node, starts from grid_sine; a block on a subdomain takes no
+    start.
     """
     ds = as_discrete(spec)
     coop = ds.assembled("cooperative")
     mask = None if mask is None or mask.inside.all() else mask
-    if mask is None and list(species) == list(range(ds.n_species)):
-        a, content, pos = coop.A, coop.key, coop.worst_offdiag
-        if pos is not None:  # back to (row, col) of A
-            pos = tuple((k - 1) * ds.grid.n_interior + i for k, i in pos)
-        # offdiag_max is the worst entry whenever A is not Z
-        z_scan = (coop.z_matrix, pos, coop.offdiag_max, coop.offdiag_max)
-    else:
-        a, content = ds.cooperative_block(species, mask)
-        z_scan = (True, None, 0.0, 0.0) if coop.offdiag_max == 0.0 else None
-    try:
-        return _memo_eigenpair(ds, a, content, settings, z_scan, mask is None)
-    except NotZMatrix as err:
-        n_int = ds.grid.n_interior
-        ids = ds.block_ids(species, mask)
-        pos = tuple((int(ids[r]) // n_int + 1, int(ids[r]) % n_int) for r in err.position)
-        raise NotZMatrix(
-            f"cooperative part has positive off-diagonal {err.value:.6g} at {pos}",
-            position=pos,
-            value=err.value,
-        ) from None
+    whole = mask is None and list(species) == list(range(ds.n_species))
+    value, pos = coop.offdiag_max, coop.worst_offdiag
+    if coop.z_matrix or not whole:
+        a, content = (coop.A, coop.key) if whole else ds.cooperative_block(species, mask)
+        z_scan = KNOWN_Z if whole or coop.offdiag_max == 0.0 else None
+        try:
+            return _memo_eigenpair(ds, a, content, settings, z_scan, mask is None)
+        except NotZMatrix as err:
+            rows = ds.block_ids(species, mask)[list(err.position)]
+            value, pos = err.value, ds.species_position(rows)
+    raise NotZMatrix(
+        f"cooperative part has positive off-diagonal {value:.6g} at {pos}",
+        position=pos,
+        value=value,
+    )
 
 
 def cooperative_eigen(

@@ -157,9 +157,11 @@ def test_check_z_matrix_species_positions():
     d = np.zeros((4, 4))
     np.fill_diagonal(d, 1.0)
     d[1, 3] = 0.7
-    is_z, pos, worst, _ = check_z_matrix(sp.csr_matrix(d), 2)
+    is_z, pos, worst, _ = check_z_matrix(sp.csr_matrix(d))
     assert not is_z
-    assert pos == ((1, 1), (2, 1))
+    ds = laplace_system(build_grid(1, 0.0, 1.0, 3), n_species=2).discretize()
+    assert ds.grid.n_interior == 2
+    assert ds.species_position(pos) == ((1, 1), (2, 1))
     assert worst == 0.7
 
 

@@ -39,10 +39,11 @@ from elcomp.linalg import (
     same_nonzeros,
     shifted,
 )
+from elcomp.mesh import build_grid
 from elcomp.problems import parse_problem
 from elcomp.settings import Settings
 
-from helpers import convection_pair_text, power_iteration, system_text
+from helpers import convection_pair_text, laplace_system, power_iteration, system_text
 
 
 def test_from_coo_sums_duplicates():
@@ -93,7 +94,7 @@ def stored_matrices(draw):
     return build((vals[by_major], minor[by_major], indptr.astype(np.int32)), shape=shape)
 
 
-def _z_scan_reference(a, n_int=None):
+def _z_scan_reference(a):
     """check_z_matrix as a scan of a.tocoo(), with the norm of |A|."""
     coo = a.tocoo()
     off = coo.row != coo.col
@@ -103,10 +104,11 @@ def _z_scan_reference(a, n_int=None):
     k = int(np.argmax(vals))
     worst = float(vals[k])
     pos = (int(rows[k]), int(cols[k]))
-    if n_int:
-        pos = ((pos[0] // n_int + 1, pos[0] % n_int), (pos[1] // n_int + 1, pos[1] % n_int))
     norm = float(np.abs(a).sum(axis=1).max())
     return worst <= Z_RTOL * max(norm, 1e-300), pos, worst, max(worst, 0.0)
+
+
+_THREE_NODES = laplace_system(build_grid(1, 0.0, 1.0, 4)).discretize()
 
 
 def _bits(z):
@@ -128,8 +130,11 @@ def test_array_helpers_equal_the_matrix_formulas(a, data):
     arrays, equal the formulas that build sparse matrices, bit for bit."""
     norm = 0.0 if a.nnz == 0 else float(np.abs(a).sum(axis=1).max())
     assert inf_norm(a).hex() == norm.hex()
-    for n_int in (None, 3):
-        assert _bits(check_z_matrix(a, n_int)) == _bits(_z_scan_reference(a, n_int))
+    z_scan = check_z_matrix(a)
+    assert _bits(z_scan) == _bits(_z_scan_reference(a))
+    if z_scan[1] is not None:  # rows of a system of 3 interior nodes per species
+        expect = tuple((q + 1, r) for q, r in (divmod(row, 3) for row in z_scan[1]))
+        assert _THREE_NODES.species_position(z_scan[1]) == expect
     n = a.shape[0]
     if n != a.shape[1]:
         return

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse._base as sparse_base
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -738,7 +738,19 @@ def _slab_rows(draw):
     return perm, ns, per_line, ratio, rows
 
 
+def _scaled_node_zero_rows():
+    """Species weights (1, 2) on 2 lines of 2 nodes, and row 0, whose
+    transposed block (1, 2) right of line 0 holds -2 at node 0 and -4 at
+    node 1: scaled by 1/2, its least entry -2 is at node 1, though node 0
+    holds -2 unscaled."""
+    perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, (3, 3)), 2)
+    t = np.zeros((n_lines * 2 * per_line, 2 * per_line))
+    t.reshape(n_lines, 2, per_line, 2, per_line)[1, 0, :, 1, 0] = [-2.0, -4.0]
+    return perm, 2, per_line, np.divide.outer([1.0, 2.0], [1.0, 2.0]), [(t, 0)]
+
+
 @given(_slab_rows())
+@example(_scaled_node_zero_rows())
 @settings(max_examples=120, deadline=None)
 def test_row_fold_matches_a_brute_force_fold(case):
     """Folding block rows one after another keeps, for every species block

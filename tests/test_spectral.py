@@ -390,6 +390,25 @@ def test_certify_scans_each_operator_content_once(monkeypatch):
     assert len(scans) == len(set(scans)) == 1
 
 
+def test_thm1_scans_each_operator_content_once(monkeypatch):
+    """A cooperative pair with m11 = m22 = 1 has a full and a cooperative
+    system of different content, each scanned once by assemble: Theorem 1
+    gates the full one and solves it without scanning it again."""
+    scans = []
+    for module in (assembly, spectral):
+        scan = module.check_z_matrix
+
+        def counting(a, *args, _scan=scan):
+            scans.append(linalg.content_key(a))
+            return _scan(a, *args)
+
+        monkeypatch.setattr(module, "check_z_matrix", counting)
+    coupling = {"m11": "1", "m22": "1", "m12": "-1", "m21": "-1"}
+    v = certify(parse_problem(system_text((64,), [{}, {}], coupling)))
+    assert v.kind == "HoldsThm1"
+    assert len(scans) == len(set(scans)) == 2
+
+
 @pytest.mark.parametrize("name, keys", [("cooperative_pair", 1), ("competitive17", 3)])
 def test_certify_hashes_each_operator_once(monkeypatch, name, keys):
     """A certify run hashes each operator it solves or scans once.
