@@ -12,10 +12,13 @@ sufficient conditions (positive cooperative eigenvalue, common-point and
 pointwise competitive-part margins, per-component or triangular variants),
 refutes it with a numerically verified counterexample field, or reports
 Inconclusive.  Margins near zero are never rounded into a verdict.
+certify states the species order a Holds or Fails claims (all +1) and
+cross-checks the claim against the oracle in that order.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +44,8 @@ ACROSS_BLOCKS = (
     "does not apply"
 )
 GENERAL = "general coupling structure: no applicable sufficient condition"
+
+logger = logging.getLogger(__name__)
 
 
 # ------------------------------------------------------------- structure
@@ -118,9 +123,7 @@ class Verdict:
     theorem: str | None = None
     mode: str = "basic"
     margins: dict = field(default_factory=dict)
-    lambdas: dict = field(default_factory=dict)
-    cws: dict = field(default_factory=dict)
-    eigen_meta: dict = field(default_factory=dict)
+    eigen: dict = field(default_factory=dict)  # key -> spectral.EigenPair
     x0: tuple | None = None
     j: int | None = None
     epsilon: float | None = None
@@ -131,34 +134,38 @@ class Verdict:
     oracle: oracle_mod.OracleReport | None = None
     oracle_gauged: oracle_mod.OracleReport | None = None
     wtilde: BlockField | None = None
+    order: tuple | None = None
+    cross_check: dict | None = None
     notes: list = field(default_factory=list)
 
     def _headline_key(self):
-        if "system" in self.lambdas:
+        if "system" in self.eigen:
             return "system"
-        if self.j is not None and f"j={self.j}" in self.lambdas:
+        if self.j is not None and f"j={self.j}" in self.eigen:
             return f"j={self.j}"
-        if self.lambdas:
-            return min(self.lambdas, key=lambda k: self.lambdas[k])
+        if self.eigen:
+            return min(self.eigen, key=lambda k: self.eigen[k].value)
         return None
 
     @property
     def value(self):
         key = self._headline_key()
-        return self.lambdas[key] if key is not None else None
+        return self.eigen[key].value if key is not None else None
 
     def to_json_dict(self) -> dict:
+        """The report.  lambda, lambdas and cw are views of eigen, kept
+        because perfbench/checks.py reads lambdas and cw."""
         key = self._headline_key()
+        eigen = {k: pair.to_json_dict() for k, pair in sorted(self.eigen.items())}
         return {
             "verdict": self.kind,
             "theorem": self.theorem,
             "mode": self.mode,
             "margins": {k: float(v) for k, v in sorted(self.margins.items())},
-            "lambda": self.lambdas.get(key) if key is not None else None,
-            "lambdas": {k: float(v) for k, v in sorted(self.lambdas.items())},
-            "cw": list(self.cws[key]) if key in self.cws else None,
-            "cws": {k: list(v) for k, v in sorted(self.cws.items())},
-            "eigen": {k: dict(v) for k, v in sorted(self.eigen_meta.items())},
+            "lambda": eigen[key]["value"] if key is not None else None,
+            "lambdas": {k: e["value"] for k, e in eigen.items()},
+            "cw": list(eigen[key]["cw"]) if key is not None else None,
+            "eigen": eigen,
             "epsilon": self.epsilon,
             "x0": list(self.x0) if self.x0 is not None else None,
             "j": self.j,
@@ -172,20 +179,10 @@ class Verdict:
             "oracle_gauged": (
                 self.oracle_gauged.to_json_dict() if self.oracle_gauged else None
             ),
+            "order": list(self.order) if self.order is not None else None,
+            "cross_check": self.cross_check,
             "notes": list(self.notes),
         }
-
-
-def _record_eigen(verdict: Verdict, key: str, pair) -> None:
-    verdict.lambdas[key] = pair.value
-    verdict.cws[key] = tuple(pair.cw)
-    verdict.eigen_meta[key] = {
-        "value": pair.value,
-        "cw": list(pair.cw),
-        "iterations": pair.iterations,
-        "solves": pair.solves,
-        "residual": pair.residual,
-    }
 
 
 # ------------------------------------------------------------ conditions
@@ -256,7 +253,7 @@ def check_thm1(spec, settings: Settings = DEFAULT) -> Verdict:
     lam = pair.value
     tol = settings.tol_cond * (1.0 + abs(lam))
     verdict = Verdict("Inconclusive", theorem="Theorem 1", mode=settings.mode)
-    _record_eigen(verdict, "system", pair)
+    verdict.eigen["system"] = pair
     verdict.margins["lambda"] = lam
     if lam > tol:
         verdict.kind = "HoldsThm1"
@@ -295,7 +292,7 @@ def _block_margins(ds, verdict, blocks, keys, holds, settings: Settings = DEFAUL
     lefts = [None] * n
     for block, key in zip(blocks, keys):
         pair = block_eigen(ds, block, settings)
-        _record_eigen(verdict, key, pair)
+        verdict.eigen[key] = pair
         left = pair.left.reshape(len(block), -1)
         for bi, k in enumerate(block):
             lams[k] = pair.value
@@ -352,13 +349,7 @@ def check_thm4(spec, settings: Settings = DEFAULT) -> Verdict:
         for b in blocks
     ]
     verdict = Verdict("Inconclusive", theorem="Theorem 4", mode=settings.mode)
-    _block_margins(ds, verdict, blocks, keys, "HoldsThm4", settings)
-    for block, key in zip(blocks, keys):
-        if len(block) > 1:
-            for k in block:
-                verdict.lambdas[f"j={k + 1}"] = verdict.lambdas[key]
-                verdict.cws[f"j={k + 1}"] = verdict.cws[key]
-    return verdict
+    return _block_margins(ds, verdict, blocks, keys, "HoldsThm4", settings)
 
 
 # -------------------------------------------------------------- theorem 5
@@ -383,8 +374,7 @@ def check_thm5(spec, settings: Settings = DEFAULT) -> Verdict:
     verdict.structure = classify_structure(ds)
     pairs = [component_eigen(ds, j + 1, settings) for j in range(n)]
     lams = [p.value for p in pairs]
-    for j, p in enumerate(pairs):
-        _record_eigen(verdict, f"j={j + 1}", p)
+    verdict.eigen.update((f"j={j + 1}", p) for j, p in enumerate(pairs))
     tols, _, diag, col = _margins(ds, lams, settings)
     first = order0[0]
     strict = [j for j in order0[1:]]
@@ -520,7 +510,7 @@ def check_failure(
             )
             continue
         verdict = Verdict(kind, theorem=theorem, j=j + 1)
-        _record_eigen(verdict, "system" if which == "thm7" else f"j={j + 1}", pair)
+        verdict.eigen["system" if which == "thm7" else f"j={j + 1}"] = pair
         verdict.margins["pointwise"] = worst
         verdict.counterexample = cex
         return verdict
@@ -608,12 +598,16 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
     sigma, reason = find_gauge(ds)
     verdict.gauge = sigma
     verdict.gauge_reason = reason
+    if verdict.kind != "Inconclusive":
+        verdict.order = (1,) * ds.n_species
     if not settings.with_oracle:
+        verdict.cross_check = _cross_check(verdict, "oracle not run: with_oracle is off")
         return verdict
     asys = ds.assembled("full")
     orders = [("oracle", None, "system")]
     if sigma is not None and any(s < 0 for s in sigma):
         orders.append(("oracle_gauged", sigma, "gauged system"))
+    first_note = len(verdict.notes)
     for name, gauge, what in orders:
         try:
             setattr(verdict, name, oracle_mod.inverse_positivity(asys, gauge, settings))
@@ -623,4 +617,31 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
             dof, budget = asys.A.shape[0], settings.oracle_max_dof
             verdict.notes.append(f"oracle skipped: {dof} dof exceeds budget {budget}")
             break
+    # without a plain report, the note of the plain order, which is tried first
+    skipped = verdict.notes[first_note] if verdict.oracle is None else None
+    verdict.cross_check = _cross_check(verdict, skipped)
     return verdict
+
+
+def _cross_check(verdict: Verdict, skipped: str | None) -> dict:
+    """Whether the oracle in the claimed order agrees with the verdict.
+
+    A Holds claims A^-1 >= 0 and -A^-1 G >= 0 (inverse_positive and
+    boundary_monotone), a Fails that they do not both hold.  Only the all
+    +1 order is claimed, so the plain oracle decides.  No claim, or no
+    oracle report (skipped says why), gives skipped.
+    """
+    if verdict.order is None:
+        return {"result": "skipped", "reason": "Inconclusive: no claim"}
+    rep = verdict.oracle
+    if rep is None:
+        return {"result": "skipped", "reason": skipped}
+    monotone = bool(rep.inverse_positive and rep.boundary_monotone)
+    reason = (
+        f"oracle: inverse_positive {rep.inverse_positive}, "
+        f"boundary_monotone {rep.boundary_monotone}"
+    )
+    if monotone == verdict.kind.startswith("Holds"):
+        return {"result": "agrees", "reason": reason}
+    logger.warning("%s disagrees with the %s", verdict.kind, reason)
+    return {"result": "disagrees", "reason": reason}

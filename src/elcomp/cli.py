@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from . import oracle as oracle_mod
 from .assembly import as_discrete
 from .certify import certify, check_failure, classify_structure, find_gauge
 from .errors import ElcompError, StructureUnsupported, ValidationError
-from .fields import block_from_solution, load_block, save_fields
-from .problems import load_problem
+from .fields import block_from_solution, decode_text, load_block, save_fields
+from .problems import parse_problem
 from .quasilinear import QuasiSpec, check_thm8, linearize
 from .settings import DEFAULT, MODES, Settings
 from .spectral import component_eigen, cooperative_eigen
@@ -146,12 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digest(paths) -> str:
-    h = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as fh:
-            h.update(fh.read())
-    return "sha256:" + h.hexdigest()
+def _digest(blobs) -> str:
+    return "sha256:" + hashlib.sha256(b"".join(blobs)).hexdigest()
 
 
 def _linear_spec(spec, command):
@@ -366,8 +363,9 @@ def main(argv=None) -> int:
             paths += [args.sub, args.sup]
         if getattr(args, "rhs_from_file", None):
             paths.append(args.rhs_from_file)
-        payload["input_digest"] = _digest(paths)
-        spec = load_problem(args.problem)
+        inputs = [Path(path).read_bytes() for path in paths]
+        payload["input_digest"] = _digest(inputs)
+        spec = parse_problem(decode_text(inputs[0]))  # the digested bytes
         payload.update(_COMMANDS[args.command](args, spec))
     except ElcompError as err:
         error, exit_code = err, err.exit_code

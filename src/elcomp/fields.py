@@ -118,7 +118,11 @@ def _parse_header(tokens, lineno):
 def read_text(path) -> str:
     """A UTF-8 input file's text; other bytes are a ParseError at their offset."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return decode_text(fh.read())
+
+
+def decode_text(data: bytes) -> str:
+    """data as UTF-8 text; other bytes are a ParseError at their offset."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -303,7 +303,8 @@ def check_thm8(qs: QuasiSpec, u, v, settings: Settings = DEFAULT) -> Verdict:
 
     Only positive certificates transfer: a failure verdict on the frozen
     linear system says nothing about the quasilinear pair, so it is
-    reported as Inconclusive with the linear verdict in the notes.
+    reported as Inconclusive with the linear verdict in the notes, no
+    claimed order, and a skipped cross-check.
     """
     verdict = certify(linearize(qs, u, v).to_discrete(), settings)
     if verdict.kind.startswith("Holds"):
@@ -314,11 +315,14 @@ def check_thm8(qs: QuasiSpec, u, v, settings: Settings = DEFAULT) -> Verdict:
         )
     else:
         if verdict.kind.startswith("Fails"):
-            verdict.notes.append(
+            note = (
                 f"linearized system verdict {verdict.kind}: refutes only the "
                 "frozen-coefficient system, not the quasilinear pair"
             )
+            verdict.notes.append(note)
             verdict.counterexample = None
+            verdict.order = None
+            verdict.cross_check = {"result": "skipped", "reason": note}
         verdict.kind = "Inconclusive"
         verdict.theorem = "Theorem 8"
     return verdict

@@ -55,6 +55,16 @@ class EigenPair:
     residual: float
     solves: int
 
+    def to_json_dict(self) -> dict:
+        """The run's record in a report; the vectors stay out."""
+        return {
+            "value": self.value,
+            "cw": list(self.cw),
+            "iterations": self.iterations,
+            "solves": self.solves,
+            "residual": self.residual,
+        }
+
 
 def grid_sine(grid, copies: int) -> np.ndarray:
     """prod_d sin(pi i_d / n_d) at grid's interior nodes in canonical order,

@@ -265,3 +265,26 @@ def power_iteration(b, tol=1e-9, max_iter=200000, collect_history=False):
     enclosure width drops to tol * (1 + rho).
     """
     return _collatz_power(b, lambda rho: tol * (1.0 + abs(rho)), max_iter, collect_history)
+
+
+def assert_report_views(report):
+    """lambda, lambdas and cw of a verdict report are views of its eigen
+    record: each solve's value, and the headline solve's value and
+    enclosure ("system", else the failing species j, else the least
+    value); the per-key enclosures are eigen's alone."""
+    eigen = report["eigen"]
+    assert "cws" not in report
+    assert report["lambdas"] == {key: e["value"] for key, e in eigen.items()}
+    if not eigen:
+        assert report["lambda"] is None and report["cw"] is None
+        return
+    if "system" in eigen:
+        headline = "system"
+    elif f"j={report['j']}" in eigen:
+        headline = f"j={report['j']}"
+    else:
+        headline = min(eigen, key=lambda key: eigen[key]["value"])
+    assert report["lambda"] == eigen[headline]["value"]
+    assert report["cw"] == eigen[headline]["cw"]
+    lo, hi = report["cw"]
+    assert lo <= report["lambda"] <= hi

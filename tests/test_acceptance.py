@@ -105,12 +105,14 @@ def test_acceptance_4_cooperative_equivalence():
         spec = system_of(grid, ops, m=[[str(v) for v in row] for row in m])
         assert n * (cells - 1) <= 600
         v = certify(spec)
-        if not v.lambdas or min(abs(x) for x in v.lambdas.values()) <= 1e-6:
+        if not v.eigen or min(abs(p.value) for p in v.eigen.values()) <= 1e-6:
             continue
         assert v.kind.startswith(("Holds", "Fails")), (v.kind, v.notes)
         assert v.oracle is not None
         agree = v.kind.startswith("Holds") == v.oracle.inverse_positive
         assert agree, (pattern, v.kind, v.oracle.min_entry)
+        # certify's own rule must reach the same answer
+        assert v.cross_check["result"] == "agrees", (pattern, v.kind, v.cross_check)
         checked += 1
         if v.kind.startswith("Holds"):
             holds += 1
@@ -147,9 +149,9 @@ def test_acceptance_6_competitive_pair_margins():
     spec = bundled("competitive17.prob")
     v = certify(spec)
     assert v.kind == "HoldsThm4"
-    lam = v.lambdas["j=1"]
+    lam = v.eigen["j=1"].value
     assert lam == pytest.approx(2.0, rel=0.02)
-    assert v.lambdas["j=2"] == pytest.approx(lam, abs=1e-9)
+    assert v.eigen["j=2"].value == pytest.approx(lam, abs=1e-9)
     assert v.margins["common_point"] == pytest.approx(2.5, rel=0.02)
     assert v.margins["pointwise_diag"] == pytest.approx(2.0, rel=0.02)
     assert v.gauge == (1, -1)
@@ -170,8 +172,8 @@ def test_acceptance_7_predator_prey_construction():
     spec = bundled("predator_prey.prob")
     v = certify(spec)
     assert v.kind == "HoldsThm5"
-    lam1 = v.lambdas["j=1"]
-    lam2 = v.lambdas["j=2"]
+    lam1 = v.eigen["j=1"].value
+    lam2 = v.eigen["j=2"].value
     assert lam1 == pytest.approx(1.0, rel=0.01)
     assert lam2 == pytest.approx(1.0, rel=0.01)
     # epsilon is half the smallest strict slack, here the eigenvalue of

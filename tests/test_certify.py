@@ -8,6 +8,7 @@ constant couplings shift margins by exactly the coupling size.
 import dataclasses
 import inspect
 import itertools
+import logging
 import math
 from pathlib import Path
 
@@ -41,12 +42,13 @@ from elcomp.errors import (
 )
 from elcomp.fields import load_block
 from elcomp.mesh import build_grid
-from elcomp.oracle import inverse_positivity
+from elcomp.oracle import OracleReport, inverse_positivity
 from elcomp.problems import load_problem
 from elcomp.quasilinear import check_thm8
 from elcomp.settings import DEFAULT, Settings
+from elcomp.spectral import EigenPair
 
-from helpers import laplace_system, op_of, system_of
+from helpers import assert_report_views, laplace_system, op_of, system_of
 
 PI = math.pi
 
@@ -118,8 +120,8 @@ def test_thm1_holds_cooperative_pair():
     assert v.theorem == "Theorem 1"
     # symmetric coupling -1 shifts the scalar eigenvalue down by 1
     assert v.value == pytest.approx(lap_eig(24) - 1.0, abs=1e-7)
-    assert v.lambdas["system"] == v.value
-    lo, hi = v.cws["system"]
+    assert v.eigen["system"].value == v.value
+    lo, hi = v.eigen["system"].cw
     assert lo <= v.value <= hi
 
 
@@ -163,7 +165,7 @@ def test_thm3_basic_margins_exact():
     v = check_thm3(spec)
     lam = lap_eig(48, PI) - 1.1  # row sums of the cooperative coupling
     assert v.kind == "Inconclusive"
-    assert v.lambdas["system"] == pytest.approx(lam, abs=1e-7)
+    assert v.eigen["system"].value == pytest.approx(lam, abs=1e-7)
     assert v.margins["pointwise_diag"] == pytest.approx(lam, abs=1e-7)
     assert v.margins["common_point"] == pytest.approx(lam + 0.5, abs=1e-7)
     assert v.x0 is not None
@@ -216,8 +218,8 @@ def test_thm4_competitive_pair_margins():
     v = check_thm4(spec)
     lam = 2.0 * lap_eig(12, PI)
     assert v.kind == "HoldsThm4"
-    assert v.lambdas["j=1"] == pytest.approx(lam, abs=1e-7)
-    assert v.lambdas["j=2"] == pytest.approx(lam, abs=1e-7)
+    assert v.eigen["j=1"].value == pytest.approx(lam, abs=1e-7)
+    assert v.eigen["j=2"].value == pytest.approx(lam, abs=1e-7)
     assert v.margins["pointwise_diag"] == pytest.approx(lam, abs=1e-7)
     assert v.margins["common_point"] == pytest.approx(lam + sigma, abs=1e-7)
     # headline value is the smallest component eigenvalue
@@ -229,8 +231,8 @@ def test_thm4_unequal_operators():
     spec = system_of(grid1(16), ops, m=[["0", "0.5"], ["0.5", "0"]])
     v = check_thm4(spec)
     assert v.kind == "Inconclusive"
-    assert v.lambdas["j=2"] == pytest.approx(lap_eig(16) - 30.0, abs=1e-6)
-    assert v.value == v.lambdas["j=2"]
+    assert v.eigen["j=2"].value == pytest.approx(lap_eig(16) - 30.0, abs=1e-6)
+    assert v.value == v.eigen["j=2"].value
     assert any("pointwise diagonal" in note for note in v.notes)
 
 
@@ -245,9 +247,14 @@ def test_thm4_block_variant():
     v = check_thm4(spec)
     lam = lap_eig(16) - 1.0
     assert v.kind == "HoldsThm4"
-    assert set(v.lambdas) == {"block=1,2", "block=3,4", "j=1", "j=2", "j=3", "j=4"}
-    for key in ("block=1,2", "j=1", "j=4"):
-        assert v.lambdas[key] == pytest.approx(lam, abs=1e-7)
+    # one record per solve: a block's species share it, under the block's key
+    assert set(v.eigen) == {"block=1,2", "block=3,4"}
+    for pair in v.eigen.values():
+        assert pair.value == pytest.approx(lam, abs=1e-7)
+    assert_report_views(v.to_json_dict())
+    report = certify(spec).to_json_dict()
+    assert report["verdict"] == "HoldsThm4" and set(report["eigen"]) == set(v.eigen)
+    assert_report_views(report)
 
 
 def test_thm4_sharp_outperforms_basic():
@@ -396,7 +403,7 @@ def test_failure_reducible_species_refutes():
     assert v.kind == "FailsThm6"
     assert v.j == 1
     lam = lap_eig(48, PI) - 2.0
-    assert v.lambdas["j=1"] == pytest.approx(lam, abs=1e-7)
+    assert v.eigen["j=1"].value == pytest.approx(lam, abs=1e-7)
     assert v.margins["pointwise"] == pytest.approx(lam, abs=1e-7)
     assert v.counterexample.verified
     assert v.counterexample.which == "thm6"
@@ -428,7 +435,7 @@ def test_failure_irreducible_system_eigenvalue():
     assert v is not None
     assert v.kind == "FailsThm7"
     assert v.j == 1
-    assert v.lambdas["system"] == pytest.approx(lap_eig(24) - 16.0, abs=1e-7)
+    assert v.eigen["system"].value == pytest.approx(lap_eig(24) - 16.0, abs=1e-7)
     assert v.counterexample.verified
 
 
@@ -693,6 +700,11 @@ def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):
     assert v.oracle is None and v.oracle_gauged is None
     assert "oracle: system matrix is singular" in v.notes
     assert "oracle: gauged system matrix is singular" in v.notes
+    # the claim is in the plain order, so its note is the reason
+    assert v.cross_check == {
+        "result": "skipped",
+        "reason": "oracle: system matrix is singular",
+    }
 
 
 def test_certify_routes_triangular_to_thm5():
@@ -748,6 +760,75 @@ def test_certify_oracle_budget_note():
     assert any("oracle skipped" in note for note in v.notes)
 
 
+# ------------------------------------------------------------ cross-check
+
+
+@pytest.mark.parametrize(
+    "name, kind, result",
+    [
+        ("competitive17", "HoldsThm4", "disagrees"),
+        ("thm6_failure", "FailsThm6", "agrees"),
+    ],
+)
+def test_cross_check_of_the_bundled_problems(name, kind, result, caplog):
+    """Each claim is in the all +1 order, checked by the plain oracle; a
+    disagreement logs one WARNING.  The goldens hold the other results."""
+    caplog.set_level(logging.WARNING, logger="elcomp.certify")
+    spec = load_problem(DATA / f"{name}.prob")
+    v = certify(spec)
+    assert v.kind == kind
+    assert v.order == (1,) * len(spec.ops)
+    assert v.cross_check["result"] == result
+    records = [r for r in caplog.records if r.name == "elcomp.certify"]
+    assert [r.levelname for r in records] == ["WARNING"] * (result == "disagrees")
+
+
+@pytest.mark.parametrize(
+    "kind, inverse_positive, boundary_monotone, result",
+    [
+        ("HoldsThm1", True, True, "agrees"),
+        ("HoldsThm1", True, False, "disagrees"),
+        ("HoldsThm4", False, True, "disagrees"),
+        ("FailsThm6", False, False, "agrees"),
+        ("FailsThm7", True, False, "agrees"),
+        ("FailsThm6", True, True, "disagrees"),
+    ],
+)
+def test_cross_check_rule(kind, inverse_positive, boundary_monotone, result):
+    """A Holds claims A^-1 >= 0 and -A^-1 G >= 0 together, a Fails their
+    negation."""
+    rep = OracleReport(inverse_positive, 0.0, (0, 0), boundary_monotone, 0.0, 4)
+    v = Verdict(kind, order=(1, 1), oracle=rep)
+    check = certify_mod._cross_check(v, None)
+    assert check["result"] == result
+    assert check["reason"] == (
+        f"oracle: inverse_positive {inverse_positive}, "
+        f"boundary_monotone {boundary_monotone}"
+    )
+
+
+def test_cross_check_skips_without_a_claim_or_a_plain_report():
+    coop = laplace_system(grid1(64), n_species=2, m=[["0", "-1"], ["-1", "0"]])
+    off = certify(coop, Settings(with_oracle=False))
+    assert off.kind == "HoldsThm1" and off.order == (1, 1)
+    assert off.cross_check == {
+        "result": "skipped",
+        "reason": "oracle not run: with_oracle is off",
+    }
+    big = certify(coop, Settings(oracle_max_dof=50))
+    assert big.cross_check == {
+        "result": "skipped",
+        "reason": "oracle skipped: 126 dof exceeds budget 50",
+    }
+    m = [["0", "-1", "0"], ["-1", "0", "0.5"], ["-1", "0", "0"]]
+    general = certify(laplace_system(grid1(8), n_species=3, m=m))
+    assert general.kind == "Inconclusive" and general.oracle is not None
+    assert general.order is None
+    assert general.cross_check == {"result": "skipped", "reason": "Inconclusive: no claim"}
+    d = general.to_json_dict()
+    assert d["order"] is None and d["cross_check"]["result"] == "skipped"
+
+
 def test_certify_elliptic_gate():
     bad = system_of(grid1(8), (op_of(1, a="x - 0.2"),))
     with pytest.raises(NonEllipticCoefficient):
@@ -779,7 +860,7 @@ def test_certify_agrees_with_oracle_on_cooperative_family():
         ops = tuple(op_of(1, c=shift) for _ in range(n))
         spec = system_of(grid1(12), ops, m=m)
         v = certify(spec)
-        lam = min(v.lambdas.values()) if v.lambdas else None
+        lam = min((pair.value for pair in v.eigen.values()), default=None)
         if lam is None or abs(lam) <= 1e-6:
             continue
         rep = inverse_positivity(spec.discretize().assemble("full"))
@@ -804,7 +885,6 @@ def test_verdict_json_shape():
         "lambda",
         "lambdas",
         "cw",
-        "cws",
         "eigen",
         "epsilon",
         "x0",
@@ -815,6 +895,8 @@ def test_verdict_json_shape():
         "counterexample",
         "oracle",
         "oracle_gauged",
+        "order",
+        "cross_check",
         "notes",
     }
     assert set(d) == expected
@@ -825,16 +907,24 @@ def test_verdict_json_shape():
     assert d["oracle"]["inverse_positive"] is not None
 
 
+def _pair(value):
+    one = np.ones(1)
+    return EigenPair(value, one, one, (value - 0.5, value + 0.5), 1, 0.0, 2)
+
+
 def test_verdict_value_headline_rules():
     v = Verdict("Inconclusive")
     assert v.value is None
-    v.lambdas = {"j=1": 3.0, "j=2": -1.0}
+    v.eigen = {"j=1": _pair(3.0), "j=2": _pair(-1.0)}
     assert v.value == -1.0
-    v.lambdas["system"] = 0.5
+    v.eigen["system"] = _pair(0.5)
     assert v.value == 0.5
+    assert v.to_json_dict()["cw"] == [0.0, 1.0]
     w = Verdict("FailsThm6", j=2)
-    w.lambdas = {"j=1": 5.0, "j=2": 2.0}
+    w.eigen = {"j=1": _pair(5.0), "j=2": _pair(2.0)}
     assert w.value == 2.0
+    for verdict in (v, w, Verdict("Inconclusive")):
+        assert_report_views(verdict.to_json_dict())
 
 
 def test_counterexample_json():

@@ -1,6 +1,9 @@
 """Command line interface: exit codes, reports, file round trips."""
 
 import argparse
+import builtins
+import hashlib
+import io
 import json
 import math
 import re
@@ -443,6 +446,30 @@ def test_exit_code_2_on_bad_characters(tmp_path, value):
     assert payload["errors"][0]["type"] == "ParseError"
 
 
+def test_problem_file_is_read_once(tmp_path, monkeypatch):
+    """The digest and the parser take the same bytes from one read, and a
+    byte that is not UTF-8 is still a ParseError at its offset."""
+    problem = tmp_path / "bad.prob"
+    head = b"[domain]\ndim = 1\nlo = 0\nhi = 1\nn = 8\n[species 1]\nc = 2 + "
+    real, opened = io.open, []
+
+    def counting(file, *args, **kwargs):
+        opened.append(str(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    for tail, code in ((b"1\n", 0), (b"\xb3\n", 2)):
+        problem.write_bytes(head + tail)
+        opened.clear()
+        rc, payload = report(tmp_path, "gauge", str(problem))
+        assert rc == code
+        assert opened.count(str(problem)) == 1
+        digest = hashlib.sha256(head + tail).hexdigest()
+        assert payload["input_digest"] == f"sha256:{digest}"
+    assert payload["errors"][0]["message"].endswith(f"(line 7, offset {len(head)})")
+
+
 # the documented exit code of every error class; InfeasibleEpsilon never
 # reaches the CLI (check_thm5 catches it) and counts as numerical
 EXIT_CODES = {
@@ -477,10 +504,10 @@ def test_every_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys):
     for cls in classes:
         err = cls("injected")
 
-        def fail(path, err=err):
+        def fail(text, err=err):
             raise err
 
-        monkeypatch.setattr(cli, "load_problem", fail)
+        monkeypatch.setattr(cli, "parse_problem", fail)
         code, payload = report(tmp_path, "gauge", problem)
         assert code == EXIT_CODES[cls.__name__], cls.__name__
         assert payload["errors"] == [{"type": cls.__name__, "message": str(err)}]

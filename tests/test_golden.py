@@ -15,11 +15,25 @@ import scipy.sparse as sp
 from elcomp import linalg
 from elcomp.cli import main
 
+from helpers import assert_report_views
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PKG_ROOT = Path(__file__).resolve().parents[1]
 DATA = PKG_ROOT / "src" / "elcomp" / "data"
 
 SKIP_KEYS = {"timings", "problem"}
+LINEAR = ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure", "lap1d"]
+THM8_ARGV = [
+    "thm8",
+    str(DATA / "quasilinear_demo.prob"),
+    "--sub",
+    str(DATA / "quasilinear_demo_sub.field"),
+    "--sup",
+    str(DATA / "quasilinear_demo_super.field"),
+]
+# golden file -> the CLI run that writes it
+RUNS = {f"{name}.certify.json": ["certify", str(DATA / f"{name}.prob")] for name in LINEAR}
+RUNS["quasilinear_demo.thm8.json"] = THM8_ARGV
 
 
 def _assert_same(expected, actual, path=""):
@@ -41,30 +55,30 @@ def _assert_same(expected, actual, path=""):
         assert expected == actual, path
 
 
-def _check(golden_name, argv, tmp_path):
+def _report(argv, tmp_path):
     out = tmp_path / "report.json"
     main(argv + ["--json", str(out)])
-    actual = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def _check(golden_name, argv, tmp_path):
     expected = json.loads((GOLDEN_DIR / golden_name).read_text())
-    _assert_same(expected, actual)
+    _assert_same(expected, _report(argv, tmp_path))
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure", "lap1d"],
-)
+@pytest.mark.parametrize("name", LINEAR)
 def test_certify_matches_golden(name, tmp_path):
-    _check(
-        f"{name}.certify.json",
-        ["certify", str(DATA / f"{name}.prob")],
-        tmp_path,
-    )
+    _check(f"{name}.certify.json", RUNS[f"{name}.certify.json"], tmp_path)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["cooperative_pair", "competitive17", "predator_prey", "thm6_failure", "lap1d"],
-)
+@pytest.mark.parametrize("golden", sorted(RUNS))
+def test_report_views_match_the_eigen_record(golden, tmp_path):
+    """Each bundled report's lambda, lambdas and cw are read off its eigen
+    record, so no number in it can drift from the solve it reports."""
+    assert_report_views(_report(RUNS[golden], tmp_path))
+
+
+@pytest.mark.parametrize("name", LINEAR)
 def test_certify_builds_no_block_or_identity_matrices(name, tmp_path, monkeypatch):
     """Assembly, slicing and shifts work on the CSR arrays: certify gives
     the golden report with sp.bmat, sp.diags, sp.identity and the triplet
@@ -76,19 +90,8 @@ def test_certify_builds_no_block_or_identity_matrices(name, tmp_path, monkeypatc
     for constructor in ("bmat", "diags", "identity"):
         monkeypatch.setattr(sp, constructor, refuse)
     monkeypatch.setattr(linalg, "from_coo", refuse)
-    _check(f"{name}.certify.json", ["certify", str(DATA / f"{name}.prob")], tmp_path)
+    _check(f"{name}.certify.json", RUNS[f"{name}.certify.json"], tmp_path)
 
 
 def test_thm8_matches_golden(tmp_path):
-    _check(
-        "quasilinear_demo.thm8.json",
-        [
-            "thm8",
-            str(DATA / "quasilinear_demo.prob"),
-            "--sub",
-            str(DATA / "quasilinear_demo_sub.field"),
-            "--sup",
-            str(DATA / "quasilinear_demo_super.field"),
-        ],
-        tmp_path,
-    )
+    _check("quasilinear_demo.thm8.json", THM8_ARGV, tmp_path)

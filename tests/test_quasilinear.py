@@ -248,7 +248,11 @@ def test_thm8_failure_downgrades_to_inconclusive():
     assert v.kind == "Inconclusive"
     assert v.theorem == "Theorem 8"
     assert v.counterexample is None
-    assert any("FailsThm6" in note for note in v.notes)
+    (note,) = [note for note in v.notes if "FailsThm6" in note]
+    # the linear Fails agreed with its oracle, but claims nothing on the pair
+    assert v.oracle is not None and not v.oracle.inverse_positive
+    assert v.order is None
+    assert v.cross_check == {"result": "skipped", "reason": note}
 
 
 def test_thm8_inconclusive_linear_system_stays_inconclusive():
@@ -274,6 +278,6 @@ def test_thm8_certificate_matches_linear_route():
     zero = const_fields(grid, [0.0, 0.0])
     via = check_thm8(qs, zero, zero, Settings(with_oracle=False))
     assert direct.kind == via.kind == "HoldsThm5"
-    for key in direct.lambdas:
-        assert via.lambdas[key] == pytest.approx(direct.lambdas[key], abs=1e-8)
+    for key, pair in direct.eigen.items():
+        assert via.eigen[key].value == pytest.approx(pair.value, abs=1e-8)
     assert via.epsilon == pytest.approx(direct.epsilon, abs=1e-8)
