@@ -32,13 +32,12 @@ from .errors import (
     StructureUnsupported,
     TooLarge,
 )
-from .fields import BlockField, block_from_solution
+from .fields import TOL_RES, BlockField, Counterexample, block_from_solution
 from .graphs import potentials
 from .linalg import inf_norm, lu_solve, shifted
 from .settings import DEFAULT, Settings
 from .spectral import _memo_eigenpair, block_eigen, component_eigen
 
-TOL_RES = 1e-8
 ACROSS_BLOCKS = (
     "cooperative part couples across blocks; per-component certificate "
     "does not apply"
@@ -93,28 +92,6 @@ def classify_structure(spec) -> StructureClass:
 
 
 # ---------------------------------------------------------------- verdict
-
-
-@dataclass
-class Counterexample:
-    """Constructed nonnegative field whose image under the full operator
-    is nonpositive; verified gates any Fails verdict."""
-
-    w: BlockField
-    verified: bool
-    residual_max: float
-    j: int | None
-    which: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "j": self.j,
-            "verified": self.verified,
-            "residual_max": self.residual_max,
-            "w_min": float(self.w.interior.min()),
-            "w_max": float(self.w.interior.max()),
-        }
 
 
 @dataclass

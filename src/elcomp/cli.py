@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -147,6 +148,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.Handler):
+    """Writes a record as "warning: elcomp.certify: ..." to sys.stderr as it
+    is at the time, which a caller may have swapped since the last run."""
+
+    def emit(self, record):
+        try:
+            line = f"{record.levelname.lower()}: {record.name}: {record.getMessage()}"
+            print(line, file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+@functools.cache
+def _log_to_stderr() -> None:
+    """Sends elcomp's log records to _StderrHandler, installed once per process."""
+    logging.getLogger("elcomp").addHandler(_StderrHandler())
+
+
 def _digest(blobs) -> str:
     return "sha256:" + hashlib.sha256(b"".join(blobs)).hexdigest()
 
@@ -193,15 +212,7 @@ def _cmd_eigen(args, spec):
         f"iterations: {pair.iterations}  solves: {pair.solves}"
         f"  residual: {pair.residual:.3e}"
     )
-    return {
-        "lambda": pair.value,
-        "cw": list(pair.cw),
-        "component": args.component,
-        "iterations": pair.iterations,
-        "solves": pair.solves,
-        "residual": pair.residual,
-        "dof": len(pair.right),
-    }
+    return {**pair.to_json_dict(), "component": args.component, "dof": len(pair.right)}
 
 
 def _cmd_oracle(args, spec):
@@ -219,9 +230,12 @@ def _cmd_oracle(args, spec):
         )
     else:
         report = oracle_mod.inverse_positivity(asys, gauge=sigma, settings=_settings(args))
+        report.counterexample = oracle_mod.refute(asys, report)
     print(f"inverse_positive: {report.inverse_positive}")
     if report.min_entry is not None:
-        print(f"min entry: {report.min_entry!r} at {report.witness}")
+        print(f"min entry: {report.min_entry!r}")
+    if report.counterexample is not None:
+        print(f"counterexample: {report.counterexample.to_json_dict()}")
     if sigma is not None:
         print(f"gauge: {sigma}")
     return {
@@ -235,7 +249,7 @@ def _cmd_solve(args, spec):
     ds = as_discrete(_linear_spec(spec, "solve"))
     asys = ds.assembled("full")
     if args.rhs_from_file:
-        rhs_field = load_block(args.rhs_from_file, ds.grid, ds.n_species)
+        rhs_field = load_block(args.inputs["rhs_from_file"], ds.grid, ds.n_species)
         rhs = rhs_field.interior.reshape(-1)
         source = "file"
     else:
@@ -291,9 +305,7 @@ def _cmd_gauge(args, spec):
 
 
 def _load_pair(args, qs):
-    u = load_block(args.sub, qs.grid, qs.n_species)
-    v = load_block(args.sup, qs.grid, qs.n_species)
-    return u, v
+    return [load_block(args.inputs[k], qs.grid, qs.n_species) for k in ("sub", "sup")]
 
 
 def _cmd_linearize(args, spec):
@@ -344,6 +356,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _log_to_stderr()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is not None and args.probe is None:
@@ -358,14 +371,11 @@ def main(argv=None) -> int:
     exit_code = 0
     error = None
     try:
-        paths = [args.problem]
-        if getattr(args, "sub", None):
-            paths += [args.sub, args.sup]
-        if getattr(args, "rhs_from_file", None):
-            paths.append(args.rhs_from_file)
-        inputs = [Path(path).read_bytes() for path in paths]
-        payload["input_digest"] = _digest(inputs)
-        spec = parse_problem(decode_text(inputs[0]))  # the digested bytes
+        # each input file is read once: its bytes, keyed by flag, are digested and parsed
+        flags = [k for k in ("problem", "sub", "sup", "rhs_from_file") if getattr(args, k, None)]
+        args.inputs = {k: Path(getattr(args, k)).read_bytes() for k in flags}
+        payload["input_digest"] = _digest(args.inputs.values())
+        spec = parse_problem(decode_text(args.inputs["problem"]))
         payload.update(_COMMANDS[args.command](args, spec))
     except ElcompError as err:
         error, exit_code = err, err.exit_code

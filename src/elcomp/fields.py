@@ -19,6 +19,9 @@ from .expressions import sample_field
 from .mesh import Grid, build_grid
 
 
+TOL_RES = 1e-8  # a counterexample's image counts as <= 0 below TOL_RES |A| max|w|
+
+
 @dataclass
 class SampledField:
     grid: Grid
@@ -44,6 +47,29 @@ class BlockField:
     @property
     def boundary(self) -> np.ndarray:
         return self.values[:, self.grid.boundary_ids]
+
+
+@dataclass
+class Counterexample:
+    """A field w that breaks comparison: its image and boundary data <= 0,
+    yet w > 0 somewhere; verified gates any Fails verdict.  j is the
+    species, column, boundary value or trial of its source, which."""
+
+    w: BlockField
+    verified: bool
+    residual_max: float
+    j: int | None
+    which: str
+
+    def to_json_dict(self) -> dict:
+        return {
+            "which": self.which,
+            "j": self.j,
+            "verified": self.verified,
+            "residual_max": self.residual_max,
+            "w_min": float(self.w.interior.min()),
+            "w_max": float(self.w.interior.max()),
+        }
 
 
 def block_from_exprs(grid: Grid, exprs) -> BlockField:
@@ -132,9 +158,11 @@ def decode_text(data: bytes) -> str:
         ) from None
 
 
-def load_fields(path, grid: Grid | None = None) -> list:
-    """Parse every field block in the file; grid, if given, must match."""
-    raw = read_text(path).splitlines()
+def load_fields(source, grid: Grid | None = None) -> list:
+    """Parse every field block in the file source, a path or the bytes read
+    from one; grid, if given, must match."""
+    text = decode_text(source) if isinstance(source, bytes) else read_text(source)
+    raw = text.splitlines()
     fields = []
     current = None  # (name, grid, values list, header lineno)
     for lineno, line in enumerate(raw, start=1):
@@ -177,9 +205,10 @@ def _finish_block(current) -> SampledField:
     return SampledField(grid, name, np.asarray(values))
 
 
-def load_block(path, grid: Grid, n_species: int) -> BlockField:
-    """Load fields named u1..uN (in any order) into a BlockField."""
-    fields = {f.name: f for f in load_fields(path, grid)}
+def load_block(source, grid: Grid, n_species: int) -> BlockField:
+    """Load fields named u1..uN (in any order) into a BlockField; source as
+    for load_fields."""
+    fields = {f.name: f for f in load_fields(source, grid)}
     values = np.empty((n_species, grid.n_nodes))
     for k in range(n_species):
         name = f"u{k + 1}"

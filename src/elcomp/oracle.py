@@ -7,8 +7,8 @@ decides this from the explicit inverse (decisive, size-capped) or by seeded
 random probing (falsification only).
 
 The inverse is streamed, never held.  A scan leaves only the min and max
-of every species block (k, l) of A^{-1}, each with its first row-major
-position, and the same extremes of -(A^{-1} G).  inverse_positivity keeps
+of every species block (k, l) of A^{-1}, and the same extremes of
+-(A^{-1} G): values, no positions.  inverse_positivity keeps
 the scan on the system by content, and every gauge reads it.  A 2D grid
 whose lines hold SLAB_MIN_WIDTH unknowns or more takes the slab scan; a 1D
 grid, a narrower 2D one, and a 2D grid whose guard trips, the LU scan.
@@ -39,9 +39,8 @@ also takes the guard's norms.  With Q_q = -A_{q+1,q} S_q^{-1} and R_p =
 S_p^{-1} + R_p G_{p+1,p+1} Q_p, right of the diagonal row p is R_p times
 row p+1, and left of it G_{p,q} = G_{p,q+1} Q_q.  That is about 2 m n^2
 flops in dense m x m products, against SuperLU's triangular solves at
-scalar speed.  Each finished row is reduced over its lines, and the
-extremes' first positions are sought among the entries that the reduced
-row marks.  Its product with G updates running extremes of -(A^{-1} G)
+scalar speed.  Each finished row is reduced over its lines to its
+extremes.  Its product with G updates running extremes of -(A^{-1} G)
 per boundary value, reduced per species once.  Memory is the Q and S^{-1}
 stacks, two rows (this one and the one below) and one row's boundary
 product: O(n m + m n_boundary).  The blocks are read off one line-numbered
@@ -68,8 +67,7 @@ ratio at every entry puts A within u |A| of a matrix A' with A' W exactly
 symmetric (weights that agree to ns eps add a few u more), and to first
 order |A'^{-1} - A^{-1}| <= u kappa(A) max|A^{-1}|, within the c u kappa(A)
 max|A^{-1}| that the recursion's own rounding carries; the scaling adds one
-rounding.  Where w_i = w_j an entry and its mirror tie exactly, and the
-first in row-major order is kept.  The mirror adds no O(n m) buffer: the
+rounding.  The mirror adds no O(n m) buffer: the
 right parts live in the same two rows, and what it keeps is the row's
 extremes over its lines right of line p (2 m^2 doubles) and the boundary
 extremes per boundary value and position along a line (O(m n_boundary)).
@@ -98,11 +96,10 @@ rounding.  Block (k, l) of the gauged inverse is sigma_k sigma_l times
 that of A^{-1}, so where the signs differ its minimum is -max.
 random_probe solves (D A D) u = f the same way, as u = D A^{-1} (D f).
 
-A column solved within a block can differ in the last bit from the same
-column of one solve against all the columns: the BLAS kernels behind the
-sparse triangular solves are chosen by the number of right-hand sides.
-The slab scan's entries differ from the LU scan's by rounding, so a
-witness can move to a mirror entry of equal value to the last bits.
+A scan keeps no positions: a broken comparison is refuted by a field
+(refute), from one column of the inverse solved again.  That column can
+differ in the last bit from the scan's: the BLAS kernels behind the sparse
+triangular solves are chosen by the number of right-hand sides.
 """
 
 from __future__ import annotations
@@ -115,6 +112,7 @@ from scipy.linalg import lapack
 
 from .assembly import AssembledSystem
 from .errors import DimMismatch, SingularMatrix, TooLarge, ValidationError
+from .fields import TOL_RES, Counterexample, block_from_solution
 from .graphs import potentials
 from .linalg import (
     SINGULAR_RTOL,
@@ -144,26 +142,18 @@ SLAB_PHI_MAX = float(np.sqrt(TOL_OP / (np.finfo(float).eps / 2)))
 class OracleReport:
     inverse_positive: bool
     min_entry: float | None
-    witness: tuple | None
     boundary_monotone: bool | None
     min_boundary_entry: float | None
     dof: int
     gauge: tuple | None = None
     sampled: bool = False
     trials: int = 0
+    counterexample: Counterexample | None = None  # refute's, or the probe's
 
     def to_json_dict(self) -> dict:
-        return {
-            "inverse_positive": self.inverse_positive,
-            "min_entry": self.min_entry,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "boundary_monotone": self.boundary_monotone,
-            "min_boundary_entry": self.min_boundary_entry,
-            "dof": self.dof,
-            "gauge": list(self.gauge) if self.gauge is not None else None,
-            "sampled": self.sampled,
-            "trials": self.trials,
-        }
+        cex = self.counterexample.to_json_dict() if self.counterexample else None
+        gauge = list(self.gauge) if self.gauge is not None else None
+        return dict(vars(self), gauge=gauge, counterexample=cex)
 
 
 def _signs(asys: AssembledSystem, gauge):
@@ -178,55 +168,58 @@ def _signs(asys: AssembledSystem, gauge):
     return sigma, np.asarray(sigma, dtype=float)
 
 
-def _block_minima(lu: LuFactor, b, width: int, n_int: int, n_species: int) -> dict:
-    """{(k, l, s): (min, first (i, j))} of s * block (k, l) of A^{-1} b, for
-    both signs s; block (k, l) holds the rows of species k and the width
-    columns of species l.  b is the (indptr, indices, data) arrays of a CSC
-    matrix; each solve takes BLOCK of its columns, scattered into a dense
-    right-hand side."""
-    indptr, indices, data = b
+def _solves(lu: LuFactor, asys: AssembledSystem, boundary: bool, species=None):
+    """(c0, A^{-1} r) for BLOCK columns from c0 of the right-hand sides r,
+    the identity or -G (boundary), all or those of one species, each block
+    scattered from CSC arrays into a dense right-hand side."""
+    if boundary:
+        g = asys.G.tocsc()
+        indptr, indices, data = g.indptr, g.indices, -g.data
+    else:
+        n = asys.A.shape[0]
+        indptr, indices, data = np.arange(n + 1), np.arange(n), np.ones(n)
     n_cols = indptr.size - 1
     cols = np.repeat(np.arange(n_cols), np.diff(indptr))  # the column of each entry
-    out = {}
-    for c0 in range(0, n_cols, BLOCK):
-        c1 = min(c0 + BLOCK, n_cols)
+    width = n_cols // asys.n_species
+    start, stop = (0, n_cols) if species is None else (species * width, (species + 1) * width)
+    for c0 in range(start, stop, BLOCK):
+        c1 = min(c0 + BLOCK, stop)
         rhs = np.zeros((lu.n, c1 - c0))
         lo, hi = indptr[c0], indptr[c1]
         rhs[indices[lo:hi], cols[lo:hi] - c0] = data[lo:hi]
         x = lu.solve(rhs)
+        del rhs
+        yield c0, x
+        del x  # so that the next solve does not hold two blocks
+
+
+def _block_minima(lu: LuFactor, asys: AssembledSystem, boundary: bool) -> dict:
+    """{(k, l, s): min of s * block (k, l) of A^{-1} r} for both signs s, r
+    the identity, or -G when boundary; block (k, l) holds the rows of
+    species k and the columns of species l."""
+    n_int, out = asys.grid.n_interior, {}
+    width = asys.grid.n_boundary if boundary else n_int
+    for c0, x in _solves(lu, asys, boundary):
+        c1 = c0 + x.shape[1]
         for l in range(c0 // width, (c1 - 1) // width + 1):
             j0, j1 = max(c0, l * width), min(c1, (l + 1) * width)
-            for k in range(n_species):
+            for k in range(asys.n_species):
                 part = x[k * n_int : (k + 1) * n_int, j0 - c0 : j1 - c0]
-                for s, pos in ((1, np.argmin(part)), (-1, np.argmax(part))):
-                    r, c = divmod(int(pos), part.shape[1])
-                    cand = (s * float(part[r, c]), (k * n_int + r, j0 + c))
-                    out[k, l, s] = min(out.get((k, l, s), cand), cand)
-        del rhs, x, part  # so that the next solve does not hold two blocks
+                for s, v in ((1, part.min()), (-1, -part.max())):
+                    out[k, l, s] = min(out.get((k, l, s), np.inf), float(v))
+        del x, part
     return out
 
 
 def _scan_inverse(asys: AssembledSystem):
     """Gauge-free extremes (inv, bnd) of A^{-1} and -(A^{-1} G), per species
-    block, from one LU of A solved against BLOCK columns at a time.
-
-    inv[k, l, s] is (min of s * block (k, l) of A^{-1}, its first row-major
-    position (i, j)) for s = 1 and -1.  bnd[k, l, s] is the min of s * block
-    (k, l) of -(A^{-1} G), whose column blocks are the species' boundary
-    values; it is empty when G is.  The LU is solved against the identity,
-    then against -G, whose columns are read off one CSC copy of G.
-    """
-    a, g = asys.A, asys.G
-    n, n_int, ns = a.shape[0], asys.grid.n_interior, asys.n_species
-    lu = LuFactor(a)
-    identity = (np.arange(n + 1), np.arange(n), np.ones(n))
-    inv = _block_minima(lu, identity, n_int, n_int, ns)
-    if not g.nnz:
-        return inv, {}
-    g = g.tocsc()
-    n_bnd = asys.grid.n_boundary
-    bnd = _block_minima(lu, (g.indptr, g.indices, -g.data), n_bnd, n_int, ns)
-    return inv, {key: v for key, (v, _) in bnd.items()}
+    block, from one LU of A solved against the identity, then -G, BLOCK
+    columns at a time: inv[k, l, s] is the min of s * block (k, l) of A^{-1}
+    for s = 1 and -1, bnd[k, l, s] that of -(A^{-1} G), whose column blocks
+    are the species' boundary values; bnd is empty when G is."""
+    lu = LuFactor(asys.A)
+    inv = _block_minima(lu, asys, False)
+    return inv, _block_minima(lu, asys, True) if asys.G.nnz else {}
 
 
 def _line_order(grid, n_species: int):
@@ -423,7 +416,7 @@ def _scan_slabs(asys: AssembledSystem):
     q, s_inv = stacks
     boundary = _Boundary(asys, perm, per_line, ratio) if g.nnz else None
     row, below = np.empty((m, n), order="F"), np.empty((m, n), order="F")
-    extremes = _Extremes(perm, ns, per_line, ratio)
+    extremes = _Extremes(ns, per_line, ratio)
     for p in range(n_lines - 1, -1, -1):
         x = s_inv.pop()  # S_p^{-1}, dropped after this row
         c0 = p * m
@@ -443,13 +436,13 @@ def _scan_slabs(asys: AssembledSystem):
                 np.matmul(left, q[c], out=row[:, c * m : (c + 1) * m])
         right = line_blocks(p)[0]
         t = (row[:, c0:] if ratio is not None else row).T
-        if not extremes.fold(t, p):
+        if not extremes.fold(t):
             return _hand_off("row %d is not finite", p)
         if boundary is not None:
             boundary.fold(t, p, extremes.rest)
         row, below = below, row
     inv = extremes.result()
-    size = a_norm * -min(v for v, _ in inv.values())
+    size = a_norm * -min(inv.values())
     if size > 1.0 / SINGULAR_RTOL:
         raise SingularMatrix(
             f"slab scan: |A| max|A^-1| = {size:.3e} above 1 / {SINGULAR_RTOL:.0e}"
@@ -551,46 +544,32 @@ class _Boundary:
 
 
 class _Extremes:
-    """The min and max of every species block (k, l) of A^{-1}, each with
-    its first row-major position, keyed in inv as _scan_inverse keys them,
-    folded from the slab scan's block rows.
+    """The min and max of every species block (k, l) of A^{-1}, keyed in
+    result() as _scan_inverse keys them, folded from the slab scan's block
+    rows.
 
-    fold(t, p) takes block row p of the line-numbered A^{-1}, held
-    transposed in t from its first column line on: all of them, or line p
-    when ratio is given.  With ratio[l, k] = w_l / w_k, the entries of t
-    right of line p are folded a second time, transposed: A^{-1}_ji =
-    A^{-1}_ij w_j / w_i.
+    fold(t) takes block row p of the line-numbered A^{-1}, held transposed
+    in t from its first column line on: all of them, or line p when ratio
+    is given.  With ratio[l, k] = w_l / w_k, the entries of t right of line
+    p are folded a second time, transposed: A^{-1}_ji = A^{-1}_ij w_j / w_i.
 
     A row is reduced over its column lines to elementwise extremes, one per
     (column node, row node) pair, and those give each block's extremes;
     x -> x w_l / w_k is monotone in floating point, so the scaled extremes
-    are those of the scaled entries.  Positions are sought one row late:
-    a row's candidates wait until the next row is folded, and only those
-    that row does not beat are sought, while t is still held.  In the half
-    scan a block's minimum falls on almost every row, so almost every
-    search is saved.  One search serves both the direct and the mirrored
-    entries: it gathers the entries whose reduced extreme equals the
-    block's, on every line, scaled by the ratio when mirrored, maps them
-    through perm to positions (i, j) of A^{-1}, swapped when mirrored, and
-    takes the first in row-major order, which wins among ties.  Node 0 of
-    line p and node 0 of the first line searched (t's first, or line p + 1
-    when mirrored) make the first pair in either mode, and are checked
-    first: that settles a block of exact zeros at once.
+    are those of the scaled entries.
     """
 
-    def __init__(self, perm, ns: int, per_line: int, ratio):
-        self.perm, self.ns, self.per_line, self.ratio = perm, ns, per_line, ratio
-        self.inv = {}
+    def __init__(self, ns: int, per_line: int, ratio):
+        self.ns, self.per_line, self.ratio = ns, per_line, ratio
         # the least s * entry so far per key [k, l, 0 for s = 1, 1 for s = -1]
         self.bound = np.full((ns, ns, 2), np.inf)
-        self.waiting = None  # the last row's candidates, not yet sought
         # the last row's elementwise (min, max) over its lines right of line
         # p, [l, column node, k, row node]; None without a mirror
         self.rest = None
 
-    def fold(self, t: np.ndarray, p: int) -> bool:
-        """Fold block row p, held transposed in t, which must stay unchanged
-        until the next fold or result; False when an entry is not finite."""
+    def fold(self, t: np.ndarray) -> bool:
+        """Fold a block row, held transposed in t; False when an entry is
+        not finite."""
         ns, per_line = self.ns, self.per_line
         m = ns * per_line
         flat = t.reshape(-1, m * m)
@@ -604,69 +583,37 @@ class _Extremes:
             hi = np.maximum(rest[1], flat[0].reshape(shape))
         else:
             lo, hi = (f.reduce(flat).reshape(shape) for f in (np.minimum, np.maximum))
-        sv = np.full((2, ns, ns, 2), np.inf)  # s * extreme [direct or mirrored, key]
-        # over the nodes along the line, then within each species (faster
-        # than one reduction over both)
-        sv[0, ..., 0] = lo.min(axis=1).min(axis=2).T
-        sv[0, ..., 1] = -hi.max(axis=1).max(axis=2).T
+        # s * extreme [k, l, s], direct and mirrored: over the nodes along
+        # the line, then within each species (faster than one reduction)
+        sv = [np.stack((lo.min(axis=1).min(axis=2).T, -hi.max(axis=1).max(axis=2).T), -1)]
         if rest is not None:
             ends = (
                 rest[0].min(axis=1).min(axis=2) * self.ratio,
                 rest[1].max(axis=1).max(axis=2) * self.ratio,
             )
-            sv[1, ..., 0], sv[1, ..., 1] = np.minimum(*ends), -np.maximum(*ends)
-        if not np.isfinite(sv[: 1 if rest is None else 2]).all():
+            sv.append(np.stack((np.minimum(*ends), -np.maximum(*ends)), -1))
+        if not all(np.isfinite(x).all() for x in sv):
             return False
-        bound = np.minimum(self.bound, sv.min(axis=0))
-        self._seek(bound)
-        self.bound = bound
-        self.waiting = (t, p, lo, hi, rest, sv)
+        self.bound = np.minimum(self.bound, np.minimum.reduce(sv))
         return True
 
     def result(self) -> dict:
-        """inv, with the last row's positions sought."""
-        self._seek(self.bound)
-        return self.inv
+        """{(k, l, s): min of s * block (k, l) of A^{-1}}."""
+        return {(k, l, 1 - 2 * s): float(v) for (k, l, s), v in np.ndenumerate(self.bound)}
 
-    def _seek(self, bound) -> None:
-        """Seek the positions of the waiting candidates still at the bound,
-        which no later row has beaten."""
-        if self.waiting is None:
-            return
-        t, p, lo, hi, rest, sv = self.waiting
-        self.waiting = None
-        for mirrored, a, b, si in zip(*np.nonzero(sv == bound)):
-            least = float(sv[mirrored, a, b, si])  # s times the extreme
-            a, b, s = int(a), int(b), 1 - 2 * int(si)
-            red = rest if mirrored else (lo, hi)
-            pos = self._seek_first(t, p, red, a, b, s, s * least, bool(mirrored))
-            key, cand = (a, b, s), (least, pos)
-            best = self.inv.get(key)
-            self.inv[key] = cand if best is None else min(best, cand)
 
-    def _seek_first(self, t, p: int, red, a: int, b: int, s: int, v: float, mirrored: bool):
-        """First (i, j) of block (a, b) of A^{-1} where an entry that row p
-        gives equals v, a minimum for s = 1 and a maximum for s = -1: direct,
-        the entries of row p; mirrored, the transposed entries right of line
-        p, scaled by ratio[a, b].  red is the row's reduced (min, max) that
-        v is an extreme of, before scaling."""
-        ns, per_line, perm = self.ns, self.per_line, self.perm
-        m = ns * per_line
-        u, w = (a, b) if mirrored else (b, a)  # species of t's lines, of line p
-        r = self.ratio[a, b] if mirrored else 1.0
-        first = int(mirrored)  # the first line of t searched: line p + 1 when mirrored
-        cols = t.reshape(-1, ns, per_line, m)  # [line, species, node, row of line p]
-        c0 = (perm.size // m - cols.shape[0] + first) * m + u * per_line  # its node 0
-        y0 = w * per_line  # node 0 of line p, as a row of it
-        if cols[first, u, 0, y0] * r == v:  # the first pair in either mode
-            i, j = int(perm[p * m + y0]), int(perm[c0])
-            return (j, i) if mirrored else (i, j)
-        # x -> r x is monotone, decreasing for r < 0
-        end = red[int((s == 1) != (r > 0))][u, :, w, :]
-        nodes, ys = np.nonzero(end * r == v)  # [node, node of line p]
-        line, at = np.nonzero(cols[first:, u, nodes, y0 + ys] * r == v)
-        i, j = perm[p * m + y0 + ys[at]].tolist(), perm[c0 + line * m + nodes[at]].tolist()
-        return min(zip(j, i) if mirrored else zip(i, j))  # the first in row-major order
+def _scan(asys: AssembledSystem):
+    """The extremes (inv, bnd) of A^{-1} and -(A^{-1} G), kept on asys by
+    the content of A and G (asys.key): the slab scan's, or the LU scan's."""
+    if asys.key not in asys._oracle_cache:
+        grid = asys.grid
+        width = asys.n_species * (min(grid.n) - 1)  # unknowns per line on a 2D grid
+        wide = grid.dim == 2 and width >= SLAB_MIN_WIDTH
+        if grid.dim == 2 and not wide:
+            _hand_off("lines hold %d unknowns, below SLAB_MIN_WIDTH %d", width, SLAB_MIN_WIDTH)
+        scan = _scan_slabs(asys) if wide else None
+        asys._oracle_cache[asys.key] = scan if scan is not None else _scan_inverse(asys)
+    return asys._oracle_cache[asys.key]
 
 
 def inverse_positivity(
@@ -679,41 +626,75 @@ def inverse_positivity(
     With a gauge sigma, D flips the sign of whole species blocks, realizing
     the cone order that turns constant-sign competitive coupling cooperative.
     The scan is kept on asys by the content of A and G (asys.key), so all
-    gauges share one factorization and one pass over A^{-1}.  The witness is
-    the first minimal entry in row-major order.  Above settings.oracle_max_dof
-    unknowns a system is TooLarge, and is not scanned.
+    gauges share one factorization and one pass over A^{-1}.  Above
+    settings.oracle_max_dof unknowns a system is TooLarge, and is not
+    scanned.  The report carries no counterexample; refute makes one.
     """
     dof, ns = asys.A.shape[0], asys.n_species
     sigma, signs = _signs(asys, gauge)
     if dof > settings.oracle_max_dof:
         raise TooLarge(f"dense inverse of {dof} dof exceeds budget {settings.oracle_max_dof}")
-    if asys.key not in asys._oracle_cache:
-        grid = asys.grid
-        width = ns * (min(grid.n) - 1)  # unknowns per line on a 2D grid
-        wide = grid.dim == 2 and width >= SLAB_MIN_WIDTH
-        if grid.dim == 2 and not wide:
-            _hand_off(
-                "lines hold %d unknowns, below SLAB_MIN_WIDTH %d", width, SLAB_MIN_WIDTH
-            )
-        scan = _scan_slabs(asys) if wide else None
-        asys._oracle_cache[asys.key] = scan if scan is not None else _scan_inverse(asys)
-    inv, bnd = asys._oracle_cache[asys.key]
+    inv, bnd = _scan(asys)
     pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
-    min_entry, witness = min(inv[p] for p in pairs)
+    min_entry = min(inv[p] for p in pairs)
     # the unflipped and the flipped minima together hold -max |entry|
-    scale = -min(v for v, _ in inv.values())
+    scale = -min(inv.values())
     inverse_positive = min_entry >= -TOL_OP * scale
     min_boundary = min(bnd[p] for p in pairs) if bnd else 0.0
     boundary_monotone = min_boundary >= -TOL_OP * scale
-    return OracleReport(
-        inverse_positive,
-        min_entry,
-        witness,
-        boundary_monotone,
-        min_boundary,
-        dof,
-        gauge=sigma,
-    )
+    return OracleReport(inverse_positive, min_entry, boundary_monotone, min_boundary, dof, sigma)
+
+
+def _field(asys, signs, v, g, floor: float, j: int, which: str, rows=slice(None)):
+    """The Counterexample of interior values v and boundary data g (zeros
+    when None) on the system gauged by signs: verified when its image under
+    D A D and D G D_b is <= TOL_RES |A| max|v|, and v[rows] > floor."""
+    d = np.repeat(signs, asys.grid.n_interior)
+    g = np.zeros(asys.G.shape[1]) if g is None else g
+    image = asys.A @ (d * v) + asys.G @ (np.repeat(signs, asys.grid.n_boundary) * g)
+    residual = float((d * image).max())
+    verified = residual <= TOL_RES * inf_norm(asys.A) * float(np.abs(v).max())
+    verified &= float(v[rows].max()) > floor
+    fld = block_from_solution(asys.grid, asys.n_species, v, g)
+    return Counterexample(fld, bool(verified), residual, j, which)
+
+
+def refute(asys: AssembledSystem, report: OracleReport) -> Counterexample | None:
+    """A field that breaks comparison for D A D where report, inverse_positivity's
+    on asys, has a decision fail (inverse_positive first); None when both hold.
+
+    In the first block (k, l) whose scanned minimum is the report's, one LU of
+    A is solved against the scan's right-hand sides r_j of species l, and j is
+    the first column whose gauged x = D A^{-1} D r_j has an entry of species k
+    below -TOL_OP max|A^{-1}|, the decision's threshold.  v = -x: D A D v =
+    -e_j with zero boundary data, or D A D v + D G D_b g = 0 for g = -e_j.  If
+    no column reaches the threshold (a decision within rounding of it), the
+    least entry's column is taken, and the field is not verified.
+    """
+    if report.inverse_positive and report.boundary_monotone:
+        return None
+    _, signs = _signs(asys, report.gauge)
+    ns, n_int = asys.n_species, asys.grid.n_interior
+    inv, bnd = _scan(asys)
+    boundary = bool(report.inverse_positive)
+    extremes, least = (bnd, report.min_boundary_entry) if boundary else (inv, report.min_entry)
+    pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
+    k, l, _ = next(p for p in pairs if extremes[p] == least)
+    threshold = TOL_OP * -min(inv.values())
+    d = np.repeat(signs, n_int) * signs[l]  # D, times the sign of species l
+    rows = slice(k * n_int, (k + 1) * n_int)
+    best = np.inf  # the least entry of the columns taken so far
+    for c0, x in _solves(LuFactor(asys.A), asys, boundary, l):
+        col_min = (x[rows] * d[rows, None]).min(axis=0)
+        below = col_min < -threshold
+        c = int(np.argmax(below) if below.any() else np.argmin(col_min))
+        if col_min[c] < best:
+            best, j, v = col_min[c], c0 + c, -d * x[:, c]
+        if below.any():
+            break
+    g = -np.eye(asys.G.shape[1])[j] if boundary else None
+    which = "oracle-boundary" if boundary else "oracle"
+    return _field(asys, signs, v, g, threshold, j, which, rows)
 
 
 def random_probe(
@@ -727,35 +708,28 @@ def random_probe(
     A clean pass never upgrades to a definitive inverse-positivity claim;
     the report is marked sampled.  With a gauge the probe runs on D A D,
     through the factorization of A.  At least one trial is required: no
-    trials would be no evidence.
+    trials would be no evidence.  The first trial whose u = (D A D)^{-1} f
+    dips below -TOL_OP (1 + max|u|) gives the field v = -u, D A D v = -f.
     """
     dof = asys.A.shape[0]
     sigma, signs = _signs(asys, gauge)
     if trials < 1:
         raise ValidationError(f"random probe needs at least 1 trial, got {trials}")
     d = np.repeat(signs, asys.grid.n_interior)
-    report = OracleReport(
-        True, None, None, None, None, dof, sigma, sampled=True, trials=int(trials)
-    )
+    report = OracleReport(True, 0.0, None, None, dof, sigma, sampled=True, trials=int(trials))
     lu = LuFactor(asys.A)
     rng = np.random.default_rng(seed)
     nnz = max(1, dof // 20)
-    worst = 0.0
-    witness = None
     for trial in range(int(trials)):
         f = np.zeros(dof)
         pos = rng.choice(dof, size=nnz, replace=False)
         f[pos] = 1.0 - rng.random(nnz)  # values in (0, 1]
         u = d * lu.solve(d * f)  # (D A D)^{-1} f
         floor = -TOL_OP * (1.0 + float(np.abs(u).max()))
-        m = float(u.min())
-        if m < worst:
-            worst = m
-            witness = (int(np.argmin(u)), trial)
-        if m < floor:
+        report.min_entry = min(report.min_entry, float(u.min()))
+        if u.min() < floor and report.inverse_positive:
             report.inverse_positive = False
-    report.min_entry = worst if witness is not None else 0.0
-    report.witness = witness
+            report.counterexample = _field(asys, signs, -u, None, -floor, trial, "probe")
     return report
 
 

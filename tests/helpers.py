@@ -170,30 +170,26 @@ def reference_scalar_parts(a_vals, b_vals, c_vals, grid):
     return A, G
 
 
-def reference_row_fold(inv, t, p, perm, ns, per_line, ratio=None):
-    """oracle._Extremes.fold by brute force: every entry of block row p of
+def reference_row_fold(inv, t, ns, per_line, ratio=None):
+    """oracle._Extremes.fold by brute force: every entry of a block row of
     the line-numbered A^{-1}, held transposed in t from its first column
-    line on, is mapped through perm to its position (i, j) in A^{-1}, and
-    inv[k, l, s] becomes the least (s * value, (i, j)) over the entries of
-    block (k, l) and the old one: the first row-major position among the
-    extremes.  With ratio, t starts at line p, and each entry right of line
-    p also stands, times ratio[l, k], at the transposed position (j, i) in
+    line on, belongs to the block (k, l) of its row's and its column's
+    species, and inv[k, l, s] becomes the least s * value over the entries
+    of that block and the old one.  With ratio, t starts at the row's own
+    line, and each entry right of it also stands, times ratio[l, k], in
     block (l, k)."""
     m = ns * per_line
-    n_int = perm.size // ns
-    first = perm.size - t.shape[0]  # the column of t's first row
     for c, col in enumerate(t):
-        j = int(perm[first + c])
+        l = c % m // per_line
         for r, value in enumerate(col):
-            i = int(perm[p * m + r])
-            entries = [(i, j, value)]
+            k = r // per_line
+            entries = [(k, l, value)]
             if ratio is not None and c >= m:
-                entries.append((j, i, value * ratio[j // n_int, i // n_int]))
+                entries.append((l, k, value * ratio[l, k]))
             for row, column, v in entries:
                 for s in (1, -1):
-                    key = (row // n_int, column // n_int, s)
-                    cand = (s * float(v), (row, column))
-                    inv[key] = min(inv.get(key, cand), cand)
+                    key = (row, column, s)
+                    inv[key] = min(inv.get(key, np.inf), s * float(v))
 
 
 @dataclass

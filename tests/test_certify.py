@@ -797,7 +797,7 @@ def test_cross_check_of_the_bundled_problems(name, kind, result, caplog):
 def test_cross_check_rule(kind, inverse_positive, boundary_monotone, result):
     """A Holds claims A^-1 >= 0 and -A^-1 G >= 0 together, a Fails their
     negation."""
-    rep = OracleReport(inverse_positive, 0.0, (0, 0), boundary_monotone, 0.0, 4)
+    rep = OracleReport(inverse_positive, 0.0, boundary_monotone, 0.0, 4)
     v = Verdict(kind, order=(1, 1), oracle=rep)
     check = certify_mod._cross_check(v, None)
     assert check["result"] == result

@@ -2,9 +2,11 @@
 
 import argparse
 import builtins
+import contextlib
 import hashlib
 import io
 import json
+import logging
 import math
 import re
 import textwrap
@@ -17,7 +19,7 @@ import pytest
 from elcomp import cli, linalg
 from elcomp.cli import main
 from elcomp.errors import ElcompError
-from elcomp.fields import load_block, load_fields
+from elcomp.fields import block_from_solution, load_block, load_fields, save_fields
 from elcomp.mesh import build_grid
 
 from helpers import system_text
@@ -169,6 +171,10 @@ def test_exit_code_3_on_no_convergence(tmp_path):
     problem = write(tmp_path, "weak.prob", WEAK)
     code, payload = report(tmp_path, "eigen", problem)
     assert code == 0 and payload["iterations"] > 1
+    # the per-solve record of certify's eigen, and the command's own keys
+    record = {"value", "cw", "iterations", "solves", "residual"}
+    assert record | {"component", "dof"} <= set(payload) and "lambda" not in payload
+    assert payload["component"] is None
     code, payload = report(tmp_path, "eigen", problem, "--max-iter", "1")
     assert code == 3
     assert payload["errors"][0]["type"] == "NoConvergence"
@@ -230,8 +236,8 @@ def test_eigen_closed_form(tmp_path, capsys, monkeypatch):
     assert code == 0
     h = 1.0 / 128
     exact = 4.0 / (h * h) * math.sin(math.pi * h / 2.0) ** 2
-    assert payload["lambda"] == pytest.approx(exact, abs=1e-8)
-    assert payload["cw"][0] <= payload["lambda"] <= payload["cw"][1]
+    assert payload["value"] == pytest.approx(exact, abs=1e-8)
+    assert payload["cw"][0] <= payload["value"] <= payload["cw"][1]
     assert payload["cw"][0] <= exact <= payload["cw"][1]
     assert payload["component"] == 1
     assert payload["dof"] == 127
@@ -281,7 +287,7 @@ def test_oracle_gauged_probe(tmp_path):
     assert oracle["trials"] == 25
     assert oracle["inverse_positive"] is True
     assert oracle["min_entry"] == 0.0
-    assert oracle["witness"] is None
+    assert oracle["counterexample"] is None
 
 
 def test_solve_builtin_and_field_output(tmp_path):
@@ -468,6 +474,55 @@ def test_problem_file_is_read_once(tmp_path, monkeypatch):
         digest = hashlib.sha256(head + tail).hexdigest()
         assert payload["input_digest"] == f"sha256:{digest}"
     assert payload["errors"][0]["message"].endswith(f"(line 7, offset {len(head)})")
+
+
+def test_log_records_reach_stderr_formatted(capsys):
+    """The cross-check's WARNING reaches stderr as one formatted line per
+    run, from one handler, also when stderr was swapped in between, as an
+    in-process caller that captures each run's output swaps it."""
+    problem = str(DATA / "competitive17.prob")
+    line = (
+        "warning: elcomp.certify: HoldsThm4 disagrees with the oracle: "
+        "inverse_positive False, boundary_monotone False\n"
+    )
+    assert main(["certify", problem]) == 0
+    assert capsys.readouterr().err == line
+    sink = io.StringIO()
+    with contextlib.redirect_stderr(sink):
+        assert main(["certify", problem]) == 0
+    assert sink.getvalue() == line
+    assert capsys.readouterr().err == ""
+    handlers = logging.getLogger("elcomp").handlers
+    assert [type(h) for h in handlers] == [cli._StderrHandler]
+
+
+def test_every_input_file_is_read_once(tmp_path, monkeypatch):
+    """thm8's and linearize's --sub and --super and solve's --rhs-from-file
+    are parsed from the bytes that the digest takes, each file opened once."""
+    quasi = [str(DATA / f"quasilinear_demo{tail}") for tail in (".prob", "_sub.field", "_super.field")]
+    coop = write(tmp_path, "coop.prob", COOP)
+    rhs = tmp_path / "rhs.field"
+    save_fields(rhs, block_from_solution(build_grid(1, (0.0,), (1.0,), (16,)), 2, np.ones(30), None))
+    runs = [
+        (["thm8", quasi[0], "--sub", quasi[1], "--super", quasi[2]], quasi),
+        (["linearize", quasi[0], "--sub", quasi[1], "--super", quasi[2]], quasi),
+        (["solve", coop, "--rhs-from-file", str(rhs), "--out", str(tmp_path / "u.field")], [coop, str(rhs)]),
+    ]
+    real, opened = io.open, []
+
+    def counting(file, *args, **kwargs):
+        opened.append(str(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    for argv, paths in runs:
+        opened.clear()
+        out = tmp_path / "r.json"
+        assert main(argv + ["--json", str(out)]) == 0
+        assert [opened.count(path) for path in paths] == [1] * len(paths)
+        digest = hashlib.sha256(b"".join(Path(path).read_bytes() for path in paths))
+        assert json.loads(out.read_text())["input_digest"] == f"sha256:{digest.hexdigest()}"
 
 
 # the documented exit code of every error class; InfeasibleEpsilon never

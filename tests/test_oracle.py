@@ -26,6 +26,7 @@ from elcomp.oracle import (
     TOL_OP,
     inverse_positivity,
     random_probe,
+    refute,
     solve_system,
 )
 from elcomp.settings import Settings
@@ -63,9 +64,9 @@ def test_strong_negative_diagonal_breaks_positivity():
     rep = inverse_positivity(asys)
     assert not rep.inverse_positive
     assert rep.min_entry < 0.0
-    assert rep.witness is not None
-    i, j = rep.witness
-    assert 0 <= i < 15 and 0 <= j < 15
+    cex = refute(asys, rep)
+    assert cex.verified and cex.which == "oracle"
+    assert 0 <= cex.j < 15
 
 
 def test_gauge_flips_competitive_pair():
@@ -225,11 +226,15 @@ def test_random_probe_negative_case_and_determinism():
     assert not rep1.inverse_positive
     assert rep1.sampled and rep1.trials == 40
     assert rep1.min_entry == rep2.min_entry
-    assert rep1.witness == rep2.witness
+    cex1, cex2 = rep1.counterexample, rep2.counterexample
+    assert cex1.verified and cex1.which == "probe"
+    assert cex1.j == cex2.j and cex1.residual_max == cex2.residual_max
+    assert np.array_equal(cex1.w.values, cex2.w.values)
     good = assemble_system(laplace_system(grid))
     rep3 = random_probe(good, trials=20, seed=0)
     assert rep3.inverse_positive
     assert rep3.sampled
+    assert rep3.counterexample is None
 
 
 def test_oracle_report_json_shape():
@@ -239,16 +244,16 @@ def test_oracle_report_json_shape():
     assert set(d) == {
         "inverse_positive",
         "min_entry",
-        "witness",
         "boundary_monotone",
         "min_boundary_entry",
         "dof",
         "gauge",
         "sampled",
         "trials",
+        "counterexample",
     }
     assert d["inverse_positive"] is True
-    assert isinstance(d["witness"], list)
+    assert d["counterexample"] is None
 
 
 def _gauged_dense(asys, gauge):
@@ -265,16 +270,14 @@ def _gauged_dense(asys, gauge):
 
 def _reference(asys, gauge):
     """The oracle's decision as one dense inverse of D A D and a dense
-    product with D G D_b: (min_entry, witness, inverse_positive,
-    min_boundary_entry, boundary_monotone)."""
+    product with D G D_b: (min_entry, inverse_positive, min_boundary_entry,
+    boundary_monotone)."""
     inv, bnd = _gauged_dense(asys, gauge)
     scale = float(np.abs(inv).max())
     min_entry = float(inv.min())
-    witness = tuple(int(i) for i in np.unravel_index(int(np.argmin(inv)), inv.shape))
     min_boundary = 0.0 if bnd is None else float(bnd.min())
     return (
         min_entry,
-        witness,
         min_entry >= -TOL_OP * scale,
         min_boundary,
         min_boundary >= -TOL_OP * scale,
@@ -284,7 +287,6 @@ def _reference(asys, gauge):
 def _decision(rep):
     return (
         rep.min_entry,
-        rep.witness,
         rep.inverse_positive,
         rep.min_boundary_entry,
         rep.boundary_monotone,
@@ -317,14 +319,13 @@ def _lu_report(asys, gauge):
 
 def _assert_within_rounding(asys, gauge, rep):
     """A 2D report against the dense inverse of D A D: the minimum lies
-    within the rounding bound of the dense minimum, so does the dense value
-    at the witness, and the decisions are the dense ones except where the
-    dense margin to -TOL_OP * scale is itself within the bound."""
+    within the rounding bound of the dense minimum, and the decisions are
+    the dense ones except where the dense margin to -TOL_OP * scale is
+    itself within the bound."""
     bound, bound_bnd = _rounding_bounds(asys)
     inv, bnd = _gauged_dense(asys, gauge)
     scale = float(np.abs(inv).max())
     assert abs(rep.min_entry - float(inv.min())) <= bound
-    assert abs(float(inv[rep.witness]) - float(inv.min())) <= bound
     margin = float(inv.min()) + TOL_OP * scale
     if abs(margin) > bound * (1 + TOL_OP):
         assert rep.inverse_positive == (margin >= 0.0)
@@ -391,12 +392,12 @@ def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
 
 
 def _assert_lu_decision(rep, expect):
-    """An LU scan's report against _reference: the entry, witness and
-    decisions exactly; the boundary minimum, which the scan solves for and
-    the dense product sums, to 1e-12 relative."""
+    """An LU scan's report against _reference: the entry and decisions
+    exactly; the boundary minimum, which the scan solves for and the dense
+    product sums, to 1e-12 relative."""
     got = _decision(rep)
-    assert got[:3] + got[4:] == expect[:3] + expect[4:]
-    assert got[3] == pytest.approx(expect[3], rel=1e-12, abs=1e-15)
+    assert got[:2] + got[3:] == expect[:2] + expect[3:]
+    assert got[2] == pytest.approx(expect[2], rel=1e-12, abs=1e-15)
 
 
 def _solved_boundary_min(asys, gauge):
@@ -412,8 +413,7 @@ def _solved_boundary_min(asys, gauge):
 @given(st.booleans().flatmap(lambda symmetric: _oracle_case(symmetric=symmetric)))
 @settings(max_examples=80, deadline=None)
 def test_streamed_oracle_matches_dense_inverse(case):
-    """The LU scan gives the dense inverse's entry, witness and decisions
-    exactly, for any gauge, in any order of gauged and plain calls, and
+    """The LU scan gives the dense inverse's entry and decisions exactly, for any gauge, in any order of gauged and plain calls, and
     its boundary minimum to 1e-12 of the dense product's; on a 1D grid that
     minimum is the one of one solve of D A D against -(D G D_b), exactly.
     On a 2D grid the slab scan's answer lies within the rounding bound
@@ -466,10 +466,9 @@ def test_streamed_boundary_sums_span_blocks(case):
 @settings(max_examples=100, deadline=None)
 def test_slab_scan_matches_dense_inverse(case):
     """Every extreme the slab scan keeps lies within the rounding bound of
-    the dense inverse's, and so does the dense value at its position, which
-    lies in its block; in a block of exact zeros (a zero coupling block
-    makes some) that position is the block's first.  That covers every
-    gauge, whose extremes are these with signs.  Each boundary extreme lies
+    the dense inverse's, blocks of exact zeros (a zero coupling block makes
+    some) included.  That covers every gauge, whose extremes are these
+    with signs.  Each boundary extreme lies
     within the bound for A^{-1} G.  The draws are 2D grids with either axis
     longer, 5- and 9-point stencils, convection, and couplings of either
     sign; the symmetric 5-point ones mirror the lower half of A^{-1}."""
@@ -487,17 +486,89 @@ def test_slab_scan_matches_dense_inverse(case):
     bound, bound_bnd = _rounding_bounds(asys)
     n_int, n_bnd = asys.grid.n_interior, asys.grid.n_boundary
     prod = -(inv @ asys.G.toarray())
-    for (k, l, s), (v, (i, j)) in extremes.items():
+    for (k, l, s), v in extremes.items():
         block = s * inv[k * n_int : (k + 1) * n_int, l * n_int : (l + 1) * n_int]
         assert abs(v - float(block.min())) <= bound
-        assert (i // n_int, j // n_int) == (k, l)
-        assert abs(s * float(inv[i, j]) - v) <= bound
-        if not block.any():
-            assert (i, j) == (k * n_int, l * n_int)
     assert set(bnd) == (set(extremes) if asys.G.nnz else set())
     for (k, l, s), v in bnd.items():
         block = s * prod[k * n_int : (k + 1) * n_int, l * n_bnd : (l + 1) * n_bnd]
         assert abs(v - float(block.min())) <= bound_bnd
+
+
+def _lu_refutation(asys, gauge):
+    """(report, refute's field) of a copy of asys, without kept scans,
+    through the LU scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_scan_slabs", lambda asys: None)
+        copy = replace(asys, _oracle_cache={})
+        rep = inverse_positivity(copy, gauge=gauge)
+        return rep, refute(copy, rep)
+
+
+def _near_threshold_column():
+    """A 1D scalar system whose inverse is M below: column 0 dips to
+    -1e-12, within the threshold -TOL_OP max|M|, and column 1 to -0.5, so
+    the first refuting column is 1, and the least entry's column 2."""
+    grid = build_grid(1, 0.0, 1.0, 4)
+    asys = assemble_system(laplace_system(grid))
+    m = np.array([[1.0, -0.5, -0.9], [-1e-12, 2.0, 0.5], [1.0, 0.5, 3.0]])
+    return replace(asys, A=sp.csr_matrix(np.linalg.inv(m))), None
+
+
+@given(
+    st.tuples(st.booleans(), st.booleans(), st.booleans()).flatmap(
+        lambda f: _oracle_case(cross=f[0], two_d=f[1], symmetric=f[2])
+    )
+)
+@example(_near_threshold_column())
+@settings(max_examples=80, deadline=None)
+def test_refute_gives_the_first_refuting_column(case):
+    """Where a decision fails, refute's field breaks comparison on D A D:
+    its image under D A D and D G D_b is <= 0, its boundary data -e_j or 0,
+    and it is minus column j of the dense D A^{-1} D, or of the dense
+    -(D A^{-1} D)(D G D_b) when only boundary_monotone fails, to rounding.
+    j is the first column of the report's block (k, l) with an entry of
+    species k below -TOL_OP max|A^{-1}|, through the slab scan and the LU
+    scan alike.  Blocks or columns that rounding could reorder, their dense
+    values within the rounding bound of each other or of the threshold,
+    leave j unchecked.  Where both decisions hold there is no field."""
+    asys, gauge = case
+    try:
+        inv, bnd = _gauged_dense(asys, gauge)
+    except SingularMatrix:
+        return
+    bound, bound_bnd = _rounding_bounds(asys)
+    threshold = TOL_OP * float(np.abs(inv).max())
+    n_int, ns = asys.grid.n_interior, asys.n_species
+    signs = np.ones(ns) if gauge is None else np.asarray(gauge, float)
+    rep = inverse_positivity(asys, gauge=gauge)
+    for rep, cex in ((rep, refute(asys, rep)), _lu_refutation(asys, gauge)):
+        if rep.inverse_positive and rep.boundary_monotone:
+            assert cex is None
+            continue
+        boundary = bool(rep.inverse_positive)
+        assert cex.which == ("oracle-boundary" if boundary else "oracle")
+        dense, b = (bnd, bound_bnd) if boundary else (inv, bound)
+        width = dense.shape[1] // ns
+        v, g = cex.w.interior.ravel(), cex.w.boundary.ravel()
+        assert np.abs(v + dense[:, cex.j]).max() <= b
+        d, d_bnd = np.repeat(signs, n_int), np.repeat(signs, asys.grid.n_boundary)
+        image = d * (asys.A @ (d * v) + asys.G @ (d_bnd * g))
+        assert image.max() <= 1e-8 * inf_norm(asys.A) * np.abs(v).max()
+        expect_g = np.zeros_like(g)
+        if boundary:
+            expect_g[cex.j] = -1.0
+        assert np.array_equal(g, expect_g)
+        blocks = dense.reshape(ns, n_int, ns, width).min(axis=(1, 3))  # [k, l]
+        near = np.argwhere(blocks <= dense.min() + 2 * b)
+        if len(near) > 1 or dense.min() >= -threshold - b:
+            continue  # rounding could pick another block, or no column
+        (k, l), = near
+        assert cex.verified
+        col_min = dense[k * n_int : (k + 1) * n_int, l * width : (l + 1) * width].min(axis=0)
+        first = int(np.argmax(col_min < -threshold))
+        if (np.abs(col_min[: first + 1] + threshold) > b).all():
+            assert cex.j == l * width + first
 
 
 def _strip_singular():
@@ -538,7 +609,7 @@ def test_slab_guard_takes_the_lu_scan_on_a_singular_strip(monkeypatch, caplog):
     assert abs(rep.min_entry - float(inv.min())) <= 1e-12 * scale
     monkeypatch.setattr(oracle, "SLAB_PHI_MAX", np.inf)
     unguarded, _ = oracle._scan_slabs(asys)
-    assert max(abs(v - s * float(inv[ij])) for (_, _, s), (v, ij) in unguarded.items()) > scale
+    assert max(abs(v - float((s * inv).min())) for (_, _, s), v in unguarded.items()) > scale
 
 
 @pytest.mark.parametrize("cells", [(12, 12), (16, 7), (7, 16)])
@@ -754,14 +825,14 @@ def _scaled_node_zero_rows():
 @settings(max_examples=120, deadline=None)
 def test_row_fold_matches_a_brute_force_fold(case):
     """Folding block rows one after another keeps, for every species block
-    and sign, the extreme and its first row-major position in A^{-1} that a
-    fold over every entry keeps, ties and blocks of exact zeros included;
-    with weights, the mirrored entries right of each diagonal line too."""
-    perm, ns, per_line, ratio, rows = case
-    extremes, expect = oracle._Extremes(perm, ns, per_line, ratio), {}
-    for t, p in rows:
-        assert extremes.fold(t, p)
-        reference_row_fold(expect, t, p, perm, ns, per_line, ratio)
+    and sign, the extreme that a fold over every entry keeps, blocks of
+    exact zeros included; with weights, the mirrored entries right of each
+    diagonal line too."""
+    _, ns, per_line, ratio, rows = case
+    extremes, expect = oracle._Extremes(ns, per_line, ratio), {}
+    for t, _ in rows:
+        assert extremes.fold(t)
+        reference_row_fold(expect, t, ns, per_line, ratio)
     assert extremes.result() == expect
 
 
@@ -814,16 +885,17 @@ def test_boundary_scan_equals_solves_against_minus_g(case, block):
 @pytest.mark.parametrize("n", [8, 128, 1000])
 def test_lu_scan_reads_the_discrete_greens_function(n):
     """For -u'' on (0, 1) with n cells, A^{-1} is the discrete Green's
-    function h x_i (1 - x_j), i <= j: its least entry is h^3, first at
-    (0, n - 2).  -A^{-1} G holds the harmonic extensions 1 - x and x of
-    the two boundary values, whose least entry is h.  Both are closed
-    forms, whatever order the scan sums in."""
+    function h x_i (1 - x_j), i <= j: its least entry is h^3.  -A^{-1} G
+    holds the harmonic extensions 1 - x and x of the two boundary values,
+    whose least entry is h.  Both are closed forms, whatever order the scan
+    sums in, and nothing is refuted."""
     h = 1.0 / n
-    rep = inverse_positivity(assemble_system(laplace_system(build_grid(1, 0.0, 1.0, n))))
+    asys = assemble_system(laplace_system(build_grid(1, 0.0, 1.0, n)))
+    rep = inverse_positivity(asys)
     assert rep.inverse_positive and rep.boundary_monotone
     assert rep.min_entry == pytest.approx(h**3, rel=1e-12)
-    assert rep.witness == (0, n - 2)
     assert rep.min_boundary_entry == pytest.approx(h, rel=1e-12)
+    assert refute(asys, rep) is None
 
 
 def test_oracle_scan_kept_by_content(monkeypatch):
