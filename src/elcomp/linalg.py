@@ -40,6 +40,15 @@ FLOOR_FACTOR = 100.0
 REUSE_FACTOR = 0.5
 
 
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the bound on the
+    relative rounding error of a k-term sum of products (N. J. Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+    sec. 3.1)."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1.0 - k * u)
+
+
 def from_coo(n_rows: int, n_cols: int, rows, cols, vals) -> sp.csr_matrix:
     """Canonical CSR from triplets: duplicates summed, indices sorted."""
     a = sp.csr_matrix(
@@ -409,8 +418,8 @@ class _NodaIterate:
         bx = self.b @ start
         ratios = bx / start
         u = np.finfo(float).eps / 2
-        gamma = (self.nnz + 1) * u / (1.0 - (self.nnz + 1) * u)
-        delta = float((gamma * (abs(self.b) @ start) / start + u * np.abs(ratios)).max())
+        g = gamma(self.nnz + 1)
+        delta = float((g * (abs(self.b) @ start) / start + u * np.abs(ratios)).max())
         lo = float(np.nextafter(float(ratios.min()) - delta, -np.inf))
         hi = float(np.nextafter(float(ratios.max()) + delta, np.inf))
         lam = min(max(float(start @ bx) / float(start @ start), lo), hi)

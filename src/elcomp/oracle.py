@@ -100,6 +100,12 @@ A scan keeps no positions: a broken comparison is refuted by a field
 (refute), from one column of the inverse solved again.  That column can
 differ in the last bit from the scan's: the BLAS kernels behind the sparse
 triangular solves are chosen by the number of right-hand sides.
+
+solve_system, which no scan calls, solves A u = f - G g.  On a 2D grid
+with two or more species it factorizes the species blocks, not A: the
+species meet only at single nodes, through M(x) u, so sweeps over the
+blocks reach the rounding floor in a few solves, and a singular block or
+a stalling sweep hands off to the coupled LU.
 """
 
 from __future__ import annotations
@@ -118,10 +124,12 @@ from .linalg import (
     SINGULAR_RTOL,
     LuFactor,
     canonical,
+    gamma,
     inf_norm,
     lu_order,
     lu_solve,
     permuted_csc,
+    principal_submatrix,
     row_ids,
 )
 from .settings import DEFAULT, Settings
@@ -136,6 +144,12 @@ SLAB_MIN_WIDTH = 16
 # the slab scan's guard on phi = max_p kappa(S_p) (1 + |L||U| / |A|): half of
 # the decimal digits between the unit roundoff and TOL_OP (module docstring)
 SLAB_PHI_MAX = float(np.sqrt(TOL_OP / (np.finfo(float).eps / 2)))
+# solve_system's species sweeps hand off to the coupled LU once a sweep leaves
+# the scaled residual above this fraction of the one before: at 96^2 a sweep
+# costs 1/25 to 1/45 of the coupled LU, so from 1e10 times the floor, where
+# the first sweep leaves solve-2d-setup's pairs, sweeps that cut by 0.25 or
+# better (17 or fewer) still cost less than a hand-off
+SWEEP_CUT = 0.25
 
 
 @dataclass
@@ -733,10 +747,69 @@ def random_probe(
     return report
 
 
+def _species_sweeps(asys: AssembledSystem, b: np.ndarray) -> np.ndarray | None:
+    """u with A u = b at the rounding floor, by block Gauss-Seidel over the
+    species (solve_system); None, with the reason logged, to hand off."""
+    a, grid, n = asys.A, asys.grid, asys.grid.n_interior
+    blocks = [slice(k * n, (k + 1) * n) for k in range(asys.n_species)]
+    rows = [a[s] for s in blocks]  # the rows of each species
+    abs_a, abs_b = abs(a), np.abs(b)
+    g = gamma(int(np.diff(a.indptr).max()) + 1)
+    u = np.zeros(a.shape[0])
+    last, sweeps = np.finfo(float).max, 0  # u = 0 passes any finite ratio
+    try:
+        lus = []
+        for s in blocks:
+            block = principal_submatrix(a, np.arange(s.start, s.stop))
+            lus.append(LuFactor(block, lu_order(grid, block)))
+        while True:
+            r = np.abs(b - a @ u)
+            floor = g * (abs_a @ np.abs(u) + abs_b)
+            ratio = float(np.divide(r, floor, out=np.zeros_like(r), where=r != 0.0).max())
+            if ratio <= 1.0:
+                logger.debug("solve reached the rounding floor in %d species sweep(s)", sweeps)
+                return u
+            if not ratio <= SWEEP_CUT * last:
+                logger.debug(
+                    "solve handed to the coupled LU: sweep %d took the residual from %.3g"
+                    " to %.3g times its floor, a cut above SWEEP_CUT %g",
+                    sweeps, last, ratio, SWEEP_CUT,
+                )
+                return None
+            last, sweeps = ratio, sweeps + 1
+            for k, s in enumerate(blocks):
+                u[s] += lus[k].solve(b[s] - rows[k] @ u)
+    except SingularMatrix as err:
+        logger.debug("solve handed to the coupled LU: a species block is singular: %s", err)
+        return None
+
+
 def solve_system(asys: AssembledSystem, rhs=None) -> np.ndarray:
-    """Interior solution of A u = f - G g, on the LU ordered by lu_order:
-    nested dissection for a 9-point 2D operator, minimum degree otherwise."""
+    """Interior solution of A u = f - G g.
+
+    A 2D system of two or more species is solved over its species
+    (_species_sweeps): each species block A_kk is factorized once, on its
+    own lu_order, and sweeps of u_k += A_kk^{-1} (b - A u)_k, species after
+    species, run until |b - A u| <= gamma_{k+1} (|A| |u| + |b|) in every
+    row, k being A's largest row nnz.  That is block Gauss-Seidel (R. S.
+    Varga, Matrix Iterative Analysis, ch. 3) written as a correction, which,
+    like fixed-precision iterative refinement (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12), also
+    corrects the rounding of the solves before it: u_k <- A_kk^{-1} (b_k -
+    sum_{l != k} A_kl u_l) stalled at 1.3 times the floor in one row of a
+    128^2 5-point pair.  A singular species block, or a sweep that leaves
+    max_i |b - A u|_i / (gamma_{k+1} (|A| |u| + |b|))_i above SWEEP_CUT of
+    its value before, hands off to the coupled LU, which solves every other
+    system: one LU of A on lu_order, nested dissection for a 9-point 2D
+    operator, minimum degree otherwise.  The sweep count, or the hand-off
+    and its reason, is logged at DEBUG on the elcomp.oracle logger.
+    """
     f = asys.f_vec if rhs is None else np.asarray(rhs, dtype=float)
     if f.shape != (asys.A.shape[0],):
         raise DimMismatch(f"rhs has {f.shape}, system has {asys.A.shape[0]} unknowns")
-    return lu_solve(asys.A, f - asys.G @ asys.g_vec, lu_order(asys.grid, asys.A))
+    b = f - asys.G @ asys.g_vec
+    if asys.grid.dim == 2 and asys.n_species > 1:
+        u = _species_sweeps(asys, b)
+        if u is not None:
+            return u
+    return lu_solve(asys.A, b, lu_order(asys.grid, asys.A))

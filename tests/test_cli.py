@@ -21,6 +21,7 @@ from elcomp.cli import main
 from elcomp.errors import ElcompError
 from elcomp.fields import block_from_solution, load_block, load_fields, save_fields
 from elcomp.mesh import build_grid
+from elcomp.problems import parse_problem
 
 from helpers import system_text
 from test_golden import DATA, _check
@@ -338,6 +339,31 @@ def test_solve_rhs_from_file(tmp_path):
     assert payload["residual"] < 1e-9
     # digest covers problem and rhs file
     assert payload["input_digest"].startswith("sha256:")
+
+
+def test_solve_rhs_from_file_matches_builtin_on_a_2d_pair(tmp_path, caplog):
+    """A 2D pair's own f, written as a field and read by --rhs-from-file,
+    gives the field that --builtin writes, byte for byte; both runs take
+    the species sweeps."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    species = [
+        {"a11": "1 + x", "a12": "0.1", "a21": "0.1", "b1": "2", "c": "1", "f": "1 + x*y", "g": "x - y"},
+        {"c": "2", "f": "sin(3*x)", "g": "y"},
+    ]
+    text = system_text((20, 16), species, {"m12": "-0.5", "m21": "0.3*x"})
+    problem = tmp_path / "pair.prob"
+    problem.write_text(text)
+    asys = parse_problem(text).discretize().assembled("full")
+    rhs = tmp_path / "f.field"
+    save_fields(rhs, block_from_solution(asys.grid, asys.n_species, asys.f_vec, None))
+    written = []
+    for source in (["--builtin"], ["--rhs-from-file", str(rhs)]):
+        out = tmp_path / f"u{len(written)}.field"
+        assert main(["solve", str(problem), *source, "--out", str(out), "--json", str(tmp_path / "r.json")]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    messages = [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"]
+    assert [m.startswith("solve reached the rounding floor in ") for m in messages] == [True, True]
 
 
 def test_counterexample_writes_field(tmp_path):

@@ -3,8 +3,10 @@
 import inspect
 import logging
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +17,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elcomp import oracle
+from elcomp import linalg, oracle
 from elcomp.assembly import DiscreteSystem, assemble_system
 from elcomp.errors import SingularMatrix, TooLarge, ValidationError
 from elcomp.cli import main
-from elcomp.fields import block_from_solution, save_fields
+from elcomp.fields import block_from_solution, load_block, save_fields
 from elcomp.linalg import LuFactor, dense_inverse, inf_norm, lu_order, lu_solve
 from elcomp.mesh import build_grid
 from elcomp.oracle import (
@@ -174,34 +176,207 @@ def test_solve_nested_dissection_matches_minimum_degree(text):
     assert float(np.abs(u - reference).max()) <= 1e-12 * float(np.abs(reference).max())
 
 
+def _floor_met(asys, u, b) -> bool:
+    """|b - A u| <= gamma_{k+1} (|A| |u| + |b|) in every row, k the largest
+    row nnz of A: the rounding floor at which solve_system's sweeps stop."""
+    k = int(np.diff(asys.A.indptr).max())
+    floor = linalg.gamma(k + 1) * (abs(asys.A) @ np.abs(u) + np.abs(b))
+    return bool((np.abs(b - asys.A @ u) <= floor).all())
+
+
 @pytest.mark.parametrize(
-    "shape, keys",
+    "shape, keys, coupling, swept",
     [
-        ((40,), {}),
-        ((24, 20), {"b1": "2"}),
-        ((24, 20), {"a12": "0.2", "a21": "-0.2"}),  # cross terms cancel: 5-point
+        ((40,), {}, {"m12": "-0.5", "m21": "0.3"}, False),
+        ((24, 20), {"b1": "2"}, {"m12": "-0.5", "m21": "0.3"}, True),
+        # cross terms cancel: 5-point
+        ((24, 20), {"a12": "0.2", "a21": "-0.2"}, {"m12": "-0.5", "m21": "0.3"}, True),
+        # an indefinite cooperative pair, whose sweeps diverge
+        ((24, 20), {"b1": "2", "c": "-30"}, {"m12": "-40", "m21": "-40"}, False),
     ],
-    ids=["1d", "5-point", "cancelling"],
+    ids=["1d", "5-point", "cancelling", "hand-off"],
 )
-def test_solve_keeps_minimum_degree_off_nine_point_stencils(tmp_path, shape, keys):
-    """1D, 5-point and cancelling-cross-term systems get no order, and
-    `solve` writes the field of a plain minimum-degree SuperLU solve,
-    byte for byte."""
+def test_solve_keeps_minimum_degree_off_nine_point_stencils(tmp_path, caplog, shape, keys, coupling, swept):
+    """1D, 5-point and cancelling-cross-term systems, and their species
+    blocks, get no order.  `solve` writes the field of a plain minimum-degree
+    SuperLU solve, byte for byte, where it takes the coupled LU: on the 1D
+    pair, and on the 2D pair whose species sweeps hand off.  The weakly
+    coupled 2D pairs are swept: their field meets the rounding floor and
+    agrees with the plain solve to 1e-12 relative."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     species = [
         {"a11": "1 + x", "c": "1", "f": "1 + x", "g": "x", **keys},
         {"c": "2", "f": "1", **keys},
     ]
     path = tmp_path / "p.prob"
-    path.write_text(system_text(shape, species, {"m12": "-0.5", "m21": "0.3"}))
-    asys = load_problem(path).discretize().assembled("full")
+    path.write_text(system_text(shape, species, coupling))
+    ds = load_problem(path).discretize()
+    asys = ds.assembled("full")
     assert lu_order(asys.grid, asys.A) is None
+    assert all(lu_order(asys.grid, ds.block("full", [k])) is None for k in range(2))
     out = tmp_path / "u.field"
     assert main(["solve", str(path), "--builtin", "--out", str(out), "--json", str(tmp_path / "r.json")]) == 0
-    lu = spla.splu(asys.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    u = lu.solve(asys.f_vec - asys.G @ asys.g_vec)
-    expect = tmp_path / "expect.field"
-    save_fields(expect, block_from_solution(asys.grid, asys.n_species, u, asys.g_vec))
-    assert out.read_bytes() == expect.read_bytes()
+    b = asys.f_vec - asys.G @ asys.g_vec
+    u = spla.splu(asys.A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    messages = [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"]
+    if len(shape) == 1:
+        assert messages == []
+    else:
+        (message,) = messages
+        verb = "reached the rounding floor" if swept else "handed to the coupled LU"
+        assert message.startswith(f"solve {verb}")
+    if not swept:
+        expect = tmp_path / "expect.field"
+        save_fields(expect, block_from_solution(asys.grid, asys.n_species, u, asys.g_vec))
+        assert out.read_bytes() == expect.read_bytes()
+        return
+    swept_u = load_block(out.read_bytes(), asys.grid, asys.n_species).interior.reshape(-1)
+    assert _floor_met(asys, swept_u, b)
+    assert float(np.abs(swept_u - u).max()) <= 1e-12 * float(np.abs(u).max())
+
+
+@st.composite
+def coupled_systems(draw):
+    """Problem text of 1-3 species on a 1D or 2D grid, with a 5- or 9-point
+    stencil, couplings from |m| << lambda_1 up to a few lambda_1, and
+    indefinite Thm 7-like systems: cooperative m = -nu with c = nu -
+    lambda_1 - delta, lambda_1 = dim pi^2 that of the Laplacian."""
+
+    def num(lo, hi):
+        return repr(round(draw(st.floats(lo, hi)), 3))
+
+    dim = draw(st.sampled_from([1, 2]))
+    shape = (draw(st.integers(4, 40)),) if dim == 1 else (draw(st.integers(3, 12)), draw(st.integers(3, 12)))
+    n_species = draw(st.integers(1, 3))
+    nine_point = dim == 2 and draw(st.booleans())
+    lam = dim * float(np.pi) ** 2
+    nu = lam * draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 2.0]))
+    thm7 = n_species > 1 and draw(st.booleans())
+    species = []
+    for _ in range(n_species):
+        keys = {"a11": f"1 + {num(0.0, 0.5)}*x", "b1": num(-2.0, 2.0), "f": f"1 + {num(0.0, 1.0)}*x"}
+        keys["c"] = repr(round(nu - lam - draw(st.floats(0.5, 2.0)), 3)) if thm7 else num(0.0, 3.0)
+        if nine_point:
+            keys["a12"] = keys["a21"] = num(0.05, 0.3)
+        if dim == 2:
+            keys["g"] = f"{num(0.0, 0.5)}*(x - y)"
+        species.append(keys)
+    coupling = {
+        f"m{k}{l}": repr(round(-nu if thm7 else draw(st.sampled_from([-1.0, 1.0])) * nu * draw(st.floats(0.5, 1.0)), 3))
+        for k in range(1, n_species + 1)
+        for l in range(1, n_species + 1)
+        if k != l
+    }
+    return system_text(shape, species, coupling)
+
+
+def _laplace_eigenvalue(n: int) -> float:
+    """The least eigenvalue of the 5-point Dirichlet Laplacian on n^2 cells
+    of the unit square."""
+    return float(8 * n**2 * np.sin(np.pi / (2 * n)) ** 2)
+
+
+# c = -lambda_1 leaves each species block singular to working precision,
+# while m12 = -m21 = -1 keeps A's eigenvalues 1 away from 0 (kappa_inf 794)
+_SINGULAR_SPECIES = system_text(
+    (8, 8),
+    [{"c": repr(-_laplace_eigenvalue(8)), "f": "1"}] * 2,
+    {"m12": "-1", "m21": "1"},
+)
+# two Laplacians coupled by m = -lambda_1: A itself is singular to working precision
+_SINGULAR_PAIR = system_text(
+    (8, 8), [{"f": "1"}] * 2, {"m12": repr(-_laplace_eigenvalue(8)), "m21": repr(-_laplace_eigenvalue(8))}
+)
+
+
+@contextmanager
+def _oracle_messages():
+    """The messages logged meanwhile on elcomp.oracle, at DEBUG."""
+    log, messages = logging.getLogger("elcomp.oracle"), []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        yield messages
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _error_bound(asys, x, b) -> np.ndarray:
+    """|A^{-1}| (|b - A x| + gamma_{k+1} (|A| |x| + |b|)), k the largest row
+    nnz: a bound on |x - A^{-1} b|, the computed residual widened by its
+    own rounding."""
+    k = int(np.diff(asys.A.indptr).max())
+    a = asys.A.toarray()
+    r = np.abs(b - asys.A @ x) + linalg.gamma(k + 1) * (np.abs(a) @ np.abs(x) + np.abs(b))
+    return np.abs(np.linalg.inv(a)) @ r
+
+
+@given(coupled_systems())
+@example(_SINGULAR_SPECIES)
+@example(_SINGULAR_PAIR)
+@settings(max_examples=60, deadline=None)
+def test_solve_system_sweeps_to_the_floor_or_hands_off(text):
+    """A 2D system of two or more species is swept or handed off, and logs
+    which: one record, a hand-off exactly when the coupled LU is called.
+    Swept, u meets the rounding floor, and lies within the sum of its own
+    and the coupled LU's error bounds of the coupled LU's answer.  Handed
+    off, and on 1D grids and single species, which log nothing, u is the
+    coupled LU's, byte for byte, and a coupled LU that raises SingularMatrix
+    (exit 3) makes the solve raise it.  The examples: a species block
+    singular inside a nonsingular A hands off; a singular A raises."""
+    asys = parse_problem(text).discretize().assembled("full")
+    b = asys.f_vec - asys.G @ asys.g_vec
+    swept = asys.grid.dim == 2 and asys.n_species > 1
+    try:
+        reference = lu_solve(asys.A, b, lu_order(asys.grid, asys.A))
+    except SingularMatrix:
+        reference = None
+    with _oracle_messages() as messages, mock.patch.object(oracle, "lu_solve", wraps=lu_solve) as coupled:
+        try:
+            u = solve_system(asys)
+        except SingularMatrix as err:
+            assert err.exit_code == 3
+            u = None
+    handed = [m for m in messages if m.startswith("solve handed to the coupled LU: ")]
+    assert len(messages) == swept
+    assert len(handed) == (swept and coupled.called)
+    if text == _SINGULAR_SPECIES:
+        assert handed[0].startswith("solve handed to the coupled LU: a species block is singular")
+    if text == _SINGULAR_PAIR:
+        assert handed and reference is None
+    if coupled.called:
+        assert (u is None) == (reference is None)
+        assert u is None or u.tobytes() == reference.tobytes()
+        return
+    assert messages[0].startswith("solve reached the rounding floor in ")
+    assert _floor_met(asys, u, b)
+    assert reference is not None
+    bound = _error_bound(asys, u, b) + _error_bound(asys, reference, b)
+    assert (np.abs(u - reference) <= bound).all()
+
+
+def test_species_sweeps_reach_the_floor_on_a_fine_grid():
+    """A 128^2 5-point pair with variable diffusion, convection and
+    sign-changing coupling is swept to the rounding floor, with no hand-off.
+    The sweeps solve for corrections: u_k <- A_kk^{-1} (b_k - sum_{l != k}
+    A_kl u_l) stalled on this pair at 1.3 times the floor in one row."""
+    smooth = "1 + 0.5*sin(3.1416*x + {})^2*cos(3.1416*y + {})^2"
+    species = [
+        {"a11": smooth.format(2.6623, 2.3995), "a22": smooth.format(0.8013, 1.5565), "b1": "-0.202*cos(3.1416*y)",
+         "b2": "0.6064*sin(3.1416*x)", "c": "2.5774", "f": "1 + 0.0939*x*y", "g": "0.0142*(x - y)"},
+        {"a11": smooth.format(1.3596, 2.3948), "a22": smooth.format(0.0066, 1.3992), "b1": "0.8862*cos(3.1416*y)",
+         "b2": "-1.085*sin(3.1416*x)", "c": "2.8905", "f": "1 + 0.9014*x*y", "g": "0.0153*(x - y)"},
+    ]
+    coupling = {"m12": "0.3127*sin(2*3.1416*x)", "m21": "-0.5707*cos(2*3.1416*y)"}
+    asys = parse_problem(system_text((128, 128), species, coupling)).discretize().assembled("full")
+    with _oracle_messages() as messages:
+        u = solve_system(asys)
+    assert len(messages) == 1 and messages[0].startswith("solve reached the rounding floor in ")
+    assert _floor_met(asys, u, asys.f_vec - asys.G @ asys.g_vec)
 
 
 def test_solve_system_reproduces_manufactured_solution():
