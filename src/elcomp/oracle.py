@@ -39,10 +39,19 @@ also takes the guard's norms.  With Q_q = -A_{q+1,q} S_q^{-1} and R_p =
 S_p^{-1} + R_p G_{p+1,p+1} Q_p, right of the diagonal row p is R_p times
 row p+1, and left of it G_{p,q} = G_{p,q+1} Q_q.  That is about 2 m n^2
 flops in dense m x m products, against SuperLU's triangular solves at
-scalar speed.  Each finished row is reduced over its lines to its
-extremes.  Its product with G updates running extremes of -(A^{-1} G)
-per boundary value, reduced per species once.  Memory is the Q and S^{-1}
-stacks, two rows (this one and the one below) and one row's boundary
+scalar speed.  Besides those and one pass over each row, every step costs
+O(m^2) per line or per row.  On a 5-point operator every entry of A
+outside the lines' own blocks joins a node to the same position on the
+next line, so A_{p+1,p} and A_{p,p+1} are diagonal: they are kept as
+vectors, and Q_p, S_{p+1} and R_p scale rows or columns where dense
+products would add only exact zeros, which leaves every value as it was;
+9-point operators (cross diffusion) keep dense blocks.  Each finished row
+is reduced over its lines to elementwise extremes and folded into running
+ones, m^2 each, which are reduced per species block once.  The row's
+product with G updates running extremes of -(A^{-1} G) per boundary
+value, reduced per species once.  Memory is the Q and S^{-1} stacks, the
+inter-line blocks A_{p,p+1} kept from the Schur pass (n doubles, n m when
+dense), two rows (this one and the one below) and one row's boundary
 product: O(n m + m n_boundary).  The blocks are read off one line-numbered
 CSC copy of A, with no sparse matrix per line.
 
@@ -53,24 +62,25 @@ and E. Mitidieri (SIAM J. Math. Anal. 17 (1986) 836-849).  Then A^{-1}_ij
 = A^{-1}_ji w_i / w_j, and the scan builds only each row's right part, at
 and right of its diagonal block: the left chain goes but for G_{p+1,p} =
 G_{p+1,p+1} Q_p, one m x m product per row, which row p needs.  Each right
-part is folded twice, for its own entries and, transposed and scaled by
-w_j / w_i, for those of the lower half; -A^{-1} G takes its extremes from
-the right part's boundary-adjacent columns and, mirrored, from line p's
-boundary-adjacent rows.  _mirror_weights decides once per scan, from A's
-stored values and G: every species block exactly symmetric, each coupling
-pair zero together or in one computed ratio fl(m_lk / m_kl) at every
-stored entry, weights that agree around cycles of species, and no
-boundary value in more than one equation (else column b of A^{-1} G would
-need columns of A^{-1} from several lines).  Every other system keeps the
-full rows.  The mirror stays within the scan's error bound: one computed
+part is folded twice, for its own entries and, transposed, for those of
+the lower half, whose extremes are scaled by w_j / w_i once, at the end;
+-A^{-1} G takes its extremes from the right part's boundary-adjacent
+columns and, mirrored, from line p's boundary-adjacent rows.
+_mirror_weights decides once per scan, from A's stored values and G:
+every species block exactly symmetric, each coupling pair zero together
+or in one computed ratio fl(m_lk / m_kl) at every stored entry, weights
+that agree around cycles of species, and no boundary value in more than
+one equation (else column b of A^{-1} G would need columns of A^{-1} from
+several lines).  Every other system keeps the full rows.  The mirror stays within the scan's error bound: one computed
 ratio at every entry puts A within u |A| of a matrix A' with A' W exactly
 symmetric (weights that agree to ns eps add a few u more), and to first
 order |A'^{-1} - A^{-1}| <= u kappa(A) max|A^{-1}|, within the c u kappa(A)
 max|A^{-1}| that the recursion's own rounding carries; the scaling adds one
-rounding.  The mirror adds no O(n m) buffer: the
-right parts live in the same two rows, and what it keeps is the row's
-extremes over its lines right of line p (2 m^2 doubles) and the boundary
-extremes per boundary value and position along a line (O(m n_boundary)).
+rounding.  The mirror adds no O(n m) buffer: the right parts live in the
+same two rows, and what it keeps is the row's extremes over its lines
+right of line p and their running extremes (4 m^2 doubles) and the
+boundary extremes per boundary value and position along a line (O(m
+n_boundary)).
 
 The guard follows J. W. Demmel, N. J. Higham and R. S. Schreiber (Numer.
 Linear Algebra Appl. 2 (1995) 173-190): with the diagonal blocks inverted
@@ -249,24 +259,36 @@ def _line_order(grid, n_species: int):
 
 
 def _line_blocks(csc, m: int):
-    """The reader p -> dense (A_{p-1,p}, A_pp, A_{p+1,p}) of the
-    line-numbered A held in csc, or None when A is not block tridiagonal
-    over lines of m unknowns.  Each stored entry's place among its line's
-    three blocks is found once, so a read scatters the CSC arrays of line
-    p's m columns."""
+    """(read, diagonal) for the line-numbered A held in csc, or None when A
+    is not block tridiagonal over lines of m unknowns.  read(p) gives line
+    p's column blocks (A_{p-1,p}, A_pp, A_{p+1,p}), A_pp dense.  diagonal
+    says that every stored entry outside the lines' own blocks joins a node
+    to the same position on the next line, as on every 5-point operator,
+    whose coupling is pointwise.  Then the inter-line blocks are read as
+    their diagonals, shaped so that np.multiply broadcasts them where
+    np.matmul would multiply by them: A_{p-1,p}, a right factor, as a row
+    of m, and A_{p+1,p}, a left factor, as a column of m.  Otherwise they
+    are dense.  Each stored entry's place among its line's three blocks is
+    found once, so a read scatters the CSC arrays of line p's m columns."""
     cols = row_ids(csc)  # the column of each entry
     offset = csc.indices // m - cols // m + 1  # 0, 1, 2: above, on, below
     if offset.size and not 0 <= offset.min() <= offset.max() <= 2:
         return None
-    at = (offset * m + csc.indices % m) * m + cols % m
+    i, j = csc.indices % m, cols % m
+    diagonal = bool(((offset == 1) | (i == j)).all())
+    size = m if diagonal else m * m  # of an inter-line block
+    within = j if diagonal else i * m + j
+    at = np.where(offset == 1, size + i * m + j, offset // 2 * (size + m * m) + within)
     ends = csc.indptr[::m]
+    shapes = ((m,), (m, 1)) if diagonal else ((m, m), (m, m))  # above, below
 
-    def read(p: int) -> np.ndarray:
-        out = np.zeros(3 * m * m)
+    def read(p: int):
+        out = np.zeros(2 * size + m * m)
         out[at[ends[p] : ends[p + 1]]] = csc.data[ends[p] : ends[p + 1]]
-        return out.reshape(3, m, m)
+        above, on, below = np.split(out, [size, size + m * m])
+        return above.reshape(shapes[0]), on.reshape(m, m), below.reshape(shapes[1])
 
-    return read
+    return read, diagonal
 
 
 def _inverse(s: np.ndarray) -> np.ndarray | None:
@@ -286,17 +308,22 @@ def _hand_off(reason: str, *args) -> None:
     logger.debug("slab scan handed to the LU scan: " + reason, *args)
 
 
-def _line_schur(line_blocks, n_lines: int, m: int, a_norm: float):
-    """(q, x): the stacks Q_q = -A_{q+1,q} S_q^{-1}, q < n_lines - 1, and
+def _line_schur(read, times, n_lines: int, m: int, a_norm: float):
+    """(q, x, right): the stacks Q_q = -A_{q+1,q} S_q^{-1}, q < n_lines - 1,
     x_p = S_p^{-1} of the line Schur complements S_p = A_pp + Q_{p-1}
-    A_{p-1,p}, each S_p inverted once; None when some S_p is singular or
-    phi = max_p kappa(S_p) (1 + |L||U| / |A|) exceeds SLAB_PHI_MAX
-    (inf-norms; L and U the block LU factors)."""
+    A_{p-1,p}, each S_p inverted once, and right_p = A_{p,p+1} as read(p +
+    1) gives it (_line_blocks); None when some S_p is singular or phi =
+    max_p kappa(S_p) (1 + |L||U| / |A|) exceeds SLAB_PHI_MAX (inf-norms; L
+    and U the block LU factors).  times is the product with an inter-line
+    block: np.matmul, or np.multiply for diagonal ones, where Q_p scales
+    the rows of S_p^{-1} and Q_p A_{p,p+1} the columns of Q_p.  A product
+    with a diagonal factor adds only exact zeros, so every value is the
+    dense products' own."""
+    above, s, below = read(0)
     q = np.empty((n_lines - 1, m, m))
+    right = np.empty((n_lines - 1, *above.shape))
     x = []
     kappa, l_norm, u_norm = 0.0, 1.0, 0.0
-    blocks = line_blocks(0)
-    s = blocks[1]
     for p in range(n_lines):
         s_inv = _inverse(s)
         if s_inv is None:
@@ -307,16 +334,15 @@ def _line_schur(line_blocks, n_lines: int, m: int, a_norm: float):
         if p + 1 == n_lines:
             u_norm = max(u_norm, float(s_rows.max()))
             break
-        below = line_blocks(p + 1)
-        np.matmul(blocks[2], s_inv, out=q[p])
-        np.negative(q[p], out=q[p])
+        q[p] = -times(below, s_inv)
+        right[p], on, below = read(p + 1)
         l_norm = max(l_norm, 1.0 + float(_row_sums(q[p]).max()))
-        u_norm = max(u_norm, float((s_rows + _row_sums(below[0])).max()))
-        s = below[1] + q[p] @ below[0]
-        blocks = below
+        # a diagonal's row sums are its magnitudes
+        u_norm = max(u_norm, float((s_rows + _row_sums(right[p].reshape(m, -1))).max()))
+        s = on + times(q[p], right[p])
     phi = kappa * (1.0 + l_norm * u_norm / a_norm)
     if phi <= SLAB_PHI_MAX:
-        return q, x
+        return q, x, right
     # a NaN phi fails too
     return _hand_off("phi %.3g exceeds SLAB_PHI_MAX %.3g", phi, SLAB_PHI_MAX)
 
@@ -405,7 +431,8 @@ def _scan_slabs(asys: AssembledSystem):
     Rows are built from the last line up.  With R_p = -S_p^{-1} A_{p,p+1},
     row p at and right of its diagonal block is R_p times row p+1 there,
     plus S_p^{-1} on the diagonal block; left of it, G_{p,q} = G_{p,q+1} Q_q.
-    S_p^{-1} is read off the stack _line_schur kept.  When A W is symmetric
+    S_p^{-1} and A_{p,p+1} are read off the stacks _line_schur kept, and a
+    diagonal A_{p,p+1} makes R_p a column scaling.  When A W is symmetric
     (_mirror_weights), only the right part of each row is built, G_{p+1,p}
     = G_{p+1,p+1} Q_p being the one block left of a diagonal that it needs,
     and _Extremes folds each right part for both halves of A^{-1}.  The
@@ -416,18 +443,20 @@ def _scan_slabs(asys: AssembledSystem):
     ns, n = asys.n_species, a.shape[0]
     perm, n_lines, per_line = _line_order(asys.grid, ns)
     m = ns * per_line
-    line_blocks = _line_blocks(permuted_csc(a, perm), m)
-    if line_blocks is None:
+    blocks = _line_blocks(permuted_csc(a, perm), m)
+    if blocks is None:
         return _hand_off("A is not block tridiagonal")
+    read, diagonal = blocks
+    times = np.multiply if diagonal else np.matmul  # by an inter-line block
     # decided before the stacks are built, so that its arrays are gone
     w, note = _mirror_weights(a, g, ns, asys.grid.n_interior)
     ratio = None if w is None else w[:, None] / w  # [l, k] = w_l / w_k
     a_norm = inf_norm(a)
-    stacks = _line_schur(line_blocks, n_lines, m, a_norm)
+    stacks = _line_schur(read, times, n_lines, m, a_norm)
     if stacks is None:
         return None
-    logger.debug(note)
-    q, s_inv = stacks
+    logger.debug("%s; inter-line blocks %s", note, "diagonal" if diagonal else "dense")
+    q, s_inv, right = stacks
     boundary = _Boundary(asys, perm, per_line, ratio) if g.nnz else None
     row, below = np.empty((m, n), order="F"), np.empty((m, n), order="F")
     extremes = _Extremes(ns, per_line, ratio)
@@ -438,17 +467,14 @@ def _scan_slabs(asys: AssembledSystem):
             row[:, c0:] = x
         else:
             if ratio is not None:  # G_{p+1,p} = G_{p+1,p+1} Q_p
-                diagonal = below[:, c0 + m : c0 + 2 * m]
-                np.matmul(diagonal, q[p], out=below[:, c0 : c0 + m])
-            r = x @ right  # right = A_{p,p+1}
-            np.negative(r, out=r)
+                np.matmul(below[:, c0 + m : c0 + 2 * m], q[p], out=below[:, c0 : c0 + m])
+            r = -times(x, right[p])  # R_p
             np.matmul(r, below[:, c0:], out=row[:, c0:])
             row[:, c0 : c0 + m] += x
         if ratio is None:
             for c in range(p - 1, -1, -1):  # G_{p,c} = G_{p,c+1} Q_c
                 left = row[:, (c + 1) * m : (c + 2) * m]
                 np.matmul(left, q[c], out=row[:, c * m : (c + 1) * m])
-        right = line_blocks(p)[0]
         t = (row[:, c0:] if ratio is not None else row).T
         if not extremes.fold(t):
             return _hand_off("row %d is not finite", p)
@@ -568,52 +594,61 @@ class _Extremes:
     p are folded a second time, transposed: A^{-1}_ji = A^{-1}_ij w_j / w_i.
 
     A row is reduced over its column lines to elementwise extremes, one per
-    (column node, row node) pair, and those give each block's extremes;
-    x -> x w_l / w_k is monotone in floating point, so the scaled extremes
-    are those of the scaled entries.
+    (column node, row node) pair, and folded into running elementwise (min,
+    max) arrays of m^2 entries: one pair for the direct entries and, with
+    ratio, one for the entries right of each row's diagonal line, which the
+    direct pair then leaves out.  result() reduces them to species blocks
+    once and scales the mirrored ones once: x -> x w_l / w_k is monotone in
+    floating point, so the scaled extremes are those of the scaled entries.
     """
 
     def __init__(self, ns: int, per_line: int, ratio):
         self.ns, self.per_line, self.ratio = ns, per_line, ratio
-        # the least s * entry so far per key [k, l, 0 for s = 1, 1 for s = -1]
-        self.bound = np.full((ns, ns, 2), np.inf)
+        size = (ns * per_line) ** 2
+        self.direct = (np.full(size, np.inf), np.full(size, -np.inf))
+        # right of the diagonal lines; None until a row has entries there
+        self.right = None
         # the last row's elementwise (min, max) over its lines right of line
-        # p, [l, column node, k, row node]; None without a mirror
+        # p, [l, column node, k, row node] flattened; None without a mirror
         self.rest = None
 
     def fold(self, t: np.ndarray) -> bool:
         """Fold a block row, held transposed in t; False when an entry is
         not finite."""
-        ns, per_line = self.ns, self.per_line
-        m = ns * per_line
+        m = self.ns * self.per_line
         flat = t.reshape(-1, m * m)
-        shape = (ns, per_line, ns, per_line)  # [l, column node, k, row node]
-        rest = self.rest = None
-        if self.ratio is not None and flat.shape[0] > 1:  # right of line p
-            rest = self.rest = tuple(
-                f.reduce(flat[1:]).reshape(shape) for f in (np.minimum, np.maximum)
-            )
-            lo = np.minimum(rest[0], flat[0].reshape(shape))
-            hi = np.maximum(rest[1], flat[0].reshape(shape))
+        self.rest = None
+        if self.ratio is not None and flat.shape[0] > 1:  # entries right of line p
+            self.rest = (np.minimum.reduce(flat[1:]), np.maximum.reduce(flat[1:]))
+            self.right = self.right or (np.full(m * m, np.inf), np.full(m * m, -np.inf))
+            pairs = [(self.direct, (flat[0], flat[0])), (self.right, self.rest)]
         else:
-            lo, hi = (f.reduce(flat).reshape(shape) for f in (np.minimum, np.maximum))
-        # s * extreme [k, l, s], direct and mirrored: over the nodes along
-        # the line, then within each species (faster than one reduction)
-        sv = [np.stack((lo.min(axis=1).min(axis=2).T, -hi.max(axis=1).max(axis=2).T), -1)]
-        if rest is not None:
-            ends = (
-                rest[0].min(axis=1).min(axis=2) * self.ratio,
-                rest[1].max(axis=1).max(axis=2) * self.ratio,
-            )
-            sv.append(np.stack((np.minimum(*ends), -np.maximum(*ends)), -1))
-        if not all(np.isfinite(x).all() for x in sv):
+            pairs = [(self.direct, (np.minimum.reduce(flat), np.maximum.reduce(flat)))]
+        if not all(np.isfinite(x).all() for _, row in pairs for x in row):
             return False
-        self.bound = np.minimum(self.bound, np.minimum.reduce(sv))
+        for (lo, hi), (row_lo, row_hi) in pairs:
+            np.minimum(lo, row_lo, out=lo)
+            np.maximum(hi, row_hi, out=hi)
         return True
 
     def result(self) -> dict:
         """{(k, l, s): min of s * block (k, l) of A^{-1}}."""
-        return {(k, l, 1 - 2 * s): float(v) for (k, l, s), v in np.ndenumerate(self.bound)}
+        shape = (self.ns, self.per_line, self.ns, self.per_line)  # [l, column node, k, row node]
+
+        def blocks(pair):  # (min, max) [l, k]: over the nodes along the line, then each species
+            lo, hi = (x.reshape(shape) for x in pair)
+            return lo.min(axis=1).min(axis=2), hi.max(axis=1).max(axis=2)
+
+        lo, hi = blocks(self.direct)
+        mirrored = []
+        if self.right is not None:
+            right_lo, right_hi = blocks(self.right)
+            lo, hi = np.minimum(right_lo, lo), np.maximum(right_hi, hi)
+            ends = (right_lo * self.ratio, right_hi * self.ratio)
+            mirrored.append(np.stack((np.minimum(*ends), -np.maximum(*ends)), -1))
+        # s * extreme [k, l, s], direct and mirrored
+        bound = np.minimum.reduce([np.stack((lo.T, -hi.T), -1)] + mirrored)
+        return {(k, l, 1 - 2 * s): float(v) for (k, l, s), v in np.ndenumerate(bound)}
 
 
 def _scan(asys: AssembledSystem):

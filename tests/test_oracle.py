@@ -924,35 +924,106 @@ def test_mirrored_scan_makes_no_left_chain_products(asys, mirrored, monkeypatch)
 
 
 _FULL = "full rows, lower half not mirrored: "
+_DIAGONAL = "; inter-line blocks diagonal"
 
 
 @pytest.mark.parametrize(
     "species, coupling, record",
     [
-        ([{"c": "1"}, {"c": "2"}], {"m12": "-1", "m21": "-1"}, "lower half mirrored, species weights (1, 1)"),
-        ([{"a11": "1 + x"}, {}], {"m12": "0.5", "m21": "-0.25"}, "lower half mirrored, species weights (1, -0.5)"),
-        ([{"c": "1"}, {"b1": "2"}], {"m12": "-1", "m21": "-1"}, _FULL + "species block 2 is not symmetric"),
-        ([{}, {}], {"m12": "-1", "m21": "-1 - x"}, _FULL + "m_21/m_12 varies"),
-        ([{}, {}], {"m21": "-1"}, _FULL + "m_21 is present without m_12"),
+        ([{"c": "1"}, {"c": "2"}], {"m12": "-1", "m21": "-1"}, "lower half mirrored, species weights (1, 1)" + _DIAGONAL),
+        ([{"a11": "1 + x"}, {}], {"m12": "0.5", "m21": "-0.25"}, "lower half mirrored, species weights (1, -0.5)" + _DIAGONAL),
+        ([{"c": "1"}, {"b1": "2"}], {"m12": "-1", "m21": "-1"}, _FULL + "species block 2 is not symmetric" + _DIAGONAL),
+        ([{}, {}], {"m12": "-1", "m21": "-1 - x"}, _FULL + "m_21/m_12 varies" + _DIAGONAL),
+        ([{}, {}], {"m21": "-1"}, _FULL + "m_21 is present without m_12" + _DIAGONAL),
         (
             [{"c": "4"}] * 3,
             {"m12": "-1", "m21": "-1", "m23": "-1", "m32": "-1", "m13": "-1", "m31": "-2"},
-            _FULL + "the weights are inconsistent around a cycle",
+            _FULL + "the weights are inconsistent around a cycle" + _DIAGONAL,
         ),
         (
             [{"a12": "0.1", "a21": "0.1"}] * 2,
             {"m12": "-1", "m21": "-1"},
-            _FULL + "a boundary value enters more than one equation",
+            _FULL + "a boundary value enters more than one equation; inter-line blocks dense",
         ),
     ],
     ids=["equal", "weighted", "convection", "varying", "one-way", "cycle", "nine-point"],
 )
 def test_slab_scan_logs_which_lower_half_it_builds(species, coupling, record, caplog):
     """Each slab scan logs one DEBUG record: the species weights it mirrors
-    the lower half of A^{-1} with, or the first reason it builds full rows."""
+    the lower half of A^{-1} with, or the first reason it builds full rows,
+    and whether its inter-line blocks are diagonal (5-point stencils) or
+    dense (cross diffusion's 9-point stencils)."""
     caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     assert oracle._scan_slabs(_text_system(species, coupling)) is not None
     assert [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"] == [record]
+
+
+_LINE_BLOCKS = oracle._line_blocks
+
+
+def _dense_line_blocks(csc, m):
+    """oracle._line_blocks with the node-diagonal flag forced off: diagonal
+    inter-line blocks are handed on as dense m x m matrices."""
+    read, diagonal = _LINE_BLOCKS(csc, m)
+
+    def dense(p):
+        above, on, below = read(p)
+        return (np.diag(above), on, np.diag(below[:, 0])) if diagonal else (above, on, below)
+
+    return dense, False
+
+
+@pytest.mark.parametrize(
+    "species, coupling",
+    [
+        ([{"c": "1"}, {"c": "2"}], {"m12": "-1", "m21": "-1"}),
+        ([{"a11": "1 + x", "c": "1"}, {"a22": "1 + y"}], {"m12": "-1", "m21": "-2"}),
+        ([{"a11": "1 + x"}, {"c": "1"}], {"m12": "0.5", "m21": "-0.3"}),
+        ([{"a11": "1 + x"}, {"c": "2", "b1": "1"}], {"m21": "-1.5"}),
+        ([{"c": "4"}] * 3, {"m12": "-1", "m21": "-1", "m23": "-0.5", "m32": "-0.5"}),
+    ],
+    ids=["equal", "weighted", "predator-prey", "one-way", "three"],
+)
+def test_diagonal_inter_line_blocks_change_no_value(species, coupling, monkeypatch, caplog):
+    """On a 5-point operator the inter-line blocks are read as vectors, and
+    the scan scales rows and columns where it multiplied by them: a product
+    with a diagonal factor adds only exact zeros, so (inv, bnd) equals the
+    dense products' bit for bit, mirrored (equal, weighted and negative
+    weights) or in full rows (one-way coupling), and so does the guard's
+    phi."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    asys = _text_system(species, coupling)
+    scans, phis = [], []
+    for dense in (False, True):
+        if dense:
+            monkeypatch.setattr(oracle, "_line_blocks", _dense_line_blocks)
+        scans.append(oracle._scan_slabs(asys))
+        with monkeypatch.context() as mp:  # phi, from the hand-off of a guard at 0
+            mp.setattr(oracle, "SLAB_PHI_MAX", 0.0)
+            mp.setattr(oracle, "_hand_off", lambda reason, *args: phis.append(args[0]))
+            oracle._scan_slabs(asys)
+    records = [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"]
+    assert [r.rsplit("; ", 1)[1] for r in records] == ["inter-line blocks diagonal", "inter-line blocks dense"]
+    assert scans[0] is not None and scans[0] == scans[1]
+    assert phis[0] == phis[1] > 0.0
+
+
+def test_nine_point_operators_keep_dense_inter_line_blocks():
+    """Cross diffusion joins a node to its neighbours' neighbours on the
+    next line, so the inter-line blocks stay dense m x m matrices (the
+    scan's record says so: test_slab_scan_logs_which_lower_half_it_builds),
+    and the scan still matches the LU scan within the rounding bound."""
+    asys = _text_system([{"a12": "0.1", "a21": "0.1"}] * 2, {"m12": "-1", "m21": "-1"})
+    perm, _, per_line = oracle._line_order(asys.grid, 2)
+    read, diagonal = oracle._line_blocks(linalg.permuted_csc(asys.A, perm), 2 * per_line)
+    above, _, below = read(1)
+    assert not diagonal and above.shape == below.shape == (2 * per_line, 2 * per_line)
+    inv, bnd = oracle._scan_slabs(asys)
+    bound, bound_bnd = _rounding_bounds(asys)
+    lu_inv, lu_bnd = oracle._scan_inverse(asys)
+    assert inv.keys() == lu_inv.keys() and bnd.keys() == lu_bnd.keys()
+    assert all(abs(inv[key] - lu_inv[key]) <= bound for key in inv)
+    assert all(abs(bnd[key] - lu_bnd[key]) <= bound_bnd for key in bnd)
 
 
 @st.composite
@@ -995,20 +1066,79 @@ def _scaled_node_zero_rows():
     return perm, 2, per_line, np.divide.outer([1.0, 2.0], [1.0, 2.0]), [(t, 0)]
 
 
+def _last_line_row():
+    """Species weights (1, -0.5), and one block row, that of the last line:
+    it has no entry right of its diagonal line, so the fold mirrors none,
+    and no empty running extreme, scaled by a negative weight, turns into
+    a bound."""
+    perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, (3, 4)), 2)
+    t = np.arange(4.0 * per_line**2).reshape(2 * per_line, 2 * per_line) - 3.0
+    return perm, 2, per_line, np.divide.outer([1.0, -0.5], [1.0, -0.5]), [(t, n_lines - 1)]
+
+
+def _zero_block_rows():
+    """Two full block rows, no weights, in which the coupling blocks (1, 2)
+    and (2, 1) are exact zeros: their min and max are +0.0, so s = 1 keeps
+    +0.0 and s = -1 keeps -0.0, as the scan before the running fold did."""
+    perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, (4, 4)), 2)
+    rows = []
+    for p in (n_lines - 1, n_lines - 2):
+        t = np.linspace(-1.0, 2.0 + p, n_lines * 4 * per_line**2)
+        blocks = t.reshape(n_lines, 2, per_line, 2, per_line)
+        blocks[:, 0, :, 1, :] = blocks[:, 1, :, 0, :] = 0.0
+        rows.append((t.reshape(-1, 2 * per_line), p))
+    return perm, 2, per_line, None, rows
+
+
 @given(_slab_rows())
 @example(_scaled_node_zero_rows())
+@example(_last_line_row())
+@example(_zero_block_rows())
 @settings(max_examples=120, deadline=None)
 def test_row_fold_matches_a_brute_force_fold(case):
     """Folding block rows one after another keeps, for every species block
     and sign, the extreme that a fold over every entry keeps, blocks of
     exact zeros included; with weights, the mirrored entries right of each
-    diagonal line too."""
+    diagonal line too.  Where every zero entry is +0.0, mirrored ones
+    included (no -0.0 drawn, no negative entry that a weight could round
+    to -0.0, no negative weight), each zero extreme keeps its sign too:
+    +0.0 for s = 1 and -0.0 for s = -1."""
     _, ns, per_line, ratio, rows = case
     extremes, expect = oracle._Extremes(ns, per_line, ratio), {}
     for t, _ in rows:
         assert extremes.fold(t)
         reference_row_fold(expect, t, ns, per_line, ratio)
-    assert extremes.result() == expect
+    got = extremes.result()
+    assert got == expect
+    if (ratio is None or (ratio > 0).all()) and not any(
+        np.signbit(t[np.abs(t) < 1e-290]).any() for t, _ in rows
+    ):
+        assert {key: repr(v) for key, v in got.items()} == {key: repr(v) for key, v in expect.items()}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_right_of_the_diagonal_line_hands_off(value, monkeypatch, caplog):
+    """One NaN or infinite entry right of a row's diagonal line, and nowhere
+    else, makes the mirrored fold return False, and the slab scan then hands
+    off, logging the row's number."""
+    ns, per_line, m = 2, 3, 6
+    t = np.ones((3 * m, m))
+    t[m + 4, 2] = value
+    assert not oracle._Extremes(ns, per_line, np.ones((ns, ns))).fold(t)
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    asys = _text_system([{"c": "1"}, {"c": "2"}], {"m12": "-1", "m21": "-1"})
+    fold, calls = oracle._Extremes.fold, []
+
+    def poisoned(self, t):  # the third row folded is row n_lines - 3
+        calls.append(1)
+        if len(calls) == 3:
+            t[m + 4, 2] = value
+        return fold(self, t)
+
+    monkeypatch.setattr(oracle._Extremes, "fold", poisoned)
+    assert oracle._scan_slabs(asys) is None
+    _, n_lines, _ = oracle._line_order(asys.grid, 2)
+    assert _hand_offs(caplog) == [f"row {n_lines - 3} is not finite"]
 
 
 @pytest.mark.parametrize("cells, lines", [((4, 9), 8), ((9, 4), 8), ((6, 6), 5)])
