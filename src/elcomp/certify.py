@@ -575,14 +575,17 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
     sigma, reason = find_gauge(ds)
     verdict.gauge = sigma
     verdict.gauge_reason = reason
+    gauged = sigma is not None and min(sigma) < 0
     if verdict.kind != "Inconclusive":
-        verdict.order = (1,) * ds.n_species
+        # a Holds on a gauged system claims comparison for the fields sigma_k u_k
+        in_gauge = gauged and verdict.kind.startswith("Holds")
+        verdict.order = sigma if in_gauge else (1,) * ds.n_species
     if not settings.with_oracle:
-        verdict.cross_check = _cross_check(verdict, "oracle not run: with_oracle is off")
+        verdict.cross_check = _cross_check(verdict, ["oracle not run: with_oracle is off"])
         return verdict
     asys = ds.assembled("full")
     orders = [("oracle", None, "system")]
-    if sigma is not None and any(s < 0 for s in sigma):
+    if gauged:
         orders.append(("oracle_gauged", sigma, "gauged system"))
     first_note = len(verdict.notes)
     for name, gauge, what in orders:
@@ -594,29 +597,33 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
             dof, budget = asys.A.shape[0], settings.oracle_max_dof
             verdict.notes.append(f"oracle skipped: {dof} dof exceeds budget {budget}")
             break
-    # without a plain report, the note of the plain order, which is tried first
-    skipped = verdict.notes[first_note] if verdict.oracle is None else None
-    verdict.cross_check = _cross_check(verdict, skipped)
+    verdict.cross_check = _cross_check(verdict, verdict.notes[first_note:])
     return verdict
 
 
-def _cross_check(verdict: Verdict, skipped: str | None) -> dict:
+def _cross_check(verdict: Verdict, skipped: list) -> dict:
     """Whether the oracle in the claimed order agrees with the verdict.
 
-    A Holds claims A^-1 >= 0 and -A^-1 G >= 0 (inverse_positive and
-    boundary_monotone), a Fails that they do not both hold.  Only the all
-    +1 order is claimed, so the plain oracle decides.  No claim, or no
-    oracle report (skipped says why), gives skipped.
+    The order sigma is the claim's: with D = diag(sigma), a Holds claims
+    (D A D)^-1 >= 0 and -(D A D)^-1 D G D_b >= 0 (inverse_positive and
+    boundary_monotone), a Fails that they do not both hold.  A Holds on a
+    system with a sign gauge that flips a species is claimed in the gauge
+    order, which oracle_gauged decides; every other claim is in the all +1
+    order, which the plain oracle decides.  No claim, or no report in the
+    claimed order, gives skipped, with that order's note from skipped, the
+    oracle notes in the order tried: plain first, gauged last, and a
+    budget note for both.
     """
     if verdict.order is None:
         return {"result": "skipped", "reason": "Inconclusive: no claim"}
-    rep = verdict.oracle
+    name = "oracle_gauged" if min(verdict.order) < 0 else "oracle"
+    rep = getattr(verdict, name)
     if rep is None:
-        return {"result": "skipped", "reason": skipped}
+        return {"result": "skipped", "reason": skipped[-1 if name == "oracle_gauged" else 0]}
     monotone = bool(rep.inverse_positive and rep.boundary_monotone)
     reason = (
-        f"oracle: inverse_positive {rep.inverse_positive}, "
-        f"boundary_monotone {rep.boundary_monotone}"
+        f"{name}: inverse_positive {rep.inverse_positive}, "
+        f"boundary_monotone {rep.boundary_monotone} ({rep.boundary_reason})"
     )
     if monotone == verdict.kind.startswith("Holds"):
         return {"result": "agrees", "reason": reason}

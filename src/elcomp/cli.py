@@ -234,6 +234,8 @@ def _cmd_oracle(args, spec):
     print(f"inverse_positive: {report.inverse_positive}")
     if report.min_entry is not None:
         print(f"min entry: {report.min_entry!r}")
+    if report.boundary_reason is not None:
+        print(f"boundary_monotone: {report.boundary_monotone} ({report.boundary_reason})")
     if report.counterexample is not None:
         print(f"counterexample: {report.counterexample.to_json_dict()}")
     if sigma is not None:

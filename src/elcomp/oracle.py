@@ -7,26 +7,37 @@ decides this from the explicit inverse (decisive, size-capped) or by seeded
 random probing (falsification only).
 
 The inverse is streamed, never held.  A scan leaves only the min and max
-of every species block (k, l) of A^{-1}, and the same extremes of
--(A^{-1} G): values, no positions.  inverse_positivity keeps
-the scan on the system by content, and every gauge reads it.  A 2D grid
-whose lines hold SLAB_MIN_WIDTH unknowns or more takes the slab scan; a 1D
-grid, a narrower 2D one, and a 2D grid whose guard trips, the LU scan.
+of every species block (k, l) of A^{-1}: values, no positions.
+inverse_positivity keeps the scan on the system by content, and every
+gauge reads it.  A 2D grid whose lines hold SLAB_MIN_WIDTH unknowns or
+more takes the slab scan; a 1D grid, a narrower 2D one, and a 2D grid
+whose guard trips, the LU scan.
+
+The boundary half, -A^{-1} G >= 0, follows from the first and from G's
+signs (A. Berman, R. J. Plemmons, Nonnegative Matrices in the Mathematical
+Sciences, SIAM 1994, ch. 6).  -A^{-1} G = A^{-1} (-G), and G is species-
+block diagonal (the coupling joins interior nodes only), so D G D_b = G
+under any gauge.  Where no stored value of G is positive, A^{-1} >= 0
+gives -A^{-1} G >= 0 exactly; entries of A^{-1} >= -TOL_OP max|A^{-1}|
+give entries >= -TOL_OP max|A^{-1}| max_b |g_b|_1, g_b column b of G.
+Where A^{-1} has a negative entry, comparison fails already, and
+boundary_monotone is None.  Otherwise the columns b whose g_b holds a value
+that is not <= 0, which cross diffusion's corner terms give, are solved
+against -G on one LU of A (N. J. Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., SIAM 2002, ch. 14), and their extremes
+decide.  boundary_reason names the case, and so does one DEBUG record on
+the elcomp.oracle logger.
 
 The LU scan (_scan_inverse) factorizes A once with SuperLU and solves
-against the identity, then against -G, BLOCK columns at a time.  The
-right-hand sides are scattered from CSC arrays, the identity's and those
-of one copy of G, with no sparse matrix per block, and each solved block
-is reduced to its extremes and dropped.  Memory is the LU factors and one n x BLOCK block: O(n * BLOCK).
-A column of -A^{-1} G solved against -G is as backward stable as one of
-A^{-1} solved against the identity (N. J. Higham, Accuracy and Stability
-of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 14).  1D grids keep the
-LU scan: one line of a 1D grid is a dense inverse, and lines of one node
-make the recursion scalar work.  So do 2D grids with narrow lines: the
-slab scan makes about lines^2 / 2 small products and folds each line's row
-in Python, and below about 12 unknowns per line that costs more than the
-LU scan's solves (up to 10x more on 2 nodes per line); from 16 it cost
-less on every grid measured.
+against the identity BLOCK columns at a time.  The right-hand sides are
+scattered from CSC arrays, with no sparse matrix per block, and each solved
+block is reduced to its extremes and dropped.  Memory is the LU factors and
+one n x BLOCK block: O(n * BLOCK).  1D grids keep the LU scan: one line of
+a 1D grid is a dense inverse, and lines of one node make the recursion
+scalar work.  So do 2D grids with narrow lines: the slab scan makes about
+lines^2 / 2 small products and folds each line's row in Python, and below
+about 12 unknowns per line that costs more than the LU scan's solves (up to
+10x more on 2 nodes per line); from 16 it cost less on every grid measured.
 
 The slab scan (_scan_slabs) numbers the dofs by grid line, lines cutting
 across the longer axis and the species of a line together, so that A is
@@ -47,13 +58,11 @@ vectors, and Q_p, S_{p+1} and R_p scale rows or columns where dense
 products would add only exact zeros, which leaves every value as it was;
 9-point operators (cross diffusion) keep dense blocks.  Each finished row
 is reduced over its lines to elementwise extremes and folded into running
-ones, m^2 each, which are reduced per species block once.  The row's
-product with G updates running extremes of -(A^{-1} G) per boundary
-value, reduced per species once.  Memory is the Q and S^{-1} stacks, the
-inter-line blocks A_{p,p+1} kept from the Schur pass (n doubles, n m when
-dense), two rows (this one and the one below) and one row's boundary
-product: O(n m + m n_boundary).  The blocks are read off one line-numbered
-CSC copy of A, with no sparse matrix per line.
+ones, m^2 each, which are reduced per species block once.  Memory is the
+Q and S^{-1} stacks, the inter-line blocks A_{p,p+1} kept from the Schur
+pass (n doubles, n m when dense) and two rows (this one and the one
+below): O(n m).  The blocks are read off one line-numbered CSC copy of A,
+with no sparse matrix per line.
 
 Half of those rows are redundant when A W is symmetric for constant
 species weights, W = diag(w_k I): self-adjoint species operators whose
@@ -63,24 +72,20 @@ and E. Mitidieri (SIAM J. Math. Anal. 17 (1986) 836-849).  Then A^{-1}_ij
 and right of its diagonal block: the left chain goes but for G_{p+1,p} =
 G_{p+1,p+1} Q_p, one m x m product per row, which row p needs.  Each right
 part is folded twice, for its own entries and, transposed, for those of
-the lower half, whose extremes are scaled by w_j / w_i once, at the end;
--A^{-1} G takes its extremes from the right part's boundary-adjacent
-columns and, mirrored, from line p's boundary-adjacent rows.
-_mirror_weights decides once per scan, from A's stored values and G:
-every species block exactly symmetric, each coupling pair zero together
-or in one computed ratio fl(m_lk / m_kl) at every stored entry, weights
-that agree around cycles of species, and no boundary value in more than
-one equation (else column b of A^{-1} G would need columns of A^{-1} from
-several lines).  Every other system keeps the full rows.  The mirror stays within the scan's error bound: one computed
-ratio at every entry puts A within u |A| of a matrix A' with A' W exactly
-symmetric (weights that agree to ns eps add a few u more), and to first
-order |A'^{-1} - A^{-1}| <= u kappa(A) max|A^{-1}|, within the c u kappa(A)
-max|A^{-1}| that the recursion's own rounding carries; the scaling adds one
-rounding.  The mirror adds no O(n m) buffer: the right parts live in the
-same two rows, and what it keeps is the row's extremes over its lines
-right of line p and their running extremes (4 m^2 doubles) and the
-boundary extremes per boundary value and position along a line (O(m
-n_boundary)).
+the lower half, whose extremes are scaled by w_j / w_i once, at the end.
+_mirror_weights decides once per scan, from A's stored values: every
+species block exactly symmetric, each coupling pair zero together or in
+one computed ratio fl(m_lk / m_kl) at every stored entry, and weights that
+agree around cycles of species; 9-point operators included.  Every other
+system keeps the full rows.  The mirror stays within the scan's error
+bound: one computed ratio at every entry puts A within u |A| of a matrix
+A' with A' W exactly symmetric (weights that agree to ns eps add a few u
+more), and to first order |A'^{-1} - A^{-1}| <= u kappa(A) max|A^{-1}|,
+within the c u kappa(A) max|A^{-1}| that the recursion's own rounding
+carries; the scaling adds one rounding.  The mirror adds no O(n m)
+buffer: the right parts live in the same two rows, and what it keeps is
+the row's extremes over its lines right of line p and their running
+extremes (4 m^2 doubles).
 
 The guard follows J. W. Demmel, N. J. Higham and R. S. Schreiber (Numer.
 Linear Algebra Appl. 2 (1995) 173-190): with the diagonal blocks inverted
@@ -107,7 +112,7 @@ that of A^{-1}, so where the signs differ its minimum is -max.
 random_probe solves (D A D) u = f the same way, as u = D A^{-1} (D f).
 
 A scan keeps no positions: a broken comparison is refuted by a field
-(refute), from one column of the inverse solved again.  That column can
+(refute), from one column of A^{-1}, or of -A^{-1} G, solved again.  That column can
 differ in the last bit from the scan's: the BLAS kernels behind the sparse
 triangular solves are chosen by the number of right-hand sides.
 
@@ -167,7 +172,8 @@ class OracleReport:
     inverse_positive: bool
     min_entry: float | None
     boundary_monotone: bool | None
-    min_boundary_entry: float | None
+    min_boundary_entry: float | None  # over the solved columns of -G only
+    boundary_reason: str | None  # how boundary_monotone was decided
     dof: int
     gauge: tuple | None = None
     sampled: bool = False
@@ -192,58 +198,75 @@ def _signs(asys: AssembledSystem, gauge):
     return sigma, np.asarray(sigma, dtype=float)
 
 
-def _solves(lu: LuFactor, asys: AssembledSystem, boundary: bool, species=None):
-    """(c0, A^{-1} r) for BLOCK columns from c0 of the right-hand sides r,
-    the identity or -G (boundary), all or those of one species, each block
-    scattered from CSC arrays into a dense right-hand side."""
+def _right_hand_sides(asys: AssembledSystem, boundary: bool):
+    """(rhs, cols, width): the CSC arrays of the identity, or of -G when
+    boundary; the columns the oracle solves for, all of the identity's and
+    those of -G where G holds a value that is not <= 0; and the columns of
+    each species."""
     if boundary:
         g = asys.G.tocsc()
-        indptr, indices, data = g.indptr, g.indices, -g.data
-    else:
-        n = asys.A.shape[0]
-        indptr, indices, data = np.arange(n + 1), np.arange(n), np.ones(n)
-    n_cols = indptr.size - 1
-    cols = np.repeat(np.arange(n_cols), np.diff(indptr))  # the column of each entry
-    width = n_cols // asys.n_species
-    start, stop = (0, n_cols) if species is None else (species * width, (species + 1) * width)
-    for c0 in range(start, stop, BLOCK):
-        c1 = min(c0 + BLOCK, stop)
-        rhs = np.zeros((lu.n, c1 - c0))
-        lo, hi = indptr[c0], indptr[c1]
-        rhs[indices[lo:hi], cols[lo:hi] - c0] = data[lo:hi]
-        x = lu.solve(rhs)
-        del rhs
+        cols = np.unique(row_ids(g)[~(g.data <= 0.0)])  # NaN included
+        return (g.indptr, g.indices, -g.data), cols, asys.grid.n_boundary
+    n = asys.A.shape[0]
+    return (np.arange(n + 1), np.arange(n), np.ones(n)), np.arange(n), asys.grid.n_interior
+
+
+def _solves(lu: LuFactor, rhs, cols: np.ndarray):
+    """(c0, A^{-1} r) for the BLOCK columns cols[c0 : c0 + BLOCK] of the
+    right-hand sides r held in the CSC arrays rhs, each block scattered
+    into a dense right-hand side."""
+    indptr, indices, data = rhs
+    sizes = np.diff(indptr)
+    for c0 in range(0, cols.size, BLOCK):
+        block = cols[c0 : c0 + BLOCK]
+        counts = sizes[block]
+        first = np.repeat(indptr[block] - np.cumsum(counts) + counts, counts)
+        at = first + np.arange(first.size)  # the entries of the block's columns
+        r = np.zeros((lu.n, block.size))
+        r[indices[at], np.repeat(np.arange(block.size), counts)] = data[at]
+        x = lu.solve(r)
+        del r
         yield c0, x
         del x  # so that the next solve does not hold two blocks
 
 
-def _block_minima(lu: LuFactor, asys: AssembledSystem, boundary: bool) -> dict:
-    """{(k, l, s): min of s * block (k, l) of A^{-1} r} for both signs s, r
-    the identity, or -G when boundary; block (k, l) holds the rows of
-    species k and the columns of species l."""
+def _block_minima(lu: LuFactor, asys: AssembledSystem, rhs, cols, width: int) -> dict:
+    """{(k, l, s): min of s * block (k, l) of A^{-1} r} for both signs s,
+    over the columns cols (increasing) of the right-hand sides r in rhs;
+    block (k, l) holds the rows of species k and the columns c of species
+    l = c // width."""
     n_int, out = asys.grid.n_interior, {}
-    width = asys.grid.n_boundary if boundary else n_int
-    for c0, x in _solves(lu, asys, boundary):
-        c1 = c0 + x.shape[1]
-        for l in range(c0 // width, (c1 - 1) // width + 1):
-            j0, j1 = max(c0, l * width), min(c1, (l + 1) * width)
+    for c0, x in _solves(lu, rhs, cols):
+        species = cols[c0 : c0 + x.shape[1]] // width
+        ends = [0, *(np.flatnonzero(np.diff(species)) + 1), species.size]
+        for j0, j1 in zip(ends, ends[1:]):
+            l = int(species[j0])
             for k in range(asys.n_species):
-                part = x[k * n_int : (k + 1) * n_int, j0 - c0 : j1 - c0]
+                part = x[k * n_int : (k + 1) * n_int, j0:j1]
                 for s, v in ((1, part.min()), (-1, -part.max())):
                     out[k, l, s] = min(out.get((k, l, s), np.inf), float(v))
         del x, part
     return out
 
 
-def _scan_inverse(asys: AssembledSystem):
-    """Gauge-free extremes (inv, bnd) of A^{-1} and -(A^{-1} G), per species
-    block, from one LU of A solved against the identity, then -G, BLOCK
-    columns at a time: inv[k, l, s] is the min of s * block (k, l) of A^{-1}
-    for s = 1 and -1, bnd[k, l, s] that of -(A^{-1} G), whose column blocks
-    are the species' boundary values; bnd is empty when G is."""
-    lu = LuFactor(asys.A)
-    inv = _block_minima(lu, asys, False)
-    return inv, _block_minima(lu, asys, True) if asys.G.nnz else {}
+def _scan_inverse(asys: AssembledSystem) -> dict:
+    """Gauge-free extremes of A^{-1} per species block, from one LU of A
+    solved against the identity BLOCK columns at a time: inv[k, l, s] is
+    the min of s * block (k, l) of A^{-1} for s = 1 and -1."""
+    return _block_minima(LuFactor(asys.A), asys, *_right_hand_sides(asys, False))
+
+
+def _boundary_columns(asys: AssembledSystem):
+    """(n_cols, bnd): the number of columns of -G solved, those where G holds
+    a value that is not <= 0, and bnd[k, l, s], the min of s * block (k, l)
+    of -(A^{-1} G) over them, from one LU of A; kept on asys beside the
+    scan, by content."""
+    key = (asys.key, "-G")
+    if key not in asys._oracle_cache:
+        rhs, cols, width = _right_hand_sides(asys, True)
+        bnd = _block_minima(LuFactor(asys.A), asys, rhs, cols, width)
+        asys._oracle_cache[key] = cols.size, bnd
+    return asys._oracle_cache[key]
 
 
 def _line_order(grid, n_species: int):
@@ -347,15 +370,14 @@ def _line_schur(read, times, n_lines: int, m: int, a_norm: float):
     return _hand_off("phi %.3g exceeds SLAB_PHI_MAX %.3g", phi, SLAB_PHI_MAX)
 
 
-def _mirror_weights(a, g, ns: int, n_int: int):
+def _mirror_weights(a, ns: int, n_int: int):
     """(w, note): species weights w, one per species, with A W symmetric
     for W = diag(w_k I), read off A's stored values, or None when the lower
     half of A^{-1} is not to be mirrored.  note, for the scan's DEBUG
     record, gives the weights or the first reason: a species block that is
     not exactly symmetric, a coupling m_kl whose m_lk is missing or not in
-    one ratio to it at every stored entry, weights that disagree around a
-    cycle of species, or a boundary value that enters more than one
-    equation.
+    one ratio to it at every stored entry, or weights that disagree around
+    a cycle of species.
 
     An entry (i, j) of coupling block (k, l) needs A_ji = rho_kl A_ij, with
     rho_kl = w_l / w_k the same fl(A_ji / A_ij) at every entry; explicit
@@ -412,15 +434,12 @@ def _mirror_weights(a, g, ns: int, n_int: int):
     w = potentials(ns, rho, ns * np.finfo(float).eps)
     if w is None:
         return full_rows("the weights are inconsistent around a cycle")
-    entered = np.bincount(g.indices[g.data != 0.0], minlength=g.shape[1])
-    if entered.size and entered.max() > 1:
-        return full_rows("a boundary value enters more than one equation")
     weights = ", ".join("%.6g" % v for v in w)
     return w, f"lower half mirrored, species weights ({weights})"
 
 
 def _scan_slabs(asys: AssembledSystem):
-    """The extremes (inv, bnd) of _scan_inverse for a 2D grid, one block row
+    """The extremes of _scan_inverse for a 2D grid, one block row
     of A^{-1} per grid line, or None when the guard sends the scan to
     _scan_inverse: a line Schur complement that is singular or too far
     from a stable LU (_line_schur), or a row that is not finite.  Each
@@ -435,12 +454,9 @@ def _scan_slabs(asys: AssembledSystem):
     diagonal A_{p,p+1} makes R_p a column scaling.  When A W is symmetric
     (_mirror_weights), only the right part of each row is built, G_{p+1,p}
     = G_{p+1,p+1} Q_p being the one block left of a diagonal that it needs,
-    and _Extremes folds each right part for both halves of A^{-1}.  The
-    boundary extremes are kept as running maxima and minima of each row's
-    product with G (_Boundary), and written to bnd once.
+    and _Extremes folds each right part for both halves of A^{-1}.
     """
-    a, g = asys.A, asys.G
-    ns, n = asys.n_species, a.shape[0]
+    a, ns, n = asys.A, asys.n_species, asys.A.shape[0]
     perm, n_lines, per_line = _line_order(asys.grid, ns)
     m = ns * per_line
     blocks = _line_blocks(permuted_csc(a, perm), m)
@@ -449,7 +465,7 @@ def _scan_slabs(asys: AssembledSystem):
     read, diagonal = blocks
     times = np.multiply if diagonal else np.matmul  # by an inter-line block
     # decided before the stacks are built, so that its arrays are gone
-    w, note = _mirror_weights(a, g, ns, asys.grid.n_interior)
+    w, note = _mirror_weights(a, ns, asys.grid.n_interior)
     ratio = None if w is None else w[:, None] / w  # [l, k] = w_l / w_k
     a_norm = inf_norm(a)
     stacks = _line_schur(read, times, n_lines, m, a_norm)
@@ -457,7 +473,6 @@ def _scan_slabs(asys: AssembledSystem):
         return None
     logger.debug("%s; inter-line blocks %s", note, "diagonal" if diagonal else "dense")
     q, s_inv, right = stacks
-    boundary = _Boundary(asys, perm, per_line, ratio) if g.nnz else None
     row, below = np.empty((m, n), order="F"), np.empty((m, n), order="F")
     extremes = _Extremes(ns, per_line, ratio)
     for p in range(n_lines - 1, -1, -1):
@@ -478,8 +493,6 @@ def _scan_slabs(asys: AssembledSystem):
         t = (row[:, c0:] if ratio is not None else row).T
         if not extremes.fold(t):
             return _hand_off("row %d is not finite", p)
-        if boundary is not None:
-            boundary.fold(t, p, extremes.rest)
         row, below = below, row
     inv = extremes.result()
     size = a_norm * -min(inv.values())
@@ -487,100 +500,7 @@ def _scan_slabs(asys: AssembledSystem):
         raise SingularMatrix(
             f"slab scan: |A| max|A^-1| = {size:.3e} above 1 / {SINGULAR_RTOL:.0e}"
         )
-    bnd = {}
-    if boundary is not None:
-        top, bottom = boundary.extremes()
-        for l in range(ns):
-            for k in range(ns):
-                bnd[k, l, 1] = -float(top[l, k])
-                bnd[k, l, -1] = float(bottom[l, k])
-    return inv, bnd
-
-
-class _Boundary:
-    """Running extremes of A^{-1} G over the block rows of the slab scan,
-    kept in one store in either mode: max and min per boundary value b and
-    per position of row i along its line.  On full rows, a row's product
-    with G gives them for every b.  On right parts (ratio given), every
-    boundary value b enters one equation r_b with one coefficient c_b, so
-    column b of A^{-1} G is c_b A^{-1}[:, r_b], and only the b that enter
-    an equation are kept.  Row p's right part gives the rows of line p at
-    every r_b of lines p and on.  Mirrored, the rows right of line p at the
-    r_b of line p are A^{-1}_{i r} = A^{-1}_{r i} w_i / w_r, read off the
-    row's extremes over the lines right of line p (_Extremes.rest), and
-    kept apart.  Only right parts take factors, w_i / w_r and c_b, applied
-    once at the end: x -> c x is monotone in floating point.  Then one
-    reduction per species of the boundary values serves both modes.  A
-    boundary value that enters no equation adds 0.0 to its species'
-    extremes, as its zero column of A^{-1} G does.
-    """
-
-    def __init__(self, asys, perm, per_line: int, ratio):
-        g, ns, n_bnd = asys.G, asys.n_species, asys.grid.n_boundary
-        m = ns * per_line
-        self.ns, self.per_line, self.ratio = ns, per_line, ratio
-        keep = g.data != 0.0
-        unentered = np.bincount(g.indices[keep], minlength=g.shape[1]) == 0
-        self.empty = np.unique(np.flatnonzero(unentered) // n_bnd)  # their species
-        if ratio is None:
-            self.gp_t = g[perm].T  # a block row of A^{-1} G is (gp_t @ row.T).T
-            self.species = np.arange(g.shape[1]) // n_bnd  # of the boundary value
-        else:
-            at = np.empty_like(perm)
-            at[perm] = np.arange(perm.size)  # line-numbered row of each dof
-            rows = at[row_ids(g)[keep]]
-            order = np.argsort(rows, kind="stable")
-            self.rows, self.coeffs = rows[order], g.data[keep][order]
-            self.species = g.indices[keep][order] // n_bnd
-            # the b whose r_b lies in each line start at lines[p]
-            self.lines = np.searchsorted(self.rows, np.arange(0, perm.size + 1, m)).tolist()
-            # mirrored for the r_b left of the last line, which have rows right of them
-            mirrored = (self.lines[-2], m)
-            self.mirrored_hi, self.mirrored_lo = np.empty(mirrored), np.empty(mirrored)
-        # [b, position of i along its line]
-        shape = (self.species.size, m)
-        self.hi, self.lo = np.full(shape, -np.inf), np.full(shape, np.inf)
-
-    def fold(self, t, p: int, rest) -> None:
-        """Fold block row p, held transposed in t as _Extremes folds it;
-        rest is _Extremes.rest after that fold."""
-        hi, lo, m = self.hi, self.lo, self.ns * self.per_line
-        if self.ratio is None:
-            prod = self.gp_t @ t  # [boundary value, row]
-            np.maximum(hi, prod, out=hi)
-            np.minimum(lo, prod, out=lo)
-            return
-        s, e = self.lines[p], self.lines[p + 1]
-        x = t[self.rows[s:] - p * m]  # rows of line p at every r_b of lines p and on
-        np.maximum(hi[s:], x, out=hi[s:])
-        np.minimum(lo[s:], x, out=lo[s:])
-        if e > s and rest is not None:  # mirrored: rows right of line p
-            at = self.rows[s:e] - p * m
-            self.mirrored_hi[s:e] = rest[1].reshape(m, m)[:, at].T
-            self.mirrored_lo[s:e] = rest[0].reshape(m, m)[:, at].T
-
-    def extremes(self):
-        """(top, bottom) [l, k]: the max and min of A^{-1} G over its rows
-        of species k and its columns of species l."""
-        ns, per_line, hi, lo = self.ns, self.per_line, self.hi, self.lo
-        if self.ratio is not None:
-            m, coeffs = ns * per_line, self.coeffs[:, None]
-            ends = (hi * coeffs, lo * coeffs)
-            hi, lo = np.maximum(*ends), np.minimum(*ends)
-            # [b, k * per_line + node] = c_b w_k / w_r for r = r_b
-            factor = np.repeat(self.ratio[:, self.rows % m // per_line].T, per_line, axis=1)
-            n = self.mirrored_hi.shape[0]
-            factor = factor[:n] * coeffs[:n]
-            ends = (self.mirrored_hi * factor, self.mirrored_lo * factor)
-            np.maximum(hi[:n], np.maximum(*ends), out=hi[:n])
-            np.minimum(lo[:n], np.minimum(*ends), out=lo[:n])
-        top, bottom = np.full((ns, ns), -np.inf), np.full((ns, ns), np.inf)
-        for f, out, x in ((np.maximum, top, hi), (np.minimum, bottom, lo)):
-            # over the nodes of each species k, then the b of each species l
-            f.at(out, self.species, f.reduce(x.reshape(-1, ns, per_line), axis=2))
-            f.at(out, self.empty, 0.0)
-        # + 0.0 turns -0.0 into 0.0, as the sums of the product with G do
-        return top + 0.0, bottom + 0.0
+    return inv
 
 
 class _Extremes:
@@ -608,20 +528,16 @@ class _Extremes:
         self.direct = (np.full(size, np.inf), np.full(size, -np.inf))
         # right of the diagonal lines; None until a row has entries there
         self.right = None
-        # the last row's elementwise (min, max) over its lines right of line
-        # p, [l, column node, k, row node] flattened; None without a mirror
-        self.rest = None
 
     def fold(self, t: np.ndarray) -> bool:
         """Fold a block row, held transposed in t; False when an entry is
         not finite."""
         m = self.ns * self.per_line
         flat = t.reshape(-1, m * m)
-        self.rest = None
         if self.ratio is not None and flat.shape[0] > 1:  # entries right of line p
-            self.rest = (np.minimum.reduce(flat[1:]), np.maximum.reduce(flat[1:]))
+            rest = (np.minimum.reduce(flat[1:]), np.maximum.reduce(flat[1:]))
             self.right = self.right or (np.full(m * m, np.inf), np.full(m * m, -np.inf))
-            pairs = [(self.direct, (flat[0], flat[0])), (self.right, self.rest)]
+            pairs = [(self.direct, (flat[0], flat[0])), (self.right, rest)]
         else:
             pairs = [(self.direct, (np.minimum.reduce(flat), np.maximum.reduce(flat)))]
         if not all(np.isfinite(x).all() for _, row in pairs for x in row):
@@ -651,9 +567,9 @@ class _Extremes:
         return {(k, l, 1 - 2 * s): float(v) for (k, l, s), v in np.ndenumerate(bound)}
 
 
-def _scan(asys: AssembledSystem):
-    """The extremes (inv, bnd) of A^{-1} and -(A^{-1} G), kept on asys by
-    the content of A and G (asys.key): the slab scan's, or the LU scan's."""
+def _scan(asys: AssembledSystem) -> dict:
+    """The extremes of A^{-1} per species block, kept on asys by the content
+    of A and G (asys.key): the slab scan's, or the LU scan's."""
     if asys.key not in asys._oracle_cache:
         grid = asys.grid
         width = asys.n_species * (min(grid.n) - 1)  # unknowns per line on a 2D grid
@@ -677,21 +593,30 @@ def inverse_positivity(
     The scan is kept on asys by the content of A and G (asys.key), so all
     gauges share one factorization and one pass over A^{-1}.  Above
     settings.oracle_max_dof unknowns a system is TooLarge, and is not
-    scanned.  The report carries no counterexample; refute makes one.
+    scanned.  boundary_monotone follows from inverse_positive and G's signs,
+    or from the columns of -G that the signs leave open (module docstring),
+    and boundary_reason says which.  The report carries no counterexample;
+    refute makes one.
     """
     dof, ns = asys.A.shape[0], asys.n_species
     sigma, signs = _signs(asys, gauge)
     if dof > settings.oracle_max_dof:
         raise TooLarge(f"dense inverse of {dof} dof exceeds budget {settings.oracle_max_dof}")
-    inv, bnd = _scan(asys)
+    inv = _scan(asys)
     pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
     min_entry = min(inv[p] for p in pairs)
     # the unflipped and the flipped minima together hold -max |entry|
-    scale = -min(inv.values())
-    inverse_positive = min_entry >= -TOL_OP * scale
-    min_boundary = min(bnd[p] for p in pairs) if bnd else 0.0
-    boundary_monotone = min_boundary >= -TOL_OP * scale
-    return OracleReport(inverse_positive, min_entry, boundary_monotone, min_boundary, dof, sigma)
+    threshold = TOL_OP * -min(inv.values())
+    inverse_positive = min_entry >= -threshold
+    monotone, least, reason = None, None, "A^-1 has a negative entry"
+    if inverse_positive and (asys.G.data <= 0.0).all():
+        monotone, reason = True, "G <= 0 and A^-1 >= 0"
+    elif inverse_positive:
+        n_cols, bnd = _boundary_columns(asys)
+        least = min(bnd[p] for p in pairs if p in bnd)
+        monotone, reason = least >= -threshold, f"{n_cols} columns of -G solved"
+    logger.debug("gauge %s: boundary_monotone %s (%s)", sigma, monotone, reason)
+    return OracleReport(inverse_positive, min_entry, monotone, least, reason, dof, sigma)
 
 
 def _field(asys, signs, v, g, floor: float, j: int, which: str, rows=slice(None)):
@@ -713,7 +638,8 @@ def refute(asys: AssembledSystem, report: OracleReport) -> Counterexample | None
     on asys, has a decision fail (inverse_positive first); None when both hold.
 
     In the first block (k, l) whose scanned minimum is the report's, one LU of
-    A is solved against the scan's right-hand sides r_j of species l, and j is
+    A is solved against the right-hand sides r_j of species l that the scan
+    solved for, the identity's or -G's (_right_hand_sides), and j is
     the first column whose gauged x = D A^{-1} D r_j has an entry of species k
     below -TOL_OP max|A^{-1}|, the decision's threshold.  v = -x: D A D v =
     -e_j with zero boundary data, or D A D v + D G D_b g = 0 for g = -e_j.  If
@@ -724,21 +650,24 @@ def refute(asys: AssembledSystem, report: OracleReport) -> Counterexample | None
         return None
     _, signs = _signs(asys, report.gauge)
     ns, n_int = asys.n_species, asys.grid.n_interior
-    inv, bnd = _scan(asys)
+    inv = _scan(asys)
     boundary = bool(report.inverse_positive)
-    extremes, least = (bnd, report.min_boundary_entry) if boundary else (inv, report.min_entry)
+    extremes = _boundary_columns(asys)[1] if boundary else inv
+    least = report.min_boundary_entry if boundary else report.min_entry
     pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
-    k, l, _ = next(p for p in pairs if extremes[p] == least)
+    k, l, _ = next(p for p in pairs if extremes.get(p) == least)
     threshold = TOL_OP * -min(inv.values())
     d = np.repeat(signs, n_int) * signs[l]  # D, times the sign of species l
     rows = slice(k * n_int, (k + 1) * n_int)
+    rhs, cols, width = _right_hand_sides(asys, boundary)
+    cols = cols[cols // width == l]
     best = np.inf  # the least entry of the columns taken so far
-    for c0, x in _solves(LuFactor(asys.A), asys, boundary, l):
+    for c0, x in _solves(LuFactor(asys.A), rhs, cols):
         col_min = (x[rows] * d[rows, None]).min(axis=0)
         below = col_min < -threshold
         c = int(np.argmax(below) if below.any() else np.argmin(col_min))
         if col_min[c] < best:
-            best, j, v = col_min[c], c0 + c, -d * x[:, c]
+            best, j, v = col_min[c], int(cols[c0 + c]), -d * x[:, c]
         if below.any():
             break
     g = -np.eye(asys.G.shape[1])[j] if boundary else None
@@ -765,7 +694,7 @@ def random_probe(
     if trials < 1:
         raise ValidationError(f"random probe needs at least 1 trial, got {trials}")
     d = np.repeat(signs, asys.grid.n_interior)
-    report = OracleReport(True, 0.0, None, None, dof, sigma, sampled=True, trials=int(trials))
+    report = OracleReport(True, 0.0, None, None, None, dof, sigma, sampled=True, trials=int(trials))
     lu = LuFactor(asys.A)
     rng = np.random.default_rng(seed)
     nnz = max(1, dof // 20)

@@ -157,6 +157,9 @@ def test_acceptance_6_competitive_pair_margins():
     assert v.gauge == (1, -1)
     assert v.oracle_gauged is not None
     assert v.oracle_gauged.inverse_positive is True
+    # the Holds is claimed in the gauge order, where the gauged oracle agrees
+    assert v.order == (1, -1)
+    assert v.cross_check["result"] == "agrees"
     # the plain-order result is recorded without an agreement assertion
     assert v.oracle is not None
     assert isinstance(v.oracle.inverse_positive, bool)

@@ -700,10 +700,11 @@ def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):
     assert v.oracle is None and v.oracle_gauged is None
     assert "oracle: system matrix is singular" in v.notes
     assert "oracle: gauged system matrix is singular" in v.notes
-    # the claim is in the plain order, so its note is the reason
+    # the claim is in the gauge order, so its note is the reason
+    assert v.order == (1, -1)
     assert v.cross_check == {
         "result": "skipped",
-        "reason": "oracle: system matrix is singular",
+        "reason": "oracle: gauged system matrix is singular",
     }
 
 
@@ -766,19 +767,26 @@ def test_certify_oracle_budget_note():
 @pytest.mark.parametrize(
     "name, kind, result",
     [
-        ("competitive17", "HoldsThm4", "disagrees"),
+        ("competitive17", "HoldsThm4", "agrees"),
+        ("predator_prey", "HoldsThm5", "disagrees"),
         ("thm6_failure", "FailsThm6", "agrees"),
     ],
 )
 def test_cross_check_of_the_bundled_problems(name, kind, result, caplog):
-    """Each claim is in the all +1 order, checked by the plain oracle; a
-    disagreement logs one WARNING.  The goldens hold the other results."""
+    """A Holds on a system with a sign gauge that flips a species is claimed
+    in the gauge order and checked by the gauged oracle; every other claim
+    is in the all +1 order, checked by the plain oracle.  predator_prey has
+    no gauge, so its Holds disagrees, and a disagreement logs one WARNING.
+    The goldens hold the other results."""
     caplog.set_level(logging.WARNING, logger="elcomp.certify")
     spec = load_problem(DATA / f"{name}.prob")
     v = certify(spec)
     assert v.kind == kind
-    assert v.order == (1,) * len(spec.ops)
+    order = (1, -1) if name == "competitive17" else (1,) * len(spec.ops)
+    assert v.order == order
     assert v.cross_check["result"] == result
+    report = "oracle_gauged" if min(order) < 0 else "oracle"
+    assert v.cross_check["reason"].startswith(f"{report}: inverse_positive ")
     records = [r for r in caplog.records if r.name == "elcomp.certify"]
     assert [r.levelname for r in records] == ["WARNING"] * (result == "disagrees")
 
@@ -789,22 +797,29 @@ def test_cross_check_of_the_bundled_problems(name, kind, result, caplog):
         ("HoldsThm1", True, True, "agrees"),
         ("HoldsThm1", True, False, "disagrees"),
         ("HoldsThm4", False, True, "disagrees"),
+        ("HoldsThm4", False, None, "disagrees"),
         ("FailsThm6", False, False, "agrees"),
+        ("FailsThm6", False, None, "agrees"),
         ("FailsThm7", True, False, "agrees"),
         ("FailsThm6", True, True, "disagrees"),
     ],
 )
 def test_cross_check_rule(kind, inverse_positive, boundary_monotone, result):
-    """A Holds claims A^-1 >= 0 and -A^-1 G >= 0 together, a Fails their
-    negation."""
-    rep = OracleReport(inverse_positive, 0.0, boundary_monotone, 0.0, 4)
-    v = Verdict(kind, order=(1, 1), oracle=rep)
-    check = certify_mod._cross_check(v, None)
-    assert check["result"] == result
-    assert check["reason"] == (
-        f"oracle: inverse_positive {inverse_positive}, "
-        f"boundary_monotone {boundary_monotone}"
-    )
+    """A Holds claims (D A D)^-1 >= 0 and -(D A D)^-1 D G D_b >= 0 together
+    in its order D, a Fails their negation; an undecided boundary half
+    (None) does not hold.  The report in the claimed order decides: the
+    plain one, or the gauged one in a gauge order."""
+    rep = OracleReport(inverse_positive, 0.0, boundary_monotone, None, "why", 4)
+    other = OracleReport(not inverse_positive, 0.0, True, None, "other", 4)
+    for name, order in (("oracle", (1, 1)), ("oracle_gauged", (1, -1))):
+        reports = {"oracle": other, "oracle_gauged": other, name: rep}
+        v = Verdict(kind, order=order, **reports)
+        check = certify_mod._cross_check(v, [])
+        assert check["result"] == result
+        assert check["reason"] == (
+            f"{name}: inverse_positive {inverse_positive}, "
+            f"boundary_monotone {boundary_monotone} (why)"
+        )
 
 
 def test_cross_check_skips_without_a_claim_or_a_plain_report():

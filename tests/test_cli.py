@@ -254,6 +254,23 @@ def test_eigen_flag_exclusivity(tmp_path):
         main(["eigen", problem, "--component", "1", "--cooperative"])
 
 
+def test_oracle_prints_how_the_boundary_half_was_decided(tmp_path, capsys):
+    """elcomp oracle prints boundary_monotone with its reason, which the
+    JSON report carries as boundary_reason; a probe decides no boundary
+    half and prints none."""
+    for name, line in (
+        ("lap1d", "boundary_monotone: True (G <= 0 and A^-1 >= 0)"),
+        ("thm6_failure", "boundary_monotone: None (A^-1 has a negative entry)"),
+    ):
+        code, payload = report(tmp_path, "oracle", str(DATA / f"{name}.prob"))
+        assert code == 0
+        assert line in capsys.readouterr().out.splitlines()
+        assert line.endswith(f"({payload['oracle']['boundary_reason']})")
+    code, payload = report(tmp_path, "oracle", str(DATA / "lap1d.prob"), "--probe", "3")
+    assert code == 0 and payload["oracle"]["boundary_reason"] is None
+    assert "boundary_monotone" not in capsys.readouterr().out
+
+
 def test_oracle_probe_mode(tmp_path):
     problem = write(tmp_path, "coop.prob", COOP)
     code, payload = report(tmp_path, "oracle", problem, "--probe", "25", "--seed", "7")
@@ -505,11 +522,15 @@ def test_problem_file_is_read_once(tmp_path, monkeypatch):
 def test_log_records_reach_stderr_formatted(capsys):
     """The cross-check's WARNING reaches stderr as one formatted line per
     run, from one handler, also when stderr was swapped in between, as an
-    in-process caller that captures each run's output swaps it."""
-    problem = str(DATA / "competitive17.prob")
+    in-process caller that captures each run's output swaps it.  The
+    competitive pair's Holds, claimed in its gauge order, agrees and logs
+    nothing."""
+    assert main(["certify", str(DATA / "competitive17.prob")]) == 0
+    assert capsys.readouterr().err == ""
+    problem = str(DATA / "predator_prey.prob")
     line = (
-        "warning: elcomp.certify: HoldsThm4 disagrees with the oracle: "
-        "inverse_positive False, boundary_monotone False\n"
+        "warning: elcomp.certify: HoldsThm5 disagrees with the oracle: "
+        "inverse_positive False, boundary_monotone None (A^-1 has a negative entry)\n"
     )
     assert main(["certify", problem]) == 0
     assert capsys.readouterr().err == line

@@ -51,9 +51,10 @@ def test_m_matrix_is_inverse_positive():
     asys = _pair(grid, [["0", "-1"], ["-0.5", "0"]])
     rep = inverse_positivity(asys)
     assert rep.inverse_positive
-    assert rep.boundary_monotone
+    assert rep.boundary_monotone is True
+    assert rep.boundary_reason == "G <= 0 and A^-1 >= 0"
     assert rep.min_entry >= 0.0
-    assert rep.min_boundary_entry >= 0.0
+    assert rep.min_boundary_entry is None
     assert rep.dof == 30
     assert rep.gauge is None and not rep.sampled
 
@@ -421,6 +422,7 @@ def test_oracle_report_json_shape():
         "min_entry",
         "boundary_monotone",
         "min_boundary_entry",
+        "boundary_reason",
         "dof",
         "gauge",
         "sampled",
@@ -444,28 +446,49 @@ def _gauged_dense(asys, gauge):
 
 
 def _reference(asys, gauge):
-    """The oracle's decision as one dense inverse of D A D and a dense
-    product with D G D_b: (min_entry, inverse_positive, min_boundary_entry,
-    boundary_monotone)."""
-    inv, bnd = _gauged_dense(asys, gauge)
-    scale = float(np.abs(inv).max())
+    """The oracle's decision on A^{-1} as one dense inverse of D A D:
+    (min_entry, inverse_positive)."""
+    inv, _ = _gauged_dense(asys, gauge)
     min_entry = float(inv.min())
-    min_boundary = 0.0 if bnd is None else float(bnd.min())
-    return (
-        min_entry,
-        min_entry >= -TOL_OP * scale,
-        min_boundary,
-        min_boundary >= -TOL_OP * scale,
-    )
+    return min_entry, min_entry >= -TOL_OP * float(np.abs(inv).max())
 
 
 def _decision(rep):
-    return (
-        rep.min_entry,
-        rep.inverse_positive,
-        rep.min_boundary_entry,
-        rep.boundary_monotone,
-    )
+    return rep.min_entry, rep.inverse_positive
+
+
+def _solved_columns(asys):
+    """The columns b of G with a positive value: those of -G the oracle
+    solves for."""
+    return np.flatnonzero((asys.G.toarray() > 0.0).any(axis=0))
+
+
+def _assert_boundary(asys, gauge, rep, bound_bnd):
+    """The boundary half of rep against a dense -(D A^{-1} D)(D G D_b):
+    undecided where A^{-1} has a negative entry; derived true where G <= 0,
+    with every dense entry >= -TOL_OP max|A^{-1}| max_b |g_b|_1; else the
+    minimum over the columns of G with a positive value, within bound_bnd
+    of the dense one, decides, except where the dense margin to -TOL_OP
+    max|A^{-1}| is itself within bound_bnd."""
+    inv, bnd = _gauged_dense(asys, gauge)
+    scale = float(np.abs(inv).max())
+    cols = _solved_columns(asys)
+    if not rep.inverse_positive:
+        assert (rep.boundary_monotone, rep.min_boundary_entry) == (None, None)
+        assert rep.boundary_reason == "A^-1 has a negative entry"
+    elif cols.size == 0:
+        assert (rep.boundary_monotone, rep.min_boundary_entry) == (True, None)
+        assert rep.boundary_reason == "G <= 0 and A^-1 >= 0"
+        if bnd is not None:
+            tolerance = TOL_OP * scale * inf_norm(asys.G.T)
+            assert float(bnd.min()) >= -tolerance - bound_bnd
+    else:
+        assert rep.boundary_reason == f"{cols.size} columns of -G solved"
+        least = float(bnd[:, cols].min())
+        assert abs(rep.min_boundary_entry - least) <= bound_bnd
+        margin = least + TOL_OP * scale
+        if abs(margin) > bound_bnd * (1 + TOL_OP):
+            assert rep.boundary_monotone == (margin >= 0.0)
 
 
 # The slab scan's entries of A^{-1} lie within ROUNDING * u * kappa_inf(A) *
@@ -494,21 +517,17 @@ def _lu_report(asys, gauge):
 
 def _assert_within_rounding(asys, gauge, rep):
     """A 2D report against the dense inverse of D A D: the minimum lies
-    within the rounding bound of the dense minimum, and the decisions are
-    the dense ones except where the dense margin to -TOL_OP * scale is
-    itself within the bound."""
+    within the rounding bound of the dense minimum, and the decision is
+    the dense one except where the dense margin to -TOL_OP * scale is
+    itself within the bound; the boundary half as _assert_boundary has it."""
     bound, bound_bnd = _rounding_bounds(asys)
-    inv, bnd = _gauged_dense(asys, gauge)
+    inv, _ = _gauged_dense(asys, gauge)
     scale = float(np.abs(inv).max())
     assert abs(rep.min_entry - float(inv.min())) <= bound
     margin = float(inv.min()) + TOL_OP * scale
     if abs(margin) > bound * (1 + TOL_OP):
         assert rep.inverse_positive == (margin >= 0.0)
-    min_bnd = 0.0 if bnd is None else float(bnd.min())
-    assert abs(rep.min_boundary_entry - min_bnd) <= bound_bnd
-    margin = min_bnd + TOL_OP * scale
-    if abs(margin) > bound_bnd + TOL_OP * bound:
-        assert rep.boundary_monotone == (margin >= 0.0)
+    _assert_boundary(asys, gauge, rep, bound_bnd)
 
 
 _B = oracle.BLOCK
@@ -566,33 +585,23 @@ def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
     return ds.assemble("full"), gauge
 
 
-def _assert_lu_decision(rep, expect):
-    """An LU scan's report against _reference: the entry and decisions
-    exactly; the boundary minimum, which the scan solves for and the dense
-    product sums, to 1e-12 relative."""
-    got = _decision(rep)
-    assert got[:2] + got[3:] == expect[:2] + expect[3:]
-    assert got[2] == pytest.approx(expect[2], rel=1e-12, abs=1e-15)
-
-
-def _solved_boundary_min(asys, gauge):
-    """The least entry of -(D A D)^{-1} (D G D_b), from one solve of D A D
-    against all the columns of -(D G D_b)."""
-    signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
-    d = sp.diags(np.repeat(signs, asys.grid.n_interior))
-    d_bnd = sp.diags(np.repeat(signs, asys.grid.n_boundary))
-    lu = LuFactor((d @ asys.A @ d).tocsr())
-    return float(lu.solve(-(d @ asys.G @ d_bnd).toarray()).min())
+def _assert_lu_decision(asys, gauge, rep, expect):
+    """An LU scan's report against _reference: the entry and the decision
+    exactly; the boundary half as _assert_boundary has it, with its solved
+    columns, which the oracle solves for and the dense product sums, to
+    1e-12 relative."""
+    assert _decision(rep) == expect
+    _assert_boundary(asys, gauge, rep, 1e-12 * abs(rep.min_boundary_entry or 0.0) + 1e-15)
 
 
 @given(st.booleans().flatmap(lambda symmetric: _oracle_case(symmetric=symmetric)))
 @settings(max_examples=80, deadline=None)
 def test_streamed_oracle_matches_dense_inverse(case):
-    """The LU scan gives the dense inverse's entry and decisions exactly, for any gauge, in any order of gauged and plain calls, and
-    its boundary minimum to 1e-12 of the dense product's; on a 1D grid that
-    minimum is the one of one solve of D A D against -(D G D_b), exactly.
-    On a 2D grid the slab scan's answer lies within the rounding bound
-    (_assert_within_rounding), with the lower half mirrored or not."""
+    """The LU scan gives the dense inverse's entry and decision exactly,
+    for any gauge, in any order of gauged and plain calls, and the boundary
+    half that G's signs give (_assert_boundary).  On a 2D grid the slab
+    scan's answer lies within the rounding bound (_assert_within_rounding),
+    with the lower half mirrored or not."""
     asys, gauge = case
     for g in (None, gauge):  # the second call reads the kept scan
         try:
@@ -603,22 +612,22 @@ def test_streamed_oracle_matches_dense_inverse(case):
             continue
         rep = inverse_positivity(asys, gauge=g)
         if asys.grid.dim == 1:
-            _assert_lu_decision(rep, expect)
-            assert rep.min_boundary_entry == _solved_boundary_min(asys, g)
+            _assert_lu_decision(asys, g, rep, expect)
             continue
         _assert_within_rounding(asys, g, rep)
-        _assert_lu_decision(_lu_report(asys, g), expect)
+        _assert_lu_decision(asys, g, _lu_report(asys, g), expect)
 
 
 @given(_oracle_case(cross=True))
 @settings(max_examples=40, deadline=None)
 def test_streamed_boundary_sums_span_blocks(case):
-    """With blocks of 8 columns, the LU scan solves against -G eight
-    boundary values at a time, each value's column whole, whichever rows
-    (up to three, with cross diffusion) it enters.  The dense product sums
-    those rows' columns of A^{-1} in BLAS order, so the boundary minimum
-    agrees to rounding only.  The slab scan, which these 2D grids take by
-    default, is within the rounding bound (_assert_within_rounding)."""
+    """With blocks of 8 columns, the columns of -G that cross diffusion
+    leaves with a positive value are solved eight at a time, each column
+    whole, whichever rows (up to three) its boundary value enters.  The
+    dense product sums those rows' columns of A^{-1} in BLAS order, so the
+    boundary minimum agrees to rounding only.  The slab scan, which these
+    2D grids take by default, is within the rounding bound
+    (_assert_within_rounding)."""
     asys, gauge = case
     try:
         expect = _reference(asys, gauge)
@@ -628,7 +637,7 @@ def test_streamed_boundary_sums_span_blocks(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "BLOCK", 8)
         rep = _lu_report(asys, gauge)
-    _assert_lu_decision(rep, expect)
+    _assert_lu_decision(asys, gauge, rep, expect)
 
 
 @given(
@@ -643,31 +652,24 @@ def test_slab_scan_matches_dense_inverse(case):
     """Every extreme the slab scan keeps lies within the rounding bound of
     the dense inverse's, blocks of exact zeros (a zero coupling block makes
     some) included.  That covers every gauge, whose extremes are these
-    with signs.  Each boundary extreme lies
-    within the bound for A^{-1} G.  The draws are 2D grids with either axis
-    longer, 5- and 9-point stencils, convection, and couplings of either
-    sign; the symmetric 5-point ones mirror the lower half of A^{-1}."""
+    with signs.  The draws are 2D grids with either axis longer, 5- and
+    9-point stencils, convection, and couplings of either sign; the
+    symmetric ones mirror the lower half of A^{-1}, 9-point ones too."""
     (cross, symmetric), (asys, _) = case
     try:
         inv = dense_inverse(asys.A, Settings(oracle_max_dof=10**6))
     except SingularMatrix:
         return
-    if symmetric and not cross:
-        w, _ = oracle._mirror_weights(asys.A, asys.G, asys.n_species, asys.grid.n_interior)
+    if symmetric:
+        w, _ = oracle._mirror_weights(asys.A, asys.n_species, asys.grid.n_interior)
         assert w is not None
-    scan = oracle._scan_slabs(asys)
-    assume(scan is not None)
-    extremes, bnd = scan
-    bound, bound_bnd = _rounding_bounds(asys)
-    n_int, n_bnd = asys.grid.n_interior, asys.grid.n_boundary
-    prod = -(inv @ asys.G.toarray())
+    extremes = oracle._scan_slabs(asys)
+    assume(extremes is not None)
+    bound, _ = _rounding_bounds(asys)
+    n_int = asys.grid.n_interior
     for (k, l, s), v in extremes.items():
         block = s * inv[k * n_int : (k + 1) * n_int, l * n_int : (l + 1) * n_int]
         assert abs(v - float(block.min())) <= bound
-    assert set(bnd) == (set(extremes) if asys.G.nnz else set())
-    for (k, l, s), v in bnd.items():
-        block = s * prod[k * n_int : (k + 1) * n_int, l * n_bnd : (l + 1) * n_bnd]
-        assert abs(v - float(block.min())) <= bound_bnd
 
 
 def _lu_refutation(asys, gauge):
@@ -701,8 +703,10 @@ def test_refute_gives_the_first_refuting_column(case):
     """Where a decision fails, refute's field breaks comparison on D A D:
     its image under D A D and D G D_b is <= 0, its boundary data -e_j or 0,
     and it is minus column j of the dense D A^{-1} D, or of the dense
-    -(D A^{-1} D)(D G D_b) when only boundary_monotone fails, to rounding.
-    j is the first column of the report's block (k, l) with an entry of
+    -(D A^{-1} D)(D G D_b) when only boundary_monotone fails, to rounding;
+    there j is one of the columns of G with a positive value, which alone
+    the oracle solves for.  j is the first column of the report's block
+    (k, l), among those it solves for, with an entry of
     species k below -TOL_OP max|A^{-1}|, through the slab scan and the LU
     scan alike.  Blocks or columns that rounding could reorder, their dense
     values within the rounding bound of each other or of the threshold,
@@ -724,6 +728,10 @@ def test_refute_gives_the_first_refuting_column(case):
         boundary = bool(rep.inverse_positive)
         assert cex.which == ("oracle-boundary" if boundary else "oracle")
         dense, b = (bnd, bound_bnd) if boundary else (inv, bound)
+        if boundary:  # +inf in the columns of -G left unsolved
+            solved = _solved_columns(asys)
+            dense = np.full_like(bnd, np.inf)
+            dense[:, solved] = bnd[:, solved]
         width = dense.shape[1] // ns
         v, g = cex.w.interior.ravel(), cex.w.boundary.ravel()
         assert np.abs(v + dense[:, cex.j]).max() <= b
@@ -783,7 +791,7 @@ def test_slab_guard_takes_the_lu_scan_on_a_singular_strip(monkeypatch, caplog):
     assert not rep.inverse_positive
     assert abs(rep.min_entry - float(inv.min())) <= 1e-12 * scale
     monkeypatch.setattr(oracle, "SLAB_PHI_MAX", np.inf)
-    unguarded, _ = oracle._scan_slabs(asys)
+    unguarded = oracle._scan_slabs(asys)
     assert max(abs(v - float((s * inv).min())) for (_, _, s), v in unguarded.items()) > scale
 
 
@@ -943,7 +951,7 @@ _DIAGONAL = "; inter-line blocks diagonal"
         (
             [{"a12": "0.1", "a21": "0.1"}] * 2,
             {"m12": "-1", "m21": "-1"},
-            _FULL + "a boundary value enters more than one equation; inter-line blocks dense",
+            "lower half mirrored, species weights (1, 1); inter-line blocks dense",
         ),
     ],
     ids=["equal", "weighted", "convection", "varying", "one-way", "cycle", "nine-point"],
@@ -987,7 +995,7 @@ def _dense_line_blocks(csc, m):
 def test_diagonal_inter_line_blocks_change_no_value(species, coupling, monkeypatch, caplog):
     """On a 5-point operator the inter-line blocks are read as vectors, and
     the scan scales rows and columns where it multiplied by them: a product
-    with a diagonal factor adds only exact zeros, so (inv, bnd) equals the
+    with a diagonal factor adds only exact zeros, so the extremes equal the
     dense products' bit for bit, mirrored (equal, weighted and negative
     weights) or in full rows (one-way coupling), and so does the guard's
     phi."""
@@ -1012,18 +1020,18 @@ def test_nine_point_operators_keep_dense_inter_line_blocks():
     """Cross diffusion joins a node to its neighbours' neighbours on the
     next line, so the inter-line blocks stay dense m x m matrices (the
     scan's record says so: test_slab_scan_logs_which_lower_half_it_builds),
-    and the scan still matches the LU scan within the rounding bound."""
+    and the scan, which mirrors this W-symmetric pair's lower half, still
+    matches the LU scan within the rounding bound."""
     asys = _text_system([{"a12": "0.1", "a21": "0.1"}] * 2, {"m12": "-1", "m21": "-1"})
     perm, _, per_line = oracle._line_order(asys.grid, 2)
     read, diagonal = oracle._line_blocks(linalg.permuted_csc(asys.A, perm), 2 * per_line)
     above, _, below = read(1)
     assert not diagonal and above.shape == below.shape == (2 * per_line, 2 * per_line)
-    inv, bnd = oracle._scan_slabs(asys)
-    bound, bound_bnd = _rounding_bounds(asys)
-    lu_inv, lu_bnd = oracle._scan_inverse(asys)
-    assert inv.keys() == lu_inv.keys() and bnd.keys() == lu_bnd.keys()
+    inv = oracle._scan_slabs(asys)
+    bound, _ = _rounding_bounds(asys)
+    lu_inv = oracle._scan_inverse(asys)
+    assert inv.keys() == lu_inv.keys()
     assert all(abs(inv[key] - lu_inv[key]) <= bound for key in inv)
-    assert all(abs(bnd[key] - lu_bnd[key]) <= bound_bnd for key in bnd)
 
 
 @st.composite
@@ -1158,19 +1166,22 @@ def test_slab_lines_cut_across_the_longer_axis(cells, lines):
 @given(_oracle_case(cross=True), st.sampled_from((3, 8, 64)))
 @settings(max_examples=40, deadline=None)
 def test_boundary_scan_equals_solves_against_minus_g(case, block):
-    """The LU scan's extremes of -(A^{-1} G) equal, bit for bit, those of
-    LuFactor(A).solve(-G) taken in the same groups of BLOCK columns, cross
-    diffusion included: the scan solves against -G's columns as they are,
-    whatever rows of A a boundary value enters."""
+    """The extremes of -(A^{-1} G) over the columns of G with a positive
+    value equal, bit for bit, those of LuFactor(A).solve(-G) on just those
+    columns, taken in the same groups of BLOCK columns: the oracle solves
+    against -G's columns as they are, whatever rows of A a boundary value
+    enters (up to three, with cross diffusion)."""
     asys, _ = case
     n_int, n_bnd, ns = asys.grid.n_interior, asys.grid.n_boundary, asys.n_species
+    cols = _solved_columns(asys)
+    assume(cols.size)
     minus_g = -asys.G.toarray()
     expect = {}
     try:
         lu = LuFactor(asys.A)
-        for c0 in range(0, minus_g.shape[1], block):
-            x = lu.solve(minus_g[:, c0 : c0 + block])
-            for c, col in enumerate(x.T, start=c0):
+        for c0 in range(0, cols.size, block):
+            x = lu.solve(minus_g[:, cols[c0 : c0 + block]])
+            for c, col in zip(cols[c0 : c0 + block], x.T):
                 for k in range(ns):
                     part = col[k * n_int : (k + 1) * n_int]
                     for s, v in ((1, part.min()), (-1, -part.max())):
@@ -1180,26 +1191,88 @@ def test_boundary_scan_equals_solves_against_minus_g(case, block):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "BLOCK", block)
-        _, bnd = oracle._scan_inverse(asys)
+        n_cols, bnd = oracle._boundary_columns(asys)
+    assert n_cols == cols.size
     # + 0.0 makes -0.0 and 0.0 one value, which the two orders may tie on
     assert {key: repr(v + 0.0) for key, v in bnd.items()} == {
         key: repr(v + 0.0) for key, v in expect.items()
     }
 
 
+@given(st.tuples(st.booleans(), st.booleans()).flatmap(lambda f: _oracle_case(*f)))
+@settings(max_examples=60, deadline=None)
+def test_boundary_half_follows_from_the_signs_of_g(case):
+    """On systems of at most 200 dof, 1D and 2D, with and without cross
+    diffusion, plain and gauged, boundary_monotone and boundary_reason are
+    those a dense -(D A^{-1} D)(D G D_b) gives (_assert_boundary): derived
+    from G's signs where G <= 0, and from the solved columns, within the
+    rounding bound, where it is not.  G is species-block diagonal, so the
+    gauge leaves it as it is."""
+    asys, gauge = case
+    assert asys.A.shape[0] <= 200
+    n_int, n_bnd = asys.grid.n_interior, asys.grid.n_boundary
+    g = asys.G.toarray()
+    for k in range(asys.n_species):
+        g[k * n_int : (k + 1) * n_int, k * n_bnd : (k + 1) * n_bnd] = 0.0
+    assert not g.any()
+    try:
+        _, bound_bnd = _rounding_bounds(asys)
+    except SingularMatrix:
+        return
+    for sigma in (None, gauge):
+        _assert_boundary(asys, sigma, inverse_positivity(asys, gauge=sigma), bound_bnd)
+
+
+_NINE_POINT_PAIR = (
+    "[domain]\ndim = 2\nlo = 0 0\nhi = 1 1\nn = 20 20\n"
+    "[species 1]\na11 = 1 + x\na12 = 0.1\na21 = 0.1\nf = 1\n"
+    "[species 2]\na12 = 0.1\na21 = 0.1\nf = 1\n"
+    "[coupling]\nm12 = -1\nm21 = -1\n"
+)
+
+
+def test_cross_diffusion_breaks_the_boundary_half_alone(caplog):
+    """Cross diffusion gives G positive values, and on this 20^2 9-point
+    cooperative pair A^{-1} >= 0 while -A^{-1} G has negative entries: the
+    columns of -G with a positive value in G (148 of 160) are solved, their
+    least entry matches the dense one, boundary_monotone is false, a DEBUG
+    record says how it was decided, and refute gives a verified field from
+    one of those columns, with boundary data -e_j."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    asys = parse_problem(_NINE_POINT_PAIR).discretize().assembled("full")
+    rep = inverse_positivity(asys)
+    assert rep.inverse_positive and rep.boundary_monotone is False
+    assert rep.boundary_reason == "148 columns of -G solved"
+    assert _solved_columns(asys).size == 148 and asys.G.shape[1] == 160
+    inv, bnd = _gauged_dense(asys, None)
+    assert abs(rep.min_boundary_entry - float(bnd.min())) <= 1e-12 * float(np.abs(inv).max())
+    assert rep.min_boundary_entry == pytest.approx(-0.0150, abs=5e-5)
+    messages = [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"]
+    assert "gauge None: boundary_monotone False (148 columns of -G solved)" in messages
+    cex = refute(asys, rep)
+    assert cex.verified and cex.which == "oracle-boundary"
+    assert cex.j in _solved_columns(asys)
+    assert np.array_equal(cex.w.boundary.ravel(), -np.eye(160)[cex.j])
+
+
 @pytest.mark.parametrize("n", [8, 128, 1000])
 def test_lu_scan_reads_the_discrete_greens_function(n):
     """For -u'' on (0, 1) with n cells, A^{-1} is the discrete Green's
-    function h x_i (1 - x_j), i <= j: its least entry is h^3.  -A^{-1} G
-    holds the harmonic extensions 1 - x and x of the two boundary values,
-    whose least entry is h.  Both are closed forms, whatever order the scan
-    sums in, and nothing is refuted."""
+    function h x_i (1 - x_j), i <= j: its least entry is h^3.  G <= 0, so
+    the report derives the boundary half and gives no boundary minimum;
+    -A^{-1} G, one LuFactor solve against -G, holds the harmonic extensions
+    1 - x and x of the two boundary values, whose least entry is h.  Both
+    are closed forms, whatever order the scan sums in, and nothing is
+    refuted."""
     h = 1.0 / n
     asys = assemble_system(laplace_system(build_grid(1, 0.0, 1.0, n)))
     rep = inverse_positivity(asys)
     assert rep.inverse_positive and rep.boundary_monotone
     assert rep.min_entry == pytest.approx(h**3, rel=1e-12)
-    assert rep.min_boundary_entry == pytest.approx(h, rel=1e-12)
+    assert rep.min_boundary_entry is None
+    assert rep.boundary_reason == "G <= 0 and A^-1 >= 0"
+    harmonic = LuFactor(asys.A).solve(-asys.G.toarray())
+    assert float(harmonic.min()) == pytest.approx(h, rel=1e-12)
     assert refute(asys, rep) is None
 
 
