@@ -89,15 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol-cond", type=_setting("tol_cond", float), default=DEFAULT.tol_cond
     )
 
-    def oracle_budget(container):
-        container.add_argument(
-            "--oracle-max-dof",
-            type=_setting("oracle_max_dof", int),
-            default=DEFAULT.oracle_max_dof,
-        )
-
     oracle = group()
-    oracle_budget(oracle)
+    oracle.add_argument(
+        "--oracle-max-dof",
+        type=_setting("oracle_max_dof", int),
+        default=DEFAULT.oracle_max_dof,
+    )
     mode = group()
     mode.add_argument("--mode", choices=MODES, default=DEFAULT.mode)
     pair = group()
@@ -124,13 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     choice.add_argument("--component", type=int, metavar="J")
     choice.add_argument("--cooperative", action="store_true")
 
-    sub = command("oracle", "discrete inverse-positivity check")
+    sub = command("oracle", "discrete inverse-positivity check", oracle)
     sub.add_argument("--gauge", action="store_true", help="apply the sign gauge")
-    # the dof budget bounds the dense scan, which probing does not run
-    decision = sub.add_mutually_exclusive_group()
-    oracle_budget(decision)
-    decision.add_argument("--probe", type=int, metavar="T", help="random probing only")
-    sub.add_argument("--seed", type=int, help="seed of --probe (default 0)")
 
     sub = command("solve", "solve the fully coupled system")
     rhs = sub.add_mutually_exclusive_group(required=True)
@@ -224,18 +216,11 @@ def _cmd_oracle(args, spec):
         sigma, reason = find_gauge(ds)
         if sigma is None:
             raise StructureUnsupported(f"no sign gauge: {reason}")
-    if args.probe is not None:
-        report = oracle_mod.random_probe(
-            asys, args.probe, seed=args.seed or 0, gauge=sigma
-        )
-    else:
-        report = oracle_mod.inverse_positivity(asys, gauge=sigma, settings=_settings(args))
-        report.counterexample = oracle_mod.refute(asys, report)
+    report = oracle_mod.decide(asys, sigma, _settings(args))
     print(f"inverse_positive: {report.inverse_positive}")
     if report.min_entry is not None:
         print(f"min entry: {report.min_entry!r}")
-    if report.boundary_reason is not None:
-        print(f"boundary_monotone: {report.boundary_monotone} ({report.boundary_reason})")
+    print(f"boundary_monotone: {report.boundary_monotone} ({report.boundary_reason})")
     if report.counterexample is not None:
         print(f"counterexample: {report.counterexample.to_json_dict()}")
     if sigma is not None:
@@ -359,10 +344,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     _log_to_stderr()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is not None and args.probe is None:
-        parser.error("argument --seed: only allowed with --probe, which reads it")
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     payload = {
         "command": args.command,

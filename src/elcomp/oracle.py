@@ -3,8 +3,10 @@
 The discrete comparison principle is defined as: A nonsingular, inverse of
 A entrywise nonnegative, and -A^{-1} G entrywise nonnegative.  Equivalently
 A u <= 0 in the interior plus boundary data <= 0 force u <= 0.  The oracle
-decides this from the explicit inverse (decisive, size-capped) or by seeded
-random probing (falsification only).
+decides this from a scan of the inverse within a dof budget.  Above it,
+decide only refutes, from the column of A^{-1} at the middle interior node
+of each species: a negative entry of block (k, l) can show in a column of
+species l, where a random f >= 0 would add the positive diagonal blocks in.
 
 The inverse is streamed, never held.  A scan leaves only the min and max
 of every species block (k, l) of A^{-1}: values, no positions.
@@ -108,12 +110,13 @@ fill-reducing column ordering depends only on the sparsity pattern, which
 D A D shares with A, and partial pivoting picks pivots by magnitude, so
 D A D gets A's ordering and pivots, and a +-1 factor commutes with every
 rounding.  Block (k, l) of the gauged inverse is sigma_k sigma_l times
-that of A^{-1}, so where the signs differ its minimum is -max.
-random_probe solves (D A D) u = f the same way, as u = D A^{-1} (D f).
+that of A^{-1}, so where the signs differ its minimum is -max.  The
+column search solves D A D the same way, as D A^{-1} D.
 
 A scan keeps no positions: a broken comparison is refuted by a field
-(refute), from one column of A^{-1}, or of -A^{-1} G, solved again.  That column can
-differ in the last bit from the scan's: the BLAS kernels behind the sparse
+(refute), from one column of A^{-1}, or of -A^{-1} G, solved again by the
+column search that decide runs above the budget.  That column can differ
+in the last bit from the scan's: the BLAS kernels behind the sparse
 triangular solves are chosen by the number of right-hand sides.
 
 solve_system, which no scan calls, solves A u = f - G g.  On a 2D grid
@@ -169,16 +172,15 @@ SWEEP_CUT = 0.25
 
 @dataclass
 class OracleReport:
-    inverse_positive: bool
+    inverse_positive: bool | None  # None: undecided, by the columns alone
     min_entry: float | None
     boundary_monotone: bool | None
     min_boundary_entry: float | None  # over the solved columns of -G only
     boundary_reason: str | None  # how boundary_monotone was decided
     dof: int
     gauge: tuple | None = None
-    sampled: bool = False
-    trials: int = 0
-    counterexample: Counterexample | None = None  # refute's, or the probe's
+    method: str = "scan"  # or "columns", above the dof budget (decide)
+    counterexample: Counterexample | None = None  # refute's, or decide's
 
     def to_json_dict(self) -> dict:
         cex = self.counterexample.to_json_dict() if self.counterexample else None
@@ -593,10 +595,10 @@ def inverse_positivity(
     The scan is kept on asys by the content of A and G (asys.key), so all
     gauges share one factorization and one pass over A^{-1}.  Above
     settings.oracle_max_dof unknowns a system is TooLarge, and is not
-    scanned.  boundary_monotone follows from inverse_positive and G's signs,
-    or from the columns of -G that the signs leave open (module docstring),
-    and boundary_reason says which.  The report carries no counterexample;
-    refute makes one.
+    scanned; decide searches columns there.  boundary_monotone follows from
+    inverse_positive and G's signs, or from the columns of -G that the
+    signs leave open (module docstring), and boundary_reason says which.
+    The report carries no counterexample; refute makes one.
     """
     dof, ns = asys.A.shape[0], asys.n_species
     sigma, signs = _signs(asys, gauge)
@@ -637,14 +639,11 @@ def refute(asys: AssembledSystem, report: OracleReport) -> Counterexample | None
     """A field that breaks comparison for D A D where report, inverse_positivity's
     on asys, has a decision fail (inverse_positive first); None when both hold.
 
-    In the first block (k, l) whose scanned minimum is the report's, one LU of
-    A is solved against the right-hand sides r_j of species l that the scan
-    solved for, the identity's or -G's (_right_hand_sides), and j is
-    the first column whose gauged x = D A^{-1} D r_j has an entry of species k
-    below -TOL_OP max|A^{-1}|, the decision's threshold.  v = -x: D A D v =
-    -e_j with zero boundary data, or D A D v + D G D_b g = 0 for g = -e_j.  If
-    no column reaches the threshold (a decision within rounding of it), the
-    least entry's column is taken, and the field is not verified.
+    In the first block (k, l) whose scanned minimum is the report's, the
+    column search (_column_search) runs over the right-hand sides of species
+    l that the scan solved for, the identity's or -G's (_right_hand_sides),
+    on the rows of species k, against -TOL_OP max|A^{-1}|, the decision's
+    threshold.
     """
     if report.inverse_positive and report.boundary_monotone:
         return None
@@ -657,17 +656,32 @@ def refute(asys: AssembledSystem, report: OracleReport) -> Counterexample | None
     pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
     k, l, _ = next(p for p in pairs if extremes.get(p) == least)
     threshold = TOL_OP * -min(inv.values())
-    d = np.repeat(signs, n_int) * signs[l]  # D, times the sign of species l
+    _, cols, width = _right_hand_sides(asys, boundary)
     rows = slice(k * n_int, (k + 1) * n_int)
-    rhs, cols, width = _right_hand_sides(asys, boundary)
-    cols = cols[cols // width == l]
+    return _column_search(asys, signs, boundary, cols[cols // width == l], rows, threshold)
+
+
+def _column_search(asys, signs, boundary: bool, cols, rows, threshold=None) -> Counterexample:
+    """The field of the first column j among cols whose gauged x = D A^{-1} D
+    r_j has an entry in rows below -threshold, from one LU of A; r_j is
+    column j of the identity, or of -G when boundary.  threshold None takes
+    TOL_OP max|x| over the first _solves block.  v = -x: D A D v = -e_j with
+    zero boundary data, or D A D v + D G D_b g = 0 for g = -e_j.  If no
+    column reaches the threshold (a decision within rounding of it), the
+    least entry's column is taken, and the field is not verified."""
+    rhs, _, width = _right_hand_sides(asys, boundary)
+    d = np.repeat(signs, asys.grid.n_interior)
     best = np.inf  # the least entry of the columns taken so far
     for c0, x in _solves(LuFactor(asys.A), rhs, cols):
-        col_min = (x[rows] * d[rows, None]).min(axis=0)
+        x *= d[:, None]
+        x *= signs[cols[c0 : c0 + x.shape[1]] // width]  # now D A^{-1} D r
+        if threshold is None:
+            threshold = TOL_OP * float(np.abs(x).max())
+        col_min = x[rows].min(axis=0)
         below = col_min < -threshold
         c = int(np.argmax(below) if below.any() else np.argmin(col_min))
         if col_min[c] < best:
-            best, j, v = col_min[c], int(cols[c0 + c]), -d * x[:, c]
+            best, j, v = col_min[c], int(cols[c0 + c]), -x[:, c]
         if below.any():
             break
     g = -np.eye(asys.G.shape[1])[j] if boundary else None
@@ -675,40 +689,32 @@ def refute(asys: AssembledSystem, report: OracleReport) -> Counterexample | None
     return _field(asys, signs, v, g, threshold, j, which, rows)
 
 
-def random_probe(
-    asys: AssembledSystem,
-    trials: int,
-    seed: int = 0,
-    gauge=None,
-) -> OracleReport:
-    """Falsification-only probe: solve against random nonnegative sparse RHS.
+def decide(asys: AssembledSystem, gauge=None, settings: Settings = DEFAULT) -> OracleReport:
+    """elcomp oracle's report: inverse_positivity's, with refute's field.
 
-    A clean pass never upgrades to a definitive inverse-positivity claim;
-    the report is marked sampled.  With a gauge the probe runs on D A D,
-    through the factorization of A.  At least one trial is required: no
-    trials would be no evidence.  The first trial whose u = (D A D)^{-1} f
-    dips below -TOL_OP (1 + max|u|) gives the field v = -u, D A D v = -f.
+    Above settings.oracle_max_dof unknowns nothing is scanned.  The column
+    search (_column_search) solves, on one LU of A, the columns of A^{-1}
+    at the middle interior node of each species, ns <= BLOCK of them, and
+    checks every species block of each against -TOL_OP max|x| over them.
+    inverse_positive is False where the field is verified, and None
+    (undecided) otherwise: a column with no negative entry certifies
+    nothing.  min_entry and the boundary half stay None, and method reads
+    "columns".
     """
     dof = asys.A.shape[0]
+    if dof <= settings.oracle_max_dof:
+        report = inverse_positivity(asys, gauge, settings)
+        report.counterexample = refute(asys, report)
+        return report
     sigma, signs = _signs(asys, gauge)
-    if trials < 1:
-        raise ValidationError(f"random probe needs at least 1 trial, got {trials}")
-    d = np.repeat(signs, asys.grid.n_interior)
-    report = OracleReport(True, 0.0, None, None, None, dof, sigma, sampled=True, trials=int(trials))
-    lu = LuFactor(asys.A)
-    rng = np.random.default_rng(seed)
-    nnz = max(1, dof // 20)
-    for trial in range(int(trials)):
-        f = np.zeros(dof)
-        pos = rng.choice(dof, size=nnz, replace=False)
-        f[pos] = 1.0 - rng.random(nnz)  # values in (0, 1]
-        u = d * lu.solve(d * f)  # (D A D)^{-1} f
-        floor = -TOL_OP * (1.0 + float(np.abs(u).max()))
-        report.min_entry = min(report.min_entry, float(u.min()))
-        if u.min() < floor and report.inverse_positive:
-            report.inverse_positive = False
-            report.counterexample = _field(asys, signs, -u, None, -floor, trial, "probe")
-    return report
+    dims = [nd - 1 for nd in asys.grid.n[::-1]]  # interior nodes per axis, x fastest
+    middle = np.ravel_multi_index([m // 2 for m in dims], dims)
+    cols = asys.grid.n_interior * np.arange(asys.n_species) + middle
+    cex = _column_search(asys, signs, False, cols, slice(None))
+    reason = f"A^-1 not scanned: {dof} dof above the budget {settings.oracle_max_dof}"
+    cex = cex if cex.verified else None
+    decision = False if cex else None
+    return OracleReport(decision, None, None, None, reason, dof, sigma, "columns", cex)
 
 
 def _species_sweeps(asys: AssembledSystem, b: np.ndarray) -> np.ndarray | None:

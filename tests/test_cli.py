@@ -256,56 +256,39 @@ def test_eigen_flag_exclusivity(tmp_path):
 
 def test_oracle_prints_how_the_boundary_half_was_decided(tmp_path, capsys):
     """elcomp oracle prints boundary_monotone with its reason, which the
-    JSON report carries as boundary_reason; a probe decides no boundary
-    half and prints none."""
-    for name, line in (
-        ("lap1d", "boundary_monotone: True (G <= 0 and A^-1 >= 0)"),
-        ("thm6_failure", "boundary_monotone: None (A^-1 has a negative entry)"),
+    JSON report carries as boundary_reason; above the dof budget the
+    columns decide no boundary half, and the reason says so."""
+    for name, flags, line in (
+        ("lap1d", [], "boundary_monotone: True (G <= 0 and A^-1 >= 0)"),
+        ("thm6_failure", [], "boundary_monotone: None (A^-1 has a negative entry)"),
+        ("lap1d", ["--oracle-max-dof", "0"],
+         "boundary_monotone: None (A^-1 not scanned: 127 dof above the budget 0)"),
     ):
-        code, payload = report(tmp_path, "oracle", str(DATA / f"{name}.prob"))
+        code, payload = report(tmp_path, "oracle", str(DATA / f"{name}.prob"), *flags)
         assert code == 0
         assert line in capsys.readouterr().out.splitlines()
         assert line.endswith(f"({payload['oracle']['boundary_reason']})")
-    code, payload = report(tmp_path, "oracle", str(DATA / "lap1d.prob"), "--probe", "3")
-    assert code == 0 and payload["oracle"]["boundary_reason"] is None
-    assert "boundary_monotone" not in capsys.readouterr().out
 
 
-def test_oracle_probe_mode(tmp_path):
-    problem = write(tmp_path, "coop.prob", COOP)
-    code, payload = report(tmp_path, "oracle", problem, "--probe", "25", "--seed", "7")
-    assert code == 0
-    assert payload["oracle"]["sampled"] is True
-    assert payload["oracle"]["trials"] == 25
-    assert payload["oracle"]["inverse_positive"] is True
-
-
-@pytest.mark.parametrize("trials", ["0", "-1"])
-def test_oracle_probe_without_trials_is_an_input_error(tmp_path, trials):
-    """No trials are no evidence: not an inverse-positive report."""
-    problem = data_text("cooperative_pair.prob")
-    code, payload = report(
-        tmp_path, "oracle", write(tmp_path, "coop.prob", problem), "--probe", trials
-    )
-    assert code == 2
-    assert payload["errors"][0]["type"] == "ValidationError"
-    assert "oracle" not in payload
-
-
-def test_oracle_gauged_probe(tmp_path):
-    problem = write(tmp_path, "comp.prob", data_text("competitive17.prob"))
-    code, payload = report(
-        tmp_path, "oracle", problem, "--gauge", "--probe", "25", "--seed", "7"
-    )
-    assert code == 0
-    assert payload["gauge"] == [1, -1]
-    oracle = payload["oracle"]
-    assert oracle["gauge"] == [1, -1]
-    assert oracle["sampled"] is True
-    assert oracle["trials"] == 25
-    assert oracle["inverse_positive"] is True
-    assert oracle["min_entry"] == 0.0
-    assert oracle["counterexample"] is None
+def test_oracle_above_the_budget_searches_columns(tmp_path):
+    """Above --oracle-max-dof, elcomp oracle solves the middle column of
+    each species: the plain competitive pair is refuted with a verified
+    field, and the gauged one, which the scan certifies, is undecided (null,
+    not a certificate), exit 0 both; min_entry and the boundary half are
+    null."""
+    problem = str(DATA / "competitive17.prob")
+    for flags, decision in (([], False), (["--gauge"], None)):
+        code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", "1057", *flags)
+        assert code == 0
+        oracle = payload["oracle"]
+        assert oracle["method"] == "columns" and oracle["dof"] == 1058
+        assert oracle["inverse_positive"] is decision
+        assert (oracle["min_entry"], oracle["boundary_monotone"]) == (None, None)
+        cex = oracle["counterexample"]
+        assert (cex is None) == (decision is None)
+        assert cex is None or (cex["verified"] and cex["which"] == "oracle")
+    code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", "1058")
+    assert code == 0 and payload["oracle"]["method"] == "scan"
 
 
 def test_solve_builtin_and_field_output(tmp_path):
@@ -632,7 +615,7 @@ READS = {
     "certify": ["--tol-eig", "--max-iter", "--tol-cond", "--oracle-max-dof", "--mode",
                 "--no-oracle"],
     "eigen": ["--tol-eig", "--max-iter", "--component", "--cooperative"],
-    "oracle": ["--oracle-max-dof", "--gauge", "--probe", "--seed"],
+    "oracle": ["--oracle-max-dof", "--gauge"],
     "solve": ["--rhs-from-file", "--builtin", "--out"],
     "counterexample": ["--tol-eig", "--max-iter", "--tol-cond", "--out"],
     "gauge": [],
@@ -651,7 +634,7 @@ def test_help_lists_only_the_flags_read(capsys):
         shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert shown == {"--help", "--json", *flags}, command
         settable += len(shown) - 1
-    assert settable == 38
+    assert settable == 36
 
 
 @pytest.mark.parametrize(
@@ -669,15 +652,7 @@ def test_unread_flags_are_rejected(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as info:
         main([argv[0], problem, *argv[1:]])
     assert info.value.code == 2
-    if "--probe" in argv:
-        # probing runs no dense scan, so it takes no dense-scan budget
-        expected = "not allowed with"
-    elif argv[0] == "oracle":
-        # the seed is read only by probing
-        expected = "--seed: only allowed with --probe"
-    else:
-        expected = "unrecognized arguments"
-    assert expected in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 OUT_OF_RANGE = {
@@ -730,7 +705,7 @@ def test_flags_used_by_tests_and_benchmark_parse():
          "--tol-cond", "1e-9", "--max-iter", "9", "--oracle-max-dof", "9"],
         ["eigen", "p", "--max-iter", "2", "--component", "1"],
         ["eigen", "p", "--cooperative", "--tol-eig", "1e-9"],
-        ["oracle", "p", "--gauge", "--probe", "25", "--seed", "7"],
+        ["oracle", "p", "--gauge", "--oracle-max-dof", "0"],
         ["oracle", "p", "--oracle-max-dof", "9"],
         ["solve", "p", "--builtin", "--out", "u.field", "--json", "r.json"],
         ["solve", "p", "--rhs-from-file", "f.field", "--out", "u.field"],
@@ -750,13 +725,16 @@ def test_flags_used_by_tests_and_benchmark_parse():
         used |= set(re.findall(r"\"(--[a-z][a-z-]*)\"", path.read_text()))
     accepted = {flag for flags in READS.values() for flag in flags}
     accepted |= {"--help", "--json", "--sup"}
-    assert used <= accepted
+    # passed only by test_unread_flags_are_rejected, for argparse to refuse
+    refused = {"--probe", "--seed"}
+    assert not refused & accepted
+    assert used - refused <= accepted
     assert {"--builtin", "--sub", "--super", "--out"} <= used
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     """After the first call, main builds no argparse parser: not for another
-    command, --help, a usage error or --seed without --probe."""
+    command, --help or a usage error."""
     problem = write(tmp_path, "coop.prob", COOP)
     built = []
     construct = argparse.ArgumentParser.__init__
@@ -770,7 +748,7 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     built.clear()
     assert main(["certify", problem, "--no-oracle"]) == 0
     assert main(["eigen", problem, "--component", "1"]) == 0
-    assert main(["oracle", problem, "--probe", "3", "--seed", "2"]) == 0
+    assert main(["oracle", problem, "--oracle-max-dof", "0"]) == 0
     for argv, code in [
         (["certify", "--help"], 0),
         (["gauge", problem, "--tol-eig", "1"], 2),
@@ -792,8 +770,7 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert code == 0
     _check("lap1d.certify.json", ["certify", lap1d], tmp_path)
     problem = write(tmp_path, "coop.prob", COOP)
-    assert main(["oracle", problem, "--probe", "3", "--seed", "2"]) == 0
-    with pytest.raises(SystemExit) as info:
-        main(["oracle", problem, "--seed", "2"])
-    assert info.value.code == 2
-    assert "--seed: only allowed with --probe" in capsys.readouterr().err
+    code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", "0")
+    assert code == 0 and payload["oracle"]["method"] == "columns"
+    code, payload = report(tmp_path, "oracle", problem)
+    assert code == 0 and payload["oracle"]["method"] == "scan"

@@ -333,7 +333,7 @@ def test_no_factorization_reads_l_or_u(monkeypatch):
     run = noda_iteration(z, Settings(tol_eig=1e-9, max_iter=20), left=z.T.tocsr())
     assert run.left is not None and run.left.vector.min() > 0.0
     oracle.inverse_positivity(asys)
-    oracle.random_probe(asys, trials=3)
+    oracle.decide(asys, settings=Settings(oracle_max_dof=0))  # the column search
     u = oracle.solve_system(asys)
     assert np.allclose(a @ u, asys.f_vec - asys.G @ asys.g_vec)
     assert len(made) >= 6

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse._base as sparse_base
 import scipy.sparse.linalg as spla
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,8 +26,8 @@ from elcomp.linalg import LuFactor, dense_inverse, inf_norm, lu_order, lu_solve
 from elcomp.mesh import build_grid
 from elcomp.oracle import (
     TOL_OP,
+    decide,
     inverse_positivity,
-    random_probe,
     refute,
     solve_system,
 )
@@ -56,7 +56,7 @@ def test_m_matrix_is_inverse_positive():
     assert rep.min_entry >= 0.0
     assert rep.min_boundary_entry is None
     assert rep.dof == 30
-    assert rep.gauge is None and not rep.sampled
+    assert rep.gauge is None and rep.method == "scan"
 
 
 def test_strong_negative_diagonal_breaks_positivity():
@@ -394,25 +394,6 @@ def test_solve_system_reproduces_manufactured_solution():
     assert np.abs(asys.A @ u + asys.G @ asys.g_vec - asys.f_vec).max() < 1e-10
 
 
-def test_random_probe_negative_case_and_determinism():
-    grid = build_grid(1, (0.0,), (1.0,), (16,))
-    bad = assemble_system(laplace_system(grid, c=-30.0))
-    rep1 = random_probe(bad, trials=40, seed=3)
-    rep2 = random_probe(bad, trials=40, seed=3)
-    assert not rep1.inverse_positive
-    assert rep1.sampled and rep1.trials == 40
-    assert rep1.min_entry == rep2.min_entry
-    cex1, cex2 = rep1.counterexample, rep2.counterexample
-    assert cex1.verified and cex1.which == "probe"
-    assert cex1.j == cex2.j and cex1.residual_max == cex2.residual_max
-    assert np.array_equal(cex1.w.values, cex2.w.values)
-    good = assemble_system(laplace_system(grid))
-    rep3 = random_probe(good, trials=20, seed=0)
-    assert rep3.inverse_positive
-    assert rep3.sampled
-    assert rep3.counterexample is None
-
-
 def test_oracle_report_json_shape():
     grid = build_grid(1, (0.0,), (1.0,), (8,))
     rep = inverse_positivity(assemble_system(laplace_system(grid)))
@@ -425,8 +406,7 @@ def test_oracle_report_json_shape():
         "boundary_reason",
         "dof",
         "gauge",
-        "sampled",
-        "trials",
+        "method",
         "counterexample",
     }
     assert d["inverse_positive"] is True
@@ -754,6 +734,97 @@ def test_refute_gives_the_first_refuting_column(case):
             assert cex.j == l * width + first
 
 
+_COLUMNS = Settings(oracle_max_dof=0)  # every system is above the budget
+
+
+def _tiny_negative_middle_column():
+    """A 1D scalar system whose inverse is M below: its middle column, 1,
+    dips to -1e-12, within the columns' threshold -TOL_OP max|x| = -2e-9."""
+    grid = build_grid(1, 0.0, 1.0, 4)
+    asys = assemble_system(laplace_system(grid))
+    m = np.array([[1.0, -1e-12, 0.9], [0.5, 2.0, 0.5], [0.2, 0.5, 3.0]])
+    return replace(asys, A=sp.csr_matrix(np.linalg.inv(m))), None
+
+
+def _middle_nodes(asys):
+    """The unknowns of the interior node at position m_d // 2 along each
+    axis d, m_d the interior nodes on that axis: n_d // 2 + n_d % 2 cells
+    from the lower corner."""
+    grid = asys.grid
+    at = [grid.lo[d] + (grid.n[d] + 1) // 2 * grid.h[d] for d in range(grid.dim)]
+    (node,) = np.flatnonzero(np.isclose(grid.coords[grid.interior_ids], at).all(axis=1))
+    return node + grid.n_interior * np.arange(asys.n_species)
+
+
+def _assert_columns(asys, gauge, scan):
+    """decide's column search against the scan's report: never False where
+    the scan certifies, and False only with a verified field, which ==
+    "oracle", from a middle column j, whose image under D A D is -e_j with
+    zero boundary data, to rounding; min_entry and the boundary half are
+    None.  Returns the report."""
+    rep = decide(asys, gauge, _COLUMNS)
+    assert rep.method == "columns" and rep.gauge == scan.gauge
+    assert (rep.min_entry, rep.boundary_monotone, rep.min_boundary_entry) == (None, None, None)
+    assert rep.inverse_positive in (False, None)
+    if scan.inverse_positive:
+        assert rep.inverse_positive is None
+    cex = rep.counterexample
+    assert (cex is None) == (rep.inverse_positive is None)
+    if cex is not None:
+        assert cex.verified and cex.which == "oracle" and cex.j in _middle_nodes(asys)
+        signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
+        d = np.repeat(signs, asys.grid.n_interior)
+        v = cex.w.interior.ravel()
+        image = d * (asys.A @ (d * v))
+        image[cex.j] += 1.0
+        assert np.abs(image).max() <= 1e-8 * inf_norm(asys.A) * np.abs(v).max()
+        assert not cex.w.boundary.any()
+    return rep
+
+
+@given(
+    st.tuples(st.booleans(), st.booleans(), st.booleans()).flatmap(
+        lambda f: _oracle_case(cross=f[0], two_d=f[1], symmetric=f[2])
+    )
+)
+@example(_tiny_negative_middle_column())
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+def test_columns_refute_only_what_the_scan_refutes(case):
+    """Above the dof budget, the middle column of each species decides no
+    system that the scan certifies, an entry within -TOL_OP max|x| of 0
+    included, and each refutation carries a verified field
+    (_assert_columns), plain and gauged.  These draws couple pointwise with
+    random signs, so a middle column can miss a negative entry that the
+    scan finds: a miss is None, not a certificate."""
+    asys, gauge = case
+    for g in (None, gauge):
+        try:
+            scan = inverse_positivity(asys, gauge=g)
+        except SingularMatrix:
+            return
+        _assert_columns(asys, g, scan)
+
+
+@given(coupled_systems(), st.data())
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+def test_columns_refute_every_coupled_system_the_scan_refutes(text, data):
+    """On systems whose couplings are constant, as the bundled and the
+    benchmark ones are, the middle column of each species refutes every
+    system that the scan refutes, plain and in a random gauge order,
+    besides _assert_columns."""
+    asys = parse_problem(text).discretize().assembled("full")
+    gauge = data.draw(st.tuples(*[st.sampled_from((1, -1))] * asys.n_species))
+    for g in (None, gauge):
+        try:
+            scan = inverse_positivity(asys, gauge=g)
+        except SingularMatrix:
+            return
+        rep = _assert_columns(asys, g, scan)
+        assert rep.inverse_positive is (None if scan.inverse_positive else False)
+
+
 def _strip_singular():
     """The 20^2 scalar Laplacian with c = -4 h^-2 (sin^2(pi h / 2) +
     sin^2(pi / 22)): the Dirichlet problem on its first 10 grid lines alone
@@ -1014,6 +1085,43 @@ def test_diagonal_inter_line_blocks_change_no_value(species, coupling, monkeypat
     assert [r.rsplit("; ", 1)[1] for r in records] == ["inter-line blocks diagonal", "inter-line blocks dense"]
     assert scans[0] is not None and scans[0] == scans[1]
     assert phis[0] == phis[1] > 0.0
+
+
+@pytest.mark.parametrize(
+    "species",
+    [
+        [{"a11": "1 + x", "c": "1"}, {"b1": "2"}],
+        [{"a11": "1 + x", "a12": "0.1", "a21": "0.1"}, {"c": "2", "b2": "-1"}],
+    ],
+    ids=["five-point", "nine-point"],
+)
+def test_slab_guard_phi_is_the_block_lu_bound(species, monkeypatch):
+    """The guard's phi is max_p kappa_inf(S_p) (1 + |L|_inf |U|_inf /
+    |A|_inf) for the block LU of the line-numbered A, L unit lower and U
+    upper block bidiagonal with U_pp = S_p and U_{p,p+1} = A_{p,p+1}, to
+    1e-12 relative: here L and U are built densely from A's blocks."""
+    asys = _text_system(species, {"m12": "-1", "m21": "0.5"}, shape=(7, 6))
+    phis = []  # phi, from the hand-off of a guard at 0
+    monkeypatch.setattr(oracle, "SLAB_PHI_MAX", 0.0)
+    monkeypatch.setattr(oracle, "_hand_off", lambda reason, *args: phis.append(args[0]))
+    assert oracle._scan_slabs(asys) is None
+    perm, n_lines, per_line = oracle._line_order(asys.grid, asys.n_species)
+    m = asys.n_species * per_line
+    a = asys.A.toarray()[np.ix_(perm, perm)]
+    lines = [slice(p * m, (p + 1) * m) for p in range(n_lines)]
+    low, up = np.eye(a.shape[0]), np.zeros_like(a)
+    s, kappa = a[lines[0], lines[0]], 0.0
+    for p, line in enumerate(lines):
+        up[line, line] = s
+        kappa = max(kappa, np.linalg.norm(s, np.inf) * np.linalg.norm(np.linalg.inv(s), np.inf))
+        if p + 1 < n_lines:
+            below = lines[p + 1]
+            up[line, below] = a[line, below]
+            low[below, line] = a[below, line] @ np.linalg.inv(s)
+            s = a[below, below] - low[below, line] @ a[line, below]
+    assert np.abs(low @ up - a).max() <= 1e-12 * np.abs(a).max()
+    l_norm, u_norm, a_norm = (np.abs(x).sum(axis=1).max() for x in (low, up, a))
+    assert phis == [pytest.approx(kappa * (1.0 + l_norm * u_norm / a_norm), rel=1e-12)]
 
 
 def test_nine_point_operators_keep_dense_inter_line_blocks():
