@@ -20,18 +20,21 @@ import numpy as np
 
 from .errors import EvalDomainError, ParseError, ValidationError
 
-# function name -> arity
-FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "tanh": 1,
-    "min": 2,
-    "max": 2,
+# name -> (numpy function, slope); slope(value, *args, *arg_slopes) is the
+# chain rule's slope of the value from its arguments' values and slopes
+_FUNCS = {
+    "sin": (np.sin, lambda v, a, da: np.cos(a) * da),
+    "cos": (np.cos, lambda v, a, da: -np.sin(a) * da),
+    "exp": (np.exp, lambda v, a, da: v * da),
+    "log": (np.log, lambda v, a, da: da / a),
+    "sqrt": (np.sqrt, lambda v, a, da: 0.5 * da / v),
+    "abs": (np.abs, lambda v, a, da: np.sign(a) * da),
+    "tanh": (np.tanh, lambda v, a, da: (1.0 - v * v) * da),
+    "min": (np.minimum, lambda v, a, b, da, db: np.where(a <= b, da, db)),
+    "max": (np.maximum, lambda v, a, b, da, db: np.where(a >= b, da, db)),
 }
+
+FUNCTIONS = {name: fn.nin for name, (fn, _) in _FUNCS.items()}  # name -> arity
 
 
 @dataclass(frozen=True)
@@ -270,47 +273,51 @@ def expr_to_str(e: Expr) -> str:
 
 # ----------------------------------------------------------------- evaluator
 
-_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "tanh": np.tanh,
-    "min": np.minimum,
-    "max": np.maximum,
-}
+def _power_slope(v, a, b, da, db):
+    """Slope of a^b; the log term enters only where b's slope is nonzero,
+    so a constant exponent never takes the log of its base."""
+    return b * a ** (b - 1.0) * da + np.where(db != 0, v * np.log(a) * db, 0.0)
+
 
 _BINOPS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-    "^": np.power,
+    "+": (np.add, lambda v, a, b, da, db: da + db),
+    "-": (np.subtract, lambda v, a, b, da, db: da - db),
+    "*": (np.multiply, lambda v, a, b, da, db: da * b + a * db),
+    "/": (np.divide, lambda v, a, b, da, db: (da - v * db) / b),
+    "^": (np.power, _power_slope),
 }
 
 COORDS = ("x", "y")  # coordinate names; a dim-D grid uses the first dim
 
 
-def _eval(e: Expr, env: dict, bad: np.ndarray):
-    """Value of e over the node arrays in env; sets bad wherever this value
-    or any value computed on the way to it is not finite."""
+def _walk(e: Expr, env: dict, var, bad: np.ndarray):
+    """(value, slope in var) of e over the node arrays in env, by forward
+    mode; the slope is None where e does not depend on var.  Sets bad
+    wherever this value or slope, or any computed on the way, is not finite."""
     if isinstance(e, Num):
-        out = e.value
+        out, slope = e.value, None
     elif isinstance(e, Var):
         try:
             out = env[e.name]
         except KeyError:
             raise EvalDomainError(f"unbound variable {e.name!r}") from None
+        slope = 1.0 if e.name == var else None
     elif isinstance(e, Neg):
-        out = -_eval(e.arg, env, bad)
-    elif isinstance(e, Call):
-        out = _FUNCS[e.name](*(_eval(a, env, bad) for a in e.args))
+        arg, d = _walk(e.arg, env, var, bad)
+        out, slope = -arg, None if d is None else -d
     else:
-        out = _BINOPS[e.op](_eval(e.left, env, bad), _eval(e.right, env, bad))
+        if isinstance(e, Call):
+            (fn, rule), children = _FUNCS[e.name], e.args
+        else:
+            (fn, rule), children = _BINOPS[e.op], (e.left, e.right)
+        args, ds = zip(*[_walk(c, env, var, bad) for c in children])
+        out = fn(*args)
+        slope = None
+        if any(d is not None for d in ds):
+            slope = rule(out, *args, *(0.0 if d is None else d for d in ds))
+            bad |= ~np.isfinite(slope)
     bad |= ~np.isfinite(out)
-    return out
+    return out, slope
 
 
 def evaluate(e: Expr, env: dict, n: int):
@@ -321,10 +328,29 @@ def evaluate(e: Expr, env: dict, n: int):
     """
     bad = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        out = _eval(e, env, bad)
+        out, _ = _walk(e, env, None, bad)
     vals = np.empty(n)
     vals[...] = out
     return vals, bad
+
+
+def derivative(e: Expr, env: dict, var: str, n: int):
+    """(slope, bad) of e in the variable var at n nodes, exact up to rounding.
+
+    Forward mode over the same walk as evaluate: sum, product, quotient and
+    chain rules, and for a^b the log term only where b depends on var.
+    abs has slope sign(a), 0 at 0; min and max take the slope of the
+    argument whose value they return, the first one at a tie.  bad flags
+    every node where a value or a slope anywhere on the way is non-finite,
+    so sqrt(u) is flagged in u where u = 0.
+    """
+    bad = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        _, d = _walk(e, env, var, bad)
+    slope = np.zeros(n)
+    if d is not None:
+        slope[...] = d
+    return slope, bad
 
 
 def eval_expr(e: Expr, point) -> float:

@@ -10,6 +10,7 @@ Values are written with repr, so a save/load round trip is bit exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,8 @@ def decode_text(data: bytes) -> str:
 
 def load_fields(source, grid: Grid | None = None) -> list:
     """Parse every field block in the file source, a path or the bytes read
-    from one; grid, if given, must match."""
+    from one; grid, if given, must match.  A nan or inf value is a
+    ParseError at its line."""
     text = decode_text(source) if isinstance(source, bytes) else read_text(source)
     raw = text.splitlines()
     fields = []
@@ -179,9 +181,12 @@ def load_fields(source, grid: Grid | None = None) -> list:
         if current is None:
             raise ParseError("value before any field header", line=lineno)
         try:
-            current[2].append(float(stripped))
+            value = float(stripped)
         except ValueError:
             raise ParseError(f"bad value {stripped!r}", line=lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {stripped!r}", line=lineno)
+        current[2].append(value)
     if current is not None:
         fields.append(_finish_block(current))
     if not fields:

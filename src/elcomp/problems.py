@@ -7,8 +7,8 @@ of a line:
     [species k]         a11..a22, b1, b2, c, f, g (expressions, defaults:
                         identity diffusion, everything else 0)
     [coupling]          mKL = expression (default 0)
-    [quasilinear]       fluxK_I, FK, optional closed-form partials
-                        (dfluxK_I_dpJ, dfluxK_I_du, dFK_duJ, dFK_dpI)
+    [quasilinear]       fluxK_I, FK (expressions; their Jacobians are
+                        derived from them, and no other key is accepted)
 
 With a [quasilinear] section the species sections may only carry data
 (f, g) and [coupling] is not allowed; the result is a QuasiSpec.
@@ -30,12 +30,6 @@ _SECTION_RE = re.compile(r"^\[\s*([a-z]+)(?:\s+(\d+))?\s*\]$")
 _COUPLING_RE = re.compile(r"^m(\d)(\d)$|^m(\d+)_(\d+)$")
 _FLUX_RE = re.compile(r"^flux(\d+)_(\d+)$")
 _REACTION_RE = re.compile(r"^F(\d+)$")
-_PARTIAL_RES = (
-    re.compile(r"^dflux(\d+)_(\d+)_dp(\d+)$"),
-    re.compile(r"^dflux(\d+)_(\d+)_du$"),
-    re.compile(r"^dF(\d+)_du(\d+)$"),
-    re.compile(r"^dF(\d+)_dp(\d+)$"),
-)
 
 
 class _Value(NamedTuple):
@@ -165,7 +159,6 @@ def _parse_coupling(keys, n: int):
 def _parse_quasilinear(keys, n: int, dim: int):
     flux = [[None] * dim for _ in range(n)]
     reactions = [None] * n
-    partials = {}
     for key, value in keys.items():
         match = _FLUX_RE.match(key)
         if match:
@@ -181,9 +174,6 @@ def _parse_quasilinear(keys, n: int, dim: int):
                 raise ValidationError(f"{key} references species outside 1..{n}")
             reactions[k - 1] = _expr(value, key)
             continue
-        if any(rx.match(key) for rx in _PARTIAL_RES):
-            partials[key] = _expr(value, key)
-            continue
         raise ValidationError(f"[quasilinear] has unknown key {key!r}")
     for k in range(n):
         for i in range(dim):
@@ -191,7 +181,7 @@ def _parse_quasilinear(keys, n: int, dim: int):
                 raise ValidationError(f"[quasilinear] is missing flux{k + 1}_{i + 1}")
         if reactions[k] is None:
             raise ValidationError(f"[quasilinear] is missing F{k + 1}")
-    return tuple(tuple(row) for row in flux), tuple(reactions), partials
+    return tuple(tuple(row) for row in flux), tuple(reactions)
 
 
 def parse_problem(text: str):
@@ -238,10 +228,8 @@ def parse_problem(text: str):
                 "[coupling] is not allowed in a quasilinear problem; put the "
                 "state dependence into the reactions"
             )
-        flux, reactions, partials = _parse_quasilinear(
-            by_name["quasilinear"], n, grid.dim
-        )
-        qs = QuasiSpec(grid, flux, reactions, tuple(fs), tuple(gs), partials)
+        flux, reactions = _parse_quasilinear(by_name["quasilinear"], n, grid.dim)
+        qs = QuasiSpec(grid, flux, reactions, tuple(fs), tuple(gs))
         qs.validate()
         return qs
     m = _parse_coupling(by_name.get("coupling", {}), n)

@@ -12,7 +12,7 @@ that frozen-coefficient system transfers back to the pair (u, v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .expressions import (
     Num,
     Var,
     const,
-    evaluate,
+    derivative,
     validate_variables,
 )
 from .fields import BlockField
@@ -34,35 +34,18 @@ from .mesh import Grid
 from .settings import DEFAULT, Settings
 
 GAUSS_POINTS = 5
-FD_STEP = 1e-6
 
 
-def _eval_checked(e: Expr, env: dict, context: str) -> np.ndarray:
-    vals, bad = evaluate(e, env, len(env["x"]))
+def _slope(e: Expr, env: dict, var: str, grid: Grid, name: str, s: float):
+    """Exact slope of e in var at every node; a non-finite value or slope is
+    an EvalDomainError at the first such node and Gauss point s."""
+    slope, bad = derivative(e, env, var, grid.n_nodes)
     if bad.any():
-        raise EvalDomainError(f"{context}: non-finite value along the segment")
-    return vals
-
-
-def _fd_partial(e: Expr, env: dict, var: str, context: str) -> np.ndarray:
-    """Central difference in one argument, vectorized over nodes."""
-    base = np.asarray(env[var], dtype=float)
-    step = FD_STEP * (1.0 + np.abs(base))
-    hi = dict(env)
-    lo = dict(env)
-    hi[var] = base + step
-    lo[var] = base - step
-    return (_eval_checked(e, hi, context) - _eval_checked(e, lo, context)) / (
-        2.0 * step
-    )
-
-
-def _partial(qs, key: str, e: Expr, env: dict, var: str, context: str):
-    """The closed-form partial qs.partials[key] if given, else a central
-    difference of e in var."""
-    if key in qs.partials:
-        return _eval_checked(qs.partials[key], env, key)
-    return _fd_partial(e, env, var, context)
+        raise EvalDomainError(
+            f"{name} at s={s:.6f}: non-finite value or slope in {var}",
+            point=grid.node_coord(int(np.argmax(bad))),
+        )
+    return slope
 
 
 # ----------------------------------------------------------------- spec
@@ -72,9 +55,8 @@ def _partial(qs, key: str, e: Expr, env: dict, var: str, context: str):
 class QuasiSpec:
     """Quasilinear system: fluxes of (x, u, p), reactions of (x, u1..uN, p).
 
-    partials may provide closed-form Jacobian expressions under the keys
-    dflux{l}_{i}_dp{j}, dflux{l}_{i}_du, dF{l}_du{k}, dF{l}_dp{i} (1-based);
-    any missing partial falls back to a central difference.
+    linearize differentiates these expressions exactly; there are no
+    separate Jacobian expressions to keep in step with them.
     """
 
     grid: Grid
@@ -82,7 +64,6 @@ class QuasiSpec:
     F: tuple  # N Expr
     f: tuple  # N Expr, data in the coordinates
     g: tuple  # N Expr, Dirichlet data
-    partials: dict = field(default_factory=dict)
 
     @property
     def n_species(self) -> int:
@@ -107,9 +88,6 @@ class QuasiSpec:
             validate_variables(self.F[l], reac_vars, f"F{l + 1}")
             validate_variables(self.f[l], coords, f"f{l + 1}")
             validate_variables(self.g[l], coords, f"g{l + 1}")
-        for key, e in self.partials.items():
-            allowed = flux_vars if key.startswith("dflux") else reac_vars
-            validate_variables(e, allowed, key)
 
 
 def _sum_terms(terms) -> Expr:
@@ -131,24 +109,21 @@ def _coeff_times(coeff: Expr, var: str):
 def from_linear_system(spec: SystemSpec) -> QuasiSpec:
     """Exact quasilinear embedding of a linear system.
 
-    Closed-form partials are attached, so linearizing at any pair of fields
-    reproduces the original coefficients up to quadrature roundoff.
+    Its fluxes and reactions are linear in (u, p), so their exact slopes
+    are the original coefficients: linearizing at any pair of fields
+    reproduces them up to quadrature roundoff.
     """
     spec.validate()
     dim = spec.grid.dim
     n = spec.n_species
     flux = []
     reac = []
-    partials: dict = {}
     for l, op in enumerate(spec.ops):
         comps = []
         for i in range(dim):
             comps.append(
                 _sum_terms(_coeff_times(op.a[j][i], f"p{j + 1}") for j in range(dim))
             )
-            partials[f"dflux{l + 1}_{i + 1}_du"] = const(0.0)
-            for j in range(dim):
-                partials[f"dflux{l + 1}_{i + 1}_dp{j + 1}"] = op.a[j][i]
         flux.append(tuple(comps))
         terms = [_coeff_times(op.b[i], f"p{i + 1}") for i in range(dim)]
         for k in range(n):
@@ -156,11 +131,8 @@ def from_linear_system(spec: SystemSpec) -> QuasiSpec:
             if k == l:
                 coeff = BinOp("+", op.c, coeff)
             terms.append(_coeff_times(coeff, f"u{k + 1}"))
-            partials[f"dF{l + 1}_du{k + 1}"] = coeff
-        for i in range(dim):
-            partials[f"dF{l + 1}_dp{i + 1}"] = op.b[i]
         reac.append(_sum_terms(terms))
-    qs = QuasiSpec(spec.grid, tuple(flux), tuple(reac), spec.f, spec.g, partials)
+    qs = QuasiSpec(spec.grid, tuple(flux), tuple(reac), spec.f, spec.g)
     qs.validate()
     return qs
 
@@ -239,7 +211,14 @@ class LinearizedSystem:
 
 
 def linearize(qs: QuasiSpec, u, v) -> LinearizedSystem:
-    """Gauss-Legendre average of the Jacobians along v + s (u - v)."""
+    """Gauss-Legendre average of the Jacobians along v + s (u - v).
+
+    Each Jacobian entry is the exact forward-mode slope of the flux or
+    reaction expression (expressions.derivative), so the mean-value
+    identity behind Theorem 8 holds up to rounding and quadrature.  A
+    non-finite value or slope raises EvalDomainError with the first bad
+    node in point and the Gauss point s in the message.
+    """
     qs.validate()
     grid = qs.grid
     n = qs.n_species
@@ -268,14 +247,12 @@ def linearize(qs: QuasiSpec, u, v) -> LinearizedSystem:
                 env[f"p{i + 1}"] = grads[l, i]
             ds_tensor = np.empty((dim, dim, grid.n_nodes))
             for i in range(dim):
-                name = f"flux{l + 1}_{i + 1}"
+                flux, name = qs.flux[l][i], f"flux{l + 1}_{i + 1}"
                 for j in range(dim):
-                    key = f"dflux{l + 1}_{i + 1}_dp{j + 1}"
-                    val = _partial(qs, key, qs.flux[l][i], env, f"p{j + 1}", name)
+                    val = _slope(flux, env, f"p{j + 1}", grid, name, s)
                     ds_tensor[i, j] = val
                     B[l, i, j] += w * val
-                key = f"dflux{l + 1}_{i + 1}_du"
-                B0[l, i] += w * _partial(qs, key, qs.flux[l][i], env, "u", name)
+                B0[l, i] += w * _slope(flux, env, "u", grid, name, s)
             lo, _ = _sym_eig_range(ds_tensor)
             if float(lo.min()) <= 0.0:
                 node = int(np.argmin(lo))
@@ -289,12 +266,11 @@ def linearize(qs: QuasiSpec, u, v) -> LinearizedSystem:
                 env_r[f"u{k + 1}"] = state[k]
             for i in range(dim):
                 env_r[f"p{i + 1}"] = grads[l, i]
+            name = f"F{l + 1}"
             for k in range(n):
-                key, var = f"dF{l + 1}_du{k + 1}", f"u{k + 1}"
-                E[l, k] += w * _partial(qs, key, qs.F[l], env_r, var, f"F{l + 1}")
+                E[l, k] += w * _slope(qs.F[l], env_r, f"u{k + 1}", grid, name, s)
             for i in range(dim):
-                key, var = f"dF{l + 1}_dp{i + 1}", f"p{i + 1}"
-                H[l, i] += w * _partial(qs, key, qs.F[l], env_r, var, f"F{l + 1}")
+                H[l, i] += w * _slope(qs.F[l], env_r, f"p{i + 1}", grid, name, s)
     return LinearizedSystem(grid, n, B, B0, E, H)
 
 

@@ -230,7 +230,7 @@ def test_acceptance_8_quasilinear_reduction():
         float(np.abs(lin2.E[1, 0] + 0.2).max()),
         float(np.abs(lin2.E[1, 1] - 0.5).max()),
     )
-    assert jac_err <= 1e-6
+    assert jac_err <= 1e-14
     print(
         f"acceptance 8: PASS round_trip_err={coeff_err:.2e} "
         f"jacobian_err={jac_err:.2e} verdict={via.kind}"

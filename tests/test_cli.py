@@ -341,6 +341,28 @@ def test_solve_rhs_from_file(tmp_path):
     assert payload["input_digest"].startswith("sha256:")
 
 
+def test_solve_rhs_with_a_nan_is_an_input_error(tmp_path, capsys):
+    """A nan in the right-hand side file is exit 2 at its line, not a
+    singular matrix."""
+    problem = write(tmp_path, "coop.prob", COOP)
+    grid = build_grid(1, (0.0,), (1.0,), (16,))
+    from elcomp.expressions import parse_expr
+    from elcomp.fields import block_from_exprs, save_fields
+
+    rhs_path = tmp_path / "rhs.field"
+    save_fields(rhs_path, block_from_exprs(grid, [parse_expr("1"), parse_expr("0")]))
+    lines = rhs_path.read_text().splitlines()
+    lines[5] = "nan"
+    rhs_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.json"
+    argv = ["solve", problem, "--rhs-from-file", str(rhs_path), "--out", str(tmp_path / "u.field")]
+    code = main(argv + ["--json", str(out)])
+    assert code == 2
+    (error,) = json.loads(out.read_text())["errors"]
+    assert error["type"] == "ParseError"
+    assert "line 6" in capsys.readouterr().err
+
+
 def test_solve_rhs_from_file_matches_builtin_on_a_2d_pair(tmp_path, caplog):
     """A 2D pair's own f, written as a field and read by --rhs-from-file,
     gives the field that --builtin writes, byte for byte; both runs take

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from elcomp.errors import EvalDomainError, ParseError, ValidationError
 from elcomp.expressions import (
+    FUNCTIONS,
     eval_expr,
     expr_to_str,
     parse_expr,
@@ -38,6 +39,17 @@ def test_functions():
     assert eval_expr(parse_expr("min(2, exp(x))"), env) == pytest.approx(
         math.exp(0.5)
     )
+
+
+def test_arities_come_from_the_function_table():
+    """The parser's arity table is read off the numpy functions that
+    evaluate each name."""
+    unary = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh")
+    assert FUNCTIONS == {**dict.fromkeys(unary, 1), "min": 2, "max": 2}
+    with pytest.raises(ParseError, match="min takes 2 argument"):
+        parse_expr("min(x)")
+    with pytest.raises(ParseError, match="sqrt takes 1 argument"):
+        parse_expr("sqrt(x, 1)")
 
 
 def test_tuple_point_binds_x_then_y():

@@ -106,6 +106,16 @@ def test_malformed_inputs(tmp_path):
         load_fields(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_values_are_parse_errors_at_their_line(tmp_path, value):
+    path = tmp_path / "nan.field"
+    path.write_text(f"# field u1 grid 1 4 0.0 1.0\n0.0\n1.0\n{value}\n0.0\n0.0\n")
+    with pytest.raises(ParseError) as info:
+        load_fields(path)
+    assert info.value.line == 4
+    assert repr(value) in str(info.value)
+
+
 def test_load_fields_rejects_non_utf8(tmp_path):
     path = tmp_path / "latin1.field"
     header = b"# field u1 grid 1 4 0.0 1.0\n"

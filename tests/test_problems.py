@@ -224,8 +224,7 @@ def test_coupling_underscore_form_matches_compact():
 
 
 def test_quasilinear_problem():
-    qs = prob(
-        """
+    text = """
         [domain]
         dim = 1
         lo = 0
@@ -242,14 +241,17 @@ def test_quasilinear_problem():
         flux2_1 = p1
         F1 = u1 * u2
         F2 = 0.5 * u2 - 0.2 * u1
-        dF2_du1 = -0.2
         """
-    )
+    qs = prob(text)
     assert isinstance(qs, QuasiSpec)
     assert qs.n_species == 2
-    assert "dF2_du1" in qs.partials
     assert eval_expr(qs.F[1], {"u1": 1.0, "u2": 2.0}) == 0.8
     assert eval_expr(qs.f[0], (0.0,)) == 1.0
+    # Jacobians come from the fluxes and reactions themselves, so a
+    # hand-written partial is an unknown key, not an override
+    with pytest.raises(ValidationError) as info:
+        prob(text + "        dF2_du1 = -0.2\n")
+    assert "unknown key 'dF2_du1'" in str(info.value)
 
 
 def test_quasilinear_rules():

@@ -26,7 +26,7 @@ from elcomp.settings import Settings
 from helpers import laplace_system, op_of, system_of
 
 
-def qspec(grid, flux, F, f=None, g=None, partials=None):
+def qspec(grid, flux, F, f=None, g=None):
     n = len(F)
     zero = ["0"] * n
     return QuasiSpec(
@@ -35,7 +35,6 @@ def qspec(grid, flux, F, f=None, g=None, partials=None):
         tuple(parse_expr(e) for e in F),
         tuple(parse_expr(e) for e in (f or zero)),
         tuple(parse_expr(e) for e in (g or zero)),
-        {k: parse_expr(v) for k, v in (partials or {}).items()},
     )
 
 
@@ -143,19 +142,6 @@ def test_reaction_jacobian_segment_average():
     assert np.allclose(lin.E[1, 1], 0.5, rtol=1e-8)
 
 
-def test_closed_form_partials_override_fd():
-    grid = grid1(8)
-    # deliberately wrong closed form: the linearizer must trust it
-    qs = qspec(
-        grid,
-        [["p1"]],
-        ["0"],
-        partials={"dflux1_1_dp1": "7"},
-    )
-    lin = linearize(qs, const_fields(grid, [0.0]), const_fields(grid, [0.0]))
-    assert np.allclose(lin.B[0, 0, 0], 7.0)
-
-
 def test_gradient_reaction_enters_convection():
     """F depending on the own gradient contributes first-order terms."""
     grid = grid1(8)
@@ -181,6 +167,39 @@ def test_eval_domain_guard():
     zero = const_fields(grid, [0.0])
     with pytest.raises(EvalDomainError):
         linearize(qs, zero, zero)
+
+
+def test_slopes_are_exact_where_central_differences_left_the_domain():
+    """F1 = sqrt(u1) with u1 running 1e-8 -> 2e-8: dF1/du1 averages
+    int 0.5 / sqrt(1e-8 (1 + s)) ds = 1e4 (sqrt 2 - 1), about 4.14e3, and
+    the 5-point Gauss rule of that integral to rounding.  A central
+    difference with step 1e-6 stepped below 0 there."""
+    grid = grid1(8)
+    qs = qspec(grid, [["p1"]], ["sqrt(u1)"])
+    lin = linearize(qs, const_fields(grid, [2e-8]), const_fields(grid, [1e-8]))
+    assert np.all(np.isfinite(lin.E))
+    xs, ws = np.polynomial.legendre.leggauss(5)
+    rule = sum(0.25 * w / math.sqrt(1e-8 * (1.5 + 0.5 * x)) for x, w in zip(xs, ws))
+    assert np.allclose(lin.E[0, 0], rule, rtol=1e-13, atol=0)
+    assert rule == pytest.approx(1e4 * (math.sqrt(2.0) - 1.0), rel=1e-8)
+    # the flux p1 has slope exactly 1 at each Gauss point, so B is the sum
+    # of the weights to the last bit
+    weights = 0.0
+    for w in 0.5 * ws:
+        weights += w
+    assert np.all(lin.B[0, 0, 0] == weights)
+
+
+def test_eval_domain_error_names_the_node_and_gauss_point():
+    """sqrt(u1) has an infinite slope where u1 = 0; the error carries
+    that node's coordinates and the Gauss point it was met at."""
+    grid = grid1(8)
+    qs = qspec(grid, [["p1"]], ["sqrt(u1)"])
+    u = block_from_exprs(grid, [parse_expr("abs(x - 0.5)")])
+    with pytest.raises(EvalDomainError) as info:
+        linearize(qs, u, u)
+    assert info.value.point == (0.5,)
+    assert "F1 at s=0.046910" in str(info.value)
 
 
 # ------------------------------------------------------------- validation
