@@ -165,12 +165,20 @@ class Verdict:
 # ------------------------------------------------------------ conditions
 
 
-def _margins(ds, lams, settings: Settings = DEFAULT):
+def _tol(pair, settings: Settings = DEFAULT) -> float:
+    """How far a margin of pair's lambda must clear zero to decide: tol_cond
+    (1 + |lambda|), or cw's width when wider, as at the rounding floor."""
+    return max(settings.tol_cond * (1.0 + abs(pair.value)), pair.cw[1] - pair.cw[0])
+
+
+def _margins(ds, pairs, settings: Settings = DEFAULT):
     """Per-species tolerances, m_plus on interior nodes, and the margins
-    diag[j, x] = lam_j + m_jj_plus(x), col[j, x] = lam_j + sum_k m_kj_plus(x)."""
-    n = len(lams)
+    diag[j, x] = lam_j + m_jj_plus(x), col[j, x] = lam_j + sum_k m_kj_plus(x),
+    species j taking the eigenpair pairs[j]."""
+    n = len(pairs)
+    lams = [p.value for p in pairs]
     mp = ds.m_plus[:, :, ds.grid.interior_ids]
-    tols = [settings.tol_cond * (1.0 + abs(lams[j])) for j in range(n)]
+    tols = [_tol(p, settings) for p in pairs]
     diag = np.array([lams[j] + mp[j, j] for j in range(n)])
     col = np.array([lams[j] + mp[:, j, :].sum(axis=0) for j in range(n)])
     return tols, mp, diag, col
@@ -228,7 +236,7 @@ def check_thm1(spec, settings: Settings = DEFAULT) -> Verdict:
         )
     pair = _memo_eigenpair(ds, asys.A, asys.key, settings, KNOWN_Z)
     lam = pair.value
-    tol = settings.tol_cond * (1.0 + abs(lam))
+    tol = _tol(pair, settings)
     verdict = Verdict("Inconclusive", theorem="Theorem 1", mode=settings.mode)
     verdict.eigen["system"] = pair
     verdict.margins["lambda"] = lam
@@ -265,16 +273,16 @@ def _block_margins(ds, verdict, blocks, keys, holds, settings: Settings = DEFAUL
     lam_j w_j + sum_k m_kj_plus w_k > tol along the left eigenvectors w.
     """
     n = ds.n_species
-    lams = [0.0] * n
+    pairs = [None] * n
     lefts = [None] * n
     for block, key in zip(blocks, keys):
         pair = block_eigen(ds, block, settings)
         verdict.eigen[key] = pair
         left = pair.left.reshape(len(block), -1)
         for bi, k in enumerate(block):
-            lams[k] = pair.value
+            pairs[k] = pair
             lefts[k] = left[bi]
-    tols, mp, diag, col = _margins(ds, lams, settings)
+    tols, mp, diag, col = _margins(ds, pairs, settings)
     ok_common, pos, margin = _common_point(col, tols)
     verdict.margins["pointwise_diag"] = float(diag.min())
     verdict.margins["common_point"] = margin
@@ -283,7 +291,7 @@ def _block_margins(ds, verdict, blocks, keys, holds, settings: Settings = DEFAUL
         w = np.array(lefts)
         sharp = np.array(
             [
-                lams[j] * w[j] + np.einsum("kx,kx->x", mp[:, j, :], w)
+                pairs[j].value * w[j] + np.einsum("kx,kx->x", mp[:, j, :], w)
                 for j in range(n)
             ]
         )
@@ -350,9 +358,8 @@ def check_thm5(spec, settings: Settings = DEFAULT) -> Verdict:
     verdict = Verdict("Inconclusive", theorem="Theorem 5", mode=settings.mode)
     verdict.structure = classify_structure(ds)
     pairs = [component_eigen(ds, j + 1, settings) for j in range(n)]
-    lams = [p.value for p in pairs]
     verdict.eigen.update((f"j={j + 1}", p) for j, p in enumerate(pairs))
-    tols, _, diag, col = _margins(ds, lams, settings)
+    tols, _, diag, col = _margins(ds, pairs, settings)
     first = order0[0]
     strict = [j for j in order0[1:]]
     s16 = diag.min(axis=1)
@@ -367,7 +374,7 @@ def check_thm5(spec, settings: Settings = DEFAULT) -> Verdict:
     eps_vec = np.array([0.0 if j == first else eps for j in range(n)])
     verdict.margins["pointwise_diag"] = float((s16 - eps_vec).min())
     verdict.margins["common_point"] = float((col[:, pos] - eps_vec).min())
-    chain = _thm5_chain(ds, lams, eps, order0, pairs)
+    chain = _thm5_chain(ds, eps, order0, pairs)
     if chain is None:
         verdict.notes.append("constructed chain lost positivity")
         return verdict
@@ -407,7 +414,7 @@ def _thm5_epsilon(s16, col, tols, first, strict):
     return 0.5 * min(slacks), pos
 
 
-def _thm5_chain(ds, lams, eps, order0, pairs):
+def _thm5_chain(ds, eps, order0, pairs):
     """w_1 = eigenfunction; later species solve the shifted scalar system
     against the accumulated nonnegative coupling of earlier species."""
     ids = ds.grid.interior_ids
@@ -429,7 +436,7 @@ def _thm5_chain(ds, lams, eps, order0, pairs):
         # the block component_eigen kept; a CSC copy of it makes shifted's
         # copy the one LuFactor hands to SuperLU
         a, _ = ds.cooperative_block([j])
-        w = lu_solve(shifted(a.tocsc(), lams[j] - eps), rhs)
+        w = lu_solve(shifted(a.tocsc(), pairs[j].value - eps), rhs)
         if float(w.min()) <= 0.0:
             return None
         wt[j] = w
@@ -477,7 +484,7 @@ def check_failure(
         pair = block_eigen(ds, block, settings)
         lam = pair.value
         worst = float((lam + ds.m_plus[j, j][ids]).max())
-        if worst >= -settings.tol_cond * (1.0 + abs(lam)):
+        if worst >= -_tol(pair, settings):
             continue
         cex = _counterexample(ds, block, pair, j + 1, which)
         if not cex.verified:
@@ -572,6 +579,11 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
     verdict.mode = settings.mode
     verdict.structure = structure
     verdict.notes.extend(notes)
+    verdict.notes.extend(
+        f"eigen {key} stopped at the rounding floor: width {pair.cw[1] - pair.cw[0]:.3e}"
+        for key, pair in sorted(verdict.eigen.items())
+        if pair.stopped == "floor"
+    )
     sigma, reason = find_gauge(ds)
     verdict.gauge = sigma
     verdict.gauge_reason = reason

@@ -201,7 +201,7 @@ def _cmd_eigen(args, spec):
     print(f"lambda ({which}): {pair.value!r}")
     print(f"enclosure: [{pair.cw[0]!r}, {pair.cw[1]!r}]")
     print(
-        f"iterations: {pair.iterations}  solves: {pair.solves}"
+        f"iterations: {pair.iterations}  solves: {pair.solves}  stopped: {pair.stopped}"
         f"  residual: {pair.residual:.3e}"
     )
     return {**pair.to_json_dict(), "component": args.component, "dof": len(pair.right)}

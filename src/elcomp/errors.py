@@ -90,7 +90,10 @@ class TooLarge(ElcompError):
 
 
 class NoConvergence(ElcompError):
-    """Iteration budget exhausted before the enclosure got tight."""
+    """An eigen run that could not close its enclosure: it needed more than
+    max_iter factorizations, a shifted solve left the positive cone, or
+    the shift was singular to working precision.  A run at the rounding
+    floor does not raise; it returns its enclosure, stopped = "floor"."""
 
     exit_code = 3
 

@@ -13,14 +13,16 @@ nodes, for the 9-point stencils of cross diffusion (Davis, ch. 7).
 The certified eigenvalue machinery is implemented here: Noda's shifted
 inverse iteration for irreducible Z-matrices, which keeps a shift's
 factorization while its solves keep halving the enclosure, serves both
-eigenvectors from it, and carries a Collatz-Wielandt enclosure.  Given a
-start vector, a run first checks that vector's enclosure, widened by its
-rounding bound, and ends there, with no LU, when it is narrow enough.
+eigenvectors from it, and carries a Collatz-Wielandt enclosure widened by
+the ratios' rounding bound at every step.  A run stops at the width target
+or at the rounding floor, and a start vector that closes either way ends
+it with no LU.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +32,10 @@ import scipy.sparse.linalg as spla
 from .errors import DimMismatch, NoConvergence, SingularMatrix, TooLarge, ValidationError
 from .settings import DEFAULT, Settings
 
+logger = logging.getLogger(__name__)
+
 # LuFactor.solve: A is singular when |A| max|x| > max|b| / SINGULAR_RTOL
 SINGULAR_RTOL = 1e-14
-# Noda iteration: widths within this factor of the ratios' rounding level
-# count as the roundoff floor
-FLOOR_FACTOR = 100.0
 # Noda iteration: a shift's LU is kept while each solve with it cuts the lead
 # iterate's enclosure width to at most this fraction
 REUSE_FACTOR = 0.5
@@ -373,27 +374,27 @@ def dense_inverse(a: sp.spmatrix, settings: Settings = DEFAULT) -> np.ndarray:
 @dataclass
 class NodaResult:
     """A Noda run: rho in the enclosure cw, its positive vector (unit max),
-    the run's LU factorizations and this iterate's solves, and the left
-    iterate's result when one ran alongside."""
+    the run's LU factorizations and this iterate's solves, which rule
+    stopped it ("target" or "floor"), and the left iterate's result when
+    one ran alongside."""
 
     rho: float
     vector: np.ndarray
     cw: tuple
     iterations: int
     solves: int
+    stopped: str
     left: NodaResult | None = None
 
 
 class _NodaIterate:
-    """One Noda iterate x of b (A, or A^T for the left vector) with its
-    Collatz-Wielandt enclosure [lo, hi] and the widths it went through."""
+    """One Noda iterate x of b (A, or A^T for the left vector), abs_b = |b|,
+    with its Collatz-Wielandt enclosure [lo, hi] and widths so far."""
 
-    def __init__(self, b: sp.csr_matrix, transposed: bool, tol_eig: float):
-        self.b, self.transposed, self.tol_eig = b, transposed, tol_eig
-        self.abs_b = None  # |b|, built when the rounding level is first needed
-        self.nnz = int(b.getnnz(axis=1).max(initial=0))  # largest row nnz
-        self.rounding = np.finfo(float).eps * max(self.nnz, 1)
-        self.x = np.ones(b.shape[0])
+    def __init__(self, b, abs_b, transposed: bool, tol_eig: float, x: np.ndarray):
+        self.b, self.abs_b, self.transposed, self.tol_eig = b, abs_b, transposed, tol_eig
+        self.gamma = gamma(int(b.getnnz(axis=1).max(initial=0)) + 1)
+        self.x = x
         self.lo, self.hi, self.lam = -np.inf, np.inf, 0.0
         self.widths = []
         self.solves = 0
@@ -403,64 +404,50 @@ class _NodaIterate:
         """The enclosure width at which the iterate closes near lam."""
         return self.tol_eig * (1.0 + abs(lam))
 
-    def closed_at(self, start: np.ndarray) -> NodaResult | None:
-        """The iterate's result at start, with no factorization and no
-        solve, when the ratios (b x)/x of x = start, widened by their
-        rounding bound delta, meet the width target; else None.
+    def enclose(self, factorizations: int, fresh: bool = False) -> bool:
+        """Intersect the ratios (b x)/x, widened by their rounding bound
+        delta and rounded outward, into [lo, hi]; True while still open.  A
+        closed iterate's result counts the run's factorizations so far and
+        its own solves; fresh says x came from a solve with a new LU.
 
         fl(b x) errs by at most gamma_k (|b| |x|) for k terms a row and the
         division by u |ratio|, u the unit roundoff (N. J. Higham, Accuracy
         and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.5),
         so delta = max_i [gamma_(k+1) (|b| |x|)_i / x_i + u |ratio_i|], one
-        more rounding in gamma covering that of |b| |x| itself, and the
-        enclosure's ends are rounded outward.
+        more rounding in gamma covering that of |b| |x| itself.
         """
-        bx = self.b @ start
-        ratios = bx / start
-        u = np.finfo(float).eps / 2
-        g = gamma(self.nnz + 1)
-        delta = float((g * (abs(self.b) @ start) / start + u * np.abs(ratios)).max())
-        lo = float(np.nextafter(float(ratios.min()) - delta, -np.inf))
-        hi = float(np.nextafter(float(ratios.max()) + delta, np.inf))
-        lam = min(max(float(start @ bx) / float(start @ start), lo), hi)
-        if not hi - lo <= self.target(lam):  # a NaN width fails too
-            return None
-        return NodaResult(lam, start, (lo, hi), 0, 0)
-
-    def enclose(self, factorizations: int) -> bool:
-        """Intersect the ratios (b x)/x into [lo, hi]; True while still open.
-        A closed iterate's result counts the run's factorizations so far
-        and its own solves."""
         bx = self.b @ self.x
         ratios = bx / self.x
-        self.lo = max(self.lo, float(ratios.min()))
-        self.hi = min(self.hi, float(ratios.max()))
+        u = np.finfo(float).eps / 2
+        delta = float((self.gamma * (self.abs_b @ self.x) / self.x + u * np.abs(ratios)).max())
+        low, high = float(ratios.min()), float(ratios.max())
+        lo = float(np.nextafter(low - delta, -np.inf))
+        hi = float(np.nextafter(high + delta, np.inf))
+        stuck = fresh and lo <= self.lo and hi >= self.hi  # False for NaN ratios
+        self.lo, self.hi = max(self.lo, lo), min(self.hi, hi)
         self.lam = min(max(float(self.x @ bx) / float(self.x @ self.x), self.lo), self.hi)
         width = self.hi - self.lo
         if width <= self.target(self.lam):
-            self.result = NodaResult(
-                self.lam, self.x, (self.lo, self.hi), factorizations, self.solves
+            stopped = "target"
+        elif high - low <= 2.0 * delta or stuck:
+            stopped = "floor"
+            logger.debug(
+                "%senclosure stopped at the rounding floor: width %.3e, delta %.3e, %d LU(s)",
+                "left " if self.transposed else "", width, delta, factorizations,
             )
-            return False
-        self.widths.append(width)
-        return True
+        else:
+            self.widths.append(width)
+            return True
+        self.result = NodaResult(
+            self.lam, self.x, (self.lo, self.hi), factorizations, self.solves, stopped
+        )
+        return False
 
     def halved(self) -> bool:
         """Whether the last solve cut the width to REUSE_FACTOR of the one
         before it."""
         w = self.widths
         return len(w) >= 2 and w[-1] <= REUSE_FACTOR * w[-2]
-
-    def stalled(self) -> float | None:
-        """The rounding level of the ratios when the width has stopped
-        shrinking near it, else None."""
-        w = self.widths
-        if len(w) < 3 or w[-1] <= 0.5 * w[-3]:
-            return None  # still shrinking: the level, a matvec, is not needed
-        if self.abs_b is None:
-            self.abs_b = abs(self.b)
-        floor = self.rounding * float((self.abs_b @ self.x / self.x).max())
-        return floor if w[-1] <= FLOOR_FACTOR * floor else None
 
     def fail(self, reason: str, factorizations: int) -> NoConvergence:
         side = "left " if self.transposed else ""
@@ -485,8 +472,7 @@ def noda_iteration(
     solves (A - mu*I) y = x and sets x = y / max y.  mu < lambda keeps the
     shifted matrix a nonsingular M-matrix, so y stays positive, and Noda's
     shifts mu = lo converge to lambda superlinearly (T. Noda, Numer. Math. 17
-    (1971) 382-386).  The result's rho is lambda, the Rayleigh quotient
-    clamped into the enclosure.
+    (1971) 382-386).  rho is the Rayleigh quotient clamped into [lo, hi].
 
     A shift's LU is kept, and solved with again, as long as the last solve
     with it cut the lead iterate's width to at most REUSE_FACTOR of the
@@ -502,68 +488,61 @@ def noda_iteration(
     so beyond one step per factorization there are at most
     log2(first width / target) such steps per leading iterate.
 
-    Noda's own shift mu = lo often reaches lambda to the last bits one step
-    before hi closes in, making A - mu*I singular to working precision, so
-    mu is held one target width below lo; (lambda - mu) / gap stays tiny.
+    Every enclosure, the start's included, is widened by the ratios'
+    rounding bound delta (_NodaIterate.enclose), so it holds lambda as
+    rigorously as the matvec's error bound.  An iterate closes at the width
+    target, settings.tol_eig (1 + |lambda estimate|), or else at the
+    rounding floor (stopped "target" or "floor"): when its ratios agree
+    within 2 delta, as an exact eigenvector's could, or when a solve with
+    a new LU left [lo, hi] as it was.  For mu < lambda, (A - mu*I)^-1 >= 0
+    nests the ratio intervals of successive iterates, strictly unless x is
+    an eigenvector, so at a fresh shift only rounding stops them.  The run
+    returns the floor's enclosure.  NoConvergence is raised only when the
+    run needs more than settings.max_iter LUs, a solve leaves the positive
+    cone, or a shift is singular to working precision.
+
+    Noda's own shift mu = lo often reaches lambda to the last bits before
+    hi closes in, making A - mu*I singular to working precision, so mu is
+    held below lo by the target width and by at least 2 SINGULAR_RTOL
+    (|A| + |lo|), twice the level at which LuFactor.solve finds a near
+    eigenvector's solve singular; (lambda - mu) / gap stays tiny.
 
     Each shift's A - mu*I is a CSC copy of A with mu taken off its stored
     diagonal (shifted), which LuFactor factorizes as it is.  It is made
-    from A's CSC arrays, taken once per run: those of left, when given,
-    and otherwise a CSC copy of A.
+    from A's CSC arrays, taken once per run (left's, when given); so is |A|.
 
     Given left = A^T as CSR, a left iterate runs on it alongside and is
     returned as the result's left: a NodaResult counting its own solves
     and the run's factorizations when it closed.  It is solved through the
     transposed factor of whichever LU is current, so mu < lambda keeps it
-    positive as well, and keeps its own enclosure, stopping when that meets
-    the width target.  The lead iterate, the right one while it is open, alone
-    decides when to factorize and at which shift; once the right iterate is
-    done an open left one leads itself.  The right iterate's shifts,
-    enclosure and vector are therefore those of a run without it, and the
-    result's iterations and solves count the whole run's factorizations
-    and the right iterate's solves.
+    positive as well, and keeps its own enclosure and stopping rules.  The
+    lead iterate, the right one while it is open, alone decides when to
+    factorize and at which shift; once the right iterate is done an open
+    left one leads itself.  The right iterate's shifts, enclosure and
+    vector are therefore those of a run without it, and the result's
+    iterations and solves count the whole run's factorizations and the
+    right iterate's solves.
 
-    The ratios carry a rounding error of about k*eps*(|A|x)/x (k = largest
-    row nnz).  Within FLOOR_FACTOR of that level the width stops shrinking,
-    so the loop gives up as soon as an iterate's width has not halved over
-    two steps there; far above it, early steps may shrink more slowly and
-    go on.  It also gives up when a solve loses positivity or the shift is
-    numerically singular.
-
-    Given a positive start, a candidate eigenvector, every iterate first
-    checks it before any factorization: its ratios widened by their
-    rounding bound (_NodaIterate.closed_at) are a Collatz-Wielandt enclosure
-    of lambda as rigorous as the matvec's error bound.  When that enclosure
-    meets the width target for every iterate, the run returns start with
-    it, iterations = solves = 0.  Otherwise the run goes on from x = 1
-    exactly as without start.  Only this check is widened: the iterated
-    enclosures are not, since the widening alone would keep the n = 2048
-    1D Laplacian above its target.
-
-    The width target is settings.tol_eig (1 + |lambda estimate|), as Settings documents.
+    A positive start, a candidate eigenvector, is enclosed first.  When
+    every iterate closes on it, the run returns start with iterations =
+    solves = 0; otherwise it goes on from x = 1 exactly as without start.
     """
     if a.shape[0] != a.shape[1]:
         raise DimMismatch(f"Noda iteration needs a square matrix, got {a.shape}")
-    iterates = [_NodaIterate(a, False, settings.tol_eig)]
-    if left is not None:
-        iterates.append(_NodaIterate(left, True, settings.tol_eig))
-    if start is not None:
-        closed = []
-        for it in iterates:
-            closed.append(it.closed_at(start))
-            if closed[-1] is None:
-                break
-        else:
-            closed[0].left = closed[1] if left is not None else None
-            return closed[0]
-    csc = left.T if left is not None else a.tocsc()
-    factorizations = 0
-    lu = None
+    abs_a = abs(a)
+    sides = [(a, abs_a, False)] + ([] if left is None else [(left, abs_a.T, True)])
+
+    def iterates_from(x):
+        return [_NodaIterate(b, abs_b, t, settings.tol_eig, x) for b, abs_b, t in sides]
+
+    iterates = iterates_from(np.ones(a.shape[0]) if start is None else start)
+    if start is not None and any(it.enclose(0) for it in iterates):
+        iterates = iterates_from(np.ones(a.shape[0]))  # the start left one open
+    csc = norm = lu = None
+    factorizations, refactor = 0, False
     while True:
         active = [
-            it
-            for it in iterates
-            if it.result is None and it.enclose(factorizations)
+            it for it in iterates if it.result is None and it.enclose(factorizations, refactor)
         ]
         if not active:
             right = iterates[0].result
@@ -574,14 +553,13 @@ def noda_iteration(
         refactor = lu is None or not lead.halved()
         if refactor and factorizations >= settings.max_iter:
             raise lead.fail(f"after {settings.max_iter} factorizations", factorizations)
-        for it in active:
-            floor = it.stalled()
-            if floor is not None:
-                raise it.fail(f"stalled near the rounding level {floor:.3e}", factorizations)
         if refactor:
+            if csc is None:
+                csc, norm = left.T if left is not None else a.tocsc(), inf_norm(a)
             lu = None  # so that the next shift's factorization does not hold two
             factorizations += 1
-            mu = lead.lo - lead.target(lead.lam)
+            singular = 2.0 * SINGULAR_RTOL * (norm + abs(lead.lo))
+            mu = lead.lo - max(lead.target(lead.lam), singular)
             try:
                 lu = LuFactor(shifted(csc, mu))
             except SingularMatrix:

@@ -35,7 +35,9 @@ class Settings:
     run, and whether and up to how many dof the dense oracle runs.
 
     Each eigen run stops once its enclosure is narrower than
-    tol_eig (1 + |lambda|); a margin counts only beyond tol_cond (1 + |lambda|).
+    tol_eig (1 + |lambda|), or at the rounding floor when that lies above
+    it; a margin counts only beyond tol_cond (1 + |lambda|), or beyond the
+    enclosure's width when that is wider.
     """
 
     mode: str = "basic"

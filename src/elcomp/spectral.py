@@ -13,10 +13,10 @@ box it is the exact principal eigenvector of the Dirichlet difference
 Laplacian (R. J. LeVeque, Finite Difference Methods for Ordinary and
 Partial Differential Equations, SIAM 2007, sec. 2.10), and so of every
 block with constant coefficients, no convection or cross diffusion, and
-species that the coupling treats alike.  Noda checks it before its first
-LU: when its Collatz-Wielandt ratios, widened by their rounding bound,
-meet the width target, the run ends with no LU and no solve; otherwise it
-runs as it would without the sine.  Subdomain blocks take no sine.
+species that the coupling treats alike.  Noda encloses it before its
+first LU: when that enclosure closes, at the width target or at the
+rounding floor, the run ends with no LU and no solve; otherwise it runs
+as it would without the sine.  Subdomain blocks take no sine.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class EigenPair:
     solves with them, right and left together.  Both are 0 when the start
     vector closed the run, and right and left are then that vector.  A
     symmetric matrix has no left iterate and reuses the right vector.
+    stopped says how cw closed: "target" at the width target, "floor" at
+    the rounding floor, wider than the target (linalg.noda_iteration).
     """
 
     value: float
@@ -54,6 +56,7 @@ class EigenPair:
     iterations: int
     residual: float
     solves: int
+    stopped: str
 
     def to_json_dict(self) -> dict:
         """The run's record in a report; the vectors stay out."""
@@ -62,6 +65,7 @@ class EigenPair:
             "cw": list(self.cw),
             "iterations": self.iterations,
             "solves": self.solves,
+            "stopped": self.stopped,
             "residual": self.residual,
         }
 
@@ -115,7 +119,7 @@ def principal_eigenpair(
     ax = a @ x
     lam = min(max(float(left @ ax) / float(left @ x), run.cw[0]), run.cw[1])
     residual = float(np.abs(ax - lam * x).max())
-    return EigenPair(lam, x, left, run.cw, run.iterations, residual, solves)
+    return EigenPair(lam, x, left, run.cw, run.iterations, residual, solves, run.stopped)
 
 
 def _memo_eigenpair(

@@ -263,6 +263,15 @@ def power_iteration(b, tol=1e-9, max_iter=200000, collect_history=False):
     return _collatz_power(b, lambda rho: tol * (1.0 + abs(rho)), max_iter, collect_history)
 
 
+def rounding_bound(a, x):
+    """delta of a Noda enclosure at x: the ratios' rounding bound
+    max_i [gamma_(k+1) (|A| x)_i / x_i + u |ratio_i|], k the largest row nnz."""
+    u = np.finfo(float).eps / 2
+    k = int(a.getnnz(axis=1).max()) + 1
+    ratios = (a @ x) / x
+    return float(((k * u / (1 - k * u)) * (abs(a) @ x) / x + u * np.abs(ratios)).max())
+
+
 def assert_report_views(report):
     """lambda, lambdas and cw of a verdict report are views of its eigen
     record: each solve's value, and the headline solve's value and

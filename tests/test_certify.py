@@ -924,7 +924,7 @@ def test_verdict_json_shape():
 
 def _pair(value):
     one = np.ones(1)
-    return EigenPair(value, one, one, (value - 0.5, value + 0.5), 1, 0.0, 2)
+    return EigenPair(value, one, one, (value - 0.5, value + 0.5), 1, 0.0, 2, "target")
 
 
 def test_verdict_value_headline_rules():

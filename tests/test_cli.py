@@ -182,6 +182,34 @@ def test_exit_code_3_on_no_convergence(tmp_path):
     assert "after 1 factorizations" in payload["errors"][0]["message"]
 
 
+def test_fine_grids_stop_at_the_rounding_floor(tmp_path, capsys, caplog):
+    """The n = 4096 Laplacian's sine, and the n = 8192 scalar problem's
+    iterate after one LU, stop at the rounding floor above the width
+    target: eigen prints it, certify decides Holds on the floor-wide
+    enclosure with a note, and each run logs one DEBUG record.  Both used
+    to exit 3 with a singular shift."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.linalg")
+    domain = "[domain]\ndim = 1\nlo = 0\nhi = 1\nn = {}\n[species 1]\nf = 1\n"
+    lap = write(tmp_path, "lap.prob", domain.format(4096))
+    scalar = write(tmp_path, "scalar.prob", domain.format(8192) + "a11 = 1 + 0.5*x\nc = 1\n")
+    for problem, lus in ((lap, 0), (scalar, 1)):
+        code, payload = report(tmp_path, "eigen", problem)
+        assert code == 0 and (payload["stopped"], payload["iterations"]) == ("floor", lus)
+        line = f"iterations: {lus}  solves: {payload['solves']}  stopped: floor"
+        assert line in capsys.readouterr().out
+        code, payload = report(tmp_path, "certify", problem)
+        assert code == 0 and payload["verdict"] == "HoldsThm4"
+        eigen = payload["eigen"]["j=1"]
+        assert (eigen["stopped"], eigen["iterations"]) == ("floor", lus)
+        width = eigen["cw"][1] - eigen["cw"][0]
+        assert f"eigen j=1 stopped at the rounding floor: width {width:.3e}" in payload["notes"]
+    messages = [r.getMessage() for r in caplog.records if r.name == "elcomp.linalg"]
+    assert len(messages) == 4
+    for message, lus in zip(messages, (0, 0, 1, 1)):
+        assert message.startswith("enclosure stopped at the rounding floor: width ")
+        assert message.endswith(f", {lus} LU(s)")
+
+
 def test_exit_code_4_on_structure_errors(tmp_path):
     quasi = write(tmp_path, "q.prob", data_text("quasilinear_demo.prob"))
     code, payload = report(tmp_path, "certify", quasi)
@@ -244,7 +272,8 @@ def test_eigen_closed_form(tmp_path, capsys, monkeypatch):
     assert payload["dof"] == 127
     assert payload["iterations"] == payload["solves"] == 0
     assert factorized == []
-    counts = f"iterations: {payload['iterations']}  solves: {payload['solves']}"
+    assert payload["stopped"] == "target"
+    counts = "iterations: 0  solves: 0  stopped: target"
     assert counts in capsys.readouterr().out
 
 

@@ -2,7 +2,9 @@
 
 import contextlib
 import itertools
+import logging
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -43,7 +45,13 @@ from elcomp.mesh import build_grid
 from elcomp.problems import parse_problem
 from elcomp.settings import Settings
 
-from helpers import convection_pair_text, laplace_system, power_iteration, system_text
+from helpers import (
+    convection_pair_text,
+    laplace_system,
+    power_iteration,
+    rounding_bound,
+    system_text,
+)
 
 
 def test_from_coo_sums_duplicates():
@@ -479,11 +487,29 @@ def test_noda_iteration_guards():
     with pytest.raises(DimMismatch):
         noda_iteration(sp.csr_matrix((2, 3)), Settings(tol_eig=1e-9, max_iter=10))
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-3.0, 2.0]]))
-    # the smallest positive tol_eig: no enclosure of a nonzero width meets it
-    with pytest.raises(NoConvergence) as info:
-        noda_iteration(a, Settings(tol_eig=math.ulp(0.0), max_iter=1))
-    assert info.value.iterations == 1
-    assert info.value.width > 0.0
+    # the smallest positive tol_eig: no enclosure of a nonzero width meets
+    # it, so the run stops at the rounding floor, on its one factorization
+    res = noda_iteration(a, Settings(tol_eig=math.ulp(0.0), max_iter=1))
+    assert res.stopped == "floor" and res.iterations == 1
+    lo, hi = res.cw
+    assert lo <= 2.0 - math.sqrt(3.0) <= hi and hi - lo > 0.0
+
+
+def test_floor_stops_log_one_debug_record_each(caplog):
+    """A right and a left iterate that stop at the floor log one DEBUG
+    record each, with the width, delta and the run's LU count."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.linalg")
+    a = sp.csr_matrix(np.array([[2.0, -1.0], [-3.0, 2.0]]))
+    res = noda_iteration(a, Settings(tol_eig=math.ulp(0.0)), left=a.T.tocsr())
+    assert res.stopped == res.left.stopped == "floor"
+    messages = [r.getMessage() for r in caplog.records if r.name == "elcomp.linalg"]
+    pattern = r"(left )?enclosure stopped at the rounding floor: width (\S+), delta (\S+), (\d+) LU\(s\)"
+    found = [re.fullmatch(pattern, m) for m in messages]
+    assert [m.group(1) for m in found] == [None, "left "]
+    for m, run in zip(found, (res, res.left)):
+        assert m.group(2) == f"{run.cw[1] - run.cw[0]:.3e}"
+        assert 0.0 < float(m.group(3)) < 1e-14
+        assert int(m.group(4)) == run.iterations
 
 
 @pytest.mark.parametrize(
@@ -570,11 +596,102 @@ def test_noda_left_iterate_leaves_the_right_run_alone(off, diag):
     left = both.left
     assert left.cw[1] - left.cw[0] <= target(left.rho)
     assert left.vector.min() > 0.0
-    ratios = (a.T @ left.vector) / left.vector
-    assert left.cw[0] >= ratios.min() and left.cw[1] <= ratios.max()
+    # cw lies within the last ratios widened by delta
+    at = a.T.tocsr()
+    ratios = (at @ left.vector) / left.vector
+    delta = rounding_bound(at, left.vector)
+    assert left.cw[0] >= np.nextafter(ratios.min() - delta, -np.inf)
+    assert left.cw[1] <= np.nextafter(ratios.max() + delta, np.inf)
     # both enclosures hold the principal eigenvalue
     assert max(both.cw[0], left.cw[0]) <= min(both.cw[1], left.cw[1])
     assert alone.iterations <= both.iterations == max(alone.iterations, left.iterations)
+
+
+@st.composite
+def irreducible_z_matrices(draw):
+    """A dense irreducible Z-matrix of order 2 to 8, symmetric in half the
+    draws: couplings 0 or in [0.01, 4], with at least 0.01 from each
+    index i to i + 1 (mod n), which makes it irreducible, and a diagonal in
+    [-4, 4].  A symmetric draw keeps the upper triangle and mirrors it; the
+    path 0, 1, ..., n - 1 keeps it irreducible."""
+    n = draw(st.integers(2, 8))
+    coupling = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+    off = draw(arrays(float, (n, n), elements=coupling))
+    cycle = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    off[cycle] = np.maximum(off[cycle], 0.01)
+    if draw(st.booleans()):
+        off = np.triu(off, 1)
+        off += off.T
+    diag = draw(arrays(float, (n,), elements=st.floats(-4.0, 4.0)))
+    return np.diag(diag) - off * (1.0 - np.eye(n))
+
+
+def _cyclic_chain():
+    """8 x 8: a cycle 0 -> 1 -> ... -> 7 -> 0 of couplings 1 then 0.01, and
+    2 from 7 to 2.  At the smallest tol_eig its iterates settle on a fixed
+    point whose ratios disagree by 15 ulps, above 2 delta (6 ulps)."""
+    d = np.zeros((8, 8))
+    d[np.arange(7), np.arange(1, 8)] = -0.01
+    d[0, 1], d[7, 0], d[7, 2] = -1.0, -0.01, -2.0
+    return d
+
+
+def _constant_rows():
+    """8 x 8, 0.7 on the diagonal and -0.1 off it: ones is the eigenvector
+    and closes the run at once, but its computed ratio, 2.8e-17, lies above
+    lambda = fl(0.7) - 7 fl(0.1) = -8.3e-17, so only the widening by delta
+    keeps lambda in cw."""
+    d = np.full((8, 8), -0.1)
+    np.fill_diagonal(d, 0.7)
+    return d
+
+
+@seed(20070)
+@given(irreducible_z_matrices())
+# lambda = -sqrt(0.02): a shift one target width below lo is singular to
+# working precision before the ratios agree within 2 delta
+@example(np.array([[0.0, -2.0], [-0.01, 0.0]]))
+@example(_cyclic_chain())
+@example(_constant_rows())
+@settings(max_examples=80, deadline=None)
+def test_noda_enclosures_hold_the_principal_eigenvalue(d):
+    """Both enclosures of a run hold the principal eigenvalue, computed by
+    mpmath at 50 digits from the float matrix's exact entries, and no run
+    raises: at tol_eig 1e-8, and at the smallest positive tol_eig, where no
+    width meets the target and both iterates stop at the rounding floor."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m = mpmath.matrix(d.tolist())
+        if np.array_equal(d, d.T):  # Jacobi: QR may not converge on repeated roots
+            eigenvalues = mpmath.eigsy(m, eigvals_only=True)
+        else:
+            eigenvalues = mpmath.eig(m, left=False, right=False)
+        lam = mpmath.re(min(eigenvalues, key=mpmath.re))
+    a = sp.csr_matrix(d)
+    for tol in (1e-8, math.ulp(0.0)):
+        res = noda_iteration(a, Settings(tol_eig=tol), left=a.T.tocsr())
+        for run in (res, res.left):
+            assert mpmath.mpf(run.cw[0]) <= lam <= mpmath.mpf(run.cw[1]), (tol, run.cw)
+    assert res.stopped == res.left.stopped == "floor"
+
+
+def test_a_stall_on_a_kept_lu_takes_a_new_one():
+    """A cycle of couplings 0.01 through diagonals 0, 4, ..., 4 has an
+    eigenvector whose entries fall to 2e-16.  The left iterate's solve on a
+    kept LU leaves its enclosure where it was, at width 1.3e-6; that is no
+    floor, since only a new shift's solve proves one, and the fourth LU
+    takes the left iterate to the target too."""
+    d = np.diag([0.0] + [4.0] * 6)
+    d[np.arange(6), np.arange(1, 7)] = -0.01
+    d[6, 0] = -0.01
+    a = sp.csr_matrix(d)
+    run = Settings(tol_eig=1e-8)
+    res = noda_iteration(a, run, left=a.T.tocsr())
+    assert res.stopped == res.left.stopped == "target"
+    assert res.iterations == 4
+    for r in (res, res.left):
+        assert r.cw[1] - r.cw[0] <= run.tol_eig * (1.0 + abs(r.rho))
+        assert r.cw[0] <= float(np.linalg.eigvals(d).real.min()) <= r.cw[1]
 
 
 @contextlib.contextmanager

@@ -542,6 +542,9 @@ def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
         grid = build_grid(2, 0.0, 1.0, cells)
     dim, nn = grid.dim, grid.n_nodes
     coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    # subnormal couplings make fl(m_lk / m_kl) inexact, and the mirror
+    # weights rightly keep full rows (test_subnormal_couplings_keep_full_rows)
+    coupling = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal=False)
     a = np.zeros((ns, dim, dim, nn))
     for d in range(dim):
         a[:, d, d] = np.abs(draw(arrays(float, (ns, nn), elements=coeff))) + 0.5
@@ -549,7 +552,7 @@ def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
         a[:, 0, 1] = a[:, 1, 0] = 0.1 * draw(arrays(float, (ns, nn), elements=coeff))
     b = draw(arrays(float, (ns, dim, nn), elements=coeff))
     c = draw(arrays(float, (ns, nn), elements=coeff)) + draw(st.floats(0.0, 30.0))
-    m = draw(arrays(float, (ns, ns, nn), elements=coeff))
+    m = draw(arrays(float, (ns, ns, nn), elements=coupling))
     coupled = draw(arrays(bool, (ns, ns)))
     if symmetric:
         b[:] = 0.0
@@ -647,6 +650,39 @@ def test_slab_scan_matches_dense_inverse(case):
     assume(extremes is not None)
     bound, _ = _rounding_bounds(asys)
     n_int = asys.grid.n_interior
+    for (k, l, s), v in extremes.items():
+        block = s * inv[k * n_int : (k + 1) * n_int, l * n_int : (l + 1) * n_int]
+        assert abs(v - float(block.min())) <= bound
+
+
+@pytest.mark.parametrize("size", [2.2e-3, 2.2e-311])
+def test_subnormal_couplings_keep_full_rows(size):
+    """A symmetric 3-species pair of couplings, m_21 = m_12 / 4 on a 3 x 3
+    grid: at a normal size the ratio is exact and the lower half of A^{-1}
+    is mirrored with weights (1, 1/4, 1); at a subnormal one m_12 / 4 rounds,
+    the ratio varies from entry to entry, and _mirror_weights keeps full
+    rows.  Either way the slab scan's extremes lie within the rounding
+    bound of the dense inverse."""
+    grid = build_grid(2, 0.0, 1.0, (3, 3))
+    ns, nn = 3, grid.n_nodes
+    a = np.zeros((ns, 2, 2, nn))
+    a[:, 0, 0] = a[:, 1, 1] = 1.0
+    m = np.zeros((ns, ns, nn))
+    m[0, 1] = -size * (1.0 + np.arange(nn) / 7.0)
+    m[1, 0] = m[0, 1] / 4.0
+    zeros = np.zeros((ns, nn))
+    ds = DiscreteSystem(grid, ns, a, np.zeros((ns, 2, nn)), zeros + 1.0, m, zeros, zeros)
+    asys = ds.assemble("full")
+    w, note = oracle._mirror_weights(asys.A, ns, grid.n_interior)
+    if size < np.finfo(float).tiny:
+        assert w is None and note.endswith("m_21/m_12 varies")
+    else:
+        assert list(w) == [1.0, 0.25, 1.0]
+    extremes = oracle._scan_slabs(asys)
+    assert extremes is not None
+    inv = dense_inverse(asys.A, Settings(oracle_max_dof=10**6))
+    bound, _ = _rounding_bounds(asys)
+    n_int = grid.n_interior
     for (k, l, s), v in extremes.items():
         block = s * inv[k * n_int : (k + 1) * n_int, l * n_int : (l + 1) * n_int]
         assert abs(v - float(block.min())) <= bound

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from elcomp import assembly, linalg, spectral
 from elcomp.certify import certify
-from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
+from elcomp.errors import NotIrreducible, NotZMatrix, ValidationError
 from elcomp.linalg import noda_iteration
 from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.problems import load_problem, parse_problem
@@ -27,6 +27,7 @@ from helpers import (
     coop_pair_text,
     laplace_system,
     op_of,
+    rounding_bound,
     system_of,
     system_text,
 )
@@ -275,11 +276,20 @@ def test_weakly_coupled_pair_converges():
 
 def test_roundoff_floor_stops_at_once():
     """At n=4096 the ratio floor (about 1.7e-8) lies above the target width
-    (about 1.1e-8); the iteration must give up within a few solves."""
+    (about 1.1e-8): the sine stops at the floor with no LU, its enclosure
+    holds the closed form, and certify decides Holds on it with a note."""
     grid = build_grid(1, (0.0,), (1.0,), (4096,))
-    with pytest.raises(NoConvergence) as info:
-        cooperative_eigen(laplace_system(grid))
-    assert info.value.iterations <= 10
+    spec = laplace_system(grid)
+    pair = cooperative_eigen(spec)
+    assert pair.stopped == "floor"
+    assert (pair.iterations, pair.solves) == (0, 0)
+    width = pair.cw[1] - pair.cw[0]
+    assert width > TOL_EIG * (1.0 + pair.value)
+    assert pair.cw[0] <= _lap_eig(4096) <= pair.cw[1]
+    verdict = certify(spec, Settings(with_oracle=False))
+    assert verdict.kind == "HoldsThm4"
+    assert verdict.eigen["j=1"].stopped == "floor"
+    assert f"eigen j=1 stopped at the rounding floor: width {width:.3e}" in verdict.notes
 
 
 def test_scalar_cache_keyed_by_mask_content():
@@ -532,15 +542,6 @@ def _lap_eig(n, side=1.0):
     return 4.0 / (h * h) * math.sin(math.pi * h / (2.0 * side)) ** 2
 
 
-def _rounding_bound(a, x):
-    """delta of the start check: the ratios' rounding bound
-    max_i [gamma_(k+1) (|A| x)_i / x_i + u |ratio_i|], k the largest row nnz."""
-    u = np.finfo(float).eps / 2
-    k = int(a.getnnz(axis=1).max()) + 1
-    ratios = (a @ x) / x
-    return float(((k * u / (1 - k * u)) * (abs(a) @ x) / x + u * np.abs(ratios)).max())
-
-
 def _counting_lus(monkeypatch):
     factorized = []
     init = linalg.LuFactor.__init__
@@ -601,7 +602,7 @@ def test_closed_form_runs_close_before_any_lu(name, monkeypatch):
     assert lo <= exact <= hi
     assert lo <= pair.value <= hi
     ratios = (a @ x) / x
-    delta = _rounding_bound(a, x)
+    delta = rounding_bound(a, x)
     assert lo <= float(ratios.min()) - delta and float(ratios.max()) + delta <= hi
     assert 2.0 * delta <= hi - lo <= TOL_EIG * (1.0 + abs(pair.value))
     if name == "cyclic-3-species":
@@ -673,16 +674,20 @@ def test_subdomain_blocks_take_no_start(monkeypatch):
     assert len(starts) == 2
 
 
-def test_start_above_the_target_at_n2048_iterates():
+def test_start_above_the_target_at_n2048_stops_at_the_floor():
     """At n = 2048 the sine's rounding bound alone is wider than the
-    target, so the run iterates from ones; the closed form lies in cw."""
+    target, so the sine stops at the floor, with no LU; the closed form
+    lies in cw.  From ones the run reaches the same floor."""
     grid = build_grid(1, (0.0,), (1.0,), (2048,))
     ds = laplace_system(grid).discretize()
     a = ds.assembled("cooperative").A
     pair = cooperative_eigen(ds)
-    assert pair.iterations >= 1
+    assert pair.stopped == "floor"
+    assert (pair.iterations, pair.solves) == (0, 0)
     assert pair.cw[0] <= _lap_eig(2048) <= pair.cw[1]
     x = spectral.grid_sine(grid, 1)
-    assert 2.0 * _rounding_bound(a, x) > TOL_EIG * (1.0 + _lap_eig(2048))
+    assert np.array_equal(pair.right, x)
+    assert 2.0 * rounding_bound(a, x) > TOL_EIG * (1.0 + _lap_eig(2048))
     plain = principal_eigenpair(a)
-    assert (pair.value, pair.cw, pair.solves) == (plain.value, plain.cw, plain.solves)
+    assert plain.stopped == "floor" and plain.iterations >= 1
+    assert plain.cw[0] <= _lap_eig(2048) <= plain.cw[1]
