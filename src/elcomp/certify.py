@@ -166,21 +166,19 @@ class Verdict:
 
 
 def _tol(pair, settings: Settings = DEFAULT) -> float:
-    """How far a margin of pair's lambda must clear zero to decide: tol_cond
-    (1 + |lambda|), or cw's width when wider, as at the rounding floor."""
-    return max(settings.tol_cond * (1.0 + abs(pair.value)), pair.cw[1] - pair.cw[0])
+    """tol_cond (1 + |lambda|), the slack of each margin check on pair; the
+    check reads lambda at cw's end on its own side (_margins, check_failure)."""
+    return settings.tol_cond * (1.0 + abs(pair.value))
 
 
 def _margins(ds, pairs, settings: Settings = DEFAULT):
-    """Per-species tolerances, m_plus on interior nodes, and the margins
-    diag[j, x] = lam_j + m_jj_plus(x), col[j, x] = lam_j + sum_k m_kj_plus(x),
-    species j taking the eigenpair pairs[j]."""
-    n = len(pairs)
-    lams = [p.value for p in pairs]
+    """Per-species tolerances, m_plus on interior nodes, and the margins of
+    the Holds conditions, at the lower end lo_j = pairs[j].cw[0] of lambda_j:
+    diag[j, x] = lo_j + m_jj_plus(x), col[j, x] = lo_j + sum_k m_kj_plus(x)."""
     mp = ds.m_plus[:, :, ds.grid.interior_ids]
     tols = [_tol(p, settings) for p in pairs]
-    diag = np.array([lams[j] + mp[j, j] for j in range(n)])
-    col = np.array([lams[j] + mp[:, j, :].sum(axis=0) for j in range(n)])
+    diag = np.array([p.cw[0] + mp[j, j] for j, p in enumerate(pairs)])
+    col = np.array([p.cw[0] + mp[:, j, :].sum(axis=0) for j, p in enumerate(pairs)])
     return tols, mp, diag, col
 
 
@@ -235,14 +233,13 @@ def check_thm1(spec, settings: Settings = DEFAULT) -> Verdict:
             value=asys.offdiag_max,
         )
     pair = _memo_eigenpair(ds, asys.A, asys.key, settings, KNOWN_Z)
-    lam = pair.value
     tol = _tol(pair, settings)
     verdict = Verdict("Inconclusive", theorem="Theorem 1", mode=settings.mode)
     verdict.eigen["system"] = pair
-    verdict.margins["lambda"] = lam
-    if lam > tol:
+    verdict.margins["lambda"] = pair.value
+    if pair.cw[0] > tol:
         verdict.kind = "HoldsThm1"
-    elif lam < -tol:
+    elif pair.cw[1] < -tol:
         cex = _counterexample(ds, list(range(ds.n_species)), pair, None, "thm7")
         if cex.verified:
             verdict.kind = "FailsThm7"
@@ -268,9 +265,9 @@ def _block_margins(ds, verdict, blocks, keys, holds, settings: Settings = DEFAUL
     """Margin conditions of Theorems 3 and 4, every species taking the
     principal eigenpair of its block (recorded under keys[b]).
 
-    basic: lam_j + m_jj_plus >= -tol pointwise, and one common witness node
-    where every column margin lam_j + sum_k m_kj_plus is > tol.  sharp:
-    lam_j w_j + sum_k m_kj_plus w_k > tol along the left eigenvectors w.
+    basic: lo_j + m_jj_plus >= -tol pointwise, and one common witness node
+    where every column margin lo_j + sum_k m_kj_plus is > tol.  sharp:
+    lo_j w_j + sum_k m_kj_plus w_k > tol along the left eigenvectors w >= 0.
     """
     n = ds.n_species
     pairs = [None] * n
@@ -291,7 +288,7 @@ def _block_margins(ds, verdict, blocks, keys, holds, settings: Settings = DEFAUL
         w = np.array(lefts)
         sharp = np.array(
             [
-                pairs[j].value * w[j] + np.einsum("kx,kx->x", mp[:, j, :], w)
+                pairs[j].cw[0] * w[j] + np.einsum("kx,kx->x", mp[:, j, :], w)
                 for j in range(n)
             ]
         )
@@ -452,9 +449,10 @@ def check_failure(
     """Refutation scan; emits a verdict only for a verified counterexample.
 
     A candidate is a species j and the block whose principal eigenfunction
-    refutes once lam + m_jj_plus < 0 everywhere.  Theorem 7 (irreducible
-    cooperative part without competitive off-diagonal support): the whole
-    system, for each j with no positive diagonal coupling elsewhere.
+    refutes once hi + m_jj_plus < 0 everywhere, hi = cw[1] the upper end of
+    lambda.  Theorem 7 (irreducible cooperative part without competitive
+    off-diagonal support): the whole system, for each j with no positive
+    diagonal coupling elsewhere.
     Theorem 6 (reducible): species j alone, for each j with no positive
     coupling in its row or column.  Candidates that fail numeric
     verification are logged into diagnostics and produce no verdict.
@@ -482,8 +480,7 @@ def check_failure(
         ]
     for j, block in candidates:
         pair = block_eigen(ds, block, settings)
-        lam = pair.value
-        worst = float((lam + ds.m_plus[j, j][ids]).max())
+        worst = float((pair.cw[1] + ds.m_plus[j, j][ids]).max())
         if worst >= -_tol(pair, settings):
             continue
         cex = _counterexample(ds, block, pair, j + 1, which)

@@ -388,13 +388,14 @@ class NodaResult:
 
 
 class _NodaIterate:
-    """One Noda iterate x of b (A, or A^T for the left vector), abs_b = |b|,
+    """One Noda iterate x of the Z-matrix b (A, or A^T for the left vector),
     with its Collatz-Wielandt enclosure [lo, hi] and widths so far."""
 
-    def __init__(self, b, abs_b, transposed: bool, tol_eig: float, x: np.ndarray):
-        self.b, self.abs_b, self.transposed, self.tol_eig = b, abs_b, transposed, tol_eig
-        self.gamma = gamma(int(b.getnnz(axis=1).max(initial=0)) + 1)
-        self.x = x
+    def __init__(self, b, transposed: bool, tol_eig: float, x: np.ndarray):
+        self.b, self.transposed, self.tol_eig, self.x = b, transposed, tol_eig, x
+        k = int(b.getnnz(axis=1).max(initial=0))
+        self.gamma = gamma(k + 1) / (1.0 - gamma(k) - gamma(3))
+        self.twice_diag = 2.0 * np.maximum(b.diagonal(), 0.0)
         self.lo, self.hi, self.lam = -np.inf, np.inf, 0.0
         self.widths = []
         self.solves = 0
@@ -410,16 +411,19 @@ class _NodaIterate:
         closed iterate's result counts the run's factorizations so far and
         its own solves; fresh says x came from a solve with a new LU.
 
-        fl(b x) errs by at most gamma_k (|b| |x|) for k terms a row and the
+        fl(b x) errs by at most gamma_k (|b| x) for k terms a row and the
         division by u |ratio|, u the unit roundoff (N. J. Higham, Accuracy
         and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.5),
-        so delta = max_i [gamma_(k+1) (|b| |x|)_i / x_i + u |ratio_i|], one
-        more rounding in gamma covering that of |b| |x| itself.
+        so delta = max_i [gamma_(k+1) (|b| x)_i / x_i + u |ratio_i|], one
+        more rounding in gamma covering delta's own.  As b is a Z-matrix and
+        x > 0, (|b| x)_i / x_i = 2 d_i - (b x)_i / x_i, d_i = max(b_ii, 0), so
+        with ratio_i's error, below (gamma_k + 2u) (|b| x)_i / x_i, and one
+        more rounding it is at most fl(2 d_i - ratio_i) / (1 - gamma_k - gamma_3).
         """
         bx = self.b @ self.x
         ratios = bx / self.x
         u = np.finfo(float).eps / 2
-        delta = float((self.gamma * (self.abs_b @ self.x) / self.x + u * np.abs(ratios)).max())
+        delta = float((self.gamma * (self.twice_diag - ratios) + u * np.abs(ratios)).max())
         low, high = float(ratios.min()), float(ratios.max())
         lo = float(np.nextafter(low - delta, -np.inf))
         hi = float(np.nextafter(high + delta, np.inf))
@@ -509,7 +513,7 @@ def noda_iteration(
 
     Each shift's A - mu*I is a CSC copy of A with mu taken off its stored
     diagonal (shifted), which LuFactor factorizes as it is.  It is made
-    from A's CSC arrays, taken once per run (left's, when given); so is |A|.
+    from A's CSC arrays, taken once per run (left's, when given).
 
     Given left = A^T as CSR, a left iterate runs on it alongside and is
     returned as the result's left: a NodaResult counting its own solves
@@ -529,11 +533,10 @@ def noda_iteration(
     """
     if a.shape[0] != a.shape[1]:
         raise DimMismatch(f"Noda iteration needs a square matrix, got {a.shape}")
-    abs_a = abs(a)
-    sides = [(a, abs_a, False)] + ([] if left is None else [(left, abs_a.T, True)])
+    sides = [(a, False)] + ([] if left is None else [(left, True)])
 
     def iterates_from(x):
-        return [_NodaIterate(b, abs_b, t, settings.tol_eig, x) for b, abs_b, t in sides]
+        return [_NodaIterate(b, t, settings.tol_eig, x) for b, t in sides]
 
     iterates = iterates_from(np.ones(a.shape[0]) if start is None else start)
     if start is not None and any(it.enclose(0) for it in iterates):

@@ -36,8 +36,8 @@ class Settings:
 
     Each eigen run stops once its enclosure is narrower than
     tol_eig (1 + |lambda|), or at the rounding floor when that lies above
-    it; a margin counts only beyond tol_cond (1 + |lambda|), or beyond the
-    enclosure's width when that is wider.
+    it; a margin counts only beyond tol_cond (1 + |lambda|), with lambda at
+    the end of its enclosure that the margin's decision needs.
     """
 
     mode: str = "basic"

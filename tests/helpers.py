@@ -265,11 +265,15 @@ def power_iteration(b, tol=1e-9, max_iter=200000, collect_history=False):
 
 def rounding_bound(a, x):
     """delta of a Noda enclosure at x: the ratios' rounding bound
-    max_i [gamma_(k+1) (|A| x)_i / x_i + u |ratio_i|], k the largest row nnz."""
+    max_i [gamma_(k+1) (|A| x)_i / x_i + u |ratio_i|], k the largest row nnz,
+    with (|A| x)_i / x_i bounded from the ratios as
+    linalg._NodaIterate.enclose does."""
     u = np.finfo(float).eps / 2
-    k = int(a.getnnz(axis=1).max()) + 1
+    k = int(a.getnnz(axis=1).max())
     ratios = (a @ x) / x
-    return float(((k * u / (1 - k * u)) * (abs(a) @ x) / x + u * np.abs(ratios)).max())
+    g = ((k + 1) * u / (1 - (k + 1) * u)) / (1 - k * u / (1 - k * u) - 3 * u / (1 - 3 * u))
+    twice_diag = 2.0 * np.maximum(a.diagonal(), 0.0)
+    return float((g * (twice_diag - ratios) + u * np.abs(ratios)).max())
 
 
 def assert_report_views(report):

@@ -390,6 +390,69 @@ def test_thm5_requires_triangular():
         check_thm5(laplace_system(grid1(8)))
 
 
+# ------------------------------------------------ margins within the width
+
+# an enclosure width far above tol_cond (1 + |lambda|), as at the floor
+WIDE = 1e-3
+
+
+def _floor_pair(ds, value, n_block=1):
+    """A floor-stopped eigenpair on n_block species: unit vectors and an
+    enclosure WIDE wide, centred on value."""
+    one = np.ones(n_block * ds.grid.n_interior)
+    cw = (value - WIDE / 2, value + WIDE / 2)
+    return EigenPair(value, one, one, cw, 0, 0.0, 0, "floor")
+
+
+def test_thm1_reads_lambda_at_the_lower_end(monkeypatch):
+    """lambda's lower end decides Holds: 0.6 WIDE at the value is 0.1 WIDE
+    proven, 0.4 WIDE is -0.1 WIDE, which could be a negative lambda."""
+    spec = laplace_system(grid1(16))
+    for value, kind in [(0.6 * WIDE, "HoldsThm1"), (0.4 * WIDE, "Inconclusive")]:
+        monkeypatch.setattr(
+            certify_mod, "_memo_eigenpair", lambda ds, *a: _floor_pair(ds, value)
+        )
+        v = check_thm1(spec)
+        assert v.kind == kind, value
+        assert v.margins["lambda"] == value
+
+
+def test_diagonal_margin_within_the_width_is_not_holds(monkeypatch):
+    """m11 = x - 1 has m_plus 0 on x <= 1 and up to 2.1 near pi.  With
+    lambda's value at -WIDE / 2, the diagonal margin at the value lies in
+    (-WIDE, 0) and the column margin near pi clears every tolerance; at the
+    lower end the diagonal margin is -WIDE, so Theorem 4 must not hold."""
+    spec = laplace_system(grid1(32, PI), m=[["x - 1"]])
+    monkeypatch.setattr(
+        certify_mod,
+        "block_eigen",
+        lambda ds, block, settings: _floor_pair(ds, -WIDE / 2, len(block)),
+    )
+    v = check_thm4(spec)
+    assert v.kind == "Inconclusive"
+    assert "pointwise diagonal condition fails" in v.notes
+    assert v.margins["pointwise_diag"] == pytest.approx(-WIDE, rel=1e-9)
+    assert v.margins["common_point"] > 2.0
+
+
+def test_thm5_first_species_margin_within_the_width_is_not_holds(monkeypatch):
+    """The uncoupled species' slack condition reads the lower end too: the
+    predator-prey pair of test_thm5_predator_prey_construction, with
+    m11 = x - 1 and species 1 stopped at the floor at -WIDE / 2."""
+    spec = laplace_system(
+        grid1(32, PI), n_species=2, m=[["x - 1", "0.5"], ["-0.5", "0"]]
+    )
+    real = certify_mod.component_eigen
+
+    def eigen(ds, j, settings):
+        return _floor_pair(ds, -WIDE / 2) if j == 1 else real(ds, j, settings)
+
+    monkeypatch.setattr(certify_mod, "component_eigen", eigen)
+    v = check_thm5(spec)
+    assert v.kind == "Inconclusive"
+    assert any("for the uncoupled species" in note for note in v.notes)
+
+
 # ------------------------------------------------------- failure theorems
 
 
