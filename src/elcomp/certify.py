@@ -593,13 +593,18 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
         verdict.cross_check = _cross_check(verdict, ["oracle not run: with_oracle is off"])
         return verdict
     asys = ds.assembled("full")
+    # the gauged order first: where its check proves positivity, the plain
+    # report follows from it with no solve (oracle.m_matrix)
     orders = [("oracle", None, "system")]
     if gauged:
-        orders.append(("oracle_gauged", sigma, "gauged system"))
+        orders.insert(0, ("oracle_gauged", sigma, "gauged system"))
     first_note = len(verdict.notes)
     for name, gauge, what in orders:
         try:
-            setattr(verdict, name, oracle_mod.inverse_positivity(asys, gauge, settings))
+            report = oracle_mod.m_matrix(asys, gauge, settings, verdict.oracle_gauged)
+            if report is None:
+                report = oracle_mod.inverse_positivity(asys, gauge, settings)
+            setattr(verdict, name, report)
         except SingularMatrix:
             verdict.notes.append(f"oracle: {what} matrix is singular")
         except TooLarge:
@@ -618,17 +623,19 @@ def _cross_check(verdict: Verdict, skipped: list) -> dict:
     boundary_monotone), a Fails that they do not both hold.  A Holds on a
     system with a sign gauge that flips a species is claimed in the gauge
     order, which oracle_gauged decides; every other claim is in the all +1
-    order, which the plain oracle decides.  No claim, or no report in the
-    claimed order, gives skipped, with that order's note from skipped, the
-    oracle notes in the order tried: plain first, gauged last, and a
-    budget note for both.
+    order, which the plain oracle decides.  Each report is the one-solve
+    M-matrix check's where it decides, and the scan's elsewhere
+    (oracle.m_matrix); both read inverse_positive and boundary_monotone
+    alike.  No claim, or no report in the claimed order, gives skipped,
+    with that order's note from skipped, the oracle notes in the order
+    tried: gauged first, plain last, and a budget note for both.
     """
     if verdict.order is None:
         return {"result": "skipped", "reason": "Inconclusive: no claim"}
     name = "oracle_gauged" if min(verdict.order) < 0 else "oracle"
     rep = getattr(verdict, name)
     if rep is None:
-        return {"result": "skipped", "reason": skipped[-1 if name == "oracle_gauged" else 0]}
+        return {"result": "skipped", "reason": skipped[0 if name == "oracle_gauged" else -1]}
     monotone = bool(rep.inverse_positive and rep.boundary_monotone)
     reason = (
         f"{name}: inverse_positive {rep.inverse_positive}, "

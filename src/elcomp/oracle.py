@@ -8,6 +8,13 @@ decide only refutes, from the column of A^{-1} at the middle interior node
 of each species: a negative entry of block (k, l) can show in a column of
 species l, where a random f >= 0 would add the positive diagonal blocks in.
 
+certify cross-checks a claim first with one solve (m_matrix): where D A D
+is a Z-matrix and G <= 0, x = (D A D)^{-1} 1 with (D A D) x > 0 proven in
+every row decides inverse positivity both ways by Fiedler-Ptak (M.
+Fiedler, V. Ptak, Czechoslovak Math. J. 12 (1962) 382-400), and a gauge
+order it proves positive on an irreducible A decides the plain order.
+Everywhere else the scan decides, and elcomp oracle always scans.
+
 The inverse is streamed, never held.  A scan leaves only the min and max
 of every species block (k, l) of A^{-1}: values, no positions.
 inverse_positivity keeps the scan on the system by content, and every
@@ -137,7 +144,7 @@ from scipy.linalg import lapack
 from .assembly import AssembledSystem
 from .errors import DimMismatch, SingularMatrix, TooLarge, ValidationError
 from .fields import TOL_RES, Counterexample, block_from_solution
-from .graphs import potentials
+from .graphs import csr_strongly_connected, potentials
 from .linalg import (
     SINGULAR_RTOL,
     LuFactor,
@@ -179,7 +186,7 @@ class OracleReport:
     boundary_reason: str | None  # how boundary_monotone was decided
     dof: int
     gauge: tuple | None = None
-    method: str = "scan"  # or "columns", above the dof budget (decide)
+    method: str = "scan"  # or "m-matrix" (m_matrix), or "columns" above the budget (decide)
     counterexample: Counterexample | None = None  # refute's, or decide's
 
     def to_json_dict(self) -> dict:
@@ -583,6 +590,14 @@ def _scan(asys: AssembledSystem) -> dict:
     return asys._oracle_cache[asys.key]
 
 
+def _within_budget(asys: AssembledSystem, settings: Settings) -> int:
+    """A's dof; TooLarge above settings.oracle_max_dof."""
+    dof = asys.A.shape[0]
+    if dof > settings.oracle_max_dof:
+        raise TooLarge(f"dense inverse of {dof} dof exceeds budget {settings.oracle_max_dof}")
+    return dof
+
+
 def inverse_positivity(
     asys: AssembledSystem,
     gauge=None,
@@ -600,10 +615,9 @@ def inverse_positivity(
     signs leave open (module docstring), and boundary_reason says which.
     The report carries no counterexample; refute makes one.
     """
-    dof, ns = asys.A.shape[0], asys.n_species
+    ns = asys.n_species
     sigma, signs = _signs(asys, gauge)
-    if dof > settings.oracle_max_dof:
-        raise TooLarge(f"dense inverse of {dof} dof exceeds budget {settings.oracle_max_dof}")
+    dof = _within_budget(asys, settings)
     inv = _scan(asys)
     pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
     min_entry = min(inv[p] for p in pairs)
@@ -619,6 +633,101 @@ def inverse_positivity(
         monotone, reason = least >= -threshold, f"{n_cols} columns of -G solved"
     logger.debug("gauge %s: boundary_monotone %s (%s)", sigma, monotone, reason)
     return OracleReport(inverse_positive, min_entry, monotone, least, reason, dof, sigma)
+
+
+def _image_lower(a, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A lower bound on each row of (D A D) x, D = diag(d), for D A D a
+    Z-matrix: fl((D A D) x) - delta, rounded outward.
+
+    fl((D A D) x) errs by at most gamma_k (|A| |x|) for k terms a row (N. J.
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+    2002, sec. 3.5; D flips signs exactly), so delta = gamma_(k+1) (|A|
+    |x|), one more rounding in gamma covering delta's own.  |A| = |D A D| =
+    2 diag(A)^+ - D A D, the Z identity, so as in linalg._NodaIterate.enclose
+    (|A| |x|)_i is at most fl(2 diag(A)^+ |x| - (D A D) |x|)_i / (1 - gamma_k
+    - gamma_3), with no |A| built; where x > 0, (D A D) |x| is the product
+    already taken.
+    """
+    k = int(np.diff(a.indptr).max(initial=0))
+    g = gamma(k + 1) / (1.0 - gamma(k) - gamma(3))
+    bx = d * (a @ (d * x))
+    t = np.abs(x)
+    bt = bx if (x > 0.0).all() else d * (a @ (d * t))
+    delta = g * (2.0 * np.maximum(a.diagonal(), 0.0) * t - bt)
+    return np.nextafter(bx - delta, -np.inf)
+
+
+def _to_scan(sigma, reason: str, *args) -> None:
+    """Log at DEBUG why m_matrix hands the order sigma to the scan."""
+    logger.debug("gauge %s: M-matrix check handed to the scan: " + reason, sigma, *args)
+
+
+def m_matrix(
+    asys: AssembledSystem,
+    gauge=None,
+    settings: Settings = DEFAULT,
+    flipped: OracleReport | None = None,
+) -> OracleReport | None:
+    """inverse_positivity's decision for D A D from one solve, or None where
+    the scan must decide.  One DEBUG record names the method that decided,
+    or why the scan must.
+
+    By Fiedler-Ptak, a Z-matrix B is a nonsingular M-matrix, so B^{-1} >= 0,
+    iff some x > 0 has B x > 0 (Berman-Plemmons, ch. 6).  Where B = D A D is
+    a Z-matrix and G <= 0, both on stored values, x = B^{-1} 1 = D A^{-1} D 1
+    is solved on one LU of A (lu_order), and B x > 0 is proven in every row
+    (_image_lower).  Then x > 0 gives inverse_positive and, with G <= 0,
+    boundary_monotone.  Otherwise some x_i < 0: a row with x_i = 0 and x >=
+    0 elsewhere has (B x)_i <= 0.  That refutes, as B^{-1} >= 0 would map B
+    x > 0 to x >= 0, and v = -x, with B v < 0 and zero boundary data, is
+    the report's counterexample.  method reads "m-matrix" and min_entry
+    None.  The check does not read the Perron vector, so it stays
+    independent of Theorem 1's certificate.
+
+    flipped, this check's report in an order sigma that flips some species
+    and not all, decides the plain order (gauge None): where it proved (D A
+    D)^{-1} >= 0 and A's digraph, D A D's, is strongly connected, (D A
+    D)^{-1} > 0 entrywise, so every block (k, l) of A^{-1} with sigma_k
+    sigma_l = -1 is < 0, with no solve.
+
+    None where the order is not Z, G holds a value that is not <= 0, the
+    solve calls A singular, B x > 0 is not proven, or flipped proved
+    positivity on a reducible A.  Above settings.oracle_max_dof a system is
+    TooLarge, as for the scan.
+    """
+    sigma, signs = _signs(asys, gauge)
+    dof, a = _within_budget(asys, settings), asys.A
+    proved = flipped is not None and flipped.method == "m-matrix" and flipped.inverse_positive
+    if proved and set(flipped.gauge) == {1, -1}:
+        if not csr_strongly_connected(a):
+            reason = "A is reducible, so no report follows from gauge %s"
+            return _to_scan(sigma, reason, flipped.gauge)
+        logger.debug(
+            "gauge %s: decided by the M-matrix check in gauge %s, A irreducible",
+            sigma, flipped.gauge,
+        )
+        reason = "A^-1 has a negative entry"
+        return OracleReport(False, None, None, None, reason, dof, sigma, "m-matrix")
+    d = np.repeat(signs, asys.grid.n_interior)
+    rows, cols = row_ids(a), a.indices
+    off = rows != cols
+    if not (d[rows[off]] * d[cols[off]] * a.data[off] <= 0.0).all():  # NaN included
+        return _to_scan(sigma, "D A D is not a Z-matrix")
+    if not (asys.G.data <= 0.0).all():
+        return _to_scan(sigma, "G has a value that is not <= 0")
+    try:
+        x = d * LuFactor(a, lu_order(asys.grid, a)).solve(d)
+    except SingularMatrix as err:
+        return _to_scan(sigma, "the solve calls A singular (%s)", err)
+    if not (_image_lower(a, d, x) > 0.0).all():
+        return _to_scan(sigma, "(D A D) x > 0 is not proven")
+    logger.debug("gauge %s: decided by the M-matrix check", sigma)
+    if (x > 0.0).all():
+        reason = "G <= 0 and A^-1 >= 0"
+        return OracleReport(True, None, True, None, reason, dof, sigma, "m-matrix")
+    cex = _field(asys, signs, -x, None, 0.0, None, "m-matrix")
+    reason = "A^-1 has a negative entry"
+    return OracleReport(False, None, None, None, reason, dof, sigma, "m-matrix", cex)
 
 
 def _field(asys, signs, v, g, floor: float, j: int, which: str, rows=slice(None)):

@@ -665,33 +665,40 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
 
 
 def test_certify_factorizes_the_full_operator_once(monkeypatch):
-    """The plain and the gauged oracle share one scan of the full operator,
-    on this 2D grid the slab scan's one block LU over grid lines: neither A
-    nor D A D, the gauged one, gets a sparse LU or a scan of its own."""
+    """The gauged order's M-matrix check factorizes A once and proves (D A
+    D)^{-1} >= 0; A being irreducible, the plain report follows from it.
+    That is one LU of A and no scan, and each report decides as the scan
+    does."""
     ds = load_problem(DATA / "competitive17.prob").discretize()
     full = abs(ds.assemble("full").A)
     factorized, scanned = [], []
     init = linalg.LuFactor.__init__
-    scan = oracle._scan_slabs
 
-    def counting(self, a):
+    def counting(self, a, order=None):
         if a.shape == full.shape and (abs(a) != full).nnz == 0:
             factorized.append(a.shape)
-        init(self, a)
+        init(self, a, order)
 
     def counting_scan(asys):
-        scanned.append((abs(asys.A) != full).nnz)
-        return scan(asys)
+        scanned.append(asys.A.shape)
+        return {}
 
     monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
-    monkeypatch.setattr(oracle, "_scan_slabs", counting_scan)
+    monkeypatch.setattr(oracle, "_scan", counting_scan)
     v = certify(ds)
     assert v.gauge == (1, -1)
-    assert scanned == [0]
-    assert factorized == []
+    assert scanned == []
+    assert factorized == [full.shape]
+    assert v.oracle.method == v.oracle_gauged.method == "m-matrix"
+    monkeypatch.undo()
     fresh = load_problem(DATA / "competitive17.prob").discretize().assemble("full")
-    assert v.oracle_gauged == inverse_positivity(fresh, gauge=v.gauge)
-    assert v.oracle == inverse_positivity(fresh)
+    for report, gauge in ((v.oracle_gauged, v.gauge), (v.oracle, None)):
+        scan = inverse_positivity(fresh, gauge=gauge)
+        assert (report.inverse_positive, report.boundary_monotone) == (
+            scan.inverse_positive,
+            scan.boundary_monotone,
+        )
+        assert report.boundary_reason == scan.boundary_reason
 
 
 @pytest.mark.parametrize(
@@ -752,9 +759,11 @@ def test_unknown_mode_rejected(mode, monkeypatch):
 
 
 def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):
-    def singular(a):
+    def singular(a, order=None):
         raise SingularMatrix("pivot 0")
 
+    # the M-matrix check's solve and the scan's LU both raise, and a check
+    # that cannot solve hands each order to the scan
     monkeypatch.setattr(oracle, "LuFactor", singular)
     # the slab scan's guard trips on a singular A and hands it to the LU scan
     monkeypatch.setattr(oracle, "_scan_slabs", lambda asys: None)

@@ -776,3 +776,23 @@ def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
     for res in (both, left):
         assert res.cw[0] - pad <= lam <= res.cw[1] + pad
         assert res.cw[1] - res.cw[0] <= target(res.rho)
+
+
+def test_noda_enclosure_rounds_outward():
+    """enclose widens the ratios' range by delta and rounds each end one
+    step outward: on a small Z-matrix, lo lies strictly below fl(low -
+    delta) and hi strictly above fl(high + delta), recomputed here from the
+    iterate, so an enclosure without the outward step is caught."""
+    b = sp.csr_matrix(
+        np.array([[4.0, -1.0, 0.0, -0.5], [-1.0, 3.0, -1.0, 0.0], [0.0, -2.0, 5.0, -1.0], [-0.25, 0.0, -1.0, 2.0]])
+    )
+    x = np.array([1.0, 0.7, 0.3, 0.9])
+    it = linalg._NodaIterate(b, False, 1e-300, x)
+    it.enclose(0)
+    ratios = (b @ x) / x
+    u = np.finfo(float).eps / 2
+    k = int(b.getnnz(axis=1).max())
+    g = linalg.gamma(k + 1) / (1.0 - linalg.gamma(k) - linalg.gamma(3))
+    delta = float((g * (2.0 * np.maximum(b.diagonal(), 0.0) - ratios) + u * np.abs(ratios)).max())
+    assert it.lo < float(ratios.min()) - delta
+    assert it.hi > float(ratios.max()) + delta

@@ -22,6 +22,7 @@ from elcomp.assembly import DiscreteSystem, assemble_system
 from elcomp.errors import SingularMatrix, TooLarge, ValidationError
 from elcomp.cli import main
 from elcomp.fields import block_from_solution, load_block, save_fields
+from elcomp.graphs import csr_strongly_connected
 from elcomp.linalg import LuFactor, dense_inverse, inf_norm, lu_order, lu_solve
 from elcomp.mesh import build_grid
 from elcomp.oracle import (
@@ -1499,3 +1500,206 @@ def test_scan_builds_no_sparse_matrix_per_block():
         ],
     )
     assert slabs[0] == slabs[1] == slabs[2], slabs
+
+
+# ------------------------------------------------------ one-solve M-matrix check
+
+
+def _shifted_laplacian(eps: float):
+    """The scalar Laplacian on 16 cells of [0, 1], shifted by -lambda_1 (1 -
+    eps), lambda_1 its least eigenvalue: an M-matrix, singular as eps -> 0."""
+    h = 1.0 / 16
+    lam = 4.0 / h**2 * np.sin(np.pi * h / 2) ** 2
+    return assemble_system(laplace_system(build_grid(1, 0.0, 1.0, 16), c=-lam * (1.0 - eps)))
+
+
+def _triangular_competition():
+    """A competitive pair coupled one way only, m12 > 0 and m21 = 0, with
+    its gauge (1, -1): Z in the gauge order, and reducible."""
+    asys = _pair(build_grid(1, 0.0, 1.0, 16), [["0", "0.5"], ["0", "0"]])
+    return asys, (1, -1)
+
+
+@st.composite
+def _m_matrix_case(draw):
+    """(asys, gauge): 1-3 species on a 1D or 2D grid of at most 200 dof,
+    with variable diffusion, upwind convection, a shift c of either sign,
+    and couplings of one sign per species pair, pairs uncoupled at random
+    in half the draws.
+    Each pair's sign is the one that makes D A D a Z-matrix for a drawn
+    order sigma, or either sign; gauge is None or sigma."""
+    ns = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        grid = build_grid(1, 0.0, 1.0, draw(st.integers(4, 200 // ns)))
+    else:
+        grid = build_grid(2, 0.0, 1.0, (draw(st.integers(3, 8)), draw(st.integers(3, 8))))
+    dim, nn = grid.dim, grid.n_nodes
+    unit = st.floats(0.0, 1.0)
+    a = np.zeros((ns, dim, dim, nn))
+    for d in range(dim):
+        a[:, d, d] = 0.5 + draw(arrays(float, (ns, nn), elements=unit))
+    b = 4.0 * draw(arrays(float, (ns, dim, nn), elements=unit)) - 2.0
+    c = draw(arrays(float, (ns, nn), elements=unit)) + draw(st.floats(-60.0, 10.0))
+    sigma = np.array(draw(st.tuples(*[st.sampled_from((1, -1))] * ns)))
+    want = -np.outer(sigma, sigma)  # the sign of m_kl that D A D's Z pattern needs
+    sign = np.where(draw(st.booleans()), want, draw(arrays(int, (ns, ns), elements=st.sampled_from((1, -1)))))
+    size = draw(st.floats(0.1, 30.0)) * draw(arrays(float, (ns, ns, nn), elements=st.floats(0.5, 1.0)))
+    coupled = draw(arrays(bool, (ns, ns))) | draw(st.booleans())  # every pair, half the time
+    m = (sign * coupled)[..., None] * size
+    m[np.arange(ns), np.arange(ns)] = 0.0
+    zeros = np.zeros((ns, nn))
+    asys = DiscreteSystem(grid, ns, a, b, c, m, zeros, zeros).assemble("full")
+    return asys, draw(st.sampled_from([None, tuple(int(s) for s in sigma)]))
+
+
+def _assert_m_matrix(asys, gauge, rep, derived=False):
+    """m_matrix's report against one dense inverse of D A D: the decision is
+    the sign of its least entry wherever that lies beyond +-TOL_OP max|entry|;
+    a check's refutation carries a verified field, v with D A D v < 0, zero
+    boundary data and v > 0 somewhere; a derived one carries none."""
+    assert rep.method == "m-matrix" and rep.gauge == gauge and rep.dof == asys.A.shape[0]
+    assert (rep.min_entry, rep.min_boundary_entry) == (None, None)
+    assert rep.boundary_monotone is (True if rep.inverse_positive else None)
+    try:
+        inv, _ = _gauged_dense(asys, gauge)
+    except SingularMatrix:
+        inv = None
+    if inv is not None:
+        least, scale = float(inv.min()), float(np.abs(inv).max())
+        if abs(least) > TOL_OP * scale:
+            assert rep.inverse_positive == (least > 0.0)
+    cex = rep.counterexample
+    if rep.inverse_positive or derived:
+        assert cex is None
+        return
+    assert cex.verified and cex.which == "m-matrix" and cex.j is None
+    signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
+    d = np.repeat(signs, asys.grid.n_interior)
+    v = cex.w.interior.ravel()
+    assert (d * (asys.A @ (d * v))).max() < 0.0 and v.max() > 0.0
+    assert not cex.w.boundary.any()
+
+
+@given(_m_matrix_case())
+@example((_shifted_laplacian(1e-12), None))
+@example(_triangular_competition())
+@example((_pair(build_grid(1, 0.0, 1.0, 16), [["0", "0.5"], ["0.5", "0"]]), (1, -1)))
+@seed(20261020)
+@settings(max_examples=120, deadline=None)
+def test_m_matrix_check_decides_as_the_dense_inverse(case):
+    """Wherever the one-solve check decides, in the drawn order and, where
+    that order flips some species and not all and the check proves
+    positivity, in the
+    plain order derived from it, it decides as the dense (D A D)^{-1} does
+    (_assert_m_matrix).  The plain order is derived exactly when A is
+    irreducible.  The pinned near-singular Laplacian hands its order to the
+    scan, and the pinned triangular competition, reducible, its plain one."""
+    asys, gauge = case
+    rep = oracle.m_matrix(asys, gauge)
+    if rep is None:
+        return
+    _assert_m_matrix(asys, gauge, rep)
+    if gauge is not None and set(gauge) == {1, -1} and rep.inverse_positive:
+        plain = oracle.m_matrix(asys, None, flipped=rep)
+        assert (plain is None) == (not csr_strongly_connected(asys.A))
+        if plain is not None:
+            _assert_m_matrix(asys, None, plain, derived=True)
+            assert plain.inverse_positive is False
+
+
+def test_m_matrix_check_hands_the_pinned_cases_to_the_scan():
+    """The near-singular Laplacian's row sums of A^{-1} reach |A| |x| >
+    1e14, where the solve calls A singular, while the scan of its entries
+    decides; the triangular competition is Z in its gauge order, which the
+    check proves, but its plain report cannot follow from that."""
+    asys = _shifted_laplacian(1e-12)
+    assert oracle.m_matrix(asys) is None
+    assert inverse_positivity(asys).inverse_positive
+    asys, gauge = _triangular_competition()
+    gauged = oracle.m_matrix(asys, gauge)
+    assert gauged.inverse_positive and gauged.method == "m-matrix"
+    assert oracle.m_matrix(asys, None, flipped=gauged) is None
+    assert not inverse_positivity(asys).inverse_positive
+
+
+def test_m_matrix_bound_rounds_outward():
+    """_image_lower's bound on (D A D) x lies strictly below fl(fl((D A D) x)
+    - delta), so dropping its outward rounding is caught: on a small
+    Z-matrix in a flipping order, for x > 0 and for x of mixed signs."""
+    asys, gauge = _triangular_competition()
+    a = asys.A
+    d = np.repeat(np.asarray(gauge, float), asys.grid.n_interior)
+    k = int(np.diff(a.indptr).max())
+    g = linalg.gamma(k + 1) / (1.0 - linalg.gamma(k) - linalg.gamma(3))
+    x_pos = d * lu_solve(a, d)
+    for x in (x_pos, x_pos * np.where(np.arange(x_pos.size) % 3, 1.0, -1.0)):
+        bx = d * (a @ (d * x))
+        bt = d * (a @ (d * np.abs(x)))
+        delta = g * (2.0 * np.maximum(a.diagonal(), 0.0) * np.abs(x) - bt)
+        lower = oracle._image_lower(a, d, x)
+        assert (lower < bx - delta).all()
+        assert (lower > 0.0).all() == (x > 0.0).all()
+
+
+def _check_records(caplog):
+    """The M-matrix check's records on elcomp.oracle, one per order."""
+    return [
+        r.getMessage()
+        for r in caplog.records
+        if r.name == "elcomp.oracle" and " M-matrix check" in r.getMessage()
+    ]
+
+
+def test_certify_logs_the_method_of_each_order(caplog, monkeypatch):
+    """certify logs one DEBUG record per order on elcomp.oracle: the method
+    that decided it, or why the check handed it to the scan."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    from elcomp.certify import certify
+
+    def records(spec):
+        caplog.clear()
+        certify(spec)
+        return _check_records(caplog)
+
+    data = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
+    assert records(load_problem(data / "cooperative_pair.prob")) == [
+        "gauge None: decided by the M-matrix check"
+    ]
+    assert records(load_problem(data / "competitive17.prob")) == [
+        "gauge (1, -1): decided by the M-matrix check",
+        "gauge None: decided by the M-matrix check in gauge (1, -1), A irreducible",
+    ]
+    assert records(load_problem(data / "predator_prey.prob")) == [
+        "gauge None: M-matrix check handed to the scan: D A D is not a Z-matrix"
+    ]
+    spec = laplace_system(build_grid(1, 0.0, 1.0, 16), n_species=2, m=[["0", "0.5"], ["0", "0"]])
+    assert records(spec) == [
+        "gauge (1, -1): decided by the M-matrix check",
+        "gauge None: M-matrix check handed to the scan: A is reducible, so no report"
+        " follows from gauge (1, -1)",
+    ]
+    # the same pair with the bound unproven, and with a singular solve
+    monkeypatch.setattr(oracle, "_image_lower", lambda a, d, x: np.zeros_like(x))
+    assert records(spec) == [
+        "gauge (1, -1): M-matrix check handed to the scan: (D A D) x > 0 is not proven",
+        "gauge None: M-matrix check handed to the scan: D A D is not a Z-matrix",
+    ]
+    monkeypatch.undo()
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    caplog.clear()
+    assert oracle.m_matrix(_shifted_laplacian(1e-12)) is None
+    (record,) = _check_records(caplog)
+    assert record.startswith("gauge None: M-matrix check handed to the scan: the solve calls A singular (solve: ")
+
+
+def test_m_matrix_check_needs_g_nonpositive(caplog):
+    """A positive value in G leaves the boundary half to the scan's columns
+    of -G, so the check hands the order over."""
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    asys = assemble_system(laplace_system(build_grid(1, 0.0, 1.0, 16)))
+    g = asys.G.copy()
+    g.data[0] = 1e-3
+    assert oracle.m_matrix(replace(asys, G=g)) is None
+    assert _check_records(caplog) == [
+        "gauge None: M-matrix check handed to the scan: G has a value that is not <= 0"
+    ]

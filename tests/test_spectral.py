@@ -419,13 +419,14 @@ def test_thm1_scans_each_operator_content_once(monkeypatch):
     assert len(scans) == len(set(scans)) == 2
 
 
-@pytest.mark.parametrize("name, keys", [("cooperative_pair", 1), ("competitive17", 3)])
+@pytest.mark.parametrize("name, keys", [("cooperative_pair", 1), ("competitive17", 2)])
 def test_certify_hashes_each_operator_once(monkeypatch, name, keys):
     """A certify run hashes each operator it solves or scans once.
-    cooperative_pair's eigen solves and its oracle all read the key of its
-    one assembled system.  competitive17 hashes its two species blocks,
-    equal in content and so solved once, and its full system, whose key
-    the plain and the gauged oracle share."""
+    cooperative_pair's eigen solves read the key of its one assembled
+    system, which its oracle, the M-matrix check, does not need.
+    competitive17 hashes its two species blocks, equal in content and so
+    solved once; its full system is hashed by nothing, as only a scan is
+    kept by content, and neither of its orders is scanned."""
     hashed = []
     content_key = linalg.content_key
 
