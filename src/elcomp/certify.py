@@ -10,10 +10,10 @@ edge, Theorem 5; no edge between blocks, Theorem 4; else Inconclusive.
 A verdict either certifies the comparison principle through one of the
 sufficient conditions (positive cooperative eigenvalue, common-point and
 pointwise competitive-part margins, per-component or triangular variants),
-refutes it with a numerically verified counterexample field, or reports
-Inconclusive.  Margins near zero are never rounded into a verdict.
-certify states the species order a Holds or Fails claims (all +1) and
-cross-checks the claim against the oracle in that order.
+refutes it with a counterexample field whose image a rounding bound proves
+nonpositive, or reports Inconclusive.  Margins near zero are never rounded
+into a verdict.  certify states the species order a Holds or Fails claims
+(all +1) and cross-checks the claim against the oracle in that order.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .errors import (
     StructureUnsupported,
     TooLarge,
 )
-from .fields import TOL_RES, BlockField, Counterexample, block_from_solution
+from .fields import BlockField, Counterexample
 from .graphs import potentials
-from .linalg import inf_norm, lu_solve, shifted
+from .linalg import lu_solve, shifted
 from .settings import DEFAULT, Settings
 from .spectral import _memo_eigenpair, block_eigen, component_eigen
 
@@ -194,21 +194,14 @@ def _common_point(col, tols):
 
 def _counterexample(ds, block, pair, j, which):
     """Counterexample from the block's right eigenfunction, zero on the
-    other species and scaled to max 1.  Verified when w >= 0 and
-    (A w)_i <= TOL_RES * |A| for the fully coupled A."""
-    a = ds.assembled("full").A
+    other species and scaled to max 1, on the fully coupled system: verified
+    where oracle.prove_field proves A w <= 0 in every row."""
     w = np.zeros((ds.n_species, ds.grid.n_interior))
     w[block] = pair.right.reshape(len(block), -1)
     w = w.ravel()
     wmax = float(w.max())
-    if wmax <= 0.0:
-        ok, residual = False, float("inf")
-    else:
-        w = w / wmax
-        residual = float((a @ w).max())
-        ok = float(w.min()) >= 0.0 and residual <= TOL_RES * inf_norm(a)
-    fld = block_from_solution(ds.grid, ds.n_species, w, None)
-    return Counterexample(fld, ok, residual, j, which)
+    w = w / wmax if wmax > 0.0 else w
+    return oracle_mod.prove_field(ds.assembled("full"), np.ones(w.size), w, None, j, which)
 
 
 # -------------------------------------------------------------- theorem 1
@@ -219,6 +212,8 @@ def check_thm1(spec, settings: Settings = DEFAULT) -> Verdict:
 
     The full coupling (including any nonnegative diagonal part) is folded
     into the operator; competitive off-diagonal entries are out of scope.
+    Below zero the eigenfunction refutes (FailsThm7) where its field is
+    proven (oracle.prove_field); else a note reads "not proven (bound ...)".
     """
     ds = as_discrete(spec)
     if ds.signs.plus_offdiag.any():
@@ -250,8 +245,8 @@ def check_thm1(spec, settings: Settings = DEFAULT) -> Verdict:
             )
         else:
             verdict.notes.append(
-                f"eigenfunction counterexample failed verification "
-                f"(residual {cex.residual_max:.3e})"
+                f"eigenfunction counterexample not proven "
+                f"(bound {cex.residual_max:.3e})"
             )
     else:
         verdict.notes.append("principal eigenvalue within tolerance of zero")
@@ -446,7 +441,7 @@ def _thm5_chain(ds, eps, order0, pairs):
 def check_failure(
     spec, settings: Settings = DEFAULT, diagnostics: list | None = None
 ) -> Verdict | None:
-    """Refutation scan; emits a verdict only for a verified counterexample.
+    """Refutation scan; emits a verdict only for a proven counterexample.
 
     A candidate is a species j and the block whose principal eigenfunction
     refutes once hi + m_jj_plus < 0 everywhere, hi = cw[1] the upper end of
@@ -454,8 +449,9 @@ def check_failure(
     off-diagonal support): the whole system, for each j with no positive
     diagonal coupling elsewhere.
     Theorem 6 (reducible): species j alone, for each j with no positive
-    coupling in its row or column.  Candidates that fail numeric
-    verification are logged into diagnostics and produce no verdict.
+    coupling in its row or column.  A candidate whose field is not proven
+    (oracle.prove_field) is noted in diagnostics, "not proven (bound ...)",
+    and produces no verdict.
     """
     ds = as_discrete(spec)
     n = ds.n_species
@@ -486,8 +482,8 @@ def check_failure(
         cex = _counterexample(ds, block, pair, j + 1, which)
         if not cex.verified:
             notes.append(
-                f"FailureCandidate j={j + 1} ({which}) failed verification "
-                f"(residual {cex.residual_max:.3e})"
+                f"FailureCandidate j={j + 1} ({which}) not proven "
+                f"(bound {cex.residual_max:.3e})"
             )
             continue
         verdict = Verdict(kind, theorem=theorem, j=j + 1)

@@ -20,9 +20,6 @@ from .expressions import sample_field
 from .mesh import Grid, build_grid
 
 
-TOL_RES = 1e-8  # a counterexample's image counts as <= 0 below TOL_RES |A| max|w|
-
-
 @dataclass
 class SampledField:
     grid: Grid
@@ -53,8 +50,10 @@ class BlockField:
 @dataclass
 class Counterexample:
     """A field w that breaks comparison: its image and boundary data <= 0,
-    yet w > 0 somewhere; verified gates any Fails verdict.  j is the
-    species, column, boundary value or trial of its source, which."""
+    yet w > 0 somewhere.  verified says that oracle.prove_field proved it,
+    with residual_max the largest row of its outward-rounded bound on the
+    image, and gates any Fails verdict.  j is the species, column or
+    boundary value of its source, which."""
 
     w: BlockField
     verified: bool

@@ -4,9 +4,10 @@ The discrete comparison principle is defined as: A nonsingular, inverse of
 A entrywise nonnegative, and -A^{-1} G entrywise nonnegative.  Equivalently
 A u <= 0 in the interior plus boundary data <= 0 force u <= 0.  The oracle
 decides this from a scan of the inverse within a dof budget.  Above it,
-decide only refutes, from the column of A^{-1} at the middle interior node
-of each species: a negative entry of block (k, l) can show in a column of
-species l, where a random f >= 0 would add the positive diagonal blocks in.
+decide only refutes, with a proven field from the column of A^{-1} at the
+middle interior node of each species: a negative entry of block (k, l) can
+show in a column of species l, where a random f >= 0 would add the positive
+diagonal blocks in.
 
 certify cross-checks a claim first with one solve (m_matrix): where D A D
 is a Z-matrix and G <= 0, x = (D A D)^{-1} 1 with (D A D) x > 0 proven in
@@ -122,9 +123,13 @@ column search solves D A D the same way, as D A^{-1} D.
 
 A scan keeps no positions: a broken comparison is refuted by a field
 (refute), from one column of A^{-1}, or of -A^{-1} G, solved again by the
-column search that decide runs above the budget.  That column can differ
-in the last bit from the scan's: the BLAS kernels behind the sparse
-triangular solves are chosen by the number of right-hand sides.
+column search that decide runs above the budget, and shifted by a multiple
+of (D A D)^{-1} 1 so that its image is < 0 in every row.  A field counts
+only where an outward-rounded bound on its image proves that image <= 0
+(prove_field), with no tolerance; the m_matrix check, certify's Theorem 6
+and 7 witnesses and the column search all use that one rule.  A solved
+column can differ in the last bit from the scan's: the BLAS kernels behind
+the sparse triangular solves are chosen by the number of right-hand sides.
 
 solve_system, which no scan calls, solves A u = f - G g.  On a 2D grid
 with two or more species it factorizes the species blocks, not A: the
@@ -143,7 +148,7 @@ from scipy.linalg import lapack
 
 from .assembly import AssembledSystem
 from .errors import DimMismatch, SingularMatrix, TooLarge, ValidationError
-from .fields import TOL_RES, Counterexample, block_from_solution
+from .fields import Counterexample, block_from_solution
 from .graphs import csr_strongly_connected, potentials
 from .linalg import (
     SINGULAR_RTOL,
@@ -594,7 +599,8 @@ def _within_budget(asys: AssembledSystem, settings: Settings) -> int:
     """A's dof; TooLarge above settings.oracle_max_dof."""
     dof = asys.A.shape[0]
     if dof > settings.oracle_max_dof:
-        raise TooLarge(f"dense inverse of {dof} dof exceeds budget {settings.oracle_max_dof}")
+        limit = f"{dof} dof exceeds budget {settings.oracle_max_dof}"
+        raise TooLarge(f"oracle scan or M-matrix check of {limit}")
     return dof
 
 
@@ -635,26 +641,29 @@ def inverse_positivity(
     return OracleReport(inverse_positive, min_entry, monotone, least, reason, dof, sigma)
 
 
-def _image_lower(a, d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A lower bound on each row of (D A D) x, D = diag(d), for D A D a
-    Z-matrix: fl((D A D) x) - delta, rounded outward.
-
-    fl((D A D) x) errs by at most gamma_k (|A| |x|) for k terms a row (N. J.
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
-    2002, sec. 3.5; D flips signs exactly), so delta = gamma_(k+1) (|A|
-    |x|), one more rounding in gamma covering delta's own.  |A| = |D A D| =
-    2 diag(A)^+ - D A D, the Z identity, so as in linalg._NodaIterate.enclose
-    (|A| |x|)_i is at most fl(2 diag(A)^+ |x| - (D A D) |x|)_i / (1 - gamma_k
-    - gamma_3), with no |A| built; where x > 0, (D A D) |x| is the product
-    already taken.
-    """
+def _image_upper(asys: AssembledSystem, d: np.ndarray, v: np.ndarray, g=None) -> np.ndarray:
+    """An upper bound on each row of D A D v + D G D_b g, D = diag(d), g
+    None for zero boundary data: fl(.) + gamma_(k+1) (|A| |v| + |G| |g|) +
+    eta, rounded outward, k a row's terms; v and g may hold a field per
+    column, d shaped (n, 1).  fl(.) errs by at most gamma_k (|A| |v| + |G|
+    |g|) (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., SIAM 2002, sec. 3.5; D G D_b = G, G being species-block diagonal),
+    one more rounding in gamma covers the computed magnitudes' own, and eta
+    = (k + 1) 2^-1074 what gradual underflow adds, at most 2^-1075 a
+    product (ibid., sec. 2.1).  A row whose terms are all exactly 0 is
+    bounded by 0."""
+    a, abs_a = asys.A, abs(asys.A)
     k = int(np.diff(a.indptr).max(initial=0))
-    g = gamma(k + 1) / (1.0 - gamma(k) - gamma(3))
-    bx = d * (a @ (d * x))
-    t = np.abs(x)
-    bt = bx if (x > 0.0).all() else d * (a @ (d * t))
-    delta = g * (2.0 * np.maximum(a.diagonal(), 0.0) * t - bt)
-    return np.nextafter(bx - delta, -np.inf)
+    s, t = d * (a @ (d * v)), abs_a @ np.abs(v)
+    if g is not None:
+        k += int(np.diff(asys.G.indptr).max(initial=0))
+        s, t = s + asys.G @ g, t + abs(asys.G) @ np.abs(g)
+    eta = (k + 1) * np.finfo(float).smallest_subnormal
+    upper = np.nextafter(s + (gamma(k + 1) * t + eta), np.inf)
+    if (t == 0.0).any():  # a row of products that are all 0, or underflow to 0
+        terms = abs_a @ (v != 0.0) + (0.0 if g is None else abs(asys.G) @ (g != 0.0))
+        upper[terms == 0.0] = 0.0
+    return upper
 
 
 def _to_scan(sigma, reason: str, *args) -> None:
@@ -676,13 +685,13 @@ def m_matrix(
     iff some x > 0 has B x > 0 (Berman-Plemmons, ch. 6).  Where B = D A D is
     a Z-matrix and G <= 0, both on stored values, x = B^{-1} 1 = D A^{-1} D 1
     is solved on one LU of A (lu_order), and B x > 0 is proven in every row
-    (_image_lower).  Then x > 0 gives inverse_positive and, with G <= 0,
-    boundary_monotone.  Otherwise some x_i < 0: a row with x_i = 0 and x >=
-    0 elsewhere has (B x)_i <= 0.  That refutes, as B^{-1} >= 0 would map B
-    x > 0 to x >= 0, and v = -x, with B v < 0 and zero boundary data, is
-    the report's counterexample.  method reads "m-matrix" and min_entry
-    None.  The check does not read the Perron vector, so it stays
-    independent of Theorem 1's certificate.
+    as B (-x) < 0 (_image_upper).  Then x > 0 gives inverse_positive and,
+    with G <= 0, boundary_monotone.  Otherwise some x_i < 0: a row with x_i
+    = 0 and x >= 0 elsewhere has (B x)_i <= 0.  That refutes, as B^{-1} >=
+    0 would map B x > 0 to x >= 0, and v = -x, with zero boundary data and
+    that same bound, is the report's proven counterexample.  method reads
+    "m-matrix" and min_entry None.  The check does not read the Perron
+    vector, so it stays independent of Theorem 1's certificate.
 
     flipped, this check's report in an order sigma that flips some species
     and not all, decides the plain order (gauge None): where it proved (D A
@@ -719,83 +728,74 @@ def m_matrix(
         x = d * LuFactor(a, lu_order(asys.grid, a)).solve(d)
     except SingularMatrix as err:
         return _to_scan(sigma, "the solve calls A singular (%s)", err)
-    if not (_image_lower(a, d, x) > 0.0).all():
+    bound = _image_upper(asys, d, -x)
+    if not (bound < 0.0).all():
         return _to_scan(sigma, "(D A D) x > 0 is not proven")
     logger.debug("gauge %s: decided by the M-matrix check", sigma)
     if (x > 0.0).all():
         reason = "G <= 0 and A^-1 >= 0"
         return OracleReport(True, None, True, None, reason, dof, sigma, "m-matrix")
-    cex = _field(asys, signs, -x, None, 0.0, None, "m-matrix")
+    cex = prove_field(asys, d, -x, None, None, "m-matrix", bound)
     reason = "A^-1 has a negative entry"
     return OracleReport(False, None, None, None, reason, dof, sigma, "m-matrix", cex)
 
 
-def _field(asys, signs, v, g, floor: float, j: int, which: str, rows=slice(None)):
+def prove_field(asys, d, v, g, j, which: str, bound=None) -> Counterexample:
     """The Counterexample of interior values v and boundary data g (zeros
-    when None) on the system gauged by signs: verified when its image under
-    D A D and D G D_b is <= TOL_RES |A| max|v|, and v[rows] > floor."""
-    d = np.repeat(signs, asys.grid.n_interior)
-    g = np.zeros(asys.G.shape[1]) if g is None else g
-    image = asys.A @ (d * v) + asys.G @ (np.repeat(signs, asys.grid.n_boundary) * g)
-    residual = float((d * image).max())
-    verified = residual <= TOL_RES * inf_norm(asys.A) * float(np.abs(v).max())
-    verified &= float(v[rows].max()) > floor
+    when None) on D A D, D = diag(d), from source j, which: verified exactly
+    when every row of its _image_upper bound (or bound) is <= 0, g <= 0 and
+    max v > 0, with no tolerance; residual_max is the bound's largest row."""
+    bound = _image_upper(asys, d, v, g) if bound is None else bound
+    residual = float(bound.max())
+    verified = residual <= 0.0 and float(v.max()) > 0.0 and (g is None or bool((g <= 0.0).all()))
     fld = block_from_solution(asys.grid, asys.n_species, v, g)
-    return Counterexample(fld, bool(verified), residual, j, which)
+    return Counterexample(fld, verified, residual, j, which)
 
 
 def refute(asys: AssembledSystem, report: OracleReport) -> Counterexample | None:
-    """A field that breaks comparison for D A D where report, inverse_positivity's
-    on asys, has a decision fail (inverse_positive first); None when both hold.
-
-    In the first block (k, l) whose scanned minimum is the report's, the
-    column search (_column_search) runs over the right-hand sides of species
-    l that the scan solved for, the identity's or -G's (_right_hand_sides),
-    on the rows of species k, against -TOL_OP max|A^{-1}|, the decision's
-    threshold.
-    """
+    """A proven field that breaks comparison for D A D where report,
+    inverse_positivity's on asys, has a decision fail (inverse_positive
+    first); None when both hold or no field is proven.  The column search
+    runs over the right-hand sides of species l that the scan solved for,
+    the identity's or -G's (_right_hand_sides), in the first block (k, l)
+    whose scanned minimum is the report's."""
     if report.inverse_positive and report.boundary_monotone:
         return None
     _, signs = _signs(asys, report.gauge)
-    ns, n_int = asys.n_species, asys.grid.n_interior
-    inv = _scan(asys)
+    ns = asys.n_species
     boundary = bool(report.inverse_positive)
-    extremes = _boundary_columns(asys)[1] if boundary else inv
+    extremes = _boundary_columns(asys)[1] if boundary else _scan(asys)
     least = report.min_boundary_entry if boundary else report.min_entry
     pairs = [(k, l, int(signs[k] * signs[l])) for k in range(ns) for l in range(ns)]
-    k, l, _ = next(p for p in pairs if extremes.get(p) == least)
-    threshold = TOL_OP * -min(inv.values())
+    _, l, _ = next(p for p in pairs if extremes.get(p) == least)
     _, cols, width = _right_hand_sides(asys, boundary)
-    rows = slice(k * n_int, (k + 1) * n_int)
-    return _column_search(asys, signs, boundary, cols[cols // width == l], rows, threshold)
+    return _column_search(asys, signs, boundary, cols[cols // width == l])
 
 
-def _column_search(asys, signs, boundary: bool, cols, rows, threshold=None) -> Counterexample:
-    """The field of the first column j among cols whose gauged x = D A^{-1} D
-    r_j has an entry in rows below -threshold, from one LU of A; r_j is
-    column j of the identity, or of -G when boundary.  threshold None takes
-    TOL_OP max|x| over the first _solves block.  v = -x: D A D v = -e_j with
-    zero boundary data, or D A D v + D G D_b g = 0 for g = -e_j.  If no
-    column reaches the threshold (a decision within rounding of it), the
-    least entry's column is taken, and the field is not verified."""
+def _column_search(asys, signs, boundary: bool, cols) -> Counterexample | None:
+    """The proven field of the first column j among cols that has one, from
+    one LU of A; None when none has.  x = D A^{-1} D r_j, r_j column j of
+    the identity, or of -G when boundary.  With y = (D A D)^{-1} 1 and eps
+    = |min x| / (4 max|y|), v = -(x + eps y) has D A D v = -(e_j + eps 1)
+    with zero boundary data, or D A D v + D G D_b g = -eps 1 with g = -e_j,
+    and v >= 3/4 |min x| > 0 where x is least, if min x < 0."""
     rhs, _, width = _right_hand_sides(asys, boundary)
-    d = np.repeat(signs, asys.grid.n_interior)
-    best = np.inf  # the least entry of the columns taken so far
-    for c0, x in _solves(LuFactor(asys.A), rhs, cols):
-        x *= d[:, None]
-        x *= signs[cols[c0 : c0 + x.shape[1]] // width]  # now D A^{-1} D r
-        if threshold is None:
-            threshold = TOL_OP * float(np.abs(x).max())
-        col_min = x[rows].min(axis=0)
-        below = col_min < -threshold
-        c = int(np.argmax(below) if below.any() else np.argmin(col_min))
-        if col_min[c] < best:
-            best, j, v = col_min[c], int(cols[c0 + c]), -x[:, c]
-        if below.any():
-            break
-    g = -np.eye(asys.G.shape[1])[j] if boundary else None
     which = "oracle-boundary" if boundary else "oracle"
-    return _field(asys, signs, v, g, threshold, j, which, rows)
+    d = np.repeat(signs, asys.grid.n_interior)[:, None]
+    lu = LuFactor(asys.A)
+    y = d * lu.solve(d)
+    for c0, x in _solves(lu, rhs, cols):
+        block = cols[c0 : c0 + x.shape[1]]
+        x *= d * signs[block // width]  # now D A^{-1} D r
+        v = -(x + np.abs(x.min(axis=0)) / (4.0 * np.abs(y).max()) * y)
+        g = -np.eye(asys.G.shape[1])[:, block] if boundary else None
+        bound = _image_upper(asys, d, v, g)
+        for c in np.flatnonzero(x.min(axis=0) < 0.0):
+            g_c = None if g is None else g[:, c]
+            cex = prove_field(asys, d[:, 0], v[:, c], g_c, int(block[c]), which, bound[:, c])
+            if cex.verified:
+                return cex
+    return None
 
 
 def decide(asys: AssembledSystem, gauge=None, settings: Settings = DEFAULT) -> OracleReport:
@@ -803,9 +803,8 @@ def decide(asys: AssembledSystem, gauge=None, settings: Settings = DEFAULT) -> O
 
     Above settings.oracle_max_dof unknowns nothing is scanned.  The column
     search (_column_search) solves, on one LU of A, the columns of A^{-1}
-    at the middle interior node of each species, ns <= BLOCK of them, and
-    checks every species block of each against -TOL_OP max|x| over them.
-    inverse_positive is False where the field is verified, and None
+    at the middle interior node of each species, ns <= BLOCK of them.
+    inverse_positive is False where one's field is proven, and None
     (undecided) otherwise: a column with no negative entry certifies
     nothing.  min_entry and the boundary half stay None, and method reads
     "columns".
@@ -819,9 +818,8 @@ def decide(asys: AssembledSystem, gauge=None, settings: Settings = DEFAULT) -> O
     dims = [nd - 1 for nd in asys.grid.n[::-1]]  # interior nodes per axis, x fastest
     middle = np.ravel_multi_index([m // 2 for m in dims], dims)
     cols = asys.grid.n_interior * np.arange(asys.n_species) + middle
-    cex = _column_search(asys, signs, False, cols, slice(None))
+    cex = _column_search(asys, signs, False, cols)
     reason = f"A^-1 not scanned: {dof} dof above the budget {settings.oracle_max_dof}"
-    cex = cex if cex.verified else None
     decision = False if cex else None
     return OracleReport(decision, None, None, None, reason, dof, sigma, "columns", cex)
 

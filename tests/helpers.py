@@ -1,6 +1,7 @@
 """Small builders shared by the test modules."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -274,6 +275,26 @@ def rounding_bound(a, x):
     g = ((k + 1) * u / (1 - (k + 1) * u)) / (1 - k * u / (1 - k * u) - 3 * u / (1 - 3 * u))
     twice_diag = 2.0 * np.maximum(a.diagonal(), 0.0)
     return float((g * (twice_diag - ratios) + u * np.abs(ratios)).max())
+
+
+def assert_proven(asys, cex, gauge=None):
+    """cex proves that comparison fails on D A D, D = diag(sigma) for the
+    gauge sigma (all +1 when None): verified, boundary data <= 0, w > 0
+    somewhere, and every row of D A D v + D G D_b g, recomputed in exact
+    rational arithmetic from the stored floats, at most residual_max, which
+    is <= 0."""
+    signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
+    d = np.repeat(signs, asys.grid.n_interior)
+    d_bnd = np.repeat(signs, asys.grid.n_boundary)
+    v, g = cex.w.interior.ravel(), cex.w.boundary.ravel()
+    assert cex.verified and cex.residual_max <= 0.0
+    assert v.max() > 0.0 and (g <= 0.0).all()
+    rows = [Fraction(0)] * v.size
+    for m, x, dx in ((asys.A, v, d), (asys.G, g, d_bnd)):
+        m = m.tocoo()
+        for i, j, a in zip(m.row, m.col, m.data):
+            rows[i] += Fraction(float(d[i] * a)) * Fraction(float(dx[j] * x[j]))
+    assert max(rows) <= Fraction(cex.residual_max)
 
 
 def assert_report_views(report):

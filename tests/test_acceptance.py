@@ -13,7 +13,6 @@ import pytest
 
 from elcomp.certify import certify
 from elcomp.cli import main
-from elcomp.linalg import inf_norm
 from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.oracle import inverse_positivity
 from elcomp.problems import parse_problem
@@ -133,8 +132,7 @@ def test_acceptance_5_failure_reproduction():
     assert v.j == 1
     cex = v.counterexample
     assert cex.verified
-    a_norm = inf_norm(spec.discretize().assemble("full").A)
-    assert cex.residual_max <= 1e-8 * a_norm
+    assert cex.residual_max <= 0.0
     assert cex.w.interior.min() >= 0.0
     assert cex.w.interior.max() == pytest.approx(1.0)
     assert v.oracle is not None

@@ -301,8 +301,8 @@ def test_oracle_prints_how_the_boundary_half_was_decided(tmp_path, capsys):
 
 def test_oracle_above_the_budget_searches_columns(tmp_path):
     """Above --oracle-max-dof, elcomp oracle solves the middle column of
-    each species: the plain competitive pair is refuted with a verified
-    field, and the gauged one, which the scan certifies, is undecided (null,
+    each species: the plain competitive pair is refuted with a proven
+    field (residual_max <= 0), and the gauged one, which the scan certifies, is undecided (null,
     not a certificate), exit 0 both; min_entry and the boundary half are
     null."""
     problem = str(DATA / "competitive17.prob")
@@ -316,6 +316,7 @@ def test_oracle_above_the_budget_searches_columns(tmp_path):
         cex = oracle["counterexample"]
         assert (cex is None) == (decision is None)
         assert cex is None or (cex["verified"] and cex["which"] == "oracle")
+        assert cex is None or cex["residual_max"] <= 0.0
     code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", "1058")
     assert code == 0 and payload["oracle"]["method"] == "scan"
 

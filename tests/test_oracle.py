@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from elcomp import linalg, oracle
 from elcomp.assembly import DiscreteSystem, assemble_system
-from elcomp.errors import SingularMatrix, TooLarge, ValidationError
+from elcomp.errors import ElcompError, SingularMatrix, TooLarge, ValidationError
 from elcomp.cli import main
 from elcomp.fields import block_from_solution, load_block, save_fields
 from elcomp.graphs import csr_strongly_connected
@@ -37,6 +37,7 @@ from elcomp.expressions import parse_expr
 from elcomp.problems import load_problem, parse_problem
 
 from helpers import (
+    assert_proven,
     laplace_system,
     reference_row_fold,
     system_text,
@@ -70,6 +71,7 @@ def test_strong_negative_diagonal_breaks_positivity():
     assert rep.min_entry < 0.0
     cex = refute(asys, rep)
     assert cex.verified and cex.which == "oracle"
+    assert_proven(asys, cex)
     assert 0 <= cex.j < 15
 
 
@@ -97,10 +99,15 @@ def test_gauge_validation():
 
 
 def test_dof_budget_enforced():
+    """Above the budget the scan and the M-matrix check raise TooLarge,
+    whose message names them: neither builds a dense inverse."""
     grid = build_grid(1, (0.0,), (1.0,), (64,))
     asys = assemble_system(laplace_system(grid))
-    with pytest.raises(TooLarge):
+    message = "^oracle scan or M-matrix check of 63 dof exceeds budget 32$"
+    with pytest.raises(TooLarge, match=message):
         inverse_positivity(asys, settings=Settings(oracle_max_dof=32))
+    with pytest.raises(TooLarge, match=message):
+        oracle.m_matrix(asys, settings=Settings(oracle_max_dof=32))
 
 
 def test_negative_budget_cannot_reach_the_oracle():
@@ -701,8 +708,8 @@ def _lu_refutation(asys, gauge):
 
 def _near_threshold_column():
     """A 1D scalar system whose inverse is M below: column 0 dips to
-    -1e-12, within the threshold -TOL_OP max|M|, and column 1 to -0.5, so
-    the first refuting column is 1, and the least entry's column 2."""
+    -1e-12, within the scan's threshold -TOL_OP max|M| but negative in the
+    stored A, column 1 to -0.5, and the least entry lies in column 2."""
     grid = build_grid(1, 0.0, 1.0, 4)
     asys = assemble_system(laplace_system(grid))
     m = np.array([[1.0, -0.5, -0.9], [-1e-12, 2.0, 0.5], [1.0, 0.5, 3.0]])
@@ -717,17 +724,19 @@ def _near_threshold_column():
 @example(_near_threshold_column())
 @settings(max_examples=80, deadline=None)
 def test_refute_gives_the_first_refuting_column(case):
-    """Where a decision fails, refute's field breaks comparison on D A D:
-    its image under D A D and D G D_b is <= 0, its boundary data -e_j or 0,
-    and it is minus column j of the dense D A^{-1} D, or of the dense
-    -(D A^{-1} D)(D G D_b) when only boundary_monotone fails, to rounding;
-    there j is one of the columns of G with a positive value, which alone
-    the oracle solves for.  j is the first column of the report's block
-    (k, l), among those it solves for, with an entry of
-    species k below -TOL_OP max|A^{-1}|, through the slab scan and the LU
-    scan alike.  Blocks or columns that rounding could reorder, their dense
-    values within the rounding bound of each other or of the threshold,
-    leave j unchecked.  Where both decisions hold there is no field."""
+    """Where a decision fails, refute's field is proven (assert_proven, in
+    exact arithmetic), its boundary data -e_j or 0, and its image under D A
+    D and D G D_b is -(e_j + eps 1), or -eps 1 when only boundary_monotone
+    fails, for one eps > 0, to rounding; column j of the dense D A^{-1} D,
+    or of the dense -(D A^{-1} D)(D G D_b), where j is one of the columns
+    of G with a positive value, which alone the oracle solves for, has a
+    negative entry to rounding.  j is a column of species l of the report's
+    block (k, l), and no column of species l before it, among those the
+    oracle solves for, dips below 4 rounding bounds, where its shifted field
+    would be proven: through the slab scan and the LU scan alike.  A
+    report's block that rounding could reorder leaves l unchecked, and a
+    decision within rounding of the threshold -TOL_OP max|A^{-1}| may have
+    no field.  Where both decisions hold there is no field."""
     asys, gauge = case
     try:
         inv, bnd = _gauged_dense(asys, gauge)
@@ -743,32 +752,35 @@ def test_refute_gives_the_first_refuting_column(case):
             assert cex is None
             continue
         boundary = bool(rep.inverse_positive)
-        assert cex.which == ("oracle-boundary" if boundary else "oracle")
         dense, b = (bnd, bound_bnd) if boundary else (inv, bound)
+        if cex is None:
+            assert float(dense.min()) >= -threshold - b
+            continue
+        assert cex.which == ("oracle-boundary" if boundary else "oracle")
+        assert_proven(asys, cex, gauge)
         if boundary:  # +inf in the columns of -G left unsolved
             solved = _solved_columns(asys)
             dense = np.full_like(bnd, np.inf)
             dense[:, solved] = bnd[:, solved]
         width = dense.shape[1] // ns
         v, g = cex.w.interior.ravel(), cex.w.boundary.ravel()
-        assert np.abs(v + dense[:, cex.j]).max() <= b
         d, d_bnd = np.repeat(signs, n_int), np.repeat(signs, asys.grid.n_boundary)
         image = d * (asys.A @ (d * v) + asys.G @ (d_bnd * g))
-        assert image.max() <= 1e-8 * inf_norm(asys.A) * np.abs(v).max()
         expect_g = np.zeros_like(g)
         if boundary:
             expect_g[cex.j] = -1.0
+        else:
+            image[cex.j] += 1.0
         assert np.array_equal(g, expect_g)
+        assert np.ptp(image) <= 1e-8 * inf_norm(asys.A) * np.abs(v).max()
+        assert float(dense[:, cex.j].min()) < b
+        col_min = dense.min(axis=0)
+        l = cex.j // width
+        assert (col_min[l * width : cex.j] >= -4 * b).all()
         blocks = dense.reshape(ns, n_int, ns, width).min(axis=(1, 3))  # [k, l]
         near = np.argwhere(blocks <= dense.min() + 2 * b)
-        if len(near) > 1 or dense.min() >= -threshold - b:
-            continue  # rounding could pick another block, or no column
-        (k, l), = near
-        assert cex.verified
-        col_min = dense[k * n_int : (k + 1) * n_int, l * width : (l + 1) * width].min(axis=0)
-        first = int(np.argmax(col_min < -threshold))
-        if (np.abs(col_min[: first + 1] + threshold) > b).all():
-            assert cex.j == l * width + first
+        if len(near) == 1:  # rounding could not pick another block
+            assert near[0][1] == l
 
 
 _COLUMNS = Settings(oracle_max_dof=0)  # every system is above the budget
@@ -776,7 +788,8 @@ _COLUMNS = Settings(oracle_max_dof=0)  # every system is above the budget
 
 def _tiny_negative_middle_column():
     """A 1D scalar system whose inverse is M below: its middle column, 1,
-    dips to -1e-12, within the columns' threshold -TOL_OP max|x| = -2e-9."""
+    dips to -1e-12, within the scan's threshold -TOL_OP max|M| = -3e-9 but
+    negative in the stored A."""
     grid = build_grid(1, 0.0, 1.0, 4)
     asys = assemble_system(laplace_system(grid))
     m = np.array([[1.0, -1e-12, 0.9], [0.5, 2.0, 0.5], [0.2, 0.5, 3.0]])
@@ -794,27 +807,31 @@ def _middle_nodes(asys):
 
 
 def _assert_columns(asys, gauge, scan):
-    """decide's column search against the scan's report: never False where
-    the scan certifies, and False only with a verified field, which ==
-    "oracle", from a middle column j, whose image under D A D is -e_j with
-    zero boundary data, to rounding; min_entry and the boundary half are
-    None.  Returns the report."""
+    """decide's column search against the scan's report: False only with a
+    proven field (assert_proven), which == "oracle", from a middle column
+    j, whose image under D A D is -(e_j + eps 1), eps > 0, with zero
+    boundary data, to rounding; where the scan certifies, only where the
+    dense inverse has a negative entry, to rounding, which the scan's
+    TOL_OP tolerance let pass.  min_entry and the boundary half are None.
+    Returns the report."""
     rep = decide(asys, gauge, _COLUMNS)
     assert rep.method == "columns" and rep.gauge == scan.gauge
     assert (rep.min_entry, rep.boundary_monotone, rep.min_boundary_entry) == (None, None, None)
     assert rep.inverse_positive in (False, None)
-    if scan.inverse_positive:
-        assert rep.inverse_positive is None
+    if scan.inverse_positive and rep.inverse_positive is False:
+        inv, _ = _gauged_dense(asys, gauge)
+        assert float(inv.min()) < _rounding_bounds(asys)[0]
     cex = rep.counterexample
     assert (cex is None) == (rep.inverse_positive is None)
     if cex is not None:
-        assert cex.verified and cex.which == "oracle" and cex.j in _middle_nodes(asys)
+        assert cex.which == "oracle" and cex.j in _middle_nodes(asys)
+        assert_proven(asys, cex, gauge)
         signs = np.ones(asys.n_species) if gauge is None else np.asarray(gauge, float)
         d = np.repeat(signs, asys.grid.n_interior)
         v = cex.w.interior.ravel()
         image = d * (asys.A @ (d * v))
         image[cex.j] += 1.0
-        assert np.abs(image).max() <= 1e-8 * inf_norm(asys.A) * np.abs(v).max()
+        assert np.ptp(image) <= 1e-8 * inf_norm(asys.A) * np.abs(v).max()
         assert not cex.w.boundary.any()
     return rep
 
@@ -828,12 +845,13 @@ def _assert_columns(asys, gauge, scan):
 @seed(20261020)
 @settings(max_examples=60, deadline=None)
 def test_columns_refute_only_what_the_scan_refutes(case):
-    """Above the dof budget, the middle column of each species decides no
-    system that the scan certifies, an entry within -TOL_OP max|x| of 0
-    included, and each refutation carries a verified field
-    (_assert_columns), plain and gauged.  These draws couple pointwise with
-    random signs, so a middle column can miss a negative entry that the
-    scan finds: a miss is None, not a certificate."""
+    """Above the dof budget, the middle column of each species refutes a
+    system that the scan certifies only where the dense inverse has a
+    negative entry within the scan's -TOL_OP max|A^{-1}|, and each
+    refutation carries a proven field (_assert_columns), plain and gauged.
+    These draws couple pointwise with random signs, so a middle column can
+    miss a negative entry that the scan finds: a miss is None, not a
+    certificate."""
     asys, gauge = case
     for g in (None, gauge):
         try:
@@ -841,6 +859,22 @@ def test_columns_refute_only_what_the_scan_refutes(case):
         except SingularMatrix:
             return
         _assert_columns(asys, g, scan)
+
+
+def test_a_proof_shows_entries_within_the_scan_tolerance():
+    """The pinned systems' -1e-12 entries lie within the scan's TOL_OP
+    tolerance, yet the shifted fields of their columns are proven: refute
+    takes column 0, not column 1 whose entry -0.5 passes the threshold, and
+    above the budget the middle column refutes the system that the scan
+    certifies."""
+    asys, _ = _near_threshold_column()
+    rep = inverse_positivity(asys)
+    assert rep.inverse_positive is False and refute(asys, rep).j == 0
+    asys, _ = _tiny_negative_middle_column()
+    assert inverse_positivity(asys).inverse_positive
+    rep = decide(asys, None, _COLUMNS)
+    assert rep.inverse_positive is False and rep.counterexample.j == 1
+    assert_proven(asys, rep.counterexample)
 
 
 @given(coupled_systems(), st.data())
@@ -859,7 +893,8 @@ def test_columns_refute_every_coupled_system_the_scan_refutes(text, data):
         except SingularMatrix:
             return
         rep = _assert_columns(asys, g, scan)
-        assert rep.inverse_positive is (None if scan.inverse_positive else False)
+        if not scan.inverse_positive:
+            assert rep.inverse_positive is False
 
 
 def _strip_singular():
@@ -1381,7 +1416,7 @@ def test_cross_diffusion_breaks_the_boundary_half_alone(caplog):
     cooperative pair A^{-1} >= 0 while -A^{-1} G has negative entries: the
     columns of -G with a positive value in G (148 of 160) are solved, their
     least entry matches the dense one, boundary_monotone is false, a DEBUG
-    record says how it was decided, and refute gives a verified field from
+    record says how it was decided, and refute gives a proven field from
     one of those columns, with boundary data -e_j."""
     caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     asys = parse_problem(_NINE_POINT_PAIR).discretize().assembled("full")
@@ -1396,6 +1431,7 @@ def test_cross_diffusion_breaks_the_boundary_half_alone(caplog):
     assert "gauge None: boundary_monotone False (148 columns of -G solved)" in messages
     cex = refute(asys, rep)
     assert cex.verified and cex.which == "oracle-boundary"
+    assert_proven(asys, cex)
     assert cex.j in _solved_columns(asys)
     assert np.array_equal(cex.w.boundary.ravel(), -np.eye(160)[cex.j])
 
@@ -1521,11 +1557,12 @@ def _triangular_competition():
 
 
 @st.composite
-def _m_matrix_case(draw):
-    """(asys, gauge): 1-3 species on a 1D or 2D grid of at most 200 dof,
+def _system_case(draw, cross=False):
+    """(ds, gauge): 1-3 species on a 1D or 2D grid of at most 200 dof,
     with variable diffusion, upwind convection, a shift c of either sign,
     and couplings of one sign per species pair, pairs uncoupled at random
-    in half the draws.
+    in half the draws; with cross, 2D grids add cross diffusion in half the
+    draws, which gives G positive values.
     Each pair's sign is the one that makes D A D a Z-matrix for a drawn
     order sigma, or either sign; gauge is None or sigma."""
     ns = draw(st.integers(1, 3))
@@ -1547,15 +1584,20 @@ def _m_matrix_case(draw):
     coupled = draw(arrays(bool, (ns, ns))) | draw(st.booleans())  # every pair, half the time
     m = (sign * coupled)[..., None] * size
     m[np.arange(ns), np.arange(ns)] = 0.0
+    if cross and dim == 2 and draw(st.booleans()):
+        a[:, 0, 1] = a[:, 1, 0] = 0.2 * draw(arrays(float, (ns, nn), elements=unit)) - 0.1
     zeros = np.zeros((ns, nn))
-    asys = DiscreteSystem(grid, ns, a, b, c, m, zeros, zeros).assemble("full")
-    return asys, draw(st.sampled_from([None, tuple(int(s) for s in sigma)]))
+    ds = DiscreteSystem(grid, ns, a, b, c, m, zeros, zeros)
+    return ds, draw(st.sampled_from([None, tuple(int(s) for s in sigma)]))
+
+
+_m_matrix_case = _system_case().map(lambda case: (case[0].assemble("full"), case[1]))
 
 
 def _assert_m_matrix(asys, gauge, rep, derived=False):
     """m_matrix's report against one dense inverse of D A D: the decision is
     the sign of its least entry wherever that lies beyond +-TOL_OP max|entry|;
-    a check's refutation carries a verified field, v with D A D v < 0, zero
+    a check's refutation carries a proven field, v with D A D v < 0, zero
     boundary data and v > 0 somewhere; a derived one carries none."""
     assert rep.method == "m-matrix" and rep.gauge == gauge and rep.dof == asys.A.shape[0]
     assert (rep.min_entry, rep.min_boundary_entry) == (None, None)
@@ -1578,9 +1620,10 @@ def _assert_m_matrix(asys, gauge, rep, derived=False):
     v = cex.w.interior.ravel()
     assert (d * (asys.A @ (d * v))).max() < 0.0 and v.max() > 0.0
     assert not cex.w.boundary.any()
+    assert_proven(asys, cex, gauge)
 
 
-@given(_m_matrix_case())
+@given(_m_matrix_case)
 @example((_shifted_laplacian(1e-12), None))
 @example(_triangular_competition())
 @example((_pair(build_grid(1, 0.0, 1.0, 16), [["0", "0.5"], ["0.5", "0"]]), (1, -1)))
@@ -1623,22 +1666,30 @@ def test_m_matrix_check_hands_the_pinned_cases_to_the_scan():
 
 
 def test_m_matrix_bound_rounds_outward():
-    """_image_lower's bound on (D A D) x lies strictly below fl(fl((D A D) x)
-    - delta), so dropping its outward rounding is caught: on a small
-    Z-matrix in a flipping order, for x > 0 and for x of mixed signs."""
+    """_image_upper's bound on D A D x + D G D_b g lies strictly above
+    fl(fl(.) + gamma_(k+1) fl(|A| |x| + |G| |g|)) in every row, k a row's
+    terms, so dropping its outward rounding, its gamma term or the
+    magnitudes |A| is caught; and a row whose terms are all 0 is bounded by
+    0: on a small Z-matrix in a flipping order, for x > 0 and x of mixed
+    signs, with boundary data -e_0 and with none."""
     asys, gauge = _triangular_competition()
-    a = asys.A
-    d = np.repeat(np.asarray(gauge, float), asys.grid.n_interior)
-    k = int(np.diff(a.indptr).max())
-    g = linalg.gamma(k + 1) / (1.0 - linalg.gamma(k) - linalg.gamma(3))
+    a, gm, n = asys.A, asys.G, asys.grid.n_interior
+    d = np.repeat(np.asarray(gauge, float), n)
     x_pos = d * lu_solve(a, d)
+    b = -np.eye(gm.shape[1])[0]
     for x in (x_pos, x_pos * np.where(np.arange(x_pos.size) % 3, 1.0, -1.0)):
-        bx = d * (a @ (d * x))
-        bt = d * (a @ (d * np.abs(x)))
-        delta = g * (2.0 * np.maximum(a.diagonal(), 0.0) * np.abs(x) - bt)
-        lower = oracle._image_lower(a, d, x)
-        assert (lower < bx - delta).all()
-        assert (lower > 0.0).all() == (x > 0.0).all()
+        for g in (None, b):
+            s, t = d * (a @ (d * x)), abs(a) @ np.abs(x)
+            k = int(np.diff(a.indptr).max())
+            if g is not None:
+                s, t = s + gm @ g, t + abs(gm) @ np.abs(g)
+                k += int(np.diff(gm.indptr).max())
+            upper = oracle._image_upper(asys, d, x, g)
+            assert (upper > s + linalg.gamma(k + 1) * t).all()
+    # species 2 couples to nothing, so its rows of a field zero there are 0
+    x = np.concatenate([x_pos[:n], np.zeros(n)])
+    upper = oracle._image_upper(asys, d, x)
+    assert (upper[n:] == 0.0).all() and (upper[:n] != 0.0).all()
 
 
 def _check_records(caplog):
@@ -1679,7 +1730,7 @@ def test_certify_logs_the_method_of_each_order(caplog, monkeypatch):
         " follows from gauge (1, -1)",
     ]
     # the same pair with the bound unproven, and with a singular solve
-    monkeypatch.setattr(oracle, "_image_lower", lambda a, d, x: np.zeros_like(x))
+    monkeypatch.setattr(oracle, "_image_upper", lambda asys, d, v, g=None: np.zeros_like(v))
     assert records(spec) == [
         "gauge (1, -1): M-matrix check handed to the scan: (D A D) x > 0 is not proven",
         "gauge None: M-matrix check handed to the scan: D A D is not a Z-matrix",
@@ -1703,3 +1754,70 @@ def test_m_matrix_check_needs_g_nonpositive(caplog):
     assert _check_records(caplog) == [
         "gauge None: M-matrix check handed to the scan: G has a value that is not <= 0"
     ]
+
+
+# ------------------------------------------------- fields in exact arithmetic
+
+
+def _proven_fields(ds, gauge):
+    """The kinds of field that certify (its witness and its plain oracle's),
+    the M-matrix check, refute and the column search give on ds, the oracle
+    in the order gauge, each asserted proven in exact arithmetic
+    (assert_proven)."""
+    from elcomp.certify import certify
+
+    asys, kinds = ds.assembled("full"), []
+
+    def check(cex, order):
+        if cex is not None:
+            assert_proven(asys, cex, order)
+            kinds.append(cex.which)
+
+    try:
+        verdict = certify(ds)
+        check(verdict.counterexample, None)
+        check(verdict.oracle and verdict.oracle.counterexample, None)
+    except ElcompError:  # not Z, singular and the like: no verdict to check
+        pass
+    try:
+        rep = oracle.m_matrix(asys, gauge)
+        check(rep and rep.counterexample, gauge)
+        check(refute(asys, inverse_positivity(asys, gauge)), gauge)
+        check(decide(asys, gauge, _COLUMNS).counterexample, gauge)
+    except SingularMatrix:
+        pass
+    return kinds
+
+
+def _pinned_fields():
+    """(ds, None) for thm6_failure (94 dof), a Thm 7 pair on 8^2 cells (98
+    dof) and the cross-diffusion pair on 10^2 cells (162 dof)."""
+    data = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
+    species = [{"c": "-5.74", "f": "1"}] * 2
+    thm7 = system_text((8, 8), species, {"m12": "-17", "m21": "-17"})
+    nine = _NINE_POINT_PAIR.replace("n = 20 20", "n = 10 10")
+    specs = [load_problem(data / "thm6_failure.prob"), parse_problem(thm7), parse_problem(nine)]
+    return [(spec.discretize(), None) for spec in specs]
+
+
+def test_the_pinned_systems_give_every_kind_of_field():
+    """Between them the pinned systems give a proven field of every kind:
+    Theorem 6 and 7 witnesses, the M-matrix check's, the shifted columns'
+    and a boundary column's."""
+    kinds = {kind for case in _pinned_fields() for kind in _proven_fields(*case)}
+    assert kinds == {"thm6", "thm7", "m-matrix", "oracle", "oracle-boundary"}
+
+
+@given(_system_case(cross=True))
+@example(_pinned_fields()[0])
+@example(_pinned_fields()[1])
+@example(_pinned_fields()[2])
+@seed(20261021)
+@settings(max_examples=60, deadline=None)
+def test_every_field_is_proven_in_exact_arithmetic(case):
+    """Every field that certify, the M-matrix check, refute and the column
+    search give on systems of at most 200 dof has D A D v + D G D_b g <= 0
+    in every row, recomputed in exact rational arithmetic from the stored
+    floats, at most its residual_max, with boundary data <= 0 and v > 0
+    somewhere (_proven_fields)."""
+    _proven_fields(*case)
