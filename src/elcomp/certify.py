@@ -25,13 +25,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .assembly import KNOWN_Z, as_discrete
-from .errors import (
-    InfeasibleEpsilon,
-    NotZMatrix,
-    SingularMatrix,
-    StructureUnsupported,
-    TooLarge,
-)
+from .errors import InfeasibleEpsilon, NotZMatrix, SingularMatrix, StructureUnsupported
 from .fields import BlockField, Counterexample
 from .graphs import potentials
 from .linalg import lu_solve, shifted
@@ -523,7 +517,7 @@ def find_gauge(spec):
                         f"InconsistentPair: m{i + 1}{j + 1} and m{j + 1}{i + 1} "
                         "have opposite signs"
                     )
-    sigma = potentials(n, need, 0.0)
+    sigma = potentials(n, need)
     if sigma is None:
         return None, "ParityConflict: no consistent sign assignment"
     return tuple(int(s) for s in sigma), None
@@ -597,16 +591,10 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
     first_note = len(verdict.notes)
     for name, gauge, what in orders:
         try:
-            report = oracle_mod.m_matrix(asys, gauge, settings, verdict.oracle_gauged)
-            if report is None:
-                report = oracle_mod.inverse_positivity(asys, gauge, settings)
+            report = oracle_mod.decide(asys, gauge, settings, verdict.oracle_gauged)
             setattr(verdict, name, report)
         except SingularMatrix:
             verdict.notes.append(f"oracle: {what} matrix is singular")
-        except TooLarge:
-            dof, budget = asys.A.shape[0], settings.oracle_max_dof
-            verdict.notes.append(f"oracle skipped: {dof} dof exceeds budget {budget}")
-            break
     verdict.cross_check = _cross_check(verdict, verdict.notes[first_note:])
     return verdict
 
@@ -619,12 +607,13 @@ def _cross_check(verdict: Verdict, skipped: list) -> dict:
     boundary_monotone), a Fails that they do not both hold.  A Holds on a
     system with a sign gauge that flips a species is claimed in the gauge
     order, which oracle_gauged decides; every other claim is in the all +1
-    order, which the plain oracle decides.  Each report is the one-solve
-    M-matrix check's where it decides, and the scan's elsewhere
-    (oracle.m_matrix); both read inverse_positive and boundary_monotone
-    alike.  No claim, or no report in the claimed order, gives skipped,
-    with that order's note from skipped, the oracle notes in the order
-    tried: gauged first, plain last, and a budget note for both.
+    order, which the plain oracle decides.  Each report is the first rung
+    of the oracle's ladder that decides (oracle.decide), and every rung
+    reads inverse_positive and boundary_monotone alike.  No claim, no
+    report in the claimed order, or an undecided one (inverse_positive
+    None, above the scan's budget) gives skipped: a missing report with
+    that order's note from skipped, the oracle notes in the order tried,
+    gauged first and plain last, and an undecided one with its reason.
     """
     if verdict.order is None:
         return {"result": "skipped", "reason": "Inconclusive: no claim"}
@@ -637,6 +626,8 @@ def _cross_check(verdict: Verdict, skipped: list) -> dict:
         f"{name}: inverse_positive {rep.inverse_positive}, "
         f"boundary_monotone {rep.boundary_monotone} ({rep.boundary_reason})"
     )
+    if rep.inverse_positive is None:
+        return {"result": "skipped", "reason": reason}
     if monotone == verdict.kind.startswith("Holds"):
         return {"result": "agrees", "reason": reason}
     logger.warning("%s disagrees with the %s", verdict.kind, reason)

@@ -2,8 +2,7 @@
 potentials along the species coupling graph.
 
 The dof graph of a sparse matrix goes to scipy's csgraph; the small species
-digraphs use the iterative Tarjan below.  The sign gauge and the oracle's
-species weights share the one walk of potentials.
+digraphs use the iterative Tarjan below.
 """
 
 from __future__ import annotations
@@ -105,12 +104,12 @@ def topo_order(n: int, adj) -> list | None:
     return order if len(order) == n else None
 
 
-def potentials(n: int, ratio: dict, rtol: float) -> np.ndarray | None:
+def potentials(n: int, ratio: dict) -> np.ndarray | None:
     """Vertex values w with w_l = w_k r on every edge (k, l) of ratio, w = 1
     on the first vertex of each component, or None when two paths give a
-    vertex values more than rtol apart.  The walk is depth-first and scans
-    the edges in ratio's order, so each w is a product of ratios along one
-    path; every other edge at a reached vertex is checked against it.
+    vertex different values.  The walk is depth-first and scans the edges in
+    ratio's order, so each w is a product of ratios along one path; every
+    other edge at a reached vertex is checked against it.
     """
     w = np.full(n, np.nan)
     for root in range(n):
@@ -126,6 +125,6 @@ def potentials(n: int, ratio: dict, rtol: float) -> np.ndarray | None:
                 if np.isnan(w[other]):
                     w[other] = value
                     todo.append(other)
-                elif abs(value - w[other]) > rtol * abs(w[other]):
+                elif value != w[other]:
                     return None
     return w

@@ -171,28 +171,6 @@ def reference_scalar_parts(a_vals, b_vals, c_vals, grid):
     return A, G
 
 
-def reference_row_fold(inv, t, ns, per_line, ratio=None):
-    """oracle._Extremes.fold by brute force: every entry of a block row of
-    the line-numbered A^{-1}, held transposed in t from its first column
-    line on, belongs to the block (k, l) of its row's and its column's
-    species, and inv[k, l, s] becomes the least s * value over the entries
-    of that block and the old one.  With ratio, t starts at the row's own
-    line, and each entry right of it also stands, times ratio[l, k], in
-    block (l, k)."""
-    m = ns * per_line
-    for c, col in enumerate(t):
-        l = c % m // per_line
-        for r, value in enumerate(col):
-            k = r // per_line
-            entries = [(k, l, value)]
-            if ratio is not None and c >= m:
-                entries.append((l, k, value * ratio[l, k]))
-            for row, column, v in entries:
-                for s in (1, -1):
-                    key = (row, column, s)
-                    inv[key] = min(inv.get(key, np.inf), s * float(v))
-
-
 @dataclass
 class PowerResult:
     rho: float

@@ -684,7 +684,7 @@ def test_certify_factorizes_the_full_operator_once(monkeypatch):
         return {}
 
     monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
-    monkeypatch.setattr(oracle, "_scan", counting_scan)
+    monkeypatch.setattr(oracle, "_scan_inverse", counting_scan)
     v = certify(ds)
     assert v.gauge == (1, -1)
     assert scanned == []
@@ -762,11 +762,9 @@ def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):
     def singular(a, order=None):
         raise SingularMatrix("pivot 0")
 
-    # the M-matrix check's solve and the scan's LU both raise, and a check
-    # that cannot solve hands each order to the scan
+    # the M-matrix check's solve and the column search's LU both raise, and
+    # a check that cannot solve hands each order to the column search
     monkeypatch.setattr(oracle, "LuFactor", singular)
-    # the slab scan's guard trips on a singular A and hands it to the LU scan
-    monkeypatch.setattr(oracle, "_scan_slabs", lambda asys: None)
     v = certify(load_problem(DATA / "competitive17.prob"))
     assert v.kind == "HoldsThm4"
     assert v.oracle is None and v.oracle_gauged is None
@@ -826,11 +824,34 @@ def test_certify_general_structure_inconclusive():
     assert any("general coupling" in note for note in v.notes)
 
 
-def test_certify_oracle_budget_note():
+def test_certify_oracle_budget_note(monkeypatch):
+    """The budget bounds only the oracle's scan, so above it certify notes
+    no skip.  A Z claim is still decided by the M-matrix check, and
+    predator_prey's plain order, Z in no order, by its middle columns, with
+    the cross-check it has within the budget.  Where no column refutes
+    either, the report is undecided, its reason names the budget, and the
+    cross-check skips with that reason."""
     spec = laplace_system(grid1(64), n_species=2, m=[["0", "-1"], ["-1", "0"]])
     v = certify(spec, Settings(oracle_max_dof=50))
-    assert v.oracle is None
-    assert any("oracle skipped" in note for note in v.notes)
+    assert v.oracle.method == "m-matrix" and v.oracle.inverse_positive
+    assert v.cross_check["result"] == "agrees"
+    assert not any("oracle" in note for note in v.notes)
+    prey = load_problem(DATA / "predator_prey.prob")
+    within = certify(prey)
+    v = certify(prey, Settings(oracle_max_dof=50))
+    assert (v.oracle.method, v.oracle.inverse_positive) == ("columns", False)
+    assert v.oracle.counterexample.verified
+    assert v.cross_check == within.cross_check
+    monkeypatch.setattr(oracle, "_column_search", lambda *args: None)
+    v = certify(prey, Settings(oracle_max_dof=50))
+    assert (v.oracle.method, v.oracle.inverse_positive) == ("columns", None)
+    reason = f"A^-1 not scanned: {v.oracle.dof} dof above the budget 50"
+    assert v.oracle.boundary_reason == reason
+    assert v.cross_check == {
+        "result": "skipped",
+        "reason": f"oracle: inverse_positive None, boundary_monotone None ({reason})",
+    }
+    assert not any("oracle" in note for note in v.notes)
 
 
 # ------------------------------------------------------------ cross-check
@@ -874,13 +895,16 @@ def test_cross_check_of_the_bundled_problems(name, kind, result, caplog):
         ("FailsThm6", False, None, "agrees"),
         ("FailsThm7", True, False, "agrees"),
         ("FailsThm6", True, True, "disagrees"),
+        ("HoldsThm1", None, None, "skipped"),
+        ("FailsThm6", None, None, "skipped"),
     ],
 )
 def test_cross_check_rule(kind, inverse_positive, boundary_monotone, result):
     """A Holds claims (D A D)^-1 >= 0 and -(D A D)^-1 D G D_b >= 0 together
     in its order D, a Fails their negation; an undecided boundary half
-    (None) does not hold.  The report in the claimed order decides: the
-    plain one, or the gauged one in a gauge order."""
+    (None) does not hold, and an undecided report (inverse_positive None)
+    checks nothing.  The report in the claimed order decides: the plain
+    one, or the gauged one in a gauge order."""
     rep = OracleReport(inverse_positive, 0.0, boundary_monotone, None, "why", 4)
     other = OracleReport(not inverse_positive, 0.0, True, None, "other", 4)
     for name, order in (("oracle", (1, 1)), ("oracle_gauged", (1, -1))):
@@ -904,8 +928,8 @@ def test_cross_check_skips_without_a_claim_or_a_plain_report():
     }
     big = certify(coop, Settings(oracle_max_dof=50))
     assert big.cross_check == {
-        "result": "skipped",
-        "reason": "oracle skipped: 126 dof exceeds budget 50",
+        "result": "agrees",
+        "reason": "oracle: inverse_positive True, boundary_monotone True (G <= 0 and A^-1 >= 0)",
     }
     m = [["0", "-1", "0"], ["-1", "0", "0.5"], ["-1", "0", "0"]]
     general = certify(laplace_system(grid1(8), n_species=3, m=m))

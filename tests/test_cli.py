@@ -283,42 +283,84 @@ def test_eigen_flag_exclusivity(tmp_path):
         main(["eigen", problem, "--component", "1", "--cooperative"])
 
 
+# a 9-point cooperative pair: A is Z in no order, for its cross terms, and
+# G has positive values, so only the scan decides it
+NINE_POINT = """
+    [domain]
+    dim = 2
+    lo = 0 0
+    hi = 1 1
+    n = 8 8
+
+    [species 1]
+    a11 = 1 + x
+    a12 = 0.1
+    a21 = 0.1
+    f = 1
+
+    [species 2]
+    a12 = 0.1
+    a21 = 0.1
+    f = 1
+
+    [coupling]
+    m12 = -1
+    m21 = -1
+"""
+
+
 def test_oracle_prints_how_the_boundary_half_was_decided(tmp_path, capsys):
     """elcomp oracle prints boundary_monotone with its reason, which the
-    JSON report carries as boundary_reason; above the dof budget the
-    columns decide no boundary half, and the reason says so."""
-    for name, flags, line in (
-        ("lap1d", [], "boundary_monotone: True (G <= 0 and A^-1 >= 0)"),
-        ("thm6_failure", [], "boundary_monotone: None (A^-1 has a negative entry)"),
-        ("lap1d", ["--oracle-max-dof", "0"],
-         "boundary_monotone: None (A^-1 not scanned: 127 dof above the budget 0)"),
+    JSON report carries as boundary_reason; above the dof budget a system
+    that only the scan decides gets no boundary half, and the reason says
+    so."""
+    nine = write(tmp_path, "nine.prob", NINE_POINT)
+    for problem, flags, line in (
+        (str(DATA / "lap1d.prob"), [], "boundary_monotone: True (G <= 0 and A^-1 >= 0)"),
+        (str(DATA / "thm6_failure.prob"), [], "boundary_monotone: None (A^-1 has a negative entry)"),
+        (nine, [], "boundary_monotone: False (52 columns of -G solved)"),
+        (nine, ["--oracle-max-dof", "0"],
+         "boundary_monotone: None (A^-1 not scanned: 98 dof above the budget 0)"),
     ):
-        code, payload = report(tmp_path, "oracle", str(DATA / f"{name}.prob"), *flags)
+        code, payload = report(tmp_path, "oracle", problem, *flags)
         assert code == 0
         assert line in capsys.readouterr().out.splitlines()
         assert line.endswith(f"({payload['oracle']['boundary_reason']})")
 
 
 def test_oracle_above_the_budget_searches_columns(tmp_path):
-    """Above --oracle-max-dof, elcomp oracle solves the middle column of
-    each species: the plain competitive pair is refuted with a proven
-    field (residual_max <= 0), and the gauged one, which the scan certifies, is undecided (null,
-    not a certificate), exit 0 both; min_entry and the boundary half are
-    null."""
+    """elcomp oracle climbs one ladder at any --oracle-max-dof: the gauged
+    competitive pair is decided by the M-matrix check, and the plain one,
+    Z in no order, is refuted by a middle column with a proven field
+    (residual_max <= 0), below the budget and above it; exit 0 each.
+    min_entry, the scan's, is null on both rungs.  The 9-point pair, which
+    no column of A^{-1} refutes, is undecided above the budget (null, not a
+    certificate); within it the scan finds A^{-1} >= 0 and refutes the
+    boundary half with a proven field from a column of -G."""
     problem = str(DATA / "competitive17.prob")
-    for flags, decision in (([], False), (["--gauge"], None)):
-        code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", "1057", *flags)
-        assert code == 0
+    for budget in ("1057", "1058"):
+        code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", budget, "--gauge")
         oracle = payload["oracle"]
-        assert oracle["method"] == "columns" and oracle["dof"] == 1058
-        assert oracle["inverse_positive"] is decision
+        assert code == 0 and oracle["method"] == "m-matrix" and oracle["dof"] == 1058
+        assert oracle["inverse_positive"] is True and oracle["counterexample"] is None
+        code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", budget)
+        oracle = payload["oracle"]
+        assert code == 0 and oracle["method"] == "columns"
+        assert oracle["inverse_positive"] is False
         assert (oracle["min_entry"], oracle["boundary_monotone"]) == (None, None)
         cex = oracle["counterexample"]
-        assert (cex is None) == (decision is None)
-        assert cex is None or (cex["verified"] and cex["which"] == "oracle")
-        assert cex is None or cex["residual_max"] <= 0.0
-    code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", "1058")
-    assert code == 0 and payload["oracle"]["method"] == "scan"
+        assert cex["verified"] and cex["which"] == "oracle" and cex["residual_max"] <= 0.0
+    nine = write(tmp_path, "nine.prob", NINE_POINT)
+    code, payload = report(tmp_path, "oracle", nine, "--oracle-max-dof", "97")
+    oracle = payload["oracle"]
+    assert code == 0 and (oracle["method"], oracle["inverse_positive"]) == ("columns", None)
+    assert oracle["min_entry"] is None and oracle["counterexample"] is None
+    code, payload = report(tmp_path, "oracle", nine, "--oracle-max-dof", "98")
+    oracle = payload["oracle"]
+    assert code == 0 and oracle["method"] == "scan" and oracle["min_entry"] > 0.0
+    assert (oracle["inverse_positive"], oracle["boundary_monotone"]) == (True, False)
+    cex = oracle["counterexample"]
+    assert cex["verified"] and cex["which"] == "oracle-boundary" and cex["residual_max"] <= 0.0
 
 
 def test_solve_builtin_and_field_output(tmp_path):
@@ -821,7 +863,7 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
                  "--tol-eig", "1e-6", "--max-iter", "5"])
     assert code == 0
     _check("lap1d.certify.json", ["certify", lap1d], tmp_path)
-    problem = write(tmp_path, "coop.prob", COOP)
+    problem = write(tmp_path, "nine.prob", NINE_POINT)
     code, payload = report(tmp_path, "oracle", problem, "--oracle-max-dof", "0")
     assert code == 0 and payload["oracle"]["method"] == "columns"
     code, payload = report(tmp_path, "oracle", problem)

@@ -149,7 +149,7 @@ def test_csr_strongly_connected_matches_tarjan(args):
     st.integers(min_value=1, max_value=7).flatmap(
         lambda n: st.tuples(
             st.lists(
-                st.floats(min_value=0.1, max_value=10.0) | st.floats(-10.0, -0.1),
+                st.builds(lambda s, e: s * 2.0**e, st.sampled_from((1.0, -1.0)), st.integers(-8, 8)),
                 min_size=n,
                 max_size=n,
             ),
@@ -161,9 +161,11 @@ def test_csr_strongly_connected_matches_tarjan(args):
 )
 @settings(max_examples=150, deadline=None)
 def test_potentials_recover_weights_on_a_connected_graph(args):
-    """Ratios w_l / w_k of nonzero weights on the edges of a random
-    connected graph (a random tree plus extra edges, each edge once, in
-    either direction and in any order) give back w / w[0]."""
+    """Ratios w_l / w_k of weights +-2^e on the edges of a random connected
+    graph (a random tree plus extra edges, each edge once, in either
+    direction and in any order) give back w / w[0] exactly: every ratio and
+    every product of ratios is a power of two, so no path rounds and no
+    cycle can disagree."""
     w, parents, extra, rng = args
     n = len(w)
     edges = {frozenset(e) for e in enumerate(parents, 1)}
@@ -171,19 +173,19 @@ def test_potentials_recover_weights_on_a_connected_graph(args):
     pairs = [tuple(rng.sample(sorted(e), 2)) for e in sorted(edges, key=sorted)]
     rng.shuffle(pairs)
     ratio = {(k, l): w[l] / w[k] for k, l in pairs}
-    got = potentials(n, ratio, 1e-9)
+    got = potentials(n, ratio)
     assert got is not None
-    np.testing.assert_allclose(got, np.asarray(w) / w[0], rtol=1e-12)
+    assert got.tolist() == (np.asarray(w) / w[0]).tolist()
     assert got[0] == 1.0
 
 
 def test_potentials_cycle_tolerance():
-    """Around a cycle, values off by rtol are accepted and by more are not;
-    each component starts at 1 on its first vertex."""
-    rtol = 2.0**-10
-    ring = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0 + rtol}
-    assert potentials(3, ring, rtol).tolist() == [1.0, 1.0, 1.0 + rtol]
-    ring[0, 2] = 1.0 + 2 * rtol
-    assert potentials(3, ring, rtol) is None
-    assert potentials(3, {(0, 1): -1.0, (1, 2): -1.0, (0, 2): -1.0}, 0.0) is None
-    assert potentials(4, {(2, 3): -1.0}, 0.0).tolist() == [1.0, 1.0, 1.0, -1.0]
+    """Around a cycle the values must agree exactly: a ring of ratios 2,
+    1/2 and 1 closes, and one ulp off 1 on its last edge does not; each
+    component starts at 1 on its first vertex."""
+    ring = {(0, 1): 2.0, (1, 2): 0.5, (0, 2): 1.0}
+    assert potentials(3, ring).tolist() == [1.0, 2.0, 1.0]
+    ring[0, 2] = 1.0 + 2.0**-52
+    assert potentials(3, ring) is None
+    assert potentials(3, {(0, 1): -1.0, (1, 2): -1.0, (0, 2): -1.0}) is None
+    assert potentials(4, {(2, 3): -1.0}).tolist() == [1.0, 1.0, 1.0, -1.0]

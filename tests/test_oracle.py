@@ -33,15 +33,9 @@ from elcomp.oracle import (
     solve_system,
 )
 from elcomp.settings import Settings
-from elcomp.expressions import parse_expr
 from elcomp.problems import load_problem, parse_problem
 
-from helpers import (
-    assert_proven,
-    laplace_system,
-    reference_row_fold,
-    system_text,
-)
+from helpers import assert_proven, laplace_system, system_text
 
 
 def _pair(grid, m):
@@ -99,15 +93,17 @@ def test_gauge_validation():
 
 
 def test_dof_budget_enforced():
-    """Above the budget the scan and the M-matrix check raise TooLarge,
-    whose message names them: neither builds a dense inverse."""
+    """Above the budget the scan raises TooLarge, whose message names it,
+    and builds no dense inverse; the budget bounds the scan alone, so the
+    M-matrix check takes none, and the ladder decides there with it."""
     grid = build_grid(1, (0.0,), (1.0,), (64,))
     asys = assemble_system(laplace_system(grid))
-    message = "^oracle scan or M-matrix check of 63 dof exceeds budget 32$"
-    with pytest.raises(TooLarge, match=message):
-        inverse_positivity(asys, settings=Settings(oracle_max_dof=32))
-    with pytest.raises(TooLarge, match=message):
-        oracle.m_matrix(asys, settings=Settings(oracle_max_dof=32))
+    budget = Settings(oracle_max_dof=32)
+    with pytest.raises(TooLarge, match="^oracle scan of 63 dof exceeds budget 32$"):
+        inverse_positivity(asys, settings=budget)
+    assert "settings" not in inspect.signature(oracle.m_matrix).parameters
+    rep = decide(asys, None, budget)
+    assert rep.method == "m-matrix" and rep.inverse_positive and rep.boundary_monotone
 
 
 def test_negative_budget_cannot_reach_the_oracle():
@@ -479,10 +475,12 @@ def _assert_boundary(asys, gauge, rep, bound_bnd):
             assert rep.boundary_monotone == (margin >= 0.0)
 
 
-# The slab scan's entries of A^{-1} lie within ROUNDING * u * kappa_inf(A) *
-# max|A^{-1}| of the dense inverse's (u the unit roundoff).  Over 4,500
-# random 2D systems like _oracle_case's, the largest gap was 1.2 of these
-# units, the dense inverse's own rounding included.
+# Two computations of an entry of A^{-1}, such as the dense inverse's and a
+# column solved in a block of another width, lie within ROUNDING * u *
+# kappa_inf(A) * max|A^{-1}| of each other (u the unit roundoff).  16 leaves
+# room: over 4,500 random 2D systems like _oracle_case's, a block-tridiagonal
+# recursion over grid lines, which rounds more than SuperLU's solves, stayed
+# within 1.2 of these units of the dense inverse.
 ROUNDING = 16
 
 
@@ -493,29 +491,6 @@ def _rounding_bounds(asys):
     kappa = inf_norm(asys.A) * float(np.abs(inv).sum(axis=1).max())
     bound = ROUNDING * np.finfo(float).eps / 2 * kappa * float(np.abs(inv).max())
     return bound, bound * inf_norm(asys.G.T)
-
-
-def _lu_report(asys, gauge):
-    """inverse_positivity of a copy of asys, without kept scans, through
-    the LU scan."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_scan_slabs", lambda asys: None)
-        return inverse_positivity(replace(asys, _oracle_cache={}), gauge=gauge)
-
-
-def _assert_within_rounding(asys, gauge, rep):
-    """A 2D report against the dense inverse of D A D: the minimum lies
-    within the rounding bound of the dense minimum, and the decision is
-    the dense one except where the dense margin to -TOL_OP * scale is
-    itself within the bound; the boundary half as _assert_boundary has it."""
-    bound, bound_bnd = _rounding_bounds(asys)
-    inv, _ = _gauged_dense(asys, gauge)
-    scale = float(np.abs(inv).max())
-    assert abs(rep.min_entry - float(inv.min())) <= bound
-    margin = float(inv.min()) + TOL_OP * scale
-    if abs(margin) > bound * (1 + TOL_OP):
-        assert rep.inverse_positive == (margin >= 0.0)
-    _assert_boundary(asys, gauge, rep, bound_bnd)
 
 
 _B = oracle.BLOCK
@@ -540,7 +515,7 @@ def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
     A symmetric draw has no convection and m_lk = m_kl w_l / w_k for
     species weights w of either sign, powers of 2 so that the ratio is
     exact: A W is symmetric for W = diag(w_k I) when there is no cross
-    diffusion, and the slab scan mirrors the lower half of A^{-1}."""
+    diffusion."""
     if not (cross or two_d) and draw(st.booleans()):
         ns, n_int = draw(st.sampled_from(_BLOCK_EDGES))
         grid = build_grid(1, 0.0, 1.0, n_int + 1)
@@ -550,9 +525,6 @@ def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
         grid = build_grid(2, 0.0, 1.0, cells)
     dim, nn = grid.dim, grid.n_nodes
     coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
-    # subnormal couplings make fl(m_lk / m_kl) inexact, and the mirror
-    # weights rightly keep full rows (test_subnormal_couplings_keep_full_rows)
-    coupling = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal=False)
     a = np.zeros((ns, dim, dim, nn))
     for d in range(dim):
         a[:, d, d] = np.abs(draw(arrays(float, (ns, nn), elements=coeff))) + 0.5
@@ -560,7 +532,7 @@ def _oracle_case(draw, cross=False, two_d=False, symmetric=False):
         a[:, 0, 1] = a[:, 1, 0] = 0.1 * draw(arrays(float, (ns, nn), elements=coeff))
     b = draw(arrays(float, (ns, dim, nn), elements=coeff))
     c = draw(arrays(float, (ns, nn), elements=coeff)) + draw(st.floats(0.0, 30.0))
-    m = draw(arrays(float, (ns, ns, nn), elements=coupling))
+    m = draw(arrays(float, (ns, ns, nn), elements=coeff))
     coupled = draw(arrays(bool, (ns, ns)))
     if symmetric:
         b[:] = 0.0
@@ -588,11 +560,9 @@ def _assert_lu_decision(asys, gauge, rep, expect):
 @given(st.booleans().flatmap(lambda symmetric: _oracle_case(symmetric=symmetric)))
 @settings(max_examples=80, deadline=None)
 def test_streamed_oracle_matches_dense_inverse(case):
-    """The LU scan gives the dense inverse's entry and decision exactly,
-    for any gauge, in any order of gauged and plain calls, and the boundary
-    half that G's signs give (_assert_boundary).  On a 2D grid the slab
-    scan's answer lies within the rounding bound (_assert_within_rounding),
-    with the lower half mirrored or not."""
+    """The scan gives the dense inverse's entry and decision exactly, on 1D
+    and 2D grids, for any gauge, in any order of gauged and plain calls,
+    and the boundary half that G's signs give (_assert_boundary)."""
     asys, gauge = case
     for g in (None, gauge):  # the second call reads the kept scan
         try:
@@ -601,12 +571,7 @@ def test_streamed_oracle_matches_dense_inverse(case):
             with pytest.raises(SingularMatrix):
                 inverse_positivity(asys, gauge=g)
             continue
-        rep = inverse_positivity(asys, gauge=g)
-        if asys.grid.dim == 1:
-            _assert_lu_decision(asys, g, rep, expect)
-            continue
-        _assert_within_rounding(asys, g, rep)
-        _assert_lu_decision(asys, g, _lu_report(asys, g), expect)
+        _assert_lu_decision(asys, g, inverse_positivity(asys, gauge=g), expect)
 
 
 @given(_oracle_case(cross=True))
@@ -616,94 +581,16 @@ def test_streamed_boundary_sums_span_blocks(case):
     leaves with a positive value are solved eight at a time, each column
     whole, whichever rows (up to three) its boundary value enters.  The
     dense product sums those rows' columns of A^{-1} in BLAS order, so the
-    boundary minimum agrees to rounding only.  The slab scan, which these
-    2D grids take by default, is within the rounding bound
-    (_assert_within_rounding)."""
+    boundary minimum agrees to rounding only."""
     asys, gauge = case
     try:
         expect = _reference(asys, gauge)
     except SingularMatrix:
         return
-    _assert_within_rounding(asys, gauge, inverse_positivity(asys, gauge=gauge))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "BLOCK", 8)
-        rep = _lu_report(asys, gauge)
+        rep = inverse_positivity(replace(asys, _oracle_cache={}), gauge=gauge)
     _assert_lu_decision(asys, gauge, rep, expect)
-
-
-@given(
-    st.tuples(st.booleans(), st.booleans()).flatmap(
-        lambda flavour: st.tuples(
-            st.just(flavour), _oracle_case(flavour[0], two_d=True, symmetric=flavour[1])
-        )
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_slab_scan_matches_dense_inverse(case):
-    """Every extreme the slab scan keeps lies within the rounding bound of
-    the dense inverse's, blocks of exact zeros (a zero coupling block makes
-    some) included.  That covers every gauge, whose extremes are these
-    with signs.  The draws are 2D grids with either axis longer, 5- and
-    9-point stencils, convection, and couplings of either sign; the
-    symmetric ones mirror the lower half of A^{-1}, 9-point ones too."""
-    (cross, symmetric), (asys, _) = case
-    try:
-        inv = dense_inverse(asys.A, Settings(oracle_max_dof=10**6))
-    except SingularMatrix:
-        return
-    if symmetric:
-        w, _ = oracle._mirror_weights(asys.A, asys.n_species, asys.grid.n_interior)
-        assert w is not None
-    extremes = oracle._scan_slabs(asys)
-    assume(extremes is not None)
-    bound, _ = _rounding_bounds(asys)
-    n_int = asys.grid.n_interior
-    for (k, l, s), v in extremes.items():
-        block = s * inv[k * n_int : (k + 1) * n_int, l * n_int : (l + 1) * n_int]
-        assert abs(v - float(block.min())) <= bound
-
-
-@pytest.mark.parametrize("size", [2.2e-3, 2.2e-311])
-def test_subnormal_couplings_keep_full_rows(size):
-    """A symmetric 3-species pair of couplings, m_21 = m_12 / 4 on a 3 x 3
-    grid: at a normal size the ratio is exact and the lower half of A^{-1}
-    is mirrored with weights (1, 1/4, 1); at a subnormal one m_12 / 4 rounds,
-    the ratio varies from entry to entry, and _mirror_weights keeps full
-    rows.  Either way the slab scan's extremes lie within the rounding
-    bound of the dense inverse."""
-    grid = build_grid(2, 0.0, 1.0, (3, 3))
-    ns, nn = 3, grid.n_nodes
-    a = np.zeros((ns, 2, 2, nn))
-    a[:, 0, 0] = a[:, 1, 1] = 1.0
-    m = np.zeros((ns, ns, nn))
-    m[0, 1] = -size * (1.0 + np.arange(nn) / 7.0)
-    m[1, 0] = m[0, 1] / 4.0
-    zeros = np.zeros((ns, nn))
-    ds = DiscreteSystem(grid, ns, a, np.zeros((ns, 2, nn)), zeros + 1.0, m, zeros, zeros)
-    asys = ds.assemble("full")
-    w, note = oracle._mirror_weights(asys.A, ns, grid.n_interior)
-    if size < np.finfo(float).tiny:
-        assert w is None and note.endswith("m_21/m_12 varies")
-    else:
-        assert list(w) == [1.0, 0.25, 1.0]
-    extremes = oracle._scan_slabs(asys)
-    assert extremes is not None
-    inv = dense_inverse(asys.A, Settings(oracle_max_dof=10**6))
-    bound, _ = _rounding_bounds(asys)
-    n_int = grid.n_interior
-    for (k, l, s), v in extremes.items():
-        block = s * inv[k * n_int : (k + 1) * n_int, l * n_int : (l + 1) * n_int]
-        assert abs(v - float(block.min())) <= bound
-
-
-def _lu_refutation(asys, gauge):
-    """(report, refute's field) of a copy of asys, without kept scans,
-    through the LU scan."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_scan_slabs", lambda asys: None)
-        copy = replace(asys, _oracle_cache={})
-        rep = inverse_positivity(copy, gauge=gauge)
-        return rep, refute(copy, rep)
 
 
 def _near_threshold_column():
@@ -733,8 +620,7 @@ def test_refute_gives_the_first_refuting_column(case):
     negative entry to rounding.  j is a column of species l of the report's
     block (k, l), and no column of species l before it, among those the
     oracle solves for, dips below 4 rounding bounds, where its shifted field
-    would be proven: through the slab scan and the LU scan alike.  A
-    report's block that rounding could reorder leaves l unchecked, and a
+    would be proven.  A report's block that rounding could reorder leaves l unchecked, and a
     decision within rounding of the threshold -TOL_OP max|A^{-1}| may have
     no field.  Where both decisions hold there is no field."""
     asys, gauge = case
@@ -747,43 +633,50 @@ def test_refute_gives_the_first_refuting_column(case):
     n_int, ns = asys.grid.n_interior, asys.n_species
     signs = np.ones(ns) if gauge is None else np.asarray(gauge, float)
     rep = inverse_positivity(asys, gauge=gauge)
-    for rep, cex in ((rep, refute(asys, rep)), _lu_refutation(asys, gauge)):
-        if rep.inverse_positive and rep.boundary_monotone:
-            assert cex is None
-            continue
-        boundary = bool(rep.inverse_positive)
-        dense, b = (bnd, bound_bnd) if boundary else (inv, bound)
-        if cex is None:
-            assert float(dense.min()) >= -threshold - b
-            continue
-        assert cex.which == ("oracle-boundary" if boundary else "oracle")
-        assert_proven(asys, cex, gauge)
-        if boundary:  # +inf in the columns of -G left unsolved
-            solved = _solved_columns(asys)
-            dense = np.full_like(bnd, np.inf)
-            dense[:, solved] = bnd[:, solved]
-        width = dense.shape[1] // ns
-        v, g = cex.w.interior.ravel(), cex.w.boundary.ravel()
-        d, d_bnd = np.repeat(signs, n_int), np.repeat(signs, asys.grid.n_boundary)
-        image = d * (asys.A @ (d * v) + asys.G @ (d_bnd * g))
-        expect_g = np.zeros_like(g)
-        if boundary:
-            expect_g[cex.j] = -1.0
-        else:
-            image[cex.j] += 1.0
-        assert np.array_equal(g, expect_g)
-        assert np.ptp(image) <= 1e-8 * inf_norm(asys.A) * np.abs(v).max()
-        assert float(dense[:, cex.j].min()) < b
-        col_min = dense.min(axis=0)
-        l = cex.j // width
-        assert (col_min[l * width : cex.j] >= -4 * b).all()
-        blocks = dense.reshape(ns, n_int, ns, width).min(axis=(1, 3))  # [k, l]
-        near = np.argwhere(blocks <= dense.min() + 2 * b)
-        if len(near) == 1:  # rounding could not pick another block
-            assert near[0][1] == l
+    cex = refute(asys, rep)
+    if rep.inverse_positive and rep.boundary_monotone:
+        assert cex is None
+        return
+    boundary = bool(rep.inverse_positive)
+    dense, b = (bnd, bound_bnd) if boundary else (inv, bound)
+    if cex is None:
+        assert float(dense.min()) >= -threshold - b
+        return
+    assert cex.which == ("oracle-boundary" if boundary else "oracle")
+    assert_proven(asys, cex, gauge)
+    if boundary:  # +inf in the columns of -G left unsolved
+        solved = _solved_columns(asys)
+        dense = np.full_like(bnd, np.inf)
+        dense[:, solved] = bnd[:, solved]
+    width = dense.shape[1] // ns
+    v, g = cex.w.interior.ravel(), cex.w.boundary.ravel()
+    d, d_bnd = np.repeat(signs, n_int), np.repeat(signs, asys.grid.n_boundary)
+    image = d * (asys.A @ (d * v) + asys.G @ (d_bnd * g))
+    expect_g = np.zeros_like(g)
+    if boundary:
+        expect_g[cex.j] = -1.0
+    else:
+        image[cex.j] += 1.0
+    assert np.array_equal(g, expect_g)
+    assert np.ptp(image) <= 1e-8 * inf_norm(asys.A) * np.abs(v).max()
+    assert float(dense[:, cex.j].min()) < b
+    col_min = dense.min(axis=0)
+    l = cex.j // width
+    assert (col_min[l * width : cex.j] >= -4 * b).all()
+    blocks = dense.reshape(ns, n_int, ns, width).min(axis=(1, 3))  # [k, l]
+    near = np.argwhere(blocks <= dense.min() + 2 * b)
+    if len(near) == 1:  # rounding could not pick another block
+        assert near[0][1] == l
 
 
 _COLUMNS = Settings(oracle_max_dof=0)  # every system is above the budget
+
+
+def _columns(asys, gauge):
+    """The ladder's column rung alone: decide above the budget, with the
+    M-matrix check passing every order on."""
+    with mock.patch.object(oracle, "m_matrix", lambda *args: None):
+        return decide(asys, gauge, _COLUMNS)
 
 
 def _tiny_negative_middle_column():
@@ -793,6 +686,15 @@ def _tiny_negative_middle_column():
     grid = build_grid(1, 0.0, 1.0, 4)
     asys = assemble_system(laplace_system(grid))
     m = np.array([[1.0, -1e-12, 0.9], [0.5, 2.0, 0.5], [0.2, 0.5, 3.0]])
+    return replace(asys, A=sp.csr_matrix(np.linalg.inv(m))), None
+
+
+def _missed_by_the_middle_column():
+    """A 1D scalar system whose inverse is M below: its middle column, 1, is
+    positive, and column 2 dips to -0.9, far below the scan's threshold."""
+    grid = build_grid(1, 0.0, 1.0, 4)
+    asys = assemble_system(laplace_system(grid))
+    m = np.array([[1.0, 0.5, -0.9], [0.2, 2.0, 0.5], [0.3, 0.5, 3.0]])
     return replace(asys, A=sp.csr_matrix(np.linalg.inv(m))), None
 
 
@@ -807,14 +709,14 @@ def _middle_nodes(asys):
 
 
 def _assert_columns(asys, gauge, scan):
-    """decide's column search against the scan's report: False only with a
+    """The column rung (_columns) against the scan's report: False only with a
     proven field (assert_proven), which == "oracle", from a middle column
     j, whose image under D A D is -(e_j + eps 1), eps > 0, with zero
     boundary data, to rounding; where the scan certifies, only where the
     dense inverse has a negative entry, to rounding, which the scan's
     TOL_OP tolerance let pass.  min_entry and the boundary half are None.
     Returns the report."""
-    rep = decide(asys, gauge, _COLUMNS)
+    rep = _columns(asys, gauge)
     assert rep.method == "columns" and rep.gauge == scan.gauge
     assert (rep.min_entry, rep.boundary_monotone, rep.min_boundary_entry) == (None, None, None)
     assert rep.inverse_positive in (False, None)
@@ -845,7 +747,7 @@ def _assert_columns(asys, gauge, scan):
 @seed(20261020)
 @settings(max_examples=60, deadline=None)
 def test_columns_refute_only_what_the_scan_refutes(case):
-    """Above the dof budget, the middle column of each species refutes a
+    """The middle column of each species refutes a
     system that the scan certifies only where the dense inverse has a
     negative entry within the scan's -TOL_OP max|A^{-1}|, and each
     refutation carries a proven field (_assert_columns), plain and gauged.
@@ -865,16 +767,18 @@ def test_a_proof_shows_entries_within_the_scan_tolerance():
     """The pinned systems' -1e-12 entries lie within the scan's TOL_OP
     tolerance, yet the shifted fields of their columns are proven: refute
     takes column 0, not column 1 whose entry -0.5 passes the threshold, and
-    above the budget the middle column refutes the system that the scan
-    certifies."""
+    the ladder's middle column refutes, below the budget and above it, the
+    system that the scan alone would certify."""
     asys, _ = _near_threshold_column()
     rep = inverse_positivity(asys)
     assert rep.inverse_positive is False and refute(asys, rep).j == 0
     asys, _ = _tiny_negative_middle_column()
     assert inverse_positivity(asys).inverse_positive
-    rep = decide(asys, None, _COLUMNS)
-    assert rep.inverse_positive is False and rep.counterexample.j == 1
-    assert_proven(asys, rep.counterexample)
+    for budget in (_COLUMNS, Settings()):
+        rep = decide(asys, None, budget)
+        assert (rep.method, rep.inverse_positive) == ("columns", False)
+        assert rep.counterexample.j == 1
+        assert_proven(asys, rep.counterexample)
 
 
 @given(coupled_systems(), st.data())
@@ -897,450 +801,22 @@ def test_columns_refute_every_coupled_system_the_scan_refutes(text, data):
             assert rep.inverse_positive is False
 
 
-def _strip_singular():
-    """The 20^2 scalar Laplacian with c = -4 h^-2 (sin^2(pi h / 2) +
-    sin^2(pi / 22)): the Dirichlet problem on its first 10 grid lines alone
-    has eigenvalue 0, so S_10 is singular, while A is not (kappa_inf 792)."""
-    h = 1.0 / 20
-    c = -4.0 / h**2 * (np.sin(np.pi * h / 2) ** 2 + np.sin(np.pi / 22) ** 2)
-    return assemble_system(laplace_system(build_grid(2, 0.0, 1.0, 20), c=c))
-
-
-def _hand_offs(caplog):
-    """The reasons logged for handing the slab scan to the LU scan."""
-    prefix = "slab scan handed to the LU scan: "
-    return [
-        r.getMessage()[len(prefix) :]
-        for r in caplog.records
-        if r.name == "elcomp.oracle" and r.getMessage().startswith(prefix)
-    ]
-
-
-def test_slab_guard_takes_the_lu_scan_on_a_singular_strip(monkeypatch, caplog):
-    """Unguarded, the recursion through the singular S_10 is off by more
-    than max|A^{-1}|.  The guard sends the scan to the LU path, whose
-    report inverse_positivity then gives; the hand-off is logged with
-    phi's value."""
-    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
-    asys = _strip_singular()
-    inv = dense_inverse(asys.A)
-    scale = float(np.abs(inv).max())
-    assert oracle._scan_slabs(asys) is None
-    (reason,) = _hand_offs(caplog)
-    assert reason.startswith("phi ") and reason.endswith("exceeds SLAB_PHI_MAX 3e+03")
-    assert float(reason.split()[1]) > oracle.SLAB_PHI_MAX
-    rep = inverse_positivity(asys)
-    assert list(asys._oracle_cache.values()) == [oracle._scan_inverse(asys)]
-    assert not rep.inverse_positive
-    assert abs(rep.min_entry - float(inv.min())) <= 1e-12 * scale
-    monkeypatch.setattr(oracle, "SLAB_PHI_MAX", np.inf)
-    unguarded = oracle._scan_slabs(asys)
-    assert max(abs(v - float((s * inv).min())) for (_, _, s), v in unguarded.items()) > scale
-
-
 @pytest.mark.parametrize("cells", [(12, 12), (16, 7), (7, 16)])
-def test_singular_two_d_system_raises(cells, monkeypatch, caplog):
+def test_singular_two_d_system_raises(cells):
     """c at minus the least eigenvalue of the discrete Laplacian leaves A
-    singular to working precision: the slab scan's guard trips, which is
-    logged with its reason, and the LU scan raises SingularMatrix as the
-    dense inverse does.  Without the Schur complements' bound, the slab
-    scan raises SingularMatrix itself on |A| max|A^{-1}| > 1 / SINGULAR_RTOL,
-    and hands nothing off."""
-    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    singular to working precision: the scan raises SingularMatrix as the
+    dense inverse does, and so does the ladder, whose M-matrix check hands
+    the order on and whose column search solves on the same LU."""
     h = 1.0 / np.asarray(cells)
     c = -4.0 * float((np.sin(np.pi * h / 2) ** 2 / h**2).sum())
     asys = assemble_system(laplace_system(build_grid(2, 0.0, 1.0, cells), c=c))
     with pytest.raises(SingularMatrix):
         dense_inverse(asys.A)
-    assert oracle._scan_slabs(asys) is None
-    (reason,) = _hand_offs(caplog)
-    assert reason.startswith("phi ")
+    assert oracle.m_matrix(asys) is None
     with pytest.raises(SingularMatrix):
         inverse_positivity(asys)
-    caplog.clear()
-    monkeypatch.setattr(oracle, "SLAB_PHI_MAX", np.inf)
-    with pytest.raises(SingularMatrix, match=r"\|A\| max\|A\^-1\| = .* above 1 / 1e-14"):
-        oracle._scan_slabs(asys)
-    assert _hand_offs(caplog) == []
-
-
-def test_slab_scan_logs_a_singular_line_and_a_wide_coupling(caplog):
-    """A zero row in the first line leaves S_0 singular; an entry that
-    couples lines 0 and 3 leaves A not block tridiagonal.  Either hands the
-    scan to the LU path and logs why, and the LU scan then decides."""
-    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
-    asys = assemble_system(laplace_system(build_grid(2, 0.0, 1.0, (6, 18))))
-    perm, _, per_line = oracle._line_order(asys.grid, 1)
-    a = asys.A.tolil()
-    a[perm[0], :] = 0.0
-    singular = replace(asys, A=a.tocsr(), _oracle_cache={})
-    assert oracle._scan_slabs(singular) is None
-    assert _hand_offs(caplog) == ["S_0 is singular"]
     with pytest.raises(SingularMatrix):
-        inverse_positivity(singular)
-    caplog.clear()
-    a = asys.A.tolil()
-    a[perm[0], perm[3 * per_line]] = -1.0
-    wide = replace(asys, A=a.tocsr(), _oracle_cache={})
-    assert oracle._scan_slabs(wide) is None
-    assert _hand_offs(caplog) == ["A is not block tridiagonal"]
-    assert inverse_positivity(wide).inverse_positive
-
-
-@pytest.mark.parametrize(
-    "cells, n_species, slabs",
-    [((40, 3), 1, False), ((60, 8), 1, False), ((60, 8), 3, True), ((20, 20), 1, True)],
-)
-def test_narrow_two_d_grids_take_the_lu_scan(cells, n_species, slabs, monkeypatch, caplog):
-    """A 2D grid takes the slab scan only when its lines hold SLAB_MIN_WIDTH
-    unknowns or more, species included; a narrower one logs its width."""
-    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
-    tried = []
-    scan = oracle._scan_slabs
-    monkeypatch.setattr(oracle, "_scan_slabs", lambda asys: tried.append(1) or scan(asys))
-    grid = build_grid(2, 0.0, 1.0, cells)
-    rep = inverse_positivity(assemble_system(laplace_system(grid, n_species=n_species)))
-    assert rep.inverse_positive
-    assert bool(tried) == slabs
-    width = n_species * (min(cells) - 1)
-    expect = [] if slabs else [f"lines hold {width} unknowns, below SLAB_MIN_WIDTH 16"]
-    assert _hand_offs(caplog) == expect
-
-
-@pytest.mark.parametrize(
-    "asys",
-    [
-        _pair(build_grid(2, 0.0, 1.0, (12, 9)), [["0", "-1"], ["-0.5", "0"]]),
-        assemble_system(
-            laplace_system(
-                build_grid(2, 0.0, 1.0, (7, 10)),
-                n_species=3,
-                m=[["0", "-1", "0"], ["0", "0", "-0.5"], ["-0.5", "0", "0"]],
-            )
-        ),
-    ],
-    ids=["pair", "three"],
-)
-def test_slab_scan_inverts_each_line_once(asys, monkeypatch):
-    """Each line Schur complement S_p is inverted once: the recursion reads
-    S_p^{-1} off the stack that the guard's pass kept."""
-    calls = []
-    inverse = oracle._inverse
-    monkeypatch.setattr(oracle, "_inverse", lambda s: calls.append(1) or inverse(s))
-    assert oracle._scan_slabs(asys) is not None
-    _, n_lines, _ = oracle._line_order(asys.grid, asys.n_species)
-    assert len(calls) == n_lines
-
-
-def _text_system(species, coupling, shape=(18, 16)):
-    return parse_problem(system_text(shape, species, coupling)).discretize().assembled("full")
-
-
-_COOP_PAIR = load_problem(
-    Path(oracle.__file__).parent / "data" / "cooperative_pair.prob"
-).discretize().assembled("full")
-
-
-@pytest.mark.parametrize(
-    "asys, mirrored",
-    [
-        (_COOP_PAIR, True),
-        (_text_system([{"a11": "1 + x", "c": "1"}, {"a22": "1 + y"}], {"m12": "0.5", "m21": "-0.3"}), True),
-        (_text_system([{"a11": "1 + x"}, {"c": "2"}], {"m21": "-1.5"}), False),
-    ],
-    ids=["cooperative_pair", "predator-prey", "one-way"],
-)
-def test_mirrored_scan_makes_no_left_chain_products(asys, mirrored, monkeypatch):
-    """Left of its diagonal, a mirrored scan builds only G_{p+1,p} = G_{p+1,
-    p+1} Q_p, one product with Q per row below the first; a one-way
-    coupling leaves A W unsymmetric, and every G_{p,q} = G_{p,q+1} Q_q of
-    the full rows is built."""
-    stacks, products = [], []
-    line_schur, matmul = oracle._line_schur, np.matmul
-
-    def keeping(*args):
-        stacks.append(line_schur(*args))
-        return stacks[-1]
-
-    def counting(x, y, *args, **kwargs):
-        if stacks and y.base is stacks[0][0]:  # a block of the Q stack
-            products.append(1)
-        return matmul(x, y, *args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_line_schur", keeping)
-    monkeypatch.setattr(np, "matmul", counting)
-    assert oracle._scan_slabs(asys) is not None
-    _, n_lines, _ = oracle._line_order(asys.grid, asys.n_species)
-    assert len(products) == (n_lines - 1 if mirrored else n_lines * (n_lines - 1) // 2)
-
-
-_FULL = "full rows, lower half not mirrored: "
-_DIAGONAL = "; inter-line blocks diagonal"
-
-
-@pytest.mark.parametrize(
-    "species, coupling, record",
-    [
-        ([{"c": "1"}, {"c": "2"}], {"m12": "-1", "m21": "-1"}, "lower half mirrored, species weights (1, 1)" + _DIAGONAL),
-        ([{"a11": "1 + x"}, {}], {"m12": "0.5", "m21": "-0.25"}, "lower half mirrored, species weights (1, -0.5)" + _DIAGONAL),
-        ([{"c": "1"}, {"b1": "2"}], {"m12": "-1", "m21": "-1"}, _FULL + "species block 2 is not symmetric" + _DIAGONAL),
-        ([{}, {}], {"m12": "-1", "m21": "-1 - x"}, _FULL + "m_21/m_12 varies" + _DIAGONAL),
-        ([{}, {}], {"m21": "-1"}, _FULL + "m_21 is present without m_12" + _DIAGONAL),
-        (
-            [{"c": "4"}] * 3,
-            {"m12": "-1", "m21": "-1", "m23": "-1", "m32": "-1", "m13": "-1", "m31": "-2"},
-            _FULL + "the weights are inconsistent around a cycle" + _DIAGONAL,
-        ),
-        (
-            [{"a12": "0.1", "a21": "0.1"}] * 2,
-            {"m12": "-1", "m21": "-1"},
-            "lower half mirrored, species weights (1, 1); inter-line blocks dense",
-        ),
-    ],
-    ids=["equal", "weighted", "convection", "varying", "one-way", "cycle", "nine-point"],
-)
-def test_slab_scan_logs_which_lower_half_it_builds(species, coupling, record, caplog):
-    """Each slab scan logs one DEBUG record: the species weights it mirrors
-    the lower half of A^{-1} with, or the first reason it builds full rows,
-    and whether its inter-line blocks are diagonal (5-point stencils) or
-    dense (cross diffusion's 9-point stencils)."""
-    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
-    assert oracle._scan_slabs(_text_system(species, coupling)) is not None
-    assert [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"] == [record]
-
-
-_LINE_BLOCKS = oracle._line_blocks
-
-
-def _dense_line_blocks(csc, m):
-    """oracle._line_blocks with the node-diagonal flag forced off: diagonal
-    inter-line blocks are handed on as dense m x m matrices."""
-    read, diagonal = _LINE_BLOCKS(csc, m)
-
-    def dense(p):
-        above, on, below = read(p)
-        return (np.diag(above), on, np.diag(below[:, 0])) if diagonal else (above, on, below)
-
-    return dense, False
-
-
-@pytest.mark.parametrize(
-    "species, coupling",
-    [
-        ([{"c": "1"}, {"c": "2"}], {"m12": "-1", "m21": "-1"}),
-        ([{"a11": "1 + x", "c": "1"}, {"a22": "1 + y"}], {"m12": "-1", "m21": "-2"}),
-        ([{"a11": "1 + x"}, {"c": "1"}], {"m12": "0.5", "m21": "-0.3"}),
-        ([{"a11": "1 + x"}, {"c": "2", "b1": "1"}], {"m21": "-1.5"}),
-        ([{"c": "4"}] * 3, {"m12": "-1", "m21": "-1", "m23": "-0.5", "m32": "-0.5"}),
-    ],
-    ids=["equal", "weighted", "predator-prey", "one-way", "three"],
-)
-def test_diagonal_inter_line_blocks_change_no_value(species, coupling, monkeypatch, caplog):
-    """On a 5-point operator the inter-line blocks are read as vectors, and
-    the scan scales rows and columns where it multiplied by them: a product
-    with a diagonal factor adds only exact zeros, so the extremes equal the
-    dense products' bit for bit, mirrored (equal, weighted and negative
-    weights) or in full rows (one-way coupling), and so does the guard's
-    phi."""
-    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
-    asys = _text_system(species, coupling)
-    scans, phis = [], []
-    for dense in (False, True):
-        if dense:
-            monkeypatch.setattr(oracle, "_line_blocks", _dense_line_blocks)
-        scans.append(oracle._scan_slabs(asys))
-        with monkeypatch.context() as mp:  # phi, from the hand-off of a guard at 0
-            mp.setattr(oracle, "SLAB_PHI_MAX", 0.0)
-            mp.setattr(oracle, "_hand_off", lambda reason, *args: phis.append(args[0]))
-            oracle._scan_slabs(asys)
-    records = [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"]
-    assert [r.rsplit("; ", 1)[1] for r in records] == ["inter-line blocks diagonal", "inter-line blocks dense"]
-    assert scans[0] is not None and scans[0] == scans[1]
-    assert phis[0] == phis[1] > 0.0
-
-
-@pytest.mark.parametrize(
-    "species",
-    [
-        [{"a11": "1 + x", "c": "1"}, {"b1": "2"}],
-        [{"a11": "1 + x", "a12": "0.1", "a21": "0.1"}, {"c": "2", "b2": "-1"}],
-    ],
-    ids=["five-point", "nine-point"],
-)
-def test_slab_guard_phi_is_the_block_lu_bound(species, monkeypatch):
-    """The guard's phi is max_p kappa_inf(S_p) (1 + |L|_inf |U|_inf /
-    |A|_inf) for the block LU of the line-numbered A, L unit lower and U
-    upper block bidiagonal with U_pp = S_p and U_{p,p+1} = A_{p,p+1}, to
-    1e-12 relative: here L and U are built densely from A's blocks."""
-    asys = _text_system(species, {"m12": "-1", "m21": "0.5"}, shape=(7, 6))
-    phis = []  # phi, from the hand-off of a guard at 0
-    monkeypatch.setattr(oracle, "SLAB_PHI_MAX", 0.0)
-    monkeypatch.setattr(oracle, "_hand_off", lambda reason, *args: phis.append(args[0]))
-    assert oracle._scan_slabs(asys) is None
-    perm, n_lines, per_line = oracle._line_order(asys.grid, asys.n_species)
-    m = asys.n_species * per_line
-    a = asys.A.toarray()[np.ix_(perm, perm)]
-    lines = [slice(p * m, (p + 1) * m) for p in range(n_lines)]
-    low, up = np.eye(a.shape[0]), np.zeros_like(a)
-    s, kappa = a[lines[0], lines[0]], 0.0
-    for p, line in enumerate(lines):
-        up[line, line] = s
-        kappa = max(kappa, np.linalg.norm(s, np.inf) * np.linalg.norm(np.linalg.inv(s), np.inf))
-        if p + 1 < n_lines:
-            below = lines[p + 1]
-            up[line, below] = a[line, below]
-            low[below, line] = a[below, line] @ np.linalg.inv(s)
-            s = a[below, below] - low[below, line] @ a[line, below]
-    assert np.abs(low @ up - a).max() <= 1e-12 * np.abs(a).max()
-    l_norm, u_norm, a_norm = (np.abs(x).sum(axis=1).max() for x in (low, up, a))
-    assert phis == [pytest.approx(kappa * (1.0 + l_norm * u_norm / a_norm), rel=1e-12)]
-
-
-def test_nine_point_operators_keep_dense_inter_line_blocks():
-    """Cross diffusion joins a node to its neighbours' neighbours on the
-    next line, so the inter-line blocks stay dense m x m matrices (the
-    scan's record says so: test_slab_scan_logs_which_lower_half_it_builds),
-    and the scan, which mirrors this W-symmetric pair's lower half, still
-    matches the LU scan within the rounding bound."""
-    asys = _text_system([{"a12": "0.1", "a21": "0.1"}] * 2, {"m12": "-1", "m21": "-1"})
-    perm, _, per_line = oracle._line_order(asys.grid, 2)
-    read, diagonal = oracle._line_blocks(linalg.permuted_csc(asys.A, perm), 2 * per_line)
-    above, _, below = read(1)
-    assert not diagonal and above.shape == below.shape == (2 * per_line, 2 * per_line)
-    inv = oracle._scan_slabs(asys)
-    bound, _ = _rounding_bounds(asys)
-    lu_inv = oracle._scan_inverse(asys)
-    assert inv.keys() == lu_inv.keys()
-    assert all(abs(inv[key] - lu_inv[key]) <= bound for key in inv)
-
-
-@st.composite
-def _slab_rows(draw):
-    """The line order of a small 2D grid for 1-3 species, species weights or
-    none, and a few block rows of a line-numbered A^{-1}, each held
-    transposed as the slab scan folds it: whole, or from its diagonal line
-    on when there are weights.  The entries are drawn mostly from a few
-    values, so extremes repeat across lines, nodes and species, and across
-    the mirror where the weights are equal; some species blocks (the same
-    in every row) are exact zeros."""
-    ns = draw(st.integers(1, 3))
-    cells = (draw(st.integers(3, 6)), draw(st.integers(3, 6)))
-    perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, cells), ns)
-    m = ns * per_line
-    weights = draw(st.none() | st.lists(st.sampled_from([1.0, -1.0, 2.0, -0.5, 0.3]),
-                                        min_size=ns, max_size=ns))
-    ratio = None if weights is None else np.divide.outer(weights, weights)
-    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(-4.0, 4.0)
-    zero = np.argwhere(draw(arrays(bool, (ns, ns))))  # (l, k) of zero blocks
-    rows = []
-    for p in draw(st.lists(st.integers(0, n_lines - 1), min_size=1, max_size=4)):
-        lines = n_lines if ratio is None else n_lines - p
-        t = draw(arrays(float, (lines * m, m), elements=values))
-        blocks = t.reshape(lines, ns, per_line, ns, per_line)  # [line, l, node, k, y]
-        for l, k in zero:
-            blocks[:, l, :, k, :] = 0.0
-        rows.append((t, p))
-    return perm, ns, per_line, ratio, rows
-
-
-def _scaled_node_zero_rows():
-    """Species weights (1, 2) on 2 lines of 2 nodes, and row 0, whose
-    transposed block (1, 2) right of line 0 holds -2 at node 0 and -4 at
-    node 1: scaled by 1/2, its least entry -2 is at node 1, though node 0
-    holds -2 unscaled."""
-    perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, (3, 3)), 2)
-    t = np.zeros((n_lines * 2 * per_line, 2 * per_line))
-    t.reshape(n_lines, 2, per_line, 2, per_line)[1, 0, :, 1, 0] = [-2.0, -4.0]
-    return perm, 2, per_line, np.divide.outer([1.0, 2.0], [1.0, 2.0]), [(t, 0)]
-
-
-def _last_line_row():
-    """Species weights (1, -0.5), and one block row, that of the last line:
-    it has no entry right of its diagonal line, so the fold mirrors none,
-    and no empty running extreme, scaled by a negative weight, turns into
-    a bound."""
-    perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, (3, 4)), 2)
-    t = np.arange(4.0 * per_line**2).reshape(2 * per_line, 2 * per_line) - 3.0
-    return perm, 2, per_line, np.divide.outer([1.0, -0.5], [1.0, -0.5]), [(t, n_lines - 1)]
-
-
-def _zero_block_rows():
-    """Two full block rows, no weights, in which the coupling blocks (1, 2)
-    and (2, 1) are exact zeros: their min and max are +0.0, so s = 1 keeps
-    +0.0 and s = -1 keeps -0.0, as the scan before the running fold did."""
-    perm, n_lines, per_line = oracle._line_order(build_grid(2, 0.0, 1.0, (4, 4)), 2)
-    rows = []
-    for p in (n_lines - 1, n_lines - 2):
-        t = np.linspace(-1.0, 2.0 + p, n_lines * 4 * per_line**2)
-        blocks = t.reshape(n_lines, 2, per_line, 2, per_line)
-        blocks[:, 0, :, 1, :] = blocks[:, 1, :, 0, :] = 0.0
-        rows.append((t.reshape(-1, 2 * per_line), p))
-    return perm, 2, per_line, None, rows
-
-
-@given(_slab_rows())
-@example(_scaled_node_zero_rows())
-@example(_last_line_row())
-@example(_zero_block_rows())
-@settings(max_examples=120, deadline=None)
-def test_row_fold_matches_a_brute_force_fold(case):
-    """Folding block rows one after another keeps, for every species block
-    and sign, the extreme that a fold over every entry keeps, blocks of
-    exact zeros included; with weights, the mirrored entries right of each
-    diagonal line too.  Where every zero entry is +0.0, mirrored ones
-    included (no -0.0 drawn, no negative entry that a weight could round
-    to -0.0, no negative weight), each zero extreme keeps its sign too:
-    +0.0 for s = 1 and -0.0 for s = -1."""
-    _, ns, per_line, ratio, rows = case
-    extremes, expect = oracle._Extremes(ns, per_line, ratio), {}
-    for t, _ in rows:
-        assert extremes.fold(t)
-        reference_row_fold(expect, t, ns, per_line, ratio)
-    got = extremes.result()
-    assert got == expect
-    if (ratio is None or (ratio > 0).all()) and not any(
-        np.signbit(t[np.abs(t) < 1e-290]).any() for t, _ in rows
-    ):
-        assert {key: repr(v) for key, v in got.items()} == {key: repr(v) for key, v in expect.items()}
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_a_non_finite_entry_right_of_the_diagonal_line_hands_off(value, monkeypatch, caplog):
-    """One NaN or infinite entry right of a row's diagonal line, and nowhere
-    else, makes the mirrored fold return False, and the slab scan then hands
-    off, logging the row's number."""
-    ns, per_line, m = 2, 3, 6
-    t = np.ones((3 * m, m))
-    t[m + 4, 2] = value
-    assert not oracle._Extremes(ns, per_line, np.ones((ns, ns))).fold(t)
-    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
-    asys = _text_system([{"c": "1"}, {"c": "2"}], {"m12": "-1", "m21": "-1"})
-    fold, calls = oracle._Extremes.fold, []
-
-    def poisoned(self, t):  # the third row folded is row n_lines - 3
-        calls.append(1)
-        if len(calls) == 3:
-            t[m + 4, 2] = value
-        return fold(self, t)
-
-    monkeypatch.setattr(oracle._Extremes, "fold", poisoned)
-    assert oracle._scan_slabs(asys) is None
-    _, n_lines, _ = oracle._line_order(asys.grid, 2)
-    assert _hand_offs(caplog) == [f"row {n_lines - 3} is not finite"]
-
-
-@pytest.mark.parametrize("cells, lines", [((4, 9), 8), ((9, 4), 8), ((6, 6), 5)])
-def test_slab_lines_cut_across_the_longer_axis(cells, lines):
-    """The slab scan's lines run along the shorter axis, so there are as
-    many as the longer axis has interior nodes; each lists its species in
-    turn, each species' nodes in increasing order."""
-    grid = build_grid(2, 0.0, 1.0, cells)
-    perm, n_lines, per_line = oracle._line_order(grid, 2)
-    assert (n_lines, per_line) == (lines, grid.n_interior // lines)
-    assert np.array_equal(np.sort(perm), np.arange(2 * grid.n_interior))
-    by_line = perm.reshape(n_lines, 2, per_line)
-    assert (by_line // grid.n_interior == np.arange(2)[:, None]).all()
-    assert (np.diff(by_line, axis=2) > 0).all()
+        decide(asys)
 
 
 @given(_oracle_case(cross=True), st.sampled_from((3, 8, 64)))
@@ -1497,11 +973,9 @@ def test_oracle_memory_stays_below_a_quarter_inverse():
 
 
 def test_scan_builds_no_sparse_matrix_per_block():
-    """The LU scan reads its right-hand sides off CSC arrays, the
-    identity's and one copy of G's: a 1D system of 2 column blocks, one of
-    16 and a 2D pair of 17 build the same number of scipy sparse matrices.  The slab scan reads
-    A's blocks off one line-numbered copy: 2D systems of 8 to 23 lines and
-    1 to 3 species build the same number as each other."""
+    """The scan reads its right-hand sides off CSC arrays, the identity's
+    and one copy of G's: a 1D system of 2 column blocks, one of 16 and a 2D
+    pair of 17 build the same number of scipy sparse matrices."""
     built = []
     init = sparse_base._spbase.__init__
 
@@ -1509,33 +983,20 @@ def test_scan_builds_no_sparse_matrix_per_block():
         built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
-    def counts(scan, systems):
-        out = []
-        for asys in systems:
-            assert asys.G.nnz
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sparse_base._spbase, "__init__", counting)
-                assert scan(asys) is not None
-            out.append(len(built))
-            built.clear()
-        return out
-
     systems = [
         _pair(build_grid(2, 0.0, 1.0, 24), [["0", "-1"], ["-0.5", "0"]]),
         *(assemble_system(laplace_system(build_grid(1, 0.0, 1.0, n))) for n in (128, 1024)),
     ]
-    lu = counts(oracle._scan_inverse, systems)
     assert [asys.A.shape[0] for asys in systems] == [1058, 127, 1023]
-    assert lu[0] == lu[1] == lu[2], lu
-    slabs = counts(
-        oracle._scan_slabs,
-        [
-            systems[0],
-            _pair(build_grid(2, 0.0, 1.0, (4, 9)), [["0", "-1"], ["-0.5", "0"]]),
-            assemble_system(laplace_system(build_grid(2, 0.0, 1.0, (12, 20)), n_species=3)),
-        ],
-    )
-    assert slabs[0] == slabs[1] == slabs[2], slabs
+    counts = []
+    for asys in systems:
+        assert asys.G.nnz
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_base._spbase, "__init__", counting)
+            assert oracle._scan_inverse(asys)
+        counts.append(len(built))
+        built.clear()
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 # ------------------------------------------------------ one-solve M-matrix check
@@ -1635,8 +1096,8 @@ def test_m_matrix_check_decides_as_the_dense_inverse(case):
     positivity, in the
     plain order derived from it, it decides as the dense (D A D)^{-1} does
     (_assert_m_matrix).  The plain order is derived exactly when A is
-    irreducible.  The pinned near-singular Laplacian hands its order to the
-    scan, and the pinned triangular competition, reducible, its plain one."""
+    irreducible.  The pinned near-singular Laplacian hands its order on,
+    and the pinned triangular competition, reducible, its plain one."""
     asys, gauge = case
     rep = oracle.m_matrix(asys, gauge)
     if rep is None:
@@ -1652,16 +1113,20 @@ def test_m_matrix_check_decides_as_the_dense_inverse(case):
 
 def test_m_matrix_check_hands_the_pinned_cases_to_the_scan():
     """The near-singular Laplacian's row sums of A^{-1} reach |A| |x| >
-    1e14, where the solve calls A singular, while the scan of its entries
-    decides; the triangular competition is Z in its gauge order, which the
-    check proves, but its plain report cannot follow from that."""
+    1e14, where the solve calls A singular; no middle column refutes it, so
+    the ladder's scan of its entries decides.  The triangular competition
+    is Z in its gauge order, which the check proves, but its plain report
+    cannot follow from that, and its middle columns refute it."""
     asys = _shifted_laplacian(1e-12)
     assert oracle.m_matrix(asys) is None
-    assert inverse_positivity(asys).inverse_positive
+    rep = decide(asys)
+    assert (rep.method, rep.inverse_positive) == ("scan", True)
     asys, gauge = _triangular_competition()
     gauged = oracle.m_matrix(asys, gauge)
     assert gauged.inverse_positive and gauged.method == "m-matrix"
     assert oracle.m_matrix(asys, None, flipped=gauged) is None
+    rep = decide(asys, None, flipped=gauged)
+    assert (rep.method, rep.inverse_positive) == ("columns", False)
     assert not inverse_positivity(asys).inverse_positive
 
 
@@ -1702,8 +1167,9 @@ def _check_records(caplog):
 
 
 def test_certify_logs_the_method_of_each_order(caplog, monkeypatch):
-    """certify logs one DEBUG record per order on elcomp.oracle: the method
-    that decided it, or why the check handed it to the scan."""
+    """certify logs one DEBUG record per order on elcomp.oracle for the
+    M-matrix check: that it decided, or why it handed the order on to the
+    columns, where one more record says that a middle column refuted."""
     caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     from elcomp.certify import certify
 
@@ -1721,39 +1187,87 @@ def test_certify_logs_the_method_of_each_order(caplog, monkeypatch):
         "gauge None: decided by the M-matrix check in gauge (1, -1), A irreducible",
     ]
     assert records(load_problem(data / "predator_prey.prob")) == [
-        "gauge None: M-matrix check handed to the scan: D A D is not a Z-matrix"
+        "gauge None: M-matrix check handed to the columns: D A D is not a Z-matrix"
     ]
+    messages = [r.getMessage() for r in caplog.records if r.name == "elcomp.oracle"]
+    assert [m for m in messages if "middle column" in m] == ["gauge None: refuted by the middle column 70"]
     spec = laplace_system(build_grid(1, 0.0, 1.0, 16), n_species=2, m=[["0", "0.5"], ["0", "0"]])
     assert records(spec) == [
         "gauge (1, -1): decided by the M-matrix check",
-        "gauge None: M-matrix check handed to the scan: A is reducible, so no report"
+        "gauge None: M-matrix check handed to the columns: A is reducible, so no report"
         " follows from gauge (1, -1)",
     ]
     # the same pair with the bound unproven, and with a singular solve
     monkeypatch.setattr(oracle, "_image_upper", lambda asys, d, v, g=None: np.zeros_like(v))
     assert records(spec) == [
-        "gauge (1, -1): M-matrix check handed to the scan: (D A D) x > 0 is not proven",
-        "gauge None: M-matrix check handed to the scan: D A D is not a Z-matrix",
+        "gauge (1, -1): M-matrix check handed to the columns: (D A D) x > 0 is not proven",
+        "gauge None: M-matrix check handed to the columns: D A D is not a Z-matrix",
     ]
     monkeypatch.undo()
     caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     caplog.clear()
     assert oracle.m_matrix(_shifted_laplacian(1e-12)) is None
     (record,) = _check_records(caplog)
-    assert record.startswith("gauge None: M-matrix check handed to the scan: the solve calls A singular (solve: ")
+    assert record.startswith("gauge None: M-matrix check handed to the columns: the solve calls A singular (solve: ")
 
 
 def test_m_matrix_check_needs_g_nonpositive(caplog):
     """A positive value in G leaves the boundary half to the scan's columns
-    of -G, so the check hands the order over."""
+    of -G, so the check hands the order on."""
     caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
     asys = assemble_system(laplace_system(build_grid(1, 0.0, 1.0, 16)))
     g = asys.G.copy()
     g.data[0] = 1e-3
     assert oracle.m_matrix(replace(asys, G=g)) is None
     assert _check_records(caplog) == [
-        "gauge None: M-matrix check handed to the scan: G has a value that is not <= 0"
+        "gauge None: M-matrix check handed to the columns: G has a value that is not <= 0"
     ]
+
+
+@given(
+    _system_case(cross=True).map(lambda case: (case[0].assemble("full"), case[1]))
+    | st.tuples(st.booleans(), st.booleans(), st.booleans()).flatmap(lambda f: _oracle_case(*f))
+)
+@example(_tiny_negative_middle_column())
+@example(_missed_by_the_middle_column())
+@example((_shifted_laplacian(1e-12), None))
+@seed(20261021)
+@settings(max_examples=80, deadline=None)
+def test_the_ladder_decides_alike_below_and_above_the_budget(case):
+    """On systems of at most 200 dof, 1D and 2D, with and without cross
+    diffusion, with constant-sign couplings (_system_case) and pointwise
+    random ones (_oracle_case), whose negative entries a middle column can
+    miss, plain and in a drawn gauge order, each order decided on its own
+    as elcomp oracle does: wherever the ladder decides above the budget
+    (its M-matrix and column rungs), it decides the same within the default
+    budget, boundary half included.  Within the budget every order is
+    decided, unless the scan finds A singular.  Every False, at either
+    budget, carries a field proven in exact arithmetic (assert_proven): the
+    pinned system that no middle column refutes is refuted by the scan and
+    refute's column 2.  The near-singular Laplacian is decided by the scan
+    alone, and the tiny negative middle column refutes at both budgets."""
+    asys, gauge = case
+    for g in {None, gauge}:
+        try:
+            above = decide(asys, g, _COLUMNS)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                decide(asys, g)
+            continue
+        try:
+            within = decide(asys, g)
+        except SingularMatrix:
+            assert above.inverse_positive is None
+            continue
+        assert within.inverse_positive is not None
+        if above.inverse_positive is not None:
+            assert (above.method, above.inverse_positive, above.boundary_monotone) == (
+                within.method, within.inverse_positive, within.boundary_monotone,
+            )
+        for rep in (above, within):
+            if rep.inverse_positive is False:
+                assert rep.counterexample is not None
+                assert_proven(asys, rep.counterexample, g)
 
 
 # ------------------------------------------------- fields in exact arithmetic
