@@ -415,8 +415,10 @@ class DiscreteSystem:
     _scalar_cache: dict = field(default_factory=dict, repr=False)
     # full-domain AssembledSystem per coupling mode (assembled)
     _assembly_cache: dict = field(default_factory=dict, repr=False)
-    # eigenpairs by operator content (spectral)
+    # eigen runs by operator content, and the runs read within
+    # spectral.open_runs, None outside it (spectral._memo_eigenpair)
     _eigen_cache: dict = field(default_factory=dict, repr=False)
+    _eigen_reads: dict | None = field(default=None, repr=False)
     # cooperative blocks and their content keys (cooperative_block)
     _block_cache: dict = field(default_factory=dict, repr=False)
 

@@ -13,11 +13,13 @@ pointwise competitive-part margins, per-component or triangular variants),
 refutes it with a counterexample field whose image a rounding bound proves
 nonpositive, or reports Inconclusive.  Margins near zero are never rounded
 into a verdict.  certify states the species order a Holds or Fails claims
-(all +1) and cross-checks the claim against the oracle in that order.
+(all +1) and cross-checks the claim against the oracle in that order.  It
+takes each eigen run only as far as its verdict needs (_decide).
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
 
@@ -30,7 +32,7 @@ from .fields import BlockField, Counterexample
 from .graphs import potentials
 from .linalg import lu_solve, shifted
 from .settings import DEFAULT, Settings
-from .spectral import _memo_eigenpair, block_eigen, component_eigen
+from .spectral import _memo_eigenpair, block_eigen, component_eigen, open_runs
 
 ACROSS_BLOCKS = (
     "cooperative part couples across blocks; per-component certificate "
@@ -402,7 +404,13 @@ def _thm5_epsilon(s16, col, tols, first, strict):
 
 def _thm5_chain(ds, eps, order0, pairs):
     """w_1 = eigenfunction; later species solve the shifted scalar system
-    against the accumulated nonnegative coupling of earlier species."""
+    against the accumulated nonnegative coupling of earlier species.
+
+    Species j's shift is lo_j - eps, lo_j = pairs[j].cw[0] <= lambda_j, so
+    A_j - (lo_j - eps) I is a nonsingular M-matrix and its solve against a
+    nonnegative, nonzero right-hand side is positive however wide the
+    enclosure is (Berman-Plemmons, ch. 6); a solve that comes out
+    nonpositive anyway, by rounding, gives None."""
     ids = ds.grid.interior_ids
     mm = ds.m_minus
     n_int = ds.grid.n_interior
@@ -422,7 +430,7 @@ def _thm5_chain(ds, eps, order0, pairs):
         # the block component_eigen kept; a CSC copy of it makes shifted's
         # copy the one LuFactor hands to SuperLU
         a, _ = ds.cooperative_block([j])
-        w = lu_solve(shifted(a.tocsc(), pairs[j].value - eps), rhs)
+        w = lu_solve(shifted(a.tocsc(), pairs[j].cw[0] - eps), rhs)
         if float(w.min()) <= 0.0:
             return None
         wt[j] = w
@@ -446,6 +454,14 @@ def check_failure(
     coupling in its row or column.  A candidate whose field is not proven
     (oracle.prove_field) is noted in diagnostics, "not proven (bound ...)",
     and produces no verdict.
+
+    On an open run (EigenPair.open, within spectral.open_runs) a candidate
+    is passed over only where lo = cw[0] already gives lo + m_jj_plus >=
+    -tol somewhere, as every narrower enclosure then does, and refutes
+    only with a proven field; else it is undecided, and the scan stops
+    there with an Inconclusive verdict, so that certify goes on with the
+    run before any later candidate is tried and j is the one the run's end
+    gives.
     """
     ds = as_discrete(spec)
     n = ds.n_species
@@ -470,11 +486,18 @@ def check_failure(
         ]
     for j, block in candidates:
         pair = block_eigen(ds, block, settings)
-        worst = float((pair.cw[1] + ds.m_plus[j, j][ids]).max())
-        if worst >= -_tol(pair, settings):
+        mp = ds.m_plus[j, j][ids]
+        tol = _tol(pair, settings)
+        undecided = Verdict("Inconclusive", theorem=theorem, j=j + 1)
+        worst = float((pair.cw[1] + mp).max())
+        if worst >= -tol:
+            if pair.open and float((pair.cw[0] + mp).max()) < -tol:
+                return undecided
             continue
         cex = _counterexample(ds, block, pair, j + 1, which)
         if not cex.verified:
+            if pair.open:
+                return undecided
             notes.append(
                 f"FailureCandidate j={j + 1} ({which}) not proven "
                 f"(bound {cex.residual_max:.3e})"
@@ -552,17 +575,7 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
             value=coop.offdiag_max,
         )
     structure = classify_structure(ds)
-    notes: list = []
-    verdict = check_failure(ds, settings, diagnostics=notes)
-    if verdict is None:
-        route = _route(ds.signs)
-        if route is not None:
-            verdict = route(ds, settings)
-        else:
-            verdict = Verdict("Inconclusive", mode=settings.mode)
-            verdict.notes.append(
-                GENERAL if structure.kind == "General" else ACROSS_BLOCKS
-            )
+    verdict, notes = _decide(ds, structure, settings)
     verdict.mode = settings.mode
     verdict.structure = structure
     verdict.notes.extend(notes)
@@ -597,6 +610,40 @@ def certify(spec, settings: Settings = DEFAULT) -> Verdict:
             verdict.notes.append(f"oracle: {what} matrix is singular")
     verdict.cross_check = _cross_check(verdict, verdict.notes[first_note:])
     return verdict
+
+
+def _decide(ds, structure: StructureClass, settings: Settings):
+    """(verdict, notes) of the refutation scan, then the route, on each
+    eigen run as far as it has gone (spectral.open_runs).
+
+    While the verdict is Inconclusive and a run it read is open, those runs
+    go on by one enclosure and the system is decided again.  Enclosures
+    nest, a Holds reads each margin at lo and a Fails at hi, so a Holds or
+    a proven Fails on a wider enclosure is one that the runs' end would
+    give too.  Every run therefore stops at its target, at its floor, or
+    where the verdict is decided; an Inconclusive verdict reads every run
+    at its end.  Sharp mode reads the left eigenvectors, so it reads every
+    run at its end from the start.
+    """
+    with open_runs(ds) if settings.mode == "basic" else contextlib.nullcontext({}) as runs:
+        while True:
+            runs.clear()
+            notes: list = []
+            verdict = check_failure(ds, settings, diagnostics=notes)
+            if verdict is None:
+                route = _route(ds.signs)
+                if route is not None:
+                    verdict = route(ds, settings)
+                else:
+                    verdict = Verdict("Inconclusive", mode=settings.mode)
+                    verdict.notes.append(
+                        GENERAL if structure.kind == "General" else ACROSS_BLOCKS
+                    )
+            going = [run for run in runs.values() if run.open]
+            if verdict.kind != "Inconclusive" or not going:
+                return verdict, notes
+            for run in going:
+                run.advance()
 
 
 def _cross_check(verdict: Verdict, skipped: list) -> dict:

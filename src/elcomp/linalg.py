@@ -16,7 +16,8 @@ factorization while its solves keep halving the enclosure, serves both
 eigenvectors from it, and carries a Collatz-Wielandt enclosure widened by
 the ratios' rounding bound at every step.  A run stops at the width target
 or at the rounding floor, and a start vector that closes either way ends
-it with no LU.
+it with no LU.  It can also be taken one enclosure at a time (noda_steps),
+so that a caller that needs less than the target stops it earlier.
 """
 
 from __future__ import annotations
@@ -375,8 +376,8 @@ def dense_inverse(a: sp.spmatrix, settings: Settings = DEFAULT) -> np.ndarray:
 class NodaResult:
     """A Noda run: rho in the enclosure cw, its positive vector (unit max),
     the run's LU factorizations and this iterate's solves, which rule
-    stopped it ("target" or "floor"), and the left iterate's result when
-    one ran alongside."""
+    stopped it ("target" or "floor", or None while the run is open,
+    noda_steps), and the left iterate's result when one ran alongside."""
 
     rho: float
     vector: np.ndarray
@@ -469,7 +470,32 @@ def noda_iteration(
     left: sp.csr_matrix | None = None,
     start: np.ndarray | None = None,
 ) -> NodaResult:
-    """Principal eigenpair of an irreducible Z-matrix by Noda iteration.
+    """noda_steps' run to its end: its last result."""
+    for result in noda_steps(a, settings, left, start):
+        pass
+    return result
+
+
+def _open_state(iterates, factorizations: int) -> NodaResult:
+    """An open run's state: the right iterate's enclosure so far, rho and
+    vector, with the left one's as its left, stopped None."""
+    right, *rest = [
+        NodaResult(it.lam, it.x, (it.lo, it.hi), factorizations, it.solves, None)
+        for it in iterates
+    ]
+    right.left = rest[0] if rest else None
+    return right
+
+
+def noda_steps(
+    a: sp.spmatrix,
+    settings: Settings,
+    left: sp.csr_matrix | None = None,
+    start: np.ndarray | None = None,
+):
+    """Principal eigenpair of an irreducible Z-matrix by Noda iteration, one
+    enclosure at a time: a generator of NodaResults, each the run's state
+    after an enclosure (stopped None) while it is open, and its result last.
 
     From x = 1, each step intersects the Collatz-Wielandt ratios (Ax)/x into
     the running enclosure [lo, hi] of the principal eigenvalue lambda, then
@@ -530,6 +556,15 @@ def noda_iteration(
     A positive start, a candidate eigenvector, is enclosed first.  When
     every iterate closes on it, the run returns start with iterations =
     solves = 0; otherwise it goes on from x = 1 exactly as without start.
+
+    An open state is yielded after the start's enclosure and after each
+    solve: its cw holds lambda as rigorously as the result's, the vectors
+    are the iterates so far, and iterations and solves count the work so
+    far.  The enclosure of x = 1 is not offered: its rows next to the
+    boundary carry the h^-2 of the stencil, so it is h^-2 wide and its
+    Rayleigh quotient is no estimate of lambda.  The states depend only on
+    the arguments, so a caller that stops taking them has seen a prefix of
+    the run to its end, and one that takes every state gets that run.
     """
     if a.shape[0] != a.shape[1]:
         raise DimMismatch(f"Noda iteration needs a square matrix, got {a.shape}")
@@ -540,6 +575,7 @@ def noda_iteration(
 
     iterates = iterates_from(np.ones(a.shape[0]) if start is None else start)
     if start is not None and any(it.enclose(0) for it in iterates):
+        yield _open_state(iterates, 0)
         iterates = iterates_from(np.ones(a.shape[0]))  # the start left one open
     csc = norm = lu = None
     factorizations, refactor = 0, False
@@ -551,7 +587,10 @@ def noda_iteration(
             right = iterates[0].result
             right.iterations = factorizations
             right.left = iterates[1].result if left is not None else None
-            return right
+            yield right
+            return
+        if factorizations:  # the enclosure after a solve
+            yield _open_state(iterates, factorizations)
         lead = active[0]
         refactor = lu is None or not lead.halved()
         if refactor and factorizations >= settings.max_iter:

@@ -22,8 +22,10 @@ method names the rung:
    ("scan"), with refute's field where a decision fails.
 4. Otherwise inverse_positive is None, and boundary_reason says why
    ("columns").
-Rungs 1 and 2 cost one LU of A each and need no budget; the budget bounds
-the scan alone, which is the only rung that reports min_entry.
+Every rung solves on one LU of A, which the system keeps by content
+beside the scan (_lu), so that a system that reaches the scan is
+factorized once.  Rungs 1 and 2 need no budget; the budget bounds the
+scan alone, which is the only rung that reports min_entry.
 
 The inverse is streamed, never held.  A scan leaves only the min and max
 of every species block (k, l) of A^{-1}: values, no positions.
@@ -40,13 +42,13 @@ give entries >= -TOL_OP max|A^{-1}| max_b |g_b|_1, g_b column b of G.
 Where A^{-1} has a negative entry, comparison fails already, and
 boundary_monotone is None.  Otherwise the columns b whose g_b holds a value
 that is not <= 0, which cross diffusion's corner terms give, are solved
-against -G on one LU of A (N. J. Higham, Accuracy and Stability of
+against -G on the LU of A (N. J. Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., SIAM 2002, ch. 14), and their extremes
 decide.  boundary_reason names the case, and so does one DEBUG record on
 the elcomp.oracle logger.
 
-The scan (_scan_inverse) factorizes A once with SuperLU and solves against
-the identity BLOCK columns at a time.  The right-hand sides are scattered
+The scan (_scan_inverse) solves against the identity on the LU of A,
+BLOCK columns at a time.  The right-hand sides are scattered
 from CSC arrays, with no sparse matrix per block, and each solved block is
 reduced to its extremes and dropped.  Memory is the LU factors and one n x
 BLOCK block: O(n * BLOCK).
@@ -191,26 +193,38 @@ def _block_minima(lu: LuFactor, asys: AssembledSystem, rhs, cols, width: int) ->
     return out
 
 
+def _lu(asys: AssembledSystem) -> LuFactor:
+    """The one LU of A, in minimum degree order, that every rung solves
+    with, kept on asys beside the scan, by content (asys.key).  m_matrix
+    solves only a Z-matrix D A D, which no 9-point stencil is (cross
+    diffusion puts both signs on a species' diagonal neighbours, and no
+    gauge flips them), so lu_order gives its systems no order either."""
+    key = (asys.key, "LU")
+    if key not in asys._oracle_cache:
+        asys._oracle_cache[key] = LuFactor(asys.A)
+    return asys._oracle_cache[key]
+
+
 def _scan_inverse(asys: AssembledSystem) -> dict:
-    """Gauge-free extremes of A^{-1} per species block, from one LU of A
-    solved against the identity BLOCK columns at a time, kept on asys by
-    the content of A and G (asys.key): inv[k, l, s] is the min of s * block
-    (k, l) of A^{-1} for s = 1 and -1."""
+    """Gauge-free extremes of A^{-1} per species block, from the LU of A
+    (_lu) solved against the identity BLOCK columns at a time, kept on asys
+    by the content of A and G (asys.key): inv[k, l, s] is the min of s *
+    block (k, l) of A^{-1} for s = 1 and -1."""
     if asys.key not in asys._oracle_cache:
         rhs = _right_hand_sides(asys, False)
-        asys._oracle_cache[asys.key] = _block_minima(LuFactor(asys.A), asys, *rhs)
+        asys._oracle_cache[asys.key] = _block_minima(_lu(asys), asys, *rhs)
     return asys._oracle_cache[asys.key]
 
 
 def _boundary_columns(asys: AssembledSystem):
     """(n_cols, bnd): the number of columns of -G solved, those where G holds
     a value that is not <= 0, and bnd[k, l, s], the min of s * block (k, l)
-    of -(A^{-1} G) over them, from one LU of A; kept on asys beside the
-    scan, by content."""
+    of -(A^{-1} G) over them, from the LU of A (_lu); kept on asys beside
+    the scan, by content."""
     key = (asys.key, "-G")
     if key not in asys._oracle_cache:
         rhs, cols, width = _right_hand_sides(asys, True)
-        bnd = _block_minima(LuFactor(asys.A), asys, rhs, cols, width)
+        bnd = _block_minima(_lu(asys), asys, rhs, cols, width)
         asys._oracle_cache[key] = cols.size, bnd
     return asys._oracle_cache[key]
 
@@ -294,7 +308,7 @@ def m_matrix(
     By Fiedler-Ptak, a Z-matrix B is a nonsingular M-matrix, so B^{-1} >= 0,
     iff some x > 0 has B x > 0 (Berman-Plemmons, ch. 6).  Where B = D A D is
     a Z-matrix and G <= 0, both on stored values, x = B^{-1} 1 = D A^{-1} D 1
-    is solved on one LU of A (lu_order), and B x > 0 is proven in every row
+    is solved on the LU of A (_lu), and B x > 0 is proven in every row
     as B (-x) < 0 (_image_upper).  Then x > 0 gives inverse_positive and,
     with G <= 0, boundary_monotone.  Otherwise some x_i < 0: a row with x_i
     = 0 and x >= 0 elsewhere has (B x)_i <= 0.  That refutes, as B^{-1} >=
@@ -334,7 +348,7 @@ def m_matrix(
     if not (asys.G.data <= 0.0).all():
         return _hand_on(sigma, "G has a value that is not <= 0")
     try:
-        x = d * LuFactor(a, lu_order(asys.grid, a)).solve(d)
+        x = d * _lu(asys).solve(d)
     except SingularMatrix as err:
         return _hand_on(sigma, "the solve calls A singular (%s)", err)
     bound = _image_upper(asys, d, -x)
@@ -383,16 +397,16 @@ def refute(asys: AssembledSystem, report: OracleReport) -> Counterexample | None
 
 def _column_search(asys, signs, boundary: bool, cols) -> Counterexample | None:
     """The proven field of the first column j among cols that has one, from
-    one LU of A; None when none has.  x = D A^{-1} D r_j, r_j column j of
-    the identity, or of -G when boundary.  With y = (D A D)^{-1} 1 and eps
-    = |min x| / (4 max|y|), v = -(x + eps y) has D A D v = -(e_j + eps 1)
+    the LU of A (_lu); None when none has.  x = D A^{-1} D r_j, r_j column
+    j of the identity, or of -G when boundary.  With y = (D A D)^{-1} 1 and
+    eps = |min x| / (4 max|y|), v = -(x + eps y) has D A D v = -(e_j + eps 1)
     with zero boundary data, or D A D v + D G D_b g = -eps 1 with g = -e_j,
     and v >= 3/4 |min x| > 0 where x is least, if min x < 0.  y is solved
     only once some column has a negative entry."""
     rhs, _, width = _right_hand_sides(asys, boundary)
     which = "oracle-boundary" if boundary else "oracle"
     d = np.repeat(signs, asys.grid.n_interior)[:, None]
-    lu, y = LuFactor(asys.A), None
+    lu, y = _lu(asys), None
     for c0, x in _solves(lu, rhs, cols):
         block = cols[c0 : c0 + x.shape[1]]
         x *= d * signs[block // width]  # now D A^{-1} D r
@@ -418,7 +432,7 @@ def decide(
 ) -> OracleReport:
     """The report on D A D of the first rung of the ladder that decides
     (module docstring): m_matrix, with flipped as it reads it; the column
-    search (_column_search), which solves, on one LU of A, the columns of
+    search (_column_search), which solves, on the LU of A, the columns of
     A^{-1} at the middle interior node of each species, ns <= BLOCK of them,
     and refutes where one's field is proven; within settings.oracle_max_dof
     unknowns, inverse_positivity's scan with refute's field; else a report

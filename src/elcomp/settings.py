@@ -15,7 +15,7 @@ from .errors import ValidationError
 
 TOL_EIG = 1e-9
 TOL_COND = 1e-8
-MAX_ITER = 100  # LU factorizations per Noda run; a run needs 0-3
+MAX_ITER = 100  # LU factorizations per Noda run; a run to its target needs 0-3
 ORACLE_MAX_DOF = 2500
 MODES = ("basic", "sharp")
 
@@ -36,8 +36,11 @@ class Settings:
 
     Each eigen run stops once its enclosure is narrower than
     tol_eig (1 + |lambda|), or at the rounding floor when that lies above
-    it; a margin counts only beyond tol_cond (1 + |lambda|), with lambda at
-    the end of its enclosure that the margin's decision needs.
+    it; certify, in basic mode, stops a run earlier where its enclosure so
+    far decides the verdict, so that tol_eig is the width to which only an
+    undecided run refines.  A margin counts only beyond tol_cond (1 +
+    |lambda|), with lambda at the end of its enclosure that the margin's
+    decision needs.
     """
 
     mode: str = "basic"

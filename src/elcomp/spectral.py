@@ -17,10 +17,18 @@ species that the coupling treats alike.  Noda encloses it before its
 first LU: when that enclosure closes, at the width target or at the
 rounding floor, the run ends with no LU and no solve; otherwise it runs
 as it would without the sine.  Subdomain blocks take no sine.
+
+Each operator's run is kept on its system (EigenRun, _memo_eigenpair),
+and a caller reads it at its end, unless it reads within open_runs: there
+it gets the run as far as it has gone, a rigorous enclosure wider than the
+target, and goes on with the run only where that does not decide what it
+asks (certify).  A later read within open_runs continues the run where an
+earlier one left it.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +36,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .assembly import KNOWN_Z, as_discrete, check_z_matrix
-from .errors import NotIrreducible, NotZMatrix, ValidationError
+from .errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
 from .graphs import csr_strongly_connected
 from .mesh import SubdomainMask
 from .settings import DEFAULT, Settings
@@ -46,7 +54,11 @@ class EigenPair:
     vector closed the run, and right and left are then that vector.  A
     symmetric matrix has no left iterate and reuses the right vector.
     stopped says how cw closed: "target" at the width target, "floor" at
-    the rounding floor, wider than the target (linalg.noda_iteration).
+    the rounding floor, wider than the target (linalg.noda_iteration), or
+    "decided" where the run is still open: cw is the enclosure so far, the
+    vectors are the iterates so far and the counts the work so far, as
+    certify reads it within open_runs, and a report holds such a pair only
+    where the verdict was decided on it.
     """
 
     value: float
@@ -57,6 +69,11 @@ class EigenPair:
     residual: float
     solves: int
     stopped: str
+
+    @property
+    def open(self) -> bool:
+        """Whether the run goes on past this pair (stopped "decided")."""
+        return self.stopped == "decided"
 
     def to_json_dict(self) -> dict:
         """The run's record in a report; the vectors stay out."""
@@ -85,63 +102,133 @@ def grid_sine(grid, copies: int) -> np.ndarray:
     return np.tile(x / x.max(), copies)
 
 
+class EigenRun:
+    """The Noda run of an irreducible Z-matrix, taken one enclosure at a
+    time (linalg.noda_steps); pair is its EigenPair so far.
+
+    The Z-matrix and irreducibility gates are what keep the Noda iterates
+    strictly positive, and they are checked when the run is made.  z_scan
+    is check_z_matrix(a)'s result when a's content has been scanned
+    already; without it, a is scanned here.  start, a positive candidate
+    eigenvector, is checked before the first LU (linalg.noda_iteration).
+    settings gives tol_eig and max_iter.
+    """
+
+    def __init__(
+        self,
+        a: sp.spmatrix,
+        settings: Settings = DEFAULT,
+        z_scan: tuple | None = None,
+        start: np.ndarray | None = None,
+    ):
+        is_z, pos, worst, _ = check_z_matrix(a) if z_scan is None else z_scan
+        if not is_z:
+            raise NotZMatrix(
+                f"off-diagonal entry {worst:.6g} at {pos}", position=pos, value=worst
+            )
+        if not csr_strongly_connected(a):
+            raise NotIrreducible("matrix digraph is not strongly connected")
+        at = a.T.tocsr()
+        self.a, self.symmetric = a, linalg.same_nonzeros(a, at)
+        self._steps = linalg.noda_steps(a, settings, None if self.symmetric else at, start)
+        self._state = next(self._steps)
+        self._pair = None
+
+    @property
+    def open(self) -> bool:
+        """Whether the run has enclosures to come (its pair reads "decided")."""
+        return self._state.stopped is None
+
+    def advance(self) -> None:
+        """Go on to the run's next enclosure; an open run only."""
+        self._state, self._pair = next(self._steps), None
+
+    def finish(self) -> EigenPair:
+        """The pair at the run's end."""
+        while self.open:
+            self.advance()
+        return self.pair
+
+    @property
+    def pair(self) -> EigenPair:
+        """The EigenPair of the run so far, made once per state."""
+        if self._pair is None:
+            run, a = self._state, self.a
+            x = run.vector
+            left = x if self.symmetric else run.left.vector
+            solves = run.solves if self.symmetric else run.solves + run.left.solves
+            # the two-sided Rayleigh quotient errs by the product of the two
+            # vectors' errors, where the one-sided one (run.rho, the same for
+            # symmetric A) errs by the right vector's
+            ax = a @ x
+            lam = min(max(float(left @ ax) / float(left @ x), run.cw[0]), run.cw[1])
+            residual = float(np.abs(ax - lam * x).max())
+            stopped = run.stopped or "decided"
+            self._pair = EigenPair(lam, x, left, run.cw, run.iterations, residual, solves, stopped)
+        return self._pair
+
+
 def principal_eigenpair(
     a: sp.spmatrix,
     settings: Settings = DEFAULT,
     z_scan: tuple | None = None,
     start: np.ndarray | None = None,
 ) -> EigenPair:
-    """Eigenvalue of smallest real part of an irreducible Z-matrix.
+    """Eigenvalue of smallest real part of an irreducible Z-matrix: its
+    EigenRun's pair at the run's end."""
+    return EigenRun(a, settings, z_scan, start).finish()
 
-    The Z-matrix and irreducibility gates are what keep the Noda iterates
-    strictly positive.  z_scan is check_z_matrix(a)'s result when a's
-    content has been scanned already; without it, a is scanned here.
-    start, a positive candidate eigenvector, is checked before the first
-    LU (linalg.noda_iteration).  settings gives tol_eig and max_iter.
-    """
-    is_z, pos, worst, _ = check_z_matrix(a) if z_scan is None else z_scan
-    if not is_z:
-        raise NotZMatrix(
-            f"off-diagonal entry {worst:.6g} at {pos}", position=pos, value=worst
-        )
-    if not csr_strongly_connected(a):
-        raise NotIrreducible("matrix digraph is not strongly connected")
 
-    at = a.T.tocsr()
-    symmetric = linalg.same_nonzeros(a, at)
-    run = linalg.noda_iteration(a, settings, None if symmetric else at, start)
-    x = run.vector
-    left = x if symmetric else run.left.vector
-    solves = run.solves if symmetric else run.solves + run.left.solves
-    # the two-sided Rayleigh quotient errs by the product of the two vectors'
-    # errors, where the one-sided one (run.rho, the same for symmetric A)
-    # errs by the right vector's
-    ax = a @ x
-    lam = min(max(float(left @ ax) / float(left @ x), run.cw[0]), run.cw[1])
-    residual = float(np.abs(ax - lam * x).max())
-    return EigenPair(lam, x, left, run.cw, run.iterations, residual, solves, run.stopped)
+@contextlib.contextmanager
+def open_runs(ds):
+    """Within it, _memo_eigenpair on ds hands out each run's pair as far as
+    the run has gone, and the dict it yields collects those runs by memo
+    key, for the caller to advance the open ones (certify).  On the way
+    out the runs left open leave the memo, and with them the factorization
+    each keeps for its next solve, so that it is not held beside the
+    oracle's; a later read starts such a run again, and the run repeats
+    itself bit for bit."""
+    ds._eigen_reads = {}
+    try:
+        yield ds._eigen_reads
+    finally:
+        ds._eigen_reads = None
+        for key in [key for key, run in ds._eigen_cache.items() if run.open]:
+            del ds._eigen_cache[key]
 
 
 def _memo_eigenpair(
     ds, a, content: str, settings: Settings = DEFAULT, z_scan=None, whole_grid: bool = True
 ) -> EigenPair:
-    """principal_eigenpair(a), solved once per operator content on ds.
+    """The EigenPair of a's run, kept open on ds: made once per operator
+    content, read at its end, or, within open_runs, as far as it has gone.
 
     content is a's content key, kept with the operator (block_eigen).  A
     block on the whole grid (whole_grid) starts from grid_sine; a subdomain
     block takes no start.  The memo lives on the system, so nothing outlives
-    the run; cached vectors are read-only.  It keys on the two settings a
-    solve reads, so runs that differ in any other share it.
+    the run; a later read continues the run where an earlier one left it
+    (open_runs drops the runs it leaves open), and cached vectors are
+    read-only.  It keys on the two settings a solve
+    reads, so runs that differ in any other share it.
     """
     key = (content, settings.tol_eig, settings.max_iter, whole_grid)
     if key not in ds._eigen_cache:
         n_int = ds.grid.n_interior
         start = grid_sine(ds.grid, a.shape[0] // n_int) if whole_grid else None
-        pair = principal_eigenpair(a, settings, z_scan, start)
-        pair.right.setflags(write=False)
-        pair.left.setflags(write=False)
-        ds._eigen_cache[key] = pair
-    return ds._eigen_cache[key]
+        ds._eigen_cache[key] = EigenRun(a, settings, z_scan, start)
+    run = ds._eigen_cache[key]
+    if ds._eigen_reads is not None:
+        ds._eigen_reads[key] = run
+    else:
+        try:
+            run.finish()
+        except NoConvergence:
+            del ds._eigen_cache[key]  # a run that failed is made again, and fails again
+            raise
+    pair = run.pair
+    pair.right.setflags(write=False)
+    pair.left.setflags(write=False)
+    return pair
 
 
 def block_eigen(

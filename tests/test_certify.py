@@ -5,11 +5,13 @@ Laplacian has smallest eigenvalue 4/h^2 sin^2(h/2), eigenvector sin(x);
 constant couplings shift margins by exactly the coupling size.
 """
 
+import contextlib
 import dataclasses
 import inspect
 import itertools
 import logging
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import elcomp.certify as certify_mod
-from elcomp import assembly, linalg, oracle, quasilinear
+from elcomp import assembly, linalg, oracle, quasilinear, spectral
 from elcomp.certify import (
     StructureClass,
     Verdict,
@@ -43,12 +45,19 @@ from elcomp.errors import (
 from elcomp.fields import load_block
 from elcomp.mesh import build_grid
 from elcomp.oracle import OracleReport, inverse_positivity
-from elcomp.problems import load_problem
+from elcomp.problems import load_problem, parse_problem
 from elcomp.quasilinear import check_thm8
 from elcomp.settings import DEFAULT, Settings
-from elcomp.spectral import EigenPair
+from elcomp.spectral import EigenPair, component_eigen
 
-from helpers import assert_report_views, laplace_system, op_of, system_of
+from helpers import (
+    assert_report_views,
+    coop_pair_text,
+    laplace_system,
+    op_of,
+    system_of,
+    system_text,
+)
 
 PI = math.pi
 
@@ -331,6 +340,29 @@ def test_thm5_chain_hands_splu_the_shifted_block(monkeypatch):
     monkeypatch.setattr(certify_mod, "shifted", lambda a, s: shift(a.tocsr(), s))
     from_csr = check_thm5(load_problem(DATA / "predator_prey.prob").discretize())
     assert np.array_equal(v.wtilde.values, from_csr.wtilde.values)
+
+
+def test_thm5_chain_stays_positive_on_a_wide_enclosure():
+    """The chain shifts species j at lo_j - eps, below lambda_j however wide
+    its enclosure is.  With each pair's enclosure widened to lambda +- 3 and
+    its value moved to lambda + 2, where an open run's Rayleigh quotient
+    may lie, the chain stays positive; a shift at value - eps, between
+    lambda_1 and lambda_2 of the block, would solve to a negative w2, -(0.5
+    / 1.75) sin, the sine being the block's eigenvector."""
+    ds = laplace_system(
+        grid1(48, PI), n_species=2, m=[["0", "0.5"], ["-0.5", "0"]]
+    ).discretize()
+    pairs = [component_eigen(ds, j + 1) for j in range(2)]
+    wide = [
+        dataclasses.replace(p, cw=(p.value - 3.0, p.value + 3.0), value=p.value + 2.0)
+        for p in pairs
+    ]
+    eps = 0.25
+    wt, fallback = certify_mod._thm5_chain(ds, eps, (0, 1), wide)
+    assert not fallback and wt.min() > 0.0
+    a, _ = ds.cooperative_block([1])
+    above = linalg.lu_solve(linalg.shifted(a, wide[1].value - eps), 0.5 * wide[0].right)
+    assert above.max() < 0.0
 
 
 def test_thm5_chain_reads_the_kept_species_blocks(monkeypatch):
@@ -852,6 +884,190 @@ def test_certify_oracle_budget_note(monkeypatch):
         "reason": f"oracle: inverse_positive None, boundary_monotone None ({reason})",
     }
     assert not any("oracle" in note for note in v.notes)
+
+
+# ------------------------------------------------- the stop at the decision
+
+
+def _never_stop(monkeypatch):
+    """certify reads every eigen run at its end, as it did before it could
+    stop one at its decision."""
+    monkeypatch.setattr(certify_mod, "open_runs", lambda ds: contextlib.nullcontext({}))
+
+
+def _claim(v):
+    """What a verdict claims: the fields the stop must leave as they are."""
+    return v.kind, v.theorem, v.j, v.order, v.cross_check
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        coop_pair_text(16),
+        system_text((16, 16), [{"a11": "1 + x", "c": "1", "f": "1"}]),
+    ],
+    ids=["thm1-pair", "thm4-scalar"],
+)
+def test_a_threshold_inside_the_enclosure_is_never_decided(text, monkeypatch):
+    """Each open enclosure widened to hold [-1, 1], and so every margin's
+    threshold, 0 here (no positive coupling), is never decided on: the
+    failure scan calls its candidate undecided and the route finds no
+    Holds, so the run goes on to its target, and the verdict and eigen
+    records are those certify gives with no stop."""
+    offered = []
+
+    class Wide(spectral.EigenRun):
+        @property
+        def pair(self):
+            pair = super().pair
+            if not pair.open:
+                return pair
+            offered.append(pair.cw)
+            lo, hi = pair.cw
+            return dataclasses.replace(pair, cw=(min(lo, -1.0), max(hi, 1.0)))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "EigenRun", Wide)
+        v = certify(parse_problem(text))
+    assert offered
+    _never_stop(monkeypatch)
+    plain = certify(parse_problem(text))
+    assert plain.kind.startswith("Holds")
+    assert _claim(v) == _claim(plain)
+    assert [p.stopped for p in v.eigen.values()] == ["target"]
+    assert v.to_json_dict()["eigen"] == plain.to_json_dict()["eigen"]
+
+
+@pytest.mark.parametrize("rule", ["passed-over", "not-proven"])
+def test_an_undecided_candidate_keeps_the_failing_j(rule, monkeypatch):
+    """Two uncoupled species that both refute (Theorem 6), species 1's open
+    runs made undecided: widened to hi >= 1, where lo alone would pass it
+    over, or with its field not proven while open.  The scan stops at
+    species 1 and takes its run further, so the Fails names j = 1, as with
+    no stop, and not species 2, whose first open enclosure refutes."""
+    text = system_text(
+        (16, 16),
+        [{"a11": "1 + x", "c": "-40", "f": "1"}, {"a11": "1 + y", "c": "-40", "f": "1"}],
+    )
+    first = parse_problem(text).discretize().cooperative_block([0])[1]
+    counterexample = certify_mod._counterexample
+
+    class Undecided(spectral.EigenRun):
+        @property
+        def pair(self):
+            pair = super().pair
+            mine = linalg.content_key(self.a) == first
+            if rule == "passed-over" and mine and pair.open:
+                return dataclasses.replace(pair, cw=(pair.cw[0], max(pair.cw[1], 1.0)))
+            return pair
+
+    def unproven(ds, block, pair, j, which):
+        cex = counterexample(ds, block, pair, j, which)
+        return dataclasses.replace(cex, verified=False) if j == 1 and pair.open else cex
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "EigenRun", Undecided)
+        if rule == "not-proven":
+            mp.setattr(certify_mod, "_counterexample", unproven)
+        v = certify(parse_problem(text))
+    _never_stop(monkeypatch)
+    plain = certify(parse_problem(text))
+    assert (plain.kind, plain.j) == ("FailsThm6", 1)
+    assert _claim(v) == _claim(plain)
+    assert v.eigen["j=1"].stopped == "target"
+
+
+def _box_text(n, side, species, coupling):
+    """Problem text on (0, side)^2 with n cells per axis."""
+    lines = ["[domain]", "dim = 2", "lo = 0 0", f"hi = {side!r} {side!r}", f"n = {n} {n}"]
+    for k, keys in enumerate(species, 1):
+        lines += [f"[species {k}]"] + [f"{key} = {val}" for key, val in keys.items()]
+    lines += ["[coupling]"] + [f"{key} = {val}" for key, val in coupling.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _seeded_2d(seed):
+    """The seven seeded 2D certify inputs of the certify-2d-oracle benchmark
+    workload, by shape: an irreducible cooperative pair at 30^2, a
+    predator-prey pair at 34^2 and a competitive pair at 35^2 on a side of
+    pi, triangular and diagonal pairs at 28^2, a Thm 7 pair at 32^2 and a
+    cooperative triple at 28^2, with coefficients drawn from seed."""
+    rng = random.Random(seed)
+
+    def u(lo, hi):
+        return repr(round(rng.uniform(lo, hi), 4))
+
+    def smooth(amp):
+        px, py = u(0, PI), u(0, PI)
+        return f"1 + {amp}*sin({PI!r}*x + {px})^2*cos({PI!r}*y + {py})^2"
+
+    def data():
+        return {"f": u(0.5, 2.0), "g": "0"}
+
+    mu, nu, mu3 = rng.uniform(15.0, 25.0), rng.uniform(15.0, 20.0), rng.uniform(15.0, 20.0)
+    c = repr(round(mu + rng.uniform(1, 5), 4))
+    c7 = repr(round(nu - 2 * PI**2 - rng.uniform(2, 4), 4))
+    c3 = repr(round(2 * mu3 + rng.uniform(1, 3), 4))
+    return {
+        "coop-pair-30": _box_text(
+            30, 1.0,
+            [{"a11": smooth(0.3), "a22": smooth(0.3), "c": c, **data()} for _ in range(2)],
+            {"m12": repr(-round(mu, 4)), "m21": repr(-round(mu * rng.uniform(0.8, 1.0), 4))},
+        ),
+        "predprey-34": _box_text(
+            34, PI, [data(), {"a11": smooth(0.3), **data()}],
+            {"m12": u(0.3, 0.7), "m21": "-" + u(0.3, 0.7)},
+        ),
+        "competitive-35": _box_text(
+            35, PI, [{"c": u(0, 1), **data()} for _ in range(2)],
+            {"m12": u(0.3, 0.7), "m21": u(0.3, 0.7)},
+        ),
+        "tri-pair-28": _box_text(
+            28, 1.0, [{"a11": smooth(0.3), **data()}, {"c": u(0, 3), **data()}],
+            {"m21": "-" + u(0.5, 3.0)},
+        ),
+        "diag-pair-28": _box_text(
+            28, 1.0, [data(), {"a22": smooth(0.3), **data()}],
+            {"m11": "-" + u(0.5, 3.0), "m22": u(0.5, 3.0)},
+        ),
+        "thm7-pair-32": _box_text(
+            32, 1.0,
+            [{"c": c7, **data()} for _ in range(2)],
+            {"m12": repr(-round(nu, 4)), "m21": repr(-round(nu, 4))},
+        ),
+        "three-coop-28": _box_text(
+            28, 1.0,
+            [{"c": c3, **data()} for _ in range(3)],
+            {f"m{k}{l}": repr(-round(mu3, 4)) for k in (1, 2, 3) for l in (1, 2, 3) if k != l},
+        ),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_the_stop_keeps_every_seeded_2d_claim(seed, monkeypatch):
+    """On the seeded 2D inputs, certify with the stop and with it never
+    firing makes the same claim: verdict kind, theorem, j, order and
+    cross-check.  Every enclosure the stop decided on holds the lambda of
+    the run to its end, and the stop saves work: no run takes more LUs or
+    solves than it does without the stop, and some run is decided early."""
+    texts = _seeded_2d(seed)
+    stopped = {name: certify(parse_problem(text)) for name, text in texts.items()}
+    _never_stop(monkeypatch)
+    decided = 0
+    for name, text in texts.items():
+        v, plain = stopped[name], certify(parse_problem(text))
+        assert _claim(v) == _claim(plain), name
+        assert v.eigen.keys() == plain.eigen.keys(), name
+        for key, pair in v.eigen.items():
+            end = plain.eigen[key]
+            assert end.stopped != "decided"
+            assert pair.iterations <= end.iterations and pair.solves <= end.solves
+            if pair.stopped == "decided":
+                decided += 1
+                assert pair.cw[0] <= end.value <= pair.cw[1], (name, key)
+            else:
+                assert pair.to_json_dict() == end.to_json_dict(), (name, key)
+    assert decided >= 3
 
 
 # ------------------------------------------------------------ cross-check

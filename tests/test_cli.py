@@ -185,27 +185,32 @@ def test_exit_code_3_on_no_convergence(tmp_path):
 def test_fine_grids_stop_at_the_rounding_floor(tmp_path, capsys, caplog):
     """The n = 4096 Laplacian's sine, and the n = 8192 scalar problem's
     iterate after one LU, stop at the rounding floor above the width
-    target: eigen prints it, certify decides Holds on the floor-wide
-    enclosure with a note, and each run logs one DEBUG record.  Both used
-    to exit 3 with a singular shift."""
+    target: eigen prints it, and each of its runs logs one DEBUG record.
+    Both used to exit 3 with a singular shift.  certify decides Holds where
+    its run stops first: the Laplacian's sine at the floor, with a note and
+    the same record, and the scalar problem's first solve, after one LU, on
+    an enclosure far wider than the floor's (stopped decided, no note)."""
     caplog.set_level(logging.DEBUG, logger="elcomp.linalg")
     domain = "[domain]\ndim = 1\nlo = 0\nhi = 1\nn = {}\n[species 1]\nf = 1\n"
     lap = write(tmp_path, "lap.prob", domain.format(4096))
     scalar = write(tmp_path, "scalar.prob", domain.format(8192) + "a11 = 1 + 0.5*x\nc = 1\n")
-    for problem, lus in ((lap, 0), (scalar, 1)):
+    for problem, lus, stop in ((lap, 0, "floor"), (scalar, 1, "decided")):
         code, payload = report(tmp_path, "eigen", problem)
         assert code == 0 and (payload["stopped"], payload["iterations"]) == ("floor", lus)
         line = f"iterations: {lus}  solves: {payload['solves']}  stopped: floor"
         assert line in capsys.readouterr().out
+        floor_width = payload["cw"][1] - payload["cw"][0]
         code, payload = report(tmp_path, "certify", problem)
         assert code == 0 and payload["verdict"] == "HoldsThm4"
         eigen = payload["eigen"]["j=1"]
-        assert (eigen["stopped"], eigen["iterations"]) == ("floor", lus)
+        assert (eigen["stopped"], eigen["iterations"]) == (stop, lus)
         width = eigen["cw"][1] - eigen["cw"][0]
-        assert f"eigen j=1 stopped at the rounding floor: width {width:.3e}" in payload["notes"]
+        note = f"eigen j=1 stopped at the rounding floor: width {width:.3e}"
+        assert (note in payload["notes"]) == (stop == "floor")
+        assert (width == floor_width) == (stop == "floor")
     messages = [r.getMessage() for r in caplog.records if r.name == "elcomp.linalg"]
-    assert len(messages) == 4
-    for message, lus in zip(messages, (0, 0, 1, 1)):
+    assert len(messages) == 3
+    for message, lus in zip(messages, (0, 0, 1)):
         assert message.startswith("enclosure stopped at the rounding floor: width ")
         assert message.endswith(f", {lus} LU(s)")
 

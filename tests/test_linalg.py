@@ -36,6 +36,7 @@ from elcomp.linalg import (
     lu_solve,
     nested_dissection,
     noda_iteration,
+    noda_steps,
     principal_submatrix,
     row_ids,
     same_nonzeros,
@@ -549,6 +550,35 @@ def test_noda_start_closes_only_when_every_iterate_does():
     assert (right.iterations, right.solves, right.left) == (0, 0, None)
     assert right.vector is ones and right.cw[0] <= 1.0 <= right.cw[1]
     assert right.cw[1] - right.cw[0] > 0.0
+
+
+def test_noda_steps_offer_every_enclosure_and_end_in_the_run():
+    """noda_steps on a nonsymmetric 2D pair from the grid's sine: an open
+    state after the start's enclosure, with no LU, then one after each
+    solve, each holding the end's rho in its enclosure, its counts never
+    falling; its last state is noda_iteration's result, bit for bit, and
+    none of the states is the x = 1 enclosure, which no solve precedes."""
+    ds = parse_problem(convection_pair_text(16)).discretize()
+    a = ds.assembled("cooperative").A
+    run = Settings(tol_eig=1e-10)
+    sine = np.sin(np.pi * np.arange(1, 16) / 16)
+    start = np.tile(np.outer(sine, sine).ravel(), 2)
+    states = list(noda_steps(a, run, a.T.tocsr(), start))
+    end = noda_iteration(a, run, a.T.tocsr(), start)
+    *opened, last = states
+    assert last.stopped == "target" and all(s.stopped is None for s in opened)
+    assert (last.rho, last.cw, last.iterations, last.solves) == (
+        end.rho, end.cw, end.iterations, end.solves,
+    )
+    assert np.array_equal(last.vector, end.vector) and last.left.cw == end.left.cw
+    first = opened[0]
+    assert (first.iterations, first.solves, first.left.solves) == (0, 0, 0)
+    assert first.vector is start
+    assert [s.solves for s in opened[1:]] == list(range(1, len(opened)))
+    assert [s.iterations for s in opened] == sorted(s.iterations for s in opened)
+    for s in opened:
+        assert s.cw[0] <= end.rho <= s.cw[1]
+        assert s.left.solves == s.solves  # the left iterate is solved alongside
 
 
 @given(

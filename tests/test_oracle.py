@@ -956,6 +956,38 @@ def test_oracle_scan_kept_by_content(monkeypatch):
     assert len(factorized) == 2
 
 
+@pytest.mark.parametrize("case", ["nine-point-pair", "missed-by-the-middle-column"])
+def test_the_ladder_factorizes_a_once(case, monkeypatch):
+    """A system that reaches the scan is factorized once: the M-matrix
+    check, the middle columns, the scan, the columns of -G and refute's
+    column search all solve on the one LU of A kept on the system
+    (oracle._lu).  The 10^2 9-point cooperative pair, which only the scan
+    decides, solves columns of -G; the system the middle column misses is
+    refuted by refute's field."""
+    if case == "nine-point-pair":
+        cross = {"a12": "0.1", "a21": "0.1", "f": "1"}
+        species = [{"a11": "1 + x", **cross}, cross]
+        text = system_text((10, 10), species, {"m12": "-1", "m21": "-1"})
+        asys = parse_problem(text).discretize().assembled("full")
+    else:
+        asys, _ = _missed_by_the_middle_column()
+    factorized = []
+    init = linalg.LuFactor.__init__
+
+    def counting(self, a, order=None):
+        factorized.append(a.shape)
+        init(self, a, order)
+
+    monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+    report = decide(asys)
+    assert report.method == "scan"
+    assert factorized == [asys.A.shape]
+    if case == "nine-point-pair":
+        assert report.inverse_positive and report.boundary_reason.endswith("columns of -G solved")
+    else:
+        assert report.inverse_positive is False and report.counterexample.verified
+
+
 def test_oracle_memory_stays_below_a_quarter_inverse():
     """The scan holds a few column blocks, never the n x n inverse."""
     grid = build_grid(2, (0.0, 0.0), (1.0, 1.0), (33, 33))

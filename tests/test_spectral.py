@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from elcomp import assembly, linalg, spectral
 from elcomp.certify import certify
-from elcomp.errors import NotIrreducible, NotZMatrix, ValidationError
+from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
 from elcomp.linalg import noda_iteration
 from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.problems import load_problem, parse_problem
@@ -341,14 +341,16 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
 
 
 def _count_solves(monkeypatch):
+    """The eigen runs made from here on (spectral.EigenRun), one per solved
+    operator: a memo hit, or a read that continues a kept run, makes none."""
     calls = []
-    solve = spectral.principal_eigenpair
+    solve = spectral.EigenRun
 
     def counting(a, *args):
         calls.append(a.shape)
         return solve(a, *args)
 
-    monkeypatch.setattr(spectral, "principal_eigenpair", counting)
+    monkeypatch.setattr(spectral, "EigenRun", counting)
     return calls
 
 
@@ -362,6 +364,27 @@ def test_certify_solves_each_operator_once(name, monkeypatch):
     calls = _count_solves(monkeypatch)
     certify(load_problem(DATA / f"{name}.prob"))
     assert len(calls) == 1, calls
+
+
+def test_a_failed_run_raises_again_on_every_read():
+    """A run that needs more LUs than max_iter raises NoConvergence where it
+    runs out, and so does every later read, which makes the run again;
+    within open_runs the sine's pair is handed out, the run raises once it
+    is taken on to where it ran out, and it leaves the memo."""
+    ds = parse_problem(coop_pair_text(32)).discretize()
+    capped = Settings(max_iter=1)
+    with pytest.raises(NoConvergence) as first:
+        cooperative_eigen(ds, capped)
+    with pytest.raises(NoConvergence) as again:
+        cooperative_eigen(ds, capped)
+    assert str(again.value) == str(first.value)
+    with pytest.raises(NoConvergence):
+        with spectral.open_runs(ds) as runs:
+            pair = cooperative_eigen(ds, capped)
+            (run,) = runs.values()
+            assert pair.open and pair.iterations == 0
+            run.finish()
+    assert ds._eigen_cache == {}
 
 
 def test_eigen_memo_is_per_system_and_read_only(monkeypatch):
@@ -419,14 +442,15 @@ def test_thm1_scans_each_operator_content_once(monkeypatch):
     assert len(scans) == len(set(scans)) == 2
 
 
-@pytest.mark.parametrize("name, keys", [("cooperative_pair", 1), ("competitive17", 2)])
+@pytest.mark.parametrize("name, keys", [("cooperative_pair", 1), ("competitive17", 3)])
 def test_certify_hashes_each_operator_once(monkeypatch, name, keys):
-    """A certify run hashes each operator it solves or scans once.
-    cooperative_pair's eigen solves read the key of its one assembled
-    system, which its oracle, the M-matrix check, does not need.
+    """A certify run hashes each operator it solves or factorizes once.
+    cooperative_pair's eigen solves and its oracle's LU of A, which the
+    M-matrix check solves with, read the key of its one assembled system.
     competitive17 hashes its two species blocks, equal in content and so
-    solved once; its full system is hashed by nothing, as only a scan is
-    kept by content, and neither of its orders is scanned."""
+    solved once, and its full system, whose LU its gauged order's M-matrix
+    check keeps by content (oracle._lu); the plain order follows with no
+    solve, and neither order is scanned."""
     hashed = []
     content_key = linalg.content_key
 
@@ -657,13 +681,13 @@ def test_subdomain_blocks_take_no_start(monkeypatch):
     """Only a block on the whole grid (no mask, or one that keeps every
     node) is offered the sine; a sub-rectangle's block iterates from ones."""
     starts = []
-    solve = spectral.principal_eigenpair
+    solve = spectral.EigenRun
 
     def recording(a, *args):
         starts.append(args[2] if len(args) > 2 else None)
         return solve(a, *args)
 
-    monkeypatch.setattr(spectral, "principal_eigenpair", recording)
+    monkeypatch.setattr(spectral, "EigenRun", recording)
     grid = build_grid(1, (0.0,), (1.0,), (32,))
     ds = laplace_system(grid).discretize()
     half = cooperative_eigen(ds, mask=sub_rectangle_mask(grid, (0.0,), (0.5,)))
