@@ -96,7 +96,7 @@ class Verdict:
     theorem: str | None = None
     mode: str = "basic"
     margins: dict = field(default_factory=dict)
-    eigen: dict = field(default_factory=dict)  # key -> spectral.EigenPair
+    eigen: dict = field(default_factory=dict)  # key -> linalg.EigenPair
     x0: tuple | None = None
     j: int | None = None
     epsilon: float | None = None
@@ -639,7 +639,7 @@ def _decide(ds, structure: StructureClass, settings: Settings):
                     verdict.notes.append(
                         GENERAL if structure.kind == "General" else ACROSS_BLOCKS
                     )
-            going = [run for run in runs.values() if run.open]
+            going = [run for run in runs.values() if run.pair.open]
             if verdict.kind != "Inconclusive" or not going:
                 return verdict, notes
             for run in going:

@@ -370,8 +370,12 @@ def main(argv=None) -> int:
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
     payload["timings"] = {"total_s": time.perf_counter() - started}
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        except OSError as err:  # the report path: a missing directory, say
+            print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+            return 2
     return exit_code
 
 

@@ -16,8 +16,9 @@ factorization while its solves keep halving the enclosure, serves both
 eigenvectors from it, and carries a Collatz-Wielandt enclosure widened by
 the ratios' rounding bound at every step.  A run stops at the width target
 or at the rounding floor, and a start vector that closes either way ends
-it with no LU.  It can also be taken one enclosure at a time (noda_steps),
-so that a caller that needs less than the target stops it earlier.
+it with no LU.  The run (noda_steps) is taken one enclosure at a time, each
+an EigenPair, so that a caller that needs less than the target stops it
+earlier.
 """
 
 from __future__ import annotations
@@ -373,19 +374,49 @@ def dense_inverse(a: sp.spmatrix, settings: Settings = DEFAULT) -> np.ndarray:
 
 
 @dataclass
-class NodaResult:
-    """A Noda run: rho in the enclosure cw, its positive vector (unit max),
-    the run's LU factorizations and this iterate's solves, which rule
-    stopped it ("target" or "floor", or None while the run is open,
-    noda_steps), and the left iterate's result when one ran alongside."""
+class EigenPair:
+    """Principal eigenvalue with positive right/left eigenvectors: one state
+    of a Noda run (noda_steps).
 
-    rho: float
-    vector: np.ndarray
+    value lies in the closed interval cw; right and left are normalized to
+    unit max and strictly positive on the unknowns.  iterations counts the
+    LU factorizations of the run, each kept for as long as its solves halve
+    the enclosure width and shared by both vectors; solves counts the
+    solves with them, right and left together.  Both are 0 when the start
+    vector closed the run, and right and left are then that vector.  A run
+    with no left iterate (a symmetric matrix) reuses the right vector.
+    stopped says how cw closed: "target" at the width target, "floor" at
+    the rounding floor, wider than the target, or "decided" where the run
+    is still open: cw is the enclosure so far, the vectors are the iterates
+    so far and the counts the work so far, as certify reads it within
+    spectral.open_runs, and a report holds such a pair only where the
+    verdict was decided on it.
+    """
+
+    value: float
+    right: np.ndarray
+    left: np.ndarray
     cw: tuple
     iterations: int
+    residual: float
     solves: int
     stopped: str
-    left: NodaResult | None = None
+
+    @property
+    def open(self) -> bool:
+        """Whether the run goes on past this pair (stopped "decided")."""
+        return self.stopped == "decided"
+
+    def to_json_dict(self) -> dict:
+        """The run's record in a report; the vectors stay out."""
+        return {
+            "value": self.value,
+            "cw": list(self.cw),
+            "iterations": self.iterations,
+            "solves": self.solves,
+            "stopped": self.stopped,
+            "residual": self.residual,
+        }
 
 
 class _NodaIterate:
@@ -398,9 +429,10 @@ class _NodaIterate:
         self.gamma = gamma(k + 1) / (1.0 - gamma(k) - gamma(3))
         self.twice_diag = 2.0 * np.maximum(b.diagonal(), 0.0)
         self.lo, self.hi, self.lam = -np.inf, np.inf, 0.0
+        self.bx = None  # b @ x, taken by enclose
         self.widths = []
         self.solves = 0
-        self.result = None
+        self.stopped = None
 
     def target(self, lam: float) -> float:
         """The enclosure width at which the iterate closes near lam."""
@@ -408,9 +440,10 @@ class _NodaIterate:
 
     def enclose(self, factorizations: int, fresh: bool = False) -> bool:
         """Intersect the ratios (b x)/x, widened by their rounding bound
-        delta and rounded outward, into [lo, hi]; True while still open.  A
-        closed iterate's result counts the run's factorizations so far and
-        its own solves; fresh says x came from a solve with a new LU.
+        delta and rounded outward, into [lo, hi]; True while still open, and
+        otherwise stopped names the rule that closed it.  fresh says x came
+        from a solve with a new LU; factorizations, the run's so far, goes
+        to the floor's log record.
 
         fl(b x) errs by at most gamma_k (|b| x) for k terms a row and the
         division by u |ratio|, u the unit roundoff (N. J. Higham, Accuracy
@@ -421,7 +454,7 @@ class _NodaIterate:
         with ratio_i's error, below (gamma_k + 2u) (|b| x)_i / x_i, and one
         more rounding it is at most fl(2 d_i - ratio_i) / (1 - gamma_k - gamma_3).
         """
-        bx = self.b @ self.x
+        self.bx = bx = self.b @ self.x
         ratios = bx / self.x
         u = np.finfo(float).eps / 2
         delta = float((self.gamma * (self.twice_diag - ratios) + u * np.abs(ratios)).max())
@@ -433,9 +466,9 @@ class _NodaIterate:
         self.lam = min(max(float(self.x @ bx) / float(self.x @ self.x), self.lo), self.hi)
         width = self.hi - self.lo
         if width <= self.target(self.lam):
-            stopped = "target"
+            self.stopped = "target"
         elif high - low <= 2.0 * delta or stuck:
-            stopped = "floor"
+            self.stopped = "floor"
             logger.debug(
                 "%senclosure stopped at the rounding floor: width %.3e, delta %.3e, %d LU(s)",
                 "left " if self.transposed else "", width, delta, factorizations,
@@ -443,9 +476,6 @@ class _NodaIterate:
         else:
             self.widths.append(width)
             return True
-        self.result = NodaResult(
-            self.lam, self.x, (self.lo, self.hi), factorizations, self.solves, stopped
-        )
         return False
 
     def halved(self) -> bool:
@@ -464,29 +494,6 @@ class _NodaIterate:
         )
 
 
-def noda_iteration(
-    a: sp.spmatrix,
-    settings: Settings,
-    left: sp.csr_matrix | None = None,
-    start: np.ndarray | None = None,
-) -> NodaResult:
-    """noda_steps' run to its end: its last result."""
-    for result in noda_steps(a, settings, left, start):
-        pass
-    return result
-
-
-def _open_state(iterates, factorizations: int) -> NodaResult:
-    """An open run's state: the right iterate's enclosure so far, rho and
-    vector, with the left one's as its left, stopped None."""
-    right, *rest = [
-        NodaResult(it.lam, it.x, (it.lo, it.hi), factorizations, it.solves, None)
-        for it in iterates
-    ]
-    right.left = rest[0] if rest else None
-    return right
-
-
 def noda_steps(
     a: sp.spmatrix,
     settings: Settings,
@@ -494,15 +501,16 @@ def noda_steps(
     start: np.ndarray | None = None,
 ):
     """Principal eigenpair of an irreducible Z-matrix by Noda iteration, one
-    enclosure at a time: a generator of NodaResults, each the run's state
-    after an enclosure (stopped None) while it is open, and its result last.
+    enclosure at a time: a generator of EigenPairs, each the run's state
+    after an enclosure, stopped "decided" while the run is open, and its
+    result last, stopped "target" or "floor".
 
     From x = 1, each step intersects the Collatz-Wielandt ratios (Ax)/x into
     the running enclosure [lo, hi] of the principal eigenvalue lambda, then
     solves (A - mu*I) y = x and sets x = y / max y.  mu < lambda keeps the
     shifted matrix a nonsingular M-matrix, so y stays positive, and Noda's
     shifts mu = lo converge to lambda superlinearly (T. Noda, Numer. Math. 17
-    (1971) 382-386).  rho is the Rayleigh quotient clamped into [lo, hi].
+    (1971) 382-386).
 
     A shift's LU is kept, and solved with again, as long as the last solve
     with it cut the lead iterate's width to at most REUSE_FACTOR of the
@@ -531,6 +539,13 @@ def noda_steps(
     run needs more than settings.max_iter LUs, a solve leaves the positive
     cone, or a shift is singular to working precision.
 
+    A state's cw is the right iterate's enclosure and its right vector that
+    iterate's x.  Its value is the two-sided Rayleigh quotient
+    left.(A right) / left.right clamped into cw, which errs by the product
+    of the two vectors' errors where the one-sided one errs by the right
+    vector's, and its residual is max |A right - value right|; both read
+    the A x that the right iterate's last enclosure took.
+
     Noda's own shift mu = lo often reaches lambda to the last bits before
     hi closes in, making A - mu*I singular to working precision, so mu is
     held below lo by the target width and by at least 2 SINGULAR_RTOL
@@ -542,26 +557,26 @@ def noda_steps(
     from A's CSC arrays, taken once per run (left's, when given).
 
     Given left = A^T as CSR, a left iterate runs on it alongside and is
-    returned as the result's left: a NodaResult counting its own solves
-    and the run's factorizations when it closed.  It is solved through the
-    transposed factor of whichever LU is current, so mu < lambda keeps it
-    positive as well, and keeps its own enclosure and stopping rules.  The
-    lead iterate, the right one while it is open, alone decides when to
+    each state's left vector; without it the left vector is the right one.
+    It is solved through the transposed factor of whichever LU is current,
+    so mu < lambda keeps it positive as well, and keeps its own enclosure
+    and stopping rules, which decide only when it stops.  The lead
+    iterate, the right one while it is open, alone decides when to
     factorize and at which shift; once the right iterate is done an open
     left one leads itself.  The right iterate's shifts, enclosure and
-    vector are therefore those of a run without it, and the result's
-    iterations and solves count the whole run's factorizations and the
-    right iterate's solves.
+    vector are therefore those of a run without it.  A state's iterations
+    counts the whole run's factorizations so far, and its solves those of
+    both iterates.
 
     A positive start, a candidate eigenvector, is enclosed first.  When
-    every iterate closes on it, the run returns start with iterations =
+    every iterate closes on it, the run ends on start with iterations =
     solves = 0; otherwise it goes on from x = 1 exactly as without start.
 
     An open state is yielded after the start's enclosure and after each
-    solve: its cw holds lambda as rigorously as the result's, the vectors
-    are the iterates so far, and iterations and solves count the work so
-    far.  The enclosure of x = 1 is not offered: its rows next to the
-    boundary carry the h^-2 of the stencil, so it is h^-2 wide and its
+    solve: its cw holds lambda as rigorously as the last state's, the
+    vectors are the iterates so far, and iterations and solves count the
+    work so far.  The enclosure of x = 1 is not offered: its rows next to
+    the boundary carry the h^-2 of the stencil, so it is h^-2 wide and its
     Rayleigh quotient is no estimate of lambda.  The states depend only on
     the arguments, so a caller that stops taking them has seen a prefix of
     the run to its end, and one that takes every state gets that run.
@@ -573,24 +588,29 @@ def noda_steps(
     def iterates_from(x):
         return [_NodaIterate(b, t, settings.tol_eig, x) for b, t in sides]
 
+    def state(stopped):
+        right, x, y = iterates[0], iterates[0].x, iterates[-1].x
+        cw = (right.lo, right.hi)
+        value = min(max(float(y @ right.bx) / float(y @ x), cw[0]), cw[1])
+        residual = float(np.abs(right.bx - value * x).max())
+        solves = sum(it.solves for it in iterates)
+        return EigenPair(value, x, y, cw, factorizations, residual, solves, stopped)
+
     iterates = iterates_from(np.ones(a.shape[0]) if start is None else start)
-    if start is not None and any(it.enclose(0) for it in iterates):
-        yield _open_state(iterates, 0)
-        iterates = iterates_from(np.ones(a.shape[0]))  # the start left one open
     csc = norm = lu = None
     factorizations, refactor = 0, False
+    if start is not None and any(it.enclose(0) for it in iterates):
+        yield state("decided")
+        iterates = iterates_from(np.ones(a.shape[0]))  # the start left one open
     while True:
         active = [
-            it for it in iterates if it.result is None and it.enclose(factorizations, refactor)
+            it for it in iterates if it.stopped is None and it.enclose(factorizations, refactor)
         ]
         if not active:
-            right = iterates[0].result
-            right.iterations = factorizations
-            right.left = iterates[1].result if left is not None else None
-            yield right
+            yield state(iterates[0].stopped)
             return
         if factorizations:  # the enclosure after a solve
-            yield _open_state(iterates, factorizations)
+            yield state("decided")
         lead = active[0]
         refactor = lu is None or not lead.halved()
         if refactor and factorizations >= settings.max_iter:

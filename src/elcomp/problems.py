@@ -101,7 +101,8 @@ def _numbers(value: _Value, key: str, count: int, kind):
         out = tuple(kind(p) for p in parts)
     except ValueError:
         noun = "integers" if kind is int else "numbers"
-        raise ParseError(f"{key}: expected {noun}, got {value.text!r}", line=value.line)
+        text = f"{key}: expected {noun}, got {value.text!r}"
+        raise ParseError(text, line=value.line) from None
     if len(out) != count:
         raise ParseError(f"{key}: expected {count} value(s)", line=value.line)
     return out

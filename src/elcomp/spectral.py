@@ -2,10 +2,11 @@
 
 The principal eigenvalue lambda of an irreducible Z-matrix A is its
 eigenvalue of smallest real part, with a positive eigenvector.  Noda's
-shifted inverse iteration (linalg.noda_iteration) runs on A itself and
+shifted inverse iteration (linalg.noda_steps) runs on A itself and
 carries a Collatz-Wielandt enclosure of lambda along.  It keeps a shift's
 factorization while the solves with it halve the enclosure width, and its
-factorization count does not grow with the mesh.
+factorization count does not grow with the mesh.  Each of its states is an
+EigenPair (linalg's, importable from here too).
 
 A block on the whole grid first offers Noda the grid's discrete sine,
 prod_d sin(pi i_d / n_d) on every species of the block (grid_sine).  On a
@@ -29,7 +30,6 @@ earlier one left it.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,53 +38,9 @@ from . import linalg
 from .assembly import KNOWN_Z, as_discrete, check_z_matrix
 from .errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
 from .graphs import csr_strongly_connected
+from .linalg import EigenPair
 from .mesh import SubdomainMask
 from .settings import DEFAULT, Settings
-
-
-@dataclass
-class EigenPair:
-    """Principal eigenvalue with positive right/left eigenvectors.
-
-    value lies in the closed interval cw; right and left are normalized to
-    unit max and strictly positive on the unknowns.  iterations counts the
-    LU factorizations of the run, each kept for as long as its solves halve
-    the enclosure width and shared by both vectors; solves counts the
-    solves with them, right and left together.  Both are 0 when the start
-    vector closed the run, and right and left are then that vector.  A
-    symmetric matrix has no left iterate and reuses the right vector.
-    stopped says how cw closed: "target" at the width target, "floor" at
-    the rounding floor, wider than the target (linalg.noda_iteration), or
-    "decided" where the run is still open: cw is the enclosure so far, the
-    vectors are the iterates so far and the counts the work so far, as
-    certify reads it within open_runs, and a report holds such a pair only
-    where the verdict was decided on it.
-    """
-
-    value: float
-    right: np.ndarray
-    left: np.ndarray
-    cw: tuple
-    iterations: int
-    residual: float
-    solves: int
-    stopped: str
-
-    @property
-    def open(self) -> bool:
-        """Whether the run goes on past this pair (stopped "decided")."""
-        return self.stopped == "decided"
-
-    def to_json_dict(self) -> dict:
-        """The run's record in a report; the vectors stay out."""
-        return {
-            "value": self.value,
-            "cw": list(self.cw),
-            "iterations": self.iterations,
-            "solves": self.solves,
-            "stopped": self.stopped,
-            "residual": self.residual,
-        }
 
 
 def grid_sine(grid, copies: int) -> np.ndarray:
@@ -109,8 +65,9 @@ class EigenRun:
     The Z-matrix and irreducibility gates are what keep the Noda iterates
     strictly positive, and they are checked when the run is made.  z_scan
     is check_z_matrix(a)'s result when a's content has been scanned
-    already; without it, a is scanned here.  start, a positive candidate
-    eigenvector, is checked before the first LU (linalg.noda_iteration).
+    already; without it, a is scanned here.  A nonsymmetric a runs a left
+    iterate on A^T alongside; a symmetric one reuses the right vector.
+    start, a positive candidate eigenvector, is checked before the first LU.
     settings gives tol_eig and max_iter.
     """
 
@@ -129,43 +86,19 @@ class EigenRun:
         if not csr_strongly_connected(a):
             raise NotIrreducible("matrix digraph is not strongly connected")
         at = a.T.tocsr()
-        self.a, self.symmetric = a, linalg.same_nonzeros(a, at)
-        self._steps = linalg.noda_steps(a, settings, None if self.symmetric else at, start)
-        self._state = next(self._steps)
-        self._pair = None
-
-    @property
-    def open(self) -> bool:
-        """Whether the run has enclosures to come (its pair reads "decided")."""
-        return self._state.stopped is None
+        left = None if linalg.same_nonzeros(a, at) else at
+        self._steps = linalg.noda_steps(a, settings, left, start)
+        self.pair = next(self._steps)
 
     def advance(self) -> None:
         """Go on to the run's next enclosure; an open run only."""
-        self._state, self._pair = next(self._steps), None
+        self.pair = next(self._steps)
 
     def finish(self) -> EigenPair:
         """The pair at the run's end."""
-        while self.open:
+        while self.pair.open:
             self.advance()
         return self.pair
-
-    @property
-    def pair(self) -> EigenPair:
-        """The EigenPair of the run so far, made once per state."""
-        if self._pair is None:
-            run, a = self._state, self.a
-            x = run.vector
-            left = x if self.symmetric else run.left.vector
-            solves = run.solves if self.symmetric else run.solves + run.left.solves
-            # the two-sided Rayleigh quotient errs by the product of the two
-            # vectors' errors, where the one-sided one (run.rho, the same for
-            # symmetric A) errs by the right vector's
-            ax = a @ x
-            lam = min(max(float(left @ ax) / float(left @ x), run.cw[0]), run.cw[1])
-            residual = float(np.abs(ax - lam * x).max())
-            stopped = run.stopped or "decided"
-            self._pair = EigenPair(lam, x, left, run.cw, run.iterations, residual, solves, stopped)
-        return self._pair
 
 
 def principal_eigenpair(
@@ -193,7 +126,7 @@ def open_runs(ds):
         yield ds._eigen_reads
     finally:
         ds._eigen_reads = None
-        for key in [key for key, run in ds._eigen_cache.items() if run.open]:
+        for key in [key for key, run in ds._eigen_cache.items() if run.pair.open]:
             del ds._eigen_cache[key]
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import elcomp.certify as certify_mod
-from elcomp import assembly, linalg, oracle, quasilinear, spectral
+from elcomp import assembly, linalg, oracle, quasilinear
 from elcomp.certify import (
     StructureClass,
     Verdict,
@@ -915,19 +915,18 @@ def test_a_threshold_inside_the_enclosure_is_never_decided(text, monkeypatch):
     Holds, so the run goes on to its target, and the verdict and eigen
     records are those certify gives with no stop."""
     offered = []
+    steps = linalg.noda_steps
 
-    class Wide(spectral.EigenRun):
-        @property
-        def pair(self):
-            pair = super().pair
-            if not pair.open:
-                return pair
-            offered.append(pair.cw)
-            lo, hi = pair.cw
-            return dataclasses.replace(pair, cw=(min(lo, -1.0), max(hi, 1.0)))
+    def wide(*args):
+        for pair in steps(*args):
+            if pair.open:
+                offered.append(pair.cw)
+                lo, hi = pair.cw
+                pair = dataclasses.replace(pair, cw=(min(lo, -1.0), max(hi, 1.0)))
+            yield pair
 
     with monkeypatch.context() as mp:
-        mp.setattr(spectral, "EigenRun", Wide)
+        mp.setattr(linalg, "noda_steps", wide)
         v = certify(parse_problem(text))
     assert offered
     _never_stop(monkeypatch)
@@ -951,22 +950,21 @@ def test_an_undecided_candidate_keeps_the_failing_j(rule, monkeypatch):
     )
     first = parse_problem(text).discretize().cooperative_block([0])[1]
     counterexample = certify_mod._counterexample
+    steps = linalg.noda_steps
 
-    class Undecided(spectral.EigenRun):
-        @property
-        def pair(self):
-            pair = super().pair
-            mine = linalg.content_key(self.a) == first
+    def undecided(a, *args):
+        mine = linalg.content_key(a) == first
+        for pair in steps(a, *args):
             if rule == "passed-over" and mine and pair.open:
-                return dataclasses.replace(pair, cw=(pair.cw[0], max(pair.cw[1], 1.0)))
-            return pair
+                pair = dataclasses.replace(pair, cw=(pair.cw[0], max(pair.cw[1], 1.0)))
+            yield pair
 
     def unproven(ds, block, pair, j, which):
         cex = counterexample(ds, block, pair, j, which)
         return dataclasses.replace(cex, verified=False) if j == 1 and pair.open else cex
 
     with monkeypatch.context() as mp:
-        mp.setattr(spectral, "EigenRun", Undecided)
+        mp.setattr(linalg, "noda_steps", undecided)
         if rule == "not-proven":
             mp.setattr(certify_mod, "_counterexample", unproven)
         v = certify(parse_problem(text))

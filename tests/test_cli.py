@@ -159,6 +159,20 @@ def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, error", [("missing", "FileNotFoundError"), ("directory", "IsADirectoryError")]
+)
+def test_exit_code_2_on_an_unwritable_report(where, error, tmp_path, capsys):
+    """A report path under a missing directory, or one that is a directory,
+    is an input error: the verdict is printed, then the error, exit 2."""
+    path = tmp_path / "no" / "r.json" if where == "missing" else tmp_path
+    assert main(["certify", str(DATA / "lap1d.prob"), "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "verdict: HoldsThm4" in out
+    assert err.startswith(f"error: {error}: ")
+    assert not (tmp_path / "no").exists()
+
+
 def test_exit_code_2_on_parse_error(tmp_path):
     problem = write(tmp_path, "bad.prob", "[domain\n")
     code, payload = report(tmp_path, "certify", problem)

@@ -35,7 +35,6 @@ from elcomp.linalg import (
     lu_order,
     lu_solve,
     nested_dissection,
-    noda_iteration,
     noda_steps,
     principal_submatrix,
     row_ids,
@@ -300,7 +299,7 @@ def test_one_copy_of_the_operator_per_factorization(monkeypatch):
         for part in ("indptr", "indices", "data"):
             assert getattr(m1, part).tobytes() == getattr(m2, part).tobytes()
     handed.clear()
-    noda_iteration(a, Settings(tol_eig=1e-10, max_iter=20), left=at)
+    list(noda_steps(a, Settings(tol_eig=1e-10, max_iter=20), at))
     assert handed and all(m.format == "csc" for m in handed)
 
 
@@ -339,8 +338,8 @@ def test_no_factorization_reads_l_or_u(monkeypatch):
     z = a.copy()
     off = z.indices != row_ids(z)
     z.data[off] = -np.abs(z.data[off])
-    run = noda_iteration(z, Settings(tol_eig=1e-9, max_iter=20), left=z.T.tocsr())
-    assert run.left is not None and run.left.vector.min() > 0.0
+    *_, run = noda_steps(z, Settings(tol_eig=1e-9, max_iter=20), z.T.tocsr())
+    assert run.left is not run.right and run.left.min() > 0.0
     oracle.inverse_positivity(asys)
     oracle.decide(asys, settings=Settings(oracle_max_dof=0))  # the column search
     u = oracle.solve_system(asys)
@@ -392,7 +391,7 @@ def test_noda_reports_a_singular_solve(monkeypatch):
     monkeypatch.setattr(LuFactor, "solve", singular)
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
     with pytest.raises(NoConvergence, match="singular shift") as info:
-        noda_iteration(a, Settings(tol_eig=1e-12, max_iter=20))
+        list(noda_steps(a, Settings(tol_eig=1e-12, max_iter=20)))
     assert info.value.iterations == 1
 
 
@@ -475,22 +474,23 @@ def test_enclosure_brackets_true_perron_root(d):
 def test_noda_iteration_known_eigenpair():
     # [[2,-1],[-1,3]] has principal eigenvalue (5 - sqrt 5) / 2
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 3.0]]))
-    res = noda_iteration(a, Settings(tol_eig=1e-12, max_iter=20))
+    *_, res = noda_steps(a, Settings(tol_eig=1e-12, max_iter=20))
     exact = (5.0 - np.sqrt(5.0)) / 2.0
-    assert res.rho == pytest.approx(exact, abs=1e-11)
+    assert res.value == pytest.approx(exact, abs=1e-11)
     lo, hi = res.cw
     assert lo <= exact <= hi
-    assert res.vector.min() > 0.0 and res.vector.max() == 1.0
+    assert res.right.min() > 0.0 and res.right.max() == 1.0
+    assert res.left is res.right  # no left iterate
     assert 1 <= res.iterations <= 10
 
 
 def test_noda_iteration_guards():
     with pytest.raises(DimMismatch):
-        noda_iteration(sp.csr_matrix((2, 3)), Settings(tol_eig=1e-9, max_iter=10))
+        next(noda_steps(sp.csr_matrix((2, 3)), Settings(tol_eig=1e-9, max_iter=10)))
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-3.0, 2.0]]))
     # the smallest positive tol_eig: no enclosure of a nonzero width meets
     # it, so the run stops at the rounding floor, on its one factorization
-    res = noda_iteration(a, Settings(tol_eig=math.ulp(0.0), max_iter=1))
+    *_, res = noda_steps(a, Settings(tol_eig=math.ulp(0.0), max_iter=1))
     assert res.stopped == "floor" and res.iterations == 1
     lo, hi = res.cw
     assert lo <= 2.0 - math.sqrt(3.0) <= hi and hi - lo > 0.0
@@ -501,16 +501,19 @@ def test_floor_stops_log_one_debug_record_each(caplog):
     record each, with the width, delta and the run's LU count."""
     caplog.set_level(logging.DEBUG, logger="elcomp.linalg")
     a = sp.csr_matrix(np.array([[2.0, -1.0], [-3.0, 2.0]]))
-    res = noda_iteration(a, Settings(tol_eig=math.ulp(0.0)), left=a.T.tocsr())
-    assert res.stopped == res.left.stopped == "floor"
+    at = a.T.tocsr()
+    with recorded_solves() as log:
+        *_, res = noda_steps(a, Settings(tol_eig=math.ulp(0.0)), at)
+    assert res.stopped == "floor"
     messages = [r.getMessage() for r in caplog.records if r.name == "elcomp.linalg"]
     pattern = r"(left )?enclosure stopped at the rounding floor: width (\S+), delta (\S+), (\d+) LU\(s\)"
     found = [re.fullmatch(pattern, m) for m in messages]
     assert [m.group(1) for m in found] == [None, "left "]
-    for m, run in zip(found, (res, res.left)):
-        assert m.group(2) == f"{run.cw[1] - run.cw[0]:.3e}"
+    left_cw, _, left_lus = iterate_record(at, log, res.left)
+    for m, cw, lus in zip(found, (res.cw, left_cw), (res.iterations, left_lus)):
+        assert m.group(2) == f"{cw[1] - cw[0]:.3e}"
         assert 0.0 < float(m.group(3)) < 1e-14
-        assert int(m.group(4)) == run.iterations
+        assert int(m.group(4)) == lus
 
 
 @pytest.mark.parametrize(
@@ -535,50 +538,64 @@ def test_noda_start_closes_only_when_every_iterate_does():
     run = Settings(tol_eig=1e-10, max_iter=20)
     ones = np.ones(3)
     for b in (a, a.T.tocsr()):
-        plain = noda_iteration(b, run, left=b.T.tocsr())
-        started = noda_iteration(b, run, left=b.T.tocsr(), start=ones)
+        bt = b.T.tocsr()
+        with recorded_solves() as plain_log:
+            *_, plain = noda_steps(b, run, bt)
+        with recorded_solves() as started_log:
+            *_, started = noda_steps(b, run, bt, ones)
         assert plain.iterations >= 1
-        assert (started.rho, started.cw, started.iterations, started.solves) == (
-            plain.rho,
+        assert (started.value, started.cw, started.iterations, started.solves) == (
+            plain.value,
             plain.cw,
             plain.iterations,
             plain.solves,
         )
-        assert np.array_equal(started.vector, plain.vector)
-        assert started.left.cw == plain.left.cw
-    right = noda_iteration(a, run, start=ones)
-    assert (right.iterations, right.solves, right.left) == (0, 0, None)
-    assert right.vector is ones and right.cw[0] <= 1.0 <= right.cw[1]
-    assert right.cw[1] - right.cw[0] > 0.0
+        assert started.residual == plain.residual
+        assert np.array_equal(started.right, plain.right)
+        assert np.array_equal(started.left, plain.left)
+        left = iterate_record(bt, started_log, started.left)
+        assert left == iterate_record(bt, plain_log, plain.left)
+    *_, right = noda_steps(a, run, start=ones)
+    assert (right.iterations, right.solves) == (0, 0)
+    assert right.right is ones and right.left is ones
+    assert right.cw[0] <= 1.0 <= right.cw[1] and right.cw[1] - right.cw[0] > 0.0
 
 
 def test_noda_steps_offer_every_enclosure_and_end_in_the_run():
     """noda_steps on a nonsymmetric 2D pair from the grid's sine: an open
-    state after the start's enclosure, with no LU, then one after each
-    solve, each holding the end's rho in its enclosure, its counts never
-    falling; its last state is noda_iteration's result, bit for bit, and
-    none of the states is the x = 1 enclosure, which no solve precedes."""
+    state ("decided") after the start's enclosure, with no LU, then one
+    after each solve of both iterates, each holding the end's value in its
+    enclosure, its counts never falling; only the last state reads
+    "target", and a second run ends in it bit for bit; none of the states
+    is the x = 1 enclosure, which no solve precedes.  Every state's value
+    is the two-sided Rayleigh quotient on a fresh A right, clamped into its
+    cw, and its residual max |A right - value right|, bit for bit."""
     ds = parse_problem(convection_pair_text(16)).discretize()
     a = ds.assembled("cooperative").A
     run = Settings(tol_eig=1e-10)
     sine = np.sin(np.pi * np.arange(1, 16) / 16)
     start = np.tile(np.outer(sine, sine).ravel(), 2)
     states = list(noda_steps(a, run, a.T.tocsr(), start))
-    end = noda_iteration(a, run, a.T.tocsr(), start)
+    *_, end = noda_steps(a, run, a.T.tocsr(), start)
     *opened, last = states
-    assert last.stopped == "target" and all(s.stopped is None for s in opened)
-    assert (last.rho, last.cw, last.iterations, last.solves) == (
-        end.rho, end.cw, end.iterations, end.solves,
+    assert last.stopped == "target" and not last.open
+    assert all(s.stopped == "decided" and s.open for s in opened)
+    assert (last.value, last.cw, last.iterations, last.solves, last.residual) == (
+        end.value, end.cw, end.iterations, end.solves, end.residual,
     )
-    assert np.array_equal(last.vector, end.vector) and last.left.cw == end.left.cw
+    assert np.array_equal(last.right, end.right) and np.array_equal(last.left, end.left)
     first = opened[0]
-    assert (first.iterations, first.solves, first.left.solves) == (0, 0, 0)
-    assert first.vector is start
-    assert [s.solves for s in opened[1:]] == list(range(1, len(opened)))
+    assert (first.iterations, first.solves) == (0, 0)
+    assert first.right is start and first.left is start
+    # each state after the first follows one solve of each iterate
+    assert [s.solves for s in opened[1:]] == list(range(2, 2 * len(opened), 2))
     assert [s.iterations for s in opened] == sorted(s.iterations for s in opened)
-    for s in opened:
-        assert s.cw[0] <= end.rho <= s.cw[1]
-        assert s.left.solves == s.solves  # the left iterate is solved alongside
+    for s in states:
+        assert s.cw[0] <= end.value <= s.cw[1]
+        ax = a @ s.right
+        quotient = float(s.left @ ax) / float(s.left @ s.right)
+        assert s.value == min(max(quotient, s.cw[0]), s.cw[1])
+        assert s.residual == float(np.abs(ax - s.value * s.right).max())
 
 
 @given(
@@ -595,12 +612,12 @@ def test_noda_agrees_with_power_reference(off, diag):
     ref = power_iteration(sp.csr_matrix(s * np.eye(5) - a), tol=tol)
     lam_ref = s - ref.rho
     ref_lo, ref_hi = s - ref.cw[1], s - ref.cw[0]
-    res = noda_iteration(sp.csr_matrix(a), Settings(tol_eig=tol, max_iter=50))
+    *_, res = noda_steps(sp.csr_matrix(a), Settings(tol_eig=tol, max_iter=50))
     # each value is within its own target width of the true root, which lies
     # in the other enclosure
-    pad = tol * (1.0 + abs(res.rho))
+    pad = tol * (1.0 + abs(res.value))
     pad_ref = tol * (1.0 + abs(ref.rho))
-    assert ref_lo - pad <= res.rho <= ref_hi + pad
+    assert ref_lo - pad <= res.value <= ref_hi + pad
     assert res.cw[0] - pad_ref <= lam_ref <= res.cw[1] + pad_ref
 
 
@@ -619,22 +636,19 @@ def test_noda_left_iterate_leaves_the_right_run_alone(off, diag):
     def target(lam):
         return run.tol_eig * (1.0 + abs(lam))
 
-    both = noda_iteration(a, run, left=a.T.tocsr())
-    alone = noda_iteration(a, run)
-    assert both.cw == alone.cw and both.rho == alone.rho
-    assert np.array_equal(both.vector, alone.vector)
-    left = both.left
-    assert left.cw[1] - left.cw[0] <= target(left.rho)
-    assert left.vector.min() > 0.0
-    # cw lies within the last ratios widened by delta
     at = a.T.tocsr()
-    ratios = (at @ left.vector) / left.vector
-    delta = rounding_bound(at, left.vector)
-    assert left.cw[0] >= np.nextafter(ratios.min() - delta, -np.inf)
-    assert left.cw[1] <= np.nextafter(ratios.max() + delta, np.inf)
+    with recorded_solves() as log:
+        *_, both = noda_steps(a, run, at)
+    *_, alone = noda_steps(a, run)
+    assert both.cw == alone.cw and np.array_equal(both.right, alone.right)
+    assert alone.left is alone.right
+    # the left vector's own enclosure, from its iterates' ratios on A^T
+    left_cw, left_rho, left_lus = iterate_record(at, log, both.left)
+    assert left_cw[1] - left_cw[0] <= target(left_rho)
+    assert both.left.min() > 0.0
     # both enclosures hold the principal eigenvalue
-    assert max(both.cw[0], left.cw[0]) <= min(both.cw[1], left.cw[1])
-    assert alone.iterations <= both.iterations == max(alone.iterations, left.iterations)
+    assert max(both.cw[0], left_cw[0]) <= min(both.cw[1], left_cw[1])
+    assert alone.iterations <= both.iterations == max(alone.iterations, left_lus)
 
 
 @st.composite
@@ -698,11 +712,16 @@ def test_noda_enclosures_hold_the_principal_eigenvalue(d):
             eigenvalues = mpmath.eig(m, left=False, right=False)
         lam = mpmath.re(min(eigenvalues, key=mpmath.re))
     a = sp.csr_matrix(d)
+    at = a.T.tocsr()
     for tol in (1e-8, math.ulp(0.0)):
-        res = noda_iteration(a, Settings(tol_eig=tol), left=a.T.tocsr())
-        for run in (res, res.left):
-            assert mpmath.mpf(run.cw[0]) <= lam <= mpmath.mpf(run.cw[1]), (tol, run.cw)
-    assert res.stopped == res.left.stopped == "floor"
+        with recorded_solves() as log:
+            *_, res = noda_steps(a, Settings(tol_eig=tol), at)
+        left_cw, left_rho, _ = iterate_record(at, log, res.left)
+        for cw in (res.cw, left_cw):
+            assert mpmath.mpf(cw[0]) <= lam <= mpmath.mpf(cw[1]), (tol, cw)
+    # the left iterate closed, and not at the target: at the floor
+    assert res.stopped == "floor"
+    assert left_cw[1] - left_cw[0] > tol * (1.0 + abs(left_rho))
 
 
 def test_a_stall_on_a_kept_lu_takes_a_new_one():
@@ -715,13 +734,18 @@ def test_a_stall_on_a_kept_lu_takes_a_new_one():
     d[np.arange(6), np.arange(1, 7)] = -0.01
     d[6, 0] = -0.01
     a = sp.csr_matrix(d)
+    at = a.T.tocsr()
     run = Settings(tol_eig=1e-8)
-    res = noda_iteration(a, run, left=a.T.tocsr())
-    assert res.stopped == res.left.stopped == "target"
+    with recorded_solves() as log:
+        *_, res = noda_steps(a, run, at)
+    assert res.stopped == "target"
     assert res.iterations == 4
-    for r in (res, res.left):
-        assert r.cw[1] - r.cw[0] <= run.tol_eig * (1.0 + abs(r.rho))
-        assert r.cw[0] <= float(np.linalg.eigvals(d).real.min()) <= r.cw[1]
+    right = iterate_record(a, log, res.right, transposed=False)
+    assert right[0] == res.cw
+    # each iterate's enclosure meets its target: the left one closed there too
+    for cw, rho, _ in (right, iterate_record(at, log, res.left)):
+        assert cw[1] - cw[0] <= run.tol_eig * (1.0 + abs(rho))
+        assert cw[0] <= float(np.linalg.eigvals(d).real.min()) <= cw[1]
 
 
 @contextlib.contextmanager
@@ -753,6 +777,26 @@ def running_widths(b, xs):
     return widths
 
 
+def iterate_record(b, log, x, transposed=True):
+    """The enclosure, estimate and LU count at the run's end of its left
+    iterate on b = A^T (its right one on b = A, not transposed), read off
+    the iterate's own vectors: the right-hand sides of its solves in log
+    (recorded_solves), then its last vector x.  Each vector's
+    Collatz-Wielandt ratios (b x)/x are widened by delta and rounded
+    outward, and intersected, as the run encloses them; the estimate is
+    x's Rayleigh quotient on b clamped into the enclosure, and the LU
+    count the run's at the iterate's last solve."""
+    solves = [(serial, y) for serial, tt, y in log if tt == transposed]
+    lo, hi, lus = -np.inf, np.inf, solves[-1][0] + 1 if solves else 0
+    for y in [y for _, y in solves] + [x]:
+        ratios = (b @ y) / y
+        delta = rounding_bound(b, y)
+        lo = max(lo, float(np.nextafter(float(ratios.min()) - delta, -np.inf)))
+        hi = min(hi, float(np.nextafter(float(ratios.max()) + delta, np.inf)))
+    rho = min(max(float(x @ (b @ x)) / float(x @ x), lo), hi)
+    return (lo, hi), rho, lus
+
+
 @given(
     arrays(float, (5, 5), elements=st.floats(min_value=0.01, max_value=4.0)),
     arrays(float, (5,), elements=st.floats(min_value=-4.0, max_value=4.0)),
@@ -773,7 +817,7 @@ def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
         return run.tol_eig * (1.0 + abs(lam))
 
     with recorded_solves() as log:
-        alone = noda_iteration(a, run)
+        *_, alone = noda_steps(a, run)
     serials = [s for s, _, _ in log]
     assert alone.solves == len(log) and alone.iterations == len(set(serials))
     kept = sum(s == prev for s, prev in zip(serials[1:], serials))
@@ -783,13 +827,13 @@ def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
         assert kept <= math.log2(widths[0] / widths[-1])
 
     with recorded_solves() as log:
-        both = noda_iteration(a, run, left=at)
-    left = both.left
-    assert both.cw == alone.cw and both.rho == alone.rho
-    assert np.array_equal(both.vector, alone.vector) and both.solves == alone.solves
-    assert both.iterations == max(alone.iterations, left.iterations)
+        *_, both = noda_steps(a, run, at)
+    left_cw, left_rho, left_lus = iterate_record(at, log, both.left)
+    assert both.cw == alone.cw and np.array_equal(both.right, alone.right)
+    assert both.iterations == max(alone.iterations, left_lus)
     runs = {t: [(s, x) for s, tt, x in log if tt == t] for t in (False, True)}
-    assert len(runs[False]) == both.solves and len(runs[True]) == left.solves
+    assert len(runs[False]) == alone.solves
+    assert both.solves == alone.solves + len(runs[True])
     widths = {
         False: running_widths(a, [x for _, x in runs[False]]),
         True: running_widths(at, [x for _, x in runs[True]]),
@@ -803,9 +847,10 @@ def test_noda_keeps_a_shift_only_while_it_halves_the_width(off, diag):
 
     lam = float(np.linalg.eigvals(d).real.min())
     pad = 1e-12 * (1.0 + abs(lam))
-    for res in (both, left):
-        assert res.cw[0] - pad <= lam <= res.cw[1] + pad
-        assert res.cw[1] - res.cw[0] <= target(res.rho)
+    # the right iterate's estimate is alone's value, which has no left vector
+    for cw, rho in ((both.cw, alone.value), (left_cw, left_rho)):
+        assert cw[0] - pad <= lam <= cw[1] + pad
+        assert cw[1] - cw[0] <= target(rho)
 
 
 def test_noda_enclosure_rounds_outward():

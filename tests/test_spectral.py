@@ -11,7 +11,6 @@ import scipy.sparse as sp
 from elcomp import assembly, linalg, spectral
 from elcomp.certify import certify
 from elcomp.errors import NoConvergence, NotIrreducible, NotZMatrix, ValidationError
-from elcomp.linalg import noda_iteration
 from elcomp.mesh import build_grid, sub_rectangle_mask
 from elcomp.problems import load_problem, parse_problem
 from elcomp.settings import MAX_ITER, TOL_EIG, Settings
@@ -144,26 +143,31 @@ def test_left_vector_shares_the_right_factorizations(name, monkeypatch):
     enclosure on A^T."""
     a = NONSYMMETRIC[name]()
     assert (a != a.T).nnz > 0
-    factorized = []
-    init = linalg.LuFactor.__init__
+    factorized, solved = [], {False: [], True: []}
+    init, solve = linalg.LuFactor.__init__, linalg.LuFactor.solve
 
     def counting(self, m):
         factorized.append(m.shape)
         init(self, m)
 
+    def logged(self, b, transposed=False):
+        solved[transposed].append(len(factorized))  # the LUs made so far
+        return solve(self, b, transposed)
+
     monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+    monkeypatch.setattr(linalg.LuFactor, "solve", logged)
     tol = 1e-10
     pair = principal_eigenpair(a, Settings(tol_eig=tol))
     assert len(factorized) == pair.iterations > 0
+    left_lus, left_solves = max(solved[True], default=0), len(solved[True])
 
     run = Settings(tol_eig=tol, max_iter=MAX_ITER)
-    right = noda_iteration(a, run)
-    left = noda_iteration(a, run, left=a.T.tocsr()).left
+    *_, right = linalg.noda_steps(a, run)
     # the left iterate adds factorizations only once the right one is done
-    assert pair.iterations == max(right.iterations, left.iterations)
-    assert pair.solves == right.solves + left.solves
-    assert right.iterations <= right.solves and left.iterations <= left.solves
-    assert pair.cw == right.cw and np.array_equal(pair.right, right.vector)
+    assert pair.iterations == max(right.iterations, left_lus)
+    assert pair.solves == right.solves + left_solves
+    assert right.iterations <= right.solves and left_lus <= left_solves
+    assert pair.cw == right.cw and np.array_equal(pair.right, right.right)
     quotient = float(pair.left @ (a @ pair.right)) / float(pair.left @ pair.right)
     assert pair.value == min(max(quotient, pair.cw[0]), pair.cw[1])
     width = tol * (1.0 + abs(pair.value))
