@@ -8,11 +8,14 @@ decide answers it in one species order sigma, D = diag(sigma), on one
 ladder, which certify climbs for each order it reports and elcomp oracle
 for its one order.  The first rung that decides gives the report, and its
 method names the rung:
-1. m_matrix ("m-matrix"): where D A D is a Z-matrix and G <= 0, x = (D A
-   D)^{-1} 1 with (D A D) x > 0 proven in every row decides inverse
-   positivity both ways by Fiedler-Ptak (M. Fiedler, V. Ptak, Czechoslovak
-   Math. J. 12 (1962) 382-400), and a gauge order it proves positive on an
-   irreducible A decides the plain order.
+1. m_matrix ("m-matrix"): where D A D is a Z-matrix and G <= 0, an x with
+   (D A D) x > 0 proven in every row decides inverse positivity both ways
+   by Fiedler-Ptak (M. Fiedler, V. Ptak, Czechoslovak Math. J. 12 (1962)
+   382-400), and a gauge order it proves positive on an irreducible A
+   decides the plain order.  On a 2D grid x is first a cheap candidate, the
+   solution of D A D's mean stencil in the grid's sine basis
+   (_sine_candidate), which needs no LU; where its bound proves nothing,
+   and on a 1D grid, x = (D A D)^{-1} 1.
 2. The column search ("columns"): the column of A^{-1} at the middle
    interior node of each species.  A negative entry of block (k, l) can
    show in a column of species l, where a random f >= 0 would add the
@@ -22,8 +25,8 @@ method names the rung:
    ("scan"), with refute's field where a decision fails.
 4. Otherwise inverse_positive is None, and boundary_reason says why
    ("columns").
-Every rung solves on one LU of A, which the system keeps by content
-beside the scan (_lu), so that a system that reaches the scan is
+Every rung that solves does so on one LU of A, which the system keeps by
+content beside the scan (_lu), so that a system that reaches the scan is
 factorized once.  Rungs 1 and 2 need no budget; the budget bounds the
 scan alone, which is the only rung that reports min_entry.
 
@@ -195,10 +198,12 @@ def _block_minima(lu: LuFactor, asys: AssembledSystem, rhs, cols, width: int) ->
 
 def _lu(asys: AssembledSystem) -> LuFactor:
     """The one LU of A, in minimum degree order, that every rung solves
-    with, kept on asys beside the scan, by content (asys.key).  m_matrix
-    solves only a Z-matrix D A D, which no 9-point stencil is (cross
-    diffusion puts both signs on a species' diagonal neighbours, and no
-    gauge flips them), so lu_order gives its systems no order either."""
+    with, kept on asys beside the scan, by content (asys.key); m_matrix
+    asks for it only where its sine-basis candidate proves nothing or the
+    grid is 1D.  m_matrix solves only a Z-matrix D A D, which no 9-point
+    stencil is (cross diffusion puts both signs on a species' diagonal
+    neighbours, and no gauge flips them), so lu_order gives its systems no
+    order either."""
     key = (asys.key, "LU")
     if key not in asys._oracle_cache:
         asys._oracle_cache[key] = LuFactor(asys.A)
@@ -293,6 +298,45 @@ def _image_upper(asys: AssembledSystem, d: np.ndarray, v: np.ndarray, g=None) ->
     return upper
 
 
+def _sine_candidate(asys: AssembledSystem, d: np.ndarray) -> np.ndarray | None:
+    """x with P x = 1, P the operator of D A D's mean stencil, D = diag(d),
+    on a 2D grid; None on a 1D one.  P is read from A's stored entries and
+    the grid alone: one bincount gives each species block's mean centre
+    entry, mean x and y neighbour entries (the +- sides averaged together,
+    so P is symmetric in space) and mean pointwise coupling, times sigma_k
+    sigma_l.  Each species block of P is then a Kronecker sum of tridiagonal
+    Toeplitz matrices, which the orthonormal sine basis Q_d = sqrt(2 / (m +
+    1)) sin(pi i j / (m + 1)), m = n_d - 1, diagonalizes; Q_d is dense,
+    symmetric and orthogonal, applied by matmul, and each sine mode couples
+    the species in one N x N solve.  x is only a candidate: m_matrix's
+    bound decides whether it proves anything."""
+    grid, a, ns = asys.grid, asys.A, asys.n_species
+    if grid.dim != 2:
+        return None
+    n, (m1, m2) = grid.n_interior, (nd - 1 for nd in grid.n)
+    rows, cols = row_ids(a), a.indices
+    k, l, step = rows // n, cols // n, np.abs(cols.astype(np.int64) - rows)
+    # the slots of block (k, l): 0 centre, 1 x neighbour, 2 y neighbour, 3 coupling, 4 the rest
+    bins = (k * ns + l) * 5 + np.select([k != l, step == 0, step == 1, step == m1], [3, 0, 1, 2], 4)
+    sums = np.bincount(bins, d[rows] * d[cols] * a.data, ns * ns * 5).reshape(ns, ns, 5)
+    counts = np.bincount(bins, None, ns * ns * 5).reshape(ns, ns, 5)
+    own = np.arange(ns)
+    centre, sx, sy = (sums[own, own, s] / np.maximum(counts[own, own, s], 1) for s in range(3))
+    q, cos = [], []  # per axis, Q_d and the eigenvalues of tridiag(1, 0, 1) halved
+    for m in (m1, m2):
+        i = np.arange(1, m + 1)
+        q.append(np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(i, i) / (m + 1)))
+        cos.append(np.cos(np.pi * i / (m + 1)))
+    modes = np.broadcast_to(sums[..., 3] / n, (m2, m1, ns, ns)).copy()  # y mode, x mode
+    modes[..., own, own] = centre + 2.0 * (sx * cos[0][:, None] + sy * cos[1][:, None, None])
+    ones = np.outer(q[1].sum(axis=1), q[0].sum(axis=0))  # Q_2 1 1^T Q_1
+    try:
+        xhat = np.linalg.solve(modes, np.broadcast_to(ones[..., None, None], (m2, m1, ns, 1)))
+    except np.linalg.LinAlgError:  # a singular mode: P has no candidate to offer
+        return None
+    return np.concatenate([(q[1] @ xhat[..., k, 0] @ q[0]).ravel() for k in range(ns)])
+
+
 def _hand_on(sigma, reason: str, *args) -> None:
     """Log at DEBUG why m_matrix hands the order sigma to the column search."""
     logger.debug("gauge %s: M-matrix check handed to the columns: " + reason, sigma, *args)
@@ -302,20 +346,24 @@ def m_matrix(
     asys: AssembledSystem, gauge=None, flipped: OracleReport | None = None
 ) -> OracleReport | None:
     """The ladder's first rung: inverse_positivity's decision for D A D from
-    one solve, or None where a later rung must decide.  One DEBUG record
-    says that the check decided, or why it did not.
+    one vector x, or None where a later rung must decide.  One DEBUG record
+    says that the check decided, or why it did not; on a 2D grid one more
+    says that the sine-basis candidate decided, or gives its max|1 - B x|.
 
     By Fiedler-Ptak, a Z-matrix B is a nonsingular M-matrix, so B^{-1} >= 0,
     iff some x > 0 has B x > 0 (Berman-Plemmons, ch. 6).  Where B = D A D is
-    a Z-matrix and G <= 0, both on stored values, x = B^{-1} 1 = D A^{-1} D 1
-    is solved on the LU of A (_lu), and B x > 0 is proven in every row
-    as B (-x) < 0 (_image_upper).  Then x > 0 gives inverse_positive and,
-    with G <= 0, boundary_monotone.  Otherwise some x_i < 0: a row with x_i
-    = 0 and x >= 0 elsewhere has (B x)_i <= 0.  That refutes, as B^{-1} >=
-    0 would map B x > 0 to x >= 0, and v = -x, with zero boundary data and
-    that same bound, is the report's proven counterexample.  method reads
-    "m-matrix" and min_entry None.  The check does not read the Perron
-    vector, so it stays independent of Theorem 1's certificate.
+    a Z-matrix and G <= 0, both on stored values, B x > 0 is proven in
+    every row as B (-x) < 0 (_image_upper) for x the sine-basis candidate
+    (_sine_candidate) on a 2D grid, and where that bound proves nothing, or
+    on a 1D grid, for x = B^{-1} 1 = D A^{-1} D 1 solved on the LU of A
+    (_lu).  Neither decision needs x = B^{-1} 1 exactly: the bound decides.
+    Then x > 0 gives inverse_positive and, with G <= 0, boundary_monotone.
+    Otherwise some x_i < 0: a row with x_i = 0 and x >= 0 elsewhere has (B
+    x)_i <= 0.  That refutes, as B^{-1} >= 0 would map B x > 0 to x >= 0,
+    and v = -x, with zero boundary data and that same bound, is the
+    report's proven counterexample.  method reads "m-matrix" and min_entry None.  The check
+    reads neither the DiscreteSystem's coefficients nor the Perron vector,
+    so it stays independent of Theorem 1's certificate.
 
     flipped, this check's report in an order sigma that flips some species
     and not all, decides the plain order (gauge None): where it proved (D A
@@ -324,8 +372,8 @@ def m_matrix(
     sigma_l = -1 is < 0, with no solve.
 
     None where the order is not Z, G holds a value that is not <= 0, the
-    solve calls A singular, B x > 0 is not proven, or flipped proved
-    positivity on a reducible A.
+    LU's solve calls A singular, B x > 0 is not proven for x = B^{-1} 1, or
+    flipped proved positivity on a reducible A.
     """
     sigma, signs = _signs(asys, gauge)
     dof, a = asys.A.shape[0], asys.A
@@ -347,13 +395,24 @@ def m_matrix(
         return _hand_on(sigma, "D A D is not a Z-matrix")
     if not (asys.G.data <= 0.0).all():
         return _hand_on(sigma, "G has a value that is not <= 0")
-    try:
-        x = d * _lu(asys).solve(d)
-    except SingularMatrix as err:
-        return _hand_on(sigma, "the solve calls A singular (%s)", err)
-    bound = _image_upper(asys, d, -x)
-    if not (bound < 0.0).all():
-        return _hand_on(sigma, "(D A D) x > 0 is not proven")
+    x = _sine_candidate(asys, d)
+    bound = None if x is None else _image_upper(asys, d, -x)
+    if x is not None and (bound < 0.0).all():
+        logger.debug("gauge %s: the sine-basis candidate x decides", sigma)
+    else:
+        if x is not None:
+            residual = float(np.abs(1.0 - d * (a @ (d * x))).max())
+            logger.debug(
+                "gauge %s: the sine-basis candidate x leaves max|1 - (D A D) x| = %.3g,"
+                " so x = (D A D)^-1 1 is solved on the LU of A", sigma, residual,
+            )
+        try:
+            x = d * _lu(asys).solve(d)
+        except SingularMatrix as err:
+            return _hand_on(sigma, "the solve calls A singular (%s)", err)
+        bound = _image_upper(asys, d, -x)
+        if not (bound < 0.0).all():
+            return _hand_on(sigma, "(D A D) x > 0 is not proven")
     logger.debug("gauge %s: decided by the M-matrix check", sigma)
     if (x > 0.0).all():
         reason = "G <= 0 and A^-1 >= 0"

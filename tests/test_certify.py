@@ -697,13 +697,12 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "elcomp" / "data"
 
 
 def test_certify_factorizes_the_full_operator_once(monkeypatch):
-    """The gauged order's M-matrix check factorizes A once and proves (D A
-    D)^{-1} >= 0; A being irreducible, the plain report follows from it.
-    That is one LU of A and no scan, and each report decides as the scan
-    does."""
-    ds = load_problem(DATA / "competitive17.prob").discretize()
-    full = abs(ds.assemble("full").A)
-    factorized, scanned = [], []
+    """The gauged order's M-matrix check proves (D A D)^{-1} >= 0; A being
+    irreducible, the plain report follows from it.  On this constant-
+    coefficient 2D pair the sine-basis candidate proves it with no LU of A;
+    with no candidate, the check factorizes A once.  Neither order is
+    scanned, and each report decides as the scan does."""
+    full = abs(load_problem(DATA / "competitive17.prob").discretize().assemble("full").A)
     init = linalg.LuFactor.__init__
 
     def counting(self, a, order=None):
@@ -715,22 +714,25 @@ def test_certify_factorizes_the_full_operator_once(monkeypatch):
         scanned.append(asys.A.shape)
         return {}
 
-    monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
-    monkeypatch.setattr(oracle, "_scan_inverse", counting_scan)
-    v = certify(ds)
-    assert v.gauge == (1, -1)
-    assert scanned == []
-    assert factorized == [full.shape]
-    assert v.oracle.method == v.oracle_gauged.method == "m-matrix"
-    monkeypatch.undo()
-    fresh = load_problem(DATA / "competitive17.prob").discretize().assemble("full")
-    for report, gauge in ((v.oracle_gauged, v.gauge), (v.oracle, None)):
-        scan = inverse_positivity(fresh, gauge=gauge)
-        assert (report.inverse_positive, report.boundary_monotone) == (
-            scan.inverse_positive,
-            scan.boundary_monotone,
-        )
-        assert report.boundary_reason == scan.boundary_reason
+    for candidate, lus in ((oracle._sine_candidate, []), (lambda asys, d: None, [full.shape])):
+        factorized, scanned = [], []
+        monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+        monkeypatch.setattr(oracle, "_scan_inverse", counting_scan)
+        monkeypatch.setattr(oracle, "_sine_candidate", candidate)
+        v = certify(load_problem(DATA / "competitive17.prob").discretize())
+        assert v.gauge == (1, -1)
+        assert scanned == []
+        assert factorized == lus
+        assert v.oracle.method == v.oracle_gauged.method == "m-matrix"
+        monkeypatch.undo()
+        fresh = load_problem(DATA / "competitive17.prob").discretize().assemble("full")
+        for report, gauge in ((v.oracle_gauged, v.gauge), (v.oracle, None)):
+            scan = inverse_positivity(fresh, gauge=gauge)
+            assert (report.inverse_positive, report.boundary_monotone) == (
+                scan.inverse_positive,
+                scan.boundary_monotone,
+            )
+            assert report.boundary_reason == scan.boundary_reason
 
 
 @pytest.mark.parametrize(
@@ -795,9 +797,13 @@ def test_certify_notes_singular_oracle_for_both_orders(monkeypatch):
         raise SingularMatrix("pivot 0")
 
     # the M-matrix check's solve and the column search's LU both raise, and
-    # a check that cannot solve hands each order to the column search
+    # a check that cannot solve hands each order to the column search; the
+    # competitive pair's strong convection leaves the sine-basis candidate
+    # unproven, so the gauged check solves on the LU too
     monkeypatch.setattr(oracle, "LuFactor", singular)
-    v = certify(load_problem(DATA / "competitive17.prob"))
+    species = {"b1": "20", "b2": "-10", "f": "1"}
+    text = system_text((8, 8), [species, species], {"m12": "0.5", "m21": "0.5"})
+    v = certify(parse_problem(text))
     assert v.kind == "HoldsThm4"
     assert v.oracle is None and v.oracle_gauged is None
     assert "oracle: system matrix is singular" in v.notes

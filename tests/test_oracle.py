@@ -1,9 +1,9 @@
 """Inverse-positivity ground truth on small assembled systems."""
 
+import contextlib
 import inspect
 import logging
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -294,7 +294,7 @@ _SINGULAR_PAIR = system_text(
 )
 
 
-@contextmanager
+@contextlib.contextmanager
 def _oracle_messages():
     """The messages logged meanwhile on elcomp.oracle, at DEBUG."""
     log, messages = logging.getLogger("elcomp.oracle"), []
@@ -956,6 +956,19 @@ def test_oracle_scan_kept_by_content(monkeypatch):
     assert len(factorized) == 2
 
 
+def _counting_lus(monkeypatch):
+    """The shapes of the matrices LuFactor factorizes from now on."""
+    factorized = []
+    init = linalg.LuFactor.__init__
+
+    def counting(self, a, order=None):
+        factorized.append(a.shape)
+        init(self, a, order)
+
+    monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+    return factorized
+
+
 @pytest.mark.parametrize("case", ["nine-point-pair", "missed-by-the-middle-column"])
 def test_the_ladder_factorizes_a_once(case, monkeypatch):
     """A system that reaches the scan is factorized once: the M-matrix
@@ -971,14 +984,7 @@ def test_the_ladder_factorizes_a_once(case, monkeypatch):
         asys = parse_problem(text).discretize().assembled("full")
     else:
         asys, _ = _missed_by_the_middle_column()
-    factorized = []
-    init = linalg.LuFactor.__init__
-
-    def counting(self, a, order=None):
-        factorized.append(a.shape)
-        init(self, a, order)
-
-    monkeypatch.setattr(linalg.LuFactor, "__init__", counting)
+    factorized = _counting_lus(monkeypatch)
     report = decide(asys)
     assert report.method == "scan"
     assert factorized == [asys.A.shape]
@@ -1135,6 +1141,15 @@ def test_m_matrix_check_decides_as_the_dense_inverse(case):
     if rep is None:
         return
     _assert_m_matrix(asys, gauge, rep)
+    # the sine-basis candidate and x = (D A D)^{-1} 1 decide alike wherever both are proven
+    d = np.repeat(oracle._signs(asys, gauge)[1], asys.grid.n_interior)
+    vectors = [oracle._sine_candidate(asys, d)]
+    with contextlib.suppress(SingularMatrix):
+        vectors.append(d * lu_solve(asys.A, d))
+    proven = [
+        x for x in vectors if x is not None and (oracle._image_upper(asys, d, -x) < 0.0).all()
+    ]
+    assert {bool((x > 0.0).all()) for x in proven} <= {rep.inverse_positive}
     if gauge is not None and set(gauge) == {1, -1} and rep.inverse_positive:
         plain = oracle.m_matrix(asys, None, flipped=rep)
         assert (plain is None) == (not csr_strongly_connected(asys.A))
@@ -1254,6 +1269,90 @@ def test_m_matrix_check_needs_g_nonpositive(caplog):
     assert _check_records(caplog) == [
         "gauge None: M-matrix check handed to the columns: G has a value that is not <= 0"
     ]
+
+
+# ------------------------------------------------ the sine-basis candidate
+
+
+def _candidate(asys, gauge):
+    """(x, max|1 - D A D x|) of the sine-basis candidate in the order gauge."""
+    d = np.repeat(oracle._signs(asys, gauge)[1], asys.grid.n_interior)
+    x = oracle._sine_candidate(asys, d)
+    return x, float(np.abs(1.0 - d * (asys.A @ (d * x))).max())
+
+
+_ANISOTROPIC = [{"a11": "2", "a22": "0.5", "c": "1", "f": "1"}, {"f": "1"}]
+
+
+@pytest.mark.parametrize(
+    "shape, species, coupling, gauge, positive",
+    [
+        ((12, 12), [{"f": "1"}] * 2, ("-1", "-1"), None, True),
+        ((12, 12), [{"f": "1"}] * 2, ("0.5", "0.5"), (1, -1), True),
+        ((12, 12), [{"c": "-5.74", "f": "1"}] * 2, ("-17", "-17"), None, False),
+        ((10, 17), _ANISOTROPIC, ("-1", "-0.3"), None, True),
+    ],
+    ids=["cooperative", "competitive-gauged", "thm7", "anisotropic"],
+)
+def test_the_sine_candidate_decides_a_constant_coefficient_pair(
+    shape, species, coupling, gauge, positive, monkeypatch, caplog
+):
+    """A constant-coefficient pair's D A D is its own mean stencil, so the
+    candidate is (D A D)^{-1} 1 to rounding, max|1 - D A D x| <= 1e-12,
+    with and without a gauge, and on a 10 x 17 grid whose species differ and
+    diffuse unequally along x and y, and the M-matrix check decides with no
+    LU of A, both ways, as the dense inverse does (_assert_m_matrix)."""
+    text = system_text(shape, species, dict(zip(("m12", "m21"), coupling)))
+    asys = parse_problem(text).discretize().assembled("full")
+    _, residual = _candidate(asys, gauge)
+    assert residual <= 1e-12
+    factorized = _counting_lus(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    rep = oracle.m_matrix(asys, gauge)
+    assert factorized == []
+    assert f"gauge {gauge}: the sine-basis candidate x decides" in caplog.messages
+    assert rep.inverse_positive is positive
+    _assert_m_matrix(asys, gauge, rep)
+
+
+_CONVECTION_PAIR = system_text(
+    (64, 64), [{"b1": "20", "b2": "-10", "f": "1"}, {"f": "1"}], {"m12": "-1", "m21": "-1"}
+)
+# a reaction well that the mean stencil averages out: P is an M-matrix, so
+# the candidate is > 0, but A is not inverse positive
+_REACTION_WELL = system_text(
+    (12, 12), [{"c": "-100*exp(-((x - 0.5)^2 + (y - 0.5)^2)/0.02)", "f": "1"}]
+)
+
+
+@pytest.mark.parametrize(
+    "text, positive",
+    [(_CONVECTION_PAIR, True), (_REACTION_WELL, False)],
+    ids=["convection", "well"],
+)
+def test_an_unproven_candidate_hands_off_to_the_lu(text, positive, monkeypatch, caplog):
+    """Where D A D is far from its mean stencil, the candidate proves
+    nothing, and the check solves x = (D A D)^{-1} 1 on the one LU of A,
+    which decides; one DEBUG record gives the candidate's max|1 - D A D x|.
+    Strong convection (b = (20, -10) on species 1 of a 64^2 cooperative
+    pair) leaves it near 6, on an inverse-positive A.  The reaction well's
+    candidate is > 0 while A^{-1} has negative entries: a check that took
+    x > 0 without its bound would prove positivity there."""
+    asys = parse_problem(text).discretize().assembled("full")
+    x, residual = _candidate(asys, None)
+    assert residual > 1.0
+    factorized = _counting_lus(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="elcomp.oracle")
+    rep = oracle.m_matrix(asys)
+    assert factorized == [asys.A.shape]
+    assert rep.method == "m-matrix" and rep.inverse_positive is positive
+    assert (
+        f"gauge None: the sine-basis candidate x leaves max|1 - (D A D) x| = {residual:.3g},"
+        " so x = (D A D)^-1 1 is solved on the LU of A"
+    ) in caplog.messages
+    if not positive:
+        assert (x > 0.0).all() and rep.counterexample.verified
+        assert inverse_positivity(asys).inverse_positive is False
 
 
 @given(

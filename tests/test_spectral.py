@@ -446,15 +446,16 @@ def test_thm1_scans_each_operator_content_once(monkeypatch):
     assert len(scans) == len(set(scans)) == 2
 
 
-@pytest.mark.parametrize("name, keys", [("cooperative_pair", 1), ("competitive17", 3)])
+@pytest.mark.parametrize("name, keys", [("cooperative_pair", 1), ("competitive17", 2)])
 def test_certify_hashes_each_operator_once(monkeypatch, name, keys):
     """A certify run hashes each operator it solves or factorizes once.
-    cooperative_pair's eigen solves and its oracle's LU of A, which the
-    M-matrix check solves with, read the key of its one assembled system.
-    competitive17 hashes its two species blocks, equal in content and so
-    solved once, and its full system, whose LU its gauged order's M-matrix
-    check keeps by content (oracle._lu); the plain order follows with no
-    solve, and neither order is scanned."""
+    cooperative_pair's eigen solves read the key of its one assembled
+    system, whose M-matrix check the sine-basis candidate decides with no
+    LU.  competitive17 hashes its two species blocks, equal in content and
+    so solved once; its gauged order's M-matrix check is decided by the
+    candidate too, so no LU of the full system is kept by content
+    (oracle._lu), the plain order follows with no solve, and neither order
+    is scanned."""
     hashed = []
     content_key = linalg.content_key
 
